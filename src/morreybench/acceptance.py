@@ -17,22 +17,25 @@ uniform-boundedness property it protects is checked (and passes) alongside.
 
 from __future__ import annotations
 
+import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decomposition import choose_a, cz_decompose, packing_sum, verify_halving
-from .experiments import (ExponentProfile, SharpnessConfig, SteinWeissParams,
-                          make_pairs, necessity_check, ratio_harness,
+from .decomposition import (CZ_COLUMNS, choose_a, cz_decompose, packing_sum,
+                            verify_halving)
+from .experiments import (NECESSITY_COLUMNS, ExponentProfile, SharpnessConfig,
+                          SteinWeissParams, log_uniform, make_pairs,
+                          necessity_check, random_weights, ratio_harness,
                           run_sharpness, stein_weiss_check)
 from .grid import GridFunction, cube_box, unit_root
 from .norms import dyadic_family
 from .operators import (KernelSpec, b_alpha, b_alpha_dyadic, i_alpha,
                         m_alpha_bilinear)
-from .util import fmt, make_rng
-from .weights import (CharParams, WeightSystem, char_remark, char_two_weight,
-                      power_system, power_weight)
+from .util import by_level, csv_text, fmt, make_rng
+from .weights import (CharParams, char_remark, char_two_weight, power_system,
+                      power_weight)
 
 # recorded regression constant for the necessity ratio (measured max 1.7 on
 # the seeded systems; factor-two headroom)
@@ -60,7 +63,7 @@ class CriterionResult:
     slug: str
     passed: bool
     detail: str
-    artifacts: dict = field(default_factory=dict)  # name -> (header, rows)
+    artifacts: dict = field(default_factory=dict)  # file name -> CSV text
 
     @property
     def line(self) -> str:
@@ -70,9 +73,7 @@ class CriterionResult:
 
 def _rand_pair(seed, depth, flags="pos"):
     rng = make_rng(seed, 17)
-    mk = lambda: GridFunction(1, unit_root(1), depth,
-                              np.exp(rng.uniform(-2, 2, size=2 ** depth)), flags)
-    return mk(), mk()
+    return tuple(log_uniform(rng, unit_root(1), depth, flags) for _ in range(2))
 
 
 def criterion_01(ctx) -> CriterionResult:
@@ -118,13 +119,10 @@ def criterion_02(ctx) -> CriterionResult:
                     f"the one-cluster constant (delta-uniform boundedness: {uniform})")
     detail = (f"floors {'ok' if floors else 'FAIL'}; norm bound {norm_msg}; "
               f"{elapsed:.2f}s")
-    rows = [{"delta": r.delta, "min_pointwise": r.min_pointwise, "floor": r.floor,
-             "norm": r.norm_b, "norm_f": r.norm_f, "bound_f": r.bound_f,
-             "norm_g": r.norm_g, "bound_g": r.bound_g} for r in blow.rows]
     header = ["delta", "min_pointwise", "floor", "norm", "norm_f", "bound_f",
               "norm_g", "bound_g"]
     return CriterionResult(2, "sharpness-norm-floor", ok, detail,
-                           {"sharpness.csv": (header, rows)})
+                           {"sharpness.csv": csv_text(header, blow.table())})
 
 
 def criterion_03(ctx) -> CriterionResult:
@@ -158,8 +156,7 @@ def criterion_04(ctx) -> CriterionResult:
     vals = list(spreads.values())
     ok = max(vals) / min(vals) < 1.10
     return CriterionResult(4, "dyadic-model-equivalence", ok,
-                           "spread by level " + " ".join(
-                               f"{d}:{fmt(s)}" for d, s in spreads.items()))
+                           f"spread by level {by_level(spreads)}")
 
 
 def criterion_05(ctx) -> CriterionResult:
@@ -195,7 +192,7 @@ def criterion_06(ctx) -> CriterionResult:
     levels = sorted(consts)
     ok = all(consts[b] <= 1.05 * consts[a] for a, b in zip(levels, levels[1:]))
     return CriterionResult(6, "maximal-control", ok,
-                           "c by level " + " ".join(f"{d}:{fmt(c)}" for d, c in consts.items()))
+                           f"c by level {by_level(consts)}")
 
 
 def criterion_07(ctx) -> CriterionResult:
@@ -256,28 +253,22 @@ def criterion_09(ctx) -> CriterionResult:
     pairs = make_pairs("step", 6, ctx.get("seed", 20240801), 4)
     res = ratio_harness("two-weight", ExponentProfile(alpha=cp.alpha, n=1),
                         pairs, (4, 5, 6), ws=ws, cp=cp)
-    chain_ok = True
     fam = dyadic_family(unit_root(1), -4)
-    systems = [ws]
     rng = make_rng(ctx.get("seed", 20240801), 59)
-    for _ in range(5):
-        mk = lambda: GridFunction(1, unit_root(1), 4,
-                                  np.exp(rng.uniform(-2, 2, 16)), "pos")
-        systems.append(WeightSystem(mk(), mk(), mk()))
+    systems = [ws] + [random_weights(rng, unit_root(1), 4) for _ in range(5)]
+    chain_ok = True
     for system in systems:
         two = char_two_weight(system, cp, fam).value
         single = char_remark(system, cp, fam).value
         if two > single * (1 + 1e-12):
             chain_ok = False
     ok = res.stable and chain_ok
-    rows = [{"theorem": r.theorem, "pair_id": r.pair_id, "level": r.level,
-             "lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio} for r in res.records]
-    detail = ("max ratio by level "
-              + " ".join(f"{k}:{fmt(v)}" for k, v in sorted(res.max_ratio_by_level.items()))
-              + f"; majorant chain {'ok' if chain_ok else 'FAIL'}")
+    detail = (f"max ratio by level {by_level(res.max_ratio_by_level)}; "
+              f"majorant chain {'ok' if chain_ok else 'FAIL'}")
+    header = ["theorem", "pair_id", "level", "lhs", "rhs", "ratio"]
     return CriterionResult(9, "weighted-harness", ok, detail,
                            {"two_weight_ratios.csv":
-                            (["theorem", "pair_id", "level", "lhs", "rhs", "ratio"], rows)})
+                            csv_text(header, [r.row() for r in res.records])})
 
 
 def criterion_10(ctx) -> CriterionResult:
@@ -294,63 +285,36 @@ def criterion_10(ctx) -> CriterionResult:
 
 def criterion_11(ctx) -> CriterionResult:
     """Testing constant against the empirical operator constant, 10 systems."""
-    cp = TESTING_CP
-    ratios, floors = [], []
-    rows = []
-    for seed in range(10):
-        rng = make_rng(ctx.get("seed", 20240801), 83, seed)
-        mk = lambda: GridFunction(1, unit_root(1), 5,
-                                  np.exp(rng.uniform(-2, 2, 32)), "pos")
-        ws = WeightSystem(mk(), mk(), mk())
-        rep = necessity_check(ws, cp, dyadic_family(unit_root(1), -5), seed=seed)
-        ratios.append(rep.ratio)
-        floors.append(rep.exact_floor_ok)
-        rows.append({"system": seed, "char": rep.char_value,
-                     "op_constant": rep.op_constant, "ratio": rep.ratio,
-                     "exact_floor": int(rep.exact_floor_ok)})
-    c_emp = max(ratios)
-    ok = all(floors) and all(np.isfinite(r) for r in ratios) and c_emp <= NECESSITY_RATIO_BOUND
+    seed = ctx.get("seed", 20240801)
+    fam = dyadic_family(unit_root(1), -5)
+    reports = [necessity_check(random_weights(make_rng(seed, 83, k), unit_root(1), 5),
+                               TESTING_CP, fam, seed=k) for k in range(10)]
+    c_emp = max(r.ratio for r in reports)
+    floors = all(r.exact_floor_ok for r in reports)
+    ok = floors and all(np.isfinite(r.ratio) for r in reports) and c_emp <= NECESSITY_RATIO_BOUND
     return CriterionResult(11, "necessity-testing", ok,
                            f"C_emp {fmt(c_emp)} (bound {fmt(NECESSITY_RATIO_BOUND)}); "
-                           f"exact indicator floor {'ok' if all(floors) else 'FAIL'}",
-                           {"necessity.csv":
-                            (["system", "char", "op_constant", "ratio", "exact_floor"], rows)})
+                           f"exact indicator floor {'ok' if floors else 'FAIL'}",
+                           {"necessity.csv": csv_text(NECESSITY_COLUMNS, [
+                               r.row(k) for k, r in enumerate(reports)])})
 
 
 def _deterministic_artifacts(seed: int) -> dict:
     """The CSV texts a selftest emits, as strings, for byte comparison."""
-    from .cli import _cell
-    out = {}
-    cfg = SharpnessConfig(n=1, alpha=0.3, p1=4, q1=2, p2=4, q2=2, t=5.0,
-                          delta_exps=(4, 5, 6))
-    res = run_sharpness(cfg)
-    header = ["delta", "min_pointwise", "floor", "norm"]
-    lines = [",".join(header)]
-    for r in res.rows:
-        lines.append(",".join(_cell(v) for v in (r.delta, r.min_pointwise,
-                                                 r.floor, r.norm_b)))
-    out["sharpness.csv"] = "\n".join(lines) + "\n"
-
+    cfg = replace(BLOWUP, delta_exps=(4, 5, 6))
     prof = ExponentProfile(alpha=0.3, n=1, p1=4, q1=2.5, p2=4, q2=2.5,
                            s=5.0, t=3.125)
-    pairs = make_pairs("step", 3, seed, 4)
-    ratio = ratio_harness("bilinear-ratio", prof, pairs, (4, 5))
-    lines = ["pair_id,level,lhs,rhs"]
-    for r in ratio.records:
-        lines.append(",".join(_cell(v) for v in (r.pair_id, r.level, r.lhs, r.rhs)))
-    out["ratios.csv"] = "\n".join(lines) + "\n"
-
+    ratio = ratio_harness("bilinear-ratio", prof, make_pairs("step", 3, seed, 4), (4, 5))
     f, g = _rand_pair(seed, 6, flags="nonneg")
-    a = choose_a(f, g, unit_root(1))
-    sf = cz_decompose(f, g, unit_root(1), a)
-    lines = ["k,cube_level,cube_coords,m3q,e_measure"]
-    for k, gen in enumerate(sf.generations, 1):
-        for sel in gen:
-            lines.append(",".join(_cell(v) for v in (
-                k, sel.cube.level, ";".join(map(str, sel.cube.coords)),
-                sel.m_value, sel.e_cells * f.cell_volume)))
-    out["decomposition.csv"] = "\n".join(lines) + "\n"
-    return out
+    sf = cz_decompose(f, g, unit_root(1), choose_a(f, g, unit_root(1)))
+    return {
+        "sharpness.csv": csv_text(["delta", "min_pointwise", "floor", "norm"],
+                                  run_sharpness(cfg).table()),
+        "ratios.csv": csv_text(["pair_id", "level", "lhs", "rhs"],
+                               [r.row() for r in ratio.records]),
+        # generations k >= 1 only: no base-cube row
+        "decomposition.csv": csv_text(CZ_COLUMNS, sf.rows(f.cell_volume)[1:]),
+    }
 
 
 def criterion_12(ctx) -> CriterionResult:
@@ -362,9 +326,7 @@ def criterion_12(ctx) -> CriterionResult:
     ok = all(same.values())
     bad = [name for name, eq in same.items() if not eq]
     detail = "3 artifact files byte-identical" if ok else f"mismatch in {bad}"
-    res = CriterionResult(12, "determinism", ok, detail)
-    res.artifacts = {name: ("raw", text) for name, text in first.items()}
-    return res
+    return CriterionResult(12, "determinism", ok, detail, first)
 
 
 CRITERIA = (criterion_01, criterion_02, criterion_03, criterion_04,
@@ -379,24 +341,16 @@ def run_selftest(seed: int = 20240801, outdir=None, criteria=None):
     given; file contents depend only on the seed.
     """
     ctx = {"seed": seed}
-    wanted = set(criteria) if criteria else None
     results = []
     for idx, fn in enumerate(CRITERIA, 1):
-        if wanted is not None and idx not in wanted:
+        if criteria and idx not in criteria:
             continue
         res = fn(ctx)
         results.append(res)
         print(res.line)
         if outdir is not None:
-            import os
             os.makedirs(outdir, exist_ok=True)
-            for name, payload in res.artifacts.items():
-                path = os.path.join(outdir, name)
-                if payload[0] == "raw":
-                    with open(path, "w") as fh:
-                        fh.write(payload[1])
-                else:
-                    from .cli import write_csv
-                    header, rows = payload
-                    write_csv(path, header, rows)
+            for name, text in res.artifacts.items():
+                with open(os.path.join(outdir, name), "w") as fh:
+                    fh.write(text)
     return results

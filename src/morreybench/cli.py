@@ -22,19 +22,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from .decomposition import choose_a, cz_decompose, verify_halving
-from .experiments import (ExponentProfile, SharpnessConfig, SteinWeissParams,
-                          FsDualParams, fs_dual_check, make_pairs,
-                          necessity_check, ratio_harness, run_sharpness,
+from .decomposition import CZ_COLUMNS, choose_a, cz_decompose, verify_halving
+from .experiments import (NECESSITY_COLUMNS, THEOREMS, ExponentProfile,
+                          FsDualParams, SharpnessConfig, SteinWeissParams,
+                          fs_dual_check, make_pairs, necessity_check,
+                          random_weights, ratio_harness, run_sharpness,
                           stein_weiss_check)
-from .grid import DyadicCube, GridFunction, read_mgf, write_mgf
+from .grid import DyadicCube, GridFunction, read_mgf, unit_root, write_mgf
 from .norms import (aligned_family, dyadic_family, lebesgue_norm, morrey_norm,
                     weak_quasinorm)
 from .operators import (KernelSpec, b_alpha, b_alpha_dyadic, b_truncated,
                         i_alpha, m_alpha_bilinear, m_alpha_vector, m_tilde,
                         m_triple_dyadic)
-from .util import NumericalError, ParameterError, fmt, make_rng
-from .weights import (INF, CharParams, WeightSystem, ap_characteristic,
+from .util import (INF, NumericalError, ParameterError, by_level, csv_text, fmt,
+                   make_rng)
+from .weights import (CharParams, WeightSystem, ap_characteristic,
                       char_one_weight, char_remark, char_testing,
                       char_two_weight, fs_majorant, power_system,
                       power_weight)
@@ -46,39 +48,62 @@ def parse_number(text: str) -> float:
     if text.lower() in ("inf", "infinity"):
         return INF
     try:
-        if "/" in text:
-            return float(Fraction(text))
-        return float(text)
-    except (ValueError, ZeroDivisionError) as exc:
+        value = float(Fraction(text)) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ParameterError(f"cannot parse number {text!r}") from exc
+    if not value > -INF:  # nan or -inf
+        raise ParameterError(f"cannot parse number {text!r}")
+    return value
+
+
+def parse_positive(text: str) -> float:
+    """parse_number of an exponent that must be positive ('inf' included)."""
+    value = parse_number(text)
+    if not value > 0:
+        raise ParameterError(f"exponent {text!r} is not positive")
+    return value
 
 
 def parse_range(text: str) -> tuple[int, ...]:
-    """'4..8' or '4,5,7' into an integer tuple."""
+    """'4..8' or '4,5,7' into a nonempty integer tuple."""
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok)
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            out = tuple(range(int(lo), int(hi) + 1))
+        else:
+            out = tuple(int(tok) for tok in text.split(",") if tok)
+    except ValueError as exc:
+        raise ParameterError(f"cannot parse range {text!r}") from exc
+    if not out:
+        raise ParameterError(f"empty range {text!r}")
+    return out
+
+
+def parse_pairs(text: str) -> list[tuple[str, int]]:
+    """'step:6,indicator:2' into (kind, count) tuples; a bare kind counts once."""
+    specs = [tok.partition(":")[::2] for tok in text.split(",")]
+    if not all(cnt == "" or cnt.isdecimal() and int(cnt) > 0 for _, cnt in specs):
+        raise ParameterError(f"pair counts must be positive integers in {text!r}")
+    return [(kind, int(cnt or 1)) for kind, cnt in specs]
+
+
+def _require(ns, *names) -> dict:
+    """The values of flags ``names``; refuses a command that misses any
+    (an empty path counts as missing)."""
+    missing = [f"--{name}" for name in names if getattr(ns, name) in (None, "")]
+    if missing:
+        raise ParameterError("missing " + " ".join(missing))
+    return {name: getattr(ns, name) for name in names}
 
 
 def write_csv(path, header, rows, mirror_json=False):
     """Rows as shortest-round-trip decimals; optional JSON-lines mirror."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(row[k]) for k in header))
-    text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
-        fh.write(text)
+        fh.write(csv_text(header, rows))
     if mirror_json:
         for row in rows:
             print(json.dumps({k: row[k] for k in header}))
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return fmt(value)
-    return str(value)
 
 
 def _root_from(ns) -> DyadicCube:
@@ -86,13 +111,9 @@ def _root_from(ns) -> DyadicCube:
     return DyadicCube(ns.rootlevel, coords)
 
 
-def _family_for(grid: GridFunction, name: str, min_level):
-    if name == "all":
-        return aligned_family(grid)
-    if name == "dyadic":
-        lvl = grid.cell_level if min_level is None else min_level
-        return dyadic_family(grid.root, lvl)
-    raise ParameterError(f"unknown family {name!r}")
+def _dyadic_for(grid: GridFunction, ns):
+    """Dyadic subcubes of the grid's root down to --min-level (default: cells)."""
+    return dyadic_family(grid.root, grid.cell_level if ns.min_level is None else ns.min_level)
 
 
 def _describe_cube(entry) -> str:
@@ -109,66 +130,50 @@ def _describe_cube(entry) -> str:
 def _cmd_norm(ns) -> int:
     f = read_mgf(ns.infile)
     if ns.kind == "morrey":
-        fam = _family_for(f, ns.family, ns.min_level)
+        _require(ns, "p", "q")
+        fam = aligned_family(f) if ns.family == "all" else _dyadic_for(f, ns)
         rep = morrey_norm(f, ns.p, ns.q, fam)
+        where = _describe_cube(rep.attaining)
         print(f"morrey p={fmt(ns.p)} q={fmt(ns.q)} family={ns.family} "
-              f"value={fmt(rep.value)} attained at {_describe_cube(rep.attaining)}")
-        if ns.json:
-            print(json.dumps({"kind": "morrey", "p": ns.p, "q": ns.q,
-                              "value": rep.value,
-                              "attaining": _describe_cube(rep.attaining)}))
+              f"value={fmt(rep.value)} attained at {where}")
+        payload = {"kind": "morrey", "p": ns.p, "q": ns.q, "value": rep.value,
+                   "attaining": where}
     elif ns.kind == "lebesgue":
+        _require(ns, "t")
         val = lebesgue_norm(f, ns.t)
         print(f"lebesgue t={fmt(ns.t)} value={fmt(val)}")
-        if ns.json:
-            print(json.dumps({"kind": "lebesgue", "t": ns.t, "value": val}))
-    elif ns.kind == "weak":
+        payload = {"kind": "lebesgue", "t": ns.t, "value": val}
+    else:
+        _require(ns, "p")
         val = weak_quasinorm(f, ns.p)
         print(f"weak p={fmt(ns.p)} value={fmt(val)}")
-        if ns.json:
-            print(json.dumps({"kind": "weak", "p": ns.p, "value": val}))
-    else:
-        raise ParameterError(f"unknown norm kind {ns.kind!r}")
+        payload = {"kind": "weak", "p": ns.p, "value": val}
+    if ns.json:
+        print(json.dumps(payload))
     return 0
 
 
 def _cmd_op(ns) -> int:
     f = read_mgf(ns.f)
-    if ns.operator != "i-alpha" and not ns.g:
-        raise ParameterError(f"operator {ns.operator} needs --g")
-    if ns.operator == "m-tilde" and not ns.v:
-        raise ParameterError("operator m-tilde needs --v")
-    if ns.operator == "b-truncated" and ns.d is None:
-        raise ParameterError("operator b-truncated needs --d")
-    if ns.operator in ("i-alpha", "b-alpha", "b-dyadic", "m-bilinear",
-                       "m-vector", "m-tilde") and ns.alpha is None:
-        raise ParameterError(f"operator {ns.operator} needs --alpha")
-    g = read_mgf(ns.g) if ns.g else None
-    fam = (dyadic_family(f.root, f.cell_level if ns.min_level is None else ns.min_level))
-    if ns.operator == "i-alpha":
-        out = i_alpha(f, KernelSpec(ns.alpha, ns.subdivision_depth))
-    elif ns.operator == "b-alpha":
-        out = b_alpha(f, g, KernelSpec(ns.alpha, ns.subdivision_depth))
-    elif ns.operator == "b-truncated":
-        out = b_truncated(f, g, ns.d)
-    elif ns.operator == "b-dyadic":
-        q0 = _root_from(ns) if ns.rootlevel is not None else f.root
-        out = b_alpha_dyadic(f, g, KernelSpec(ns.alpha, ns.subdivision_depth), q0)
-    elif ns.operator == "m-bilinear":
-        out = m_alpha_bilinear(f, g, ns.alpha, fam)
-    elif ns.operator == "m-vector":
-        if ns.r1 is None or ns.r2 is None:
-            raise ParameterError("operator m-vector needs --r1 and --r2")
-        out = m_alpha_vector(f, g, ns.alpha, ns.r1, ns.r2, fam)
-    elif ns.operator == "m-tilde":
-        if ns.t is None:
-            raise ParameterError("operator m-tilde needs --t")
-        v = read_mgf(ns.v)
-        out = m_tilde(f, g, v, ns.alpha, ns.t, fam)
-    elif ns.operator == "m-triple":
-        out = m_triple_dyadic(f, g, fam)
-    else:
-        raise ParameterError(f"unknown operator {ns.operator!r}")
+    fam = _dyadic_for(f, ns)
+    spec = KernelSpec(ns.alpha, ns.subdivision_depth)
+    q0 = _root_from(ns) if ns.rootlevel is not None else f.root
+    # operator -> (the flags it reads besides --f, its run)
+    flags, run = {
+        "i-alpha": (("alpha",), lambda: i_alpha(f, spec)),
+        "b-alpha": (("g", "alpha"), lambda: b_alpha(f, g, spec)),
+        "b-truncated": (("g", "d"), lambda: b_truncated(f, g, ns.d)),
+        "b-dyadic": (("g", "alpha"), lambda: b_alpha_dyadic(f, g, spec, q0)),
+        "m-bilinear": (("g", "alpha"), lambda: m_alpha_bilinear(f, g, ns.alpha, fam)),
+        "m-vector": (("g", "alpha", "r1", "r2"),
+                     lambda: m_alpha_vector(f, g, ns.alpha, ns.r1, ns.r2, fam)),
+        "m-tilde": (("g", "v", "alpha", "t"),
+                    lambda: m_tilde(f, g, read_mgf(ns.v), ns.alpha, ns.t, fam)),
+        "m-triple": (("g",), lambda: m_triple_dyadic(f, g, fam)),
+    }[ns.operator]
+    _require(ns, *flags)
+    g = read_mgf(ns.g) if "g" in flags else None
+    out = run()
     write_mgf(ns.out, out.fn)
     print(f"{ns.operator} -> {ns.out} (max={fmt(float(out.fn.values.max()))}, "
           f"tail_bound={fmt(out.tail_bound)})")
@@ -179,62 +184,57 @@ def _load_system(ns) -> WeightSystem:
     if ns.v and ns.w1 and ns.w2:
         return WeightSystem(read_mgf(ns.v), read_mgf(ns.w1), read_mgf(ns.w2))
     if ns.beta is not None:
+        _require(ns, "gamma1", "gamma2")
         root = _root_from(ns)
         center = tuple(float(c) for c in str(ns.center).split(","))
         return power_system(ns.beta, ns.gamma1, ns.gamma2, center, root, ns.depth)
     raise ParameterError("weights needed: --v/--w1/--w2 files or synthetic --beta/--gamma1/--gamma2")
 
 
-def _char_params(ns, variant: str) -> CharParams:
-    return CharParams(alpha=ns.alpha, n=ns.dim, q1=ns.q1, q2=ns.q2, p=ns.p,
-                      s=ns.s, t=ns.t, r=ns.r, a=ns.a, variant=variant)
+def _char_params(ns, kind: str) -> CharParams:
+    """Parameters of a char kind or weighted theorem; --s picks the s<1 or s>=1 form."""
+    exponents = _require(ns, "alpha", "q1", "q2", "p", "s", "t", "r", "a")
+    split = "s<1" if ns.s < 1.0 else "s>=1"
+    variant = {"two-weight": split, "one-weight": "one-weight-" + split}.get(kind, kind)
+    return CharParams(n=ns.dim, variant=variant, **exponents)
 
 
 def _cmd_char(ns) -> int:
     if ns.kind in ("ap", "fs-majorant"):
         source = ns.v if ns.kind == "ap" else ns.w1
         w = read_mgf(source) if source else _load_system(ns).w1
-        fam = dyadic_family(w.root,
-                            w.cell_level if ns.min_level is None else ns.min_level)
+        fam = _dyadic_for(w, ns)
         if ns.kind == "ap":
+            _require(ns, "p")
             rep = ap_characteristic(w, ns.p, fam)
             print(f"ap p={fmt(ns.p)} value={fmt(rep.value)} "
                   f"at {_describe_cube(rep.attaining[0])}")
             if ns.json:
                 print(json.dumps({"kind": "ap", "p": ns.p, "value": rep.value}))
             return 0
-        if not ns.out:
-            raise ParameterError("fs-majorant needs --out for the MGF result")
+        _require(ns, "r", "s", "out")
         out = fs_majorant(w, ns.r, ns.s, fam)
         write_mgf(ns.out, out)
         print(f"fs-majorant -> {ns.out} (max={fmt(float(out.values.max()))})")
         return 0
+    cp = _char_params(ns, ns.kind)
+    if ns.pair_budget < 1:
+        raise ParameterError("--pair-budget must be at least 1")
     ws = _load_system(ns)
-    fam = dyadic_family(ws.v.root,
-                        ws.v.cell_level if ns.min_level is None else ns.min_level)
-    if ns.kind == "two-weight":
-        variant = "s<1" if ns.s < 1.0 else "s>=1"
-        rep = char_two_weight(ws, _char_params(ns, variant), fam, ns.pair_budget)
-    elif ns.kind == "remark":
-        rep = char_remark(ws, _char_params(ns, "remark"), fam)
-    elif ns.kind == "one-weight":
-        variant = "one-weight-s<1" if ns.s < 1.0 else "one-weight-s>=1"
-        rep = char_one_weight(ws, _char_params(ns, variant), fam, ns.pair_budget)
-    elif ns.kind == "testing":
-        rep = char_testing(ws, _char_params(ns, "testing"), fam)
-    else:
-        raise ParameterError(f"unknown characteristic {ns.kind!r}")
+    fam = _dyadic_for(ws.v, ns)
+    rep = {"two-weight": lambda: char_two_weight(ws, cp, fam, ns.pair_budget),
+           "remark": lambda: char_remark(ws, cp, fam),
+           "one-weight": lambda: char_one_weight(ws, cp, fam, ns.pair_budget),
+           "testing": lambda: char_testing(ws, cp, fam)}[ns.kind]()
     if rep.overflowed:
         raise NumericalError("characteristic overflowed; reported +inf")
-    inner, outer = rep.attaining
+    inner, outer = (_describe_cube(c) for c in rep.attaining)
     note = " (pair budget hit: lower bound)" if rep.truncated else ""
     print(f"{ns.kind} value={fmt(rep.value)} pairs={rep.pairs_scanned}{note} "
-          f"inner: {_describe_cube(inner)} outer: {_describe_cube(outer)}")
+          f"inner: {inner} outer: {outer}")
     if ns.json:
         print(json.dumps({"kind": ns.kind, "value": rep.value,
-                          "pairs": rep.pairs_scanned,
-                          "inner": _describe_cube(inner),
-                          "outer": _describe_cube(outer)}))
+                          "pairs": rep.pairs_scanned, "inner": inner, "outer": outer}))
     return 0
 
 
@@ -245,146 +245,127 @@ def _cmd_cz(ns) -> int:
     a = ns.a if ns.a is not None else choose_a(f, g, q0)
     sf = cz_decompose(f, g, q0, a)
     halving = verify_halving(sf, f, g)
-    rows = [{
-        "k": 0, "cube_level": q0.level,
-        "cube_coords": ";".join(str(c) for c in q0.coords),
-        "m3q": sf.m_by_cube[q0], "e_measure": float(sf.e0_mask.sum()) * f.cell_volume,
-    }]
-    for k, gen in enumerate(sf.generations, 1):
-        for sel in gen:
-            rows.append({
-                "k": k, "cube_level": sel.cube.level,
-                "cube_coords": ";".join(str(c) for c in sel.cube.coords),
-                "m3q": sel.m_value,
-                "e_measure": sel.e_cells * f.cell_volume,
-            })
-    write_csv(ns.out, ["k", "cube_level", "cube_coords", "m3q", "e_measure"],
-              rows, ns.json)
+    write_csv(ns.out, CZ_COLUMNS, sf.rows(f.cell_volume), ns.json)
     status = "certified" if halving.ok else f"violated (worst {fmt(halving.worst_ratio)})"
     print(f"cz a={fmt(a)} generations={sf.kmax} cubes={sum(len(g) for g in sf.generations)} "
           f"halving {status} -> {ns.out}")
     return 0
 
 
-def _cmd_experiment(ns) -> int:
-    if ns.what == "sharpness":
-        cfg = SharpnessConfig(n=ns.dim, alpha=ns.alpha, p1=ns.p1, q1=ns.q1,
-                              p2=ns.p2, q2=ns.q2, t=ns.t,
-                              delta_exps=parse_range(ns.deltas))
-        res = run_sharpness(cfg)
-        rows = []
-        for i, row in enumerate(res.rows):
-            upto = res.rows[:i + 1]
-            if len(upto) >= 2:
-                slope = float(np.polyfit(np.log([r.delta for r in upto]),
-                                         np.log([r.norm_b for r in upto]), 1)[0])
-            else:
-                slope = 0.0
-            rows.append({"delta": row.delta, "min_pointwise": row.min_pointwise,
-                         "floor": row.floor, "norm": row.norm_b,
-                         "slope_so_far": slope, "norm_f": row.norm_f,
-                         "norm_g": row.norm_g})
-        write_csv(ns.out, ["delta", "min_pointwise", "floor", "norm",
-                           "slope_so_far", "norm_f", "norm_g"], rows, ns.json)
-        branch = "boundary" if res.boundary else "blow-up"
-        print(f"sharpness ({branch}) slope={fmt(res.slope)} bound={fmt(res.slope_bound)} "
-              f"floors={'ok' if res.floors_hold() else 'FAIL'} -> {ns.out}")
-        return 0
-    if ns.what == "ratio":
-        profile = ExponentProfile(alpha=ns.alpha, n=ns.dim, p1=ns.p1, q1=ns.q1,
-                                  p2=ns.p2, q2=ns.q2, p=ns.p, s=ns.s, t=ns.t,
-                                  r=ns.r, a=ns.a)
-        pairs = []
-        for tok in ns.pairs.split(","):
-            kind, _, cnt = tok.partition(":")
-            pairs.extend(make_pairs(kind, int(cnt or 1), ns.seed, ns.base_depth, ns.dim))
-        ws = cp = None
-        if ns.theorem in ("two-weight", "one-weight"):
-            ws = _load_system(ns)
-            variant = ("s<1" if ns.s < 1.0 else "s>=1")
-            if ns.theorem == "one-weight":
-                variant = "one-weight-" + ("s<1" if ns.s < 1.0 else "s>=1")
-            cp = _char_params(ns, variant)
-        res = ratio_harness(ns.theorem, profile, pairs, parse_range(ns.levels),
-                            ws=ws, cp=cp, params_id=ns.theorem)
-        rows = [{"theorem": r.theorem, "params_id": r.params_id, "pair_id": r.pair_id,
-                 "level": r.level, "lhs": r.lhs, "rhs": r.rhs, "ratio": r.ratio}
-                for r in res.records]
-        write_csv(ns.out, ["theorem", "params_id", "pair_id", "level",
-                           "lhs", "rhs", "ratio"], rows, ns.json)
-        print(f"ratio {ns.theorem} max_by_level="
-              + " ".join(f"{k}:{fmt(v)}" for k, v in sorted(res.max_ratio_by_level.items()))
-              + f" stable={'yes' if res.stable else 'NO'} -> {ns.out}")
-        return 0
-    if ns.what == "stein-weiss":
-        sw = SteinWeissParams(n=ns.dim, alpha=ns.alpha, q1=ns.q1, q2=ns.q2,
-                              p1=ns.p1, p2=ns.p2, r=ns.r, a=ns.a, beta=ns.beta,
-                              gamma1=ns.gamma1, gamma2=ns.gamma2)
-        verdict = stein_weiss_check(sw, k_levels=parse_range(ns.k_range))
-        lines = [f"{'PASS' if verdict.verdict != 'INCONCLUSIVE' else 'FAIL'} "
-                 f"verdict={verdict.verdict}"]
-        for k, v in sorted(verdict.char_by_level.items()):
-            lines.append(f"INFO level={k} characteristic={fmt(v)}")
-        with open(ns.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        print(f"stein-weiss verdict={verdict.verdict} -> {ns.out}")
-        return 0
-    if ns.what == "fs-dual":
-        cp = _char_params(ns, "s<1")
-        params = FsDualParams(cp, r1=ns.r1, r2=ns.r2, s1=ns.s1, s2=ns.s2)
-        if ns.w1 and ns.w2:
-            w1, w2 = read_mgf(ns.w1), read_mgf(ns.w2)
-        else:
-            root = _root_from(ns)
-            center = tuple(float(c) for c in str(ns.center).split(","))
-            w1 = power_weight(ns.gamma1 or 0.0, center, root, ns.depth)
-            w2 = power_weight(ns.gamma2 or 0.0, center, root, ns.depth)
-        rep = fs_dual_check(w1, w2, params, levels=parse_range(ns.levels),
-                            seed=ns.seed)
-        lines = [f"{'PASS' if rep.split_ok else 'FAIL'} split worst={fmt(rep.worst_split_excess)}",
-                 f"{'PASS' if rep.harness.stable else 'FAIL'} harness max_by_level="
-                 + " ".join(f"{k}:{fmt(v)}" for k, v in sorted(rep.harness.max_ratio_by_level.items()))]
-        with open(ns.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-        ok = rep.split_ok and rep.harness.stable
-        print(f"fs-dual {'PASS' if ok else 'FAIL'} -> {ns.out}")
-        return 0
-    if ns.what == "necessity":
-        rng = make_rng(ns.seed, 701)
-        cp = _char_params(ns, "testing")
-        reports = []
-        for i in range(ns.systems):
-            root = DyadicCube(0, (0,) * ns.dim)
-            shape = (2 ** ns.base_depth,) * ns.dim
-            mk = lambda: GridFunction(ns.dim, root, ns.base_depth,
-                                      np.exp(rng.uniform(-2, 2, size=shape)), "pos")
-            ws = WeightSystem(mk(), mk(), mk())
-            fam = dyadic_family(root, -ns.base_depth)
-            reports.append(necessity_check(ws, cp, fam, seed=ns.seed + i))
-        rows = [{"system": i, "char": r.char_value, "op_constant": r.op_constant,
-                 "ratio": r.ratio, "exact_floor": int(r.exact_floor_ok)}
-                for i, r in enumerate(reports)]
-        write_csv(ns.out, ["system", "char", "op_constant", "ratio", "exact_floor"],
-                  rows, ns.json)
-        ok = all(r.exact_floor_ok and np.isfinite(r.ratio) for r in reports)
-        print(f"necessity C_emp={fmt(max(r.ratio for r in reports))} "
-              f"{'PASS' if ok else 'FAIL'} -> {ns.out}")
-        return 0
-    raise ParameterError(f"unknown experiment {ns.what!r}")
+def _exp_sharpness(ns) -> int:
+    cfg = SharpnessConfig(n=ns.dim, delta_exps=ns.deltas,
+                          **_require(ns, "alpha", "p1", "q1", "p2", "q2", "t"))
+    res = run_sharpness(cfg)
+    write_csv(ns.out, ["delta", "min_pointwise", "floor", "norm", "slope_so_far",
+                       "norm_f", "norm_g"], res.table(), ns.json)
+    branch = "boundary" if res.boundary else "blow-up"
+    print(f"sharpness ({branch}) slope={fmt(res.slope)} bound={fmt(res.slope_bound)} "
+          f"floors={'ok' if res.floors_hold() else 'FAIL'} -> {ns.out}")
+    return 0
+
+
+def _exp_ratio(ns) -> int:
+    profile = ExponentProfile(n=ns.dim, **_require(ns, *THEOREMS.get(ns.theorem, ("alpha",))))
+    cp = _char_params(ns, ns.theorem) if ns.theorem in ("two-weight", "one-weight") else None
+    ws = _load_system(ns) if ns.theorem in ("two-weight", "one-weight", "olsen") else None
+    pairs = [pair for kind, count in ns.pairs
+             for pair in make_pairs(kind, count, ns.seed, ns.base_depth, ns.dim)]
+    res = ratio_harness(ns.theorem, profile, pairs, ns.levels,
+                        ws=ws, cp=cp, params_id=ns.theorem)
+    write_csv(ns.out, ["theorem", "params_id", "pair_id", "level", "lhs", "rhs", "ratio"],
+              [r.row() for r in res.records], ns.json)
+    print(f"ratio {ns.theorem} max_by_level={by_level(res.max_ratio_by_level)} "
+          f"stable={'yes' if res.stable else 'NO'} -> {ns.out}")
+    return 0
+
+
+def _exp_stein_weiss(ns) -> int:
+    sw = SteinWeissParams(n=ns.dim, **_require(ns, "alpha", "q1", "q2", "p1", "p2", "r",
+                                               "a", "beta", "gamma1", "gamma2"))
+    verdict = stein_weiss_check(sw, k_levels=ns.k_range)
+    lines = [f"{'PASS' if verdict.verdict != 'INCONCLUSIVE' else 'FAIL'} "
+             f"verdict={verdict.verdict}"]
+    lines += [f"INFO level={k} characteristic={fmt(v)}"
+              for k, v in sorted(verdict.char_by_level.items())]
+    with open(ns.out, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    print(f"stein-weiss verdict={verdict.verdict} -> {ns.out}")
+    return 0
+
+
+def _exp_fs_dual(ns) -> int:
+    params = FsDualParams(_char_params(ns, "s<1"), **_require(ns, "r1", "r2", "s1", "s2"))
+    if ns.w1 and ns.w2:
+        w1, w2 = read_mgf(ns.w1), read_mgf(ns.w2)
+    else:
+        root = _root_from(ns)
+        center = tuple(float(c) for c in str(ns.center).split(","))
+        w1 = power_weight(ns.gamma1 or 0.0, center, root, ns.depth)
+        w2 = power_weight(ns.gamma2 or 0.0, center, root, ns.depth)
+    rep = fs_dual_check(w1, w2, params, levels=ns.levels, seed=ns.seed)
+    lines = [f"{'PASS' if rep.split_ok else 'FAIL'} split worst={fmt(rep.worst_split_excess)}",
+             f"{'PASS' if rep.harness.stable else 'FAIL'} harness "
+             f"max_by_level={by_level(rep.harness.max_ratio_by_level)}"]
+    with open(ns.out, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    ok = rep.split_ok and rep.harness.stable
+    print(f"fs-dual {'PASS' if ok else 'FAIL'} -> {ns.out}")
+    return 0
+
+
+def _exp_necessity(ns) -> int:
+    cp = _char_params(ns, "testing")
+    if ns.systems < 1:
+        raise ParameterError("--systems must be at least 1")
+    rng = make_rng(ns.seed, 701)
+    root = unit_root(ns.dim)
+    fam = dyadic_family(root, -ns.base_depth)
+    reports = [necessity_check(random_weights(rng, root, ns.base_depth), cp, fam,
+                               seed=ns.seed + i)
+               for i in range(ns.systems)]
+    write_csv(ns.out, NECESSITY_COLUMNS,
+              [r.row(i) for i, r in enumerate(reports)], ns.json)
+    ok = all(r.exact_floor_ok and np.isfinite(r.ratio) for r in reports)
+    print(f"necessity C_emp={fmt(max(r.ratio for r in reports))} "
+          f"{'PASS' if ok else 'FAIL'} -> {ns.out}")
+    return 0
+
+
+_EXPERIMENTS = {"sharpness": _exp_sharpness, "ratio": _exp_ratio,
+                "stein-weiss": _exp_stein_weiss, "necessity": _exp_necessity,
+                "fs-dual": _exp_fs_dual}
 
 
 def _cmd_selftest(ns) -> int:
-    from .acceptance import run_selftest
-    wanted = parse_range(ns.criteria) if ns.criteria else None
-    results = run_selftest(seed=ns.seed, outdir=ns.out, criteria=wanted)
+    from .acceptance import CRITERIA, run_selftest  # only selftest needs the criteria
+    unknown = [k for k in ns.criteria or () if not 1 <= k <= len(CRITERIA)]
+    if unknown:
+        raise ParameterError(f"--criteria: no criterion {unknown} "
+                             f"(criteria are 1..{len(CRITERIA)})")
+    results = run_selftest(seed=ns.seed, outdir=ns.out, criteria=ns.criteria)
     return 0 if all(r.passed for r in results) else 1
 
 
 # --- parser ------------------------------------------------------------------------
 
-def _add_exponents(p, names):
-    for name in names:
-        p.add_argument("--" + name, type=parse_number, default=None)
+def _finish(p, func, exponents) -> None:
+    """Exponent flags (alpha, beta and gamma_i signed, all others positive),
+    --json, and the handler."""
+    for name in exponents:
+        signed = name in ("alpha", "beta", "gamma1", "gamma2")
+        p.add_argument("--" + name, default=None,
+                       type=parse_number if signed else parse_positive)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=func)
+
+
+def _add_weight_flags(p) -> None:
+    """Weight files, or the root and center of synthetic power weights."""
+    for name in ("--v", "--w1", "--w2"):
+        p.add_argument(name, default=None)
+    p.add_argument("--rootlevel", type=int, default=0)
+    p.add_argument("--rootcoords", default="0")
+    p.add_argument("--center", default="0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -398,9 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--family", default="dyadic", choices=("dyadic", "all"))
     p.add_argument("--min-level", type=int, default=None)
-    _add_exponents(p, ("p", "q", "t"))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_norm)
+    _finish(p, _cmd_norm, ("p", "q", "t"))
 
     p = sub.add_parser("op", help="apply an operator to MGF inputs")
     p.add_argument("--operator", required=True,
@@ -414,70 +393,51 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-level", type=int, default=None)
     p.add_argument("--rootlevel", type=int, default=None)
     p.add_argument("--rootcoords", default="0")
-    _add_exponents(p, ("alpha", "d", "r1", "r2", "t"))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_op)
+    _finish(p, _cmd_op, ("alpha", "d", "r1", "r2", "t"))
 
     p = sub.add_parser("char", help="weight characteristic constants")
     p.add_argument("--kind", required=True,
                    choices=("two-weight", "remark", "one-weight", "testing",
                             "ap", "fs-majorant"))
-    p.add_argument("--v", default=None)
-    p.add_argument("--w1", default=None)
-    p.add_argument("--w2", default=None)
+    _add_weight_flags(p)
     p.add_argument("--out", default=None)
-    p.add_argument("--dim", type=int, default=1)
+    p.add_argument("--dim", type=int, default=1, choices=(1, 2))
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--rootlevel", type=int, default=0)
-    p.add_argument("--rootcoords", default="0")
-    p.add_argument("--center", default="0")
     p.add_argument("--min-level", type=int, default=None)
     p.add_argument("--pair-budget", type=int, default=500_000)
-    _add_exponents(p, ("alpha", "q1", "q2", "p", "s", "t", "r", "a",
-                       "beta", "gamma1", "gamma2"))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_char)
+    _finish(p, _cmd_char, ("alpha", "q1", "q2", "p", "s", "t", "r", "a",
+                           "beta", "gamma1", "gamma2"))
 
     p = sub.add_parser("cz", help="stopping-time decomposition dump")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--a", type=parse_number, default=None)
     p.add_argument("--rootlevel", type=int, default=None)
     p.add_argument("--rootcoords", default="0")
     p.add_argument("--out", required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_cz)
+    _finish(p, _cmd_cz, ("a",))
 
     p = sub.add_parser("experiment", help="theorem-level harnesses")
-    p.add_argument("what", choices=("sharpness", "ratio", "stein-weiss",
-                                    "necessity", "fs-dual"))
+    p.add_argument("what", choices=tuple(_EXPERIMENTS))
     p.add_argument("--theorem", default="bilinear-ratio")
-    p.add_argument("--dim", type=int, default=1)
-    p.add_argument("--deltas", default="4..8")
-    p.add_argument("--levels", default="4..6")
-    p.add_argument("--k-range", default="0..4")
-    p.add_argument("--pairs", default="step:6")
+    p.add_argument("--dim", type=int, default=1, choices=(1, 2))
+    p.add_argument("--deltas", type=parse_range, default="4..8")
+    p.add_argument("--levels", type=parse_range, default="4..6")
+    p.add_argument("--k-range", type=parse_range, default="0..4")
+    p.add_argument("--pairs", type=parse_pairs, default="step:6")
     p.add_argument("--base-depth", type=int, default=4)
     p.add_argument("--systems", type=int, default=10)
     p.add_argument("--seed", type=int, default=20240801)
     p.add_argument("--out", required=True)
-    p.add_argument("--v", default=None)
-    p.add_argument("--w1", default=None)
-    p.add_argument("--w2", default=None)
+    _add_weight_flags(p)
     p.add_argument("--depth", type=int, default=5)
-    p.add_argument("--rootlevel", type=int, default=0)
-    p.add_argument("--rootcoords", default="0")
-    p.add_argument("--center", default="0")
-    _add_exponents(p, ("alpha", "p1", "q1", "p2", "q2", "p", "q", "s", "t",
-                       "r", "a", "beta", "gamma1", "gamma2",
-                       "r1", "r2", "s1", "s2"))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_experiment)
+    _finish(p, lambda ns: _EXPERIMENTS[ns.what](ns),
+            ("alpha", "p1", "q1", "p2", "q2", "p", "q", "s", "t", "r", "a",
+             "beta", "gamma1", "gamma2", "r1", "r2", "s1", "s2"))
 
     p = sub.add_parser("selftest", help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=20240801)
     p.add_argument("--out", default=None)
-    p.add_argument("--criteria", default=None,
+    p.add_argument("--criteria", type=parse_range, default=None,
                    help="subset such as '1..3' or '1,7,12' (default: all)")
     p.set_defaults(func=_cmd_selftest)
     return ap
@@ -496,7 +456,7 @@ def main(argv=None) -> int:
     ns = parser.parse_args(argv)
     try:
         return ns.func(ns)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:  # OSError: an unreadable or unwritable path
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -47,6 +47,19 @@ class StoppingFamily:
     def kmax(self) -> int:
         return len(self.generations)
 
+    def rows(self, cell_volume: float) -> list[dict]:
+        """CSV/JSON rows: k = 0 for the base cube and E_0, then every selected
+        cube with the measure of its carved set E_jk."""
+        out = [(0, self.base, self.m_by_cube[self.base], float(self.e0_mask.sum()))]
+        out += [(k, sel.cube, sel.m_value, sel.e_cells)
+                for k, gen in enumerate(self.generations, 1) for sel in gen]
+        return [dict(zip(CZ_COLUMNS, (k, cube.level, ";".join(str(c) for c in cube.coords),
+                                      m, cells * cell_volume)))
+                for k, cube, m, cells in out]
+
+
+CZ_COLUMNS = ("k", "cube_level", "cube_coords", "m3q", "e_measure")
+
 
 def _m3(ta_f: TripleAverager, ta_g: TripleAverager, cube: DyadicCube) -> float:
     return ta_f.mean(cube) * ta_g.mean(cube)

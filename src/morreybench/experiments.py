@@ -26,13 +26,22 @@ from .norms import (CubeFamily, aligned_family, dyadic_family,
                     morrey_norm, pair_morrey_sup)
 from .operators import (KernelSpec, b_alpha, i_alpha, m_alpha_bilinear,
                         m_alpha_vector)
-from .util import NumericalError, ParameterError, make_rng, parallel_map
-from .weights import (INF, CharParams, WeightSystem, char_one_weight,
-                      char_testing, char_two_weight, power_weight)
+from .util import (INF, NumericalError, ParameterError, close, conjugate,
+                   make_rng, parallel_map, recip, refuse)
+from .weights import (CharParams, WeightSystem, char_one_weight, char_testing,
+                      char_two_weight, fs_majorant, power_system, power_weight)
 
-THEOREMS = ("bilinear-ratio", "bilinear-sum", "bilinear-critical",
-            "linear-adams", "product-embedding", "two-weight", "one-weight",
-            "olsen")
+# theorem id -> the profile exponents its hypotheses and sides read; the two
+# weighted ids read the rest from a CharParams
+THEOREMS = {
+    "bilinear-ratio": ("alpha", "p1", "q1", "p2", "q2", "s", "t"),
+    "bilinear-sum": ("alpha", "p1", "q1", "p2", "q2", "s", "t"),
+    "bilinear-critical": ("alpha", "p1", "q1", "p2", "q2"),
+    "linear-adams": ("alpha", "p1", "q1", "s", "t"),
+    "product-embedding": ("alpha", "p1", "q1", "p2", "q2", "s", "t"),
+    "two-weight": ("alpha",), "one-weight": ("alpha",),
+    "olsen": ("alpha", "p", "q1", "q2", "s", "t", "r", "a"),
+}
 
 
 # --- exponent profiles --------------------------------------------------------
@@ -58,23 +67,20 @@ class ExponentProfile:
         return profile_violations(self, theorem)
 
     def validate(self, theorem: str) -> "ExponentProfile":
-        bad = self.violations(theorem)
-        if bad:
-            raise ParameterError(
-                f"hypotheses of {theorem} violated: " + "; ".join(bad))
+        refuse(f"hypotheses of {theorem} violated", self.violations(theorem))
         return self
 
 
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
-
-
 def profile_violations(pr: ExponentProfile, theorem: str) -> list[str]:
-    v = []
+    if theorem not in THEOREMS:
+        return [f"unknown theorem id {theorem!r}"]
+    if theorem in ("two-weight", "one-weight"):
+        return []  # validated through CharParams by the caller
     n, alpha = pr.n, pr.alpha
+    if not (0.0 < alpha < n):
+        return ["0 < alpha < n"]  # the relations below divide by alpha or scale with it
+    v = []
     if theorem in ("bilinear-ratio", "bilinear-sum", "bilinear-critical"):
-        if not (0.0 < alpha < n):
-            v.append("0 < alpha < n")
         for qi, pi, tag in ((pr.q1, pr.p1, "1"), (pr.q2, pr.p2, "2")):
             if not (1.0 < qi <= pi):
                 v.append(f"1 < q{tag} <= p{tag}")
@@ -83,34 +89,30 @@ def profile_violations(pr: ExponentProfile, theorem: str) -> list[str]:
     if theorem in ("bilinear-ratio", "bilinear-sum"):
         if not (1.0 < pr.t <= pr.s):
             v.append("1 < t <= s")
-        if not _close(1.0 / pr.s, 1.0 / pr.p1 + 1.0 / pr.p2 - alpha / n):
+        if not close(1.0 / pr.s, 1.0 / pr.p1 + 1.0 / pr.p2 - alpha / n):
             v.append("1/s = 1/p1 + 1/p2 - alpha/n")
     if theorem == "bilinear-ratio":
-        if not (_close(pr.t / pr.s, pr.q1 / pr.p1)
-                and _close(pr.t / pr.s, pr.q2 / pr.p2)):
+        if not (close(pr.t / pr.s, pr.q1 / pr.p1)
+                and close(pr.t / pr.s, pr.q2 / pr.p2)):
             v.append("t/s = q1/p1 = q2/p2")
     if theorem == "bilinear-sum":
-        if not _close(1.0 / pr.t, 1.0 / pr.q1 + 1.0 / pr.q2 - alpha / n):
+        if not close(1.0 / pr.t, 1.0 / pr.q1 + 1.0 / pr.q2 - alpha / n):
             v.append("1/t = 1/q1 + 1/q2 - alpha/n")
     if theorem == "bilinear-critical":
-        if not _close(pr.p1, n / alpha):
+        if not close(pr.p1, n / alpha):
             v.append("p1 = n/alpha")
         if not (pr.p2 < pr.q2 * n / alpha):
             v.append("p2 < q2 n/alpha")
     if theorem == "linear-adams":
-        if not (0.0 < alpha < n):
-            v.append("0 < alpha < n")
         if not (1.0 < pr.q1 <= pr.p1):
             v.append("1 < q <= p")
         if not (1.0 < pr.t <= pr.s):
             v.append("1 < t <= s")
-        if not _close(1.0 / pr.s, 1.0 / pr.p1 - alpha / n):
+        if not close(1.0 / pr.s, 1.0 / pr.p1 - alpha / n):
             v.append("1/s = 1/p - alpha/n")
-        if not _close(pr.t / pr.s, pr.q1 / pr.p1):
+        if not close(pr.t / pr.s, pr.q1 / pr.p1):
             v.append("t/s = q/p")
     if theorem == "product-embedding":
-        if not (0.0 < alpha < n):
-            v.append("0 < alpha < n")
         if not (1.0 < pr.q1 <= pr.p1):
             v.append("1 < p <= p0")
         if not (1.0 < pr.q2 <= pr.p2):
@@ -123,65 +125,62 @@ def profile_violations(pr: ExponentProfile, theorem: str) -> list[str]:
             v.append("1/p0 > alpha/n")
         if not (1.0 / pr.p2 <= alpha / n):
             v.append("1/q0 <= alpha/n")
-        if not _close(1.0 / pr.s, 1.0 / pr.p1 + 1.0 / pr.p2 - alpha / n):
+        if not close(1.0 / pr.s, 1.0 / pr.p1 + 1.0 / pr.p2 - alpha / n):
             v.append("1/r0 = 1/p0 + 1/q0 - alpha/n")
-        if not _close(pr.t / pr.s, pr.q1 / pr.p1):
+        if not close(pr.t / pr.s, pr.q1 / pr.p1):
             v.append("r/r0 = p/p0")
     if theorem == "olsen":
-        if not (0.0 < alpha < n):
-            v.append("0 < alpha < n")
         if not (1.0 < pr.q1 and 1.0 < pr.q2):
             v.append("1 < q1, q2")
         if not (0.0 < pr.t <= pr.s < 1.0):
             v.append("0 < t <= s < 1")
-        r_inv = 0.0 if pr.r == INF else 1.0 / pr.r
-        if pr.r != INF and not (pr.s / (1.0 - pr.s) < pr.r):
+        elif pr.r != INF and not (pr.s / (1.0 - pr.s) < pr.r):
             v.append("s/(1-s) < r")
+        r_inv = recip(pr.r)
         if not (alpha / n > r_inv):
             v.append("alpha/n > 1/r")
-        if not _close(1.0 / pr.s, 1.0 / pr.p + r_inv - alpha / n):
+        if not close(1.0 / pr.s, 1.0 / pr.p + r_inv - alpha / n):
             v.append("1/s = 1/p + 1/r - alpha/n")
-        q = 1.0 / (1.0 / pr.q1 + 1.0 / pr.q2)
-        if not _close(pr.t / pr.s, q / pr.p):
+        q = recip(1.0 / pr.q1 + 1.0 / pr.q2)
+        if not close(pr.t / pr.s, q / pr.p):
             v.append("t/s = q/p")
         if not (pr.a is not None and pr.a > 1.0):
             v.append("a > 1")
-    if theorem in ("two-weight", "one-weight"):
-        pass  # validated through CharParams by the caller
-    if theorem not in THEOREMS:
-        v.append(f"unknown theorem id {theorem!r}")
     return v
 
 
 # --- function zoo --------------------------------------------------------------
 
-def random_step(seed: int, depth: int, dim: int = 1,
-                root: DyadicCube | None = None) -> GridFunction:
-    """Log-uniform i.i.d. cells in [e^-2, e^2]."""
-    root = root if root is not None else unit_root(dim)
-    rng = make_rng(seed, 101)
-    vals = np.exp(rng.uniform(-2.0, 2.0, size=(2 ** depth,) * dim))
-    return GridFunction(dim, root, depth, vals, "pos")
+def log_uniform(rng, root: DyadicCube, depth: int, flags: str) -> GridFunction:
+    """Log-uniform i.i.d. cells in [e^-2, e^2], drawn from ``rng`` row-major."""
+    vals = np.exp(rng.uniform(-2.0, 2.0, size=(2 ** depth,) * root.dim))
+    return GridFunction(root.dim, root, depth, vals, flags)
 
 
-def indicator_step(seed: int, depth: int, dim: int = 1,
-                   root: DyadicCube | None = None) -> GridFunction:
-    root = root if root is not None else unit_root(dim)
+def random_weights(rng, root: DyadicCube, depth: int) -> WeightSystem:
+    """Three log-uniform weights v, w1, w2, drawn in that order."""
+    return WeightSystem(*(log_uniform(rng, root, depth, "pos") for _ in range(3)))
+
+
+def random_step(seed: int, depth: int, root: DyadicCube) -> GridFunction:
+    return log_uniform(make_rng(seed, 101), root, depth, "pos")
+
+
+def indicator_step(seed: int, depth: int, root: DyadicCube) -> GridFunction:
     rng = make_rng(seed, 103)
     level = int(rng.integers(root.level - depth + 1, root.level + 1))
     shift = root.level - level
     coords = tuple(int(rng.integers(0, 1 << shift)) + (c << shift)
                    for c in root.coords)
     cube = DyadicCube(level, coords)
-    vals = np.zeros((2 ** depth,) * dim)
-    template = GridFunction(dim, root, depth, vals, "none")
+    vals = np.zeros((2 ** depth,) * root.dim)
+    template = GridFunction(root.dim, root, depth, vals, "none")
     vals[cube_box(template, cube).slices()] = 1.0
-    return GridFunction(dim, root, depth, vals, "nonneg")
+    return GridFunction(root.dim, root, depth, vals, "nonneg")
 
 
-def bump_step(seed: int, depth: int, dim: int = 1,
-              root: DyadicCube | None = None) -> GridFunction:
-    root = root if root is not None else unit_root(dim)
+def bump_step(seed: int, depth: int, root: DyadicCube) -> GridFunction:
+    dim = root.dim
     rng = make_rng(seed, 107)
     side = root.side
     center = rng.uniform(0.3, 0.7, size=dim) * side
@@ -205,11 +204,14 @@ def make_pairs(kind: str, count: int, seed: int, depth: int, dim: int = 1,
     """Seeded (name, f, g) pairs of one zoo kind at a base depth."""
     if kind not in _KINDS:
         raise ParameterError(f"unknown pair kind {kind!r}")
+    if depth < 1:
+        raise ParameterError(f"pair depth must be >= 1, got {depth}")
     gen = _KINDS[kind]
+    root = root if root is not None else unit_root(dim)
     out = []
     for i in range(count):
-        f = gen(seed + 2 * i, depth, dim, root)
-        g = gen(seed + 2 * i + 1, depth, dim, root)
+        f = gen(seed + 2 * i, depth, root)
+        g = gen(seed + 2 * i + 1, depth, root)
         out.append((f"{kind}-{i}", f, g))
     return out
 
@@ -231,6 +233,10 @@ class RatioRecord:
             return 0.0
         return self.lhs / self.rhs
 
+    def row(self) -> dict:
+        """The CSV/JSON row of the record: its fields plus the ratio."""
+        return {**vars(self), "ratio": self.ratio}
+
 
 @dataclass
 class HarnessResult:
@@ -248,80 +254,24 @@ class HarnessResult:
                    for a, b in pairs)
 
 
-def _theorem_sides(theorem, pr, f, g, fam, ws, cp):
-    spec = KernelSpec(pr.alpha)
-    if theorem in ("bilinear-ratio", "bilinear-sum"):
-        B = b_alpha(f, g, spec).fn
-        lhs = morrey_norm(B, pr.s, pr.t, fam).value
-        rhs = (morrey_norm(f, pr.p1, pr.q1, fam).value
-               * morrey_norm(g, pr.p2, pr.q2, fam).value)
-    elif theorem == "bilinear-critical":
-        B = b_alpha(f, g, spec).fn
-        lhs = morrey_norm(B, pr.p2, pr.q2, fam).value
-        rhs = (morrey_norm(f, pr.p1, pr.q1, fam).value
-               * morrey_norm(g, pr.p2, pr.q2, fam).value)
-    elif theorem == "linear-adams":
-        I = i_alpha(f, spec).fn
-        lhs = morrey_norm(I, pr.s, pr.t, fam).value
-        rhs = morrey_norm(f, pr.p1, pr.q1, fam).value
-    elif theorem == "product-embedding":
-        I = i_alpha(f, spec).fn
-        prod = I.with_values(np.abs(g.values) * I.values)
-        lhs = morrey_norm(prod, pr.s, pr.t, fam).value
-        rhs = (morrey_norm(g, pr.p2, pr.q2, fam).value
-               * morrey_norm(f, pr.p1, pr.q1, fam).value)
-    elif theorem in ("two-weight", "one-weight"):
-        B = b_alpha(f, g, spec).fn
-        weighted = B.with_values(B.values * ws.v.values)
-        lhs = morrey_norm(weighted, cp.s, cp.t, fam).value
-        fw = f.with_values(np.abs(f.values) * ws.w1.values)
-        gw = g.with_values(np.abs(g.values) * ws.w2.values)
-        sup = pair_morrey_sup(fw, gw, cp.p, cp.q1, cp.q2, fam).value
-        char = (char_two_weight(ws, cp, fam) if theorem == "two-weight"
-                else char_one_weight(ws, cp, fam))
-        rhs = char.value * sup
-    elif theorem == "olsen":
-        B = b_alpha(f, g, spec).fn
-        weighted = B.with_values(B.values * ws.v.values)
-        lhs = morrey_norm(weighted, pr.s, pr.t, fam).value
-        vnorm = morrey_norm(ws.v, pr.r, pr.t / (1.0 - pr.t), fam).value
-        sup = pair_morrey_sup(f, g, pr.p, pr.q1, pr.q2, fam).value
-        rhs = vnorm * sup
-    else:
-        raise ParameterError(f"unknown theorem id {theorem!r}")
-    return lhs, rhs
+def _ratio_core(theorem: str, root: DyadicCube, levels, hook, params_id: str,
+                growth_limit: float) -> HarnessResult:
+    """The one loop behind every ratio harness: worst LHS/RHS per level.
 
-
-def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
-                  ws: WeightSystem | None = None, cp: CharParams | None = None,
-                  params_id: str = "", growth_limit: float = 1.05) -> HarnessResult:
-    """LHS/RHS ratios for one theorem over pairs and refinement levels.
-
-    ``pairs`` holds (name, f, g) at a base depth; each level re-samples the
-    same step functions on the finer grid (exactly), so growth in the worst
-    ratio would witness unboundedness.  A zero right side with nonzero left
-    side aborts: it cannot occur for positive weights and nonzero data.
+    ``hook(level, fam)`` builds the level's constants once on its dyadic family
+    and returns the (name, f, g) pairs, refined here onto the level's grid, with
+    ``sides(f, g) -> (lhs, rhs)``.  A zero right side with nonzero left side
+    aborts: it cannot occur for positive weights and nonzero data.
     """
-    if theorem in ("two-weight", "one-weight"):
-        if ws is None or cp is None:
-            raise ParameterError(f"{theorem} harness needs a weight system and parameters")
-        cp.validate()
-    else:
-        profile.validate(theorem)
     records = []
     for level in levels:
-        def run_pair(item, level=level):
+        pairs, sides = hook(level, dyadic_family(root, root.level - level))
+
+        def run_pair(item, level=level, sides=sides):
             name, f, g = item
             if level < f.depth:
                 raise ParameterError("refinement level below the pair's base depth")
-            ff, gg = f.refine(level - f.depth), g.refine(level - g.depth)
-            fam = dyadic_family(ff.root, ff.cell_level)
-            ws_fine = None
-            if ws is not None:
-                ws_fine = WeightSystem(ws.v.refine(level - ws.v.depth),
-                                       ws.w1.refine(level - ws.w1.depth),
-                                       ws.w2.refine(level - ws.w2.depth))
-            lhs, rhs = _theorem_sides(theorem, profile, ff, gg, fam, ws_fine, cp)
+            lhs, rhs = sides(f.refine(level - f.depth), g.refine(level - g.depth))
             if rhs == 0.0 and lhs > 0.0:
                 raise NumericalError(
                     f"zero right side with nonzero left side for pair {name}")
@@ -331,6 +281,65 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
     for rec in records:
         by_level[rec.level] = max(by_level.get(rec.level, 0.0), rec.ratio)
     return HarnessResult(theorem, records, by_level, growth_limit)
+
+
+def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
+                  ws: WeightSystem | None = None, cp: CharParams | None = None,
+                  params_id: str = "", growth_limit: float = 1.05) -> HarnessResult:
+    """LHS/RHS ratios for one theorem over pairs and refinement levels.
+
+    ``pairs`` holds (name, f, g) at a base depth; each level re-samples the
+    same step functions on the finer grid (exactly), so growth in the worst
+    ratio would witness unboundedness.  two-weight and one-weight need ``ws``
+    and ``cp``, olsen needs ``ws``.
+    """
+    if theorem in ("two-weight", "one-weight"):
+        if ws is None or cp is None:
+            raise ParameterError(f"{theorem} harness needs a weight system and parameters")
+        cp.validate()
+    else:
+        profile.validate(theorem)
+    if theorem == "olsen" and ws is None:
+        raise ParameterError("olsen harness needs a weight system")
+    if not pairs:
+        raise ParameterError("ratio harness needs at least one pair")
+    pr, spec = profile, KernelSpec(profile.alpha)
+
+    def hook(level, fam):
+        def norm(h, p, q):
+            return morrey_norm(h, p, q, fam).value
+        if theorem in ("bilinear-ratio", "bilinear-sum", "bilinear-critical"):
+            s, t = (pr.p2, pr.q2) if theorem == "bilinear-critical" else (pr.s, pr.t)
+            return pairs, lambda f, g: (norm(b_alpha(f, g, spec).fn, s, t),
+                                        norm(f, pr.p1, pr.q1) * norm(g, pr.p2, pr.q2))
+        if theorem == "linear-adams":
+            return pairs, lambda f, g: (norm(i_alpha(f, spec).fn, pr.s, pr.t),
+                                        norm(f, pr.p1, pr.q1))
+        if theorem == "product-embedding":
+            def sides(f, g):
+                I = i_alpha(f, spec).fn
+                return (norm(I.with_values(np.abs(g.values) * I.values), pr.s, pr.t),
+                        norm(g, pr.p2, pr.q2) * norm(f, pr.p1, pr.q1))
+            return pairs, sides
+        # weighted theorems: the level's weights and constants, built once
+        w = WeightSystem(*(x.refine(level - x.depth) for x in (ws.v, ws.w1, ws.w2)))
+
+        def weighted_b(f, g):
+            B = b_alpha(f, g, spec).fn
+            return B.with_values(B.values * w.v.values)
+        if theorem == "olsen":
+            vnorm = norm(w.v, pr.r, pr.t / (1.0 - pr.t))
+            return pairs, lambda f, g: (
+                norm(weighted_b(f, g), pr.s, pr.t),
+                vnorm * pair_morrey_sup(f, g, pr.p, pr.q1, pr.q2, fam).value)
+        char = (char_two_weight if theorem == "two-weight"
+                else char_one_weight)(w, cp, fam).value
+        return pairs, lambda f, g: (
+            norm(weighted_b(f, g), cp.s, cp.t),
+            char * pair_morrey_sup(f.with_values(np.abs(f.values) * w.w1.values),
+                                   g.with_values(np.abs(g.values) * w.w2.values),
+                                   cp.p, cp.q1, cp.q2, fam).value)
+    return _ratio_core(theorem, pairs[0][1].root, levels, hook, params_id, growth_limit)
 
 
 # --- sharpness ------------------------------------------------------------------
@@ -357,7 +366,7 @@ class SharpnessConfig:
 
     @property
     def s(self) -> float:
-        return 1.0 / (1.0 / self.p1 + 1.0 / self.p2 - self.alpha / self.n)
+        return recip(1.0 / self.p1 + 1.0 / self.p2 - self.alpha / self.n)
 
     def validate(self) -> "SharpnessConfig":
         if self.n != 1:
@@ -367,7 +376,7 @@ class SharpnessConfig:
         for qi, pi in ((self.q1, self.p1), (self.q2, self.p2)):
             if not (0.0 < qi <= pi):
                 raise ParameterError("0 < q_i <= p_i fails")
-        if self.s <= 0:
+        if not 0.0 < self.s < INF:
             raise ParameterError("1/s = 1/p1 + 1/p2 - alpha/n must be positive")
         if not (0.0 < self.t <= self.s):
             raise ParameterError("0 < t <= s fails")
@@ -456,6 +465,18 @@ class SharpnessResult:
     def floors_hold(self) -> bool:
         return all(r.floor_ok for r in self.rows)
 
+    def table(self) -> list[dict]:
+        """One CSV/JSON row per delta, with the slope fitted to the rows so far."""
+        return [{**vars(r), "norm": r.norm_b,
+                 "slope_so_far": _loglog_slope(self.rows[:i + 1]) if i else 0.0}
+                for i, r in enumerate(self.rows)]
+
+
+def _loglog_slope(rows) -> float:
+    """Least-squares slope of log norm_b against log delta."""
+    return float(np.polyfit(np.log([r.delta for r in rows]),
+                            np.log([r.norm_b for r in rows]), 1)[0])
+
 
 def run_sharpness(cfg: SharpnessConfig, floor_tol: float = 0.95) -> SharpnessResult:
     cfg.validate()
@@ -476,12 +497,9 @@ def run_sharpness(cfg: SharpnessConfig, floor_tol: float = 0.95) -> SharpnessRes
                             norm_g, 3.0 ** (cfg.n / cfg.p2), norm_b)
 
     rows = parallel_map(run_one, cfg.delta_exps)
-    logs_d = np.log([r.delta for r in rows])
-    logs_n = np.log([r.norm_b for r in rows])
-    slope = float(np.polyfit(logs_d, logs_n, 1)[0])
     bound = cfg.n * (cfg.q1 / cfg.p1 - cfg.t / cfg.s) / cfg.t
-    boundary = _close(cfg.t / cfg.s, cfg.q1 / cfg.p1)
-    return SharpnessResult(cfg, rows, slope, bound, boundary)
+    boundary = close(cfg.t / cfg.s, cfg.q1 / cfg.p1)
+    return SharpnessResult(cfg, rows, _loglog_slope(rows), bound, boundary)
 
 
 # --- Stein-Weiss dichotomy ------------------------------------------------------
@@ -504,37 +522,33 @@ class SteinWeissParams:
 
     @property
     def p(self) -> float:
-        return 1.0 / (1.0 / self.p1 + 1.0 / self.p2)
+        return recip(1.0 / self.p1 + 1.0 / self.p2)
 
     @property
     def q(self) -> float:
-        return 1.0 / (1.0 / self.q1 + 1.0 / self.q2)
+        return recip(1.0 / self.q1 + 1.0 / self.q2)
 
     @property
     def s(self) -> float:
-        return 1.0 / (1.0 / self.p + self._r_inv - (self.n - self.alpha) / self.n)
+        return recip(1.0 / self.p + recip(self.r) - (self.n - self.alpha) / self.n)
 
     @property
     def t(self) -> float:
-        return 1.0 / (1.0 / self.q + self._r_inv - (self.n - self.alpha) / self.n)
-
-    @property
-    def _r_inv(self) -> float:
-        return 0.0 if self.r == INF else 1.0 / self.r
+        return recip(1.0 / self.q + recip(self.r) - (self.n - self.alpha) / self.n)
 
     @property
     def sigma(self) -> float:
         return self.beta + self.gamma1 + self.gamma2
 
     def violations(self, require_weight_conditions: bool = True) -> list[str]:
-        v = []
         n = self.n
         if not (0.0 < self.alpha < n):
-            v.append("0 < alpha < n")
+            return ["0 < alpha < n"]  # s and t below are meaningless then
+        v = []
         for qi, pi, tag in ((self.q1, self.p1, "1"), (self.q2, self.p2, "2")):
             if not (1.0 < qi <= pi):
                 v.append(f"1 < q{tag} <= p{tag}")
-        if self.r != INF and not (n / (n - self.alpha) < self.r):
+        if self.r != INF and self.alpha < n and not (n / (n - self.alpha) < self.r):
             v.append("n/(n-alpha) < r")
         if not (0.0 < self.t <= self.s < 1.0):
             v.append("0 < t <= s < 1")
@@ -547,7 +561,7 @@ class SteinWeissParams:
                 v.append(f"gamma{tag} < n/q{tag}'")
         if require_weight_conditions:
             balance = n + n / self.t - n / self.q1 - n / self.q2
-            if not _close(self.alpha + self.sigma, balance):
+            if not close(self.alpha + self.sigma, balance):
                 v.append("alpha + beta + gamma1 + gamma2 = n + n/t - n/q1 - n/q2")
             if not (self.sigma >= 0.0):
                 v.append("beta + gamma1 + gamma2 >= 0")
@@ -563,15 +577,15 @@ class SteinWeissVerdict:
 
 
 def _power_char(sw: SteinWeissParams, root: DyadicCube, depth: int) -> float:
-    """Single-cube sup of the power-weight characteristic of the proof."""
+    """Single-cube sup of the power-weight characteristic of the proof, on
+    exact cell averages of the powered weights (not ``char_remark``)."""
     e_v = sw.a * sw.s / (1.0 - sw.s)
-    d1 = (sw.q1 / sw.a) / (sw.q1 / sw.a - 1.0)
-    d2 = (sw.q2 / sw.a) / (sw.q2 / sw.a - 1.0)
+    d1, d2 = conjugate(sw.q1 / sw.a), conjugate(sw.q2 / sw.a)
     pv = power_weight(-sw.beta * e_v, (0.0,) * sw.n, root, depth)
     p1 = power_weight(-sw.gamma1 * d1, (0.0,) * sw.n, root, depth)
     p2 = power_weight(-sw.gamma2 * d2, (0.0,) * sw.n, root, depth)
     fam = dyadic_family(root, root.level - depth)
-    r_inv = sw._r_inv
+    r_inv = recip(sw.r)
     best = 0.0
     for cube in fam.entries:
         sl = cube_box(pv, cube).slices()
@@ -593,9 +607,7 @@ def stein_weiss_check(sw: SteinWeissParams, k_levels=(0, 1, 2, 3, 4),
     The structural hypotheses must hold; the weight conditions themselves
     (balance and nonnegative exponent sum) are exactly what is being probed.
     """
-    bad = sw.violations(require_weight_conditions=False)
-    if bad:
-        raise ParameterError("hypotheses violated: " + "; ".join(bad))
+    refuse("hypotheses violated", sw.violations(require_weight_conditions=False))
     chars = {}
     for k in k_levels:
         root = DyadicCube(k, (0,) * sw.n)
@@ -617,27 +629,18 @@ def stein_weiss_check(sw: SteinWeissParams, k_levels=(0, 1, 2, 3, 4),
 
 def _stein_weiss_harness(sw: SteinWeissParams, seed: int) -> HarnessResult:
     """Weighted ratio run for the kernel of order n - alpha on indicators."""
-    root = unit_root(sw.n)
-    kernel_order = sw.n - sw.alpha
-    records = []
-    for level in (4, 5, 6):
-        wv = power_weight(-sw.beta, (0.0,) * sw.n, root, level)
-        w1 = power_weight(sw.gamma1, (0.0,) * sw.n, root, level)
-        w2 = power_weight(sw.gamma2, (0.0,) * sw.n, root, level)
-        fam = dyadic_family(root, root.level - level)
-        for i, (name, f, g) in enumerate(make_pairs("indicator", 4, seed, level, sw.n)):
-            B = b_alpha(f, g, KernelSpec(kernel_order)).fn
-            lhs = morrey_norm(B.with_values(B.values * wv.values), sw.s, sw.t, fam).value
-            rf = morrey_norm(f.with_values(f.values * w1.values), sw.p1, sw.q1, fam).value
-            rg = morrey_norm(g.with_values(g.values * w2.values), sw.p2, sw.q2, fam).value
-            rhs = rf * rg
-            if rhs == 0.0 and lhs > 0.0:
-                raise NumericalError(f"zero right side for pair {name}")
-            records.append(RatioRecord("stein-weiss", "", name, level, lhs, rhs))
-    by_level = {}
-    for rec in records:
-        by_level[rec.level] = max(by_level.get(rec.level, 0.0), rec.ratio)
-    return HarnessResult("stein-weiss", records, by_level)
+    spec = KernelSpec(sw.n - sw.alpha)
+
+    def hook(level, fam):
+        w = power_system(sw.beta, sw.gamma1, sw.gamma2, (0.0,) * sw.n, fam.root, level)
+
+        def sides(f, g):
+            B = b_alpha(f, g, spec).fn
+            return (morrey_norm(B.with_values(B.values * w.v.values), sw.s, sw.t, fam).value,
+                    morrey_norm(f.with_values(f.values * w.w1.values), sw.p1, sw.q1, fam).value
+                    * morrey_norm(g.with_values(g.values * w.w2.values), sw.p2, sw.q2, fam).value)
+        return make_pairs("indicator", 4, seed, level, sw.n), sides
+    return _ratio_core("stein-weiss", unit_root(sw.n), (4, 5, 6), hook, "", 1.05)
 
 
 # --- necessity ------------------------------------------------------------------
@@ -650,6 +653,14 @@ class NecessityReport:
     exact_floor_ok: bool      # unweighted indicator floor holds exactly
     c_cube_sup: float         # constants of the testing estimate, cube-sup form
     c_truncated: float        # and truncated-ball form
+
+    def row(self, system: int) -> dict:
+        """The CSV/JSON row of the report for weight system number ``system``."""
+        return dict(zip(NECESSITY_COLUMNS, (system, self.char_value, self.op_constant,
+                                            self.ratio, int(self.exact_floor_ok))))
+
+
+NECESSITY_COLUMNS = ("system", "char", "op_constant", "ratio", "exact_floor")
 
 
 def necessity_check(ws: WeightSystem, cp: CharParams, family: CubeFamily,
@@ -668,8 +679,7 @@ def necessity_check(ws: WeightSystem, cp: CharParams, family: CubeFamily,
     cp = CharParams(**{**cp.__dict__, "variant": "testing"}).validate()
     grid = ws.v
     n = grid.dim
-    d1 = cp.q1 / (cp.q1 - 1.0)
-    d2 = cp.q2 / (cp.q2 - 1.0)
+    d1, d2 = conjugate(cp.q1), conjugate(cp.q2)
     cubes = family.dyadic_entries()
     c_cube, c_trunc = 0.0, 0.0
     exact_ok = True
@@ -730,16 +740,13 @@ class FsDualParams:
         for si, ri, tag in ((self.s1, self.r1, "1"), (self.s2, self.r2, "2")):
             if not (0.0 < si < 1.0):
                 v.append(f"0 < s{tag} < 1")
-            if ri != INF and not (si / (1.0 - si) < ri):
+            elif ri != INF and not (si / (1.0 - si) < ri):
                 v.append(f"s{tag}/(1-s{tag}) < r{tag}")
         want = (1.0 - self.cp.s) / (self.cp.a * self.cp.s)
         got = (1.0 - self.s1) / self.s1 + (1.0 - self.s2) / self.s2
-        if not _close(want, got):
+        if not close(want, got):
             v.append("(1-s)/(as) = (1-s1)/s1 + (1-s2)/s2")
-        r_inv = 0.0 if self.cp.r == INF else 1.0 / self.cp.r
-        got_r = ((0.0 if self.r1 == INF else 1.0 / self.r1)
-                 + (0.0 if self.r2 == INF else 1.0 / self.r2))
-        if not _close(r_inv, got_r):
+        if not close(recip(self.cp.r), recip(self.r1) + recip(self.r2)):
             v.append("1/r = 1/r1 + 1/r2")
         return v
 
@@ -759,17 +766,12 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     exceed the product of the two majorant factors; then B(f,g) w1 w2 is
     normalized by the pair supremum built from the majorants W_i.
     """
-    bad = params.violations()
-    if bad:
-        raise ParameterError("relations violated: " + "; ".join(bad))
-    from .weights import fs_majorant
+    refuse("relations violated", params.violations())
     cp = params.cp
     e = cp.a * cp.s / (1.0 - cp.s)
     e1 = params.s1 / (1.0 - params.s1)
     e2 = params.s2 / (1.0 - params.s2)
-    r_inv = 0.0 if cp.r == INF else 1.0 / cp.r
-    r1_inv = 0.0 if params.r1 == INF else 1.0 / params.r1
-    r2_inv = 0.0 if params.r2 == INF else 1.0 / params.r2
+    r_inv, r1_inv, r2_inv = recip(cp.r), recip(params.r1), recip(params.r2)
     fam = dyadic_family(w1.root, w1.cell_level)
     worst = 0.0
     for cube in fam.entries:
@@ -784,27 +786,20 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     if pairs is None:
         pairs = make_pairs("step", 4, seed, w1.depth, w1.dim)
     spec = KernelSpec(cp.alpha)
-    records = []
-    for level in levels:
+
+    def hook(level, fam_l):
         ww1 = w1.refine(level - w1.depth)
         ww2 = w2.refine(level - w2.depth)
-        maj1 = fs_majorant(ww1, params.r1, params.s1,
-                           dyadic_family(ww1.root, ww1.cell_level))
-        maj2 = fs_majorant(ww2, params.r2, params.s2,
-                           dyadic_family(ww2.root, ww2.cell_level))
-        fam_l = dyadic_family(ww1.root, ww1.cell_level)
-        for name, f, g in pairs:
-            ff, gg = f.refine(level - f.depth), g.refine(level - g.depth)
-            B = b_alpha(ff, gg, spec).fn
+        maj1 = fs_majorant(ww1, params.r1, params.s1, fam_l)
+        maj2 = fs_majorant(ww2, params.r2, params.s2, fam_l)
+
+        def sides(f, g):
+            B = b_alpha(f, g, spec).fn
             lhs = morrey_norm(B.with_values(B.values * ww1.values * ww2.values),
                               cp.s, cp.t, fam_l).value
-            fw = ff.with_values(np.abs(ff.values) * maj1.values)
-            gw = gg.with_values(np.abs(gg.values) * maj2.values)
-            rhs = pair_morrey_sup(fw, gw, cp.p, cp.q1, cp.q2, fam_l).value
-            if rhs == 0.0 and lhs > 0.0:
-                raise NumericalError(f"zero right side for pair {name}")
-            records.append(RatioRecord("fs-dual", "", name, level, lhs, rhs))
-    by_level = {}
-    for rec in records:
-        by_level[rec.level] = max(by_level.get(rec.level, 0.0), rec.ratio)
-    return FsDualReport(split_ok, worst, HarnessResult("fs-dual", records, by_level))
+            fw = f.with_values(np.abs(f.values) * maj1.values)
+            gw = g.with_values(np.abs(g.values) * maj2.values)
+            return lhs, pair_morrey_sup(fw, gw, cp.p, cp.q1, cp.q2, fam_l).value
+        return pairs, sides
+    harness = _ratio_core("fs-dual", w1.root, levels, hook, "", 1.05)
+    return FsDualReport(split_ok, worst, harness)

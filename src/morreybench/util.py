@@ -1,4 +1,4 @@
-"""Shared plumbing: error taxonomy, robust power means, deterministic RNG and maps."""
+"""Shared plumbing: errors, exponent helpers, power means, RNG, maps, CSV text."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+INF = float("inf")
+
 
 class ParameterError(ValueError):
     """A precondition or exponent relation is violated (CLI exit code 2)."""
@@ -14,6 +16,31 @@ class ParameterError(ValueError):
 
 class NumericalError(RuntimeError):
     """A computation cannot be completed at finite precision (CLI exit code 3)."""
+
+
+def refuse(what: str, violations) -> None:
+    """Raise a ParameterError naming every violated relation, if there is one."""
+    if violations:
+        raise ParameterError(f"{what}: " + "; ".join(violations))
+
+
+def close(a: float, b: float) -> bool:
+    """Exponent relations hold to 1e-9 relative (absolute below 1)."""
+    return abs(a - b) <= 1e-9 * max(1.0, abs(a), abs(b))
+
+
+def conjugate(x: float) -> float:
+    """The conjugate exponent x' = x/(x-1) of x > 1."""
+    if x <= 1.0:
+        raise ParameterError(f"dual exponent needs x > 1, got {x}")
+    return x / (x - 1.0)
+
+
+def recip(x: float) -> float:
+    """1/x with 1/inf = 0 (the ``r = inf`` convention) and 1/0 = inf."""
+    if x == INF:
+        return 0.0
+    return INF if x == 0 else 1.0 / x
 
 
 def power_mean(values, exponent: float) -> float:
@@ -44,6 +71,8 @@ def power_mean(values, exponent: float) -> float:
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based generator: (seed, stream ids) fully determine the draws."""
+    if seed < 0:
+        raise ParameterError(f"seeds are nonnegative integers, got {seed}")
     ss = np.random.SeedSequence([int(seed), *(int(s) for s in stream)])
     return np.random.Generator(np.random.Philox(ss))
 
@@ -74,3 +103,21 @@ def parallel_map(fn, items):
 def fmt(x: float) -> str:
     """Shortest round-trip decimal form, used for all CSV/report output."""
     return repr(float(x))
+
+
+def by_level(values: dict) -> str:
+    """``level:value`` tokens in level order, as reports print them."""
+    return " ".join(f"{k}:{fmt(v)}" for k, v in sorted(values.items()))
+
+
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return fmt(value)
+    return str(value)
+
+
+def csv_text(header, rows) -> str:
+    """The ``header`` columns of dict ``rows`` as CSV text, floats via ``fmt``."""
+    lines = [",".join(header)]
+    lines += [",".join(_cell(row[k]) for k in header) for row in rows]
+    return "\n".join(lines) + "\n"

@@ -32,9 +32,7 @@ import numpy as np
 
 from .grid import DyadicCube, GridFunction, cube_box
 from .norms import CubeFamily
-from .util import ParameterError, power_mean
-
-INF = float("inf")
+from .util import INF, ParameterError, close, conjugate, power_mean, recip, refuse
 
 
 # --- weight systems ---------------------------------------------------------
@@ -84,6 +82,8 @@ def power_weight(beta: float, center, root: DyadicCube, depth: int) -> GridFunct
     center = tuple(float(c) for c in (center if np.iterable(center) else (center,)))
     if len(center) != dim:
         raise ParameterError("center dimension mismatch")
+    if depth < 0:
+        raise ParameterError(f"depth must be >= 0, got {depth}")
     m = 2 ** depth
     h = 2.0 ** (root.level - depth)
     origin = root.lower()
@@ -135,17 +135,6 @@ def power_system(beta: float, gamma1: float, gamma2: float, center,
 # --- parameters --------------------------------------------------------------
 
 VARIANTS = ("s<1", "s>=1", "remark", "one-weight-s<1", "one-weight-s>=1", "testing")
-_REL_TOL = 1e-9
-
-
-def _dual(x: float) -> float:
-    if x <= 1.0:
-        raise ParameterError(f"dual exponent needs x > 1, got {x}")
-    return x / (x - 1.0)
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= _REL_TOL * max(1.0, abs(a), abs(b))
 
 
 @dataclass(frozen=True)
@@ -165,7 +154,7 @@ class CharParams:
 
     @property
     def q(self) -> float:
-        return 1.0 / (1.0 / self.q1 + 1.0 / self.q2)
+        return recip(1.0 / self.q1 + 1.0 / self.q2)
 
     def violations(self) -> list[str]:
         """Names of violated side conditions; empty when valid for the variant."""
@@ -178,7 +167,7 @@ class CharParams:
                 v.append("0 <= alpha < n")
             if not (1.0 <= cp.t <= cp.s):
                 v.append("1 <= t <= s")
-            if not (cp.alpha / cp.n >= (0.0 if cp.r == INF else 1.0 / cp.r) >= 0.0):
+            if not (cp.alpha / cp.n >= recip(cp.r) >= 0.0):
                 v.append("alpha/n >= 1/r >= 0")
         else:
             if not (0.0 < cp.alpha < cp.n):
@@ -191,28 +180,23 @@ class CharParams:
             v.append("1 < q1, q2")
         if not (0.0 < cp.q <= cp.p):
             v.append("0 < q <= p")
-        if not _close(cp.t / cp.s, cp.q / cp.p):
+        if not close(cp.t / cp.s, cp.q / cp.p):
             v.append("t/s = q/p")
         one_weight = cp.variant.startswith("one-weight")
         if one_weight:
             if cp.r != INF:
                 v.append("r = inf (one-weight)")
-            if not _close(1.0 / cp.s, 1.0 / cp.p - cp.alpha / cp.n):
+            if not close(1.0 / cp.s, 1.0 / cp.p - cp.alpha / cp.n):
                 v.append("1/s = 1/p - alpha/n")
             if not cp.a > 1.0:
                 v.append("a > 1")
         elif cp.variant != "testing":
-            r_inv = 0.0 if cp.r == INF else 1.0 / cp.r
             if cp.r != INF and cp.r <= 0:
                 v.append("0 < r <= inf")
-            if not (cp.alpha / cp.n > r_inv):
+            if not (cp.alpha / cp.n > recip(cp.r)):
                 v.append("alpha/n > 1/r")
-            if not _close(1.0 / cp.s, 1.0 / cp.p + r_inv - cp.alpha / cp.n):
-                v.append("1/s = 1/p + 1/r - alpha/n")
-        else:
-            r_inv = 0.0 if cp.r == INF else 1.0 / cp.r
-            if not _close(1.0 / cp.s, 1.0 / cp.p + r_inv - cp.alpha / cp.n):
-                v.append("1/s = 1/p + 1/r - alpha/n")
+        if not one_weight and not close(1.0 / cp.s, 1.0 / cp.p + recip(cp.r) - cp.alpha / cp.n):
+            v.append("1/s = 1/p + 1/r - alpha/n")
         if cp.variant in ("s<1", "remark", "one-weight-s<1"):
             if not cp.s < 1.0:
                 v.append("s < 1")
@@ -220,7 +204,7 @@ class CharParams:
             if not cp.s >= 1.0:
                 v.append("s >= 1")
         if cp.variant == "s<1":
-            if cp.r != INF and not (cp.s / (1.0 - cp.s) < cp.r):
+            if cp.r != INF and cp.s < 1.0 and not (cp.s / (1.0 - cp.s) < cp.r):
                 v.append("s/(1-s) < r")
             bound = min(cp.q1, cp.q2)
             if cp.r != INF:
@@ -236,9 +220,7 @@ class CharParams:
         return v
 
     def validate(self) -> "CharParams":
-        bad = self.violations()
-        if bad:
-            raise ParameterError("invalid parameters: " + "; ".join(bad))
+        refuse("invalid parameters", self.violations())
         return self
 
 
@@ -283,6 +265,12 @@ def _ancestor_chain(cube: DyadicCube, members: set, root: DyadicCube):
     return out
 
 
+def _pair_exponent(cp: CharParams) -> float:
+    """E of the nested-pair scans: (1-s)/(as) for s < 1, (1-as)/(as) for s >= 1."""
+    return ((1.0 - cp.s) if cp.variant.endswith("s<1")
+            else (1.0 - cp.a * cp.s)) / (cp.a * cp.s)
+
+
 def _pair_scan(cubes, vfac, wfac, exponent: float, r_inv: float, root: DyadicCube,
                volumes, pair_budget: int | None):
     members = set(cubes)
@@ -321,10 +309,9 @@ def char_two_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily,
         raise ParameterError(f"two-weight characteristic expects variant s<1 or s>=1, got {cp.variant}")
     cp.validate()
     cubes = _family_cubes(family)
-    d1, d2 = _dual(cp.q1 / cp.a), _dual(cp.q2 / cp.a)
-    exponent = ((1.0 - cp.s) / (cp.a * cp.s) if cp.variant == "s<1"
-                else (1.0 - cp.a * cp.s) / (cp.a * cp.s))
-    r_inv = 0.0 if cp.r == INF else 1.0 / cp.r
+    d1, d2 = conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a)
+    exponent = _pair_exponent(cp)
+    r_inv = recip(cp.r)
     vfac, wfac, volumes = {}, {}, {}
     for q in cubes:
         box = cube_box(ws.v, q)
@@ -344,9 +331,9 @@ def char_remark(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Charact
     """
     if cp.s >= 1.0:
         raise ParameterError("single-cube majorant requires s < 1")
-    d1, d2 = _dual(cp.q1 / cp.a), _dual(cp.q2 / cp.a)
+    d1, d2 = conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a)
     e_v = cp.a * cp.s / (1.0 - cp.s)
-    r_inv = 0.0 if cp.r == INF else 1.0 / cp.r
+    r_inv = recip(cp.r)
     cubes = _family_cubes(family)
     best, attaining, overflow = -1.0, None, False
     for q in cubes:
@@ -372,9 +359,8 @@ def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily,
     if not np.allclose(ws.v.values, prod, rtol=1e-12, atol=0.0):
         raise ParameterError("one-weight system requires v = w1*w2 pointwise")
     cubes = _family_cubes(family)
-    d1, d2 = _dual(cp.q1), _dual(cp.q2)
-    exponent = ((1.0 - cp.s) / (cp.a * cp.s) if cp.variant.endswith("s<1")
-                else (1.0 - cp.a * cp.s) / (cp.a * cp.s))
+    d1, d2 = conjugate(cp.q1), conjugate(cp.q2)
+    exponent = _pair_exponent(cp)
     vfac, wfac, volumes = {}, {}, {}
     for q in cubes:
         box = cube_box(ws.v, q)
@@ -388,8 +374,8 @@ def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily,
 
 def char_testing(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
     """Necessary-condition constant: sup_Q |Q|**(1/r) (inf_Q v) prod dual averages."""
-    d1, d2 = _dual(cp.q1), _dual(cp.q2)
-    r_inv = 0.0 if cp.r == INF else 1.0 / cp.r
+    d1, d2 = conjugate(cp.q1), conjugate(cp.q2)
+    r_inv = recip(cp.r)
     cubes = _family_cubes(family)
     best, attaining = -1.0, None
     for q in cubes:
@@ -408,7 +394,7 @@ def ap_characteristic(w: GridFunction, p: float, family: CubeFamily) -> Characte
         raise ParameterError(f"A_p requires p > 1, got {p}")
     if w.values.min() <= 0:
         raise ParameterError("A_p weight must be strictly positive")
-    e = 1.0 - _dual(p)  # = -1/(p-1)
+    e = 1.0 - conjugate(p)  # = -1/(p-1)
     cubes = _family_cubes(family)
     best, attaining = -1.0, None
     for q in cubes:
@@ -427,7 +413,7 @@ def fs_majorant(w: GridFunction, r_i: float, s_i: float,
         raise ParameterError(f"majorant exponent must lie in (0,1), got {s_i}")
     if w.values.min() <= 0:
         raise ParameterError("majorant weight must be strictly positive")
-    r_inv = 0.0 if r_i == INF else 1.0 / r_i
+    r_inv = recip(r_i)
     e = s_i / (1.0 - s_i)
     out = np.zeros_like(w.values)
     for q in _family_cubes(family):
@@ -441,13 +427,11 @@ def fs_majorant(w: GridFunction, r_i: float, s_i: float,
 
 def pair_value(ws: WeightSystem, cp: CharParams, q: DyadicCube, qp: DyadicCube) -> float:
     """Recompute one nested-pair value through the scan's own code path."""
-    d1, d2 = _dual(cp.q1 / cp.a), _dual(cp.q2 / cp.a)
-    exponent = ((1.0 - cp.s) / (cp.a * cp.s) if cp.variant == "s<1"
-                else (1.0 - cp.a * cp.s) / (cp.a * cp.s))
-    r_inv = 0.0 if cp.r == INF else 1.0 / cp.r
+    d1, d2 = conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a)
+    r_inv = recip(cp.r)
     box_q = cube_box(ws.v, q)
     box_a = cube_box(ws.v, qp)
     wfac = _w_dual_factor(ws.w1, box_a, d1) * _w_dual_factor(ws.w2, box_a, d2)
-    return ((q.volume / qp.volume) ** exponent
+    return ((q.volume / qp.volume) ** _pair_exponent(cp)
             * (qp.volume ** r_inv if r_inv else 1.0)
             * _v_factor(ws, box_q, cp.t) * wfac)

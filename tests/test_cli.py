@@ -252,3 +252,86 @@ class TestSelftestCommand:
         assert rc == 0
         assert "criterion-01 quadrature-closed-form: PASS" in out
         assert "criterion-08 packing-bound: PASS" in out
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the code of argparse's SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+RATIO = ["--alpha", "0.3", "--p1", "4", "--q1", "5/2", "--p2", "4", "--q2", "5/2",
+         "--s", "5", "--t", "25/8"]
+TWO_WEIGHT = ["--alpha", "1/2", "--q1", "9/8", "--q2", "9/8", "--p", "16/27",
+              "--t", "0.759375", "--r", "16", "--a", "17/16", "--beta", "0.0225",
+              "--gamma1", "0.02", "--gamma2", "0.02", "--depth", "4"]
+TESTING = ["--alpha", "1/2", "--q1", "4", "--q2", "4", "--p", "5/2", "--s", "20/3",
+           "--t", "16/3", "--r", "4", "--a", "2"]
+STEIN_WEISS = ["--alpha", "1/2", "--q1", "9/8", "--q2", "9/8", "--p1", "32/27",
+               "--p2", "32/27", "--r", "16", "--a", "17/16", "--gamma1", "0.02",
+               "--gamma2", "0.02"]
+SHARPNESS = ["--alpha", "0.3", "--p1", "4", "--p2", "4", "--q1", "2", "--q2", "2",
+             "--t", "5"]
+
+
+class TestExitContract:
+    """Missing flags, malformed or empty ranges, empty selections and bad
+    paths exit 2 and name the flag or the path; none ends in a traceback."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        pytest.param(["norm", "--kind", "morrey", "--in", "F"], "--p", id="norm-no-p-q"),
+        pytest.param(["norm", "--kind", "morrey", "--p", "2", "--in", "F"], "--q",
+                     id="norm-no-q"),
+        pytest.param(["experiment", "sharpness", *SHARPNESS, "--deltas", "8..4", "--out", "O"],
+                     "--deltas", id="reversed-deltas"),
+        pytest.param(["experiment", "ratio", *RATIO, "--pairs", "step:x", "--out", "O"],
+                     "--pairs", id="bad-pair-count"),
+        pytest.param(["experiment", "ratio", *RATIO, "--levels", "4..", "--out", "O"],
+                     "--levels", id="open-levels"),
+        pytest.param(["experiment", "ratio", *RATIO, "--levels", "", "--out", "O"],
+                     "--levels", id="empty-levels"),
+        pytest.param(["experiment", "necessity", *TESTING, "--systems", "0", "--out", "O"],
+                     "--systems", id="no-systems"),
+        pytest.param(["experiment", "ratio", "--theorem", "two-weight", *TWO_WEIGHT,
+                      "--out", "O"], "--s", id="ratio-two-weight-no-s"),
+        pytest.param(["experiment", "stein-weiss", *STEIN_WEISS, "--out", "O"], "--beta",
+                     id="stein-weiss-no-beta"),
+        pytest.param(["char", "--kind", "two-weight", *TWO_WEIGHT], "--s",
+                     id="char-two-weight-no-s"),
+        pytest.param(["selftest", "--criteria", "99"], "--criteria", id="unknown-criterion"),
+        pytest.param(["selftest", "--criteria", ""], "--criteria", id="empty-criteria"),
+        pytest.param(["experiment", "ratio", "--out", "O"], "--alpha", id="ratio-no-exponents"),
+        pytest.param(["char", "--kind", "two-weight", *TWO_WEIGHT, "--s", "4/5", "--q1", "0"],
+                     "--q1", id="zero-exponent"),
+        pytest.param(["char", "--kind", "two-weight", *TWO_WEIGHT, "--s", "4/5",
+                      "--pair-budget", "0"], "--pair-budget", id="zero-pair-budget"),
+        pytest.param(["op", "--operator", "b-alpha", "--alpha", "1/2", "--f", "F", "--g", "",
+                      "--out", "O"], "--g", id="empty-g-path"),
+    ])
+    def test_refused_with_exit_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
+        path = tmp_path / "f.mgf"
+        write_step(path, np.ones(8), flags="pos")
+        argv = [str(path) if a == "F" else str(tmp_path / "o") if a == "O" else a
+                for a in argv]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()  # refused before any output
+
+
+class TestSelftestAgreement:
+    def test_ratio_columns_equal_criterion_12_artifact(self, tmp_path):
+        # criterion 12's ratio config: bilinear-ratio, step:3, base depth 4, levels 4..5
+        from morreybench.acceptance import _deterministic_artifacts
+        seed = 20240801
+        out = tmp_path / "ratios.csv"
+        rc = main(["experiment", "ratio", "--theorem", "bilinear-ratio", *RATIO,
+                   "--pairs", "step:3", "--base-depth", "4", "--levels", "4..5",
+                   "--seed", str(seed), "--out", str(out)])
+        assert rc == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()]
+        keep = [rows[0].index(c) for c in ("pair_id", "level", "lhs", "rhs")]
+        text = "".join(",".join(row[i] for i in keep) + "\n" for row in rows)
+        assert text == _deterministic_artifacts(seed)["ratios.csv"]

@@ -1,0 +1,158 @@
+"""Property tests of the command line: the parsers, and argv fuzzing of
+cheap in-process ``main`` runs that must exit 0, 2 or 3 without a traceback.
+
+Each fuzzed command starts from a valid invocation (grids of depth 5 or
+less) and has up to three of its flags dropped or replaced by values drawn
+from a pool of well-formed, degenerate and malformed tokens.  Grid addresses
+(--rootlevel, --rootcoords, --center, --min-level) and MGF contents are not
+fuzzed.
+"""
+
+import contextlib
+import io
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from morreybench import GridFunction, ParameterError, unit_root, write_mgf  # noqa: E402
+from morreybench.cli import main, parse_number, parse_range  # noqa: E402
+
+FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+NUMBERS = ["0", "1", "-1", "2", "4", "5", "1/2", "0.3", "5/2", "9/8", "17/16",
+           "16/27", "4/5", "25/8", "20/3", "inf", "nan", "1/0", "x", "", "-0.54"]
+
+RATIO = {"--alpha": "0.3", "--p1": "4", "--q1": "5/2", "--p2": "4", "--q2": "5/2",
+         "--s": "5", "--t": "25/8"}
+TWO_WEIGHT = {"--alpha": "1/2", "--q1": "9/8", "--q2": "9/8", "--p": "16/27",
+              "--s": "4/5", "--t": "0.759375", "--r": "16", "--a": "17/16",
+              "--beta": "0.0225", "--gamma1": "0.02", "--gamma2": "0.02"}
+TESTING = {"--alpha": "1/2", "--q1": "4", "--q2": "4", "--p": "5/2", "--s": "20/3",
+           "--t": "16/3", "--r": "4", "--a": "2"}
+
+# (command words, valid flags, extra pools); exponent flags draw from NUMBERS
+COMMANDS = [
+    (["norm"], {"--kind": "morrey", "--in": "@F", "--p": "2", "--q": "1", "--t": "2"},
+     {"--kind": ["morrey", "lebesgue", "weak"], "--family": ["dyadic", "all"]}),
+    (["op"], {"--operator": "b-alpha", "--f": "@F", "--g": "@F", "--v": "@F",
+              "--out": "@O.mgf", "--alpha": "1/2", "--d": "1/4", "--r1": "2",
+              "--r2": "2", "--t": "2"},
+     {"--operator": ["i-alpha", "b-alpha", "b-truncated", "b-dyadic", "m-bilinear",
+                     "m-vector", "m-tilde", "m-triple"]}),
+    (["cz"], {"--f": "@F", "--g": "@F", "--out": "@O"}, {"--a": NUMBERS}),
+    (["char"], {"--kind": "two-weight", "--depth": "3", **TWO_WEIGHT},
+     {"--kind": ["two-weight", "remark", "one-weight", "testing", "ap", "fs-majorant"],
+      "--depth": ["-1", "2", "3"], "--dim": ["0", "1", "2"],
+      "--pair-budget": ["0", "1", "500"]}),
+    (["experiment", "ratio"], {"--pairs": "step:1", "--levels": "3..4",
+                               "--base-depth": "3", "--depth": "3", "--out": "@O",
+                               **RATIO, "--p": "16/27", "--r": "16", "--a": "17/16",
+                               "--beta": "0.0225", "--gamma1": "0.02", "--gamma2": "0.02"},
+     {"--theorem": ["bilinear-ratio", "bilinear-critical", "linear-adams", "two-weight",
+                    "one-weight", "olsen", "nope"],
+      "--pairs": ["step:1", "indicator:2", "bump", "step:0", "step:x", "", "nope:1"],
+      "--levels": ["3", "3..4", "4..3", "", "4..", "2", "x"],
+      "--base-depth": ["-1", "0", "3"], "--seed": ["-1", "0", "7"],
+      "--dim": ["1", "2", "3"]}),
+    (["experiment", "sharpness"], {"--deltas": "2", "--out": "@O", "--alpha": "0.3",
+                                   "--p1": "4", "--p2": "4", "--q1": "2", "--q2": "2",
+                                   "--t": "5"},
+     {"--deltas": ["1", "2", "3..2", "", "2..", "x"]}),
+    (["experiment", "necessity"], {"--systems": "1", "--base-depth": "3", "--out": "@O",
+                                   **TESTING},
+     {"--systems": ["-1", "0", "1"], "--base-depth": ["-1", "2", "3"]}),
+    (["experiment", "stein-weiss"], {"--k-range": "-1..0", "--out": "@O", "--alpha": "1/2",
+                                     "--q1": "9/8", "--q2": "9/8", "--p1": "32/27",
+                                     "--p2": "32/27", "--r": "16", "--a": "17/16",
+                                     "--beta": "-0.54", "--gamma1": "0.02",
+                                     "--gamma2": "0.02"},
+     {"--k-range": ["0", "-1..0", "-9", "", "0..", "x"]}),
+    (["experiment", "fs-dual"], {"--depth": "3", "--levels": "3", "--out": "@O",
+                                 **TWO_WEIGHT, "--r1": "32", "--r2": "32",
+                                 "--s1": "17/19", "--s2": "17/19"},
+     {"--levels": ["2", "3", "3..4", "", "x"], "--depth": ["-1", "3"]}),
+    (["selftest"], {"--criteria": "0"},
+     {"--criteria": ["", "0", "13", "x", "1..", "12..1", "99,1"]}),
+]
+
+
+@st.composite
+def argvs(draw):
+    words, valid, pools = draw(st.sampled_from(COMMANDS))
+    flags = dict(valid)
+    names = sorted(set(valid) | set(pools))
+    # a selftest without --criteria runs every criterion and exits 1 on the
+    # documented red criterion 2, so that flag is replaced, never dropped
+    keep = words == ["selftest"]
+    for _ in range(draw(st.integers(0, 3))):
+        name = draw(st.sampled_from(names))
+        value = draw(st.sampled_from([None] * (not keep) + pools.get(name, NUMBERS)))
+        if value is None:
+            flags.pop(name, None)
+        else:
+            flags[name] = value
+    return words + [f"{name}={value}" for name, value in flags.items()]
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    rng = np.random.default_rng(5)
+    write_mgf(path / "f.mgf", GridFunction(1, unit_root(1), 3,
+                                           np.exp(rng.uniform(-2, 2, 8)), "pos"))
+    return path
+
+
+@FUZZ
+@given(argv=argvs())
+def test_cli_exits_0_2_or_3_without_traceback(workdir, argv):
+    argv = [tok.replace("@F", str(workdir / "f.mgf")).replace("@O", str(workdir / "out"))
+            for tok in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refusals
+            code = exc.code
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@FUZZ
+@given(text=st.text(alphabet="0123456789.,- x", max_size=8))
+def test_parse_range_gives_integers_or_refuses(text):
+    try:
+        values = parse_range(text)
+    except ParameterError:
+        return
+    assert values and all(isinstance(v, int) for v in values)
+
+
+@FUZZ
+@given(low=st.integers(-20, 20), high=st.integers(-20, 20))
+def test_parse_range_spans_both_ends(low, high):
+    if low > high:
+        with pytest.raises(ParameterError):
+            parse_range(f"{low}..{high}")
+    else:
+        assert parse_range(f"{low}..{high}") == tuple(range(low, high + 1))
+
+
+@FUZZ
+@given(text=st.text(max_size=12))
+def test_parse_number_gives_a_number_or_refuses(text):
+    try:
+        value = parse_number(text)
+    except ParameterError:
+        return
+    assert isinstance(value, float) and value > -float("inf")
+
+
+@FUZZ
+@given(num=st.integers(-10 ** 6, 10 ** 6), den=st.integers(1, 10 ** 6))
+def test_parse_number_rationals_are_exact(num, den):
+    assert parse_number(f"{num}/{den}") == float(Fraction(num, den))

@@ -338,3 +338,45 @@ class TestFsDual:
         w2 = GridFunction(1, root, 4, np.exp(rng.uniform(-2, 2, 16)), "pos")
         rep = fs_dual_check(w1, w2, self.params(), levels=(4,))
         assert rep.split_ok
+
+
+class TestHarnessLevelConstants:
+    def test_characteristic_once_per_level(self, monkeypatch):
+        from morreybench import experiments
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return char_two_weight(*args, **kwargs)
+        monkeypatch.setattr(experiments, "char_two_weight", counting)
+        pairs = make_pairs("step", 6, 42, 4)
+        res = ratio_harness("two-weight", ExponentProfile(alpha=0.5, n=1), pairs,
+                            (4, 5), ws=power_weights(), cp=two_weight_cp())
+        assert len(res.records) == 12
+        assert len(calls) == 2
+
+
+class TestSteinWeissCharacteristic:
+    @pytest.mark.parametrize("beta", [0.0225, -0.54])
+    def test_matches_direct_cube_averages(self, beta):
+        # per dyadic cube Q of the root, |Q|**(1/r) times the exact averages
+        # over Q of |x|**(-beta e_v), |x|**(-gamma_i d_i), each to its power;
+        # power_weight on Q itself at depth 0 is that exact average
+        from morreybench import DyadicCube, dyadic_family
+        sw = SteinWeissParams(n=1, alpha=0.5, q1=9 / 8, q2=9 / 8, p1=32 / 27,
+                              p2=32 / 27, r=16.0, a=17 / 16, beta=beta,
+                              gamma1=0.02, gamma2=0.02)
+        e_v = sw.a * sw.s / (1.0 - sw.s)
+        d = (sw.q1 / sw.a) / (sw.q1 / sw.a - 1.0)
+        got = stein_weiss_check(sw, k_levels=(0, 2), run_harness=False).char_by_level
+        for k, value in got.items():
+            root = DyadicCube(k, (0,))
+            best = 0.0
+            for cube in dyadic_family(root, k - 5).entries:
+                def avg(power):
+                    return float(power_weight(power, 0.0, cube, 0).values[0])
+                best = max(best, cube.volume ** (1.0 / sw.r)
+                           * avg(-sw.beta * e_v) ** (1.0 / e_v)
+                           * avg(-sw.gamma1 * d) ** (1.0 / d)
+                           * avg(-sw.gamma2 * d) ** (1.0 / d))
+            assert value == pytest.approx(best, rel=1e-12)

@@ -1,0 +1,30 @@
+"""Import layering of the package: only the command line depends on ``cli``."""
+
+import ast
+from pathlib import Path
+
+import morreybench
+
+PACKAGE = Path(morreybench.__file__).parent
+
+
+def _imported_modules(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("." * node.level) + (node.module or "")
+            yield base
+            yield from (f"{base}.{alias.name}" if node.module else base + alias.name
+                        for alias in node.names)
+
+
+def test_no_module_imports_cli():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        names = set(_imported_modules(ast.parse(path.read_text())))
+        if names & {".cli", "morreybench.cli"}:
+            offenders.append(path.name)
+    assert offenders == []
