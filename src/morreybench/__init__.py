@@ -1,11 +1,10 @@
 """Dyadic-grid workbench for bilinear fractional integrals on Morrey spaces."""
 
-from .grid import (AlignedBox, DyadicCube, GridFunction, PrefixTable,
-                   box_average, cube_box, enumerate_subcubes, read_mgf,
-                   triple, unit_root, write_mgf)
-from .norms import (CubeFamily, NormReport, aligned_family, custom_family,
-                    dyadic_family, lebesgue_norm, morrey_norm,
-                    pair_morrey_sup, weak_quasinorm)
+from .grid import (AlignedBox, DyadicCube, GridFunction, cube_box,
+                   enumerate_subcubes, read_mgf, triple, unit_root, write_mgf)
+from .norms import (CubeFamily, NormReport, aligned_family, dyadic_family,
+                    lebesgue_norm, morrey_norm, pair_morrey_sup,
+                    weak_quasinorm)
 from .operators import (KernelSpec, OperatorField, b_alpha, b_alpha_dyadic,
                         b_truncated, i_alpha, m_alpha_bilinear,
                         m_alpha_vector, m_tilde, m_triple_dyadic)
@@ -14,8 +13,7 @@ from .util import NumericalError, ParameterError
 __all__ = [
     "AlignedBox", "CubeFamily", "DyadicCube", "GridFunction", "KernelSpec",
     "NormReport", "NumericalError", "OperatorField", "ParameterError",
-    "PrefixTable", "aligned_family", "b_alpha", "b_alpha_dyadic",
-    "b_truncated", "box_average", "cube_box", "custom_family",
+    "aligned_family", "b_alpha", "b_alpha_dyadic", "b_truncated", "cube_box",
     "dyadic_family", "enumerate_subcubes", "i_alpha", "lebesgue_norm",
     "m_alpha_bilinear", "m_alpha_vector", "m_tilde", "m_triple_dyadic",
     "morrey_norm", "pair_morrey_sup", "read_mgf", "triple", "unit_root",

@@ -9,8 +9,7 @@ characteristic, unresolvable delta).
 
 Every CSV row can be mirrored as a JSON-lines stream with --json.  All
 randomness flows from one 64-bit seed through a counter-based generator, so
-identical configurations produce byte-identical outputs; MORREY_THREADS caps
-the worker count for experiment cells.
+identical configurations produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -106,14 +105,27 @@ def write_csv(path, header, rows, mirror_json=False):
             print(json.dumps({k: row[k] for k in header}))
 
 
+def _coords(ns, name: str, parse) -> tuple:
+    """The comma-separated coordinates of flag ``name``; refuses malformed ones."""
+    text = str(getattr(ns, name))
+    try:
+        return tuple(parse(c) for c in text.split(","))
+    except ValueError as exc:  # ParameterError included
+        raise ParameterError(f"--{name}: cannot parse coordinates {text!r}") from exc
+
+
 def _root_from(ns) -> DyadicCube:
-    coords = tuple(int(c) for c in str(ns.rootcoords).split(","))
-    return DyadicCube(ns.rootlevel, coords)
+    return DyadicCube(ns.rootlevel, _coords(ns, "rootcoords", int))
 
 
 def _dyadic_for(grid: GridFunction, ns):
     """Dyadic subcubes of the grid's root down to --min-level (default: cells)."""
-    return dyadic_family(grid.root, grid.cell_level if ns.min_level is None else ns.min_level)
+    if ns.min_level is None:
+        return dyadic_family(grid.root, grid.cell_level)
+    if not grid.cell_level <= ns.min_level <= grid.root.level:
+        raise ParameterError(f"--min-level {ns.min_level} must lie between the grid's "
+                             f"cell level {grid.cell_level} and root level {grid.root.level}")
+    return dyadic_family(grid.root, ns.min_level)
 
 
 def _describe_cube(entry) -> str:
@@ -185,9 +197,8 @@ def _load_system(ns) -> WeightSystem:
         return WeightSystem(read_mgf(ns.v), read_mgf(ns.w1), read_mgf(ns.w2))
     if ns.beta is not None:
         _require(ns, "gamma1", "gamma2")
-        root = _root_from(ns)
-        center = tuple(float(c) for c in str(ns.center).split(","))
-        return power_system(ns.beta, ns.gamma1, ns.gamma2, center, root, ns.depth)
+        return power_system(ns.beta, ns.gamma1, ns.gamma2, _coords(ns, "center", parse_number),
+                            _root_from(ns), ns.depth)
     raise ParameterError("weights needed: --v/--w1/--w2 files or synthetic --beta/--gamma1/--gamma2")
 
 
@@ -218,19 +229,14 @@ def _cmd_char(ns) -> int:
         print(f"fs-majorant -> {ns.out} (max={fmt(float(out.values.max()))})")
         return 0
     cp = _char_params(ns, ns.kind)
-    if ns.pair_budget < 1:
-        raise ParameterError("--pair-budget must be at least 1")
     ws = _load_system(ns)
-    fam = _dyadic_for(ws.v, ns)
-    rep = {"two-weight": lambda: char_two_weight(ws, cp, fam, ns.pair_budget),
-           "remark": lambda: char_remark(ws, cp, fam),
-           "one-weight": lambda: char_one_weight(ws, cp, fam, ns.pair_budget),
-           "testing": lambda: char_testing(ws, cp, fam)}[ns.kind]()
+    kind = {"two-weight": char_two_weight, "remark": char_remark,
+            "one-weight": char_one_weight, "testing": char_testing}[ns.kind]
+    rep = kind(ws, cp, _dyadic_for(ws.v, ns))
     if rep.overflowed:
         raise NumericalError("characteristic overflowed; reported +inf")
     inner, outer = (_describe_cube(c) for c in rep.attaining)
-    note = " (pair budget hit: lower bound)" if rep.truncated else ""
-    print(f"{ns.kind} value={fmt(rep.value)} pairs={rep.pairs_scanned}{note} "
+    print(f"{ns.kind} value={fmt(rep.value)} pairs={rep.pairs_scanned} "
           f"inner: {inner} outer: {outer}")
     if ns.json:
         print(json.dumps({"kind": ns.kind, "value": rep.value,
@@ -298,8 +304,7 @@ def _exp_fs_dual(ns) -> int:
     if ns.w1 and ns.w2:
         w1, w2 = read_mgf(ns.w1), read_mgf(ns.w2)
     else:
-        root = _root_from(ns)
-        center = tuple(float(c) for c in str(ns.center).split(","))
+        root, center = _root_from(ns), _coords(ns, "center", parse_number)
         w1 = power_weight(ns.gamma1 or 0.0, center, root, ns.depth)
         w2 = power_weight(ns.gamma2 or 0.0, center, root, ns.depth)
     rep = fs_dual_check(w1, w2, params, levels=ns.levels, seed=ns.seed)
@@ -404,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=1, choices=(1, 2))
     p.add_argument("--depth", type=int, default=6)
     p.add_argument("--min-level", type=int, default=None)
-    p.add_argument("--pair-budget", type=int, default=500_000)
     _finish(p, _cmd_char, ("alpha", "q1", "q2", "p", "s", "t", "r", "a",
                            "beta", "gamma1", "gamma2"))
 

@@ -17,12 +17,13 @@ only ever consumes the certified halving outcome, not the constant's origin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicCube, GridFunction, cube_box, enumerate_subcubes
-from .operators import TripleAverager
+from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, spread
+from .norms import dyadic_family, dyadic_levels
+from .operators import triple_means
 from .util import ParameterError
 
 
@@ -41,7 +42,7 @@ class StoppingFamily:
     e0_mask: np.ndarray                    # E_0 as a cell mask over the grid
     e_masks: dict                          # (k, cube) -> cell mask
     d_masks: list[np.ndarray]              # D_1, D_2, ... as cell masks
-    m_by_cube: dict = field(default_factory=dict)
+    base_m: float                          # m_3Q of the base cube
 
     @property
     def kmax(self) -> int:
@@ -50,7 +51,7 @@ class StoppingFamily:
     def rows(self, cell_volume: float) -> list[dict]:
         """CSV/JSON rows: k = 0 for the base cube and E_0, then every selected
         cube with the measure of its carved set E_jk."""
-        out = [(0, self.base, self.m_by_cube[self.base], float(self.e0_mask.sum()))]
+        out = [(0, self.base, self.base_m, float(self.e0_mask.sum()))]
         out += [(k, sel.cube, sel.m_value, sel.e_cells)
                 for k, gen in enumerate(self.generations, 1) for sel in gen]
         return [dict(zip(CZ_COLUMNS, (k, cube.level, ";".join(str(c) for c in cube.coords),
@@ -61,48 +62,41 @@ class StoppingFamily:
 CZ_COLUMNS = ("k", "cube_level", "cube_coords", "m3q", "e_measure")
 
 
-def _m3(ta_f: TripleAverager, ta_g: TripleAverager, cube: DyadicCube) -> float:
-    return ta_f.mean(cube) * ta_g.mean(cube)
-
-
 def cz_decompose(f: GridFunction, g: GridFunction, q0: DyadicCube,
                  a: float) -> StoppingFamily:
-    """Maximal-cube generations for thresholds a**k, with carved E-sets."""
+    """Maximal-cube generations for thresholds a**k, with carved E-sets.
+
+    Each generation spreads the mask of covered cubes from Q0 down to the
+    cells; selected cubes are listed coarsest first, then row-major.
+    """
     if a <= 1.0:
         raise ParameterError(f"threshold base must exceed 1, got {a}")
     if f.values.min() < 0 or g.values.min() < 0:
         raise ParameterError("decomposition expects nonnegative inputs")
     if q0.level <= f.cell_level:
         raise ParameterError("grid cells must be strictly finer than the base cube")
-    base_box = cube_box(f, q0)
-    ta_f, ta_g = TripleAverager(f), TripleAverager(g)
-    cubes = enumerate_subcubes(q0, f.cell_level)
-    m_by_cube = {c: _m3(ta_f, ta_g, c) for c in cubes}
-    max_m = max(m_by_cube.values())
+    base_box = cube_box(f, q0).slices()
+    family = dyadic_family(q0, f.cell_level)
+    m = [(triple_means(f, shift) * triple_means(g, shift))[window]
+         for shift, _, window in dyadic_levels(f, family)]
+    max_m = max(float(level_m.max()) for level_m in m)
 
     generations: list[list[SelectedCube]] = []
     d_masks: list[np.ndarray] = []
     k = 1
     while max_m > a ** k:
-        thresh = a ** k
-        selected: list[DyadicCube] = []
-        chosen: set = set()
-        for cube in cubes:  # coarsest first: ancestors precede descendants
-            if m_by_cube[cube] <= thresh:
-                continue
-            cur, covered = cube, False
-            while cur.level < q0.level:
-                cur = cur.parent()
-                if cur in chosen:
-                    covered = True
-                    break
-            if not covered:
-                selected.append(cube)
-                chosen.add(cube)
+        covered = np.zeros(m[0].shape, dtype=bool)
+        selected = []
+        for level, level_m in zip(family.levels(), m):
+            if level < q0.level:
+                covered = spread(covered, 1)
+            new = (level_m > a ** k) & ~covered
+            selected += [SelectedCube(family.cube(level, idx), float(level_m[tuple(idx)]), 0)
+                         for idx in np.argwhere(new)]
+            covered |= new
         mask = np.zeros(f.values.shape, dtype=bool)
-        for cube in selected:
-            mask[cube_box(f, cube).slices()] = True
-        generations.append([SelectedCube(c, m_by_cube[c], 0) for c in selected])
+        mask[base_box] = covered
+        generations.append(selected)
         d_masks.append(mask)
         k += 1
 
@@ -119,10 +113,10 @@ def cz_decompose(f: GridFunction, g: GridFunction, q0: DyadicCube,
             refreshed.append(SelectedCube(sel.cube, sel.m_value, int(emask.sum())))
         generations[idx] = refreshed
     e0 = np.zeros(f.values.shape, dtype=bool)
-    e0[base_box.slices()] = True
+    e0[base_box] = True
     if d_masks:
         e0 &= ~d_masks[0]
-    return StoppingFamily(q0, a, generations, e0, e_masks, d_masks, m_by_cube)
+    return StoppingFamily(q0, a, generations, e0, e_masks, d_masks, float(m[0].flat[0]))
 
 
 @dataclass(frozen=True)
@@ -201,11 +195,12 @@ def packing_sum(q_jk: DyadicCube, v: GridFunction, t: float, alpha: float) -> fl
         # stabilised path: cell powers overflow, integrate in shifted form
         raise ParameterError("weight power overflows; use t farther from 1")
     cell_vol = v.cell_volume
-    lhs = 0.0
-    for cube in enumerate_subcubes(q_jk, v.cell_level):
-        sl = cube_box(v, cube).slices()
-        integral = float(powered[sl].sum()) * cell_vol
-        lhs += cube.volume ** ((alpha / n + 1.0) * t) * integral ** (1.0 - t)
+
+    def terms(shift, volume, window):
+        integrals = cube_blocks(powered, shift).sum(axis=-1)[window] * cell_vol
+        return volume ** ((alpha / n + 1.0) * t) * integrals ** (1.0 - t)
+    lhs = sum(float(terms(*scan).sum())
+              for scan in dyadic_levels(v, dyadic_family(q_jk, v.cell_level)))
     geo = 2.0 ** (alpha * t) / (2.0 ** (alpha * t) - 1.0)
     base_box = cube_box(v, q_jk)
     avg = float(powered[base_box.slices()].mean())

@@ -21,13 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicCube, GridFunction, cube_box, unit_root
-from .norms import (CubeFamily, aligned_family, dyadic_family,
+from .grid import (DyadicCube, GridFunction, cube_blocks, cube_box,
+                   enumerate_subcubes, unit_root)
+from .norms import (CubeFamily, aligned_family, dyadic_family, family_max,
                     morrey_norm, pair_morrey_sup)
 from .operators import (KernelSpec, b_alpha, i_alpha, m_alpha_bilinear,
                         m_alpha_vector)
 from .util import (INF, NumericalError, ParameterError, close, conjugate,
-                   make_rng, parallel_map, recip, refuse)
+                   make_rng, recip, refuse)
 from .weights import (CharParams, WeightSystem, char_one_weight, char_testing,
                       char_two_weight, fs_majorant, power_system, power_weight)
 
@@ -266,17 +267,14 @@ def _ratio_core(theorem: str, root: DyadicCube, levels, hook, params_id: str,
     records = []
     for level in levels:
         pairs, sides = hook(level, dyadic_family(root, root.level - level))
-
-        def run_pair(item, level=level, sides=sides):
-            name, f, g = item
+        for name, f, g in pairs:
             if level < f.depth:
                 raise ParameterError("refinement level below the pair's base depth")
             lhs, rhs = sides(f.refine(level - f.depth), g.refine(level - g.depth))
             if rhs == 0.0 and lhs > 0.0:
                 raise NumericalError(
                     f"zero right side with nonzero left side for pair {name}")
-            return RatioRecord(theorem, params_id, name, level, lhs, rhs)
-        records.extend(parallel_map(run_pair, pairs))
+            records.append(RatioRecord(theorem, params_id, name, level, lhs, rhs))
     by_level = {}
     for rec in records:
         by_level[rec.level] = max(by_level.get(rec.level, 0.0), rec.ratio)
@@ -496,7 +494,7 @@ def run_sharpness(cfg: SharpnessConfig, floor_tol: float = 0.95) -> SharpnessRes
                             norm_f, 3.0 ** (cfg.n / cfg.p1),
                             norm_g, 3.0 ** (cfg.n / cfg.p2), norm_b)
 
-    rows = parallel_map(run_one, cfg.delta_exps)
+    rows = [run_one(m) for m in cfg.delta_exps]
     bound = cfg.n * (cfg.q1 / cfg.p1 - cfg.t / cfg.s) / cfg.t
     boundary = close(cfg.t / cfg.s, cfg.q1 / cfg.p1)
     return SharpnessResult(cfg, rows, _loglog_slope(rows), bound, boundary)
@@ -584,17 +582,14 @@ def _power_char(sw: SteinWeissParams, root: DyadicCube, depth: int) -> float:
     pv = power_weight(-sw.beta * e_v, (0.0,) * sw.n, root, depth)
     p1 = power_weight(-sw.gamma1 * d1, (0.0,) * sw.n, root, depth)
     p2 = power_weight(-sw.gamma2 * d2, (0.0,) * sw.n, root, depth)
-    fam = dyadic_family(root, root.level - depth)
     r_inv = recip(sw.r)
-    best = 0.0
-    for cube in fam.entries:
-        sl = cube_box(pv, cube).slices()
-        val = ((cube.volume ** r_inv if r_inv else 1.0)
-               * float(np.mean(pv.values[sl])) ** (1.0 / e_v)
-               * float(np.mean(p1.values[sl])) ** (1.0 / d1)
-               * float(np.mean(p2.values[sl])) ** (1.0 / d2))
-        best = max(best, val)
-    return best
+
+    def value(shift, volume):
+        return ((volume ** r_inv if r_inv else 1.0)
+                * cube_blocks(pv.values, shift).mean(axis=-1) ** (1.0 / e_v)
+                * cube_blocks(p1.values, shift).mean(axis=-1) ** (1.0 / d1)
+                * cube_blocks(p2.values, shift).mean(axis=-1) ** (1.0 / d2))
+    return family_max(pv, dyadic_family(root, root.level - depth), value)[0]
 
 
 def stein_weiss_check(sw: SteinWeissParams, k_levels=(0, 1, 2, 3, 4),
@@ -680,11 +675,12 @@ def necessity_check(ws: WeightSystem, cp: CharParams, family: CubeFamily,
     grid = ws.v
     n = grid.dim
     d1, d2 = conjugate(cp.q1), conjugate(cp.q2)
-    cubes = family.dyadic_entries()
     c_cube, c_trunc = 0.0, 0.0
     exact_ok = True
     extremal_pairs = []
-    probe_cubes = [c for c in cubes if c.level >= grid.cell_level + 1][:24]
+    lowest = max(family.min_level, grid.cell_level + 1)
+    probe_cubes = (enumerate_subcubes(family.root, lowest)[:24]
+                   if lowest <= family.root.level else [])
     for cube in probe_cubes:
         sl = cube_box(grid, cube).slices()
         fvals = np.zeros_like(grid.values)
@@ -772,15 +768,12 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     e1 = params.s1 / (1.0 - params.s1)
     e2 = params.s2 / (1.0 - params.s2)
     r_inv, r1_inv, r2_inv = recip(cp.r), recip(params.r1), recip(params.r2)
-    fam = dyadic_family(w1.root, w1.cell_level)
-    worst = 0.0
-    for cube in fam.entries:
-        sl = cube_box(w1, cube).slices()
-        prod = (w1.values[sl] * w2.values[sl]) ** e
-        lhs = cube.volume ** r_inv * float(np.mean(prod)) ** (1.0 / e)
-        rhs = ((cube.volume ** r1_inv) * float(np.mean(w1.values[sl] ** e1)) ** (1.0 / e1)
-               * (cube.volume ** r2_inv) * float(np.mean(w2.values[sl] ** e2)) ** (1.0 / e2))
-        worst = max(worst, lhs / rhs)
+    powered = [((w1.values * w2.values) ** e, e), (w1.values ** e1, e1), (w2.values ** e2, e2)]
+
+    def split_excess(shift, volume):
+        lhs, f1, f2 = (cube_blocks(x, shift).mean(axis=-1) ** (1.0 / ei) for x, ei in powered)
+        return volume ** r_inv * lhs / ((volume ** r1_inv) * f1 * (volume ** r2_inv) * f2)
+    worst = family_max(w1, dyadic_family(w1.root, w1.cell_level), split_excess)[0]
     split_ok = worst <= 1.0 + 1e-12
 
     if pairs is None:

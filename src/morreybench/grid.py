@@ -1,4 +1,4 @@
-"""Dyadic cubes, grid-sampled step functions, and constant-time box aggregation.
+"""Dyadic cubes, grid-sampled step functions, and dyadic level blocks.
 
 Geometry is the standard dyadic lattice: the cube of level ``k`` with integer
 coordinates ``m`` occupies ``2**k * (m + [0,1)**n)``.  Grid data is piecewise
@@ -6,6 +6,11 @@ constant on the ``2**(n*L)`` cells obtained by halving a root cube ``L`` times
 per axis, and is extended by zero outside the root.  Every integral of grid
 data is then an exact finite sum over cells, which keeps downstream checks
 exact for step functions.
+
+The cubes of one dyadic level tile the grid, so a level is one reshape of the
+cell array into blocks (``cube_blocks``): every sum, mean or extreme over the
+level's cubes is one reduction over the last axis, free of the cancellation
+that prefix-sum differences suffer on data of wide dynamic range.
 
 Cell values are understood as the function's value on the whole cell
 (midpoint semantics for synthetic smooth generators).  Boxes that stick out
@@ -76,10 +81,6 @@ class DyadicCube:
         shift = self.level - other.level
         return all((oc >> shift) == sc for oc, sc in zip(other.coords, self.coords))
 
-    def sort_key(self):
-        """Canonical order: coarsest first, then coordinates row-major."""
-        return (-self.level, self.coords)
-
 
 @dataclass(frozen=True)
 class AlignedBox:
@@ -108,9 +109,6 @@ class AlignedBox:
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))
 
-    def sort_key(self):
-        return (max(h - l for l, h in zip(self.lo, self.hi)), self.lo, self.hi)
-
 
 @dataclass
 class GridFunction:
@@ -137,6 +135,8 @@ class GridFunction:
         want = (2 ** self.depth,) * self.dim
         if self.values.shape != want:
             raise ParameterError(f"values shape {self.values.shape} != {want}")
+        if not np.all(np.isfinite(self.values)):
+            raise ParameterError("grid values must be finite (no nan or inf)")
         if self.flags not in _FLAGS:
             raise ParameterError(f"flags must be one of {_FLAGS}")
         if self.flags == "nonneg" and self.values.min() < 0:
@@ -176,13 +176,8 @@ class GridFunction:
         """Exact resampling of the step function to a grid ``extra`` levels finer."""
         if extra < 0:
             raise ParameterError("refine expects extra >= 0")
-        if extra == 0:
-            return GridFunction(self.dim, self.root, self.depth,
-                                self.values.copy(), self.flags)
-        v = self.values
-        for axis in range(self.dim):
-            v = np.repeat(v, 2 ** extra, axis=axis)
-        return GridFunction(self.dim, self.root, self.depth + extra, v, self.flags)
+        return GridFunction(self.dim, self.root, self.depth + extra,
+                            spread(self.values, extra), self.flags)
 
     def total_integral(self) -> float:
         return float(self.values.sum()) * self.cell_volume
@@ -237,42 +232,43 @@ def enumerate_subcubes(root: DyadicCube, min_level: int) -> list[DyadicCube]:
     return out
 
 
-class PrefixTable:
-    """Padded cumulative-sum table giving O(1) box sums by inclusion-exclusion."""
+def cube_blocks(values: np.ndarray, shift: int) -> np.ndarray:
+    """The cells of every cube ``2**shift`` cells wide, one cube per row.
 
-    def __init__(self, values: np.ndarray):
-        v = np.asarray(values, dtype=float)
-        p = v.cumsum(axis=0)
-        shape = list(v.shape)
-        shape[0] += 1
-        for axis in range(1, v.ndim):
-            p = p.cumsum(axis=axis)
-            shape[axis] += 1
-        padded = np.zeros(shape)
-        padded[tuple(slice(1, None) for _ in range(v.ndim))] = p
-        self.table = padded
-        self.ndim = v.ndim
-
-    def box_sum(self, lo, hi) -> float:
-        t = self.table
-        if self.ndim == 1:
-            return float(t[hi[0]] - t[lo[0]])
-        (a0, a1), (b0, b1) = lo, hi
-        return float(t[b0, b1] - t[a0, b1] - t[b0, a1] + t[a0, a1])
-
-
-def box_average(f: GridFunction, box: AlignedBox, power: float = 1.0) -> float:
-    """Mean of |f|**power over the box, computed from a prefix table.
-
-    Equals ``|box|**-1 * sum_cells |f|**power * cell_volume``; cell volumes
-    cancel, so this is the arithmetic mean of the powered cell values.
+    Returns shape ``(cubes per axis,) * n + (cells per cube,)``: cubes keep
+    their grid layout (row-major when flattened) and each row lists the
+    cube's cells row-major, so reductions over the last axis give per-cube
+    values laid out like the level's cubes.
     """
-    sl = box.slices()
-    block = f.values[sl]
-    if power < 0 and np.min(np.abs(block)) <= 0:
-        raise ParameterError("nonpositive value raised to negative power")
-    table = PrefixTable(np.abs(f.values) ** power)
-    return table.box_sum(box.lo, box.hi) / box.cells()
+    n = values.ndim
+    side = 1 << shift
+    count = values.shape[0] >> shift
+    v = values.reshape((count, side) * n)
+    v = v.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
+    return v.reshape((count,) * n + (side ** n,))
+
+
+def spread(values: np.ndarray, shift: int) -> np.ndarray:
+    """Per-cube values repeated onto the ``2**shift`` cells per axis of each cube."""
+    for axis in range(values.ndim):
+        values = np.repeat(values, 1 << shift, axis=axis)
+    return values
+
+
+def triple_sums(sums: np.ndarray) -> np.ndarray:
+    """Sums over the triples 3Q of one level's cubes, from its block sums.
+
+    Along each axis a block adds its two neighbours; outside the grid the
+    neighbours are zero, which is exact under zero extension (the clipping
+    of ``triple``).
+    """
+    for axis in range(sums.ndim):
+        pad = [(0, 0)] * sums.ndim
+        pad[axis] = (1, 1)
+        padded = np.pad(sums, pad)
+        m = sums.shape[axis]
+        sums = sum(padded.take(np.arange(j, j + m), axis=axis) for j in range(3))
+    return sums
 
 
 # --- MGF/1 file format -----------------------------------------------------
@@ -316,7 +312,12 @@ def read_mgf(path) -> GridFunction:
             line = fh.readline()
             if not line:
                 raise ParameterError(f"MGF/1 file truncated at value {i}")
-            vals[i] = float(line)
+            try:
+                vals[i] = float(line)
+            except ValueError as exc:
+                raise ParameterError(f"MGF/1 value {i} is not a number: {line.strip()!r}") from exc
+        if fh.read().strip():
+            raise ParameterError(f"MGF/1 file has content after its {count} values")
     values = vals.reshape((2 ** depth,) * dim, order="C")
     return GridFunction(dim, DyadicCube(rootlevel, rootcoords), depth, values, flags)
 

@@ -23,52 +23,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (AlignedBox, DyadicCube, GridFunction, PrefixTable,
-                   cube_box, enumerate_subcubes)
-from .util import ParameterError
+from .grid import (AlignedBox, DyadicCube, GridFunction, cube_blocks,
+                   cube_box, spread)
+from .util import INF, ParameterError
 
 DYADIC = "dyadic-subcubes"
 ALIGNED = "all-aligned-cubes"
-CUSTOM = "custom"
 
 
 @dataclass(frozen=True)
 class CubeFamily:
-    """A finite cube family: explicit entries, or an implicit aligned sweep.
+    """A finite cube family, never materialized.
 
-    For ``all-aligned-cubes`` the entries are not materialized (there are
-    O(M**2) of them in 1D); ``aligned_sizes`` lists the admitted side lengths
-    in cells and positions range over every valid start.
+    ``dyadic-subcubes`` holds every dyadic subcube of ``root`` with level in
+    ``[min_level, root.level]``.  ``all-aligned-cubes`` holds every
+    grid-cornered cube of the grid with root ``root`` and cell level
+    ``min_level``, one side length per entry of ``aligned_sizes`` (in cells)
+    and positions over every valid start.
     """
 
     tag: str
     root: DyadicCube
-    entries: tuple = ()
-    aligned_depth: int = 0
+    min_level: int
     aligned_sizes: tuple[int, ...] = ()
 
     def __len__(self):
+        depth = self.root.level - self.min_level
+        n = self.root.dim
         if self.tag == ALIGNED:
-            m = 2 ** self.aligned_depth
-            n = self.root.dim
-            return sum((m - s + 1) ** n for s in self.aligned_sizes)
-        return len(self.entries)
+            return sum((2 ** depth - s + 1) ** n for s in self.aligned_sizes)
+        return (2 ** (n * (depth + 1)) - 1) // (2 ** n - 1)
 
-    def dyadic_entries(self) -> tuple[DyadicCube, ...]:
-        if self.tag == ALIGNED:
-            raise ParameterError("aligned family has no dyadic entries")
-        bad = [e for e in self.entries if not isinstance(e, DyadicCube)]
-        if bad:
-            raise ParameterError("family contains non-dyadic entries")
-        return self.entries
+    def levels(self) -> range:
+        """The dyadic levels of the family, coarsest first."""
+        if self.tag != DYADIC:
+            raise ParameterError("family has no dyadic levels")
+        return range(self.root.level, self.min_level - 1, -1)
 
-    def levels(self) -> list[int]:
-        """Distinct dyadic levels present, coarsest first."""
-        return sorted({c.level for c in self.dyadic_entries()}, reverse=True)
+    def cube(self, level: int, index) -> DyadicCube:
+        """The cube of ``level`` at grid position ``index`` among the root's subcubes."""
+        shift = self.root.level - level
+        return DyadicCube(level, tuple((c << shift) + int(i)
+                                       for c, i in zip(self.root.coords, index)))
 
 
 def dyadic_family(root: DyadicCube, min_level: int) -> CubeFamily:
-    return CubeFamily(DYADIC, root, tuple(enumerate_subcubes(root, min_level)))
+    if min_level > root.level:
+        raise ParameterError("min_level exceeds the root level")
+    return CubeFamily(DYADIC, root, min_level)
 
 
 def aligned_family(grid: GridFunction, budget: int | None = 2_000_000) -> CubeFamily:
@@ -83,17 +85,62 @@ def aligned_family(grid: GridFunction, budget: int | None = 2_000_000) -> CubeFa
         if count > budget:
             raise ParameterError(
                 f"aligned family needs {count} cubes, budget is {budget}")
-    return CubeFamily(ALIGNED, grid.root, (), grid.depth, sizes)
-
-
-def custom_family(root: DyadicCube, entries) -> CubeFamily:
-    return CubeFamily(CUSTOM, root, tuple(entries))
+    return CubeFamily(ALIGNED, grid.root, grid.cell_level, sizes)
 
 
 @dataclass(frozen=True)
 class NormReport:
     value: float
     attaining: DyadicCube | AlignedBox | None
+
+
+# --- scans of a dyadic family: one array op per level -------------------------
+#
+# ``value(shift, volume)`` returns the per-cube values of one level over the
+# whole grid, laid out as ``cube_blocks`` lays out the cubes 2**shift cells
+# wide; the scans crop them to the family root.
+
+def dyadic_levels(grid: GridFunction, family: CubeFamily):
+    """(cell shift, cube volume, root window) per family level, coarsest first."""
+    levels = family.levels()
+    if family.min_level < grid.cell_level:
+        raise ParameterError("cube family is finer than the grid cells")
+    box = cube_box(grid, family.root)
+    for level in levels:
+        shift = level - grid.cell_level
+        yield shift, (2.0 ** level) ** grid.dim, tuple(
+            slice(lo >> shift, hi >> shift) for lo, hi in zip(box.lo, box.hi))
+
+
+def family_max(grid: GridFunction, family: CubeFamily, value):
+    """(value, cube, overflowed) of the first strict maximum over the family.
+
+    Canonical order: coarsest level first, then the first cube in row-major
+    order.  Non-finite values count as +inf and set ``overflowed``.
+    """
+    best, overflowed = None, False
+    for shift, volume, window in dyadic_levels(grid, family):
+        vals = value(shift, volume)[window]
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            overflowed = True
+            vals = np.where(bad, INF, vals)
+        i = int(np.argmax(vals))
+        if best is None or vals.flat[i] > best[0]:
+            best = (float(vals.flat[i]), grid.cell_level + shift,
+                    np.unravel_index(i, vals.shape))
+    top, level, index = best
+    return top, family.cube(level, index), overflowed
+
+
+def cell_sup(grid: GridFunction, family: CubeFamily, value) -> np.ndarray:
+    """Per cell, the max of ``value`` over the family's cubes containing it
+    (zero outside the family root)."""
+    out = np.zeros_like(grid.values)
+    inner = cube_box(grid, family.root).slices()
+    for shift, volume, window in dyadic_levels(grid, family):
+        np.maximum(out[inner], spread(value(shift, volume)[window], shift), out=out[inner])
+    return out
 
 
 def lebesgue_norm(f: GridFunction, t: float, box: AlignedBox | None = None) -> float:
@@ -125,36 +172,17 @@ def weak_quasinorm(f: GridFunction, p: float) -> float:
     return float(cand.max())
 
 
-def _entry_stats(f_pow_table: PrefixTable, grid: GridFunction, entry):
-    """(measure, mean of the powered values, canonical key) for one entry."""
-    if isinstance(entry, DyadicCube):
-        box = cube_box(grid, entry)
-        measure = entry.volume
-        key = entry.sort_key()
-    else:
-        box = entry
-        measure = box.cells() * grid.cell_volume
-        key = box.sort_key()
-    mean = f_pow_table.box_sum(box.lo, box.hi) / box.cells()
-    return measure, mean, key
-
-
 def morrey_norm(f: GridFunction, p: float, q: float, family: CubeFamily) -> NormReport:
     """max over the family of |Q|**(1/p) * (avg_Q |f|**q)**(1/q)."""
     if not (0 < q <= p < np.inf):
         raise ParameterError(f"Morrey exponents need 0 < q <= p < inf, got q={q} p={p}")
-    if len(family) == 0:
-        raise ParameterError("empty cube family")
     if family.tag == ALIGNED:
         return _morrey_aligned(f, p, q, family)
-    table = PrefixTable(np.abs(f.values) ** q)
-    best_val, best_entry = -1.0, None
-    for entry in family.entries:
-        measure, mean, _ = _entry_stats(table, f, entry)
-        val = measure ** (1.0 / p) * mean ** (1.0 / q)
-        if val > best_val:
-            best_val, best_entry = val, entry
-    return NormReport(best_val, best_entry)
+    powered = np.abs(f.values) ** q
+
+    def value(shift, volume):
+        return volume ** (1.0 / p) * cube_blocks(powered, shift).mean(axis=-1) ** (1.0 / q)
+    return NormReport(*family_max(f, family, value)[:2])
 
 
 def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> NormReport:
@@ -164,7 +192,7 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
     maximal window per side matters; windows come from the prefix table in one
     vectorized pass per side.
     """
-    if f.depth != family.aligned_depth or f.root != family.root:
+    if f.cell_level != family.min_level or f.root != family.root:
         raise ParameterError("aligned family was built for a different grid")
     powered = np.abs(f.values) ** q
     m = f.cells_per_axis
@@ -181,7 +209,8 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
                 best_val = val
                 best_box = AlignedBox((i,), (i + s,))
     else:
-        t = PrefixTable(powered).table
+        t = np.zeros((m + 1, m + 1))
+        t[1:, 1:] = powered.cumsum(axis=0).cumsum(axis=1)
         for s in family.aligned_sizes:
             win = (t[s:, s:] - t[:-s, s:] - t[s:, :-s] + t[:-s, :-s])
             flat = int(np.argmax(win))
@@ -205,15 +234,9 @@ def pair_morrey_sup(f: GridFunction, g: GridFunction, p: float,
         raise ParameterError("pair supremum needs a common grid")
     if q1 <= 0 or q2 <= 0 or p <= 0:
         raise ParameterError("pair supremum exponents must be positive")
-    tf = PrefixTable(np.abs(f.values) ** q1)
-    tg = PrefixTable(np.abs(g.values) ** q2)
-    best_val, best_entry = -1.0, None
-    for entry in family.dyadic_entries():
-        box = cube_box(f, entry)
-        cells = box.cells()
-        mf = tf.box_sum(box.lo, box.hi) / cells
-        mg = tg.box_sum(box.lo, box.hi) / cells
-        val = entry.volume ** (1.0 / p) * mf ** (1.0 / q1) * mg ** (1.0 / q2)
-        if val > best_val:
-            best_val, best_entry = val, entry
-    return NormReport(best_val, best_entry)
+    pf, pg = np.abs(f.values) ** q1, np.abs(g.values) ** q2
+
+    def value(shift, volume):
+        return (volume ** (1.0 / p) * cube_blocks(pf, shift).mean(axis=-1) ** (1.0 / q1)
+                * cube_blocks(pg, shift).mean(axis=-1) ** (1.0 / q2))
+    return NormReport(*family_max(f, family, value)[:2])

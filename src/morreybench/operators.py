@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicCube, GridFunction, PrefixTable, cube_box, triple
-from .norms import CubeFamily
-from .util import ParameterError, power_mean
+from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, triple_sums
+from .norms import CubeFamily, cell_sup
+from .util import NumericalError, ParameterError, power_mean
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,8 @@ def _flags_for(values: np.ndarray) -> str:
 
 
 def _field(template: GridFunction, values: np.ndarray, tail: float = 0.0) -> OperatorField:
+    if not np.all(np.isfinite(values)):
+        raise NumericalError("operator output overflowed to a non-finite value")
     out = GridFunction(template.dim, template.root, template.depth,
                        values, _flags_for(values))
     return OperatorField(out, tail)
@@ -243,18 +245,12 @@ def m_alpha_vector(f: GridFunction, g: GridFunction, alpha: float,
     if r1 <= 0 or r2 <= 0:
         raise ParameterError("vector maximal exponents must be positive")
     n = f.dim
-    tf = PrefixTable(np.abs(f.values) ** r1)
-    tg = PrefixTable(np.abs(g.values) ** r2)
-    out = np.zeros_like(f.values)
-    for cube in family.dyadic_entries():
-        box = cube_box(f, cube)
-        cells = box.cells()
-        mf = tf.box_sum(box.lo, box.hi) / cells
-        mg = tg.box_sum(box.lo, box.hi) / cells
-        val = cube.volume ** (alpha / n) * mf ** (1.0 / r1) * mg ** (1.0 / r2)
-        sl = box.slices()
-        np.maximum(out[sl], val, out=out[sl])
-    return _field(f, out)
+    pf, pg = np.abs(f.values) ** r1, np.abs(g.values) ** r2
+
+    def value(shift, volume):
+        return (volume ** (alpha / n) * cube_blocks(pf, shift).mean(axis=-1) ** (1.0 / r1)
+                * cube_blocks(pg, shift).mean(axis=-1) ** (1.0 / r2))
+    return _field(f, cell_sup(f, family, value))
 
 
 def m_tilde(f: GridFunction, g: GridFunction, v: GridFunction, alpha: float,
@@ -271,38 +267,26 @@ def m_tilde(f: GridFunction, g: GridFunction, v: GridFunction, alpha: float,
     if v.values.min() <= 0:
         raise ParameterError("weight must be strictly positive")
     n = f.dim
-    tf = PrefixTable(np.abs(f.values))
-    tg = PrefixTable(np.abs(g.values))
-    out = np.zeros_like(f.values)
-    for cube in family.dyadic_entries():
-        box = cube_box(f, cube)
-        cells = box.cells()
-        mf = tf.box_sum(box.lo, box.hi) / cells
-        mg = tg.box_sum(box.lo, box.hi) / cells
-        slab = v.values[box.slices()]
-        wfac = float(slab.max()) if t == 1.0 else power_mean(slab, t / (1.0 - t))
-        val = cube.volume ** (alpha / n) * mf * mg * wfac
-        sl = box.slices()
-        np.maximum(out[sl], val, out=out[sl])
-    return _field(f, out)
+    fa, ga = np.abs(f.values), np.abs(g.values)
+
+    def value(shift, volume):
+        rows = cube_blocks(v.values, shift)
+        wfac = rows.max(axis=-1) if t == 1.0 else power_mean(rows, t / (1.0 - t))
+        return (volume ** (alpha / n) * cube_blocks(fa, shift).mean(axis=-1)
+                * cube_blocks(ga, shift).mean(axis=-1) * wfac)
+    return _field(f, cell_sup(f, family, value))
 
 
-class TripleAverager:
-    """Zero-extended averages over clipped triples 3Q, from one prefix table.
+def triple_means(f: GridFunction, shift: int) -> np.ndarray:
+    """Zero-extended averages over the triples 3Q of every cube ``2**shift``
+    cells wide, laid out as ``cube_blocks`` lays out the cubes.
 
     The average divides by the full |3Q| = 3**n |Q| even when 3Q is clipped,
     matching the compact-support convention: outside the root the data is
     identically zero, so the clipped sum is the true integral over 3Q.
     """
-
-    def __init__(self, f: GridFunction):
-        self.grid = f
-        self.table = PrefixTable(f.values)
-
-    def mean(self, cube: DyadicCube) -> float:
-        box = triple(cube, self.grid)
-        s = self.table.box_sum(box.lo, box.hi) * self.grid.cell_volume
-        return s / (3.0 ** self.grid.dim * cube.volume)
+    sums = triple_sums(cube_blocks(f.values, shift).sum(axis=-1)) * f.cell_volume
+    return sums / (3.0 ** f.dim * (2.0 ** (f.cell_level + shift)) ** f.dim)
 
 
 def m_triple_dyadic(f: GridFunction, g: GridFunction, family: CubeFamily) -> OperatorField:
@@ -310,11 +294,5 @@ def m_triple_dyadic(f: GridFunction, g: GridFunction, family: CubeFamily) -> Ope
     _require_common_grid(f, g)
     if f.values.min() < 0 or g.values.min() < 0:
         raise ParameterError("triple maximal expects nonnegative inputs")
-    ta_f = TripleAverager(f)
-    ta_g = TripleAverager(g)
-    out = np.zeros_like(f.values)
-    for cube in family.dyadic_entries():
-        val = ta_f.mean(cube) * ta_g.mean(cube)
-        sl = cube_box(f, cube).slices()
-        np.maximum(out[sl], val, out=out[sl])
-    return _field(f, out)
+    return _field(f, cell_sup(f, family,
+                              lambda shift, volume: triple_means(f, shift) * triple_means(g, shift)))

@@ -1,9 +1,6 @@
-"""Shared plumbing: errors, exponent helpers, power means, RNG, maps, CSV text."""
+"""Shared plumbing: errors, exponent helpers, power means, RNG, CSV text."""
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -43,30 +40,27 @@ def recip(x: float) -> float:
     return INF if x == 0 else 1.0 / x
 
 
-def power_mean(values, exponent: float) -> float:
-    """Return ``(mean(values**e))**(1/e)`` without overflow for large ``|e|``.
+def power_mean(values, exponent: float):
+    """Return ``(mean(values**e))**(1/e)`` over the last axis, without overflow
+    for large ``|e|``; a scalar for 1-D ``values``.
 
     Intermediates are shifted by the extreme value so they stay within [0, 1];
     as ``e`` grows the result tends smoothly to ``max(values)`` (resp. ``min``
     for ``e < 0``), which is the essential-sup convention used by the weight
     characteristics.
     """
-    vals = np.asarray(values, dtype=float).ravel()
+    vals = np.asarray(values, dtype=float)
     if vals.size == 0:
         raise ParameterError("power mean of an empty cell set")
     e = float(exponent)
     if e == 0.0:
         raise ParameterError("power mean exponent must be nonzero")
-    if e > 0:
-        anchor = float(vals.max())
-        if anchor == 0.0:
-            return 0.0
-    else:
-        anchor = float(vals.min())
-        if anchor <= 0.0:
-            raise ParameterError("nonpositive value raised to negative power")
-    mean = float(np.mean((vals / anchor) ** e))
-    return anchor * mean ** (1.0 / e)
+    anchor = vals.max(axis=-1) if e > 0 else vals.min(axis=-1)
+    if e < 0 and np.any(anchor <= 0.0):
+        raise ParameterError("nonpositive value raised to negative power")
+    safe = np.where(anchor == 0.0, 1.0, anchor)  # all-zero rows have mean 0
+    out = anchor * np.mean((vals / safe[..., None]) ** e, axis=-1) ** (1.0 / e)
+    return float(out) if out.ndim == 0 else out
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -75,29 +69,6 @@ def make_rng(seed: int, *stream: int) -> np.random.Generator:
         raise ParameterError(f"seeds are nonnegative integers, got {seed}")
     ss = np.random.SeedSequence([int(seed), *(int(s) for s in stream)])
     return np.random.Generator(np.random.Philox(ss))
-
-
-def thread_count() -> int:
-    raw = os.environ.get("MORREY_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def parallel_map(fn, items):
-    """Map preserving input order; MORREY_THREADS > 1 enables a thread pool.
-
-    Each item must be independent of the others; results are merged in input
-    order so the output is identical to a sequential run.
-    """
-    items = list(items)
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def fmt(x: float) -> str:

@@ -19,8 +19,9 @@ Conventions shared by every characteristic:
   positive weight against the artificial zeros of a clipped box would
   corrupt the constants.
 
-The attaining pair is recomputed through the same code path as the scan, so
-reports reproduce bit for bit.
+Per-cube factors are computed one dyadic level at a time over the whole grid;
+``pair_value`` reads the same factor arrays as the nested-pair scan, so the
+attaining pair's value reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicCube, GridFunction, cube_box
-from .norms import CubeFamily
+from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, spread
+from .norms import CubeFamily, cell_sup, dyadic_levels, family_max
 from .util import INF, ParameterError, close, conjugate, power_mean, recip, refuse
 
 
@@ -232,37 +233,18 @@ class CharacteristicReport:
     attaining: tuple[DyadicCube, DyadicCube] | None
     pairs_scanned: int
     overflowed: bool = False
-    truncated: bool = False
 
 
-def _family_cubes(family: CubeFamily) -> tuple[DyadicCube, ...]:
-    cubes = family.dyadic_entries()
-    if not cubes:
-        raise ParameterError("empty cube family")
-    return cubes
+def _v_factor(v: GridFunction, shift: int, t: float) -> np.ndarray:
+    """(avg_Q v**(t/(1-t)))**((1-t)/t) per cube; the max of v on Q at t = 1."""
+    rows = cube_blocks(v.values, shift)
+    return rows.max(axis=-1) if t == 1.0 else power_mean(rows, t / (1.0 - t))
 
 
-def _v_factor(ws: WeightSystem, box, t: float) -> float:
-    slab = ws.v.values[box.slices()]
-    if t == 1.0:
-        return float(slab.max())
-    return power_mean(slab, t / (1.0 - t))
-
-
-def _w_dual_factor(w: GridFunction, box, dual: float) -> float:
-    # (avg w**-dual)**(1/dual) = 1 / power_mean(w, -dual)
-    return 1.0 / power_mean(w.values[box.slices()], -dual)
-
-
-def _ancestor_chain(cube: DyadicCube, members: set, root: DyadicCube):
-    out = []
-    cur = cube
-    while cur in members:
-        out.append(cur)
-        if cur.level >= root.level:
-            break
-        cur = cur.parent()
-    return out
+def _w_factor(ws: WeightSystem, shift: int, d1: float, d2: float) -> np.ndarray:
+    """prod_i (avg_Q w_i**-d_i)**(1/d_i) per cube, as 1 / power_mean(w_i, -d_i)."""
+    return (1.0 / power_mean(cube_blocks(ws.w1.values, shift), -d1)
+            * (1.0 / power_mean(cube_blocks(ws.w2.values, shift), -d2)))
 
 
 def _pair_exponent(cp: CharParams) -> float:
@@ -271,34 +253,43 @@ def _pair_exponent(cp: CharParams) -> float:
             else (1.0 - cp.a * cp.s)) / (cp.a * cp.s)
 
 
-def _pair_scan(cubes, vfac, wfac, exponent: float, r_inv: float, root: DyadicCube,
-               volumes, pair_budget: int | None):
-    members = set(cubes)
-    best, attaining = -1.0, None
-    scanned = 0
-    overflow = False
-    truncated = False
-    for q in cubes:
-        for anc in _ancestor_chain(q, members, root):
-            if pair_budget is not None and scanned >= pair_budget:
-                truncated = True
-                break
-            val = ((volumes[q] / volumes[anc]) ** exponent
-                   * (volumes[anc] ** r_inv if r_inv else 1.0)
-                   * vfac[q] * wfac[anc])
-            scanned += 1
-            if not math.isfinite(val):
-                overflow = True
-                val = INF
-            if val > best:
-                best, attaining = val, (q, anc)
-        if truncated:
-            break
-    return best, attaining, scanned, overflow, truncated
+def _pair_scale(volume: float, outer: float, exponent: float, r_inv: float) -> float:
+    """(|Q|/|Q'|)**E |Q'|**(1/r): the part of a pair value fixed by the two levels."""
+    return (volume / outer) ** exponent * (outer ** r_inv if r_inv else 1.0)
 
 
-def char_two_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily,
-                    pair_budget: int | None = 500_000) -> CharacteristicReport:
+def _pair_scan(ws: WeightSystem, family: CubeFamily, t: float, d1: float, d2: float,
+               exponent: float, r_inv: float) -> CharacteristicReport:
+    """First strict max over nested pairs Q in Q' of the family.
+
+    Canonical order: Q in the family's order, then Q' from Q itself up to
+    the root.  One array op per (level of Q, level of Q'): the Q' factors
+    are spread onto the cubes of Q's level.
+    """
+    grid = ws.v
+    scans = list(dyadic_levels(grid, family))
+    wfac = [_w_factor(ws, shift, d1, d2)[window] for shift, _, window in scans]
+    best, pairs, overflowed = None, 0, False
+    for i, (shift, volume, window) in enumerate(scans):
+        vfac = _v_factor(grid, shift, t)[window]
+        vals = np.stack([_pair_scale(volume, scans[j][1], exponent, r_inv) * vfac
+                         * spread(wfac[j], scans[j][0] - shift)
+                         for j in range(i, -1, -1)], axis=-1)
+        pairs += vals.size
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            overflowed = True
+            vals[bad] = INF
+        k = int(np.argmax(vals))
+        if best is None or vals.flat[k] > best[0]:
+            best = (float(vals.flat[k]), grid.cell_level + shift, np.unravel_index(k, vals.shape))
+    value, level, (*index, up) = best
+    q = family.cube(level, index)
+    outer = DyadicCube(level + up, tuple(c >> up for c in q.coords))
+    return CharacteristicReport(value, (q, outer), pairs, overflowed)
+
+
+def char_two_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
     """Nested-pair characteristic of the two-weight bound.
 
     sup over Q in Q' of (|Q|/|Q'|)**E |Q'|**(1/r)
@@ -308,19 +299,8 @@ def char_two_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily,
     if cp.variant not in ("s<1", "s>=1"):
         raise ParameterError(f"two-weight characteristic expects variant s<1 or s>=1, got {cp.variant}")
     cp.validate()
-    cubes = _family_cubes(family)
-    d1, d2 = conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a)
-    exponent = _pair_exponent(cp)
-    r_inv = recip(cp.r)
-    vfac, wfac, volumes = {}, {}, {}
-    for q in cubes:
-        box = cube_box(ws.v, q)
-        vfac[q] = _v_factor(ws, box, cp.t)
-        wfac[q] = _w_dual_factor(ws.w1, box, d1) * _w_dual_factor(ws.w2, box, d2)
-        volumes[q] = q.volume
-    best, attaining, scanned, overflow, truncated = _pair_scan(
-        cubes, vfac, wfac, exponent, r_inv, family.root, volumes, pair_budget)
-    return CharacteristicReport(best, attaining, scanned, overflow, truncated)
+    return _pair_scan(ws, family, cp.t, conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a),
+                      _pair_exponent(cp), recip(cp.r))
 
 
 def char_remark(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
@@ -334,23 +314,15 @@ def char_remark(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Charact
     d1, d2 = conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a)
     e_v = cp.a * cp.s / (1.0 - cp.s)
     r_inv = recip(cp.r)
-    cubes = _family_cubes(family)
-    best, attaining, overflow = -1.0, None, False
-    for q in cubes:
-        box = cube_box(ws.v, q)
-        val = ((q.volume ** r_inv if r_inv else 1.0)
-               * power_mean(ws.v.values[box.slices()], e_v)
-               * _w_dual_factor(ws.w1, box, d1) * _w_dual_factor(ws.w2, box, d2))
-        if not math.isfinite(val):
-            overflow = True
-            val = INF
-        if val > best:
-            best, attaining = val, (q, q)
-    return CharacteristicReport(best, attaining, len(cubes), overflow)
+
+    def value(shift, volume):
+        return ((volume ** r_inv if r_inv else 1.0)
+                * power_mean(cube_blocks(ws.v.values, shift), e_v) * _w_factor(ws, shift, d1, d2))
+    best, q, overflowed = family_max(ws.v, family, value)
+    return CharacteristicReport(best, (q, q), len(family), overflowed)
 
 
-def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily,
-                    pair_budget: int | None = 500_000) -> CharacteristicReport:
+def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
     """One-weight characteristic: r = inf, v = w1 w2, full dual exponents q_i'."""
     if not cp.variant.startswith("one-weight"):
         raise ParameterError(f"one-weight characteristic got variant {cp.variant}")
@@ -358,34 +330,20 @@ def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily,
     prod = ws.w1.values * ws.w2.values
     if not np.allclose(ws.v.values, prod, rtol=1e-12, atol=0.0):
         raise ParameterError("one-weight system requires v = w1*w2 pointwise")
-    cubes = _family_cubes(family)
-    d1, d2 = conjugate(cp.q1), conjugate(cp.q2)
-    exponent = _pair_exponent(cp)
-    vfac, wfac, volumes = {}, {}, {}
-    for q in cubes:
-        box = cube_box(ws.v, q)
-        vfac[q] = _v_factor(ws, box, cp.t)
-        wfac[q] = _w_dual_factor(ws.w1, box, d1) * _w_dual_factor(ws.w2, box, d2)
-        volumes[q] = q.volume
-    best, attaining, scanned, overflow, truncated = _pair_scan(
-        cubes, vfac, wfac, exponent, 0.0, family.root, volumes, pair_budget)
-    return CharacteristicReport(best, attaining, scanned, overflow, truncated)
+    return _pair_scan(ws, family, cp.t, conjugate(cp.q1), conjugate(cp.q2),
+                      _pair_exponent(cp), 0.0)
 
 
 def char_testing(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
     """Necessary-condition constant: sup_Q |Q|**(1/r) (inf_Q v) prod dual averages."""
     d1, d2 = conjugate(cp.q1), conjugate(cp.q2)
     r_inv = recip(cp.r)
-    cubes = _family_cubes(family)
-    best, attaining = -1.0, None
-    for q in cubes:
-        box = cube_box(ws.v, q)
-        val = ((q.volume ** r_inv if r_inv else 1.0)
-               * float(ws.v.values[box.slices()].min())
-               * _w_dual_factor(ws.w1, box, d1) * _w_dual_factor(ws.w2, box, d2))
-        if val > best:
-            best, attaining = val, (q, q)
-    return CharacteristicReport(best, attaining, len(cubes))
+
+    def value(shift, volume):
+        return ((volume ** r_inv if r_inv else 1.0)
+                * cube_blocks(ws.v.values, shift).min(axis=-1) * _w_factor(ws, shift, d1, d2))
+    best, q, _ = family_max(ws.v, family, value)
+    return CharacteristicReport(best, (q, q), len(family))
 
 
 def ap_characteristic(w: GridFunction, p: float, family: CubeFamily) -> CharacteristicReport:
@@ -395,14 +353,12 @@ def ap_characteristic(w: GridFunction, p: float, family: CubeFamily) -> Characte
     if w.values.min() <= 0:
         raise ParameterError("A_p weight must be strictly positive")
     e = 1.0 - conjugate(p)  # = -1/(p-1)
-    cubes = _family_cubes(family)
-    best, attaining = -1.0, None
-    for q in cubes:
-        slab = w.values[cube_box(w, q).slices()]
-        val = float(slab.mean()) / power_mean(slab, e)
-        if val > best:
-            best, attaining = val, (q, q)
-    return CharacteristicReport(best, attaining, len(cubes))
+
+    def value(shift, volume):
+        rows = cube_blocks(w.values, shift)
+        return rows.mean(axis=-1) / power_mean(rows, e)
+    best, q, _ = family_max(w, family, value)
+    return CharacteristicReport(best, (q, q), len(family))
 
 
 def fs_majorant(w: GridFunction, r_i: float, s_i: float,
@@ -415,23 +371,21 @@ def fs_majorant(w: GridFunction, r_i: float, s_i: float,
         raise ParameterError("majorant weight must be strictly positive")
     r_inv = recip(r_i)
     e = s_i / (1.0 - s_i)
-    out = np.zeros_like(w.values)
-    for q in _family_cubes(family):
-        box = cube_box(w, q)
-        val = (q.volume ** r_inv if r_inv else 1.0) * power_mean(w.values[box.slices()], e)
-        sl = box.slices()
-        np.maximum(out[sl], val, out=out[sl])
+    out = cell_sup(w, family, lambda shift, volume: (volume ** r_inv if r_inv else 1.0)
+                   * power_mean(cube_blocks(w.values, shift), e))
     flags = "pos" if out.min() > 0 else "nonneg"
     return GridFunction(w.dim, w.root, w.depth, out, flags)
 
 
 def pair_value(ws: WeightSystem, cp: CharParams, q: DyadicCube, qp: DyadicCube) -> float:
-    """Recompute one nested-pair value through the scan's own code path."""
+    """One nested-pair value of ``char_two_weight``, read from the scan's own
+    per-level factor arrays."""
     d1, d2 = conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a)
-    r_inv = recip(cp.r)
-    box_q = cube_box(ws.v, q)
-    box_a = cube_box(ws.v, qp)
-    wfac = _w_dual_factor(ws.w1, box_a, d1) * _w_dual_factor(ws.w2, box_a, d2)
-    return ((q.volume / qp.volume) ** _pair_exponent(cp)
-            * (qp.volume ** r_inv if r_inv else 1.0)
-            * _v_factor(ws, box_q, cp.t) * wfac)
+    grid = ws.v
+
+    def factor(cube, per_cube):
+        shift = cube.level - grid.cell_level
+        return per_cube(shift)[tuple(lo >> shift for lo in cube_box(grid, cube).lo)]
+    return (_pair_scale(q.volume, qp.volume, _pair_exponent(cp), recip(cp.r))
+            * factor(q, lambda shift: _v_factor(grid, shift, cp.t))
+            * factor(qp, lambda shift: _w_factor(ws, shift, d1, d2)))

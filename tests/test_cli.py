@@ -97,6 +97,17 @@ class TestOpCommand:
         assert rc == 2
         assert "--g" in capsys.readouterr().err
 
+    def test_overflowed_output_exit_3(self, tmp_path, capsys):
+        # finite inputs whose products overflow: a numerical failure, not a parameter error
+        f = tmp_path / "f.mgf"
+        write_step(f, np.full(4, 1e300), flags="pos")
+        with np.errstate(over="ignore"):
+            rc = main(["op", "--operator", "b-alpha", "--alpha", "1/2",
+                       "--f", str(f), "--g", str(f), "--out", str(tmp_path / "o.mgf")])
+        assert rc == 3
+        assert "overflow" in capsys.readouterr().err
+        assert not (tmp_path / "o.mgf").exists()
+
     def test_2d_field_roundtrip(self, tmp_path, capsys):
         from morreybench import DyadicCube
         f = tmp_path / "f2.mgf"
@@ -305,8 +316,15 @@ class TestExitContract:
         pytest.param(["experiment", "ratio", "--out", "O"], "--alpha", id="ratio-no-exponents"),
         pytest.param(["char", "--kind", "two-weight", *TWO_WEIGHT, "--s", "4/5", "--q1", "0"],
                      "--q1", id="zero-exponent"),
-        pytest.param(["char", "--kind", "two-weight", *TWO_WEIGHT, "--s", "4/5",
-                      "--pair-budget", "0"], "--pair-budget", id="zero-pair-budget"),
+        pytest.param(["char", "--kind", "testing", *TESTING, "--beta", "0", "--gamma1", "0",
+                      "--gamma2", "0", "--rootcoords", "x"], "--rootcoords",
+                     id="malformed-rootcoords"),
+        pytest.param(["char", "--kind", "testing", *TESTING, "--beta", "0", "--gamma1", "0",
+                      "--gamma2", "0", "--center", "0;1"], "--center", id="malformed-center"),
+        pytest.param(["norm", "--kind", "morrey", "--p", "2", "--q", "1", "--in", "F",
+                      "--min-level", "-4"], "--min-level", id="min-level-below-cells"),
+        pytest.param(["char", "--kind", "ap", "--p", "2", "--v", "F", "--min-level", "1"],
+                     "--min-level", id="min-level-above-root"),
         pytest.param(["op", "--operator", "b-alpha", "--alpha", "1/2", "--f", "F", "--g", "",
                       "--out", "O"], "--g", id="empty-g-path"),
     ])
@@ -319,6 +337,17 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()  # refused before any output
+
+
+    @pytest.mark.parametrize("body", [
+        pytest.param("1.0\nnan\n", id="nan-under-pos"),
+        pytest.param("1.0\n2.0\n3.0\n", id="trailing-line"),
+    ])
+    def test_bad_mgf_content_refused_with_exit_2(self, tmp_path, capsys, body):
+        path = tmp_path / "bad.mgf"
+        path.write_text("MGF 1 dim=1 rootlevel=0 rootcoords=0 depth=1 flags=pos\n" + body)
+        assert _exit_code(["norm", "--kind", "lebesgue", "--t", "2", "--in", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestSelftestAgreement:

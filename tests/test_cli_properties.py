@@ -3,9 +3,9 @@ cheap in-process ``main`` runs that must exit 0, 2 or 3 without a traceback.
 
 Each fuzzed command starts from a valid invocation (grids of depth 5 or
 less) and has up to three of its flags dropped or replaced by values drawn
-from a pool of well-formed, degenerate and malformed tokens.  Grid addresses
-(--rootlevel, --rootcoords, --center, --min-level) and MGF contents are not
-fuzzed.
+from a pool of well-formed, degenerate and malformed tokens, grid addresses
+(--rootlevel, --rootcoords, --center, --min-level) included.  MGF contents
+are not fuzzed.
 """
 
 import contextlib
@@ -34,20 +34,30 @@ TWO_WEIGHT = {"--alpha": "1/2", "--q1": "9/8", "--q2": "9/8", "--p": "16/27",
 TESTING = {"--alpha": "1/2", "--q1": "4", "--q2": "4", "--p": "5/2", "--s": "20/3",
            "--t": "16/3", "--r": "4", "--a": "2"}
 
-# (command words, valid flags, extra pools); exponent flags draw from NUMBERS
+# grid addresses: root cubes in and out of the grid, malformed coordinates,
+# and family depths below the cells and above the root
+ROOTS = {"--rootlevel": ["-1", "0", "2"], "--rootcoords": ["0", "1", "0,0", "-1", "x", ""],
+         "--center": ["0", "0.5", "0,0", "inf", "nan", "x", ""]}
+MIN_LEVEL = {"--min-level": ["-9", "-3", "-1", "0", "1"]}
+
+# (command words, valid flags, extra pools); --out draws from OUT, the other
+# flags without a pool from NUMBERS
+OUT = ["@O", "@O.mgf", ""]  # never a bare token: outputs stay in the fuzz directory
 COMMANDS = [
     (["norm"], {"--kind": "morrey", "--in": "@F", "--p": "2", "--q": "1", "--t": "2"},
-     {"--kind": ["morrey", "lebesgue", "weak"], "--family": ["dyadic", "all"]}),
+     {"--kind": ["morrey", "lebesgue", "weak"], "--family": ["dyadic", "all"], **MIN_LEVEL}),
     (["op"], {"--operator": "b-alpha", "--f": "@F", "--g": "@F", "--v": "@F",
               "--out": "@O.mgf", "--alpha": "1/2", "--d": "1/4", "--r1": "2",
               "--r2": "2", "--t": "2"},
      {"--operator": ["i-alpha", "b-alpha", "b-truncated", "b-dyadic", "m-bilinear",
-                     "m-vector", "m-tilde", "m-triple"]}),
-    (["cz"], {"--f": "@F", "--g": "@F", "--out": "@O"}, {"--a": NUMBERS}),
+                     "m-vector", "m-tilde", "m-triple"], **MIN_LEVEL,
+      "--rootlevel": ROOTS["--rootlevel"], "--rootcoords": ROOTS["--rootcoords"]}),
+    (["cz"], {"--f": "@F", "--g": "@F", "--out": "@O"},
+     {"--a": NUMBERS, "--rootlevel": ROOTS["--rootlevel"],
+      "--rootcoords": ROOTS["--rootcoords"]}),
     (["char"], {"--kind": "two-weight", "--depth": "3", **TWO_WEIGHT},
      {"--kind": ["two-weight", "remark", "one-weight", "testing", "ap", "fs-majorant"],
-      "--depth": ["-1", "2", "3"], "--dim": ["0", "1", "2"],
-      "--pair-budget": ["0", "1", "500"]}),
+      "--depth": ["-1", "2", "3"], "--dim": ["0", "1", "2"], **ROOTS, **MIN_LEVEL}),
     (["experiment", "ratio"], {"--pairs": "step:1", "--levels": "3..4",
                                "--base-depth": "3", "--depth": "3", "--out": "@O",
                                **RATIO, "--p": "16/27", "--r": "16", "--a": "17/16",
@@ -57,7 +67,7 @@ COMMANDS = [
       "--pairs": ["step:1", "indicator:2", "bump", "step:0", "step:x", "", "nope:1"],
       "--levels": ["3", "3..4", "4..3", "", "4..", "2", "x"],
       "--base-depth": ["-1", "0", "3"], "--seed": ["-1", "0", "7"],
-      "--dim": ["1", "2", "3"]}),
+      "--dim": ["1", "2", "3"], **ROOTS}),
     (["experiment", "sharpness"], {"--deltas": "2", "--out": "@O", "--alpha": "0.3",
                                    "--p1": "4", "--p2": "4", "--q1": "2", "--q2": "2",
                                    "--t": "5"},
@@ -74,7 +84,7 @@ COMMANDS = [
     (["experiment", "fs-dual"], {"--depth": "3", "--levels": "3", "--out": "@O",
                                  **TWO_WEIGHT, "--r1": "32", "--r2": "32",
                                  "--s1": "17/19", "--s2": "17/19"},
-     {"--levels": ["2", "3", "3..4", "", "x"], "--depth": ["-1", "3"]}),
+     {"--levels": ["2", "3", "3..4", "", "x"], "--depth": ["-1", "3"], **ROOTS}),
     (["selftest"], {"--criteria": "0"},
      {"--criteria": ["", "0", "13", "x", "1..", "12..1", "99,1"]}),
 ]
@@ -90,7 +100,7 @@ def argvs(draw):
     keep = words == ["selftest"]
     for _ in range(draw(st.integers(0, 3))):
         name = draw(st.sampled_from(names))
-        value = draw(st.sampled_from([None] * (not keep) + pools.get(name, NUMBERS)))
+        value = draw(st.sampled_from([None] * (not keep) + pools.get(name, OUT if name == "--out" else NUMBERS)))
         if value is None:
             flags.pop(name, None)
         else:

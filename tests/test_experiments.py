@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from morreybench import (GridFunction, ParameterError,
-                         aligned_family, dyadic_family, morrey_norm,
-                         unit_root)
+                         aligned_family, dyadic_family, enumerate_subcubes,
+                         morrey_norm, unit_root)
 from morreybench.experiments import (ExponentProfile, FsDualParams,
                                      SharpnessConfig, SteinWeissParams,
                                      build_sharpness_pair, fs_dual_check,
@@ -173,15 +173,6 @@ class TestRatioHarness:
             assert np.array_equal(fa.values, fb.values)
             assert np.array_equal(ga.values, gb.values)
 
-    def test_thread_count_does_not_change_results(self, monkeypatch):
-        prof = ExponentProfile(alpha=0.5, n=1, p1=1.5, q1=1.2, s=6.0, t=4.8)
-        pairs = make_pairs("step", 4, 31, 4)
-        base = ratio_harness("linear-adams", prof, pairs, (4, 5))
-        monkeypatch.setenv("MORREY_THREADS", "3")
-        threaded = ratio_harness("linear-adams", prof, pairs, (4, 5))
-        for a, b in zip(base.records, threaded.records):
-            assert (a.pair_id, a.level, a.lhs, a.rhs) == (b.pair_id, b.level, b.lhs, b.rhs)
-
 
 class TestSteinWeiss:
     def finite_params(self):
@@ -229,7 +220,7 @@ class TestSteinWeiss:
     def test_far_cube_factor_cubewise(self):
         # cube-by-cube: the product of powered-weight averages on far cubes
         # is at most a small stable multiple of |c_Q|**-sigma
-        from morreybench import DyadicCube, cube_box, dyadic_family
+        from morreybench import DyadicCube, cube_box
         from morreybench.weights import power_weight
         sw = self.finite_params()
         e_v = sw.a * sw.s / (1.0 - sw.s)
@@ -243,7 +234,7 @@ class TestSteinWeiss:
             p1 = power_weight(-sw.gamma1 * d1, 0.0, root, depth)
             p2 = power_weight(-sw.gamma2 * d2, 0.0, root, depth)
             worst = 0.0
-            for cube in dyadic_family(root, k - depth + 2).entries:
+            for cube in enumerate_subcubes(root, k - depth + 2):
                 center = cube.center()[0]
                 if center < cube.side:  # near-origin cubes excluded
                     continue
@@ -362,7 +353,7 @@ class TestSteinWeissCharacteristic:
         # per dyadic cube Q of the root, |Q|**(1/r) times the exact averages
         # over Q of |x|**(-beta e_v), |x|**(-gamma_i d_i), each to its power;
         # power_weight on Q itself at depth 0 is that exact average
-        from morreybench import DyadicCube, dyadic_family
+        from morreybench import DyadicCube
         sw = SteinWeissParams(n=1, alpha=0.5, q1=9 / 8, q2=9 / 8, p1=32 / 27,
                               p2=32 / 27, r=16.0, a=17 / 16, beta=beta,
                               gamma1=0.02, gamma2=0.02)
@@ -372,7 +363,7 @@ class TestSteinWeissCharacteristic:
         for k, value in got.items():
             root = DyadicCube(k, (0,))
             best = 0.0
-            for cube in dyadic_family(root, k - 5).entries:
+            for cube in enumerate_subcubes(root, k - 5):
                 def avg(power):
                     return float(power_weight(power, 0.0, cube, 0).values[0])
                 best = max(best, cube.volume ** (1.0 / sw.r)

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from morreybench import (AlignedBox, DyadicCube, GridFunction, ParameterError,
-                         PrefixTable, box_average, cube_box,
+from morreybench import (DyadicCube, GridFunction, ParameterError, cube_box,
                          enumerate_subcubes, read_mgf, triple, unit_root,
                          write_mgf)
+from morreybench.grid import cube_blocks
 
 
 def step(dim, depth, values, root=None, flags="none"):
@@ -65,58 +65,18 @@ def _intersect(a, b):
     return True
 
 
-class TestPrefixTable:
+class TestCubeBlocks:
     @pytest.mark.parametrize("dim,depth", [(1, 6), (2, 4)])
-    def test_box_sums_match_direct(self, dim, depth):
+    def test_rows_are_cube_slabs_in_canonical_order(self, dim, depth):
         rng = np.random.default_rng(7)
-        shape = (2 ** depth,) * dim
-        vals = rng.uniform(-1, 2, size=shape)
-        table = PrefixTable(vals)
-        m = shape[0]
-        for _ in range(100):
-            lo = rng.integers(0, m, size=dim)
-            hi = np.array([rng.integers(l + 1, m + 1) for l in lo])
-            got = table.box_sum(tuple(lo), tuple(hi))
-            sl = tuple(slice(l, h) for l, h in zip(lo, hi))
-            want = vals[sl].sum()
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
-
-
-class TestBoxAverage:
-    def test_constant(self):
-        f = step(1, 4, np.full(16, 3.25))
-        box = AlignedBox((2,), (11,))
-        assert box_average(f, box, 1.0) == pytest.approx(3.25, rel=1e-14)
-
-    def test_indicator_mass(self):
-        vals = np.zeros(16)
-        vals[:8] = 1.0
-        f = step(1, 4, vals)
-        assert box_average(f, AlignedBox((0,), (16,))) == pytest.approx(0.5)
-
-    def test_power_two_matches_direct_loop(self):
-        rng = np.random.default_rng(3)
-        vals = rng.uniform(0.1, 2.0, size=(16, 16))
-        f = step(2, 4, vals)
-        box = AlignedBox((3, 1), (14, 9))
-        direct = np.mean(np.abs(vals[3:14, 1:9]) ** 2)
-        assert box_average(f, box, 2.0) == pytest.approx(direct, rel=1e-12)
-
-    def test_monotone_under_domination(self):
-        rng = np.random.default_rng(11)
-        a = rng.uniform(0.0, 1.0, size=32)
-        b = a + rng.uniform(0.0, 1.0, size=32)
-        fa, fb = step(1, 5, a), step(1, 5, b)
-        box = AlignedBox((4,), (29,))
-        for power in (0.5, 1.0, 2.0):
-            assert box_average(fa, box, power) <= box_average(fb, box, power) + 1e-15
-
-    def test_negative_power_needs_positivity(self):
-        vals = np.ones(8)
-        vals[3] = 0.0
-        f = step(1, 3, vals)
-        with pytest.raises(ParameterError):
-            box_average(f, AlignedBox((0,), (8,)), -1.0)
+        f = step(dim, depth, rng.uniform(-1, 2, size=(2 ** depth,) * dim))
+        for shift in range(depth + 1):
+            level = f.cell_level + shift
+            rows = cube_blocks(f.values, shift).reshape(-1, 2 ** (dim * shift))
+            cubes = [c for c in enumerate_subcubes(f.root, level) if c.level == level]
+            assert len(cubes) == rows.shape[0]
+            for cube, row in zip(cubes, rows):
+                assert np.array_equal(row, f.values[cube_box(f, cube).slices()].ravel())
 
 
 class TestTriple:
@@ -152,6 +112,11 @@ class TestGridFunction:
             step(1, 2, [-1.0, 0, 0, 0], flags="nonneg")
         with pytest.raises(ParameterError):
             step(1, 2, [0.0, 1, 1, 1], flags="pos")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            step(1, 2, [1.0, bad, 1.0, 1.0])
 
     def test_refine_is_exact(self):
         rng = np.random.default_rng(5)
@@ -199,4 +164,17 @@ class TestMgfFormat:
         path = tmp_path / "short.mgf"
         path.write_text("MGF 1 dim=1 rootlevel=0 rootcoords=0 depth=2 flags=none\n1.0\n")
         with pytest.raises(ParameterError):
+            read_mgf(path)
+
+    def test_nan_under_pos_rejected(self, tmp_path):
+        # nan passes the min() <= 0 positivity check, so it must be refused as non-finite
+        path = tmp_path / "nan.mgf"
+        path.write_text("MGF 1 dim=1 rootlevel=0 rootcoords=0 depth=1 flags=pos\n1.0\nnan\n")
+        with pytest.raises(ParameterError, match="finite"):
+            read_mgf(path)
+
+    def test_content_after_last_value_rejected(self, tmp_path):
+        path = tmp_path / "long.mgf"
+        path.write_text("MGF 1 dim=1 rootlevel=0 rootcoords=0 depth=1 flags=none\n1.0\n2.0\n3.0\n")
+        with pytest.raises(ParameterError, match="after"):
             read_mgf(path)

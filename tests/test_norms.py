@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from morreybench import (AlignedBox, DyadicCube, GridFunction, ParameterError,
-                         aligned_family, custom_family, dyadic_family,
+from morreybench import (DyadicCube, GridFunction, ParameterError,
+                         aligned_family, dyadic_family, enumerate_subcubes,
                          lebesgue_norm, morrey_norm, pair_morrey_sup,
                          unit_root, weak_quasinorm)
 from morreybench.norms import _morrey_aligned
@@ -84,7 +84,7 @@ class TestMorrey:
         fam = dyadic_family(unit_root(1), -3)
         rep = morrey_norm(step(np.zeros(8)), 2.0, 1.0, fam)
         assert rep.value == 0.0
-        assert rep.attaining == fam.entries[0]
+        assert rep.attaining == enumerate_subcubes(unit_root(1), -3)[0]
 
     def test_nesting_in_q(self):
         # same family, q1 >= q2 implies larger norm
@@ -131,10 +131,10 @@ class TestMorrey:
         fam = aligned_family(f)
         fast = _morrey_aligned(f, 2.0, 1.0, fam)
         m = f.cells_per_axis
-        boxes = [AlignedBox((i,), (i + s,))
-                 for s in range(1, m + 1) for i in range(m - s + 1)]
-        slow = morrey_norm(f, 2.0, 1.0, custom_family(unit_root(1), boxes))
-        assert fast.value == pytest.approx(slow.value, rel=1e-13)
+        # oracle: every window, |window|**(1/2) * mean over its cells
+        slow = max((s * f.cell_side) ** 0.5 * np.mean(f.values[i:i + s])
+                   for s in range(1, m + 1) for i in range(m - s + 1))
+        assert fast.value == pytest.approx(slow, rel=1e-13)
 
     def test_aligned_2d(self):
         rng = np.random.default_rng(13)
@@ -153,6 +153,26 @@ class TestMorrey:
         assert rep.value == pytest.approx(best, rel=1e-12)
 
 
+    def test_wide_dynamic_range_keeps_small_cubes(self):
+        # one 1e12 cell among ones: prefix-sum differences cancelled the right
+        # half's squares to 0; block sums keep them exact
+        vals = np.ones(64)
+        vals[0] = 1e12
+        rep = morrey_norm(step(vals), 4.0, 2.0, dyadic_family(DyadicCube(-1, (1,)), -6))
+        assert rep.value == pytest.approx(0.5 ** 0.25, rel=1e-14)
+        assert rep.attaining == DyadicCube(-1, (1,))
+
+    def test_family_finer_than_cells_rejected(self):
+        with pytest.raises(ParameterError, match="finer"):
+            morrey_norm(step(np.ones(8)), 2.0, 1.0, dyadic_family(unit_root(1), -4))
+
+    def test_closed_form_family_size(self):
+        for dim, depth in ((1, 6), (2, 3)):
+            fam = dyadic_family(unit_root(dim), -depth)
+            assert len(fam) == len(enumerate_subcubes(unit_root(dim), -depth))
+            assert list(fam.levels()) == list(range(0, -depth - 1, -1))
+
+
 class TestPairSup:
     def test_matches_bruteforce(self):
         rng = np.random.default_rng(20)
@@ -161,7 +181,7 @@ class TestPairSup:
         fam = dyadic_family(unit_root(1), -5)
         rep = pair_morrey_sup(f, g, 2.0, 1.5, 2.5, fam)
         best = 0.0
-        for cube in fam.entries:
+        for cube in enumerate_subcubes(unit_root(1), -5):
             lo = int(cube.lower()[0] * 32)
             hi = int(cube.upper()[0] * 32)
             mf = np.mean(np.abs(f.values[lo:hi]) ** 1.5)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from morreybench import (DyadicCube, GridFunction, KernelSpec, ParameterError,
-                         b_alpha, b_alpha_dyadic, b_truncated, dyadic_family,
-                         i_alpha, lebesgue_norm, m_alpha_bilinear,
-                         m_alpha_vector, m_tilde, m_triple_dyadic, unit_root)
-from morreybench.operators import TripleAverager, kernel_cell_table
+                         b_alpha, b_alpha_dyadic, b_truncated, cube_box,
+                         dyadic_family, enumerate_subcubes, i_alpha, lebesgue_norm,
+                         m_alpha_bilinear, m_alpha_vector, m_tilde,
+                         m_triple_dyadic, triple, unit_root)
+from morreybench.operators import kernel_cell_table, triple_means
 from morreybench.util import make_rng
 
 
@@ -160,8 +161,8 @@ class TestBTruncated:
             lo = int(q.lower()[0] * 32)
             hi = int(q.upper()[0] * 32)
             integral = out.values[lo:hi].sum() * out.cell_volume
-            mass_f = TripleAverager(f).mean(q) * 3 * q.volume
-            mass_g = TripleAverager(g).mean(q) * 3 * q.volume
+            mass_f = f.values[triple(q, f).slices()].sum() * f.cell_volume
+            mass_g = g.values[triple(q, g).slices()].sum() * g.cell_volume
             assert integral <= mass_f * mass_g + 1e-12
 
     def test_nonpositive_d_rejected(self):
@@ -270,7 +271,7 @@ class TestMaximalOperators:
         out = m_alpha_vector(f, g, 0.0, 1.0, 1.0, fam).fn.values
         m = 16
         expect = np.zeros(m)
-        for cube in fam.entries:
+        for cube in enumerate_subcubes(unit_root(1), -4):
             lo, hi = int(cube.lower()[0] * m), int(cube.upper()[0] * m)
             val = f.values[lo:hi].mean() * g.values[lo:hi].mean()
             expect[lo:hi] = np.maximum(expect[lo:hi], val)
@@ -319,22 +320,32 @@ class TestMaximalOperators:
         f, g = rand_positive(24, 4), rand_positive(25, 4)
         fam = dyadic_family(unit_root(1), -4)
         out = m_triple_dyadic(f, g, fam).fn.values
-        ta_f, ta_g = TripleAverager(f), TripleAverager(g)
         m = 16
         expect = np.zeros(m)
-        for cube in fam.entries:
+        for cube in enumerate_subcubes(unit_root(1), -4):
             lo, hi = int(cube.lower()[0] * m), int(cube.upper()[0] * m)
-            val = ta_f.mean(cube) * ta_g.mean(cube)
+            shift = cube.level - f.cell_level
+            i = cube.coords[0]
+            val = triple_means(f, shift)[i] * triple_means(g, shift)[i]
             expect[lo:hi] = np.maximum(expect[lo:hi], val)
         assert np.array_equal(out, expect)
+
+    @pytest.mark.parametrize("dim,depth", [(1, 5), (2, 3)])
+    def test_triple_means_match_triple_boxes(self, dim, depth):
+        f = rand_positive(28, depth, dim=dim)
+        for cube in enumerate_subcubes(f.root, f.cell_level):
+            shift = cube.level - f.cell_level
+            want = (f.values[triple(cube, f).slices()].sum() * f.cell_volume
+                    / (3.0 ** dim * cube.volume))
+            got = triple_means(f, shift)[tuple(lo >> shift for lo in cube_box(f, cube).lo)]
+            assert got == pytest.approx(want, rel=1e-13)
 
     def test_triple_maximal_root_indicator(self):
         f = indicator_root(4)
         fam = dyadic_family(unit_root(1), -4)
         out = m_triple_dyadic(f, f, fam).fn.values
         # root cube alone would give (1/3)^2 with zero extension
-        ta = TripleAverager(f)
-        assert ta.mean(unit_root(1)) == pytest.approx(1 / 3)
+        assert triple_means(f, f.depth)[0] == pytest.approx(1 / 3)
         assert np.all(out >= (1 / 3) ** 2 - 1e-15)
         # interior cells see fully-contained triples with average one
         assert out[8] == pytest.approx(1.0, rel=1e-12)
@@ -386,7 +397,7 @@ class Test2DSmoke:
         fam = dyadic_family(unit_root(2), -3)
         out = m_alpha_vector(f, g, 0.5, 1.0, 1.0, fam).fn.values
         expect = np.zeros_like(out)
-        for cube in fam.entries:
+        for cube in enumerate_subcubes(unit_root(2), -3):
             lo = tuple(int(c * 8) for c in cube.lower())
             hi = tuple(int(c * 8) for c in cube.upper())
             sl = tuple(slice(a, b) for a, b in zip(lo, hi))
