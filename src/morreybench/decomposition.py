@@ -17,6 +17,7 @@ only ever consumes the certified halving outcome, not the constant's origin.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,16 +70,24 @@ def cz_decompose(f: GridFunction, g: GridFunction, q0: DyadicCube,
     Each generation spreads the mask of covered cubes from Q0 down to the
     cells; selected cubes are listed coarsest first, then row-major.
     """
-    if a <= 1.0:
-        raise ParameterError(f"threshold base must exceed 1, got {a}")
+    return _decompose(f, q0, a, _triple_products(f, g, q0))
+
+
+def _triple_products(f: GridFunction, g: GridFunction, q0: DyadicCube) -> list[np.ndarray]:
+    """m_3Q(f,g) per level of the subcubes of Q0, coarsest first; free of a."""
     if f.values.min() < 0 or g.values.min() < 0:
         raise ParameterError("decomposition expects nonnegative inputs")
     if q0.level <= f.cell_level:
         raise ParameterError("grid cells must be strictly finer than the base cube")
+    return [(triple_means(f, shift) * triple_means(g, shift))[window]
+            for shift, _, window in dyadic_levels(f, dyadic_family(q0, f.cell_level))]
+
+
+def _decompose(f: GridFunction, q0: DyadicCube, a: float, m: list[np.ndarray]) -> StoppingFamily:
+    if a <= 1.0:
+        raise ParameterError(f"threshold base must exceed 1, got {a}")
     base_box = cube_box(f, q0).slices()
     family = dyadic_family(q0, f.cell_level)
-    m = [(triple_means(f, shift) * triple_means(g, shift))[window]
-         for shift, _, window in dyadic_levels(f, family)]
     max_m = max(float(level_m.max()) for level_m in m)
 
     generations: list[list[SelectedCube]] = []
@@ -154,18 +163,15 @@ def choose_a(f: GridFunction, g: GridFunction, q0: DyadicCube,
              schedule=None) -> float:
     """Smallest doubling-schedule threshold base whose halving is certified.
 
-    Termination: once a exceeds the largest triple-average product, every
+    The triple-average products are computed once and shared by every
+    candidate.  Termination: once a exceeds the largest product, every
     generation is empty and halving holds vacuously.
     """
     if schedule is None:
-        def doubling():
-            x = 2.0
-            while True:
-                yield x
-                x *= 2.0
-        schedule = doubling()
+        schedule = (2.0 ** k for k in itertools.count(1))
+    m = _triple_products(f, g, q0)
     for a in schedule:
-        sf = cz_decompose(f, g, q0, a)
+        sf = _decompose(f, q0, a, m)
         if verify_halving(sf, f, g).ok:
             return a
     raise ParameterError("threshold schedule exhausted without certification")

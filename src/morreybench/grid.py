@@ -23,6 +23,7 @@ mix in artificial zeros, so weight characteristics refuse clipped boxes.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,21 +305,22 @@ def read_mgf(path) -> GridFunction:
             rootcoords = tuple(int(c) for c in kv["rootcoords"].split(","))
             depth = int(kv["depth"])
             flags = kv["flags"]
+            if depth < 0 or dim < 0:
+                raise ValueError(header)
         except (KeyError, ValueError) as exc:
             raise ParameterError(f"malformed MGF/1 header: {header!r}") from exc
         count = (2 ** depth) ** dim
-        vals = np.empty(count)
-        for i in range(count):
-            line = fh.readline()
-            if not line:
-                raise ParameterError(f"MGF/1 file truncated at value {i}")
+        vals = array("d")  # grows with the values read, not with the header's claim
+        for i, line in zip(range(count), fh):
             try:
-                vals[i] = float(line)
+                vals.append(float(line))
             except ValueError as exc:
                 raise ParameterError(f"MGF/1 value {i} is not a number: {line.strip()!r}") from exc
+        if len(vals) < count:
+            raise ParameterError(f"MGF/1 file truncated at value {len(vals)}")
         if fh.read().strip():
             raise ParameterError(f"MGF/1 file has content after its {count} values")
-    values = vals.reshape((2 ** depth,) * dim, order="C")
+    values = np.array(vals).reshape((2 ** depth,) * dim, order="C")
     return GridFunction(dim, DyadicCube(rootlevel, rootcoords), depth, values, flags)
 
 

@@ -1,5 +1,7 @@
 """Every op of the benchmark's workloads, at input variant 0, replayed against
-the recorded reference outputs (``benchmarks/reference``).
+the recorded reference outputs (``benchmarks/reference``).  ``fields`` and
+``selftest``, whose operator kernels round differently with the data, are
+replayed at input variant 5 too.
 
 The benchmark refuses a change whose printed text, CSV columns, file names
 or values (beyond a relative 1e-9) differ from the references; this test
@@ -19,10 +21,14 @@ import run  # noqa: E402
 import workloads  # noqa: E402
 
 
-@pytest.mark.parametrize("workload", workloads.WORKLOADS)
-def test_ops_match_references(tmp_path, workload):
-    workloads.generate_inputs(0, str(tmp_path))
-    runner = run.Runner(cli, 0, str(tmp_path), run.load_references([workload]))
+CASES = ([pytest.param(w, 0, id=w) for w in workloads.WORKLOADS]
+         + [pytest.param(w, 5, id=f"{w}-5") for w in ("fields", "selftest")])
+
+
+@pytest.mark.parametrize("workload,variant", CASES)
+def test_ops_match_references(tmp_path, workload, variant):
+    workloads.generate_inputs(variant, str(tmp_path))
+    runner = run.Runner(cli, variant, str(tmp_path), run.load_references([workload]))
     runner.run_pass(workload)
     assert runner.attempted > 0
     assert runner.failed == 0, runner.failures

@@ -349,6 +349,23 @@ class TestExitContract:
         assert _exit_code(["norm", "--kind", "lebesgue", "--t", "2", "--in", str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid,message", [
+        pytest.param("dim=1 rootcoords=0 depth=60", "truncated at value 1", id="depth-60"),
+        pytest.param("dim=2 rootcoords=0,0 depth=60", "truncated at value 1", id="depth-60-2d"),
+        pytest.param("dim=1 rootcoords=0 depth=-1", "malformed MGF/1 header", id="negative-depth"),
+        pytest.param("dim=-1 rootcoords=0 depth=1", "malformed MGF/1 header", id="negative-dim"),
+    ])
+    def test_impossible_mgf_header_refused_with_exit_2(self, tmp_path, capsys, grid, message):
+        # a header asking for more values than the file holds is refused
+        # before any buffer of that size exists; a negative depth or
+        # dimension is a malformed header
+        path = tmp_path / "bad.mgf"
+        dim, coords, depth = grid.split()
+        path.write_text(f"MGF 1 {dim} rootlevel=0 {coords} {depth} flags=pos\n1.0\n")
+        assert _exit_code(["norm", "--kind", "lebesgue", "--t", "2", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
 
 class TestSelftestAgreement:
     def test_ratio_columns_equal_criterion_12_artifact(self, tmp_path):

@@ -5,6 +5,7 @@ from morreybench import (DyadicCube, GridFunction, ParameterError,
                          enumerate_subcubes, triple, unit_root)
 from morreybench.decomposition import (choose_a, cz_decompose, packing_sum,
                                        verify_halving)
+from morreybench.operators import triple_means
 from morreybench.util import make_rng
 from morreybench.weights import power_weight
 
@@ -165,6 +166,29 @@ class TestChooseA:
             a = choose_a(f, g, unit_root(1))
             sf = cz_decompose(f, g, unit_root(1), a)
             assert verify_halving(sf, f, g).ok
+
+    def test_triple_means_once_per_level(self, monkeypatch):
+        # the products m_3Q do not depend on a: one triple_means call per
+        # operand and level, however many candidates the schedule tries
+        from morreybench import decomposition
+        calls = []
+
+        def counted(f, shift):
+            calls.append(shift)
+            return triple_means(f, shift)
+        monkeypatch.setattr(decomposition, "triple_means", counted)
+        f, g = spike_pair()
+        tried = []
+
+        def schedule():
+            a = 2.0
+            while True:
+                tried.append(a)
+                yield a
+                a *= 2.0
+        choose_a(f, g, unit_root(1), schedule())
+        assert len(tried) >= 3
+        assert sorted(calls) == sorted(2 * list(range(f.depth + 1)))
 
 
 class TestPackingSum:

@@ -1,11 +1,17 @@
+import itertools
+import math
+import operator
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from morreybench import (DyadicCube, GridFunction, KernelSpec, ParameterError,
                          b_alpha, b_alpha_dyadic, b_truncated, cube_box,
                          dyadic_family, enumerate_subcubes, i_alpha, lebesgue_norm,
                          m_alpha_bilinear, m_alpha_vector, m_tilde,
                          m_triple_dyadic, triple, unit_root)
+from morreybench import operators
 from morreybench.operators import kernel_cell_table, triple_means
 from morreybench.util import make_rng
 
@@ -435,3 +441,120 @@ class TestKernelTable2D:
         sec = 1.0 / np.cos(thetas)
         ref = 4 * (h / 2) ** a * (2.0 / a) * np.trapezoid(sec ** a, thetas)
         assert table[c, c] == pytest.approx(ref, rel=1e-3)
+
+
+def tower_reference(fv, gv, *tables):
+    """out[i] = sum_j f[i-j] g[i+j] table[c+j] over in-range indices, for
+    each table, one cell and one offset at a time (c: the table's centre)."""
+    m = fv.shape[0]
+    c = m - 1
+    outs = [np.zeros(fv.shape) for _ in tables]
+    for i in np.ndindex(fv.shape):
+        reach = [min(k, c - k) for k in i]
+        prods = [float(fv[tuple(k - o for k, o in zip(i, j))])
+                 * float(gv[tuple(k + o for k, o in zip(i, j))])
+                 for j in itertools.product(*(range(-r, r + 1) for r in reach))]
+        for out, table in zip(outs, tables):
+            window = table[tuple(slice(c - r, c + r + 1) for r in reach)].ravel().tolist()
+            out[i] = math.fsum(map(operator.mul, prods, window))
+    return outs
+
+
+def overlap_table(f, d):
+    """Volumes of the offset cells o*h + [-h/2, h/2]**n inside |y|_inf <= d."""
+    m, h = f.cells_per_axis, f.cell_side
+    w = np.array([max(0.0, min(o * h + h / 2, d) - max(o * h - h / 2, -d))
+                  for o in range(-(m - 1), m)])
+    return w if f.dim == 1 else np.multiply.outer(w, w)
+
+
+def row_blocks(m):
+    rows = max(1, operators._BLOCK // (2 * m - 1))
+    return -(-m // rows)
+
+
+# 1D grids below one row block, the largest that fits in one, and grids split
+# over several; 2D grids run the cell loop
+TOWER_GRIDS = [pytest.param(1, 3, 1, id="1d-small"),
+               pytest.param(1, 7, 1, id="1d-one-block"),
+               pytest.param(1, 8, 2, id="1d-two-blocks"),
+               pytest.param(1, 9, 8, id="1d-eight-blocks"),
+               pytest.param(2, 2, None, id="2d-depth2"),
+               pytest.param(2, 3, None, id="2d-depth3")]
+
+
+@pytest.mark.parametrize("dim,depth,blocks", TOWER_GRIDS)
+class TestScaleTowerAgainstBruteForce:
+    def operands(self, dim, depth, blocks):
+        if blocks is not None:
+            assert row_blocks(2 ** depth) == blocks
+        return rand_positive(40 + depth, depth, dim), rand_positive(60 + depth, depth, dim)
+
+    def test_truncated_at_fractional_d(self, dim, depth, blocks):
+        f, g = self.operands(dim, depth, blocks)
+        for d in (0.3, 2.0 ** -depth * 2.5):
+            want, = tower_reference(f.values, g.values, overlap_table(f, d))
+            assert np.allclose(b_truncated(f, g, d).fn.values, want, rtol=1e-13, atol=0)
+
+    def test_b_alpha(self, dim, depth, blocks):
+        f, g = self.operands(dim, depth, blocks)
+        spec = KernelSpec(0.7)
+        want, = tower_reference(f.values, g.values, kernel_cell_table(spec, f))
+        assert np.allclose(b_alpha(f, g, spec).fn.values, want, rtol=1e-13, atol=0)
+
+    def test_dyadic_model_on_a_subcube(self, dim, depth, blocks):
+        f, g = self.operands(dim, depth, blocks)
+        spec = KernelSpec(0.7)
+        q0 = DyadicCube(-1, (1,) + (0,) * (dim - 1))
+        min_level = f.cell_level + 1
+        levels = range(min_level, q0.level + 1)
+        terms = tower_reference(f.values, g.values,
+                                *(overlap_table(f, 2.0 ** level) for level in levels))
+        want = sum(2.0 ** (level * (spec.alpha - dim)) * term
+                   for level, term in zip(levels, terms))
+        inside = np.zeros(f.values.shape, dtype=bool)
+        inside[cube_box(f, q0).slices()] = True
+        got = b_alpha_dyadic(f, g, spec, q0, min_level=min_level).fn.values
+        assert np.allclose(got[inside], want[inside], rtol=1e-13, atol=0)
+        assert np.all(got[~inside] == 0.0)
+
+    def test_bilinear_maximal_on_a_subcube_family(self, dim, depth, blocks):
+        f, g = self.operands(dim, depth, blocks)
+        fam = dyadic_family(DyadicCube(-1, (0,) * dim), f.cell_level + 1)
+        alpha = 0.4
+        terms = tower_reference(f.values, g.values,
+                                *(overlap_table(f, 2.0 ** level) for level in fam.levels()))
+        want = np.max([(2.0 ** (level + 1)) ** (alpha - dim) * term
+                       for level, term in zip(fam.levels(), terms)], axis=0)
+        got = m_alpha_bilinear(f, g, alpha, fam).fn.values
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+def direct_i_alpha_2d(values, table):
+    """sum_k f[k] table[c + i - k], one shifted window of the table per cell."""
+    m = values.shape[0]
+    windows = sliding_window_view(table, (m, m))
+    return np.einsum("abuv,uv->ab", windows, values[::-1, ::-1])
+
+
+class TestIAlpha2DFFT:
+    @pytest.mark.parametrize("depth", range(1, 7))
+    @pytest.mark.parametrize("alpha", [0.2, 1.0, 1.8])
+    def test_within_documented_bound(self, depth, alpha):
+        # relative error per cell <= eps * log2(2m) * max K / min K for f >= 0
+        f = rand_positive(70 + depth, depth, dim=2)
+        table = kernel_cell_table(KernelSpec(alpha), f)
+        got = i_alpha(f, KernelSpec(alpha)).fn.values
+        want = direct_i_alpha_2d(f.values, table)
+        bound = np.finfo(float).eps * np.log2(2 * f.cells_per_axis) * table.max() / table.min()
+        assert np.max(np.abs(got - want) / want) <= bound
+
+    @pytest.mark.parametrize("alpha", [0.2, 1.8])
+    def test_next_to_a_spike(self, alpha):
+        depth = 7
+        vals = np.ones((2 ** depth,) * 2)
+        vals[42, 25] = 1e12
+        f = step(vals, dim=2, flags="pos")
+        got = i_alpha(f, KernelSpec(alpha)).fn.values
+        want = direct_i_alpha_2d(vals, kernel_cell_table(KernelSpec(alpha), f))
+        assert np.max(np.abs(got - want) / want) <= 1e-9
