@@ -168,7 +168,7 @@ def _cmd_norm(ns) -> int:
 def _cmd_op(ns) -> int:
     f = read_mgf(ns.f)
     fam = _dyadic_for(f, ns)
-    spec = KernelSpec(ns.alpha, ns.subdivision_depth)
+    spec = KernelSpec(ns.alpha)
     q0 = _root_from(ns) if ns.rootlevel is not None else f.root
     # operator -> (the flags it reads besides --f, its run)
     flags, run = {
@@ -394,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g", default=None)
     p.add_argument("--v", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--subdivision-depth", type=int, default=12)
     p.add_argument("--min-level", type=int, default=None)
     p.add_argument("--rootlevel", type=int, default=None)
     p.add_argument("--rootcoords", default="0")

@@ -137,26 +137,30 @@ class HalvingReport:
 
 
 def verify_halving(sf: StoppingFamily, f: GridFunction, g: GridFunction) -> HalvingReport:
-    """Check |Q_jk meet D_{k+1}| <= |Q_jk|/2 and |D_1| <= |Q0|/2; never raises."""
-    worst, offender = 0.0, None
-    base_cells = cube_box(f, sf.base).cells()
-    if sf.d_masks:
-        ratio = sf.d_masks[0].sum() / base_cells
-        if ratio > worst:
-            worst, offender = ratio, sf.base
-    for idx, gen in enumerate(sf.generations):
-        if idx + 1 >= len(sf.d_masks):
-            break  # no next generation: intersection is empty
-        next_mask = sf.d_masks[idx + 1]
-        for sel in gen:
-            sl = cube_box(f, sel.cube).slices()
-            cells = cube_box(f, sel.cube).cells()
-            ratio = next_mask[sl].sum() / cells
-            if ratio > worst:
-                worst, offender = ratio, sel.cube
+    """Check |Q_jk meet D_{k+1}| <= |Q_jk|/2 and |D_1| <= |Q0|/2; never raises.
+
+    The covered share of each selected cube is read off the level blocks of
+    the next generation's mask; the offender is the first strict maximum,
+    the base cube first, then every generation in its listed order.
+    """
+    base_box = cube_box(f, sf.base)
+    covered = [mask[base_box.slices()] for mask in sf.d_masks]
+    shares, cubes = [0.0], [None]  # nothing covered: ratio 0, no offender
+    if covered:
+        shares.append(covered[0].mean())
+        cubes.append(sf.base)
+    for gen, nxt in zip(sf.generations, covered[1:]):  # the last generation has no next one
+        for level, group in itertools.groupby((sel.cube for sel in gen), key=lambda q: q.level):
+            group = list(group)
+            origin = np.array(sf.base.coords) << (sf.base.level - level)
+            idx = tuple((np.array([q.coords for q in group]) - origin).T)
+            shares.extend(cube_blocks(nxt, level - f.cell_level).mean(axis=-1)[idx])
+            cubes += group
+    best = int(np.argmax(shares))
+    worst, offender = float(shares[best]), cubes[best]
     ok = worst <= 0.5
     detail = "halving certified" if ok else f"halving fails at ratio {worst:.6f}"
-    return HalvingReport(ok, float(worst), offender, detail)
+    return HalvingReport(ok, worst, offender, detail)
 
 
 def choose_a(f: GridFunction, g: GridFunction, q0: DyadicCube,

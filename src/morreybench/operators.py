@@ -8,15 +8,16 @@ interpolation is ever needed and every check stays exact for step data.
 Kernel integration: in 1D the antiderivative of |y|**(a-1) is elementary, so
 the per-cell kernel mass is exact for every cell including the singular one.
 In 2D non-singular cells use the midpoint rule; the singular cell (the kernel
-pole sits at its center) is split into four corner squares and each corner is
-refined dyadically to a configurable depth, three midpoint children per
-level, which bounds the only quadrature bias at the singularity.
+pole sits at its center) is split into four corner squares, each refined
+dyadically toward the pole with three midpoint children per level.  The
+kernel is homogeneous, so that refinement sums in closed form to every
+depth, which bounds the only quadrature bias at the singularity.
 
 In 2D, I_alpha is one FFT convolution.  Every bilinear form is one pass of
 a scale tower: the products f(x-y)g(x+y) against a table of per-offset-cell
-weights with one column per scale.  The truncated form weighs the ball
-|y|_inf <= d by per-axis fractional cell overlaps, hence exactly for any
-d > 0.  The dyadic model sums the truncated forms over the tower of dyadic
+weights with one column per scale, taken one row offset at a time.  The
+truncated form weighs the ball |y|_inf <= d by per-axis fractional cell
+overlaps, hence exactly for any d > 0.  The dyadic model sums the truncated forms over the tower of dyadic
 cubes containing x and the bilinear maximal takes their max; scales below
 the cell side are dropped and their geometric-tail bound is reported.
 """
@@ -35,17 +36,14 @@ from .util import NumericalError, ParameterError, power_mean
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel |y|**(alpha - n) with the singular-cell rule for 2D grids."""
+    """Kernel |y|**(alpha - n)."""
 
     alpha: float
-    singular_depth: int = 12
 
     def validate(self, dim: int) -> None:
         if not (0.0 < self.alpha < dim):
             raise ParameterError(
                 f"kernel exponent must satisfy 0 < alpha < n, got alpha={self.alpha} n={dim}")
-        if self.singular_depth < 1:
-            raise ParameterError("singular subdivision depth must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -73,29 +71,19 @@ def _require_common_grid(f: GridFunction, g: GridFunction) -> None:
         raise ParameterError("operands must live on a common grid")
 
 
-def _corner_square_integral(side: float, alpha: float, depth: int) -> float:
+def _corner_square_integral(side: float, alpha: float) -> float:
     """integral of |u|**(alpha-2) over [0,side]**2, singularity at the corner.
 
     Dyadic refinement toward the corner: per level the three off-corner
-    children are covered by uniform midpoint cells, the corner child
-    recurses.  The kernel is homogeneous, so the remaining corner square of
-    side ``side * 2**-depth`` carries exactly ``2**(-depth*alpha)`` times the
-    full mass; that geometric tail is closed in exactly rather than dropped.
+    children are covered by 8x8 uniform midpoint cells, the corner child
+    recurses.  The kernel is homogeneous, so level l carries exactly
+    ``(side * 2**-l)**alpha`` times the level-0 sum of the unit square, and
+    the whole tower closes to ``side**alpha * unit / (1 - 2**-alpha)``.
     """
-    sub = 8  # midpoint cells per axis on each off-corner child
-    offsets = (np.arange(sub) + 0.5) / sub
-    total = 0.0
-    s = side
-    for _ in range(depth):
-        half = 0.5 * s
-        for ox, oy in ((half, 0.0), (0.0, half), (half, half)):
-            xs = ox + offsets * half
-            ys = oy + offsets * half
-            xx, yy = np.meshgrid(xs, ys, indexing="ij")
-            weights = (half / sub) ** 2
-            total += float(np.sum((xx * xx + yy * yy) ** (0.5 * (alpha - 2.0)))) * weights
-        s = half
-    return total / (1.0 - 2.0 ** (-depth * alpha))
+    mid = (np.arange(16) + 0.5) / 16  # level-0 midpoints of the unit square
+    cells = np.add.outer(mid * mid, mid * mid) ** (0.5 * (alpha - 2.0))
+    unit = (float(cells[8:].sum()) + float(cells[:8, 8:].sum())) / 256
+    return side ** alpha * unit / (1.0 - 2.0 ** -alpha)
 
 
 def kernel_cell_table(spec: KernelSpec, grid: GridFunction) -> np.ndarray:
@@ -109,68 +97,70 @@ def kernel_cell_table(spec: KernelSpec, grid: GridFunction) -> np.ndarray:
         def anti(y):
             return np.sign(y) * np.abs(y) ** a / a
         return anti((offsets + 0.5) * h) - anti((offsets - 0.5) * h)
-    ox, oy = np.meshgrid(offsets, offsets, indexing="ij")
-    r = h * np.sqrt(ox.astype(float) ** 2 + oy.astype(float) ** 2)
+    squares = (offsets * h) ** 2
     with np.errstate(divide="ignore"):
-        table = h * h * r ** (a - 2.0)
+        table = h * h * np.add.outer(squares, squares) ** (0.5 * (a - 2.0))
     center = m - 1
-    table[center, center] = 4.0 * _corner_square_integral(0.5 * h, a, spec.singular_depth)
+    table[center, center] = 4.0 * _corner_square_integral(0.5 * h, a)
     return table
 
 
-def _truncation_table(grid: GridFunction, d: float) -> np.ndarray:
-    """Per-offset-cell overlap volumes with the ball |y|_inf <= d (exact)."""
-    if d <= 0:
-        raise ParameterError(f"truncation radius must be positive, got {d}")
+def _truncation_table(grid: GridFunction, radii) -> np.ndarray:
+    """Per-offset-cell overlap volumes with the balls |y|_inf <= d (exact),
+    one trailing column per radius d."""
+    d = np.asarray(radii, dtype=float)
+    if np.any(d <= 0):
+        raise ParameterError(f"truncation radius must be positive, got {d.min()}")
     m = grid.cells_per_axis
     h = grid.cell_side
-    offsets = np.arange(-(m - 1), m)
+    offsets = np.arange(-(m - 1), m)[:, None]
     lo = np.maximum(offsets * h - 0.5 * h, -d)
     hi = np.minimum(offsets * h + 0.5 * h, d)
     w = np.clip(hi - lo, 0.0, None)
     if grid.dim == 1:
         return w
-    return np.multiply.outer(w, w)
+    return w[:, None] * w[None, :]
 
 
-_BLOCK = 1 << 16  # elements of one row block of the 1D product, about 512 KB
+_BLOCK = 1 << 16  # elements of one column block of the product, about 512 KB
 
 
 def _correlate(fv: np.ndarray, gv: np.ndarray, tables: np.ndarray) -> np.ndarray:
     """out[i, s] = sum_j f[i-j] g[i+j] tables[j, s], j limited to in-range indices.
 
-    In 1D, strided views F[i, j] = f[i-j] and G[i, j] = g[i+j] of zero-padded
-    copies give each block of rows as one product (F*G) @ tables, sliced to
-    the offsets in range for its rows.  In 2D one loop over the cells serves
-    every scale.
+    One pass over the row offsets j0 with |j0| <= (m0-1)//2; a 1D grid is one
+    row.  Strided views F[r, i, j] = f[r, i-j] and G[r, i, j] = g[r, i+j] of
+    copies zero-padded along the last axis give, over the rows r with r-j0
+    and r+j0 in range, each block of columns as one product
+    (F[r-j0] * G[r+j0]) @ tables[j0], sliced to the offsets in range for its
+    columns.  The j0 = 0 pass covers every row and writes; the others add.
     """
-    m = fv.shape[0]
+    fr, gr = fv.reshape(-1, fv.shape[-1]), gv.reshape(-1, gv.shape[-1])
+    m0, m = fr.shape
     c = m - 1
-    out = np.empty(fv.shape + tables.shape[-1:])
-    if fv.ndim == 1:
-        fp, gp = np.pad(fv, c), np.pad(gv, c)
-        step = fp.strides[0]
-        big_f = as_strided(fp[2 * c:], shape=(m, 2 * m - 1), strides=(step, -step))
-        big_g = as_strided(gp, shape=(m, 2 * m - 1), strides=(step, step))
-        rows = max(1, _BLOCK // (2 * m - 1))
-        for r0 in range(0, m, rows):
-            reach = min(r0 + rows - 1, c - r0)  # no row of the block has |j| beyond it
-            block = (slice(r0, r0 + rows), slice(c - reach, c + reach + 1))
-            out[block[0]] = (big_f[block] * big_g[block]) @ tables[block[1]]
-        return out
-    for i0 in range(m):
-        lo0 = max(i0 - m + 1, -i0)
-        hi0 = min(i0, m - 1 - i0)
-        f0 = fv[i0 - hi0:i0 - lo0 + 1][::-1]
-        g0 = gv[i0 + lo0:i0 + hi0 + 1]
-        t0 = tables[c + lo0:c + hi0 + 1]
-        for i1 in range(m):
-            lo1 = max(i1 - m + 1, -i1)
-            hi1 = min(i1, m - 1 - i1)
-            fs = f0[:, i1 - hi1:i1 - lo1 + 1][:, ::-1]
-            gs = g0[:, i1 + lo1:i1 + hi1 + 1]
-            out[i0, i1] = np.einsum("ab,ab,abs->s", fs, gs, t0[:, c + lo1:c + hi1 + 1])
-    return out
+    tables = tables.reshape((-1,) + tables.shape[-2:])
+    fp, gp = np.zeros((m0, m + 2 * c)), np.zeros((m0, m + 2 * c))
+    fp[:, c:c + m], gp[:, c:c + m] = fr[:, ::-1], gr  # f reversed: j runs forward in both
+    row, step = fp.strides
+    big_f = as_strided(fp[:, c:], shape=(m0, m, 2 * m - 1), strides=(row, -step, step))
+    big_g = as_strided(gp, shape=(m0, m, 2 * m - 1), strides=(row, step, step))
+    out = np.empty((m0, m, tables.shape[-1]))
+    for j0 in sorted(range(-((m0 - 1) // 2), (m0 - 1) // 2 + 1), key=abs):
+        lo, hi = abs(j0), m0 - abs(j0)  # the rows r with r-j0 and r+j0 in range
+        f_rows, g_rows = big_f[lo - j0:hi - j0], big_g[lo + j0:hi + j0]
+        cols = max(1, _BLOCK // ((hi - lo) * (2 * m - 1)))
+        for i0 in range(0, m, cols):
+            reach = min(i0 + cols - 1, c - i0)  # no column of the block has |j| beyond it
+            block = (slice(None), slice(i0, i0 + cols), slice(c - reach, c + reach + 1))
+            # one expression: a named product would stay alive into the next
+            # block's allocation, and the heap then returns and refaults its pages
+            part = ((f_rows[block] * g_rows[block]).reshape(-1, 2 * reach + 1)
+                    @ tables[m0 - 1 + j0, block[2]]).reshape(hi - lo, -1, tables.shape[-1])
+            if j0:
+                out[lo:hi, block[1]] += part
+            else:
+                out[lo:hi, block[1]] = part
+    return out.reshape(fv.shape + tables.shape[-1:])
 
 
 def i_alpha(f: GridFunction, spec: KernelSpec) -> OperatorField:
@@ -200,7 +190,7 @@ def b_alpha(f: GridFunction, g: GridFunction, spec: KernelSpec) -> OperatorField
 def b_truncated(f: GridFunction, g: GridFunction, d: float) -> OperatorField:
     """Kernel-free truncation: integral of f(x-y)g(x+y) over |y|_inf <= d."""
     _require_common_grid(f, g)
-    return _field(f, _correlate(f.values, g.values, _truncation_table(f, d)[..., None])[..., 0])
+    return _field(f, _correlate(f.values, g.values, _truncation_table(f, [d]))[..., 0])
 
 
 def b_alpha_dyadic(f: GridFunction, g: GridFunction, spec: KernelSpec,
@@ -221,8 +211,8 @@ def b_alpha_dyadic(f: GridFunction, g: GridFunction, spec: KernelSpec,
     if min_level < f.cell_level or min_level > q0.level:
         raise ParameterError("min_level must lie between the cell level and Q0")
     inner = cube_box(f, q0).slices()  # also validates Q0 against the grid
-    table = sum(2.0 ** (level * (a - n)) * _truncation_table(f, 2.0 ** level)
-                for level in range(min_level, q0.level + 1))
+    levels = np.arange(min_level, q0.level + 1)
+    table = _truncation_table(f, 2.0 ** levels) @ 2.0 ** (levels * (a - n))
     vals = np.zeros_like(f.values)
     vals[inner] = _correlate(f.values, g.values, table[..., None])[..., 0][inner]
     # omitted scales below min_level: B_d <= (2d)^n fmax gmax, summed geometrically
@@ -239,8 +229,8 @@ def m_alpha_bilinear(f: GridFunction, g: GridFunction, alpha: float,
     n = f.dim
     if not (0.0 <= alpha < n):
         raise ParameterError(f"maximal exponent must satisfy 0 <= alpha < n, got {alpha}")
-    tables = np.stack([(2.0 ** (level + 1)) ** (alpha - n) * _truncation_table(f, 2.0 ** level)
-                       for level in family.levels()], axis=-1)
+    levels = np.array(family.levels())
+    tables = (2.0 ** (levels + 1)) ** (alpha - n) * _truncation_table(f, 2.0 ** levels)
     return _field(f, _correlate(np.abs(f.values), np.abs(g.values), tables).max(axis=-1))
 
 

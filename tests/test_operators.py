@@ -222,9 +222,7 @@ class TestBAlphaDyadic:
         # the tail bound dominates the actually-omitted next level
         next_term = (2.0 ** (f.cell_level - 1)) ** (0.5 - 1) * \
             b_truncated(f, g, 2.0 ** (f.cell_level - 1)).fn.values
-        fine = b_alpha_dyadic(f.refine(1), g.refine(1), KernelSpec(0.5), unit_root(1),
-                              min_level=f.cell_level - 1)
-        assert out.tail_bound >= next_term.max() * 0.0  # sanity: finite
+        assert out.tail_bound >= next_term.max()
         assert np.isfinite(out.tail_bound)
 
 
@@ -419,22 +417,37 @@ class Test2DSmoke:
         assert out[4, 4] == pytest.approx(0.25, rel=1e-12)
 
 
+def refined_corner_integral(side, alpha, depth):
+    """The singular corner by explicit dyadic refinement toward the pole: per
+    level three off-corner children of 8x8 midpoint cells, and the geometric
+    tail of the remaining corner closed in exactly."""
+    offsets = (np.arange(8) + 0.5) / 8
+    total, s = 0.0, side
+    for _ in range(depth):
+        half = 0.5 * s
+        for ox, oy in ((half, 0.0), (0.0, half), (half, half)):
+            xx, yy = np.meshgrid(ox + offsets * half, oy + offsets * half, indexing="ij")
+            total += float(np.sum((xx * xx + yy * yy) ** (0.5 * (alpha - 2.0)))) * (half / 8) ** 2
+        s = half
+    return total / (1.0 - 2.0 ** (-depth * alpha))
+
+
 class TestKernelTable2D:
-    def test_center_cell_mass_depth_independent(self):
-        # the subdivision is self-similar and the tail is closed in exactly,
-        # so the depth only affects rounding
-        f = indicator_root(3, dim=2)
-        shallow = kernel_cell_table(KernelSpec(1.0, singular_depth=6), f)
-        deep = kernel_cell_table(KernelSpec(1.0, singular_depth=20), f)
-        c = f.cells_per_axis - 1
-        assert deep[c, c] == pytest.approx(shallow[c, c], rel=1e-12)
+    def test_center_cell_closed_form_matches_refinement(self):
+        # the kernel is homogeneous, so every refinement depth gives the
+        # closed form up to rounding
+        for alpha in (0.2, 0.6, 1.0, 1.8):
+            for depth in (1, 6, 20):
+                for side in (0.5, 2.0 ** -5):
+                    assert operators._corner_square_integral(side, alpha) == pytest.approx(
+                        refined_corner_integral(side, alpha, depth), rel=1e-12)
 
     def test_center_cell_against_polar_reference(self):
         # integral over [-h/2,h/2]^2 of |u|^(a-2) equals
         # 4 (h/2)^a * (2/a) * int_0^{pi/4} sec(theta)^a dtheta
         f = indicator_root(2, dim=2)
         a = 0.9
-        table = kernel_cell_table(KernelSpec(a, singular_depth=26), f)
+        table = kernel_cell_table(KernelSpec(a), f)
         c = f.cells_per_axis - 1
         h = f.cell_side
         thetas = np.linspace(0.0, np.pi / 4, 20001)
@@ -468,13 +481,14 @@ def overlap_table(f, d):
     return w if f.dim == 1 else np.multiply.outer(w, w)
 
 
-def row_blocks(m):
-    rows = max(1, operators._BLOCK // (2 * m - 1))
-    return -(-m // rows)
+def column_blocks(m, rows=1):
+    """Column blocks of one row offset that spans ``rows`` rows."""
+    cols = max(1, operators._BLOCK // (rows * (2 * m - 1)))
+    return -(-m // cols)
 
 
-# 1D grids below one row block, the largest that fits in one, and grids split
-# over several; 2D grids run the cell loop
+# 1D grids below one column block, the largest that fits in one, and grids
+# split over several; 2D grids at the default block size
 TOWER_GRIDS = [pytest.param(1, 3, 1, id="1d-small"),
                pytest.param(1, 7, 1, id="1d-one-block"),
                pytest.param(1, 8, 2, id="1d-two-blocks"),
@@ -487,7 +501,7 @@ TOWER_GRIDS = [pytest.param(1, 3, 1, id="1d-small"),
 class TestScaleTowerAgainstBruteForce:
     def operands(self, dim, depth, blocks):
         if blocks is not None:
-            assert row_blocks(2 ** depth) == blocks
+            assert column_blocks(2 ** depth) == blocks
         return rand_positive(40 + depth, depth, dim), rand_positive(60 + depth, depth, dim)
 
     def test_truncated_at_fractional_d(self, dim, depth, blocks):
@@ -528,6 +542,55 @@ class TestScaleTowerAgainstBruteForce:
                        for level, term in zip(fam.levels(), terms)], axis=0)
         got = m_alpha_bilinear(f, g, alpha, fam).fn.values
         assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("dim,depth", [pytest.param(dim, depth, id=f"{dim}d-depth{depth}")
+                                       for dim in (1, 2) for depth in (2, 3, 4)])
+class TestRowPassColumnBlocks:
+    """A block size of three columns at j0 = 0 splits the row offsets into
+    several column blocks, the last one ragged."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch, dim, depth):
+        m = 2 ** depth
+        rows = m if dim == 2 else 1
+        monkeypatch.setattr(operators, "_BLOCK", 3 * rows * (2 * m - 1))
+        assert column_blocks(m, rows) == -(-m // 3) > 1
+
+    def operands(self, dim, depth):
+        return rand_positive(80 + depth, depth, dim), rand_positive(90 + depth, depth, dim)
+
+    def test_one_scale(self, dim, depth):
+        f, g = self.operands(dim, depth)
+        table = kernel_cell_table(KernelSpec(0.7), f)
+        want, = tower_reference(f.values, g.values, table)
+        got = operators._correlate(f.values, g.values, table[..., None])[..., 0]
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+    def test_k_scales(self, dim, depth):
+        f, g = self.operands(dim, depth)
+        tables = [overlap_table(f, d) for d in (0.3, 2.0 ** -depth * 1.5, 1.0)]
+        tables.append(kernel_cell_table(KernelSpec(0.7), f))
+        want = tower_reference(f.values, g.values, *tables)
+        got = operators._correlate(f.values, g.values, np.stack(tables, axis=-1))
+        for scale, column in enumerate(want):
+            assert np.allclose(got[..., scale], column, rtol=1e-13, atol=0)
+
+
+def test_one_block_is_one_product():
+    # a 1D grid that fits one column block takes exactly the product
+    # (F*G) @ tables of the zero-padded matrices F[i, j] = f[i-j], G[i, j] = g[i+j]
+    m = 2 ** 7
+    assert column_blocks(m) == 1
+    f, g = rand_positive(100, 7), rand_positive(101, 7)
+    tables = np.stack([overlap_table(f, 0.3), kernel_cell_table(KernelSpec(0.7), f),
+                       overlap_table(f, 1.0)], axis=-1)
+    i, j = np.ogrid[:m, -(m - 1):m]
+
+    def padded(values, index):
+        return np.where((index >= 0) & (index < m), values[np.clip(index, 0, m - 1)], 0.0)
+    want = (padded(f.values, i - j) * padded(g.values, i + j)) @ tables
+    assert operators._correlate(f.values, g.values, tables).tobytes() == want.tobytes()
 
 
 def direct_i_alpha_2d(values, table):

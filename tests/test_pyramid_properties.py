@@ -11,16 +11,19 @@ gathers its per-cube sums into arrays and applies each formula as one array
 operation before its per-cube maximum loop.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from morreybench import (DyadicCube, GridFunction, cube_box, dyadic_family,  # noqa: E402
                          enumerate_subcubes, m_alpha_vector, m_triple_dyadic,
                          morrey_norm, pair_morrey_sup, read_mgf, triple, write_mgf)
+from morreybench.decomposition import choose_a, cz_decompose, verify_halving  # noqa: E402
 from morreybench.weights import (CharParams, WeightSystem, char_two_weight,  # noqa: E402
                                  pair_value)
 
@@ -139,6 +142,37 @@ def test_two_weight_pair_matches_pair_loop(case):
               * np.mean(slab(ws.w1, outer) ** -d) ** (1.0 / d)
               * np.mean(slab(ws.w2, outer) ** -d) ** (1.0 / d))
     assert rep.value == pytest.approx(direct, rel=1e-12)
+
+
+def halving_by_cube(sf, f):
+    """(ok, worst ratio, offender): |D_1| over the base, then every selected
+    cube's share in the next generation, each sliced through ``cube_box``."""
+    worst, offender = 0.0, None
+    tallies = [(sf.d_masks[0], [sf.base])] if sf.d_masks else []
+    tallies += zip(sf.d_masks[1:], ([sel.cube for sel in gen] for gen in sf.generations))
+    for mask, cubes in tallies:
+        for cube in cubes:
+            box = cube_box(f, cube)
+            ratio = mask[box.slices()].sum() / box.cells()
+            if ratio > worst:
+                worst, offender = ratio, cube
+    return worst <= 0.5, worst, offender
+
+
+@PROPERTY
+@given(case=scans(high=8))
+def test_halving_matches_cube_loop(case):
+    # every candidate of choose_a's doubling schedule, up to the certified one
+    (f, g), family = case
+    q0 = family.root
+    assume(q0.level > f.cell_level)
+    for a in (2.0 ** k for k in itertools.count(1)):
+        sf = cz_decompose(f, g, q0, a)
+        rep = verify_halving(sf, f, g)
+        assert (rep.ok, rep.worst_ratio, rep.offender) == halving_by_cube(sf, f)
+        if rep.ok:
+            break
+    assert choose_a(f, g, q0) == a
 
 
 @PROPERTY
