@@ -15,6 +15,7 @@ identical configurations produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -373,6 +374,7 @@ def _add_weight_flags(p) -> None:
     p.add_argument("--center", default="0")
 
 
+@functools.cache  # built on the first call, not at import; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="morreybench",
@@ -444,14 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="subset such as '1..3' or '1,7,12' (default: all)")
     p.set_defaults(func=_cmd_selftest)
     return ap
-
-
-def canonical_config(ns: argparse.Namespace) -> str:
-    """Canonical serialized form of a parsed run configuration."""
-    skip = {"func"}
-    items = sorted((k, v) for k, v in vars(ns).items()
-                   if k not in skip and v is not None)
-    return " ".join(f"{k}={v}" for k, v in items)
 
 
 def main(argv=None) -> int:

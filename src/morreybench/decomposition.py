@@ -17,6 +17,7 @@ only ever consumes the certified halving outcome, not the constant's origin.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -37,17 +38,31 @@ class SelectedCube:
 
 @dataclass
 class StoppingFamily:
+    grid: GridFunction                     # the grid whose cells the masks cover
     base: DyadicCube
     a: float
     generations: list[list[SelectedCube]]  # generations[k-1] holds level k
     e0_mask: np.ndarray                    # E_0 as a cell mask over the grid
-    e_masks: dict                          # (k, cube) -> cell mask
     d_masks: list[np.ndarray]              # D_1, D_2, ... as cell masks
     base_m: float                          # m_3Q of the base cube
 
     @property
     def kmax(self) -> int:
         return len(self.generations)
+
+    @functools.cached_property
+    def e_masks(self) -> dict:
+        """(k, cube) -> cell mask of E_jk = Q_jk minus D_{k+1}, built on first access."""
+        empty = np.zeros(self.e0_mask.shape, dtype=bool)
+        out = {}
+        for k, gen in enumerate(self.generations, 1):
+            nxt = self.d_masks[k] if k < len(self.d_masks) else empty
+            for sel in gen:
+                sl = cube_box(self.grid, sel.cube).slices()
+                emask = empty.copy()
+                emask[sl] = ~nxt[sl]
+                out[(k, sel.cube)] = emask
+        return out
 
     def rows(self, cell_volume: float) -> list[dict]:
         """CSV/JSON rows: k = 0 for the base cube and E_0, then every selected
@@ -90,42 +105,41 @@ def _decompose(f: GridFunction, q0: DyadicCube, a: float, m: list[np.ndarray]) -
     family = dyadic_family(q0, f.cell_level)
     max_m = max(float(level_m.max()) for level_m in m)
 
-    generations: list[list[SelectedCube]] = []
+    picks: list[list] = []  # per generation: (level, m values, cube indices) per level
     d_masks: list[np.ndarray] = []
     k = 1
     while max_m > a ** k:
         covered = np.zeros(m[0].shape, dtype=bool)
-        selected = []
+        picked = []
         for level, level_m in zip(family.levels(), m):
             if level < q0.level:
                 covered = spread(covered, 1)
             new = (level_m > a ** k) & ~covered
-            selected += [SelectedCube(family.cube(level, idx), float(level_m[tuple(idx)]), 0)
-                         for idx in np.argwhere(new)]
+            if new.any():
+                idx = np.nonzero(new)
+                picked.append((level, level_m[idx], idx))
             covered |= new
         mask = np.zeros(f.values.shape, dtype=bool)
         mask[base_box] = covered
-        generations.append(selected)
+        picks.append(picked)
         d_masks.append(mask)
         k += 1
 
-    empty = np.zeros(f.values.shape, dtype=bool)
-    e_masks = {}
-    for idx, gen in enumerate(generations):
-        next_mask = d_masks[idx + 1] if idx + 1 < len(d_masks) else empty
-        refreshed = []
-        for sel in gen:
-            sl = cube_box(f, sel.cube).slices()
-            emask = np.zeros(f.values.shape, dtype=bool)
-            emask[sl] = ~next_mask[sl]
-            e_masks[(idx + 1, sel.cube)] = emask
-            refreshed.append(SelectedCube(sel.cube, sel.m_value, int(emask.sum())))
-        generations[idx] = refreshed
+    # |E_jk| per selected cube: the cells of Q_jk that the next generation leaves free
+    generations: list[list[SelectedCube]] = []
+    for k, picked in enumerate(picks, 1):
+        free = ~d_masks[k][base_box] if k < len(d_masks) else np.ones(m[-1].shape, dtype=bool)
+        gen = []
+        for level, values, idx in picked:
+            cells = cube_blocks(free, level - f.cell_level).sum(axis=-1)[idx]
+            gen += [SelectedCube(family.cube(level, index), float(v), int(c))
+                    for index, v, c in zip(np.transpose(idx), values, cells)]
+        generations.append(gen)
     e0 = np.zeros(f.values.shape, dtype=bool)
     e0[base_box] = True
     if d_masks:
         e0 &= ~d_masks[0]
-    return StoppingFamily(q0, a, generations, e0, e_masks, d_masks, float(m[0].flat[0]))
+    return StoppingFamily(f, q0, a, generations, e0, d_masks, float(m[0].flat[0]))
 
 
 @dataclass(frozen=True)

@@ -180,9 +180,6 @@ class GridFunction:
         return GridFunction(self.dim, self.root, self.depth + extra,
                             spread(self.values, extra), self.flags)
 
-    def total_integral(self) -> float:
-        return float(self.values.sum()) * self.cell_volume
-
 
 def cube_box(grid: GridFunction, cube: DyadicCube) -> AlignedBox:
     """Cell-index box of a dyadic cube that lies inside the grid's root."""
@@ -279,14 +276,25 @@ def triple_sums(sums: np.ndarray) -> np.ndarray:
 # then 2**(n*L) decimal values, one per line, row-major (last axis fastest).
 # Writers emit 17 significant digits.
 
+_WRITE_CHUNK = 1 << 16  # values formatted per write
+
+
 def write_mgf(path, f: GridFunction) -> None:
+    """Write ``f`` as MGF/1, with ``\\n`` line ends on every platform.
+
+    The values are formatted ``_WRITE_CHUNK`` at a time, one bytes string
+    per chunk, so memory stays bounded on large grids; the bytes are exactly
+    those of one ``f"{v:.17g}\\n"`` per value.
+    """
     coords = ",".join(str(c) for c in f.root.coords)
     header = (f"MGF 1 dim={f.dim} rootlevel={f.root.level} "
-              f"rootcoords={coords} depth={f.depth} flags={f.flags}")
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for v in f.values.ravel(order="C"):
-            fh.write(f"{v:.17g}\n")
+              f"rootcoords={coords} depth={f.depth} flags={f.flags}\n")
+    flat = f.values.ravel(order="C")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        for start in range(0, flat.size, _WRITE_CHUNK):
+            chunk = flat[start:start + _WRITE_CHUNK].tolist()
+            fh.write((b"%.17g\n" * len(chunk)) % tuple(chunk))
 
 
 def read_mgf(path) -> GridFunction:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from morreybench import GridFunction, read_mgf, unit_root, write_mgf
-from morreybench.cli import build_parser, canonical_config, main, parse_number, parse_range
+import morreybench
+from morreybench import GridFunction, cli, read_mgf, unit_root, write_mgf
+from morreybench.cli import build_parser, main, parse_number, parse_range
 
 
 def write_step(path, values, flags="none"):
@@ -25,15 +30,46 @@ class TestParsing:
         assert parse_range("4..6") == (4, 5, 6)
         assert parse_range("1,7,12") == (1, 7, 12)
 
-    def test_config_roundtrip(self):
-        parser = build_parser()
-        argv = ["norm", "--kind", "morrey", "--p", "2", "--q", "1",
-                "--in", "f.mgf", "--family", "all"]
-        ns = parser.parse_args(argv)
-        canon = canonical_config(ns)
-        ns2 = parser.parse_args(argv)
-        assert canon == canonical_config(ns2)
-        assert "p=2.0" in canon and "family=all" in canon
+    def test_cached_parser_matches_a_fresh_one(self, tmp_path, capsys, monkeypatch):
+        # optional flags set, then the same command without them, in one process:
+        # the cached parser must carry nothing from one call to the next
+        path = tmp_path / "f.mgf"
+        write_step(path, np.repeat([1.0, 0.0], 8))
+        base = ["norm", "--kind", "morrey", "--p", "2", "--q", "1", "--in", str(path)]
+        runs = [base + ["--family", "all", "--min-level", "-2", "--json"], base]
+
+        def outputs():
+            return [(main(argv), capsys.readouterr()) for argv in runs]
+
+        cached = outputs()
+        assert build_parser() is build_parser()
+        for argv in runs:
+            assert (vars(build_parser().parse_args(argv))
+                    == vars(build_parser.__wrapped__().parse_args(argv)))
+        monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
+        assert outputs() == cached
+        assert [rc for rc, _ in cached] == [0, 0]
+        assert cached[0][1].out != cached[1][1].out  # the flags did change the output
+
+    def test_bad_flag_after_a_successful_call_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "f.mgf"
+        write_step(path, np.ones(8))
+        argv = ["norm", "--kind", "lebesgue", "--t", "2", "--in", str(path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert _exit_code(argv + ["--no-such-flag"]) == 2
+        assert "--no-such-flag" in capsys.readouterr().err
+        assert _exit_code(["norm", "--kind", "sideways", "--in", str(path)]) == 2
+        assert main(argv) == 0
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(morreybench.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import morreybench.cli as c; print(c.build_parser.cache_info().currsize)"
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        assert run.stdout.strip() == "0"
 
 
 class TestNormCommand:

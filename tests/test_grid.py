@@ -4,6 +4,7 @@ import pytest
 from morreybench import (DyadicCube, GridFunction, ParameterError, cube_box,
                          enumerate_subcubes, read_mgf, triple, unit_root,
                          write_mgf)
+from morreybench import grid
 from morreybench.grid import cube_blocks
 
 
@@ -124,12 +125,23 @@ class TestGridFunction:
         fine = f.refine(2)
         assert fine.depth == 5
         assert np.array_equal(fine.values, np.repeat(f.values, 4))
-        assert fine.total_integral() == pytest.approx(f.total_integral(), rel=1e-14)
+        assert fine.values.sum() * fine.cell_volume == pytest.approx(
+            f.values.sum() * f.cell_volume, rel=1e-14)
 
     def test_cube_box_alignment(self):
         f = step(2, 3, np.ones((8, 8)))
         box = cube_box(f, DyadicCube(-1, (1, 0)))
         assert box.lo == (4, 0) and box.hi == (8, 4)
+
+
+def write_mgf_per_value(path, f):
+    """The MGF/1 writer one ``write`` per value: the byte reference for ``write_mgf``."""
+    coords = ",".join(str(c) for c in f.root.coords)
+    with open(path, "w") as fh:
+        fh.write(f"MGF 1 dim={f.dim} rootlevel={f.root.level} "
+                 f"rootcoords={coords} depth={f.depth} flags={f.flags}\n")
+        for v in f.values.ravel(order="C"):
+            fh.write(f"{v:.17g}\n")
 
 
 class TestMgfFormat:
@@ -145,6 +157,24 @@ class TestMgfFormat:
             assert g.dim == dim and g.depth == depth and g.root == root
             assert g.flags == "pos"
             assert np.array_equal(g.values, f.values)
+
+    # Value counts are powers of two: a chunk of 3 always leaves a ragged last
+    # chunk, chunks of 1 and 4 always end on a chunk boundary.
+    @pytest.mark.parametrize("chunk", [1, 3, 4, 1 << 16])
+    @pytest.mark.parametrize("dim, depth, rootlevel", [(1, 0, 0), (1, 3, -2), (2, 2, 1)])
+    def test_chunked_writer_matches_per_value_writer(self, tmp_path, monkeypatch,
+                                                     chunk, dim, depth, rootlevel):
+        monkeypatch.setattr(grid, "_WRITE_CHUNK", chunk)
+        special = [-0.0, 5e-324, 1e308, 0.1, 3.0, -7.0, 0.0, 1.0, -1e-300, 2.0 ** 53, 1 / 3]
+        f = GridFunction(dim, DyadicCube(rootlevel, (1,) * dim), depth,
+                         np.resize(special, (2 ** depth,) * dim))
+        chunked, per_value = tmp_path / "chunked.mgf", tmp_path / "per_value.mgf"
+        write_mgf(chunked, f)
+        write_mgf_per_value(per_value, f)
+        assert chunked.read_bytes() == per_value.read_bytes()
+        back = read_mgf(chunked).values
+        assert np.array_equal(back, f.values)
+        assert np.array_equal(np.signbit(back), np.signbit(f.values))  # -0.0 survives
 
     def test_header_layout(self, tmp_path):
         f = step(1, 1, [0.5, 2.0])

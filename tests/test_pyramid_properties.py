@@ -23,7 +23,8 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from morreybench import (DyadicCube, GridFunction, cube_box, dyadic_family,  # noqa: E402
                          enumerate_subcubes, m_alpha_vector, m_triple_dyadic,
                          morrey_norm, pair_morrey_sup, read_mgf, triple, write_mgf)
-from morreybench.decomposition import choose_a, cz_decompose, verify_halving  # noqa: E402
+from morreybench.decomposition import (CZ_COLUMNS, choose_a, cz_decompose,  # noqa: E402
+                                       verify_halving)
 from morreybench.weights import (CharParams, WeightSystem, char_two_weight,  # noqa: E402
                                  pair_value)
 
@@ -142,6 +143,40 @@ def test_two_weight_pair_matches_pair_loop(case):
               * np.mean(slab(ws.w1, outer) ** -d) ** (1.0 / d)
               * np.mean(slab(ws.w2, outer) ** -d) ** (1.0 / d))
     assert rep.value == pytest.approx(direct, rel=1e-12)
+
+
+def e_sets_by_cube(sf, f):
+    """(k, cube) -> mask of E_jk = Q_jk minus D_{k+1}, each cube sliced through ``cube_box``."""
+    nexts = sf.d_masks[1:] + [np.zeros(f.values.shape, dtype=bool)]
+    out = {}
+    for k, (gen, nxt) in enumerate(zip(sf.generations, nexts), 1):
+        for sel in gen:
+            sl = cube_box(f, sel.cube).slices()
+            mask = np.zeros(f.values.shape, dtype=bool)
+            mask[sl] = ~nxt[sl]
+            out[(k, sel.cube)] = mask
+    return out
+
+
+@PROPERTY
+@given(case=scans(high=8), a=st.sampled_from([1.5, 2.0, 3.0, 8.0]))
+def test_e_sets_match_cube_loop(case, a):
+    (f, g), family = case
+    q0 = family.root
+    assume(q0.level > f.cell_level)
+    sf = cz_decompose(f, g, q0, a)
+    ref = e_sets_by_cube(sf, f)
+    assert [sel.e_cells for gen in sf.generations for sel in gen] == [
+        int(mask.sum()) for mask in ref.values()]
+    assert list(sf.e_masks) == list(ref)
+    assert all(np.array_equal(sf.e_masks[key], mask) for key, mask in ref.items())
+    m_values = [sel.m_value for gen in sf.generations for sel in gen]
+    rows = [(0, q0, sf.base_m, float(sf.e0_mask.sum()))]
+    rows += [(k, cube, m, int(mask.sum())) for ((k, cube), mask), m in zip(ref.items(), m_values)]
+    assert sf.rows(f.cell_volume) == [
+        dict(zip(CZ_COLUMNS, (k, cube.level, ";".join(str(c) for c in cube.coords),
+                              m, cells * f.cell_volume)))
+        for k, cube, m, cells in rows]
 
 
 def halving_by_cube(sf, f):
