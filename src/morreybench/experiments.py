@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import relations
 from .grid import (DyadicCube, GridFunction, cube_blocks, cube_box,
                    enumerate_subcubes, unit_root)
 from .norms import (CubeFamily, aligned_family, dyadic_family, family_max,
@@ -65,89 +66,13 @@ class ExponentProfile:
     a: float | None = None
 
     def violations(self, theorem: str) -> list[str]:
-        return profile_violations(self, theorem)
+        if theorem not in THEOREMS:
+            return [f"unknown theorem id {theorem!r}"]
+        return relations.violations(self, theorem)
 
     def validate(self, theorem: str) -> "ExponentProfile":
         refuse(f"hypotheses of {theorem} violated", self.violations(theorem))
         return self
-
-
-def profile_violations(pr: ExponentProfile, theorem: str) -> list[str]:
-    if theorem not in THEOREMS:
-        return [f"unknown theorem id {theorem!r}"]
-    if theorem in ("two-weight", "one-weight"):
-        return []  # validated through CharParams by the caller
-    n, alpha = pr.n, pr.alpha
-    if not (0.0 < alpha < n):
-        return ["0 < alpha < n"]  # the relations below divide by alpha or scale with it
-    v = []
-    if theorem in ("bilinear-ratio", "bilinear-sum", "bilinear-critical"):
-        for qi, pi, tag in ((pr.q1, pr.p1, "1"), (pr.q2, pr.p2, "2")):
-            if not (1.0 < qi <= pi):
-                v.append(f"1 < q{tag} <= p{tag}")
-        if not (1.0 / pr.q1 + 1.0 / pr.q2 < 1.0):
-            v.append("1/q1 + 1/q2 < 1")
-    if theorem in ("bilinear-ratio", "bilinear-sum"):
-        if not (1.0 < pr.t <= pr.s):
-            v.append("1 < t <= s")
-        if not close(1.0 / pr.s, 1.0 / pr.p1 + 1.0 / pr.p2 - alpha / n):
-            v.append("1/s = 1/p1 + 1/p2 - alpha/n")
-    if theorem == "bilinear-ratio":
-        if not (close(pr.t / pr.s, pr.q1 / pr.p1)
-                and close(pr.t / pr.s, pr.q2 / pr.p2)):
-            v.append("t/s = q1/p1 = q2/p2")
-    if theorem == "bilinear-sum":
-        if not close(1.0 / pr.t, 1.0 / pr.q1 + 1.0 / pr.q2 - alpha / n):
-            v.append("1/t = 1/q1 + 1/q2 - alpha/n")
-    if theorem == "bilinear-critical":
-        if not close(pr.p1, n / alpha):
-            v.append("p1 = n/alpha")
-        if not (pr.p2 < pr.q2 * n / alpha):
-            v.append("p2 < q2 n/alpha")
-    if theorem == "linear-adams":
-        if not (1.0 < pr.q1 <= pr.p1):
-            v.append("1 < q <= p")
-        if not (1.0 < pr.t <= pr.s):
-            v.append("1 < t <= s")
-        if not close(1.0 / pr.s, 1.0 / pr.p1 - alpha / n):
-            v.append("1/s = 1/p - alpha/n")
-        if not close(pr.t / pr.s, pr.q1 / pr.p1):
-            v.append("t/s = q/p")
-    if theorem == "product-embedding":
-        if not (1.0 < pr.q1 <= pr.p1):
-            v.append("1 < p <= p0")
-        if not (1.0 < pr.q2 <= pr.p2):
-            v.append("1 < q <= q0")
-        if not (1.0 < pr.t <= pr.s):
-            v.append("1 < r <= r0")
-        if not (pr.q2 > pr.t):
-            v.append("q > r")
-        if not (1.0 / pr.p1 > alpha / n):
-            v.append("1/p0 > alpha/n")
-        if not (1.0 / pr.p2 <= alpha / n):
-            v.append("1/q0 <= alpha/n")
-        if not close(1.0 / pr.s, 1.0 / pr.p1 + 1.0 / pr.p2 - alpha / n):
-            v.append("1/r0 = 1/p0 + 1/q0 - alpha/n")
-        if not close(pr.t / pr.s, pr.q1 / pr.p1):
-            v.append("r/r0 = p/p0")
-    if theorem == "olsen":
-        if not (1.0 < pr.q1 and 1.0 < pr.q2):
-            v.append("1 < q1, q2")
-        if not (0.0 < pr.t <= pr.s < 1.0):
-            v.append("0 < t <= s < 1")
-        elif pr.r != INF and not (pr.s / (1.0 - pr.s) < pr.r):
-            v.append("s/(1-s) < r")
-        r_inv = recip(pr.r)
-        if not (alpha / n > r_inv):
-            v.append("alpha/n > 1/r")
-        if not close(1.0 / pr.s, 1.0 / pr.p + r_inv - alpha / n):
-            v.append("1/s = 1/p + 1/r - alpha/n")
-        q = recip(1.0 / pr.q1 + 1.0 / pr.q2)
-        if not close(pr.t / pr.s, q / pr.p):
-            v.append("t/s = q/p")
-        if not (pr.a is not None and pr.a > 1.0):
-            v.append("a > 1")
-    return v
 
 
 # --- function zoo --------------------------------------------------------------
@@ -367,19 +292,7 @@ class SharpnessConfig:
         return recip(1.0 / self.p1 + 1.0 / self.p2 - self.alpha / self.n)
 
     def validate(self) -> "SharpnessConfig":
-        if self.n != 1:
-            raise ParameterError("sharpness harness is one-dimensional")
-        if not (0.0 < self.alpha < self.n):
-            raise ParameterError("0 < alpha < n fails")
-        for qi, pi in ((self.q1, self.p1), (self.q2, self.p2)):
-            if not (0.0 < qi <= pi):
-                raise ParameterError("0 < q_i <= p_i fails")
-        if not 0.0 < self.s < INF:
-            raise ParameterError("1/s = 1/p1 + 1/p2 - alpha/n must be positive")
-        if not (0.0 < self.t <= self.s):
-            raise ParameterError("0 < t <= s fails")
-        if self.depth_extra < 1:
-            raise ParameterError("depth_extra must be >= 1 to align triples")
+        refuse("invalid sharpness configuration", relations.violations(self, "sharpness"))
         return self
 
 
@@ -539,31 +452,8 @@ class SteinWeissParams:
         return self.beta + self.gamma1 + self.gamma2
 
     def violations(self, require_weight_conditions: bool = True) -> list[str]:
-        n = self.n
-        if not (0.0 < self.alpha < n):
-            return ["0 < alpha < n"]  # s and t below are meaningless then
-        v = []
-        for qi, pi, tag in ((self.q1, self.p1, "1"), (self.q2, self.p2, "2")):
-            if not (1.0 < qi <= pi):
-                v.append(f"1 < q{tag} <= p{tag}")
-        if self.r != INF and self.alpha < n and not (n / (n - self.alpha) < self.r):
-            v.append("n/(n-alpha) < r")
-        if not (0.0 < self.t <= self.s < 1.0):
-            v.append("0 < t <= s < 1")
-        if not (1.0 < self.a < min(self.q1, self.q2)):
-            v.append("1 < a < min(q1, q2)")
-        if not (self.beta < n * (1.0 / self.s - 1.0)):
-            v.append("beta < n (1/s - 1)")
-        for gi, qi, tag in ((self.gamma1, self.q1, "1"), (self.gamma2, self.q2, "2")):
-            if not (gi < n * (1.0 - 1.0 / qi)):
-                v.append(f"gamma{tag} < n/q{tag}'")
-        if require_weight_conditions:
-            balance = n + n / self.t - n / self.q1 - n / self.q2
-            if not close(self.alpha + self.sigma, balance):
-                v.append("alpha + beta + gamma1 + gamma2 = n + n/t - n/q1 - n/q2")
-            if not (self.sigma >= 0.0):
-                v.append("beta + gamma1 + gamma2 >= 0")
-        return v
+        return relations.violations(
+            self, "stein-weiss-weights" if require_weight_conditions else "stein-weiss")
 
 
 @dataclass
@@ -732,19 +622,7 @@ class FsDualParams:
     s2: float
 
     def violations(self) -> list[str]:
-        v = list(self.cp.violations())
-        for si, ri, tag in ((self.s1, self.r1, "1"), (self.s2, self.r2, "2")):
-            if not (0.0 < si < 1.0):
-                v.append(f"0 < s{tag} < 1")
-            elif ri != INF and not (si / (1.0 - si) < ri):
-                v.append(f"s{tag}/(1-s{tag}) < r{tag}")
-        want = (1.0 - self.cp.s) / (self.cp.a * self.cp.s)
-        got = (1.0 - self.s1) / self.s1 + (1.0 - self.s2) / self.s2
-        if not close(want, got):
-            v.append("(1-s)/(as) = (1-s1)/s1 + (1-s2)/s2")
-        if not close(recip(self.cp.r), recip(self.r1) + recip(self.r2)):
-            v.append("1/r = 1/r1 + 1/r2")
-        return v
+        return self.cp.violations() + relations.violations(self, "fs-dual")
 
 
 @dataclass

@@ -197,7 +197,7 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
     powered = np.abs(f.values) ** q
     m = f.cells_per_axis
     h = f.cell_side
-    best_val, best_box = -1.0, None
+    best_val, best_at = -1.0, None
     if f.dim == 1:
         prefix = np.concatenate([[0.0], powered.cumsum()])
         for s in family.aligned_sizes:
@@ -206,8 +206,7 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
             measure = (s * h)
             val = measure ** (1.0 / p) * (windows[i] / s) ** (1.0 / q)
             if val > best_val:
-                best_val = val
-                best_box = AlignedBox((i,), (i + s,))
+                best_val, best_at = val, ((i,), (i + s,))
     else:
         t = np.zeros((m + 1, m + 1))
         t[1:, 1:] = powered.cumsum(axis=0).cumsum(axis=1)
@@ -218,9 +217,8 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
             measure = (s * h) ** 2
             val = measure ** (1.0 / p) * (win[i0, i1] / s ** 2) ** (1.0 / q)
             if val > best_val:
-                best_val = val
-                best_box = AlignedBox((i0, i1), (i0 + s, i1 + s))
-    return NormReport(best_val, best_box)
+                best_val, best_at = val, ((i0, i1), (i0 + s, i1 + s))
+    return NormReport(best_val, AlignedBox(*best_at) if best_at else None)
 
 
 def pair_morrey_sup(f: GridFunction, g: GridFunction, p: float,

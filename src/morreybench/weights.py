@@ -26,34 +26,23 @@ attaining pair's value reproduces bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import relations
 from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, spread
 from .norms import CubeFamily, cell_sup, dyadic_levels, family_max
-from .util import INF, ParameterError, close, conjugate, power_mean, recip, refuse
+from .util import INF, ParameterError, conjugate, power_mean, recip, refuse
 
 
 # --- weight systems ---------------------------------------------------------
-
-@dataclass(frozen=True)
-class PowerWeightSpec:
-    """Synthetic descriptor: v = |x - c|**(-beta), w_i = |x - c|**(gamma_i)."""
-
-    beta: float
-    gamma1: float
-    gamma2: float
-    center: tuple[float, ...]
-
 
 @dataclass
 class WeightSystem:
     v: GridFunction
     w1: GridFunction
     w2: GridFunction
-    synthetic: PowerWeightSpec | None = None
 
     def __post_init__(self):
         for name, w in (("v", self.v), ("w1", self.w1), ("w2", self.w2)):
@@ -62,14 +51,6 @@ class WeightSystem:
         if (self.v.root != self.w1.root or self.v.root != self.w2.root
                 or self.v.depth != self.w1.depth or self.v.depth != self.w2.depth):
             raise ParameterError("weights must share one grid")
-
-    def regenerate(self) -> "WeightSystem":
-        """Rebuild the grid data from the synthetic descriptor (exactly)."""
-        if self.synthetic is None:
-            raise ParameterError("weight system has no synthetic descriptor")
-        return power_system(self.synthetic.beta, self.synthetic.gamma1,
-                            self.synthetic.gamma2, self.synthetic.center,
-                            self.v.root, self.v.depth)
 
 
 def power_weight(beta: float, center, root: DyadicCube, depth: int) -> GridFunction:
@@ -90,21 +71,18 @@ def power_weight(beta: float, center, root: DyadicCube, depth: int) -> GridFunct
     origin = root.lower()
     if dim == 1:
         edges = origin[0] + h * np.arange(m + 1) - center[0]
-        vals = np.empty(m)
-        for i in range(m):
-            a, b = edges[i], edges[i + 1]
-            if beta <= -1.0 and a <= 0.0 <= b:
-                raise ParameterError(
-                    f"cell [{a + center[0]}, {b + center[0]}) touches the center: "
-                    f"|x|**({beta}) is not integrable there")
-            if beta == -1.0:
-                integral = abs(math.log(abs(b / a)))
-            else:
-                def anti(u):
-                    return math.copysign(abs(u) ** (beta + 1.0), u) / (beta + 1.0)
-                integral = anti(b) - anti(a)
-            vals[i] = integral / (b - a)
-        return GridFunction(1, root, depth, vals, "pos")
+        a, b = edges[:-1], edges[1:]
+        touching = (a <= 0.0) & (0.0 <= b)
+        if beta <= -1.0 and touching.any():
+            i = int(np.argmax(touching))
+            raise ParameterError(
+                f"cell [{a[i] + center[0]}, {b[i] + center[0]}) touches the center: "
+                f"|x|**({beta}) is not integrable there")
+        if beta == -1.0:
+            integral = np.abs(np.log(np.abs(b / a)))
+        else:
+            integral = np.diff(np.copysign(np.abs(edges) ** (beta + 1.0), edges)) / (beta + 1.0)
+        return GridFunction(1, root, depth, integral / (b - a), "pos")
     mids0 = origin[0] + h * (np.arange(m) + 0.5) - center[0]
     mids1 = origin[1] + h * (np.arange(m) + 0.5) - center[1]
     x0, x1 = np.meshgrid(mids0, mids1, indexing="ij")
@@ -128,9 +106,7 @@ def power_system(beta: float, gamma1: float, gamma2: float, center,
     v = power_weight(-beta, center, root, depth)
     w1 = power_weight(gamma1, center, root, depth)
     w2 = power_weight(gamma2, center, root, depth)
-    return WeightSystem(v, w1, w2,
-                        PowerWeightSpec(beta, gamma1, gamma2,
-                                        tuple(float(c) for c in (center if np.iterable(center) else (center,)))))
+    return WeightSystem(v, w1, w2)
 
 
 # --- parameters --------------------------------------------------------------
@@ -159,66 +135,9 @@ class CharParams:
 
     def violations(self) -> list[str]:
         """Names of violated side conditions; empty when valid for the variant."""
-        v = []
-        cp = self
-        if cp.variant not in VARIANTS:
-            return [f"unknown variant {cp.variant!r}"]
-        if cp.variant == "testing":
-            if not (0.0 <= cp.alpha < cp.n):
-                v.append("0 <= alpha < n")
-            if not (1.0 <= cp.t <= cp.s):
-                v.append("1 <= t <= s")
-            if not (cp.alpha / cp.n >= recip(cp.r) >= 0.0):
-                v.append("alpha/n >= 1/r >= 0")
-        else:
-            if not (0.0 < cp.alpha < cp.n):
-                v.append("0 < alpha < n")
-            if not (0.0 < cp.t <= 1.0):
-                v.append("0 < t <= 1")
-            if not (cp.t <= cp.s):
-                v.append("t <= s")
-        if not (1.0 < cp.q1 and 1.0 < cp.q2):
-            v.append("1 < q1, q2")
-        if not (0.0 < cp.q <= cp.p):
-            v.append("0 < q <= p")
-        if not close(cp.t / cp.s, cp.q / cp.p):
-            v.append("t/s = q/p")
-        one_weight = cp.variant.startswith("one-weight")
-        if one_weight:
-            if cp.r != INF:
-                v.append("r = inf (one-weight)")
-            if not close(1.0 / cp.s, 1.0 / cp.p - cp.alpha / cp.n):
-                v.append("1/s = 1/p - alpha/n")
-            if not cp.a > 1.0:
-                v.append("a > 1")
-        elif cp.variant != "testing":
-            if cp.r != INF and cp.r <= 0:
-                v.append("0 < r <= inf")
-            if not (cp.alpha / cp.n > recip(cp.r)):
-                v.append("alpha/n > 1/r")
-        if not one_weight and not close(1.0 / cp.s, 1.0 / cp.p + recip(cp.r) - cp.alpha / cp.n):
-            v.append("1/s = 1/p + 1/r - alpha/n")
-        if cp.variant in ("s<1", "remark", "one-weight-s<1"):
-            if not cp.s < 1.0:
-                v.append("s < 1")
-        if cp.variant in ("s>=1", "one-weight-s>=1"):
-            if not cp.s >= 1.0:
-                v.append("s >= 1")
-        if cp.variant == "s<1":
-            if cp.r != INF and cp.s < 1.0 and not (cp.s / (1.0 - cp.s) < cp.r):
-                v.append("s/(1-s) < r")
-            bound = min(cp.q1, cp.q2)
-            if cp.r != INF:
-                bound = min(bound, cp.r * (1.0 - cp.s) / cp.s)
-            if not (1.0 < cp.a < bound):
-                v.append("1 < a < min(r(1-s)/s, q1, q2)")
-        if cp.variant in ("s>=1",):
-            if not (1.0 < cp.a < min(cp.q1, cp.q2)):
-                v.append("1 < a < min(q1, q2)")
-        if cp.variant == "remark":
-            if not (1.0 < cp.a < min(cp.q1, cp.q2)):
-                v.append("1 < a < min(q1, q2)")
-        return v
+        if self.variant not in VARIANTS:
+            return [f"unknown variant {self.variant!r}"]
+        return relations.violations(self, self.variant)
 
     def validate(self) -> "CharParams":
         refuse("invalid parameters", self.violations())

@@ -402,6 +402,22 @@ class TestExitContract:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,relations", [
+        pytest.param(["char", "--kind", "two-weight", "--alpha", "2", *TWO_WEIGHT[2:], "--s", "4/5"],
+                     ["0 < alpha < n"], id="alpha-alone"),
+        pytest.param(["experiment", "sharpness", "--dim", "2", *SHARPNESS, "--deltas", "2",
+                      "--out", "O"], ["sharpness harness is one-dimensional", "0 < t <= s"],
+                     id="sharpness-2d"),
+    ])
+    def test_failed_relations_named(self, tmp_path, capsys, argv, relations):
+        # a failing 0 < alpha < n is named alone, since the relations after
+        # it divide by alpha; a sharpness refusal names every failed relation
+        argv = [str(tmp_path / "o") if a == "O" else a for a in argv]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.rstrip("\n").split(": ", 2)[2].split("; ") == relations
+        assert not (tmp_path / "o").exists()
+
 
 class TestSelftestAgreement:
     def test_ratio_columns_equal_criterion_12_artifact(self, tmp_path):

@@ -28,3 +28,13 @@ def test_no_module_imports_cli():
         if names & {".cli", "morreybench.cli"}:
             offenders.append(path.name)
     assert offenders == []
+
+
+def test_relations_imports_only_util():
+    # weights and experiments both import relations, so any other package
+    # import there could close an import cycle
+    tree = ast.parse((PACKAGE / "relations.py").read_text())
+    relative = {node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.level > 0}
+    absolute = {name for name in _imported_modules(tree) if name.startswith("morreybench")}
+    assert relative == {"util"} and absolute == set()

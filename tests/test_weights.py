@@ -84,12 +84,44 @@ class TestPowerWeight:
         xx, yy = np.meshgrid(mids, mids, indexing="ij")
         assert np.allclose(w.values, np.hypot(xx, yy) ** 1.5, rtol=1e-14)
 
-    def test_synthetic_regeneration_exact(self):
-        ws = power_system(0.02, 0.01, 0.03, 0.0, unit_root(1), 4)
-        again = ws.regenerate()
-        assert np.array_equal(ws.v.values, again.v.values)
-        assert np.array_equal(ws.w1.values, again.w1.values)
-        assert np.array_equal(ws.w2.values, again.w2.values)
+
+def _loop_power_weight_1d(beta, center, root, depth):
+    """The per-cell reference: the antiderivative of |u|**beta cell by cell."""
+    m, h = 2 ** depth, 2.0 ** (root.level - depth)
+    edges = root.lower()[0] + h * np.arange(m + 1) - center
+    vals = np.empty(m)
+    for i in range(m):
+        a, b = edges[i], edges[i + 1]
+        if beta <= -1.0 and a <= 0.0 <= b:
+            raise ParameterError(
+                f"cell [{a + center}, {b + center}) touches the center: "
+                f"|x|**({beta}) is not integrable there")
+        if beta == -1.0:
+            integral = abs(math.log(abs(b / a)))
+        else:
+            def anti(u):
+                return math.copysign(abs(u) ** (beta + 1.0), u) / (beta + 1.0)
+            integral = anti(b) - anti(a)
+        vals[i] = integral / (b - a)
+    return vals
+
+
+@pytest.mark.parametrize("beta", [-2.5, -1.0, -0.5, 0.0, 0.3, 1.0, 2.5])
+@pytest.mark.parametrize("center", [0.0, 0.375, 0.3, -0.7, 1.0, 1.5])
+@pytest.mark.parametrize("root,depth", [(unit_root(1), 0), (unit_root(1), 5),
+                                        (DyadicCube(0, (1,)), 3), (DyadicCube(2, (-1,)), 6)])
+def test_power_weight_1d_matches_per_cell_loop(beta, center, root, depth):
+    # centers on a cell edge (0, 0.375, 1), inside a cell and outside the grid;
+    # refusals name the same first cell touching the center
+    try:
+        want = _loop_power_weight_1d(beta, center, root, depth)
+    except ParameterError as exc:
+        with pytest.raises(ParameterError) as info:
+            power_weight(beta, center, root, depth)
+        assert str(info.value) == str(exc)
+        return
+    got = power_weight(beta, center, root, depth).values
+    np.testing.assert_allclose(got, want, rtol=1e-10, atol=0.0)
 
 
 class TestCharParams:
