@@ -23,11 +23,11 @@ import numpy as np
 
 from . import relations
 from .grid import (DyadicCube, GridFunction, cube_blocks, cube_box,
-                   enumerate_subcubes, unit_root)
-from .norms import (CubeFamily, aligned_family, dyadic_family, family_max,
-                    morrey_norm, pair_morrey_sup)
-from .operators import (KernelSpec, b_alpha, i_alpha, m_alpha_bilinear,
-                        m_alpha_vector)
+                   enumerate_subcubes, require_finite, unit_root)
+from .norms import (CubeFamily, _morrey_dyadic, _pair_sup, aligned_family,
+                    dyadic_family, family_max, morrey_norm, pair_morrey_sup)
+from .operators import (KernelSpec, _bilinear_maximal, _vector_maximal, b_alpha,
+                        i_alpha)
 from .util import (INF, NumericalError, ParameterError, close, conjugate,
                    make_rng, recip, refuse)
 from .weights import (CharParams, WeightSystem, char_one_weight, char_testing,
@@ -560,53 +560,56 @@ def necessity_check(ws: WeightSystem, cp: CharParams, family: CubeFamily,
     (2) The single-cube testing constant must not exceed the empirical
         operator constant (the worst harness ratio) by more than the
         recorded factor.
+
+    Every probe and every pair is one item of a stack on the weight grid, so
+    each operator and each supremum is one call over all of them.
     """
-    cp = CharParams(**{**cp.__dict__, "variant": "testing"}).validate()
+    char = char_testing(ws, cp, family).value  # refuses parameters off the testing rows
     grid = ws.v
     n = grid.dim
     d1, d2 = conjugate(cp.q1), conjugate(cp.q2)
-    c_cube, c_trunc = 0.0, 0.0
-    exact_ok = True
-    extremal_pairs = []
     lowest = max(family.min_level, grid.cell_level + 1)
-    probe_cubes = (enumerate_subcubes(family.root, lowest)[:24]
-                   if lowest <= family.root.level else [])
-    for cube in probe_cubes:
-        sl = cube_box(grid, cube).slices()
-        fvals = np.zeros_like(grid.values)
-        gvals = np.zeros_like(grid.values)
-        fvals[sl] = ws.w1.values[sl] ** (-d1)
-        gvals[sl] = ws.w2.values[sl] ** (-d2)
-        f = grid.with_values(fvals, "nonneg")
-        g = grid.with_values(gvals, "nonneg")
-        extremal_pairs.append((f"extremal-{cube.level}-{cube.coords}", f, g))
-        lhs = (cube.volume ** (cp.alpha / n) * float(ws.v.values[sl].max())
-               * float(fvals[sl].mean()) * float(gvals[sl].mean()))
-        m_vec = m_alpha_vector(f, g, cp.alpha, 1.0, 1.0, family).fn.values
-        m_tr = m_alpha_bilinear(f, g, cp.alpha, family).fn.values
-        rhs_vec = float(np.mean((m_vec[sl] * ws.v.values[sl]) ** cp.t)) ** (1.0 / cp.t)
-        rhs_tr = float(np.mean((m_tr[sl] * ws.v.values[sl]) ** cp.t)) ** (1.0 / cp.t)
-        c_cube = max(c_cube, lhs / rhs_vec)
-        c_trunc = max(c_trunc, lhs / rhs_tr)
-        # exact unweighted floor: chi_Q inputs, v = 1, cube-sup variant
-        ind = grid.with_values((fvals > 0).astype(float), "nonneg")
-        m_ind = m_alpha_vector(ind, ind, cp.alpha, 1.0, 1.0, family).fn.values
-        floor_rhs = float(np.mean(m_ind[sl] ** cp.t)) ** (1.0 / cp.t)
-        if floor_rhs < cube.volume ** (cp.alpha / n) * (1.0 - 1e-12):
-            exact_ok = False
+    probes = (enumerate_subcubes(family.root, lowest)[:24]
+              if lowest <= family.root.level else [])
+    # the probe inputs chi_Q w1**-q1', chi_Q w2**-q2' and chi_Q, one stack item per cube
+    inside = np.zeros((len(probes),) + grid.values.shape, dtype=bool)
+    for k, cube in enumerate(probes):
+        inside[(k,) + cube_box(grid, cube).slices()] = True
+    f_probe = np.where(inside, ws.w1.values ** -d1, 0.0)
+    g_probe = np.where(inside, ws.w2.values ** -d2, 0.0)
+    require_finite(f_probe, g_probe)
+    axes = tuple(range(1, n + 1))
+    cells = inside.sum(axis=axes)
+    scale = np.array([cube.volume for cube in probes]) ** (cp.alpha / n)
+    product = (scale * (ws.v.values * inside).max(axis=axes, initial=0.0)
+               * (f_probe.sum(axis=axes) / cells) * (g_probe.sum(axis=axes) / cells))
+
+    def local(m):  # (avg_Q m**t)**(1/t) on each probe's own cube
+        return ((np.where(inside, m, 0.0) ** cp.t).sum(axis=axes) / cells) ** (1.0 / cp.t)
+    m_vec = _vector_maximal(grid, f_probe, g_probe, cp.alpha, 1.0, 1.0, family)
+    m_tr = _bilinear_maximal(grid, f_probe, g_probe, cp.alpha, family)
+    c_cube = float(np.fmax.reduce(product / local(m_vec * ws.v.values), initial=0.0))
+    c_trunc = float(np.fmax.reduce(product / local(m_tr * ws.v.values), initial=0.0))
+    # exact unweighted floor: chi_Q inputs, v = 1, cube-sup variant
+    chi = inside.astype(float)
+    m_ind = _vector_maximal(grid, chi, chi, cp.alpha, 1.0, 1.0, family)
+    exact_ok = bool(np.all(local(m_ind) >= scale * (1.0 - 1e-12)))
+
+    # the operator constant over the given pairs and the extremal probe pairs
     if pairs is None:
         pairs = make_pairs("step", 4, seed, grid.depth, n)
-    op_const = 0.0
-    for name, f, g in list(pairs) + extremal_pairs:
-        mb = m_alpha_bilinear(f, g, cp.alpha, family).fn
-        weighted = mb.with_values(mb.values * ws.v.values)
-        lhs = morrey_norm(weighted, cp.s, cp.t, family).value
-        fw = f.with_values(np.abs(f.values) * ws.w1.values)
-        gw = g.with_values(np.abs(g.values) * ws.w2.values)
-        rhs = pair_morrey_sup(fw, gw, cp.p, cp.q1, cp.q2, family).value
-        if rhs > 0:
-            op_const = max(op_const, lhs / rhs)
-    char = char_testing(ws, cp, family).value
+    pairs = list(pairs)
+    if any(h.root != grid.root or h.depth != grid.depth for _, f, g in pairs for h in (f, g)):
+        raise ParameterError("necessity pairs must live on the weight grid")
+    pair_f = np.reshape([f.values for _, f, _ in pairs], (-1,) + grid.values.shape)
+    pair_g = np.reshape([g.values for _, _, g in pairs], (-1,) + grid.values.shape)
+    mb = np.concatenate([_bilinear_maximal(grid, pair_f, pair_g, cp.alpha, family), m_tr])
+    fv, gv = np.concatenate([pair_f, f_probe]), np.concatenate([pair_g, g_probe])
+    weighted, fw, gw = mb * ws.v.values, np.abs(fv) * ws.w1.values, np.abs(gv) * ws.w2.values
+    require_finite(weighted, fw, gw)
+    lhs = _morrey_dyadic(grid, weighted, cp.s, cp.t, family)[0]
+    rhs = _pair_sup(grid, fw, gw, cp.p, cp.q1, cp.q2, family)[0]
+    op_const = float(np.fmax.reduce(lhs[rhs > 0] / rhs[rhs > 0], initial=0.0))
     ratio = char / op_const if op_const > 0 else INF
     return NecessityReport(char, op_const, ratio, exact_ok, c_cube, c_trunc)
 

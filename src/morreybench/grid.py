@@ -136,8 +136,7 @@ class GridFunction:
         want = (2 ** self.depth,) * self.dim
         if self.values.shape != want:
             raise ParameterError(f"values shape {self.values.shape} != {want}")
-        if not np.all(np.isfinite(self.values)):
-            raise ParameterError("grid values must be finite (no nan or inf)")
+        require_finite(self.values)
         if self.flags not in _FLAGS:
             raise ParameterError(f"flags must be one of {_FLAGS}")
         if self.flags == "nonneg" and self.values.min() < 0:
@@ -179,6 +178,12 @@ class GridFunction:
             raise ParameterError("refine expects extra >= 0")
         return GridFunction(self.dim, self.root, self.depth + extra,
                             spread(self.values, extra), self.flags)
+
+
+def require_finite(*arrays: np.ndarray) -> None:
+    """Refuse grid values with a nan or an inf."""
+    if not all(np.all(np.isfinite(values)) for values in arrays):
+        raise ParameterError("grid values must be finite (no nan or inf)")
 
 
 def cube_box(grid: GridFunction, cube: DyadicCube) -> AlignedBox:
@@ -230,25 +235,30 @@ def enumerate_subcubes(root: DyadicCube, min_level: int) -> list[DyadicCube]:
     return out
 
 
-def cube_blocks(values: np.ndarray, shift: int) -> np.ndarray:
+def cube_blocks(values: np.ndarray, shift: int, dim: int | None = None) -> np.ndarray:
     """The cells of every cube ``2**shift`` cells wide, one cube per row.
 
-    Returns shape ``(cubes per axis,) * n + (cells per cube,)``: cubes keep
-    their grid layout (row-major when flattened) and each row lists the
-    cube's cells row-major, so reductions over the last axis give per-cube
-    values laid out like the level's cubes.
+    The trailing ``dim`` axes (one or two; all of them by default) are the
+    grid, and any axes before them are a stack of grids, kept in front.
+    Returns shape ``stack + (cubes per axis,) * dim + (cells per cube,)``:
+    cubes keep their grid layout (row-major when flattened) and each row
+    lists the cube's cells row-major, so reductions over the last axis give
+    per-cube values laid out like the level's cubes.
     """
-    n = values.ndim
+    n = values.ndim if dim is None else dim
+    stack = values.shape[:values.ndim - n]
     side = 1 << shift
-    count = values.shape[0] >> shift
-    v = values.reshape((count, side) * n)
-    v = v.transpose(tuple(range(0, 2 * n, 2)) + tuple(range(1, 2 * n, 2)))
-    return v.reshape((count,) * n + (side ** n,))
+    count = values.shape[-1] >> shift
+    if n == 1:
+        return values.reshape(stack + (count, side))
+    v = values.reshape(stack + (count, side, count, side)).swapaxes(-2, -3)
+    return v.reshape(stack + (count, count, side * side))
 
 
-def spread(values: np.ndarray, shift: int) -> np.ndarray:
-    """Per-cube values repeated onto the ``2**shift`` cells per axis of each cube."""
-    for axis in range(values.ndim):
+def spread(values: np.ndarray, shift: int, dim: int | None = None) -> np.ndarray:
+    """Per-cube values repeated onto the ``2**shift`` cells per axis of each
+    cube, along the trailing ``dim`` axes (all of them by default)."""
+    for axis in range(-(values.ndim if dim is None else dim), 0):
         values = np.repeat(values, 1 << shift, axis=axis)
     return values
 

@@ -19,6 +19,7 @@ first, then row-major start), so results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,8 @@ class NormReport:
 #
 # ``value(shift, volume)`` returns the per-cube values of one level over the
 # whole grid, laid out as ``cube_blocks`` lays out the cubes 2**shift cells
-# wide; the scans crop them to the family root.
+# wide, with any stack axes in front: shape ``stack + (cubes per axis,) * n``.
+# The scans crop them to the family root and reduce each stack item on its own.
 
 def dyadic_levels(grid: GridFunction, family: CubeFamily):
     """(cell shift, cube volume, root window) per family level, coarsest first."""
@@ -116,30 +118,48 @@ def family_max(grid: GridFunction, family: CubeFamily, value):
     """(value, cube, overflowed) of the first strict maximum over the family.
 
     Canonical order: coarsest level first, then the first cube in row-major
-    order.  Non-finite values count as +inf and set ``overflowed``.
+    order; the levels are laid end to end in that order, so one ``argmax``
+    per stack item finds it.  Non-finite values count as +inf and set
+    ``overflowed``.  For stacked values the three are an array of the
+    stack's shape, a list of cubes in row-major stack order and a boolean
+    array.
     """
-    best, overflowed = None, False
+    parts, levels = [], []
     for shift, volume, window in dyadic_levels(grid, family):
-        vals = value(shift, volume)[window]
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            overflowed = True
-            vals = np.where(bad, INF, vals)
-        i = int(np.argmax(vals))
-        if best is None or vals.flat[i] > best[0]:
-            best = (float(vals.flat[i]), grid.cell_level + shift,
-                    np.unravel_index(i, vals.shape))
-    top, level, index = best
-    return top, family.cube(level, index), overflowed
+        vals = value(shift, volume)[(Ellipsis,) + window]
+        stack, cubes = vals.shape[:vals.ndim - grid.dim], vals.shape[vals.ndim - grid.dim:]
+        parts.append(vals.reshape(stack + (math.prod(cubes),)))
+        levels.append((grid.cell_level + shift, cubes))
+    vals = np.concatenate(parts, axis=-1)
+    bad = ~np.isfinite(vals)
+    overflowed = bad.any(axis=-1)
+    if overflowed.any():
+        vals = np.where(bad, INF, vals)
+    cubes = [_cube_at(family, levels, int(i)) for i in vals.argmax(axis=-1).flat]
+    if not stack:
+        return float(vals.max()), cubes[0], bool(overflowed)
+    return vals.max(axis=-1), cubes, overflowed
+
+
+def _cube_at(family: CubeFamily, levels, i: int) -> DyadicCube:
+    """The cube at position ``i`` of the levels laid end to end."""
+    for level, shape in levels:
+        size = math.prod(shape)
+        if i < size:
+            return family.cube(level, np.unravel_index(i, shape))
+        i -= size
 
 
 def cell_sup(grid: GridFunction, family: CubeFamily, value) -> np.ndarray:
     """Per cell, the max of ``value`` over the family's cubes containing it
-    (zero outside the family root)."""
-    out = np.zeros_like(grid.values)
-    inner = cube_box(grid, family.root).slices()
+    (zero outside the family root), per stack item."""
+    out = None
+    inner = (Ellipsis,) + cube_box(grid, family.root).slices()
     for shift, volume, window in dyadic_levels(grid, family):
-        np.maximum(out[inner], spread(value(shift, volume)[window], shift), out=out[inner])
+        vals = spread(value(shift, volume)[(Ellipsis,) + window], shift, grid.dim)
+        if out is None:
+            out = np.zeros(vals.shape[:vals.ndim - grid.dim] + grid.values.shape)
+        np.maximum(out[inner], vals, out=out[inner])
     return out
 
 
@@ -178,11 +198,19 @@ def morrey_norm(f: GridFunction, p: float, q: float, family: CubeFamily) -> Norm
         raise ParameterError(f"Morrey exponents need 0 < q <= p < inf, got q={q} p={p}")
     if family.tag == ALIGNED:
         return _morrey_aligned(f, p, q, family)
-    powered = np.abs(f.values) ** q
+    top, cubes, _ = _morrey_dyadic(f, f.values[None], p, q, family)
+    return NormReport(float(top[0]), cubes[0])
+
+
+def _morrey_dyadic(grid: GridFunction, values: np.ndarray, p: float, q: float,
+                   family: CubeFamily):
+    """``family_max`` of the Morrey value for a stack of grids on ``grid``'s lattice."""
+    powered = np.abs(values) ** q
 
     def value(shift, volume):
-        return volume ** (1.0 / p) * cube_blocks(powered, shift).mean(axis=-1) ** (1.0 / q)
-    return NormReport(*family_max(f, family, value)[:2])
+        return (volume ** (1.0 / p)
+                * cube_blocks(powered, shift, grid.dim).mean(axis=-1) ** (1.0 / q))
+    return family_max(grid, family, value)
 
 
 def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> NormReport:
@@ -232,9 +260,17 @@ def pair_morrey_sup(f: GridFunction, g: GridFunction, p: float,
         raise ParameterError("pair supremum needs a common grid")
     if q1 <= 0 or q2 <= 0 or p <= 0:
         raise ParameterError("pair supremum exponents must be positive")
-    pf, pg = np.abs(f.values) ** q1, np.abs(g.values) ** q2
+    top, cubes, _ = _pair_sup(f, f.values[None], g.values[None], p, q1, q2, family)
+    return NormReport(float(top[0]), cubes[0])
+
+
+def _pair_sup(grid: GridFunction, fv: np.ndarray, gv: np.ndarray, p: float,
+              q1: float, q2: float, family: CubeFamily):
+    """``family_max`` of the pair value for stacks of pairs on ``grid``'s lattice."""
+    pf, pg = np.abs(fv) ** q1, np.abs(gv) ** q2
+    n = grid.dim
 
     def value(shift, volume):
-        return (volume ** (1.0 / p) * cube_blocks(pf, shift).mean(axis=-1) ** (1.0 / q1)
-                * cube_blocks(pg, shift).mean(axis=-1) ** (1.0 / q2))
-    return NormReport(*family_max(f, family, value)[:2])
+        return (volume ** (1.0 / p) * cube_blocks(pf, shift, n).mean(axis=-1) ** (1.0 / q1)
+                * cube_blocks(pg, shift, n).mean(axis=-1) ** (1.0 / q2))
+    return family_max(grid, family, value)

@@ -58,11 +58,15 @@ def _flags_for(values: np.ndarray) -> str:
     return "nonneg" if values.size and values.min() >= 0 else "none"
 
 
-def _field(template: GridFunction, values: np.ndarray, tail: float = 0.0) -> OperatorField:
+def _finite(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise NumericalError("operator output overflowed to a non-finite value")
+    return values
+
+
+def _field(template: GridFunction, values: np.ndarray, tail: float = 0.0) -> OperatorField:
     out = GridFunction(template.dim, template.root, template.depth,
-                       values, _flags_for(values))
+                       _finite(values), _flags_for(values))
     return OperatorField(out, tail)
 
 
@@ -126,40 +130,49 @@ _BLOCK = 1 << 16  # elements of one column block of the product, about 512 KB
 
 
 def _correlate(fv: np.ndarray, gv: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """out[i, s] = sum_j f[i-j] g[i+j] tables[j, s], j limited to in-range indices.
+    """out[..., i, s] = sum_j f[..., i-j] g[..., i+j] tables[j, s], j limited to
+    in-range indices.
 
-    One pass over the row offsets j0 with |j0| <= (m0-1)//2; a 1D grid is one
-    row.  Strided views F[r, i, j] = f[r, i-j] and G[r, i, j] = g[r, i+j] of
-    copies zero-padded along the last axis give, over the rows r with r-j0
-    and r+j0 in range, each block of columns as one product
-    (F[r-j0] * G[r+j0]) @ tables[j0], sliced to the offsets in range for its
-    columns.  The j0 = 0 pass covers every row and writes; the others add.
+    The grid has ``tables.ndim - 1`` axes; any axes of ``fv`` and ``gv``
+    before them are a stack of pairs on that grid.  One pass over the row
+    offsets j0 with |j0| <= (m0-1)//2; a 1D grid is one row.  Strided views
+    F[k, r, i, j] = f[k, r, i-j] and G[k, r, i, j] = g[k, r, i+j] of copies
+    zero-padded along the last axis give, over the rows r with r-j0 and r+j0
+    in range, each block of columns as one product
+    (F[:, r-j0] * G[:, r+j0]) @ tables[j0], sliced to the offsets in range
+    for its columns and capped at ``_BLOCK`` elements over the whole stack.
+    The j0 = 0 pass covers every row and writes; the others add.
     """
-    fr, gr = fv.reshape(-1, fv.shape[-1]), gv.reshape(-1, gv.shape[-1])
-    m0, m = fr.shape
-    c = m - 1
+    n = tables.ndim - 1
+    m = fv.shape[-1]
+    m0, c = m ** (n - 1), m - 1
+    fr, gr = fv.reshape(-1, m0, m), gv.reshape(-1, m0, m)
+    k = fr.shape[0]
     tables = tables.reshape((-1,) + tables.shape[-2:])
-    fp, gp = np.zeros((m0, m + 2 * c)), np.zeros((m0, m + 2 * c))
-    fp[:, c:c + m], gp[:, c:c + m] = fr[:, ::-1], gr  # f reversed: j runs forward in both
-    row, step = fp.strides
-    big_f = as_strided(fp[:, c:], shape=(m0, m, 2 * m - 1), strides=(row, -step, step))
-    big_g = as_strided(gp, shape=(m0, m, 2 * m - 1), strides=(row, step, step))
-    out = np.empty((m0, m, tables.shape[-1]))
+    fp, gp = np.zeros((k, m0, m + 2 * c)), np.zeros((k, m0, m + 2 * c))
+    fp[..., c:c + m], gp[..., c:c + m] = fr[..., ::-1], gr  # f reversed: j runs forward in both
+    item, row, step = fp.strides
+    shape = (k, m0, m, 2 * m - 1)
+    big_f = as_strided(fp[..., c:], shape=shape, strides=(item, row, -step, step))
+    big_g = as_strided(gp, shape=shape, strides=(item, row, step, step))
+    out = np.empty((k, m0, m, tables.shape[-1]))
     for j0 in sorted(range(-((m0 - 1) // 2), (m0 - 1) // 2 + 1), key=abs):
         lo, hi = abs(j0), m0 - abs(j0)  # the rows r with r-j0 and r+j0 in range
-        f_rows, g_rows = big_f[lo - j0:hi - j0], big_g[lo + j0:hi + j0]
-        cols = max(1, _BLOCK // ((hi - lo) * (2 * m - 1)))
+        f_rows, g_rows = big_f[:, lo - j0:hi - j0], big_g[:, lo + j0:hi + j0]
+        cols = max(1, _BLOCK // max(1, k * (hi - lo) * (2 * m - 1)))
         for i0 in range(0, m, cols):
             reach = min(i0 + cols - 1, c - i0)  # no column of the block has |j| beyond it
-            block = (slice(None), slice(i0, i0 + cols), slice(c - reach, c + reach + 1))
+            block = (slice(None), slice(None), slice(i0, i0 + cols),
+                     slice(c - reach, c + reach + 1))
             # one expression: a named product would stay alive into the next
             # block's allocation, and the heap then returns and refaults its pages
             part = ((f_rows[block] * g_rows[block]).reshape(-1, 2 * reach + 1)
-                    @ tables[m0 - 1 + j0, block[2]]).reshape(hi - lo, -1, tables.shape[-1])
+                    @ tables[m0 - 1 + j0, block[3]]).reshape(
+                        k, hi - lo, min(cols, m - i0), tables.shape[-1])
             if j0:
-                out[lo:hi, block[1]] += part
+                out[:, lo:hi, block[2]] += part
             else:
-                out[lo:hi, block[1]] = part
+                out[:, lo:hi, block[2]] = part
     return out.reshape(fv.shape + tables.shape[-1:])
 
 
@@ -229,9 +242,15 @@ def m_alpha_bilinear(f: GridFunction, g: GridFunction, alpha: float,
     n = f.dim
     if not (0.0 <= alpha < n):
         raise ParameterError(f"maximal exponent must satisfy 0 <= alpha < n, got {alpha}")
+    return _field(f, _bilinear_maximal(f, f.values[None], g.values[None], alpha, family)[0])
+
+
+def _bilinear_maximal(grid: GridFunction, fv: np.ndarray, gv: np.ndarray, alpha: float,
+                      family: CubeFamily) -> np.ndarray:
+    """``m_alpha_bilinear`` values for a stack of pairs on ``grid``'s lattice."""
     levels = np.array(family.levels())
-    tables = (2.0 ** (levels + 1)) ** (alpha - n) * _truncation_table(f, 2.0 ** levels)
-    return _field(f, _correlate(np.abs(f.values), np.abs(g.values), tables).max(axis=-1))
+    tables = (2.0 ** (levels + 1)) ** (alpha - grid.dim) * _truncation_table(grid, 2.0 ** levels)
+    return _finite(_correlate(np.abs(fv), np.abs(gv), tables).max(axis=-1))
 
 
 def m_alpha_vector(f: GridFunction, g: GridFunction, alpha: float,
@@ -240,13 +259,20 @@ def m_alpha_vector(f: GridFunction, g: GridFunction, alpha: float,
     _require_common_grid(f, g)
     if r1 <= 0 or r2 <= 0:
         raise ParameterError("vector maximal exponents must be positive")
-    n = f.dim
-    pf, pg = np.abs(f.values) ** r1, np.abs(g.values) ** r2
+    return _field(f, _vector_maximal(f, f.values[None], g.values[None],
+                                     alpha, r1, r2, family)[0])
+
+
+def _vector_maximal(grid: GridFunction, fv: np.ndarray, gv: np.ndarray, alpha: float,
+                    r1: float, r2: float, family: CubeFamily) -> np.ndarray:
+    """``m_alpha_vector`` values for a stack of pairs on ``grid``'s lattice."""
+    n = grid.dim
+    pf, pg = np.abs(fv) ** r1, np.abs(gv) ** r2
 
     def value(shift, volume):
-        return (volume ** (alpha / n) * cube_blocks(pf, shift).mean(axis=-1) ** (1.0 / r1)
-                * cube_blocks(pg, shift).mean(axis=-1) ** (1.0 / r2))
-    return _field(f, cell_sup(f, family, value))
+        return (volume ** (alpha / n) * cube_blocks(pf, shift, n).mean(axis=-1) ** (1.0 / r1)
+                * cube_blocks(pg, shift, n).mean(axis=-1) ** (1.0 / r2))
+    return _finite(cell_sup(grid, family, value))
 
 
 def m_tilde(f: GridFunction, g: GridFunction, v: GridFunction, alpha: float,

@@ -103,7 +103,8 @@ RULES = {
         ("0 < q_i <= p_i", lambda x: 0.0 < x.q1 <= x.p1 and 0.0 < x.q2 <= x.p2),
         ("1/s = 1/p1 + 1/p2 - alpha/n must be positive", lambda x: 0.0 < x.s < INF),
         ("0 < t <= s", lambda x: 0.0 < x.t <= x.s),
-        ("depth_extra must be >= 1 to align triples", lambda x: x.depth_extra >= 1)),
+        ("depth_extra must be >= 1 to align triples", lambda x: x.depth_extra >= 1),
+        ("a slope needs at least two distinct deltas", lambda x: len(set(x.delta_exps)) >= 2)),
 }
 
 

@@ -26,7 +26,7 @@ attaining pair's value reproduces bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -228,8 +228,7 @@ def char_remark(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Charact
     sup over Q of |Q|**(1/r) (avg_Q v**(as/(1-s)))**((1-s)/(as))
     prod_i (avg_Q w_i**(-(q_i/a)'))**(1/(q_i/a)').
     """
-    if cp.s >= 1.0:
-        raise ParameterError("single-cube majorant requires s < 1")
+    replace(cp, variant="remark").validate()
     d1, d2 = conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a)
     e_v = cp.a * cp.s / (1.0 - cp.s)
     r_inv = recip(cp.r)
@@ -255,6 +254,7 @@ def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Cha
 
 def char_testing(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
     """Necessary-condition constant: sup_Q |Q|**(1/r) (inf_Q v) prod dual averages."""
+    replace(cp, variant="testing").validate()
     d1, d2 = conjugate(cp.q1), conjugate(cp.q2)
     r_inv = recip(cp.r)
 

@@ -406,12 +406,22 @@ class TestExitContract:
         pytest.param(["char", "--kind", "two-weight", "--alpha", "2", *TWO_WEIGHT[2:], "--s", "4/5"],
                      ["0 < alpha < n"], id="alpha-alone"),
         pytest.param(["experiment", "sharpness", "--dim", "2", *SHARPNESS, "--deltas", "2",
-                      "--out", "O"], ["sharpness harness is one-dimensional", "0 < t <= s"],
+                      "--out", "O"], ["sharpness harness is one-dimensional", "0 < t <= s",
+                                      "a slope needs at least two distinct deltas"],
                      id="sharpness-2d"),
+        pytest.param(["experiment", "sharpness", *SHARPNESS, "--deltas", "4..4", "--out", "O"],
+                     ["a slope needs at least two distinct deltas"], id="sharpness-one-delta"),
+        pytest.param(["char", "--kind", "remark", "--alpha", "5", *TWO_WEIGHT[2:], "--s", "4/5"],
+                     ["0 < alpha < n"], id="remark-alpha"),
+        pytest.param(["char", "--kind", "testing", "--alpha", "5", *TWO_WEIGHT[2:8],
+                      "--t", "1/3", *TWO_WEIGHT[10:], "--s", "4/5"],
+                     ["0 <= alpha < n", "1 <= t <= s", "t/s = q/p",
+                      "1/s = 1/p + 1/r - alpha/n"], id="testing-alpha"),
     ])
     def test_failed_relations_named(self, tmp_path, capsys, argv, relations):
         # a failing 0 < alpha < n is named alone, since the relations after
-        # it divide by alpha; a sharpness refusal names every failed relation
+        # it divide by alpha (the testing set's 0 <= alpha < n does not end
+        # the list); a sharpness refusal names every failed relation
         argv = [str(tmp_path / "o") if a == "O" else a for a in argv]
         assert _exit_code(argv) == 2
         err = capsys.readouterr().err

@@ -68,10 +68,10 @@ COMMANDS = [
       "--levels": ["3", "3..4", "4..3", "", "4..", "2", "x"],
       "--base-depth": ["-1", "0", "3"], "--seed": ["-1", "0", "7"],
       "--dim": ["1", "2", "3"], **ROOTS}),
-    (["experiment", "sharpness"], {"--deltas": "2", "--out": "@O", "--alpha": "0.3",
+    (["experiment", "sharpness"], {"--deltas": "2..3", "--out": "@O", "--alpha": "0.3",
                                    "--p1": "4", "--p2": "4", "--q1": "2", "--q2": "2",
                                    "--t": "5"},
-     {"--deltas": ["1", "2", "3..2", "", "2..", "x"]}),
+     {"--deltas": ["1", "2", "2..3", "3..2", "", "2..", "x"]}),
     (["experiment", "necessity"], {"--systems": "1", "--base-depth": "3", "--out": "@O",
                                    **TESTING},
      {"--systems": ["-1", "0", "1"], "--base-depth": ["-1", "2", "3"]}),

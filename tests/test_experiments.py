@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
 
-from morreybench import (GridFunction, ParameterError,
-                         aligned_family, dyadic_family, enumerate_subcubes,
-                         morrey_norm, unit_root)
+from morreybench import (DyadicCube, GridFunction, ParameterError,
+                         aligned_family, cube_box, dyadic_family, enumerate_subcubes,
+                         m_alpha_bilinear, m_alpha_vector, morrey_norm,
+                         pair_morrey_sup, unit_root)
 from morreybench.experiments import (ExponentProfile, FsDualParams,
-                                     SharpnessConfig, SteinWeissParams,
-                                     build_sharpness_pair, fs_dual_check,
-                                     make_pairs, necessity_check,
-                                     ratio_harness, run_sharpness,
+                                     NecessityReport, SharpnessConfig,
+                                     SteinWeissParams, build_sharpness_pair,
+                                     fs_dual_check, make_pairs, necessity_check,
+                                     random_weights, ratio_harness, run_sharpness,
                                      stein_weiss_check)
 from morreybench.util import make_rng
 from morreybench.weights import (INF, CharParams, WeightSystem, char_remark,
-                                 char_two_weight, power_system, power_weight)
+                                 char_testing, char_two_weight, power_system,
+                                 power_weight)
 
 BLOWUP_CFG = SharpnessConfig(n=1, alpha=0.3, p1=4, q1=2, p2=4, q2=2, t=5.0)
 BOUNDARY_CFG = SharpnessConfig(n=1, alpha=0.3, p1=4, q1=2, p2=4, q2=2, t=2.5)
@@ -294,6 +296,110 @@ class TestNecessity:
         r0 = necessity_check(base, self.cp(), dyadic_family(unit_root(1), -4)).ratio
         r1 = necessity_check(fine, self.cp(), dyadic_family(unit_root(1), -5)).ratio
         assert r1 <= 1.25 * r0
+
+
+def necessity_by_probe(ws, cp, family, pairs=None, seed=5):
+    """The necessity check one probe and one pair at a time, through the
+    public single-pair operators and norms."""
+    grid, n = ws.v, ws.v.dim
+    d1, d2 = cp.q1 / (cp.q1 - 1.0), cp.q2 / (cp.q2 - 1.0)
+    c_cube, c_trunc, exact_ok, extremal = 0.0, 0.0, True, []
+    lowest = max(family.min_level, grid.cell_level + 1)
+    probes = (enumerate_subcubes(family.root, lowest)[:24]
+              if lowest <= family.root.level else [])
+    for cube in probes:
+        sl = cube_box(grid, cube).slices()
+        fvals, gvals = np.zeros_like(grid.values), np.zeros_like(grid.values)
+        fvals[sl] = ws.w1.values[sl] ** (-d1)
+        gvals[sl] = ws.w2.values[sl] ** (-d2)
+        f, g = grid.with_values(fvals, "nonneg"), grid.with_values(gvals, "nonneg")
+        extremal.append(("extremal", f, g))
+        lhs = (cube.volume ** (cp.alpha / n) * float(ws.v.values[sl].max())
+               * float(fvals[sl].mean()) * float(gvals[sl].mean()))
+        for m, kind in ((m_alpha_vector(f, g, cp.alpha, 1.0, 1.0, family), "cube"),
+                        (m_alpha_bilinear(f, g, cp.alpha, family), "trunc")):
+            rhs = float(np.mean((m.fn.values[sl] * ws.v.values[sl]) ** cp.t)) ** (1.0 / cp.t)
+            if kind == "cube":
+                c_cube = max(c_cube, lhs / rhs)
+            else:
+                c_trunc = max(c_trunc, lhs / rhs)
+        ind = grid.with_values((fvals > 0).astype(float), "nonneg")
+        m_ind = m_alpha_vector(ind, ind, cp.alpha, 1.0, 1.0, family).fn.values
+        floor_rhs = float(np.mean(m_ind[sl] ** cp.t)) ** (1.0 / cp.t)
+        exact_ok &= floor_rhs >= cube.volume ** (cp.alpha / n) * (1.0 - 1e-12)
+    if pairs is None:
+        pairs = make_pairs("step", 4, seed, grid.depth, n)
+    op_const = 0.0
+    for _, f, g in list(pairs) + extremal:
+        mb = m_alpha_bilinear(f, g, cp.alpha, family).fn
+        lhs = morrey_norm(mb.with_values(mb.values * ws.v.values), cp.s, cp.t, family).value
+        rhs = pair_morrey_sup(f.with_values(np.abs(f.values) * ws.w1.values),
+                              g.with_values(np.abs(g.values) * ws.w2.values),
+                              cp.p, cp.q1, cp.q2, family).value
+        if rhs > 0:
+            op_const = max(op_const, lhs / rhs)
+    char = char_testing(ws, cp, family).value
+    return NecessityReport(char, op_const, char / op_const if op_const > 0 else INF,
+                           exact_ok, c_cube, c_trunc)
+
+
+class TestNecessityStacked:
+    """The stacked necessity check against the per-probe loop."""
+
+    CP2 = CharParams(alpha=1.0, n=2, q1=4.0, q2=4.0, p=2.5, s=20 / 3, t=16 / 3, r=4.0,
+                     a=2.0, variant="testing")
+
+    def cases(self):
+        cp = TestNecessity().cp()
+        one = unit_root(1)
+        yield random_weights(make_rng(1, 83, 0), one, 5), cp, dyadic_family(one, -5), None, 0
+        yield random_weights(make_rng(1, 83, 1), one, 5), cp, dyadic_family(one, -3), None, 1
+        # a sub-root family, and one whose finest level is the root's child
+        yield (random_weights(make_rng(2, 83), one, 5), cp,
+               dyadic_family(DyadicCube(-1, (1,)), -5), None, 2)
+        yield random_weights(make_rng(3, 83), one, 4), cp, dyadic_family(one, -1), None, 3
+        # one cell: no probe cube above the cell level, so every probe stack is empty
+        ws = random_weights(make_rng(3, 83), one, 0)
+        cell = [("cell", ws.v.with_values([2.0]), ws.v.with_values([-3.0]))]
+        yield ws, cp, dyadic_family(one, 0), cell, 3
+        # explicit pairs, signed and of several kinds
+        ws = random_weights(make_rng(4, 83), one, 5)
+        pairs = (make_pairs("indicator", 2, 9, 5, 1) + make_pairs("bump", 2, 9, 5, 1)
+                 + [("signed", ws.v.with_values(np.sin(np.arange(32.0))),
+                     ws.v.with_values(np.cos(np.arange(32.0))))])
+        yield ws, cp, dyadic_family(one, -5), pairs, 4
+        yield ws, cp, dyadic_family(one, -5), [], 4
+        two = unit_root(2)
+        yield random_weights(make_rng(5, 83), two, 3), self.CP2, dyadic_family(two, -3), None, 5
+        yield (random_weights(make_rng(6, 83), two, 3), self.CP2,
+               dyadic_family(DyadicCube(-1, (0, 1)), -3), None, 6)
+
+    def test_reports_match_the_per_probe_loop(self):
+        count = 0
+        for ws, cp, family, pairs, seed in self.cases():
+            got = necessity_check(ws, cp, family, pairs=pairs, seed=seed)
+            want = necessity_by_probe(ws, cp, family, pairs=pairs, seed=seed)
+            assert got.exact_floor_ok == want.exact_floor_ok
+            for name in ("char_value", "op_constant", "ratio", "c_cube_sup", "c_truncated"):
+                assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12), name
+            count += 1
+        assert count == 9
+
+    def test_overflowing_dual_power_refused(self):
+        ws = random_weights(make_rng(7, 83), unit_root(1), 4)
+        tiny = ws.w1.values.copy()
+        tiny[5] = 1e-300  # 1e-300 ** -(4/3) overflows
+        ws = WeightSystem(ws.v, ws.w1.with_values(tiny, "pos"), ws.w2)
+        with pytest.raises(ParameterError, match="finite"):
+            necessity_by_probe(ws, TestNecessity().cp(), dyadic_family(unit_root(1), -4))
+        with pytest.raises(ParameterError, match="finite"):
+            necessity_check(ws, TestNecessity().cp(), dyadic_family(unit_root(1), -4))
+
+    def test_pairs_off_the_weight_grid_refused(self):
+        ws = random_weights(make_rng(8, 83), unit_root(1), 4)
+        with pytest.raises(ParameterError):
+            necessity_check(ws, TestNecessity().cp(), dyadic_family(unit_root(1), -4),
+                            pairs=make_pairs("step", 1, 3, 5, 1))
 
 
 class TestFsDual:

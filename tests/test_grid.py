@@ -5,7 +5,7 @@ from morreybench import (DyadicCube, GridFunction, ParameterError, cube_box,
                          enumerate_subcubes, read_mgf, triple, unit_root,
                          write_mgf)
 from morreybench import grid
-from morreybench.grid import cube_blocks
+from morreybench.grid import cube_blocks, spread
 
 
 def step(dim, depth, values, root=None, flags="none"):
@@ -78,6 +78,18 @@ class TestCubeBlocks:
             assert len(cubes) == rows.shape[0]
             for cube, row in zip(cubes, rows):
                 assert np.array_equal(row, f.values[cube_box(f, cube).slices()].ravel())
+
+    @pytest.mark.parametrize("dim,depth", [(1, 6), (2, 4)])
+    def test_stack_axes_stay_in_front(self, dim, depth):
+        # the trailing dim axes are blocked; a (2, 3) stack of grids keeps its axes
+        stack = np.random.default_rng(8).uniform(-1, 2, size=(2, 3) + (2 ** depth,) * dim)
+        for shift in range(depth + 1):
+            blocks = cube_blocks(stack, shift, dim)
+            assert blocks.shape[:2] == (2, 3)
+            for index in np.ndindex(2, 3):
+                assert np.array_equal(blocks[index], cube_blocks(stack[index], shift))
+                assert np.array_equal(spread(blocks[index].sum(-1), shift),
+                                      spread(blocks.sum(-1), shift, dim)[index])
 
 
 class TestTriple:

@@ -576,6 +576,22 @@ class TestRowPassColumnBlocks:
         for scale, column in enumerate(want):
             assert np.allclose(got[..., scale], column, rtol=1e-13, atol=0)
 
+    def test_stack_of_three(self, dim, depth):
+        # the block cap counts the stack, so each block holds one column here
+        pairs = [(rand_positive(80 + 7 * k + depth, depth, dim),
+                  rand_positive(90 + 7 * k + depth, depth, dim)) for k in range(3)]
+        tables = np.stack([overlap_table(pairs[0][0], 0.3),
+                           kernel_cell_table(KernelSpec(0.7), pairs[0][0])], axis=-1)
+        got = operators._correlate(np.stack([f.values for f, _ in pairs]),
+                                   np.stack([g.values for _, g in pairs]), tables)
+        assert got.shape == (3,) + pairs[0][0].values.shape + (2,)
+        for item, (f, g) in zip(got, pairs):
+            single = operators._correlate(f.values, g.values, tables)
+            want = tower_reference(f.values, g.values, *np.moveaxis(tables, -1, 0))
+            assert np.allclose(item, single, rtol=1e-13, atol=0)
+            for scale, column in enumerate(want):
+                assert np.allclose(item[..., scale], column, rtol=1e-13, atol=0)
+
 
 def test_one_block_is_one_product():
     # a 1D grid that fits one column block takes exactly the product

@@ -49,13 +49,13 @@ POOL = (-0.54, 0.0, 0.5, 0.9, 1.0, 1.5, 2.0, 4.0, 16.0, INF)
 
 
 def _exponents(x):
-    """The settable numbers of ``x``: its numeric fields, and those of its CharParams."""
+    """The settable fields of ``x``: its numbers and tuples, and the numbers of its CharParams."""
     names = []
     for field in dataclasses.fields(x):
         value = getattr(x, field.name)
         if isinstance(value, CharParams):
             names += ["cp." + name for name in _exponents(value)]
-        elif isinstance(value, (int, float)):
+        elif isinstance(value, (int, float, tuple)):
             names.append(field.name)
     return names
 
@@ -69,9 +69,11 @@ def _with(x, changes):
 
 
 def _perturbations(x, count):
-    """``x`` with ``count`` exponents replaced: pool values and 1% moves."""
+    """``x`` with ``count`` exponents replaced: pool values and 1% moves; a
+    tuple is cut to its first entry."""
     for names in itertools.combinations(_exponents(x), count):
-        choices = [POOL + (_with_value(x, name) * 1.01,) for name in names]
+        choices = [(value[:1],) if isinstance(value, tuple) else POOL + (value * 1.01,)
+                   for value in (_with_value(x, name) for name in names)]
         for values in itertools.product(*choices):
             yield _with(x, dict(zip(names, values)))
 
@@ -144,6 +146,13 @@ def test_sharpness_refusal_names_every_failed_relation():
     assert str(info.value) == ("invalid sharpness configuration: sharpness harness is "
                                "one-dimensional; 0 < t <= s; "
                                "depth_extra must be >= 1 to align triples")
+
+
+@pytest.mark.parametrize("deltas,failed", [((4,), True), ((4, 4), True), ((), True),
+                                            ((4, 5), False)])
+def test_sharpness_slope_needs_two_distinct_deltas(deltas, failed):
+    x = dataclasses.replace(VALID["sharpness"], delta_exps=deltas)
+    assert violations(x, "sharpness") == ["a slope needs at least two distinct deltas"] * failed
 
 
 @pytest.mark.parametrize("p1,p2", [(0.0, 4.0), (4.0, 0.0), (0.0, 0.0)])

@@ -1,0 +1,124 @@
+"""Property tests of the stacked scans and operator kernels: a stack of grids
+on one lattice gives, item by item, what the public single calls give.
+
+Every public call runs its kernel as a stack of one, so these tests pin the
+stack axis itself: per-item reductions, per-item attaining cubes, per-item
+overflow to +inf, and the bilinear correlate with its column blocks sized
+over the whole stack (products of a different shape, so BLAS may sum in a
+different order: relative 1e-13 there).
+"""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
+
+from morreybench import (DyadicCube, GridFunction, NumericalError,  # noqa: E402
+                         dyadic_family, m_alpha_bilinear, m_alpha_vector, morrey_norm,
+                         pair_morrey_sup)
+from morreybench.norms import _morrey_dyadic, _pair_sup  # noqa: E402
+from morreybench.operators import _bilinear_maximal, _vector_maximal  # noqa: E402
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def stacks(draw):
+    """Two stacks of 1-4 grids on one random root, and a dyadic family inside
+    the root whose finest level may lie above the cell level."""
+    dim = draw(st.sampled_from([1, 2]))
+    depth = draw(st.integers(0, 5 if dim == 1 else 3))
+    root = DyadicCube(draw(st.integers(-1, 1)),
+                      tuple(draw(st.integers(-2, 2)) for _ in range(dim)))
+    size = draw(st.integers(1, 4))
+    shape = (size,) + (2 ** depth,) * dim
+    elements = st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False)
+    fv, gv = (draw(arrays(np.float64, shape, elements=elements)) for _ in range(2))
+    cell = root.level - depth
+    sub_level = draw(st.integers(cell, root.level))
+    shift = root.level - sub_level
+    sub = DyadicCube(sub_level, tuple((c << shift) + draw(st.integers(0, (1 << shift) - 1))
+                                      for c in root.coords))
+    family = dyadic_family(sub, draw(st.integers(cell, sub_level)))
+    grid = GridFunction(dim, root, depth, np.zeros(shape[1:]))
+    return grid, fv, gv, family
+
+
+def items(grid, stack):
+    return [grid.with_values(values) for values in stack]
+
+
+@PROPERTY
+@given(case=stacks(), p=st.sampled_from([1.0, 1.5, 4.0]), q=st.sampled_from([0.5, 1.0, 2.0]))
+def test_stacked_norms_match_single_calls(case, p, q):
+    grid, fv, gv, family = case
+    q = min(p, q)
+    tops, cubes, over = _morrey_dyadic(grid, fv, p, q, family)
+    want = [morrey_norm(f, p, q, family) for f in items(grid, fv)]
+    assert tops.shape == over.shape == fv.shape[:1] and not over.any()
+    assert np.array_equal(tops, [rep.value for rep in want])
+    assert cubes == [rep.attaining for rep in want]
+    tops, cubes, over = _pair_sup(grid, fv, gv, p, q, 2.0, family)
+    want = [pair_morrey_sup(f, g, p, q, 2.0, family)
+            for f, g in zip(items(grid, fv), items(grid, gv))]
+    assert np.array_equal(tops, [rep.value for rep in want])
+    assert cubes == [rep.attaining for rep in want]
+
+
+@PROPERTY
+@given(case=stacks(), alpha=st.sampled_from([0.0, 0.3, 0.9]),
+       r1=st.sampled_from([1.0, 2.0]), r2=st.sampled_from([0.5, 1.0]))
+def test_stacked_maximal_fields_match_single_calls(case, alpha, r1, r2):
+    grid, fv, gv, family = case
+    pairs = list(zip(items(grid, fv), items(grid, gv)))
+    vector = _vector_maximal(grid, fv, gv, alpha, r1, r2, family)
+    assert vector.shape == fv.shape
+    for got, (f, g) in zip(vector, pairs):
+        assert np.array_equal(got, m_alpha_vector(f, g, alpha, r1, r2, family).fn.values)
+    bilinear = _bilinear_maximal(grid, fv, gv, alpha, family)
+    assert bilinear.shape == fv.shape
+    for got, (f, g) in zip(bilinear, pairs):
+        want = m_alpha_bilinear(f, g, alpha, family).fn.values
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+
+
+@PROPERTY
+@given(case=stacks(), item=st.integers(0, 3), cell=st.integers(0, 63))
+def test_overflowing_item_reports_inf_alone(case, item, cell):
+    # |f|**q overflows in one cell of one item: that item's cube values turn
+    # +inf as in its single call; the other items keep their values
+    grid, fv, gv, family = case
+    item %= len(fv)
+    fv = fv.copy()
+    fv[item].flat[cell % fv[item].size] = 1e300
+    tops, cubes, over = _morrey_dyadic(grid, fv, 2.0, 2.0, family)
+    want = [morrey_norm(f, 2.0, 2.0, family) for f in items(grid, fv)]
+    assert np.array_equal(tops, [rep.value for rep in want])
+    assert cubes == [rep.attaining for rep in want]
+    assert list(over) == [rep.value == np.inf for rep in want]
+    tops, _, over = _pair_sup(grid, fv, gv, 2.0, 2.0, 1.0, family)
+    assert np.array_equal(tops, [pair_morrey_sup(f, g, 2.0, 2.0, 1.0, family).value
+                                 for f, g in zip(items(grid, fv), items(grid, gv))])
+
+
+def test_overflowing_field_refused_like_the_single_call():
+    grid = GridFunction(1, DyadicCube(0, (0,)), 2, np.zeros(4))
+    family = dyadic_family(grid.root, -2)
+    fv = np.ones((2, 4))
+    fv[1, 0] = 1e300
+    with pytest.raises(NumericalError):
+        m_alpha_vector(grid.with_values(fv[1]), grid.with_values(fv[1]), 0.5, 2.0, 2.0, family)
+    with pytest.raises(NumericalError):
+        _vector_maximal(grid, fv, fv, 0.5, 2.0, 2.0, family)
+
+
+def test_empty_stack():
+    grid = GridFunction(2, DyadicCube(0, (0, 0)), 2, np.zeros((4, 4)))
+    family = dyadic_family(grid.root, -2)
+    empty = np.zeros((0, 4, 4))
+    tops, cubes, over = _morrey_dyadic(grid, empty, 2.0, 1.0, family)
+    assert tops.shape == over.shape == (0,) and cubes == []
+    assert _vector_maximal(grid, empty, empty, 0.5, 1.0, 1.0, family).shape == (0, 4, 4)
+    assert _bilinear_maximal(grid, empty, empty, 0.5, family).shape == (0, 4, 4)
