@@ -23,8 +23,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decomposition import (CZ_COLUMNS, choose_a, cz_decompose, packing_sum,
-                            verify_halving)
+from .decomposition import CZ_COLUMNS, choose_a, packing_sum, verify_halving
 from .experiments import (NECESSITY_COLUMNS, ExponentProfile, SharpnessConfig,
                           SteinWeissParams, log_uniform, make_pairs,
                           necessity_check, random_weights, ratio_harness,
@@ -201,8 +200,7 @@ def criterion_07(ctx) -> CriterionResult:
     problems = []
     for seed in range(20):
         f, g = _rand_pair(seed, 6, flags="nonneg")
-        a = choose_a(f, g, unit_root(1))
-        sf = cz_decompose(f, g, unit_root(1), a)
+        sf = choose_a(f, g, unit_root(1))
         total = sf.e0_mask.astype(int).copy()
         for mask in sf.e_masks.values():
             total += mask.astype(int)
@@ -211,14 +209,14 @@ def criterion_07(ctx) -> CriterionResult:
         for k, gen in enumerate(sf.generations, 1):
             cover = np.zeros_like(total)
             for sel in gen:
-                if not (a ** k < sel.m_value <= 2 ** 2 * a ** k):
+                if not (sf.a ** k < sel.m_value <= 2 ** 2 * sf.a ** k):
                     problems.append(f"seed {seed}: sandwich broken at k={k}")
                 sl = cube_box(f, sel.cube).slices()
                 cover[sl] += 1
             if cover.max() > 1:
                 problems.append(f"seed {seed}: generation {k} cubes overlap")
-        if not verify_halving(sf, f, g).ok:
-            problems.append(f"seed {seed}: halving violated at a={a}")
+        if not verify_halving(sf).ok:
+            problems.append(f"seed {seed}: halving violated at a={sf.a}")
     elapsed = time.perf_counter() - t0
     ok = not problems and elapsed < 60.0
     detail = f"20 seeds clean, {elapsed:.2f}s" if ok else "; ".join(problems[:3])
@@ -273,8 +271,8 @@ def criterion_09(ctx) -> CriterionResult:
 
 def criterion_10(ctx) -> CriterionResult:
     """Power-weight dichotomy over growing roots."""
-    fin = stein_weiss_check(SW_FINITE, run_harness=False)
-    div = stein_weiss_check(SW_DIVERGENT, run_harness=False)
+    fin = stein_weiss_check(SW_FINITE)
+    div = stein_weiss_check(SW_DIVERGENT)
     fin_vals = list(fin.char_by_level.values())
     ok = (fin.verdict == "FINITE" and max(fin_vals) / min(fin_vals) < 1.10
           and div.verdict == "DIVERGENT" and all(g > 1.10 for g in div.growth))
@@ -306,7 +304,7 @@ def _deterministic_artifacts(seed: int) -> dict:
                            s=5.0, t=3.125)
     ratio = ratio_harness("bilinear-ratio", prof, make_pairs("step", 3, seed, 4), (4, 5))
     f, g = _rand_pair(seed, 6, flags="nonneg")
-    sf = cz_decompose(f, g, unit_root(1), choose_a(f, g, unit_root(1)))
+    sf = choose_a(f, g, unit_root(1))
     return {
         "sharpness.csv": csv_text(["delta", "min_pointwise", "floor", "norm"],
                                   run_sharpness(cfg).table()),

@@ -146,21 +146,24 @@ def _cmd_norm(ns) -> int:
         _require(ns, "p", "q")
         fam = aligned_family(f) if ns.family == "all" else _dyadic_for(f, ns)
         rep = morrey_norm(f, ns.p, ns.q, fam)
-        where = _describe_cube(rep.attaining)
-        print(f"morrey p={fmt(ns.p)} q={fmt(ns.q)} family={ns.family} "
-              f"value={fmt(rep.value)} attained at {where}")
-        payload = {"kind": "morrey", "p": ns.p, "q": ns.q, "value": rep.value,
+        val, where = rep.value, _describe_cube(rep.attaining)
+        line = (f"morrey p={fmt(ns.p)} q={fmt(ns.q)} family={ns.family} "
+                f"value={fmt(val)} attained at {where}")
+        payload = {"kind": "morrey", "p": ns.p, "q": ns.q, "value": val,
                    "attaining": where}
     elif ns.kind == "lebesgue":
         _require(ns, "t")
         val = lebesgue_norm(f, ns.t)
-        print(f"lebesgue t={fmt(ns.t)} value={fmt(val)}")
+        line = f"lebesgue t={fmt(ns.t)} value={fmt(val)}"
         payload = {"kind": "lebesgue", "t": ns.t, "value": val}
     else:
         _require(ns, "p")
         val = weak_quasinorm(f, ns.p)
-        print(f"weak p={fmt(ns.p)} value={fmt(val)}")
+        line = f"weak p={fmt(ns.p)} value={fmt(val)}"
         payload = {"kind": "weak", "p": ns.p, "value": val}
+    if not np.isfinite(val):
+        raise NumericalError("norm overflowed; reported +inf")
+    print(line)
     if ns.json:
         print(json.dumps(payload))
     return 0
@@ -219,6 +222,8 @@ def _cmd_char(ns) -> int:
         if ns.kind == "ap":
             _require(ns, "p")
             rep = ap_characteristic(w, ns.p, fam)
+            if rep.overflowed:
+                raise NumericalError("characteristic overflowed; reported +inf")
             print(f"ap p={fmt(ns.p)} value={fmt(rep.value)} "
                   f"at {_describe_cube(rep.attaining[0])}")
             if ns.json:
@@ -249,12 +254,11 @@ def _cmd_cz(ns) -> int:
     f = read_mgf(ns.f)
     g = read_mgf(ns.g)
     q0 = _root_from(ns) if ns.rootlevel is not None else f.root
-    a = ns.a if ns.a is not None else choose_a(f, g, q0)
-    sf = cz_decompose(f, g, q0, a)
-    halving = verify_halving(sf, f, g)
+    sf = cz_decompose(f, g, q0, ns.a) if ns.a is not None else choose_a(f, g, q0)
+    halving = verify_halving(sf)
     write_csv(ns.out, CZ_COLUMNS, sf.rows(f.cell_volume), ns.json)
     status = "certified" if halving.ok else f"violated (worst {fmt(halving.worst_ratio)})"
-    print(f"cz a={fmt(a)} generations={sf.kmax} cubes={sum(len(g) for g in sf.generations)} "
+    print(f"cz a={fmt(sf.a)} generations={sf.kmax} cubes={sum(len(g) for g in sf.generations)} "
           f"halving {status} -> {ns.out}")
     return 0
 
@@ -452,7 +456,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        with np.errstate(all="ignore"):  # overflow is reported by exit 3, not by warnings
+            return ns.func(ns)
     except (ParameterError, OSError) as exc:  # OSError: an unreadable or unwritable path
         print(f"parameter error: {exc}", file=sys.stderr)
         return 2

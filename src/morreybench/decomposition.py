@@ -11,8 +11,9 @@ cube, the sandwich a**k < m_3Q <= 2**(2n) a**k (via the parent's maximality)
 and the measure-halving |Q_jk intersect D_{k+1}| <= |Q_jk| / 2.  The halving
 constant classically comes from a weak-type operator norm that is not
 computable here, so ``choose_a`` replaces it by the smallest member of a
-doubling schedule that ``verify_halving`` certifies; the downstream algorithm
-only ever consumes the certified halving outcome, not the constant's origin.
+doubling schedule that ``verify_halving`` certifies, and returns that
+candidate's decomposition; the downstream algorithm only ever consumes the
+certified halving outcome, not the constant's origin.
 """
 
 from __future__ import annotations
@@ -150,36 +151,33 @@ class HalvingReport:
     detail: str = ""
 
 
-def verify_halving(sf: StoppingFamily, f: GridFunction, g: GridFunction) -> HalvingReport:
+def verify_halving(sf: StoppingFamily) -> HalvingReport:
     """Check |Q_jk meet D_{k+1}| <= |Q_jk|/2 and |D_1| <= |Q0|/2; never raises.
 
-    The covered share of each selected cube is read off the level blocks of
-    the next generation's mask; the offender is the first strict maximum,
-    the base cube first, then every generation in its listed order.
+    The covered share of a cube is (cells - free cells) / cells, where the
+    free cells are those the decomposition already counted: E_0 for the base
+    cube and ``e_cells`` for a selected cube.  The last generation has no
+    next one and is skipped.  The offender is the first strict maximum, the
+    base cube first, then every generation in its listed order.
     """
-    base_box = cube_box(f, sf.base)
-    covered = [mask[base_box.slices()] for mask in sf.d_masks]
-    shares, cubes = [0.0], [None]  # nothing covered: ratio 0, no offender
-    if covered:
-        shares.append(covered[0].mean())
-        cubes.append(sf.base)
-    for gen, nxt in zip(sf.generations, covered[1:]):  # the last generation has no next one
-        for level, group in itertools.groupby((sel.cube for sel in gen), key=lambda q: q.level):
-            group = list(group)
-            origin = np.array(sf.base.coords) << (sf.base.level - level)
-            idx = tuple((np.array([q.coords for q in group]) - origin).T)
-            shares.extend(cube_blocks(nxt, level - f.cell_level).mean(axis=-1)[idx])
-            cubes += group
-    best = int(np.argmax(shares))
-    worst, offender = float(shares[best]), cubes[best]
+    worst, offender = 0.0, None  # nothing covered: ratio 0, no offender
+    if sf.generations:
+        tallies = [(sf.base, int(sf.e0_mask.sum()))]
+        tallies += [(sel.cube, sel.e_cells) for gen in sf.generations[:-1] for sel in gen]
+        for cube, free in tallies:
+            cells = 2 ** (sf.grid.dim * (cube.level - sf.grid.cell_level))
+            share = (cells - free) / cells
+            if share > worst:
+                worst, offender = share, cube
     ok = worst <= 0.5
     detail = "halving certified" if ok else f"halving fails at ratio {worst:.6f}"
     return HalvingReport(ok, worst, offender, detail)
 
 
 def choose_a(f: GridFunction, g: GridFunction, q0: DyadicCube,
-             schedule=None) -> float:
-    """Smallest doubling-schedule threshold base whose halving is certified.
+             schedule=None) -> StoppingFamily:
+    """The decomposition at the smallest doubling-schedule threshold base
+    whose halving is certified; its base is ``.a``.
 
     The triple-average products are computed once and shared by every
     candidate.  Termination: once a exceeds the largest product, every
@@ -190,8 +188,8 @@ def choose_a(f: GridFunction, g: GridFunction, q0: DyadicCube,
     m = _triple_products(f, g, q0)
     for a in schedule:
         sf = _decompose(f, q0, a, m)
-        if verify_halving(sf, f, g).ok:
-            return a
+        if verify_halving(sf).ok:
+            return sf
     raise ParameterError("threshold schedule exhausted without certification")
 
 
@@ -216,7 +214,6 @@ def packing_sum(q_jk: DyadicCube, v: GridFunction, t: float, alpha: float) -> fl
     e = t / (1.0 - t)
     powered = v.values ** e
     if not np.all(np.isfinite(powered)):
-        # stabilised path: cell powers overflow, integrate in shifted form
         raise ParameterError("weight power overflows; use t farther from 1")
     cell_vol = v.cell_volume
 

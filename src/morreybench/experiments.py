@@ -44,6 +44,8 @@ THEOREMS = {
     "two-weight": ("alpha",), "one-weight": ("alpha",),
     "olsen": ("alpha", "p", "q1", "q2", "s", "t", "r", "a"),
 }
+GROWTH_LIMIT = 1.05         # a stable harness's worst ratio grows at most this much per level
+SHARPNESS_FLOOR_TOL = 0.95  # the share of the floor delta**(-n/s) that min B must reach
 
 
 # --- exponent profiles --------------------------------------------------------
@@ -169,19 +171,18 @@ class HarnessResult:
     theorem: str
     records: list
     max_ratio_by_level: dict
-    growth_limit: float = 1.05
 
     @property
     def stable(self) -> bool:
         levels = sorted(self.max_ratio_by_level)
         pairs = zip(levels, levels[1:])
         return all(self.max_ratio_by_level[b]
-                   <= self.growth_limit * self.max_ratio_by_level[a]
+                   <= GROWTH_LIMIT * self.max_ratio_by_level[a]
                    for a, b in pairs)
 
 
-def _ratio_core(theorem: str, root: DyadicCube, levels, hook, params_id: str,
-                growth_limit: float) -> HarnessResult:
+def _ratio_core(theorem: str, root: DyadicCube, levels, hook,
+                params_id: str) -> HarnessResult:
     """The one loop behind every ratio harness: worst LHS/RHS per level.
 
     ``hook(level, fam)`` builds the level's constants once on its dyadic family
@@ -203,12 +204,12 @@ def _ratio_core(theorem: str, root: DyadicCube, levels, hook, params_id: str,
     by_level = {}
     for rec in records:
         by_level[rec.level] = max(by_level.get(rec.level, 0.0), rec.ratio)
-    return HarnessResult(theorem, records, by_level, growth_limit)
+    return HarnessResult(theorem, records, by_level)
 
 
 def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
                   ws: WeightSystem | None = None, cp: CharParams | None = None,
-                  params_id: str = "", growth_limit: float = 1.05) -> HarnessResult:
+                  params_id: str = "") -> HarnessResult:
     """LHS/RHS ratios for one theorem over pairs and refinement levels.
 
     ``pairs`` holds (name, f, g) at a base depth; each level re-samples the
@@ -262,7 +263,7 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
             char * pair_morrey_sup(f.with_values(np.abs(f.values) * w.w1.values),
                                    g.with_values(np.abs(g.values) * w.w2.values),
                                    cp.p, cp.q1, cp.q2, fam).value)
-    return _ratio_core(theorem, pairs[0][1].root, levels, hook, params_id, growth_limit)
+    return _ratio_core(theorem, pairs[0][1].root, levels, hook, params_id)
 
 
 # --- sharpness ------------------------------------------------------------------
@@ -389,7 +390,7 @@ def _loglog_slope(rows) -> float:
                             np.log([r.norm_b for r in rows]), 1)[0])
 
 
-def run_sharpness(cfg: SharpnessConfig, floor_tol: float = 0.95) -> SharpnessResult:
+def run_sharpness(cfg: SharpnessConfig) -> SharpnessResult:
     cfg.validate()
     spec = KernelSpec(cfg.alpha)
 
@@ -403,7 +404,7 @@ def run_sharpness(cfg: SharpnessConfig, floor_tol: float = 0.95) -> SharpnessRes
         norm_g = morrey_norm(g, cfg.p2, cfg.q2, fam).value
         norm_b = morrey_norm(B, cfg.s, cfg.t, fam).value
         return SharpnessRow(m, meta.delta, min_pt, floor,
-                            min_pt >= floor_tol * floor,
+                            min_pt >= SHARPNESS_FLOOR_TOL * floor,
                             norm_f, 3.0 ** (cfg.n / cfg.p1),
                             norm_g, 3.0 ** (cfg.n / cfg.p2), norm_b)
 
@@ -461,7 +462,6 @@ class SteinWeissVerdict:
     verdict: str                 # FINITE | DIVERGENT | INCONCLUSIVE
     char_by_level: dict
     growth: list
-    harness: HarnessResult | None
 
 
 def _power_char(sw: SteinWeissParams, root: DyadicCube, depth: int) -> float:
@@ -475,28 +475,27 @@ def _power_char(sw: SteinWeissParams, root: DyadicCube, depth: int) -> float:
     r_inv = recip(sw.r)
 
     def value(shift, volume):
-        return ((volume ** r_inv if r_inv else 1.0)
+        return (volume ** r_inv
                 * cube_blocks(pv.values, shift).mean(axis=-1) ** (1.0 / e_v)
                 * cube_blocks(p1.values, shift).mean(axis=-1) ** (1.0 / d1)
                 * cube_blocks(p2.values, shift).mean(axis=-1) ** (1.0 / d2))
     return family_max(pv, dyadic_family(root, root.level - depth), value)[0]
 
 
-def stein_weiss_check(sw: SteinWeissParams, k_levels=(0, 1, 2, 3, 4),
-                      base_depth: int = 5, run_harness: bool = True,
-                      seed: int = 11) -> SteinWeissVerdict:
+def stein_weiss_check(sw: SteinWeissParams, k_levels=(0, 1, 2, 3, 4)) -> SteinWeissVerdict:
     """Dichotomy probe: the proof characteristic over growing nested roots.
 
-    FINITE when the value varies by less than ten percent across the root
-    levels, DIVERGENT when it grows by more than ten percent at every step.
-    The structural hypotheses must hold; the weight conditions themselves
-    (balance and nonnegative exponent sum) are exactly what is being probed.
+    The root of level k has depth 5 + k.  FINITE when the value varies by
+    less than ten percent across the root levels, DIVERGENT when it grows by
+    more than ten percent at every step.  The structural hypotheses must
+    hold; the weight conditions themselves (balance and nonnegative exponent
+    sum) are exactly what is being probed.
     """
     refuse("hypotheses violated", sw.violations(require_weight_conditions=False))
     chars = {}
     for k in k_levels:
         root = DyadicCube(k, (0,) * sw.n)
-        chars[k] = _power_char(sw, root, base_depth + k)
+        chars[k] = _power_char(sw, root, 5 + k)
     levels = sorted(chars)
     growth = [chars[b] / chars[a] for a, b in zip(levels, levels[1:])]
     spread = max(chars.values()) / min(chars.values())
@@ -506,14 +505,13 @@ def stein_weiss_check(sw: SteinWeissParams, k_levels=(0, 1, 2, 3, 4),
         verdict = "DIVERGENT"
     else:
         verdict = "INCONCLUSIVE"
-    harness = None
-    if run_harness and verdict == "FINITE":
-        harness = _stein_weiss_harness(sw, seed)
-    return SteinWeissVerdict(verdict, chars, growth, harness)
+    return SteinWeissVerdict(verdict, chars, growth)
 
 
-def _stein_weiss_harness(sw: SteinWeissParams, seed: int) -> HarnessResult:
-    """Weighted ratio run for the kernel of order n - alpha on indicators."""
+def stein_weiss_harness(sw: SteinWeissParams, seed: int = 11) -> HarnessResult:
+    """Weighted ratio run for the kernel of order n - alpha on four seeded
+    indicator pairs at levels 4..6; the structural hypotheses must hold."""
+    refuse("hypotheses violated", sw.violations(require_weight_conditions=False))
     spec = KernelSpec(sw.n - sw.alpha)
 
     def hook(level, fam):
@@ -525,7 +523,7 @@ def _stein_weiss_harness(sw: SteinWeissParams, seed: int) -> HarnessResult:
                     morrey_norm(f.with_values(f.values * w.w1.values), sw.p1, sw.q1, fam).value
                     * morrey_norm(g.with_values(g.values * w.w2.values), sw.p2, sw.q2, fam).value)
         return make_pairs("indicator", 4, seed, level, sw.n), sides
-    return _ratio_core("stein-weiss", unit_root(sw.n), (4, 5, 6), hook, "", 1.05)
+    return _ratio_core("stein-weiss", unit_root(sw.n), (4, 5, 6), hook, "")
 
 
 # --- necessity ------------------------------------------------------------------
@@ -636,12 +634,13 @@ class FsDualReport:
 
 
 def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
-                  pairs=None, levels=(4, 5), seed: int = 7) -> FsDualReport:
+                  levels=(4, 5), seed: int = 7) -> FsDualReport:
     """Majorant-weight route: split check plus a stability harness.
 
     Per cube, |Q|**(1/r) (avg (w1 w2)**(as/(1-s)))**((1-s)/(as)) must not
-    exceed the product of the two majorant factors; then B(f,g) w1 w2 is
-    normalized by the pair supremum built from the majorants W_i.
+    exceed the product of the two majorant factors; then, on four seeded step
+    pairs, B(f,g) w1 w2 is normalized by the pair supremum built from the
+    majorants W_i.
     """
     refuse("relations violated", params.violations())
     cp = params.cp
@@ -657,8 +656,7 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     worst = family_max(w1, dyadic_family(w1.root, w1.cell_level), split_excess)[0]
     split_ok = worst <= 1.0 + 1e-12
 
-    if pairs is None:
-        pairs = make_pairs("step", 4, seed, w1.depth, w1.dim)
+    pairs = make_pairs("step", 4, seed, w1.depth, w1.dim)
     spec = KernelSpec(cp.alpha)
 
     def hook(level, fam_l):
@@ -675,5 +673,5 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
             gw = g.with_values(np.abs(g.values) * maj2.values)
             return lhs, pair_morrey_sup(fw, gw, cp.p, cp.q1, cp.q2, fam_l).value
         return pairs, sides
-    harness = _ratio_core("fs-dual", w1.root, levels, hook, "", 1.05)
+    harness = _ratio_core("fs-dual", w1.root, levels, hook, "")
     return FsDualReport(split_ok, worst, harness)

@@ -17,7 +17,8 @@ Cell values are understood as the function's value on the whole cell
 of the root, such as triples ``3Q``, are clipped to the grid and the clipping
 is recorded on the result: zero extension makes the clipped *sum* correct,
 but averages of strictly positive weights over clipped boxes would silently
-mix in artificial zeros, so weight characteristics refuse clipped boxes.
+mix in artificial zeros.  Weight characteristics never meet such a box: they
+scan dyadic subcubes of the grid's root, and those never clip.
 """
 
 from __future__ import annotations

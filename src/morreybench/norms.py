@@ -30,6 +30,7 @@ from .util import INF, ParameterError
 
 DYADIC = "dyadic-subcubes"
 ALIGNED = "all-aligned-cubes"
+ALIGNED_BUDGET = 2_000_000  # the most cubes an aligned family holds before its sizes thin
 
 
 @dataclass(frozen=True)
@@ -74,18 +75,19 @@ def dyadic_family(root: DyadicCube, min_level: int) -> CubeFamily:
     return CubeFamily(DYADIC, root, min_level)
 
 
-def aligned_family(grid: GridFunction, budget: int | None = 2_000_000) -> CubeFamily:
-    """Every grid-cornered cube; sizes are thinned to dyadic ones over budget."""
+def aligned_family(grid: GridFunction) -> CubeFamily:
+    """Every grid-cornered cube; sizes are thinned to dyadic ones over
+    ``ALIGNED_BUDGET``."""
     m = grid.cells_per_axis
     n = grid.dim
     sizes = tuple(range(1, m + 1))
     count = sum((m - s + 1) ** n for s in sizes)
-    if budget is not None and count > budget:
+    if count > ALIGNED_BUDGET:
         sizes = tuple(1 << j for j in range(grid.depth + 1))
         count = sum((m - s + 1) ** n for s in sizes)
-        if count > budget:
+        if count > ALIGNED_BUDGET:
             raise ParameterError(
-                f"aligned family needs {count} cubes, budget is {budget}")
+                f"aligned family needs {count} cubes, budget is {ALIGNED_BUDGET}")
     return CubeFamily(ALIGNED, grid.root, grid.cell_level, sizes)
 
 
@@ -163,12 +165,11 @@ def cell_sup(grid: GridFunction, family: CubeFamily, value) -> np.ndarray:
     return out
 
 
-def lebesgue_norm(f: GridFunction, t: float, box: AlignedBox | None = None) -> float:
-    """(sum over the box of |f|**t * cell_volume)**(1/t)."""
+def lebesgue_norm(f: GridFunction, t: float) -> float:
+    """(sum over the grid of |f|**t * cell_volume)**(1/t)."""
     if t <= 0:
         raise ParameterError(f"Lebesgue exponent must be positive, got {t}")
-    vals = f.values if box is None else f.values[box.slices()]
-    s = float(np.sum(np.abs(vals) ** t)) * f.cell_volume
+    s = float(np.sum(np.abs(f.values) ** t)) * f.cell_volume
     return s ** (1.0 / t)
 
 

@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, triple_sums
 from .norms import CubeFamily, cell_sup
-from .util import NumericalError, ParameterError, power_mean
+from .util import NumericalError, ParameterError, v_factor
 
 
 @dataclass(frozen=True)
@@ -292,10 +292,9 @@ def m_tilde(f: GridFunction, g: GridFunction, v: GridFunction, alpha: float,
     fa, ga = np.abs(f.values), np.abs(g.values)
 
     def value(shift, volume):
-        rows = cube_blocks(v.values, shift)
-        wfac = rows.max(axis=-1) if t == 1.0 else power_mean(rows, t / (1.0 - t))
         return (volume ** (alpha / n) * cube_blocks(fa, shift).mean(axis=-1)
-                * cube_blocks(ga, shift).mean(axis=-1) * wfac)
+                * cube_blocks(ga, shift).mean(axis=-1)
+                * v_factor(cube_blocks(v.values, shift), t))
     return _field(f, cell_sup(f, family, value))
 
 

@@ -42,7 +42,7 @@ def recip(x: float) -> float:
 
 def power_mean(values, exponent: float):
     """Return ``(mean(values**e))**(1/e)`` over the last axis, without overflow
-    for large ``|e|``; a scalar for 1-D ``values``.
+    for large ``|e|``.
 
     Intermediates are shifted by the extreme value so they stay within [0, 1];
     as ``e`` grows the result tends smoothly to ``max(values)`` (resp. ``min``
@@ -59,8 +59,12 @@ def power_mean(values, exponent: float):
     if e < 0 and np.any(anchor <= 0.0):
         raise ParameterError("nonpositive value raised to negative power")
     safe = np.where(anchor == 0.0, 1.0, anchor)  # all-zero rows have mean 0
-    out = anchor * np.mean((vals / safe[..., None]) ** e, axis=-1) ** (1.0 / e)
-    return float(out) if out.ndim == 0 else out
+    return anchor * np.mean((vals / safe[..., None]) ** e, axis=-1) ** (1.0 / e)
+
+
+def v_factor(rows, t: float):
+    """``(mean(rows**(t/(1-t))))**((1-t)/t)`` over the last axis; the max at t = 1."""
+    return rows.max(axis=-1) if t == 1.0 else power_mean(rows, t / (1.0 - t))
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:

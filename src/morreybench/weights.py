@@ -33,7 +33,7 @@ import numpy as np
 from . import relations
 from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, spread
 from .norms import CubeFamily, cell_sup, dyadic_levels, family_max
-from .util import INF, ParameterError, conjugate, power_mean, recip, refuse
+from .util import INF, ParameterError, conjugate, power_mean, recip, refuse, v_factor
 
 
 # --- weight systems ---------------------------------------------------------
@@ -154,12 +154,6 @@ class CharacteristicReport:
     overflowed: bool = False
 
 
-def _v_factor(v: GridFunction, shift: int, t: float) -> np.ndarray:
-    """(avg_Q v**(t/(1-t)))**((1-t)/t) per cube; the max of v on Q at t = 1."""
-    rows = cube_blocks(v.values, shift)
-    return rows.max(axis=-1) if t == 1.0 else power_mean(rows, t / (1.0 - t))
-
-
 def _w_factor(ws: WeightSystem, shift: int, d1: float, d2: float) -> np.ndarray:
     """prod_i (avg_Q w_i**-d_i)**(1/d_i) per cube, as 1 / power_mean(w_i, -d_i)."""
     return (1.0 / power_mean(cube_blocks(ws.w1.values, shift), -d1)
@@ -174,7 +168,7 @@ def _pair_exponent(cp: CharParams) -> float:
 
 def _pair_scale(volume: float, outer: float, exponent: float, r_inv: float) -> float:
     """(|Q|/|Q'|)**E |Q'|**(1/r): the part of a pair value fixed by the two levels."""
-    return (volume / outer) ** exponent * (outer ** r_inv if r_inv else 1.0)
+    return (volume / outer) ** exponent * outer ** r_inv
 
 
 def _pair_scan(ws: WeightSystem, family: CubeFamily, t: float, d1: float, d2: float,
@@ -190,7 +184,7 @@ def _pair_scan(ws: WeightSystem, family: CubeFamily, t: float, d1: float, d2: fl
     wfac = [_w_factor(ws, shift, d1, d2)[window] for shift, _, window in scans]
     best, pairs, overflowed = None, 0, False
     for i, (shift, volume, window) in enumerate(scans):
-        vfac = _v_factor(grid, shift, t)[window]
+        vfac = v_factor(cube_blocks(grid.values, shift), t)[window]
         vals = np.stack([_pair_scale(volume, scans[j][1], exponent, r_inv) * vfac
                          * spread(wfac[j], scans[j][0] - shift)
                          for j in range(i, -1, -1)], axis=-1)
@@ -234,7 +228,7 @@ def char_remark(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Charact
     r_inv = recip(cp.r)
 
     def value(shift, volume):
-        return ((volume ** r_inv if r_inv else 1.0)
+        return (volume ** r_inv
                 * power_mean(cube_blocks(ws.v.values, shift), e_v) * _w_factor(ws, shift, d1, d2))
     best, q, overflowed = family_max(ws.v, family, value)
     return CharacteristicReport(best, (q, q), len(family), overflowed)
@@ -259,10 +253,10 @@ def char_testing(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Charac
     r_inv = recip(cp.r)
 
     def value(shift, volume):
-        return ((volume ** r_inv if r_inv else 1.0)
+        return (volume ** r_inv
                 * cube_blocks(ws.v.values, shift).min(axis=-1) * _w_factor(ws, shift, d1, d2))
-    best, q, _ = family_max(ws.v, family, value)
-    return CharacteristicReport(best, (q, q), len(family))
+    best, q, overflowed = family_max(ws.v, family, value)
+    return CharacteristicReport(best, (q, q), len(family), overflowed)
 
 
 def ap_characteristic(w: GridFunction, p: float, family: CubeFamily) -> CharacteristicReport:
@@ -276,8 +270,8 @@ def ap_characteristic(w: GridFunction, p: float, family: CubeFamily) -> Characte
     def value(shift, volume):
         rows = cube_blocks(w.values, shift)
         return rows.mean(axis=-1) / power_mean(rows, e)
-    best, q, _ = family_max(w, family, value)
-    return CharacteristicReport(best, (q, q), len(family))
+    best, q, overflowed = family_max(w, family, value)
+    return CharacteristicReport(best, (q, q), len(family), overflowed)
 
 
 def fs_majorant(w: GridFunction, r_i: float, s_i: float,
@@ -290,7 +284,7 @@ def fs_majorant(w: GridFunction, r_i: float, s_i: float,
         raise ParameterError("majorant weight must be strictly positive")
     r_inv = recip(r_i)
     e = s_i / (1.0 - s_i)
-    out = cell_sup(w, family, lambda shift, volume: (volume ** r_inv if r_inv else 1.0)
+    out = cell_sup(w, family, lambda shift, volume: volume ** r_inv
                    * power_mean(cube_blocks(w.values, shift), e))
     flags = "pos" if out.min() > 0 else "nonneg"
     return GridFunction(w.dim, w.root, w.depth, out, flags)
@@ -306,5 +300,5 @@ def pair_value(ws: WeightSystem, cp: CharParams, q: DyadicCube, qp: DyadicCube) 
         shift = cube.level - grid.cell_level
         return per_cube(shift)[tuple(lo >> shift for lo in cube_box(grid, cube).lo)]
     return (_pair_scale(q.volume, qp.volume, _pair_exponent(cp), recip(cp.r))
-            * factor(q, lambda shift: _v_factor(grid, shift, cp.t))
+            * factor(q, lambda shift: v_factor(cube_blocks(grid.values, shift), cp.t))
             * factor(qp, lambda shift: _w_factor(ws, shift, d1, d2)))

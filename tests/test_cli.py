@@ -208,6 +208,25 @@ class TestCzCommand:
         assert len(lines) >= 2
         assert "halving certified" in capsys.readouterr().out
 
+    def test_triple_products_built_once(self, tmp_path, monkeypatch):
+        # the certified decomposition comes back from choose_a: one
+        # triple_means call per operand and level, none for a second pass
+        from morreybench import decomposition
+        from morreybench.operators import triple_means
+        calls = []
+
+        def counted(f, shift):
+            calls.append(shift)
+            return triple_means(f, shift)
+        monkeypatch.setattr(decomposition, "triple_means", counted)
+        rng = np.random.default_rng(3)
+        f, g = tmp_path / "f.mgf", tmp_path / "g.mgf"
+        write_step(f, np.exp(rng.uniform(-2, 2, 64)), flags="nonneg")
+        write_step(g, np.exp(rng.uniform(-2, 2, 64)), flags="nonneg")
+        rc = main(["cz", "--f", str(f), "--g", str(g), "--out", str(tmp_path / "cz.csv")])
+        assert rc == 0
+        assert sorted(calls) == sorted(2 * list(range(6 + 1)))
+
 
 class TestExperimentCommand:
     def test_sharpness_csv_and_slope(self, tmp_path, capsys):
@@ -323,6 +342,18 @@ SHARPNESS = ["--alpha", "0.3", "--p1", "4", "--p2", "4", "--q1", "2", "--q2", "2
              "--t", "5"]
 
 
+def _with_overflow_files(tmp_path, argv):
+    """``argv`` with BIG, HUGE, TINY, V and W replaced by MGF files of finite
+    weights or data whose suprema overflow."""
+    big = np.ones(16)
+    big[5] = 1e200  # |f|**2 overflows
+    files = {"BIG": big, "HUGE": np.full(16, 1.5e308), "TINY": np.full(16, 1e-300),
+             "V": np.full(4, 1e308), "W": np.full(4, 1e-308)}
+    for name, values in files.items():
+        write_step(tmp_path / name, values, flags="pos")
+    return [str(tmp_path / a) if a in files else a for a in argv]
+
+
 class TestExitContract:
     """Missing flags, malformed or empty ranges, empty selections and bad
     paths exit 2 and name the flag or the path; none ends in a traceback."""
@@ -374,6 +405,42 @@ class TestExitContract:
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()  # refused before any output
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["norm", "--kind", "morrey", "--p", "4", "--q", "2", "--in", "BIG"],
+                     id="norm-morrey-dyadic"),
+        pytest.param(["norm", "--kind", "morrey", "--p", "4", "--q", "2", "--in", "BIG",
+                      "--family", "all"], id="norm-morrey-all"),
+        pytest.param(["norm", "--kind", "lebesgue", "--t", "2", "--in", "BIG"],
+                     id="norm-lebesgue"),
+        pytest.param(["char", "--kind", "ap", "--p", "2", "--v", "HUGE"], id="char-ap"),
+        pytest.param(["char", "--kind", "testing", *TESTING, "--v", "HUGE", "--w1", "TINY",
+                      "--w2", "TINY"], id="char-testing"),
+    ])
+    def test_overflowed_supremum_exits_3(self, tmp_path, capsys, argv):
+        # finite inputs whose supremum overflows are refused, not printed as value=inf
+        assert _exit_code(_with_overflow_files(tmp_path, argv)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("numerical failure: ") and "overflowed; reported +inf" in err
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["char", "--kind", "two-weight", *TWO_WEIGHT[:14], "--s", "4/5",
+                      "--v", "V", "--w1", "W", "--w2", "W"],
+                     "characteristic overflowed; reported +inf", id="char-two-weight"),
+        pytest.param(["norm", "--kind", "morrey", "--p", "4", "--q", "2", "--in", "BIG"],
+                     "norm overflowed; reported +inf", id="norm-morrey"),
+    ])
+    def test_refusal_is_the_only_stderr_line(self, tmp_path, argv, message):
+        # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+        # rather than pytest's warning capture
+        src = str(Path(morreybench.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-m", "morreybench.cli",
+                              *_with_overflow_files(tmp_path, argv)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 3
+        assert run.stderr == f"numerical failure: {message}\n"
 
     @pytest.mark.parametrize("body", [
         pytest.param("1.0\nnan\n", id="nan-under-pos"),

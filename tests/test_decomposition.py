@@ -84,8 +84,8 @@ class TestDecompose:
     def test_sandwich_for_choose_a(self):
         for seed in range(20):
             f, g = rand_pair(seed, depth=6)
-            a = choose_a(f, g, unit_root(1))
-            sf = cz_decompose(f, g, unit_root(1), a)
+            sf = choose_a(f, g, unit_root(1))
+            a = sf.a
             n = 1
             for k in range(1, sf.kmax + 1):
                 for sel in sf.generations[k - 1]:
@@ -109,8 +109,8 @@ class TestDecompose2D:
         vals = np.exp(rng.uniform(-2, 2, size=(8, 8)))
         vals[2, 5] = 60.0
         f = GridFunction(2, unit_root(2), 3, vals, "nonneg")
-        a = choose_a(f, f, unit_root(2))
-        sf = cz_decompose(f, f, unit_root(2), a)
+        sf = choose_a(f, f, unit_root(2))
+        a = sf.a
         total = sf.e0_mask.astype(int).copy()
         for mask in sf.e_masks.values():
             total += mask.astype(int)
@@ -128,14 +128,14 @@ class TestHalving:
     def test_trivial_decomposition_ratio_zero(self):
         f = step(np.ones(16))
         sf = cz_decompose(f, f, unit_root(1), 2.0)
-        rep = verify_halving(sf, f, f)
+        rep = verify_halving(sf)
         assert rep.ok and rep.worst_ratio == 0.0
 
     def test_spike_with_large_base_passes(self):
         f, g = spike_pair()
         a = 4 ** 1 * 16.0
         sf = cz_decompose(f, g, unit_root(1), a)
-        assert verify_halving(sf, f, g).ok
+        assert verify_halving(sf).ok
 
     def test_adversarial_small_base_fails_and_reports(self):
         # a geometric ramp makes consecutive generations nearly identical,
@@ -143,7 +143,7 @@ class TestHalving:
         vals = 2.0 ** (np.arange(64) / 4.0)
         f = step(vals)
         sf = cz_decompose(f, f, unit_root(1), 1.01)
-        rep = verify_halving(sf, f, f)
+        rep = verify_halving(sf)
         assert not rep.ok
         assert rep.worst_ratio > 0.5
         assert rep.offender is not None
@@ -153,19 +153,17 @@ class TestHalving:
 class TestChooseA:
     def test_constant_data_first_candidate(self):
         f = step(np.ones(32))
-        assert choose_a(f, f, unit_root(1)) == 2.0
+        assert choose_a(f, f, unit_root(1)).a == 2.0
 
     def test_spike_within_schedule(self):
         f, g = spike_pair()
-        a = choose_a(f, g, unit_root(1))
-        assert a <= 64.0
+        assert choose_a(f, g, unit_root(1)).a <= 64.0
 
     def test_returned_base_certifies_halving(self):
         for seed in (3, 11):
             f, g = rand_pair(seed)
-            a = choose_a(f, g, unit_root(1))
-            sf = cz_decompose(f, g, unit_root(1), a)
-            assert verify_halving(sf, f, g).ok
+            sf = choose_a(f, g, unit_root(1))
+            assert verify_halving(sf).ok
 
     def test_triple_means_once_per_level(self, monkeypatch):
         # the products m_3Q do not depend on a: one triple_means call per

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from morreybench import (DyadicCube, GridFunction, ParameterError,
-                         aligned_family, cube_box, dyadic_family, enumerate_subcubes,
-                         m_alpha_bilinear, m_alpha_vector, morrey_norm,
+                         aligned_family, b_alpha, cube_box, dyadic_family,
+                         enumerate_subcubes, m_alpha_bilinear, m_alpha_vector, morrey_norm,
                          pair_morrey_sup, unit_root)
 from morreybench.experiments import (ExponentProfile, FsDualParams,
                                      NecessityReport, SharpnessConfig,
                                      SteinWeissParams, build_sharpness_pair,
                                      fs_dual_check, make_pairs, necessity_check,
                                      random_weights, ratio_harness, run_sharpness,
-                                     stein_weiss_check)
+                                     stein_weiss_check, stein_weiss_harness)
 from morreybench.util import make_rng
 from morreybench.weights import (INF, CharParams, WeightSystem, char_remark,
                                  char_testing, char_two_weight, power_system,
@@ -186,18 +186,18 @@ class TestSteinWeiss:
         assert self.finite_params().violations() == []
 
     def test_finite_verdict(self):
-        v = stein_weiss_check(self.finite_params(), run_harness=True)
+        v = stein_weiss_check(self.finite_params())
         assert v.verdict == "FINITE"
         vals = list(v.char_by_level.values())
         assert max(vals) / min(vals) < 1.10
-        assert v.harness is not None and v.harness.stable
+        assert stein_weiss_harness(self.finite_params()).stable
 
     def test_unweighted_reduction_characteristic_is_one(self):
         sw = SteinWeissParams(n=1, alpha=0.5, q1=9 / 8, q2=9 / 8,
                               p1=32 / 27, p2=32 / 27, r=INF, a=17 / 16,
                               beta=0.0, gamma1=0.0, gamma2=0.0)
         assert sw.violations() == []
-        v = stein_weiss_check(sw, run_harness=False)
+        v = stein_weiss_check(sw)
         assert v.verdict == "FINITE"
         for val in v.char_by_level.values():
             assert val == pytest.approx(1.0, rel=1e-12)
@@ -207,7 +207,7 @@ class TestSteinWeiss:
                               p1=32 / 27, p2=32 / 27, r=16.0, a=17 / 16,
                               beta=-0.54, gamma1=0.02, gamma2=0.02)
         assert sw.sigma < 0
-        v = stein_weiss_check(sw, run_harness=False)
+        v = stein_weiss_check(sw)
         assert v.verdict == "DIVERGENT"
         assert all(g > 1.10 for g in v.growth)
 
@@ -216,7 +216,7 @@ class TestSteinWeiss:
         # l(Q)**sigma |c_Q|**-sigma times |Q|**(1/r); with the balanced set it
         # stays below the near-origin supremum
         sw = self.finite_params()
-        v = stein_weiss_check(sw, k_levels=(0, 4), run_harness=False)
+        v = stein_weiss_check(sw, k_levels=(0, 4))
         assert v.char_by_level[4] <= v.char_by_level[0] * (1 + 1e-9)
 
     def test_far_cube_factor_cubewise(self):
@@ -255,6 +255,28 @@ class TestSteinWeiss:
                               beta=0.0225, gamma1=0.02, gamma2=0.02)
         with pytest.raises(ParameterError, match="n/\\(n-alpha\\) < r"):
             stein_weiss_check(sw)
+        with pytest.raises(ParameterError, match="n/\\(n-alpha\\) < r"):
+            stein_weiss_harness(sw)
+
+    def test_probe_runs_no_operator(self, monkeypatch, tmp_path):
+        # the dichotomy reads only the characteristic: neither the library
+        # probe nor the CLI experiment applies the bilinear operator
+        from morreybench import cli, experiments
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return b_alpha(*args, **kwargs)
+        monkeypatch.setattr(experiments, "b_alpha", counted)
+        assert stein_weiss_check(self.finite_params()).verdict == "FINITE"
+        argv = ["experiment", "stein-weiss", "--alpha", "1/2", "--q1", "9/8", "--q2", "9/8",
+                "--p1", "32/27", "--p2", "32/27", "--r", "16", "--a", "17/16",
+                "--beta", "0.0225", "--gamma1", "0.02", "--gamma2", "0.02",
+                "--out", str(tmp_path / "verdict.txt")]
+        assert cli.main(argv) == 0
+        assert calls == []
+        stein_weiss_harness(self.finite_params())  # the counter does see the harness
+        assert len(calls) == 4 * 3
 
 
 class TestNecessity:
@@ -465,7 +487,7 @@ class TestSteinWeissCharacteristic:
                               gamma1=0.02, gamma2=0.02)
         e_v = sw.a * sw.s / (1.0 - sw.s)
         d = (sw.q1 / sw.a) / (sw.q1 / sw.a - 1.0)
-        got = stein_weiss_check(sw, k_levels=(0, 2), run_harness=False).char_by_level
+        got = stein_weiss_check(sw, k_levels=(0, 2)).char_by_level
         for k, value in got.items():
             root = DyadicCube(k, (0,))
             best = 0.0

@@ -203,11 +203,27 @@ def test_halving_matches_cube_loop(case):
     assume(q0.level > f.cell_level)
     for a in (2.0 ** k for k in itertools.count(1)):
         sf = cz_decompose(f, g, q0, a)
-        rep = verify_halving(sf, f, g)
+        rep = verify_halving(sf)
         assert (rep.ok, rep.worst_ratio, rep.offender) == halving_by_cube(sf, f)
         if rep.ok:
             break
-    assert choose_a(f, g, q0) == a
+    assert choose_a(f, g, q0).a == a
+
+
+@PROPERTY
+@given(case=scans(high=8))
+def test_chosen_family_is_the_decomposition_at_its_base(case):
+    # choose_a hands back the certified candidate's decomposition itself
+    (f, g), family = case
+    q0 = family.root
+    assume(q0.level > f.cell_level)
+    chosen = choose_a(f, g, q0)
+    ref = cz_decompose(f, g, q0, chosen.a)
+    assert chosen.generations == ref.generations
+    assert np.array_equal(chosen.e0_mask, ref.e0_mask)
+    assert len(chosen.d_masks) == len(ref.d_masks)
+    assert all(np.array_equal(x, y) for x, y in zip(chosen.d_masks, ref.d_masks))
+    assert chosen.rows(f.cell_volume) == ref.rows(f.cell_volume)
 
 
 @PROPERTY
