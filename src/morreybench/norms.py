@@ -13,12 +13,26 @@ anywhere:
   points (a cofinal subfamily of all open cubes for step functions, so for
   grid data the all-cubes supremum is attained exactly).
 
-Ties in the max-reduction keep the first cube in canonical order (coarsest
-first, then row-major start), so results are reproducible bit for bit.
+Ties in the max-reduction keep the first cube in canonical order, so results
+are reproducible bit for bit: for dyadic subcubes the coarsest level first,
+for aligned cubes the smallest side first; then the row-major start.
+
+The aligned sweep evaluates only the side lengths it must.  For a side s let
+W(s) be the largest window sum of |f|**q over s-cubes.  W does not decrease
+with s (every s-cube lies inside an (s+1)-cube of the grid), and the factor
+(s*h)**(n/p) * s**(-n/q) does not increase (q <= p), so on a range of sides
+[lo, hi] every value is at most the factor at lo times (W(hi) + slack)**(1/q),
+enlarged by the rounding of the value itself.  The slack bounds, twice, the
+rounding of a computed window sum: sequential prefix sums are off by about
+n*m*u*total at each of the 2**n corners.  Ranges are bisected best first; a
+range is skipped when its bound is below the best value, or equal to it with
+every side larger than the best's side, so the result is the first strict
+maximum of the full loop over the sides.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -31,6 +45,8 @@ from .util import INF, ParameterError
 DYADIC = "dyadic-subcubes"
 ALIGNED = "all-aligned-cubes"
 ALIGNED_BUDGET = 2_000_000  # the most cubes an aligned family holds before its sizes thin
+_EPS = float(np.finfo(float).eps)  # twice the unit roundoff
+_TINY, _HUGE = 2.0 ** -900, 2.0 ** 900  # the range where ``_range_bound`` is certified
 
 
 @dataclass(frozen=True)
@@ -214,40 +230,127 @@ def _morrey_dyadic(grid: GridFunction, values: np.ndarray, p: float, q: float,
     return family_max(grid, family, value)
 
 
-def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> NormReport:
-    """Aligned-family sweep without materializing entries.
+def _prefix_table(powered: np.ndarray) -> np.ndarray:
+    """Zero-bordered prefix sums: one sequential ``cumsum`` per axis, in axis order."""
+    acc = powered
+    for axis in range(powered.ndim):
+        acc = acc.cumsum(axis=axis)
+    table = np.zeros(tuple(k + 1 for k in powered.shape))
+    table[(slice(1, None),) * powered.ndim] = acc
+    return table
 
-    For a fixed side the cube value is monotone in the window sum, so only the
-    maximal window per side matters; windows come from the prefix table in one
-    vectorized pass per side.
+
+def _windows(table: np.ndarray, s: int) -> np.ndarray:
+    """The sum over every s-cube from the prefix ``table``.
+
+    Corner k takes the low end on axis j when bit j of k is set; the 2**n
+    corners are added in order of k with sign (-1)**popcount(k).
+    """
+    n = table.ndim
+    corners = [table[tuple(slice(None, -s) if k >> j & 1 else slice(s, None)
+                           for j in range(n))] for k in range(2 ** n)]
+    win = corners[0] - corners[1]
+    for k in range(2, 2 ** n):
+        if bin(k).count("1") % 2:
+            win -= corners[k]
+        else:
+            win += corners[k]
+    return win
+
+
+def _window_slack(table: np.ndarray) -> float:
+    """Twice the rounding error any computed window sum can carry.
+
+    A sequential prefix sum of nonnegative terms is off by at most about
+    n*m*u*total, and each of the 2**n corner additions adds at most
+    2**n*u*total; the factor 4 covers the second-order terms and the
+    rounding of the computed total.
+    """
+    n, m = table.ndim, table.shape[0] - 1
+    return 2 ** (n + 2) * (n * m + 2 ** n + 2) * _EPS * float(table[(-1,) * n])
+
+
+def _range_bound(lo: int, top: int, x, h: float, n: int, p: float, q: float) -> float:
+    """An upper bound on the computed Morrey value of every side in [lo, top].
+
+    ``x`` must bound every computed window sum of those sides, which holds
+    for the largest window at ``top`` plus the prefix slack.  The exact
+    value is non-increasing in the side for a fixed window sum, also with
+    the rounded exponents, since fl(1/p) <= fl(1/q); the last factor covers
+    the rounding of the few operations in each value.  Outside the range
+    where that analysis holds (subnormal, huge or non-finite parts) the
+    bound is +inf.
+    """
+    ep, eq = 1.0 / p, 1.0 / q
+    a_lo, a_top = ((lo * h) ** n) ** ep, ((top * h) ** n) ** ep
+    if x == 0.0:  # an all-zero table: every window is exactly zero
+        return 0.0 if a_top <= _HUGE else INF
+    quot = x / lo ** n * (1.0 + 4 * _EPS)
+    b = quot ** eq
+    bound = a_lo * b * (1.0 + 4 * (n * ep + 2 * ep + eq + 8) * _EPS)
+    if (_TINY <= min((lo * h) ** n, a_lo, quot) and max(a_top, b) <= _HUGE
+            and _TINY * max(1.0, a_top) <= bound <= _HUGE):
+        return float(bound)
+    return INF
+
+
+def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> NormReport:
+    """Exact branch and bound over the family's side lengths.
+
+    A side's value comes from its largest window sum W(s), one argmax over
+    ``_windows``.  A range of sides is bounded at its smallest side with W
+    of its largest side plus ``_window_slack``; the bound holds because W
+    does not decrease with s and (s*h)**(n/p) * s**(-n/q) does not increase.
+    Ranges are bisected best first and dropped when their bound is below the
+    best value, or equal to it with every side larger than the best's side,
+    so the result is the loop's first strict maximum, value and box bit for
+    bit.  Only W and its argmax are kept per side visited.
     """
     if f.cell_level != family.min_level or f.root != family.root:
         raise ParameterError("aligned family was built for a different grid")
-    powered = np.abs(f.values) ** q
-    m = f.cells_per_axis
-    h = f.cell_side
-    best_val, best_at = -1.0, None
-    if f.dim == 1:
-        prefix = np.concatenate([[0.0], powered.cumsum()])
-        for s in family.aligned_sizes:
-            windows = prefix[s:] - prefix[:-s]
-            i = int(np.argmax(windows))
-            measure = (s * h)
-            val = measure ** (1.0 / p) * (windows[i] / s) ** (1.0 / q)
-            if val > best_val:
-                best_val, best_at = val, ((i,), (i + s,))
-    else:
-        t = np.zeros((m + 1, m + 1))
-        t[1:, 1:] = powered.cumsum(axis=0).cumsum(axis=1)
-        for s in family.aligned_sizes:
-            win = (t[s:, s:] - t[:-s, s:] - t[s:, :-s] + t[:-s, :-s])
-            flat = int(np.argmax(win))
-            i0, i1 = divmod(flat, win.shape[1])
-            measure = (s * h) ** 2
-            val = measure ** (1.0 / p) * (win[i0, i1] / s ** 2) ** (1.0 / q)
-            if val > best_val:
-                best_val, best_at = val, ((i0, i1), (i0 + s, i1 + s))
-    return NormReport(best_val, AlignedBox(*best_at) if best_at else None)
+    table = _prefix_table(np.abs(f.values) ** q)
+    n, h, m = f.dim, f.cell_side, f.cells_per_axis
+    sizes = family.aligned_sizes
+    slack = _window_slack(table)
+    seen = {}  # size index -> (largest window sum, its flat argmax)
+    best_val, best = -1.0, -1
+
+    def visit(k):
+        nonlocal best_val, best
+        s = sizes[k]
+        win = _windows(table, s)
+        at = int(np.argmax(win))
+        w = win.flat[at]
+        val = ((s * h) ** n) ** (1.0 / p) * (w / s ** n) ** (1.0 / q)
+        seen[k] = (w, at)
+        if val > best_val or (val == best_val and k < best):
+            best_val, best = val, k
+
+    heap = []
+
+    def push(i, j):  # the sides strictly between visited indices i and j
+        if j - i > 1:
+            bound = _range_bound(sizes[i + 1], sizes[j], seen[j][0] + slack, h, n, p, q)
+            heapq.heappush(heap, (-bound, i, j))
+
+    last = len(sizes) - 1
+    visit(0)
+    if last:
+        visit(last)
+        push(0, last)
+    while heap:
+        neg, i, j = heapq.heappop(heap)
+        if -neg < best_val or (-neg == best_val and i + 1 > best):
+            continue
+        k = (i + j) // 2
+        visit(k)
+        push(i, k)
+        push(k, j)
+    if best < 0:
+        return NormReport(best_val, None)
+    s, at = sizes[best], seen[best][1]
+    lo = np.unravel_index(at, (m - s + 1,) * n)
+    return NormReport(best_val, AlignedBox(lo, tuple(i + s for i in lo)))
 
 
 def pair_morrey_sup(f: GridFunction, g: GridFunction, p: float,

@@ -40,7 +40,7 @@ def test_criterion_02_sharpness_norm_floor(ctx):
 def test_criterion_02_floor_and_uniformity_components(ctx):
     # the two sub-properties that hold: pointwise floor with 5% tolerance and
     # delta-uniform boundedness of the cluster norms
-    blow, _, _ = acceptance._sharpness(ctx)
+    blow, _ = acceptance._sharpness(ctx, acceptance.BLOWUP)
     assert blow.floors_hold()
     nf = [r.norm_f for r in blow.rows]
     assert max(nf) / min(nf) < 1.10
@@ -84,3 +84,17 @@ def test_criterion_11_necessity_testing(ctx):
 
 def test_criterion_12_determinism(ctx):
     assert _run(acceptance.criterion_12, ctx).passed
+
+
+def test_sharpness_runs_each_config_once_when_read(monkeypatch):
+    # criterion 2 reads only the blow-up run; criterion 3 adds the boundary run
+    runs = []
+    real = acceptance.run_sharpness
+    monkeypatch.setattr(acceptance, "run_sharpness",
+                        lambda cfg: runs.append(cfg) or real(cfg))
+    fresh = {"seed": 20240801}
+    acceptance.criterion_02(fresh)
+    assert runs == [acceptance.BLOWUP]
+    acceptance.criterion_03(fresh)
+    acceptance.criterion_02(fresh)
+    assert runs == [acceptance.BLOWUP, acceptance.BOUNDARY]
