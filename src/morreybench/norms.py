@@ -57,7 +57,9 @@ class CubeFamily:
     ``[min_level, root.level]``.  ``all-aligned-cubes`` holds every
     grid-cornered cube of the grid with root ``root`` and cell level
     ``min_level``, one side length per entry of ``aligned_sizes`` (in cells)
-    and positions over every valid start.
+    and positions over every valid start.  ``aligned_sizes`` is non-empty,
+    strictly increasing and within ``1..2**depth``; the aligned sweep's
+    bound depends on that order and refuses any other family.
     """
 
     tag: str
@@ -308,9 +310,12 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
     """
     if f.cell_level != family.min_level or f.root != family.root:
         raise ParameterError("aligned family was built for a different grid")
+    sizes = family.aligned_sizes
+    if not sizes or sizes[0] < 1 or sizes[-1] > f.cells_per_axis or any(
+            b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ParameterError("aligned sizes must be strictly increasing within 1..m")
     table = _prefix_table(np.abs(f.values) ** q)
     n, h, m = f.dim, f.cell_side, f.cells_per_axis
-    sizes = family.aligned_sizes
     slack = _window_slack(table)
     seen = {}  # size index -> (largest window sum, its flat argmax)
     best_val, best = -1.0, -1

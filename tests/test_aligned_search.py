@@ -18,8 +18,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from morreybench import (AlignedBox, DyadicCube, GridFunction, aligned_family,  # noqa: E402
-                         morrey_norm)
+from morreybench import (AlignedBox, DyadicCube, GridFunction, ParameterError,  # noqa: E402
+                         aligned_family, morrey_norm)
 from morreybench import norms  # noqa: E402
 from morreybench.experiments import SharpnessConfig, build_sharpness_pair  # noqa: E402
 from morreybench.norms import (ALIGNED, CubeFamily, _morrey_aligned,  # noqa: E402
@@ -149,6 +149,16 @@ def test_all_zero_and_one_cell_grids(dim, depth):
         fam = aligned_family(f)
         rep = _morrey_aligned(f, 3.0, 1.5, fam)
         assert (rep.value, rep.attaining) == full_loop(f, 3.0, 1.5, fam)
+
+
+@pytest.mark.parametrize("sizes", [(), (2, 1), (1, 1, 2), (0, 1), (1, 17)])
+def test_unordered_or_out_of_range_sizes_are_refused(sizes):
+    # the range bound needs W to grow along the sizes, so the search refuses
+    # any family that is not strictly increasing within 1..m
+    f = grid(np.ones(16))
+    fam = CubeFamily(ALIGNED, f.root, f.cell_level, sizes)
+    with pytest.raises(ParameterError, match="strictly increasing"):
+        _morrey_aligned(f, 4.0, 2.0, fam)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -2,15 +2,14 @@
 
 Usage, from the repository root, with a second checkout as the baseline:
 
-    python3 tools/perf_aligned.py --before ../baseline --after . \\
-        --runs 5 --seed 3 --pairs 10 --check-pairs 4 --pair-seed 13 \\
-        --out BENCH_12.json
+    python3 tools/perf_aligned.py --before ../baseline --after . --out BENCH_12.json
 
 End-to-end, alternating runs of ``benchmarks/run.py --trace 0`` (the order
-flipped every pair; ``--pairs`` of them on selftest, where the gain is
-claimed, and ``--check-pairs`` on each other workload) give each metric's
-median and quartiles per side and the pairs the change won.  Per layer, two kinds of figures, each as the minimum of k
-runs plus the spread (max - min) and every run:
+flipped every pair; ``PAIRS`` of them on selftest, where the gain is
+claimed, and ``CHECK_PAIRS`` on each other workload) give each metric's
+median and quartiles per side and the pairs the change won.  Per layer, two
+kinds of figures, each as the minimum of k runs plus the spread (max - min)
+and every run:
 
 * the per-layer metrics that ``benchmarks/run.py --workload selftest
   --trace 1`` prints for the sweep (``norms.morrey_norm.aligned.self_s``)
@@ -42,6 +41,16 @@ END_TO_END = {"ops_per_s": "higher", "op_s.p50": "lower", "setup_s": "lower",
 TRACE_KEYS = ("norms.morrey_norm.aligned.self_s", "acceptance.criterion_02.s",
               "acceptance.criterion_03.s", "acceptance.criterion_12.s")
 DEPTHS = {1: (8, 10, 12), 2: (5, 6, 7)}
+SETTINGS = {
+    "runs": 5,             # traced selftest runs per side
+    "seed": 3,             # seed of the traced runs
+    "seconds": 5.0,        # --seconds of each traced run
+    "repeats": 7,          # direct calls per depth
+    "pairs": 10,           # end-to-end pairs on selftest
+    "check_pairs": 4,      # end-to-end pairs on each other workload
+    "pair_seed": 13,       # seed of the end-to-end runs
+    "pair_seconds": 25.0,  # --seconds of each end-to-end run
+}
 
 DIRECT = r"""
 import json, sys, time
@@ -113,28 +122,19 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--before", required=True, help="baseline checkout")
     ap.add_argument("--after", default=".", help="checkout with the change")
-    ap.add_argument("--runs", type=int, default=5, help="traced runs per side")
-    ap.add_argument("--seed", type=int, default=3)
-    ap.add_argument("--seconds", type=float, default=5.0, help="--seconds of each traced run")
-    ap.add_argument("--repeats", type=int, default=7, help="direct calls per depth")
-    ap.add_argument("--pairs", type=int, default=10, help="end-to-end pairs on selftest")
-    ap.add_argument("--check-pairs", type=int, default=4,
-                    help="end-to-end pairs on each other workload")
-    ap.add_argument("--pair-seed", type=int, default=13)
-    ap.add_argument("--pair-seconds", type=float, default=25.0,
-                    help="--seconds of each end-to-end run")
     ap.add_argument("--out", required=True)
     ns = ap.parse_args(argv)
     sides = {"before": ns.before, "after": ns.after}
+    cfg = SETTINGS
 
-    end_to_end = {wl: pairs(sides, wl, ns.pairs if wl == "selftest" else ns.check_pairs,
-                            ns.pair_seed, ns.pair_seconds) for wl in WORKLOADS}
+    end_to_end = {wl: pairs(sides, wl, cfg["pairs"] if wl == "selftest" else cfg["check_pairs"],
+                            cfg["pair_seed"], cfg["pair_seconds"]) for wl in WORKLOADS}
 
     traced = {side: {k: [] for k in TRACE_KEYS} for side in sides}
-    for r in range(ns.runs):
+    for r in range(cfg["runs"]):
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
         for side in order:
-            metrics = bench_run(sides[side], "selftest", ns.seed, ns.seconds, 1)["metrics"]
+            metrics = bench_run(sides[side], "selftest", cfg["seed"], cfg["seconds"], 1)["metrics"]
             for k in TRACE_KEYS:
                 traced[side][k].append(metrics[k]["value"])
 
@@ -143,7 +143,7 @@ def main(argv=None):
         for dim, depths in DEPTHS.items():
             mins = []
             for depth in depths:
-                times = direct_times(checkout, dim, depth, ns.repeats)
+                times = direct_times(checkout, dim, depth, cfg["repeats"])
                 direct[side][f"{dim}d.depth{depth}"] = summary(times)
                 mins.append(min(times))
             direct[side][f"{dim}d.exp"] = slope(depths, dim, mins)
@@ -152,10 +152,7 @@ def main(argv=None):
         "what": "aligned Morrey sweep: branch and bound over side lengths",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count()},
-        "settings": {"runs": ns.runs, "seed": ns.seed, "seconds": ns.seconds,
-                     "repeats": ns.repeats, "pairs": ns.pairs, "check_pairs": ns.check_pairs,
-                     "pair_seed": ns.pair_seed,
-                     "pair_seconds": ns.pair_seconds},
+        "settings": cfg,
         "units": "seconds; traced figures are per cycle, direct ones per call",
         "end_to_end": end_to_end,
         "traced_selftest": {side: {k: summary(v) for k, v in traced[side].items()}
