@@ -135,7 +135,7 @@ def _describe_cube(entry) -> str:
         return f"dyadic level={entry.level} coords={entry.coords} corner=[{lo}] side={fmt(entry.side)}"
     if entry is None:
         return "none"
-    return f"box cells {entry.lo}..{entry.hi}" + (" (clipped)" if entry.clipped else "")
+    return f"box cells {entry.lo}..{entry.hi}"
 
 
 # --- subcommand handlers ---------------------------------------------------------

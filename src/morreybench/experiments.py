@@ -23,11 +23,11 @@ import numpy as np
 
 from . import relations
 from .grid import (DyadicCube, GridFunction, cube_blocks, cube_box,
-                   enumerate_subcubes, require_finite, unit_root)
+                   enumerate_subcubes, require_finite, spread, unit_root)
 from .norms import (CubeFamily, _morrey_dyadic, _pair_sup, aligned_family,
-                    dyadic_family, family_max, morrey_norm, pair_morrey_sup)
-from .operators import (KernelSpec, _bilinear_maximal, _vector_maximal, b_alpha,
-                        i_alpha)
+                    dyadic_family, family_max, morrey_norm)
+from .operators import (KernelSpec, _b_values, _bilinear_maximal, _finite,
+                        _vector_maximal, b_alpha, i_alpha)
 from .util import (INF, NumericalError, ParameterError, close, conjugate,
                    make_rng, recip, refuse)
 from .weights import (CharParams, WeightSystem, char_one_weight, char_testing,
@@ -181,26 +181,49 @@ class HarnessResult:
                    for a, b in pairs)
 
 
-def _ratio_core(theorem: str, root: DyadicCube, levels, hook,
-                params_id: str) -> HarnessResult:
+def _pair_stacks(pairs, level: int):
+    """The pairs refined onto the grid of ``level``: (grid, f stack, g stack).
+
+    The stacks have shape ``(k, *cells)``, one item per pair; ``grid`` is a
+    grid function of the level that carries the first f.  Pairs that do not
+    share one grid are refused.
+    """
+    base = pairs[0][1]
+    if any(h.root != base.root or h.depth != base.depth for _, f, g in pairs for h in (f, g)):
+        raise ParameterError("harness pairs must share one grid")
+    if level < base.depth:
+        raise ParameterError("refinement level below the pair's base depth")
+    fv, gv = (spread(np.stack([pair[i].values for pair in pairs]), level - base.depth, base.dim)
+              for i in (1, 2))
+    return GridFunction(base.dim, base.root, level, fv[0]), fv, gv
+
+
+def _b_stack(grid: GridFunction, fv: np.ndarray, gv: np.ndarray, spec: KernelSpec):
+    """B(f, g) for every pair of the stacks, one ``_correlate`` call; a
+    non-finite value is refused as ``b_alpha`` refuses it."""
+    return _finite(_b_values(grid, fv, gv, spec))
+
+
+def _ratio_core(theorem: str, levels, pairs_at, hook, params_id: str) -> HarnessResult:
     """The one loop behind every ratio harness: worst LHS/RHS per level.
 
-    ``hook(level, fam)`` builds the level's constants once on its dyadic family
-    and returns the (name, f, g) pairs, refined here onto the level's grid, with
-    ``sides(f, g) -> (lhs, rhs)``.  A zero right side with nonzero left side
-    aborts: it cannot occur for positive weights and nonzero data.
+    ``pairs_at(level)`` gives the level's (name, f, g) pairs on one grid;
+    they are refined here onto the level's grid as stacks, and
+    ``hook(grid, family, fv, gv)`` returns the level's (lhs, rhs) arrays, one
+    item per pair, with ``family`` the level's dyadic family.  A zero right
+    side with nonzero left side aborts, naming the first such pair: it
+    cannot occur for positive weights and nonzero data.
     """
     records = []
     for level in levels:
-        pairs, sides = hook(level, dyadic_family(root, root.level - level))
-        for name, f, g in pairs:
-            if level < f.depth:
-                raise ParameterError("refinement level below the pair's base depth")
-            lhs, rhs = sides(f.refine(level - f.depth), g.refine(level - g.depth))
-            if rhs == 0.0 and lhs > 0.0:
+        pairs = pairs_at(level)
+        grid, fv, gv = _pair_stacks(pairs, level)
+        lhs, rhs = hook(grid, dyadic_family(grid.root, grid.cell_level), fv, gv)
+        for (name, _, _), left, right in zip(pairs, lhs.tolist(), rhs.tolist()):
+            if right == 0.0 and left > 0.0:
                 raise NumericalError(
                     f"zero right side with nonzero left side for pair {name}")
-            records.append(RatioRecord(theorem, params_id, name, level, lhs, rhs))
+            records.append(RatioRecord(theorem, params_id, name, level, left, right))
     by_level = {}
     for rec in records:
         by_level[rec.level] = max(by_level.get(rec.level, 0.0), rec.ratio)
@@ -212,10 +235,17 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
                   params_id: str = "") -> HarnessResult:
     """LHS/RHS ratios for one theorem over pairs and refinement levels.
 
-    ``pairs`` holds (name, f, g) at a base depth; each level re-samples the
-    same step functions on the finer grid (exactly), so growth in the worst
-    ratio would witness unboundedness.  two-weight and one-weight need ``ws``
-    and ``cp``, olsen needs ``ws``.
+    ``pairs`` holds (name, f, g) on one grid at a base depth; each level
+    re-samples the same step functions on the finer grid (exactly), so
+    growth in the worst ratio would witness unboundedness.  two-weight and
+    one-weight need ``ws`` and ``cp``, olsen needs ``ws``.
+
+    The unweighted right sides are Morrey norms of f and g, computed once per
+    pair on the base-depth family.  A refined step function is constant on
+    every cube finer than its base cells, and such a cube's value
+    |Q|**(1/p) |c| is below its parent's, so the norm over any level's
+    family equals the norm over the base family.  The weighted right sides
+    read the level's weights, so they are computed per level.
     """
     if theorem in ("two-weight", "one-weight"):
         if ws is None or cp is None:
@@ -228,42 +258,44 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
     if not pairs:
         raise ParameterError("ratio harness needs at least one pair")
     pr, spec = profile, KernelSpec(profile.alpha)
+    base, f0, g0 = _pair_stacks(pairs, pairs[0][1].depth)
 
-    def hook(level, fam):
-        def norm(h, p, q):
-            return morrey_norm(h, p, q, fam).value
-        if theorem in ("bilinear-ratio", "bilinear-sum", "bilinear-critical"):
-            s, t = (pr.p2, pr.q2) if theorem == "bilinear-critical" else (pr.s, pr.t)
-            return pairs, lambda f, g: (norm(b_alpha(f, g, spec).fn, s, t),
-                                        norm(f, pr.p1, pr.q1) * norm(g, pr.p2, pr.q2))
-        if theorem == "linear-adams":
-            return pairs, lambda f, g: (norm(i_alpha(f, spec).fn, pr.s, pr.t),
-                                        norm(f, pr.p1, pr.q1))
+    def base_norms(values, p, q):
+        return _morrey_dyadic(base, values, p, q, dyadic_family(base.root, base.cell_level))[0]
+
+    if theorem in ("bilinear-ratio", "bilinear-sum", "bilinear-critical"):
+        s, t = (pr.p2, pr.q2) if theorem == "bilinear-critical" else (pr.s, pr.t)
+        rhs = base_norms(f0, pr.p1, pr.q1) * base_norms(g0, pr.p2, pr.q2)
+
+        def hook(grid, fam, fv, gv):
+            return _morrey_dyadic(grid, _b_stack(grid, fv, gv, spec), s, t, fam)[0], rhs
+    elif theorem in ("linear-adams", "product-embedding"):
+        rhs = base_norms(f0, pr.p1, pr.q1)
         if theorem == "product-embedding":
-            def sides(f, g):
-                I = i_alpha(f, spec).fn
-                return (norm(I.with_values(np.abs(g.values) * I.values), pr.s, pr.t),
-                        norm(g, pr.p2, pr.q2) * norm(f, pr.p1, pr.q1))
-            return pairs, sides
-        # weighted theorems: the level's weights and constants, built once
-        w = WeightSystem(*(x.refine(level - x.depth) for x in (ws.v, ws.w1, ws.w2)))
+            rhs = base_norms(g0, pr.p2, pr.q2) * rhs
 
-        def weighted_b(f, g):
-            B = b_alpha(f, g, spec).fn
-            return B.with_values(B.values * w.v.values)
-        if theorem == "olsen":
-            vnorm = norm(w.v, pr.r, pr.t / (1.0 - pr.t))
-            return pairs, lambda f, g: (
-                norm(weighted_b(f, g), pr.s, pr.t),
-                vnorm * pair_morrey_sup(f, g, pr.p, pr.q1, pr.q2, fam).value)
-        char = (char_two_weight if theorem == "two-weight"
-                else char_one_weight)(w, cp, fam).value
-        return pairs, lambda f, g: (
-            norm(weighted_b(f, g), cp.s, cp.t),
-            char * pair_morrey_sup(f.with_values(np.abs(f.values) * w.w1.values),
-                                   g.with_values(np.abs(g.values) * w.w2.values),
-                                   cp.p, cp.q1, cp.q2, fam).value)
-    return _ratio_core(theorem, pairs[0][1].root, levels, hook, params_id)
+        def hook(grid, fam, fv, gv):
+            lhs = np.stack([i_alpha(grid.with_values(f), spec).fn.values for f in fv])
+            if theorem == "product-embedding":
+                lhs = gv * lhs
+                require_finite(lhs)
+            return _morrey_dyadic(grid, lhs, pr.s, pr.t, fam)[0], rhs
+    else:
+        def hook(grid, fam, fv, gv):  # the level's weights and constants, built once
+            w = WeightSystem(*(x.refine(grid.depth - x.depth) for x in (ws.v, ws.w1, ws.w2)))
+            if theorem == "olsen":  # e: the profile or parameters with s, t, p, q1, q2
+                e, fw, gw = pr, fv, gv
+                scale = morrey_norm(w.v, pr.r, pr.t / (1.0 - pr.t), fam).value
+            else:
+                e = cp
+                scale = (char_two_weight if theorem == "two-weight"
+                         else char_one_weight)(w, cp, fam).value
+                fw, gw = fv * w.w1.values, gv * w.w2.values
+            weighted = _b_stack(grid, fv, gv, spec) * w.v.values
+            require_finite(weighted, fw, gw)
+            return (_morrey_dyadic(grid, weighted, e.s, e.t, fam)[0],
+                    scale * _pair_sup(grid, fw, gw, e.p, e.q1, e.q2, fam)[0])
+    return _ratio_core(theorem, levels, lambda level: pairs, hook, params_id)
 
 
 # --- sharpness ------------------------------------------------------------------
@@ -514,16 +546,16 @@ def stein_weiss_harness(sw: SteinWeissParams, seed: int = 11) -> HarnessResult:
     refuse("hypotheses violated", sw.violations(require_weight_conditions=False))
     spec = KernelSpec(sw.n - sw.alpha)
 
-    def hook(level, fam):
-        w = power_system(sw.beta, sw.gamma1, sw.gamma2, (0.0,) * sw.n, fam.root, level)
-
-        def sides(f, g):
-            B = b_alpha(f, g, spec).fn
-            return (morrey_norm(B.with_values(B.values * w.v.values), sw.s, sw.t, fam).value,
-                    morrey_norm(f.with_values(f.values * w.w1.values), sw.p1, sw.q1, fam).value
-                    * morrey_norm(g.with_values(g.values * w.w2.values), sw.p2, sw.q2, fam).value)
-        return make_pairs("indicator", 4, seed, level, sw.n), sides
-    return _ratio_core("stein-weiss", unit_root(sw.n), (4, 5, 6), hook, "")
+    def hook(grid, fam, fv, gv):
+        w = power_system(sw.beta, sw.gamma1, sw.gamma2, (0.0,) * sw.n, fam.root, grid.depth)
+        weighted = _b_stack(grid, fv, gv, spec) * w.v.values
+        fw, gw = fv * w.w1.values, gv * w.w2.values
+        require_finite(weighted, fw, gw)
+        return (_morrey_dyadic(grid, weighted, sw.s, sw.t, fam)[0],
+                _morrey_dyadic(grid, fw, sw.p1, sw.q1, fam)[0]
+                * _morrey_dyadic(grid, gw, sw.p2, sw.q2, fam)[0])
+    return _ratio_core("stein-weiss", (4, 5, 6),
+                       lambda level: make_pairs("indicator", 4, seed, level, sw.n), hook, "")
 
 
 # --- necessity ------------------------------------------------------------------
@@ -656,22 +688,17 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     worst = family_max(w1, dyadic_family(w1.root, w1.cell_level), split_excess)[0]
     split_ok = worst <= 1.0 + 1e-12
 
-    pairs = make_pairs("step", 4, seed, w1.depth, w1.dim)
+    pairs = make_pairs("step", 4, seed, w1.depth, w1.dim, w1.root)
     spec = KernelSpec(cp.alpha)
 
-    def hook(level, fam_l):
-        ww1 = w1.refine(level - w1.depth)
-        ww2 = w2.refine(level - w2.depth)
-        maj1 = fs_majorant(ww1, params.r1, params.s1, fam_l)
-        maj2 = fs_majorant(ww2, params.r2, params.s2, fam_l)
-
-        def sides(f, g):
-            B = b_alpha(f, g, spec).fn
-            lhs = morrey_norm(B.with_values(B.values * ww1.values * ww2.values),
-                              cp.s, cp.t, fam_l).value
-            fw = f.with_values(np.abs(f.values) * maj1.values)
-            gw = g.with_values(np.abs(g.values) * maj2.values)
-            return lhs, pair_morrey_sup(fw, gw, cp.p, cp.q1, cp.q2, fam_l).value
-        return pairs, sides
-    harness = _ratio_core("fs-dual", w1.root, levels, hook, "")
+    def hook(grid, fam, fv, gv):
+        ww1, ww2 = (w.refine(grid.depth - w.depth) for w in (w1, w2))
+        maj1 = fs_majorant(ww1, params.r1, params.s1, fam)
+        maj2 = fs_majorant(ww2, params.r2, params.s2, fam)
+        weighted = _b_stack(grid, fv, gv, spec) * ww1.values * ww2.values
+        fw, gw = fv * maj1.values, gv * maj2.values
+        require_finite(weighted, fw, gw)
+        return (_morrey_dyadic(grid, weighted, cp.s, cp.t, fam)[0],
+                _pair_sup(grid, fw, gw, cp.p, cp.q1, cp.q2, fam)[0])
+    harness = _ratio_core("fs-dual", levels, lambda level: pairs, hook, "")
     return FsDualReport(split_ok, worst, harness)

@@ -59,7 +59,7 @@ class CubeFamily:
     ``min_level``, one side length per entry of ``aligned_sizes`` (in cells)
     and positions over every valid start.  ``aligned_sizes`` is non-empty,
     strictly increasing and within ``1..2**depth``; the aligned sweep's
-    bound depends on that order and refuses any other family.
+    bound depends on that order, so any other aligned family is refused here.
     """
 
     tag: str
@@ -67,12 +67,20 @@ class CubeFamily:
     min_level: int
     aligned_sizes: tuple[int, ...] = ()
 
-    def __len__(self):
-        depth = self.root.level - self.min_level
-        n = self.root.dim
+    def __post_init__(self):
         if self.tag == ALIGNED:
-            return sum((2 ** depth - s + 1) ** n for s in self.aligned_sizes)
-        return (2 ** (n * (depth + 1)) - 1) // (2 ** n - 1)
+            sizes = np.asarray(self.aligned_sizes, dtype=np.int64)
+            m = 2 ** (self.root.level - self.min_level)
+            if not (sizes.size and sizes[0] >= 1 and sizes[-1] <= m
+                    and np.all(np.diff(sizes) > 0)):
+                raise ParameterError("aligned sizes must be strictly increasing within 1..m")
+
+    def __len__(self):
+        m = 2 ** (self.root.level - self.min_level)
+        n = self.root.dim
+        if self.tag == ALIGNED:  # int64 is exact while the count stays below 2**63
+            return int(((m + 1 - np.asarray(self.aligned_sizes, dtype=np.int64)) ** n).sum())
+        return (m ** n * 2 ** n - 1) // (2 ** n - 1)
 
     def levels(self) -> range:
         """The dyadic levels of the family, coarsest first."""
@@ -96,17 +104,15 @@ def dyadic_family(root: DyadicCube, min_level: int) -> CubeFamily:
 def aligned_family(grid: GridFunction) -> CubeFamily:
     """Every grid-cornered cube; sizes are thinned to dyadic ones over
     ``ALIGNED_BUDGET``."""
-    m = grid.cells_per_axis
-    n = grid.dim
-    sizes = tuple(range(1, m + 1))
-    count = sum((m - s + 1) ** n for s in sizes)
-    if count > ALIGNED_BUDGET:
-        sizes = tuple(1 << j for j in range(grid.depth + 1))
-        count = sum((m - s + 1) ** n for s in sizes)
-        if count > ALIGNED_BUDGET:
+    family = CubeFamily(ALIGNED, grid.root, grid.cell_level,
+                        tuple(range(1, grid.cells_per_axis + 1)))
+    if len(family) > ALIGNED_BUDGET:
+        family = CubeFamily(ALIGNED, grid.root, grid.cell_level,
+                            tuple(1 << j for j in range(grid.depth + 1)))
+        if len(family) > ALIGNED_BUDGET:
             raise ParameterError(
-                f"aligned family needs {count} cubes, budget is {ALIGNED_BUDGET}")
-    return CubeFamily(ALIGNED, grid.root, grid.cell_level, sizes)
+                f"aligned family needs {len(family)} cubes, budget is {ALIGNED_BUDGET}")
+    return family
 
 
 @dataclass(frozen=True)
@@ -311,9 +317,6 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
     if f.cell_level != family.min_level or f.root != family.root:
         raise ParameterError("aligned family was built for a different grid")
     sizes = family.aligned_sizes
-    if not sizes or sizes[0] < 1 or sizes[-1] > f.cells_per_axis or any(
-            b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ParameterError("aligned sizes must be strictly increasing within 1..m")
     table = _prefix_table(np.abs(f.values) ** q)
     n, h, m = f.dim, f.cell_side, f.cells_per_axis
     slack = _window_slack(table)

@@ -194,10 +194,16 @@ def i_alpha(f: GridFunction, spec: KernelSpec) -> OperatorField:
     return _field(f, vals)
 
 
+def _b_values(grid: GridFunction, fv: np.ndarray, gv: np.ndarray,
+              spec: KernelSpec) -> np.ndarray:
+    """B(f, g) on ``grid``'s lattice; any axes before the grid's are a stack of pairs."""
+    return _correlate(fv, gv, kernel_cell_table(spec, grid)[..., None])[..., 0]
+
+
 def b_alpha(f: GridFunction, g: GridFunction, spec: KernelSpec) -> OperatorField:
     """Bilinear fractional integral with per-cell kernel masses."""
     _require_common_grid(f, g)
-    return _field(f, _correlate(f.values, g.values, kernel_cell_table(spec, f)[..., None])[..., 0])
+    return _field(f, _b_values(f, f.values, g.values, spec))
 
 
 def b_truncated(f: GridFunction, g: GridFunction, d: float) -> OperatorField:

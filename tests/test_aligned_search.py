@@ -151,14 +151,23 @@ def test_all_zero_and_one_cell_grids(dim, depth):
         assert (rep.value, rep.attaining) == full_loop(f, 3.0, 1.5, fam)
 
 
+@pytest.mark.parametrize("dim,depth,thinned_out", [(1, 10, False), (1, 11, True),
+                                                    (2, 7, False), (2, 8, True)])
+def test_family_length_counts_every_cube(dim, depth, thinned_out):
+    # the count decides the thinning past ALIGNED_BUDGET, from 1D depth 11 and 2D depth 8
+    fam = aligned_family(grid(np.ones((2 ** depth,) * dim)))
+    m = 2 ** depth
+    assert len(fam) == sum((m - s + 1) ** dim for s in fam.aligned_sizes)
+    assert (len(fam.aligned_sizes) < m) == thinned_out
+
+
 @pytest.mark.parametrize("sizes", [(), (2, 1), (1, 1, 2), (0, 1), (1, 17)])
 def test_unordered_or_out_of_range_sizes_are_refused(sizes):
-    # the range bound needs W to grow along the sizes, so the search refuses
-    # any family that is not strictly increasing within 1..m
+    # the range bound needs W to grow along the sizes, so a family that is
+    # not strictly increasing within 1..m is refused when it is built
     f = grid(np.ones(16))
-    fam = CubeFamily(ALIGNED, f.root, f.cell_level, sizes)
     with pytest.raises(ParameterError, match="strictly increasing"):
-        _morrey_aligned(f, 4.0, 2.0, fam)
+        CubeFamily(ALIGNED, f.root, f.cell_level, sizes)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

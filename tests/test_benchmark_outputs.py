@@ -1,8 +1,10 @@
 """Every op of the benchmark's workloads, at input variant 0, replayed against
 the recorded reference outputs (``benchmarks/reference``).  ``fields`` and
-``selftest``, whose operator kernels round differently with the data, and
+``selftest``, whose operator kernels round differently with the data,
 ``weights-cz``, whose ``cz`` and ``stein-weiss`` ops take the certified
-decomposition and the dichotomy alone, are replayed at input variant 5 too.
+decomposition and the dichotomy alone, and ``harness``, whose unweighted
+right sides are base-depth norms summed in another order than the level's
+(so their last bits move with the data), are replayed at input variant 5 too.
 
 The benchmark refuses a change whose printed text, CSV columns, file names
 or values (beyond a relative 1e-9) differ from the references; this test
@@ -23,7 +25,7 @@ import workloads  # noqa: E402
 
 
 CASES = ([pytest.param(w, 0, id=w) for w in workloads.WORKLOADS]
-         + [pytest.param(w, 5, id=f"{w}-5") for w in ("fields", "weights-cz", "selftest")])
+         + [pytest.param(w, 5, id=f"{w}-5") for w in ("harness", "fields", "weights-cz", "selftest")])
 
 
 @pytest.mark.parametrize("workload,variant", CASES)

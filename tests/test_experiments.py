@@ -260,14 +260,18 @@ class TestSteinWeiss:
 
     def test_probe_runs_no_operator(self, monkeypatch, tmp_path):
         # the dichotomy reads only the characteristic: neither the library
-        # probe nor the CLI experiment applies the bilinear operator
+        # probe nor the CLI experiment applies the bilinear operator, either
+        # one pair at a time or as a stack
         from morreybench import cli, experiments
         calls = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return b_alpha(*args, **kwargs)
-        monkeypatch.setattr(experiments, "b_alpha", counted)
+        def counting(fn):
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
+            return counted
+        monkeypatch.setattr(experiments, "b_alpha", counting(b_alpha))
+        monkeypatch.setattr(experiments, "_b_values", counting(experiments._b_values))
         assert stein_weiss_check(self.finite_params()).verdict == "FINITE"
         argv = ["experiment", "stein-weiss", "--alpha", "1/2", "--q1", "9/8", "--q2", "9/8",
                 "--p1", "32/27", "--p2", "32/27", "--r", "16", "--a", "17/16",
@@ -276,7 +280,7 @@ class TestSteinWeiss:
         assert cli.main(argv) == 0
         assert calls == []
         stein_weiss_harness(self.finite_params())  # the counter does see the harness
-        assert len(calls) == 4 * 3
+        assert [args[1].shape[0] for args in calls] == [4, 4, 4]  # one stack of 4 per level
 
 
 class TestNecessity:

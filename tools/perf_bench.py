@@ -1,0 +1,206 @@
+"""Before/after timings of one change, written as one JSON file.
+
+Usage, from the repository root, with a second checkout as the baseline:
+
+    python3 tools/perf_bench.py --before ../baseline --after . --out BENCH_13.json
+
+End-to-end, alternating runs of ``benchmarks/run.py --trace 0`` (the order
+flipped every pair; ``PAIRS`` of them on ``CLAIMED``, the workload whose
+gain is claimed, and ``CHECK_PAIRS`` on each other workload) give each
+metric's median and quartiles per side, the pairs the change won, and the
+unscaled set-up time the run prints next to the calibrated ``setup_s``.
+Per layer, two kinds of figures, each as the minimum of k runs plus the
+spread (max - min) and every run:
+
+* the per-layer metrics ``TRACE_KEYS`` that ``benchmarks/run.py --workload
+  harness --trace 1`` prints, with the two checkouts run alternately, each
+  one first in half the rounds;
+* direct ``ratio_harness`` calls per theorem id on four seeded step pairs at
+  base depth 3, each at one level of ``DEPTHS`` in 1D and 2D, with the
+  scaling exponent fitted as the least-squares slope of log time against
+  log cells.
+
+Each direct timing runs in a new interpreter that imports the checkout's
+``src/``, so both sides run the same timing code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+WORKLOADS = ("harness", "selftest", "fields", "weights-cz")
+CLAIMED = "harness"
+END_TO_END = {"ops_per_s": "higher", "op_s.p50": "lower", "setup_s": "lower",
+              "peak_rss_mb": "lower"}
+TRACE_KEYS = ("experiments.ratio_harness.self_s", "norms.morrey_norm.dyadic.self_s",
+              "operators.b_alpha.1d.self_s", "operators.b_alpha.2d.self_s")
+DEPTHS = {1: (6, 8, 10), 2: (4, 5, 6)}
+SETTINGS = {
+    "runs": 5,             # traced harness runs per side
+    "seed": 3,             # seed of the traced runs
+    "seconds": 5.0,        # --seconds of each traced run
+    "repeats": 7,          # direct calls per theorem and depth
+    "pairs": 10,           # end-to-end pairs on the claimed workload
+    "check_pairs": 4,      # end-to-end pairs on each other workload
+    "pair_seed": 17,       # seed of the end-to-end runs
+    "pair_seconds": 25.0,  # --seconds of each end-to-end run
+}
+
+DIRECT = r"""
+import json, sys, time
+from morreybench.experiments import THEOREMS, ExponentProfile, make_pairs, ratio_harness
+from morreybench.grid import GridFunction, unit_root
+from morreybench.weights import INF, CharParams, WeightSystem, power_system
+dim, repeats, depths = int(sys.argv[1]), int(sys.argv[2]), json.loads(sys.argv[3])
+unweighted = {
+    "bilinear-ratio": dict(alpha=0.3, p1=4, q1=2.5, p2=4, q2=2.5, s=5.0, t=3.125),
+    "bilinear-sum": dict(alpha=0.3, p1=4, q1=2.5, p2=4, q2=2.5, s=5.0, t=2.0),
+    "bilinear-critical": dict(alpha=0.25, p1=4.0, q1=2.5, p2=3.0, q2=2.5),
+    "linear-adams": dict(alpha=0.5, p1=1.5, q1=1.2, s=6.0, t=4.8),
+    "product-embedding": dict(alpha=0.6, p1=1.25, q1=1.25, p2=2.0, q2=2.0, s=10 / 7, t=10 / 7),
+}
+two = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=16 / 27, s=0.8, t=0.8 * (9 / 16) / (16 / 27),
+           r=16.0, a=17 / 16)
+one = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=0.6, s=6 / 7, t=6 / 7 * (9 / 16) / 0.6,
+           r=INF, a=17 / 16)
+scale = lambda exps: {**exps, "alpha": exps["alpha"] * dim}
+ws = power_system(0.0225, 0.02, 0.02, (0.0,) * dim, unit_root(dim), 3)
+one_ws = WeightSystem(ws.w1.with_values(ws.w1.values * ws.w2.values, "pos"), ws.w1, ws.w2)
+setups = {th: (ExponentProfile(n=dim, **scale(e)), None, None) for th, e in unweighted.items()}
+setups["olsen"] = (ExponentProfile(n=dim, **scale(two)), ws, None)
+setups["two-weight"] = (ExponentProfile(alpha=0.5 * dim, n=dim), ws,
+                        CharParams(n=dim, variant="s<1", **scale(two)))
+setups["one-weight"] = (ExponentProfile(alpha=0.5 * dim, n=dim), one_ws,
+                        CharParams(n=dim, variant="one-weight-s<1", **scale(one)))
+pairs = make_pairs("step", 4, 5, 3, dim)
+out = {}
+for theorem in sorted(THEOREMS):
+    profile, system, cp = setups[theorem]
+    for depth in depths:
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            ratio_harness(theorem, profile, pairs, (depth,), ws=system, cp=cp)
+            times.append(time.perf_counter() - t0)
+        out[f"{theorem}.depth{depth}"] = times
+print(json.dumps(out))
+"""
+
+
+def summary(values):
+    return {"min": min(values), "spread": max(values) - min(values), "runs": values}
+
+
+def bench_run(checkout, workload, seed, seconds, trace):
+    """The last JSON line of one ``benchmarks/run.py`` run in ``checkout``,
+    with the unscaled set-up time of an untraced run added."""
+    lines = subprocess.run(
+        [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed",
+         str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, check=True, capture_output=True, text=True).stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    for line in lines:
+        if line.startswith("unscaled "):
+            result["unscaled_setup_s"] = json.loads(line[len("unscaled "):])["setup_s"]
+    return result
+
+
+def quartiles(values):
+    return statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 3
+
+
+def pairs(sides, workload, n, seed, seconds):
+    """Per metric: each side's median, quartiles and runs, and pairs won."""
+    runs = {side: [] for side in sides}
+    for r in range(n):
+        for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
+            runs[side].append(bench_run(sides[side], workload, seed, seconds, 0))
+    out = {"failed": {side: [r["failed"] for r in runs[side]] for side in sides},
+           "unscaled_setup_s": {}}
+    for side in sides:
+        v = [r["unscaled_setup_s"] for r in runs[side]]
+        out["unscaled_setup_s"][side] = {"median": statistics.median(v), "runs": v}
+    for name, better in END_TO_END.items():
+        vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in sides}
+        wins = sum((a > b) if better == "higher" else (a < b)
+                   for a, b in zip(vals["after"], vals["before"]))
+        out[name] = {"better": better, "after_won": f"{wins}/{n}"}
+        for side, v in vals.items():
+            q1, med, q3 = quartiles(v)
+            out[name][side] = {"median": med, "q1": q1, "q3": q3, "runs": v}
+    return out
+
+
+def direct_times(checkout, dim, depths, repeats):
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", DIRECT, str(dim), str(repeats),
+                          json.dumps(depths)],
+                         env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def slope(depths, dim, seconds):
+    xs = [math.log(2.0 ** (dim * d)) for d in depths]
+    ys = [math.log(t) for t in seconds]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return (sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+            / sum((x - mx) ** 2 for x in xs))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--before", required=True, help="baseline checkout")
+    ap.add_argument("--after", default=".", help="checkout with the change")
+    ap.add_argument("--out", required=True)
+    ns = ap.parse_args(argv)
+    sides = {"before": ns.before, "after": ns.after}
+    cfg = SETTINGS
+
+    end_to_end = {wl: pairs(sides, wl, cfg["pairs"] if wl == CLAIMED else cfg["check_pairs"],
+                            cfg["pair_seed"], cfg["pair_seconds"]) for wl in WORKLOADS}
+
+    traced = {side: {k: [] for k in TRACE_KEYS} for side in sides}
+    for r in range(cfg["runs"]):
+        order = ("before", "after") if r % 2 == 0 else ("after", "before")
+        for side in order:
+            metrics = bench_run(sides[side], CLAIMED, cfg["seed"], cfg["seconds"], 1)["metrics"]
+            for k in TRACE_KEYS:
+                traced[side][k].append(metrics[k]["value"])
+
+    direct = {side: {} for side in sides}
+    for side, checkout in sides.items():
+        for dim, depths in DEPTHS.items():
+            times = direct_times(checkout, dim, depths, cfg["repeats"])
+            for key in sorted({key.rsplit(".", 1)[0] for key in times}):
+                mins = [min(times[f"{key}.depth{d}"]) for d in depths]
+                direct[side][f"{dim}d.{key}"] = {
+                    **{f"depth{d}": summary(times[f"{key}.depth{d}"]) for d in depths},
+                    "exp": slope(depths, dim, mins)}
+
+    record = {
+        "what": "ratio harness: stacked calls per level, unweighted right sides once",
+        "host": {"python": platform.python_version(), "machine": platform.machine(),
+                 "nproc": os.cpu_count()},
+        "settings": cfg,
+        "units": "seconds; traced figures are per cycle, direct ones per call",
+        "end_to_end": end_to_end,
+        "traced_harness": {side: {k: summary(v) for k, v in traced[side].items()}
+                           for side in sides},
+        "direct_ratio_harness": direct,
+    }
+    with open(ns.out, "w") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
