@@ -10,8 +10,8 @@ When a is large enough the construction also satisfies, for every selected
 cube, the sandwich a**k < m_3Q <= 2**(2n) a**k (via the parent's maximality)
 and the measure-halving |Q_jk intersect D_{k+1}| <= |Q_jk| / 2.  The halving
 constant classically comes from a weak-type operator norm that is not
-computable here, so ``choose_a`` replaces it by the smallest member of a
-doubling schedule that ``verify_halving`` certifies, and returns that
+computable here, so ``choose_a`` replaces it by the smallest power of two
+that ``verify_halving`` certifies, and returns that
 candidate's decomposition; the downstream algorithm only ever consumes the
 certified halving outcome, not the constant's origin.
 """
@@ -19,7 +19,6 @@ certified halving outcome, not the constant's origin.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ import numpy as np
 from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, spread
 from .norms import dyadic_family, dyadic_levels
 from .operators import triple_means
-from .util import ParameterError
+from .util import INF, NumericalError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -95,8 +94,19 @@ def _triple_products(f: GridFunction, g: GridFunction, q0: DyadicCube) -> list[n
         raise ParameterError("decomposition expects nonnegative inputs")
     if q0.level <= f.cell_level:
         raise ParameterError("grid cells must be strictly finer than the base cube")
-    return [(triple_means(f, shift) * triple_means(g, shift))[window]
-            for shift, _, window in dyadic_levels(f, dyadic_family(q0, f.cell_level))]
+    m = [(triple_means(f, shift) * triple_means(g, shift))[window]
+         for shift, _, window in dyadic_levels(f, dyadic_family(q0, f.cell_level))]
+    if not all(np.all(np.isfinite(level_m)) for level_m in m):
+        raise NumericalError("triple-average products overflowed to a non-finite value")
+    return m
+
+
+def _threshold(a: float, k: int) -> float:
+    """a**k, or +inf past the float range: no product lies beyond it."""
+    try:
+        return a ** k
+    except OverflowError:
+        return INF
 
 
 def _decompose(f: GridFunction, q0: DyadicCube, a: float, m: list[np.ndarray]) -> StoppingFamily:
@@ -109,13 +119,13 @@ def _decompose(f: GridFunction, q0: DyadicCube, a: float, m: list[np.ndarray]) -
     picks: list[list] = []  # per generation: (level, m values, cube indices) per level
     d_masks: list[np.ndarray] = []
     k = 1
-    while max_m > a ** k:
+    while max_m > (threshold := _threshold(a, k)):
         covered = np.zeros(m[0].shape, dtype=bool)
         picked = []
         for level, level_m in zip(family.levels(), m):
             if level < q0.level:
                 covered = spread(covered, 1)
-            new = (level_m > a ** k) & ~covered
+            new = (level_m > threshold) & ~covered
             if new.any():
                 idx = np.nonzero(new)
                 picked.append((level, level_m[idx], idx))
@@ -174,23 +184,19 @@ def verify_halving(sf: StoppingFamily) -> HalvingReport:
     return HalvingReport(ok, worst, offender, detail)
 
 
-def choose_a(f: GridFunction, g: GridFunction, q0: DyadicCube,
-             schedule=None) -> StoppingFamily:
-    """The decomposition at the smallest doubling-schedule threshold base
+def choose_a(f: GridFunction, g: GridFunction, q0: DyadicCube) -> StoppingFamily:
+    """The decomposition at the smallest threshold base a = 2, 4, 8, ...
     whose halving is certified; its base is ``.a``.
 
     The triple-average products are computed once and shared by every
-    candidate.  Termination: once a exceeds the largest product, every
-    generation is empty and halving holds vacuously.
+    candidate.  Termination: once a exceeds the largest (finite) product,
+    every generation is empty and halving holds vacuously.
     """
-    if schedule is None:
-        schedule = (2.0 ** k for k in itertools.count(1))
     m = _triple_products(f, g, q0)
-    for a in schedule:
-        sf = _decompose(f, q0, a, m)
-        if verify_halving(sf).ok:
-            return sf
-    raise ParameterError("threshold schedule exhausted without certification")
+    a = 2.0
+    while not verify_halving(sf := _decompose(f, q0, a, m)).ok:
+        a *= 2.0
+    return sf
 
 
 def packing_sum(q_jk: DyadicCube, v: GridFunction, t: float, alpha: float) -> float:

@@ -26,8 +26,8 @@ from .grid import (DyadicCube, GridFunction, cube_blocks, cube_box,
                    enumerate_subcubes, require_finite, spread, unit_root)
 from .norms import (CubeFamily, _morrey_dyadic, _pair_sup, aligned_family,
                     dyadic_family, family_max, morrey_norm)
-from .operators import (KernelSpec, _b_values, _bilinear_maximal, _finite,
-                        _vector_maximal, b_alpha, i_alpha)
+from .operators import (KernelSpec, _b_values, _bilinear_maximal, _vector_maximal,
+                        b_alpha, i_alpha)
 from .util import (INF, NumericalError, ParameterError, close, conjugate,
                    make_rng, recip, refuse)
 from .weights import (CharParams, WeightSystem, char_one_weight, char_testing,
@@ -61,7 +61,6 @@ class ExponentProfile:
     p2: float | None = None
     q2: float | None = None
     p: float | None = None
-    q: float | None = None
     s: float | None = None
     t: float | None = None
     r: float | None = None
@@ -198,10 +197,15 @@ def _pair_stacks(pairs, level: int):
     return GridFunction(base.dim, base.root, level, fv[0]), fv, gv
 
 
-def _b_stack(grid: GridFunction, fv: np.ndarray, gv: np.ndarray, spec: KernelSpec):
-    """B(f, g) for every pair of the stacks, one ``_correlate`` call; a
-    non-finite value is refused as ``b_alpha`` refuses it."""
-    return _finite(_b_values(grid, fv, gv, spec))
+def _weighted_sides(grid: GridFunction, fam: CubeFamily, weighted: np.ndarray,
+                    fw: np.ndarray, gw: np.ndarray, e: ExponentProfile | CharParams):
+    """The sides of a weighted bound, one item per pair of the stacks: the
+    (s, t) Morrey norm of the weighted operator values and the (p, q1, q2)
+    pair supremum of the weighted inputs, with the exponents read from ``e``.
+    A non-finite product is refused."""
+    require_finite(weighted, fw, gw)
+    return (_morrey_dyadic(grid, weighted, e.s, e.t, fam)[0],
+            _pair_sup(grid, fw, gw, e.p, e.q1, e.q2, fam)[0])
 
 
 def _ratio_core(theorem: str, levels, pairs_at, hook, params_id: str) -> HarnessResult:
@@ -245,7 +249,8 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
     every cube finer than its base cells, and such a cube's value
     |Q|**(1/p) |c| is below its parent's, so the norm over any level's
     family equals the norm over the base family.  The weighted right sides
-    read the level's weights, so they are computed per level.
+    read the level's weights, so they are computed per level; the weights
+    must sit on the pairs' root and be no finer than any level.
     """
     if theorem in ("two-weight", "one-weight"):
         if ws is None or cp is None:
@@ -268,7 +273,7 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
         rhs = base_norms(f0, pr.p1, pr.q1) * base_norms(g0, pr.p2, pr.q2)
 
         def hook(grid, fam, fv, gv):
-            return _morrey_dyadic(grid, _b_stack(grid, fv, gv, spec), s, t, fam)[0], rhs
+            return _morrey_dyadic(grid, _b_values(grid, fv, gv, spec), s, t, fam)[0], rhs
     elif theorem in ("linear-adams", "product-embedding"):
         rhs = base_norms(f0, pr.p1, pr.q1)
         if theorem == "product-embedding":
@@ -281,6 +286,11 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
                 require_finite(lhs)
             return _morrey_dyadic(grid, lhs, pr.s, pr.t, fam)[0], rhs
     else:
+        if ws.v.root != base.root or any(level < ws.v.depth for level in levels):
+            raise ParameterError(f"weights on root {ws.v.root} at depth {ws.v.depth} do not fit "
+                                 f"pairs on root {base.root} at levels {levels}: weights must "
+                                 f"sit on the pairs' root, no finer than the first level")
+
         def hook(grid, fam, fv, gv):  # the level's weights and constants, built once
             w = WeightSystem(*(x.refine(grid.depth - x.depth) for x in (ws.v, ws.w1, ws.w2)))
             if theorem == "olsen":  # e: the profile or parameters with s, t, p, q1, q2
@@ -291,10 +301,9 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
                 scale = (char_two_weight if theorem == "two-weight"
                          else char_one_weight)(w, cp, fam).value
                 fw, gw = fv * w.w1.values, gv * w.w2.values
-            weighted = _b_stack(grid, fv, gv, spec) * w.v.values
-            require_finite(weighted, fw, gw)
-            return (_morrey_dyadic(grid, weighted, e.s, e.t, fam)[0],
-                    scale * _pair_sup(grid, fw, gw, e.p, e.q1, e.q2, fam)[0])
+            lhs, rhs = _weighted_sides(grid, fam, _b_values(grid, fv, gv, spec) * w.v.values,
+                                       fw, gw, e)
+            return lhs, scale * rhs
     return _ratio_core(theorem, levels, lambda level: pairs, hook, params_id)
 
 
@@ -548,7 +557,7 @@ def stein_weiss_harness(sw: SteinWeissParams, seed: int = 11) -> HarnessResult:
 
     def hook(grid, fam, fv, gv):
         w = power_system(sw.beta, sw.gamma1, sw.gamma2, (0.0,) * sw.n, fam.root, grid.depth)
-        weighted = _b_stack(grid, fv, gv, spec) * w.v.values
+        weighted = _b_values(grid, fv, gv, spec) * w.v.values
         fw, gw = fv * w.w1.values, gv * w.w2.values
         require_finite(weighted, fw, gw)
         return (_morrey_dyadic(grid, weighted, sw.s, sw.t, fam)[0],
@@ -566,8 +575,6 @@ class NecessityReport:
     op_constant: float
     ratio: float              # char / operator constant
     exact_floor_ok: bool      # unweighted indicator floor holds exactly
-    c_cube_sup: float         # constants of the testing estimate, cube-sup form
-    c_truncated: float        # and truncated-ball form
 
     def row(self, system: int) -> dict:
         """The CSV/JSON row of the report for weight system number ``system``."""
@@ -582,22 +589,19 @@ def necessity_check(ws: WeightSystem, cp: CharParams, family: CubeFamily,
                     pairs=None, seed: int = 5) -> NecessityReport:
     """Testing-condition probe for the truncated bilinear maximal operator.
 
-    (1) On indicator inputs f = chi_Q w1**-q1', g = chi_Q w2**-q2' the
-        localized product |Q|**(alpha/n) (sup_Q v)(avg f)(avg g) is compared
-        with (avg_Q (M(f,g) v)**t)**(1/t) for both maximal variants; with the
-        cube-sup variant and v = 1 the bound holds pointwise with constant
-        one, which is checked exactly.
-    (2) The single-cube testing constant must not exceed the empirical
-        operator constant (the worst harness ratio) by more than the
-        recorded factor.
+    (1) On the inputs f = g = chi_Q with v = 1, the cube-sup maximal variant
+        gives (avg_Q M(f,g)**t)**(1/t) >= |Q|**(alpha/n) with constant one;
+        this floor is checked exactly on every probe cube Q.
+    (2) The single-cube testing constant is divided by the empirical
+        operator constant: the worst ratio of ||M(f,g) v||_{s,t} to the
+        (p, q1, q2) pair supremum of (|f| w1, |g| w2) over the given pairs
+        and the extremal probe pairs f = chi_Q w1**-q1', g = chi_Q w2**-q2'.
 
     Every probe and every pair is one item of a stack on the weight grid, so
     each operator and each supremum is one call over all of them.
     """
     char = char_testing(ws, cp, family).value  # refuses parameters off the testing rows
-    grid = ws.v
-    n = grid.dim
-    d1, d2 = conjugate(cp.q1), conjugate(cp.q2)
+    grid, n = ws.v, ws.v.dim
     lowest = max(family.min_level, grid.cell_level + 1)
     probes = (enumerate_subcubes(family.root, lowest)[:24]
               if lowest <= family.root.level else [])
@@ -605,25 +609,17 @@ def necessity_check(ws: WeightSystem, cp: CharParams, family: CubeFamily,
     inside = np.zeros((len(probes),) + grid.values.shape, dtype=bool)
     for k, cube in enumerate(probes):
         inside[(k,) + cube_box(grid, cube).slices()] = True
-    f_probe = np.where(inside, ws.w1.values ** -d1, 0.0)
-    g_probe = np.where(inside, ws.w2.values ** -d2, 0.0)
+    f_probe = np.where(inside, ws.w1.values ** -conjugate(cp.q1), 0.0)
+    g_probe = np.where(inside, ws.w2.values ** -conjugate(cp.q2), 0.0)
     require_finite(f_probe, g_probe)
+    # exact unweighted floor: (avg_Q m**t)**(1/t) on each probe's own cube
     axes = tuple(range(1, n + 1))
-    cells = inside.sum(axis=axes)
-    scale = np.array([cube.volume for cube in probes]) ** (cp.alpha / n)
-    product = (scale * (ws.v.values * inside).max(axis=axes, initial=0.0)
-               * (f_probe.sum(axis=axes) / cells) * (g_probe.sum(axis=axes) / cells))
-
-    def local(m):  # (avg_Q m**t)**(1/t) on each probe's own cube
-        return ((np.where(inside, m, 0.0) ** cp.t).sum(axis=axes) / cells) ** (1.0 / cp.t)
-    m_vec = _vector_maximal(grid, f_probe, g_probe, cp.alpha, 1.0, 1.0, family)
-    m_tr = _bilinear_maximal(grid, f_probe, g_probe, cp.alpha, family)
-    c_cube = float(np.fmax.reduce(product / local(m_vec * ws.v.values), initial=0.0))
-    c_trunc = float(np.fmax.reduce(product / local(m_tr * ws.v.values), initial=0.0))
-    # exact unweighted floor: chi_Q inputs, v = 1, cube-sup variant
     chi = inside.astype(float)
     m_ind = _vector_maximal(grid, chi, chi, cp.alpha, 1.0, 1.0, family)
-    exact_ok = bool(np.all(local(m_ind) >= scale * (1.0 - 1e-12)))
+    local = (((np.where(inside, m_ind, 0.0) ** cp.t).sum(axis=axes) / inside.sum(axis=axes))
+             ** (1.0 / cp.t))
+    scale = np.array([cube.volume for cube in probes]) ** (cp.alpha / n)
+    exact_ok = bool(np.all(local >= scale * (1.0 - 1e-12)))
 
     # the operator constant over the given pairs and the extremal probe pairs
     if pairs is None:
@@ -631,17 +627,14 @@ def necessity_check(ws: WeightSystem, cp: CharParams, family: CubeFamily,
     pairs = list(pairs)
     if any(h.root != grid.root or h.depth != grid.depth for _, f, g in pairs for h in (f, g)):
         raise ParameterError("necessity pairs must live on the weight grid")
-    pair_f = np.reshape([f.values for _, f, _ in pairs], (-1,) + grid.values.shape)
-    pair_g = np.reshape([g.values for _, _, g in pairs], (-1,) + grid.values.shape)
-    mb = np.concatenate([_bilinear_maximal(grid, pair_f, pair_g, cp.alpha, family), m_tr])
-    fv, gv = np.concatenate([pair_f, f_probe]), np.concatenate([pair_g, g_probe])
-    weighted, fw, gw = mb * ws.v.values, np.abs(fv) * ws.w1.values, np.abs(gv) * ws.w2.values
-    require_finite(weighted, fw, gw)
-    lhs = _morrey_dyadic(grid, weighted, cp.s, cp.t, family)[0]
-    rhs = _pair_sup(grid, fw, gw, cp.p, cp.q1, cp.q2, family)[0]
+    shape = (-1,) + grid.values.shape
+    fv = np.concatenate([np.reshape([f.values for _, f, _ in pairs], shape), f_probe])
+    gv = np.concatenate([np.reshape([g.values for _, _, g in pairs], shape), g_probe])
+    mb = _bilinear_maximal(grid, fv, gv, cp.alpha, family)
+    lhs, rhs = _weighted_sides(grid, family, mb * ws.v.values, np.abs(fv) * ws.w1.values,
+                               np.abs(gv) * ws.w2.values, cp)
     op_const = float(np.fmax.reduce(lhs[rhs > 0] / rhs[rhs > 0], initial=0.0))
-    ratio = char / op_const if op_const > 0 else INF
-    return NecessityReport(char, op_const, ratio, exact_ok, c_cube, c_trunc)
+    return NecessityReport(char, op_const, char / op_const if op_const > 0 else INF, exact_ok)
 
 
 # --- Fefferman-Stein dual ---------------------------------------------------------
@@ -695,10 +688,7 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
         ww1, ww2 = (w.refine(grid.depth - w.depth) for w in (w1, w2))
         maj1 = fs_majorant(ww1, params.r1, params.s1, fam)
         maj2 = fs_majorant(ww2, params.r2, params.s2, fam)
-        weighted = _b_stack(grid, fv, gv, spec) * ww1.values * ww2.values
-        fw, gw = fv * maj1.values, gv * maj2.values
-        require_finite(weighted, fw, gw)
-        return (_morrey_dyadic(grid, weighted, cp.s, cp.t, fam)[0],
-                _pair_sup(grid, fw, gw, cp.p, cp.q1, cp.q2, fam)[0])
+        weighted = _b_values(grid, fv, gv, spec) * ww1.values * ww2.values
+        return _weighted_sides(grid, fam, weighted, fv * maj1.values, gv * maj2.values, cp)
     harness = _ratio_core("fs-dual", levels, lambda level: pairs, hook, "")
     return FsDualReport(split_ok, worst, harness)

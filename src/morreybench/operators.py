@@ -196,8 +196,9 @@ def i_alpha(f: GridFunction, spec: KernelSpec) -> OperatorField:
 
 def _b_values(grid: GridFunction, fv: np.ndarray, gv: np.ndarray,
               spec: KernelSpec) -> np.ndarray:
-    """B(f, g) on ``grid``'s lattice; any axes before the grid's are a stack of pairs."""
-    return _correlate(fv, gv, kernel_cell_table(spec, grid)[..., None])[..., 0]
+    """B(f, g) on ``grid``'s lattice; any axes before the grid's are a stack of
+    pairs.  A non-finite value is refused."""
+    return _finite(_correlate(fv, gv, kernel_cell_table(spec, grid)[..., None])[..., 0])
 
 
 def b_alpha(f: GridFunction, g: GridFunction, spec: KernelSpec) -> OperatorField:

@@ -405,6 +405,39 @@ class TestExitContract:
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()  # refused before any output
 
+    @pytest.mark.parametrize("extra", [
+        pytest.param([], id="default-depth"),
+        pytest.param(["--rootlevel", "1", "--depth", "4"], id="other-root"),
+    ])
+    def test_weights_off_the_pairs_grid_exit_2(self, tmp_path, capsys, extra):
+        # the pairs sit on the unit root at levels 4..6; weights of depth 5, or
+        # on the root of level 1, are refused before any output
+        out = tmp_path / "o"
+        argv = ["experiment", "ratio", "--theorem", "two-weight", *TWO_WEIGHT[:-2],
+                "--s", "4/5", *extra, "--out", str(out)]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert "weights on root" in err and "levels (4, 5, 6)" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_overflowing_triple_products_exit_3(self, tmp_path, capsys):
+        path, out = tmp_path / "f.mgf", tmp_path / "o"
+        write_step(path, np.full(16, 1e200), flags="pos")
+        assert _exit_code(["cz", "--f", str(path), "--g", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: triple-average products overflowed to a non-finite value\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [pytest.param([], id="chosen-a"),
+                                       pytest.param(["--a", "1e200"], id="given-a")])
+    def test_products_near_the_float_limit_decompose(self, tmp_path, capsys, extra):
+        # finite products near 1e300: thresholds past the float range select nothing
+        path, out = tmp_path / "f.mgf", tmp_path / "o"
+        write_step(path, np.full(16, 1e150), flags="pos")
+        assert _exit_code(["cz", "--f", str(path), "--g", str(path), "--out", str(out),
+                           *extra]) == 0
+        assert capsys.readouterr().err == "" and out.exists()
+
     @pytest.mark.parametrize("argv", [
         pytest.param(["norm", "--kind", "morrey", "--p", "4", "--q", "2", "--in", "BIG"],
                      id="norm-morrey-dyadic"),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from morreybench import (DyadicCube, GridFunction, ParameterError,
+from morreybench import (DyadicCube, GridFunction, NumericalError, ParameterError,
                          enumerate_subcubes, triple, unit_root)
 from morreybench.decomposition import (choose_a, cz_decompose, packing_sum,
                                        verify_halving)
@@ -175,18 +175,42 @@ class TestChooseA:
             calls.append(shift)
             return triple_means(f, shift)
         monkeypatch.setattr(decomposition, "triple_means", counted)
-        f, g = spike_pair()
         tried = []
+        decompose = decomposition._decompose
 
-        def schedule():
-            a = 2.0
-            while True:
-                tried.append(a)
-                yield a
-                a *= 2.0
-        choose_a(f, g, unit_root(1), schedule())
+        def counted_decompose(f, q0, a, m):
+            tried.append(a)
+            return decompose(f, q0, a, m)
+        monkeypatch.setattr(decomposition, "_decompose", counted_decompose)
+        f, g = spike_pair()
+        sf = choose_a(f, g, unit_root(1))
         assert len(tried) >= 3
+        assert tried == [2.0 ** k for k in range(1, len(tried) + 1)] and sf.a == tried[-1]
         assert sorted(calls) == sorted(2 * list(range(f.depth + 1)))
+
+
+class TestDynamicRange:
+    def test_overflowing_triple_products_refused(self):
+        # 1e200 squared overflows: refused before any threshold is compared
+        f = step(np.full(16, 1e200), "pos")
+        with pytest.raises(NumericalError, match="triple-average products overflowed"):
+            cz_decompose(f, f, unit_root(1), 2.0)
+        with pytest.raises(NumericalError, match="triple-average products overflowed"):
+            choose_a(f, f, unit_root(1))
+
+    def test_threshold_past_the_float_range_selects_nothing(self):
+        # products near 1e300 exceed a = 1e200, while a**2 lies past the float
+        # range: one generation, the base cube, and none beyond it
+        f = step(np.full(16, 1e150), "pos")
+        sf = cz_decompose(f, f, unit_root(1), 1e200)
+        assert sf.kmax == 1
+        assert [sel.cube for sel in sf.generations[0]] == [unit_root(1)]
+
+    def test_choose_a_terminates_on_products_near_the_float_limit(self):
+        f = step(np.full(16, 1e150), "pos")
+        sf = choose_a(f, f, unit_root(1))
+        assert verify_halving(sf).ok
+        assert sf.a == 2.0 ** round(np.log2(sf.a)) and sf.kmax == 0
 
 
 class TestPackingSum:

@@ -310,7 +310,6 @@ class TestNecessity:
             rep = necessity_check(ws, self.cp(), dyadic_family(unit_root(1), -5),
                                   seed=seed)
             assert rep.exact_floor_ok
-            assert np.isfinite(rep.c_cube_sup) and np.isfinite(rep.c_truncated)
             ratios.append(rep.ratio)
         # necessary constant is controlled by the empirical operator constant
         # with a data-independent factor
@@ -329,7 +328,7 @@ def necessity_by_probe(ws, cp, family, pairs=None, seed=5):
     public single-pair operators and norms."""
     grid, n = ws.v, ws.v.dim
     d1, d2 = cp.q1 / (cp.q1 - 1.0), cp.q2 / (cp.q2 - 1.0)
-    c_cube, c_trunc, exact_ok, extremal = 0.0, 0.0, True, []
+    exact_ok, extremal = True, []
     lowest = max(family.min_level, grid.cell_level + 1)
     probes = (enumerate_subcubes(family.root, lowest)[:24]
               if lowest <= family.root.level else [])
@@ -340,15 +339,6 @@ def necessity_by_probe(ws, cp, family, pairs=None, seed=5):
         gvals[sl] = ws.w2.values[sl] ** (-d2)
         f, g = grid.with_values(fvals, "nonneg"), grid.with_values(gvals, "nonneg")
         extremal.append(("extremal", f, g))
-        lhs = (cube.volume ** (cp.alpha / n) * float(ws.v.values[sl].max())
-               * float(fvals[sl].mean()) * float(gvals[sl].mean()))
-        for m, kind in ((m_alpha_vector(f, g, cp.alpha, 1.0, 1.0, family), "cube"),
-                        (m_alpha_bilinear(f, g, cp.alpha, family), "trunc")):
-            rhs = float(np.mean((m.fn.values[sl] * ws.v.values[sl]) ** cp.t)) ** (1.0 / cp.t)
-            if kind == "cube":
-                c_cube = max(c_cube, lhs / rhs)
-            else:
-                c_trunc = max(c_trunc, lhs / rhs)
         ind = grid.with_values((fvals > 0).astype(float), "nonneg")
         m_ind = m_alpha_vector(ind, ind, cp.alpha, 1.0, 1.0, family).fn.values
         floor_rhs = float(np.mean(m_ind[sl] ** cp.t)) ** (1.0 / cp.t)
@@ -366,7 +356,7 @@ def necessity_by_probe(ws, cp, family, pairs=None, seed=5):
             op_const = max(op_const, lhs / rhs)
     char = char_testing(ws, cp, family).value
     return NecessityReport(char, op_const, char / op_const if op_const > 0 else INF,
-                           exact_ok, c_cube, c_trunc)
+                           exact_ok)
 
 
 class TestNecessityStacked:
@@ -406,10 +396,30 @@ class TestNecessityStacked:
             got = necessity_check(ws, cp, family, pairs=pairs, seed=seed)
             want = necessity_by_probe(ws, cp, family, pairs=pairs, seed=seed)
             assert got.exact_floor_ok == want.exact_floor_ok
-            for name in ("char_value", "op_constant", "ratio", "c_cube_sup", "c_truncated"):
+            for name in ("char_value", "op_constant", "ratio"):
                 assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-12), name
             count += 1
         assert count == 9
+
+    def test_one_call_per_operator(self, monkeypatch):
+        # probes and pairs share one bilinear maximal call; the cube-sup
+        # maximal runs once, on the indicators of the exact floor
+        from morreybench import experiments
+        calls = []
+
+        def counting(fn):
+            def counted(grid, fv, gv, *args):
+                calls.append((fn.__name__, fv.shape[0]))
+                return fn(grid, fv, gv, *args)
+            return counted
+        for name in ("_bilinear_maximal", "_vector_maximal"):
+            monkeypatch.setattr(experiments, name, counting(getattr(experiments, name)))
+        for ws, cp, family, pairs, seed in self.cases():
+            calls.clear()
+            necessity_check(ws, cp, family, pairs=pairs, seed=seed)
+            assert sorted(name for name, _ in calls) == ["_bilinear_maximal", "_vector_maximal"]
+            probes, stack = dict(calls)["_vector_maximal"], dict(calls)["_bilinear_maximal"]
+            assert stack == probes + (4 if pairs is None else len(pairs))
 
     def test_overflowing_dual_power_refused(self):
         ws = random_weights(make_rng(7, 83), unit_root(1), 4)

@@ -38,3 +38,20 @@ def test_relations_imports_only_util():
                 if isinstance(node, ast.ImportFrom) and node.level > 0}
     absolute = {name for name in _imported_modules(tree) if name.startswith("morreybench")}
     assert relative == {"util"} and absolute == set()
+
+
+# the stacked cores: private functions that take a stack of pairs and that
+# another package module may call directly; a new one joins this list on purpose
+STACKED_CORES = {"_b_values", "_bilinear_maximal", "_vector_maximal", "_morrey_dyadic",
+                 "_pair_sup"}
+
+
+def test_only_stacked_cores_cross_modules():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").startswith("morreybench")):
+                offenders += [f"{path.name}: {alias.name}" for alias in node.names
+                              if alias.name.startswith("_") and alias.name not in STACKED_CORES]
+    assert offenders == []

@@ -273,6 +273,28 @@ def test_level_below_the_base_depth_is_refused():
         ratio_harness("bilinear-ratio", pr, make_pairs("step", 2, 5, 4), (4, 3))
 
 
+@pytest.mark.parametrize("theorem", ["olsen", "two-weight", "one-weight"])
+def test_weights_off_the_pairs_grid_are_refused(theorem, monkeypatch):
+    # the pairs sit on the unit root at depth 3 and the levels start at 3
+    pr, ws, cp = setup(theorem, 1)
+    calls = []
+    monkeypatch.setattr(experiments, "_b_values", lambda *args: calls.append(args))
+    finer = WeightSystem(*(x.refine(1) for x in (ws.v, ws.w1, ws.w2)))
+    moved = power_system(0.0225, 0.02, 0.02, (0.0,), DyadicCube(1, (0,)), 2)
+    for bad, named in ((finer, "DyadicCube(level=0, coords=(0,)) at depth 4"),
+                       (moved, "DyadicCube(level=1, coords=(0,)) at depth 2")):
+        with pytest.raises(ParameterError, match="weights on root") as err:
+            ratio_harness(theorem, pr, mixed_pairs(1), (3, 4, 5), ws=bad, cp=cp)
+        assert named in str(err.value)
+        assert "pairs on root DyadicCube(level=0, coords=(0,)) at levels (3, 4, 5)" in str(err.value)
+    assert calls == []  # refused before any operator call
+    monkeypatch.undo()  # weights coarser than the first level are refined per level
+    coarser = WeightSystem(*(GridFunction(1, unit_root(1), 2, x.values[::2], "pos")
+                             for x in (ws.v, ws.w1, ws.w2)))
+    res = ratio_harness(theorem, pr, make_pairs("step", 2, 5, 3), (3, 4), ws=coarser, cp=cp)
+    assert len(res.records) == 4
+
+
 def test_zero_right_side_names_its_pair():
     pairs = make_pairs("step", 3, 5, 3)
 
