@@ -65,8 +65,9 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 
 def _field(template: GridFunction, values: np.ndarray, tail: float = 0.0) -> OperatorField:
+    """Wrap ``values`` that ``_finite`` has already passed."""
     out = GridFunction(template.dim, template.root, template.depth,
-                       _finite(values), _flags_for(values))
+                       values, _flags_for(values))
     return OperatorField(out, tail)
 
 
@@ -191,7 +192,7 @@ def i_alpha(f: GridFunction, spec: KernelSpec) -> OperatorField:
         size = (2 * m, 2 * m)
         spectrum = np.fft.rfft2(f.values, size) * np.fft.rfft2(table, size)
         vals = np.fft.irfft2(spectrum, size)[m - 1:2 * m - 1, m - 1:2 * m - 1]
-    return _field(f, vals)
+    return _field(f, _finite(vals))
 
 
 def _b_values(grid: GridFunction, fv: np.ndarray, gv: np.ndarray,
@@ -210,7 +211,7 @@ def b_alpha(f: GridFunction, g: GridFunction, spec: KernelSpec) -> OperatorField
 def b_truncated(f: GridFunction, g: GridFunction, d: float) -> OperatorField:
     """Kernel-free truncation: integral of f(x-y)g(x+y) over |y|_inf <= d."""
     _require_common_grid(f, g)
-    return _field(f, _correlate(f.values, g.values, _truncation_table(f, [d]))[..., 0])
+    return _field(f, _finite(_correlate(f.values, g.values, _truncation_table(f, [d]))[..., 0]))
 
 
 def b_alpha_dyadic(f: GridFunction, g: GridFunction, spec: KernelSpec,
@@ -239,7 +240,7 @@ def b_alpha_dyadic(f: GridFunction, g: GridFunction, spec: KernelSpec,
     fmax = float(np.abs(f.values).max())
     gmax = float(np.abs(g.values).max())
     tail = fmax * gmax * 2.0 ** n * 2.0 ** ((min_level - 1) * a) / (1.0 - 2.0 ** (-a))
-    return _field(f, vals, tail)
+    return _field(f, _finite(vals), tail)
 
 
 def m_alpha_bilinear(f: GridFunction, g: GridFunction, alpha: float,
@@ -302,7 +303,7 @@ def m_tilde(f: GridFunction, g: GridFunction, v: GridFunction, alpha: float,
         return (volume ** (alpha / n) * cube_blocks(fa, shift).mean(axis=-1)
                 * cube_blocks(ga, shift).mean(axis=-1)
                 * v_factor(cube_blocks(v.values, shift), t))
-    return _field(f, cell_sup(f, family, value))
+    return _field(f, _finite(cell_sup(f, family, value)))
 
 
 def triple_means(f: GridFunction, shift: int) -> np.ndarray:
@@ -322,5 +323,5 @@ def m_triple_dyadic(f: GridFunction, g: GridFunction, family: CubeFamily) -> Ope
     _require_common_grid(f, g)
     if f.values.min() < 0 or g.values.min() < 0:
         raise ParameterError("triple maximal expects nonnegative inputs")
-    return _field(f, cell_sup(f, family,
-                              lambda shift, volume: triple_means(f, shift) * triple_means(g, shift)))
+    return _field(f, _finite(cell_sup(
+        f, family, lambda shift, volume: triple_means(f, shift) * triple_means(g, shift))))

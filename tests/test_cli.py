@@ -144,6 +144,31 @@ class TestOpCommand:
         assert "overflow" in capsys.readouterr().err
         assert not (tmp_path / "o.mgf").exists()
 
+    OPERATOR_FLAGS = {
+        "i-alpha": ["--alpha", "1/2"],
+        "b-alpha": ["--alpha", "1/2"],
+        "b-truncated": ["--d", "0.25"],
+        "b-dyadic": ["--alpha", "1/2"],
+        "m-bilinear": ["--alpha", "1/2"],
+        "m-vector": ["--alpha", "1/2", "--r1", "1", "--r2", "1"],
+        "m-tilde": ["--alpha", "1/2", "--t", "1/2", "--v", "f.mgf"],
+        "m-triple": [],
+    }
+
+    @pytest.mark.parametrize("operator", OPERATOR_FLAGS)
+    def test_every_operator_refuses_overflowed_output(self, tmp_path, capsys, monkeypatch,
+                                                       operator):
+        # finite inputs, non-finite output: every operator refuses it before writing a field
+        monkeypatch.chdir(tmp_path)
+        write_step(tmp_path / "f.mgf", np.full(4, 1.7e308), flags="pos")
+        with np.errstate(over="ignore"):
+            rc = main(["op", "--operator", operator, "--f", "f.mgf", "--g", "f.mgf",
+                       "--out", "o.mgf", *self.OPERATOR_FLAGS[operator]])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: operator output overflowed to a non-finite value\n")
+        assert not (tmp_path / "o.mgf").exists()
+
     def test_2d_field_roundtrip(self, tmp_path, capsys):
         from morreybench import DyadicCube
         f = tmp_path / "f2.mgf"
