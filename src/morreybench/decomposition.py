@@ -26,7 +26,7 @@ import numpy as np
 from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, spread
 from .norms import dyadic_family, dyadic_levels
 from .operators import triple_means
-from .util import INF, NumericalError, ParameterError
+from .util import INF, ParameterError, finite
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,9 @@ def _triple_products(f: GridFunction, g: GridFunction, q0: DyadicCube) -> list[n
         raise ParameterError("decomposition expects nonnegative inputs")
     if q0.level <= f.cell_level:
         raise ParameterError("grid cells must be strictly finer than the base cube")
-    m = [(triple_means(f, shift) * triple_means(g, shift))[window]
-         for shift, _, window in dyadic_levels(f, dyadic_family(q0, f.cell_level))]
-    if not all(np.all(np.isfinite(level_m)) for level_m in m):
-        raise NumericalError("triple-average products overflowed to a non-finite value")
-    return m
+    return [finite((triple_means(f, shift) * triple_means(g, shift))[window],
+                   "triple-average products")
+            for shift, _, window in dyadic_levels(f, dyadic_family(q0, f.cell_level))]
 
 
 def _threshold(a: float, k: int) -> float:

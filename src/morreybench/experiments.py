@@ -23,13 +23,13 @@ import numpy as np
 
 from . import relations
 from .grid import (DyadicCube, GridFunction, cube_blocks, cube_box,
-                   enumerate_subcubes, require_finite, spread, unit_root)
+                   enumerate_subcubes, spread, unit_root)
 from .norms import (CubeFamily, _morrey_dyadic, _pair_sup, aligned_family,
                     dyadic_family, family_max, morrey_norm)
 from .operators import (KernelSpec, _b_values, _bilinear_maximal, _vector_maximal,
                         b_alpha, i_alpha)
 from .util import (INF, NumericalError, ParameterError, close, conjugate,
-                   make_rng, recip, refuse)
+                   finite, make_rng, recip, refuse)
 from .weights import (CharParams, WeightSystem, char_one_weight, char_testing,
                       char_two_weight, fs_majorant, power_system, power_weight)
 
@@ -201,9 +201,7 @@ def _weighted_sides(grid: GridFunction, fam: CubeFamily, weighted: np.ndarray,
                     fw: np.ndarray, gw: np.ndarray, e: ExponentProfile | CharParams):
     """The sides of a weighted bound, one item per pair of the stacks: the
     (s, t) Morrey norm of the weighted operator values and the (p, q1, q2)
-    pair supremum of the weighted inputs, with the exponents read from ``e``.
-    A non-finite product is refused."""
-    require_finite(weighted, fw, gw)
+    pair supremum of the weighted inputs, with the exponents read from ``e``."""
     return (_morrey_dyadic(grid, weighted, e.s, e.t, fam)[0],
             _pair_sup(grid, fw, gw, e.p, e.q1, e.q2, fam)[0])
 
@@ -214,9 +212,9 @@ def _ratio_core(theorem: str, levels, pairs_at, hook, params_id: str) -> Harness
     ``pairs_at(level)`` gives the level's (name, f, g) pairs on one grid;
     they are refined here onto the level's grid as stacks, and
     ``hook(grid, family, fv, gv)`` returns the level's (lhs, rhs) arrays, one
-    item per pair, with ``family`` the level's dyadic family.  A zero right
-    side with nonzero left side aborts, naming the first such pair: it
-    cannot occur for positive weights and nonzero data.
+    item per pair, with ``family`` the level's dyadic family.  A non-finite
+    side or ratio, or a zero right side with nonzero left side, aborts naming
+    the first such pair; the latter cannot occur for positive weights.
     """
     records = []
     for level in levels:
@@ -227,7 +225,9 @@ def _ratio_core(theorem: str, levels, pairs_at, hook, params_id: str) -> Harness
             if right == 0.0 and left > 0.0:
                 raise NumericalError(
                     f"zero right side with nonzero left side for pair {name}")
-            records.append(RatioRecord(theorem, params_id, name, level, left, right))
+            rec = RatioRecord(theorem, params_id, name, level, left, right)
+            finite([left, right, rec.ratio], f"ratio or its sides for pair {name}")
+            records.append(rec)
     by_level = {}
     for rec in records:
         by_level[rec.level] = max(by_level.get(rec.level, 0.0), rec.ratio)
@@ -283,7 +283,6 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
             lhs = np.stack([i_alpha(grid.with_values(f), spec).fn.values for f in fv])
             if theorem == "product-embedding":
                 lhs = gv * lhs
-                require_finite(lhs)
             return _morrey_dyadic(grid, lhs, pr.s, pr.t, fam)[0], rhs
     else:
         if ws.v.root != base.root or any(level < ws.v.depth for level in levels):
@@ -559,7 +558,6 @@ def stein_weiss_harness(sw: SteinWeissParams, seed: int = 11) -> HarnessResult:
         w = power_system(sw.beta, sw.gamma1, sw.gamma2, (0.0,) * sw.n, fam.root, grid.depth)
         weighted = _b_values(grid, fv, gv, spec) * w.v.values
         fw, gw = fv * w.w1.values, gv * w.w2.values
-        require_finite(weighted, fw, gw)
         return (_morrey_dyadic(grid, weighted, sw.s, sw.t, fam)[0],
                 _morrey_dyadic(grid, fw, sw.p1, sw.q1, fam)[0]
                 * _morrey_dyadic(grid, gw, sw.p2, sw.q2, fam)[0])
@@ -611,7 +609,6 @@ def necessity_check(ws: WeightSystem, cp: CharParams, family: CubeFamily,
         inside[(k,) + cube_box(grid, cube).slices()] = True
     f_probe = np.where(inside, ws.w1.values ** -conjugate(cp.q1), 0.0)
     g_probe = np.where(inside, ws.w2.values ** -conjugate(cp.q2), 0.0)
-    require_finite(f_probe, g_probe)
     # exact unweighted floor: (avg_Q m**t)**(1/t) on each probe's own cube
     axes = tuple(range(1, n + 1))
     chi = inside.astype(float)
@@ -665,9 +662,13 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     Per cube, |Q|**(1/r) (avg (w1 w2)**(as/(1-s)))**((1-s)/(as)) must not
     exceed the product of the two majorant factors; then, on four seeded step
     pairs, B(f,g) w1 w2 is normalized by the pair supremum built from the
-    majorants W_i.
+    majorants W_i, on weights of one grid no finer than the first level.
     """
     refuse("relations violated", params.violations())
+    if w1.root != w2.root or w1.depth != w2.depth or any(level < w1.depth for level in levels):
+        raise ParameterError(f"weights w1 on root {w1.root} at depth {w1.depth} and w2 on root "
+                             f"{w2.root} at depth {w2.depth} do not fit levels {tuple(levels)}: "
+                             f"weights must share one grid, no finer than the first level")
     cp = params.cp
     e = cp.a * cp.s / (1.0 - cp.s)
     e1 = params.s1 / (1.0 - params.s1)

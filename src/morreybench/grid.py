@@ -137,7 +137,8 @@ class GridFunction:
         want = (2 ** self.depth,) * self.dim
         if self.values.shape != want:
             raise ParameterError(f"values shape {self.values.shape} != {want}")
-        require_finite(self.values)
+        if not np.all(np.isfinite(self.values)):
+            raise ParameterError("grid values must be finite (no nan or inf)")
         if self.flags not in _FLAGS:
             raise ParameterError(f"flags must be one of {_FLAGS}")
         if self.flags == "nonneg" and self.values.min() < 0:
@@ -179,12 +180,6 @@ class GridFunction:
             raise ParameterError("refine expects extra >= 0")
         return GridFunction(self.dim, self.root, self.depth + extra,
                             spread(self.values, extra), self.flags)
-
-
-def require_finite(*arrays: np.ndarray) -> None:
-    """Refuse grid values with a nan or an inf."""
-    if not all(np.all(np.isfinite(values)) for values in arrays):
-        raise ParameterError("grid values must be finite (no nan or inf)")
 
 
 def cube_box(grid: GridFunction, cube: DyadicCube) -> AlignedBox:

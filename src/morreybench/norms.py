@@ -40,7 +40,7 @@ import numpy as np
 
 from .grid import (AlignedBox, DyadicCube, GridFunction, cube_blocks,
                    cube_box, spread)
-from .util import INF, ParameterError
+from .util import INF, ParameterError, finite
 
 DYADIC = "dyadic-subcubes"
 ALIGNED = "all-aligned-cubes"
@@ -129,26 +129,26 @@ class NormReport:
 # The scans crop them to the family root and reduce each stack item on its own.
 
 def dyadic_levels(grid: GridFunction, family: CubeFamily):
-    """(cell shift, cube volume, root window) per family level, coarsest first."""
+    """(cell shift, cube volume, root window) per family level, coarsest first;
+    the volume is a numpy float, so its powers overflow to inf, never raise."""
     levels = family.levels()
     if family.min_level < grid.cell_level:
         raise ParameterError("cube family is finer than the grid cells")
     box = cube_box(grid, family.root)
     for level in levels:
         shift = level - grid.cell_level
-        yield shift, (2.0 ** level) ** grid.dim, tuple(
+        yield shift, np.float64(2.0 ** level) ** grid.dim, tuple(
             slice(lo >> shift, hi >> shift) for lo, hi in zip(box.lo, box.hi))
 
 
 def family_max(grid: GridFunction, family: CubeFamily, value):
-    """(value, cube, overflowed) of the first strict maximum over the family.
+    """(value, cube) of the first strict maximum over the family.
 
     Canonical order: coarsest level first, then the first cube in row-major
     order; the levels are laid end to end in that order, so one ``argmax``
-    per stack item finds it.  Non-finite values count as +inf and set
-    ``overflowed``.  For stacked values the three are an array of the
-    stack's shape, a list of cubes in row-major stack order and a boolean
-    array.
+    per stack item finds it.  A non-finite value anywhere in the family is
+    refused with a NumericalError.  For stacked values the two are an array
+    of the stack's shape and a list of cubes in row-major stack order.
     """
     parts, levels = [], []
     for shift, volume, window in dyadic_levels(grid, family):
@@ -156,15 +156,11 @@ def family_max(grid: GridFunction, family: CubeFamily, value):
         stack, cubes = vals.shape[:vals.ndim - grid.dim], vals.shape[vals.ndim - grid.dim:]
         parts.append(vals.reshape(stack + (math.prod(cubes),)))
         levels.append((grid.cell_level + shift, cubes))
-    vals = np.concatenate(parts, axis=-1)
-    bad = ~np.isfinite(vals)
-    overflowed = bad.any(axis=-1)
-    if overflowed.any():
-        vals = np.where(bad, INF, vals)
+    vals = finite(np.concatenate(parts, axis=-1), "supremum")
     cubes = [_cube_at(family, levels, int(i)) for i in vals.argmax(axis=-1).flat]
     if not stack:
-        return float(vals.max()), cubes[0], bool(overflowed)
-    return vals.max(axis=-1), cubes, overflowed
+        return float(vals.max()), cubes[0]
+    return vals.max(axis=-1), cubes
 
 
 def _cube_at(family: CubeFamily, levels, i: int) -> DyadicCube:
@@ -178,23 +174,23 @@ def _cube_at(family: CubeFamily, levels, i: int) -> DyadicCube:
 
 def cell_sup(grid: GridFunction, family: CubeFamily, value) -> np.ndarray:
     """Per cell, the max of ``value`` over the family's cubes containing it
-    (zero outside the family root), per stack item."""
+    (zero outside the family root), per stack item: an operator output."""
     out = None
     inner = (Ellipsis,) + cube_box(grid, family.root).slices()
     for shift, volume, window in dyadic_levels(grid, family):
         vals = spread(value(shift, volume)[(Ellipsis,) + window], shift, grid.dim)
         if out is None:
             out = np.zeros(vals.shape[:vals.ndim - grid.dim] + grid.values.shape)
-        np.maximum(out[inner], vals, out=out[inner])
-    return out
+        np.maximum(out[inner], vals, out=out[inner])  # nan propagates
+    return finite(out, "operator output")
 
 
 def lebesgue_norm(f: GridFunction, t: float) -> float:
     """(sum over the grid of |f|**t * cell_volume)**(1/t)."""
     if t <= 0:
         raise ParameterError(f"Lebesgue exponent must be positive, got {t}")
-    s = float(np.sum(np.abs(f.values) ** t)) * f.cell_volume
-    return s ** (1.0 / t)
+    s = np.sum(np.abs(f.values) ** t) * f.cell_volume
+    return float(finite(s ** (1.0 / t), "norm"))
 
 
 def weak_quasinorm(f: GridFunction, p: float) -> float:
@@ -214,7 +210,7 @@ def weak_quasinorm(f: GridFunction, p: float) -> float:
     measures = (np.arange(vals.size) + 1) * f.cell_volume
     keep = sorted_vals > 0
     cand = sorted_vals[keep] * measures[keep] ** (1.0 / p)
-    return float(cand.max())
+    return float(finite(cand.max(), "norm"))
 
 
 def morrey_norm(f: GridFunction, p: float, q: float, family: CubeFamily) -> NormReport:
@@ -222,8 +218,10 @@ def morrey_norm(f: GridFunction, p: float, q: float, family: CubeFamily) -> Norm
     if not (0 < q <= p < np.inf):
         raise ParameterError(f"Morrey exponents need 0 < q <= p < inf, got q={q} p={p}")
     if family.tag == ALIGNED:
-        return _morrey_aligned(f, p, q, family)
-    top, cubes, _ = _morrey_dyadic(f, f.values[None], p, q, family)
+        rep = _morrey_aligned(f, p, q, family)
+        finite(rep.value, "supremum")
+        return rep
+    top, cubes = _morrey_dyadic(f, f.values[None], p, q, family)
     return NormReport(float(top[0]), cubes[0])
 
 
@@ -318,7 +316,7 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
         raise ParameterError("aligned family was built for a different grid")
     sizes = family.aligned_sizes
     table = _prefix_table(np.abs(f.values) ** q)
-    n, h, m = f.dim, f.cell_side, f.cells_per_axis
+    n, h, m = f.dim, np.float64(f.cell_side), f.cells_per_axis  # numpy: overflow gives inf
     slack = _window_slack(table)
     seen = {}  # size index -> (largest window sum, its flat argmax)
     best_val, best = -1.0, -1
@@ -372,7 +370,7 @@ def pair_morrey_sup(f: GridFunction, g: GridFunction, p: float,
         raise ParameterError("pair supremum needs a common grid")
     if q1 <= 0 or q2 <= 0 or p <= 0:
         raise ParameterError("pair supremum exponents must be positive")
-    top, cubes, _ = _pair_sup(f, f.values[None], g.values[None], p, q1, q2, family)
+    top, cubes = _pair_sup(f, f.values[None], g.values[None], p, q1, q2, family)
     return NormReport(float(top[0]), cubes[0])
 
 

@@ -31,7 +31,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, triple_sums
 from .norms import CubeFamily, cell_sup
-from .util import NumericalError, ParameterError, v_factor
+from .util import ParameterError, finite, v_factor
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,8 @@ def _flags_for(values: np.ndarray) -> str:
     return "nonneg" if values.size and values.min() >= 0 else "none"
 
 
-def _finite(values: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(values)):
-        raise NumericalError("operator output overflowed to a non-finite value")
-    return values
-
-
 def _field(template: GridFunction, values: np.ndarray, tail: float = 0.0) -> OperatorField:
-    """Wrap ``values`` that ``_finite`` has already passed."""
+    """Wrap ``values`` that ``finite`` has already passed."""
     out = GridFunction(template.dim, template.root, template.depth,
                        values, _flags_for(values))
     return OperatorField(out, tail)
@@ -192,14 +186,15 @@ def i_alpha(f: GridFunction, spec: KernelSpec) -> OperatorField:
         size = (2 * m, 2 * m)
         spectrum = np.fft.rfft2(f.values, size) * np.fft.rfft2(table, size)
         vals = np.fft.irfft2(spectrum, size)[m - 1:2 * m - 1, m - 1:2 * m - 1]
-    return _field(f, _finite(vals))
+    return _field(f, finite(vals, "operator output"))
 
 
 def _b_values(grid: GridFunction, fv: np.ndarray, gv: np.ndarray,
               spec: KernelSpec) -> np.ndarray:
     """B(f, g) on ``grid``'s lattice; any axes before the grid's are a stack of
     pairs.  A non-finite value is refused."""
-    return _finite(_correlate(fv, gv, kernel_cell_table(spec, grid)[..., None])[..., 0])
+    return finite(_correlate(fv, gv, kernel_cell_table(spec, grid)[..., None])[..., 0],
+                  "operator output")
 
 
 def b_alpha(f: GridFunction, g: GridFunction, spec: KernelSpec) -> OperatorField:
@@ -211,7 +206,8 @@ def b_alpha(f: GridFunction, g: GridFunction, spec: KernelSpec) -> OperatorField
 def b_truncated(f: GridFunction, g: GridFunction, d: float) -> OperatorField:
     """Kernel-free truncation: integral of f(x-y)g(x+y) over |y|_inf <= d."""
     _require_common_grid(f, g)
-    return _field(f, _finite(_correlate(f.values, g.values, _truncation_table(f, [d]))[..., 0]))
+    vals = _correlate(f.values, g.values, _truncation_table(f, [d]))[..., 0]
+    return _field(f, finite(vals, "operator output"))
 
 
 def b_alpha_dyadic(f: GridFunction, g: GridFunction, spec: KernelSpec,
@@ -240,7 +236,7 @@ def b_alpha_dyadic(f: GridFunction, g: GridFunction, spec: KernelSpec,
     fmax = float(np.abs(f.values).max())
     gmax = float(np.abs(g.values).max())
     tail = fmax * gmax * 2.0 ** n * 2.0 ** ((min_level - 1) * a) / (1.0 - 2.0 ** (-a))
-    return _field(f, _finite(vals), tail)
+    return _field(f, finite(vals, "operator output"), tail)
 
 
 def m_alpha_bilinear(f: GridFunction, g: GridFunction, alpha: float,
@@ -258,7 +254,7 @@ def _bilinear_maximal(grid: GridFunction, fv: np.ndarray, gv: np.ndarray, alpha:
     """``m_alpha_bilinear`` values for a stack of pairs on ``grid``'s lattice."""
     levels = np.array(family.levels())
     tables = (2.0 ** (levels + 1)) ** (alpha - grid.dim) * _truncation_table(grid, 2.0 ** levels)
-    return _finite(_correlate(np.abs(fv), np.abs(gv), tables).max(axis=-1))
+    return finite(_correlate(np.abs(fv), np.abs(gv), tables).max(axis=-1), "operator output")
 
 
 def m_alpha_vector(f: GridFunction, g: GridFunction, alpha: float,
@@ -280,7 +276,7 @@ def _vector_maximal(grid: GridFunction, fv: np.ndarray, gv: np.ndarray, alpha: f
     def value(shift, volume):
         return (volume ** (alpha / n) * cube_blocks(pf, shift, n).mean(axis=-1) ** (1.0 / r1)
                 * cube_blocks(pg, shift, n).mean(axis=-1) ** (1.0 / r2))
-    return _finite(cell_sup(grid, family, value))
+    return cell_sup(grid, family, value)
 
 
 def m_tilde(f: GridFunction, g: GridFunction, v: GridFunction, alpha: float,
@@ -303,7 +299,7 @@ def m_tilde(f: GridFunction, g: GridFunction, v: GridFunction, alpha: float,
         return (volume ** (alpha / n) * cube_blocks(fa, shift).mean(axis=-1)
                 * cube_blocks(ga, shift).mean(axis=-1)
                 * v_factor(cube_blocks(v.values, shift), t))
-    return _field(f, _finite(cell_sup(f, family, value)))
+    return _field(f, cell_sup(f, family, value))
 
 
 def triple_means(f: GridFunction, shift: int) -> np.ndarray:
@@ -323,5 +319,5 @@ def m_triple_dyadic(f: GridFunction, g: GridFunction, family: CubeFamily) -> Ope
     _require_common_grid(f, g)
     if f.values.min() < 0 or g.values.min() < 0:
         raise ParameterError("triple maximal expects nonnegative inputs")
-    return _field(f, _finite(cell_sup(
-        f, family, lambda shift, volume: triple_means(f, shift) * triple_means(g, shift))))
+    return _field(f, cell_sup(
+        f, family, lambda shift, volume: triple_means(f, shift) * triple_means(g, shift)))

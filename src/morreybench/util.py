@@ -15,6 +15,14 @@ class NumericalError(RuntimeError):
     """A computation cannot be completed at finite precision (CLI exit code 3)."""
 
 
+def finite(values, what: str):
+    """``values``, refused with a NumericalError naming ``what`` if any is
+    nan or infinite: the one check of a computed value."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{what} overflowed to a non-finite value")
+    return values
+
+
 def refuse(what: str, violations) -> None:
     """Raise a ParameterError naming every violated relation, if there is one."""
     if violations:

@@ -10,8 +10,8 @@ Conventions shared by every characteristic:
 
 * ``(avg_Q v**(t/(1-t)))**((1-t)/t)`` degenerates to the exact max of v over
   Q at t = 1; intermediate powers go through a shifted power mean so that
-  exponents near t = 1 cannot overflow.  A non-finite product is reported as
-  +inf with the ``overflowed`` flag set.
+  exponents near t = 1 cannot overflow.  A product that still overflows to
+  a non-finite value is refused with a NumericalError, never reported.
 * ``r = inf`` drops the |Q'|**(1/r) factor.
 * Weights must be strictly positive on the grid; zero cells are rejected
   rather than regularized, since negative dual powers would be undefined.
@@ -33,7 +33,8 @@ import numpy as np
 from . import relations
 from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, spread
 from .norms import CubeFamily, cell_sup, dyadic_levels, family_max
-from .util import INF, ParameterError, conjugate, power_mean, recip, refuse, v_factor
+from .util import (INF, NumericalError, ParameterError, conjugate, finite, power_mean,
+                   recip, refuse, v_factor)
 
 
 # --- weight systems ---------------------------------------------------------
@@ -58,7 +59,7 @@ def power_weight(beta: float, center, root: DyadicCube, depth: int) -> GridFunct
 
     1D uses the antiderivative of |u|**beta (logarithm at beta = -1), so cell
     values are exact averages even for cells straddling the center as long as
-    the power stays integrable there (beta > -1).
+    the power stays integrable there (beta > -1).  Cells beyond the float range are refused.
     """
     dim = root.dim
     center = tuple(float(c) for c in (center if np.iterable(center) else (center,)))
@@ -82,22 +83,25 @@ def power_weight(beta: float, center, root: DyadicCube, depth: int) -> GridFunct
             integral = np.abs(np.log(np.abs(b / a)))
         else:
             integral = np.diff(np.copysign(np.abs(edges) ** (beta + 1.0), edges)) / (beta + 1.0)
-        return GridFunction(1, root, depth, integral / (b - a), "pos")
-    mids0 = origin[0] + h * (np.arange(m) + 0.5) - center[0]
-    mids1 = origin[1] + h * (np.arange(m) + 0.5) - center[1]
-    x0, x1 = np.meshgrid(mids0, mids1, indexing="ij")
-    r = np.hypot(x0, x1)
-    if beta < 0 and np.any(r == 0.0):
-        raise ParameterError("a cell midpoint coincides with the center")
-    if beta <= -dim:
-        # non-integrable singularity: no cell may contain the center
-        inside = np.all([(origin[d] <= center[d] < origin[d] + m * h)
-                         for d in range(dim)])
-        if inside:
-            raise ParameterError(
-                f"|x|**({beta}) is not integrable at the center inside the grid")
-    vals = r ** beta
-    return GridFunction(2, root, depth, vals, "pos")
+        vals = integral / (b - a)
+    else:
+        mids0 = origin[0] + h * (np.arange(m) + 0.5) - center[0]
+        mids1 = origin[1] + h * (np.arange(m) + 0.5) - center[1]
+        x0, x1 = np.meshgrid(mids0, mids1, indexing="ij")
+        r = np.hypot(x0, x1)
+        if beta != 0 and np.any(r == 0.0):  # the value there is 0 or infinite
+            raise ParameterError("a cell midpoint coincides with the center")
+        if beta <= -dim:
+            # non-integrable singularity: no cell may contain the center
+            inside = np.all([(origin[d] <= center[d] < origin[d] + m * h)
+                             for d in range(dim)])
+            if inside:
+                raise ParameterError(
+                    f"|x|**({beta}) is not integrable at the center inside the grid")
+        vals = r ** beta
+    if not np.all((vals > 0.0) & (vals < INF)):  # nan fails both
+        raise NumericalError(f"|x|**({beta}) leaves the float range on this grid")
+    return GridFunction(dim, root, depth, vals, "pos")
 
 
 def power_system(beta: float, gamma1: float, gamma2: float, center,
@@ -151,7 +155,6 @@ class CharacteristicReport:
     value: float
     attaining: tuple[DyadicCube, DyadicCube] | None
     pairs_scanned: int
-    overflowed: bool = False
 
 
 def _w_factor(ws: WeightSystem, shift: int, d1: float, d2: float) -> np.ndarray:
@@ -182,24 +185,20 @@ def _pair_scan(ws: WeightSystem, family: CubeFamily, t: float, d1: float, d2: fl
     grid = ws.v
     scans = list(dyadic_levels(grid, family))
     wfac = [_w_factor(ws, shift, d1, d2)[window] for shift, _, window in scans]
-    best, pairs, overflowed = None, 0, False
+    best, pairs = None, 0
     for i, (shift, volume, window) in enumerate(scans):
         vfac = v_factor(cube_blocks(grid.values, shift), t)[window]
-        vals = np.stack([_pair_scale(volume, scans[j][1], exponent, r_inv) * vfac
-                         * spread(wfac[j], scans[j][0] - shift)
-                         for j in range(i, -1, -1)], axis=-1)
+        vals = finite(np.stack([_pair_scale(volume, scans[j][1], exponent, r_inv) * vfac
+                                * spread(wfac[j], scans[j][0] - shift)
+                                for j in range(i, -1, -1)], axis=-1), "supremum")
         pairs += vals.size
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            overflowed = True
-            vals[bad] = INF
         k = int(np.argmax(vals))
         if best is None or vals.flat[k] > best[0]:
             best = (float(vals.flat[k]), grid.cell_level + shift, np.unravel_index(k, vals.shape))
     value, level, (*index, up) = best
     q = family.cube(level, index)
     outer = DyadicCube(level + up, tuple(c >> up for c in q.coords))
-    return CharacteristicReport(value, (q, outer), pairs, overflowed)
+    return CharacteristicReport(value, (q, outer), pairs)
 
 
 def char_two_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
@@ -230,8 +229,8 @@ def char_remark(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Charact
     def value(shift, volume):
         return (volume ** r_inv
                 * power_mean(cube_blocks(ws.v.values, shift), e_v) * _w_factor(ws, shift, d1, d2))
-    best, q, overflowed = family_max(ws.v, family, value)
-    return CharacteristicReport(best, (q, q), len(family), overflowed)
+    best, q = family_max(ws.v, family, value)
+    return CharacteristicReport(best, (q, q), len(family))
 
 
 def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
@@ -255,8 +254,8 @@ def char_testing(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Charac
     def value(shift, volume):
         return (volume ** r_inv
                 * cube_blocks(ws.v.values, shift).min(axis=-1) * _w_factor(ws, shift, d1, d2))
-    best, q, overflowed = family_max(ws.v, family, value)
-    return CharacteristicReport(best, (q, q), len(family), overflowed)
+    best, q = family_max(ws.v, family, value)
+    return CharacteristicReport(best, (q, q), len(family))
 
 
 def ap_characteristic(w: GridFunction, p: float, family: CubeFamily) -> CharacteristicReport:
@@ -270,8 +269,8 @@ def ap_characteristic(w: GridFunction, p: float, family: CubeFamily) -> Characte
     def value(shift, volume):
         rows = cube_blocks(w.values, shift)
         return rows.mean(axis=-1) / power_mean(rows, e)
-    best, q, overflowed = family_max(w, family, value)
-    return CharacteristicReport(best, (q, q), len(family), overflowed)
+    best, q = family_max(w, family, value)
+    return CharacteristicReport(best, (q, q), len(family))
 
 
 def fs_majorant(w: GridFunction, r_i: float, s_i: float,

@@ -14,7 +14,7 @@ The check is kept as stated rather than loosened.
 
 import pytest
 
-from morreybench import acceptance
+from morreybench import acceptance, decomposition
 
 
 @pytest.fixture(scope="module")
@@ -64,6 +64,16 @@ def test_criterion_06_maximal_control(ctx):
 
 def test_criterion_07_stopping_decomposition(ctx):
     assert _run(acceptance.criterion_07, ctx).passed
+
+
+def test_criterion_07_measures_halving_itself(ctx, monkeypatch):
+    # with verify_halving passing everything, choose_a returns the family at
+    # a = 2, whose halving fails; criterion 7 measures it on the masks
+    monkeypatch.setattr(decomposition, "verify_halving",
+                        lambda sf: decomposition.HalvingReport(True, 0.0, None))
+    res = acceptance.criterion_07(ctx)
+    assert not res.passed
+    assert res.detail.startswith("seed 0: halving violated at a=2.0")
 
 
 def test_criterion_08_packing_bound(ctx):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import morreybench
-from morreybench import GridFunction, cli, read_mgf, unit_root, write_mgf
+from morreybench import DyadicCube, GridFunction, cli, read_mgf, unit_root, write_mgf
 from morreybench.cli import build_parser, main, parse_number, parse_range
 
 
@@ -170,7 +170,6 @@ class TestOpCommand:
         assert not (tmp_path / "o.mgf").exists()
 
     def test_2d_field_roundtrip(self, tmp_path, capsys):
-        from morreybench import DyadicCube
         f = tmp_path / "f2.mgf"
         out = tmp_path / "o2.mgf"
         write_mgf(f, GridFunction(2, DyadicCube(0, (0, 0)), 3,
@@ -368,15 +367,17 @@ SHARPNESS = ["--alpha", "0.3", "--p1", "4", "--p2", "4", "--q1", "2", "--q2", "2
 
 
 def _with_overflow_files(tmp_path, argv):
-    """``argv`` with BIG, HUGE, TINY, V and W replaced by MGF files of finite
-    weights or data whose suprema overflow."""
+    """``argv`` with BIG, HUGE, TINY, V, W and FAR replaced by MGF files of
+    finite weights or data whose suprema overflow; FAR sits on the root of
+    level 100, so powers of its cube volumes overflow."""
     big = np.ones(16)
     big[5] = 1e200  # |f|**2 overflows
     files = {"BIG": big, "HUGE": np.full(16, 1.5e308), "TINY": np.full(16, 1e-300),
              "V": np.full(4, 1e308), "W": np.full(4, 1e-308)}
     for name, values in files.items():
         write_step(tmp_path / name, values, flags="pos")
-    return [str(tmp_path / a) if a in files else a for a in argv]
+    write_mgf(tmp_path / "FAR", GridFunction(1, DyadicCube(100, (0,)), 1, [1e300, 1e300], "pos"))
+    return [str(tmp_path / a) if a in (*files, "FAR") else a for a in argv]
 
 
 class TestExitContract:
@@ -463,30 +464,44 @@ class TestExitContract:
                            *extra]) == 0
         assert capsys.readouterr().err == "" and out.exists()
 
-    @pytest.mark.parametrize("argv", [
+    @pytest.mark.parametrize("argv,what", [
         pytest.param(["norm", "--kind", "morrey", "--p", "4", "--q", "2", "--in", "BIG"],
-                     id="norm-morrey-dyadic"),
+                     "supremum", id="norm-morrey-dyadic"),
         pytest.param(["norm", "--kind", "morrey", "--p", "4", "--q", "2", "--in", "BIG",
-                      "--family", "all"], id="norm-morrey-all"),
+                      "--family", "all"], "supremum", id="norm-morrey-all"),
+        pytest.param(["norm", "--kind", "morrey", "--p", "1/16", "--q", "1/16", "--in", "FAR"],
+                     "supremum", id="norm-morrey-root-power"),
+        pytest.param(["norm", "--kind", "morrey", "--p", "1/16", "--q", "1/16", "--in", "FAR",
+                      "--family", "all"], "supremum", id="norm-morrey-all-root-power"),
         pytest.param(["norm", "--kind", "lebesgue", "--t", "2", "--in", "BIG"],
-                     id="norm-lebesgue"),
-        pytest.param(["char", "--kind", "ap", "--p", "2", "--v", "HUGE"], id="char-ap"),
+                     "norm", id="norm-lebesgue"),
+        pytest.param(["norm", "--kind", "lebesgue", "--t", "1/2", "--in", "FAR"],
+                     "norm", id="norm-lebesgue-root-power"),
+        pytest.param(["norm", "--kind", "weak", "--p", "1/2", "--in", "FAR"],
+                     "norm", id="norm-weak"),
+        pytest.param(["char", "--kind", "ap", "--p", "2", "--v", "HUGE"], "supremum",
+                     id="char-ap"),
         pytest.param(["char", "--kind", "testing", *TESTING, "--v", "HUGE", "--w1", "TINY",
-                      "--w2", "TINY"], id="char-testing"),
+                      "--w2", "TINY"], "supremum", id="char-testing"),
+        pytest.param(["char", "--kind", "fs-majorant", "--r", "1/16", "--s", "1/2",
+                      "--w1", "FAR", "--out", "O"], "operator output", id="char-fs-majorant"),
     ])
-    def test_overflowed_supremum_exits_3(self, tmp_path, capsys, argv):
-        # finite inputs whose supremum overflows are refused, not printed as value=inf
+    def test_overflowed_supremum_exits_3(self, tmp_path, capsys, argv, what):
+        # finite inputs whose supremum overflows are refused where it is
+        # computed, never printed as value=inf; on FAR the norms and the
+        # majorant once ended in an OverflowError traceback
+        argv = [str(tmp_path / "o") if a == "O" else a for a in argv]
         assert _exit_code(_with_overflow_files(tmp_path, argv)) == 3
         out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("numerical failure: ") and "overflowed; reported +inf" in err
+        assert out == "" and not (tmp_path / "o").exists()
+        assert err == f"numerical failure: {what} overflowed to a non-finite value\n"
 
     @pytest.mark.parametrize("argv,message", [
         pytest.param(["char", "--kind", "two-weight", *TWO_WEIGHT[:14], "--s", "4/5",
                       "--v", "V", "--w1", "W", "--w2", "W"],
-                     "characteristic overflowed; reported +inf", id="char-two-weight"),
+                     "supremum overflowed to a non-finite value", id="char-two-weight"),
         pytest.param(["norm", "--kind", "morrey", "--p", "4", "--q", "2", "--in", "BIG"],
-                     "norm overflowed; reported +inf", id="norm-morrey"),
+                     "supremum overflowed to a non-finite value", id="norm-morrey"),
     ])
     def test_refusal_is_the_only_stderr_line(self, tmp_path, argv, message):
         # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
@@ -499,6 +514,54 @@ class TestExitContract:
                              env=env, capture_output=True, text=True, timeout=120)
         assert run.returncode == 3
         assert run.stderr == f"numerical failure: {message}\n"
+
+    @pytest.mark.parametrize("weight", [1e-300, 1e300])
+    def test_overflowing_harness_sides_exit_3(self, tmp_path, capsys, weight):
+        # constant weights of 1e-300 overflow the characteristic, of 1e300
+        # the pair supremum: refused, where rhs=nan was once written with exit 0
+        write_step(tmp_path / "w", np.full(16, weight), flags="pos")
+        out = tmp_path / "o.csv"
+        argv = ["experiment", "ratio", "--theorem", "two-weight", *TWO_WEIGHT[:14],
+                "--s", "4/5", "--v", str(tmp_path / "w"), "--w1", str(tmp_path / "w"),
+                "--w2", str(tmp_path / "w"), "--out", str(out)]
+        assert _exit_code(argv) == 3
+        std = capsys.readouterr()
+        assert std.out == "" and not out.exists()
+        assert std.err == "numerical failure: supremum overflowed to a non-finite value\n"
+
+    @pytest.mark.parametrize("weights,named", [
+        pytest.param([], "at depth 5 and w2 on root DyadicCube(level=0, coords=(0,)) at depth 5 "
+                     "do not fit levels (4, 5, 6)", id="default-depth"),
+        pytest.param(["--w1", "W4", "--w2", "W5", "--levels", "5..6"],
+                     "at depth 4 and w2 on root DyadicCube(level=0, coords=(0,)) at depth 5 "
+                     "do not fit levels (5, 6)", id="mixed-depths"),
+    ])
+    def test_fs_dual_weights_off_the_levels_exit_2(self, tmp_path, capsys, weights, named):
+        # synthetic weights at the default depth 5 do not fit the default
+        # levels 4..6, and weights of depths 4 and 5 share no grid: both are
+        # refused before any work, naming the weights' depths and the levels
+        for name, depth in (("W4", 4), ("W5", 5)):
+            write_step(tmp_path / name, np.ones(2 ** depth), flags="pos")
+        out = tmp_path / "o"
+        argv = ["experiment", "fs-dual", *TWO_WEIGHT[:14], "--s", "4/5", "--r1", "32",
+                "--r2", "32", "--s1", "17/19", "--s2", "17/19", "--gamma1", "0.05",
+                "--gamma2", "0.02", *weights, "--out", str(out)]
+        argv = [str(tmp_path / a) if a in ("W4", "W5") else a for a in argv]
+        assert _exit_code(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parameter error: weights w1 on root") and named in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_power_weight_out_of_float_range_exits_3(self, tmp_path, capsys):
+        # beta = -60 makes the probe weight |x|**255, whose first cell average
+        # underflows to 0: once the exit-2 "nonpositive cells" of a weight
+        out = tmp_path / "o"
+        argv = ["experiment", "stein-weiss", *STEIN_WEISS, "--beta=-60", "--out", str(out)]
+        assert _exit_code(argv) == 3
+        err = capsys.readouterr().err  # the exponent is -beta * 4.25, rounded
+        assert err.startswith("numerical failure: |x|**(255.0") and err.endswith(
+            ") leaves the float range on this grid\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("body", [
         pytest.param("1.0\nnan\n", id="nan-under-pos"),

@@ -5,11 +5,14 @@ Each fuzzed command starts from a valid invocation (grids of depth 5 or
 less) and has up to three of its flags dropped or replaced by values drawn
 from a pool of well-formed, degenerate and malformed tokens, grid addresses
 (--rootlevel, --rootcoords, --center, --min-level) included.  MGF contents
-are not fuzzed.
+are not fuzzed, except the constant weights 10**k of the weighted runs,
+which must write only finite numbers or exit 3.
 """
 
 import contextlib
 import io
+import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -130,6 +133,58 @@ def test_cli_exits_0_2_or_3_without_traceback(workdir, argv):
             code = exc.code
     assert code in (0, 2, 3), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+# exponents that pass the relations of each weighted run
+TWO_WEIGHT_EXPONENTS = {name: TWO_WEIGHT[name] for name in
+                        ("--alpha", "--q1", "--q2", "--p", "--s", "--t", "--r", "--a")}
+WEIGHTED = {
+    "two-weight": TWO_WEIGHT_EXPONENTS,
+    "olsen": TWO_WEIGHT_EXPONENTS,
+    "one-weight": {"--alpha": "1/2", "--q1": "9/8", "--q2": "9/8", "--p": "3/5", "--s": "6/7",
+                   "--t": "45/56", "--r": "inf", "--a": "17/16"},
+    "fs-dual": {**TWO_WEIGHT_EXPONENTS, "--r1": "32", "--r2": "32", "--s1": "17/19",
+                "--s2": "17/19"},
+}
+
+
+def _numbers(run: str, text: str) -> list[float]:
+    """The numbers a weighted run wrote: the CSV's lhs, rhs and ratio
+    columns, or every value after '=' or ':' in the fs-dual report."""
+    if run == "fs-dual":
+        return [float(tok) for tok in re.findall(r"[=:]([^\s=:]+)", text)]
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    return [float(row[header.index(col)]) for row in rows for col in ("lhs", "rhs", "ratio")]
+
+
+@FUZZ
+@given(run=st.sampled_from(sorted(WEIGHTED)), k=st.integers(-308, 308))
+def test_weighted_runs_on_constant_weights_exit_0_or_3(workdir, run, k):
+    # constant weights 10**k across the float range (for one-weight
+    # w1 = w2 = 10**(k/2) and v = w1 w2): a run either writes only finite
+    # numbers or is refused by one numerical-failure line, never nan or inf
+    w = 10.0 ** (k / 2) if run == "one-weight" else 10.0 ** k
+    v = w * w if run == "one-weight" else w
+    for name, value in (("v.mgf", v), ("w.mgf", w)):
+        write_mgf(workdir / name, GridFunction(1, unit_root(1), 3, np.full(8, value), "pos"))
+    out = workdir / "weighted.out"
+    out.unlink(missing_ok=True)
+    argv = (["experiment", "fs-dual", "--levels", "3..4"] if run == "fs-dual" else
+            ["experiment", "ratio", "--theorem", run, "--pairs", "step:1", "--base-depth", "3",
+             "--levels", "3..4", "--v", str(workdir / "v.mgf")])
+    argv += [*(tok for item in WEIGHTED[run].items() for tok in item),
+             "--w1", str(workdir / "w.mgf"), "--w2", str(workdir / "w.mgf"), "--out", str(out)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    err = stderr.getvalue()
+    assert code in (0, 3), (argv, err)
+    if code == 0:
+        numbers = _numbers(run, out.read_text())
+        assert numbers and all(math.isfinite(x) for x in numbers), (k, numbers)
+    else:
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 @FUZZ

@@ -2,10 +2,10 @@
 on one lattice gives, item by item, what the public single calls give.
 
 Every public call runs its kernel as a stack of one, so these tests pin the
-stack axis itself: per-item reductions, per-item attaining cubes, per-item
-overflow to +inf, and the bilinear correlate with its column blocks sized
-over the whole stack (products of a different shape, so BLAS may sum in a
-different order: relative 1e-13 there).
+stack axis itself: per-item reductions, per-item attaining cubes, a stack
+refused when one item overflows, and the bilinear correlate with its column
+blocks sized over the whole stack (products of a different shape, so BLAS
+may sum in a different order: relative 1e-13 there).
 """
 
 import numpy as np
@@ -55,12 +55,12 @@ def items(grid, stack):
 def test_stacked_norms_match_single_calls(case, p, q):
     grid, fv, gv, family = case
     q = min(p, q)
-    tops, cubes, over = _morrey_dyadic(grid, fv, p, q, family)
+    tops, cubes = _morrey_dyadic(grid, fv, p, q, family)
     want = [morrey_norm(f, p, q, family) for f in items(grid, fv)]
-    assert tops.shape == over.shape == fv.shape[:1] and not over.any()
+    assert tops.shape == fv.shape[:1]
     assert np.array_equal(tops, [rep.value for rep in want])
     assert cubes == [rep.attaining for rep in want]
-    tops, cubes, over = _pair_sup(grid, fv, gv, p, q, 2.0, family)
+    tops, cubes = _pair_sup(grid, fv, gv, p, q, 2.0, family)
     want = [pair_morrey_sup(f, g, p, q, 2.0, family)
             for f, g in zip(items(grid, fv), items(grid, gv))]
     assert np.array_equal(tops, [rep.value for rep in want])
@@ -84,23 +84,39 @@ def test_stacked_maximal_fields_match_single_calls(case, alpha, r1, r2):
         assert np.allclose(got, want, rtol=1e-13, atol=0)
 
 
+def _refused(call) -> bool:
+    try:
+        call()
+    except NumericalError as exc:
+        assert str(exc) == "supremum overflowed to a non-finite value"
+        return True
+    return False
+
+
 @PROPERTY
 @given(case=stacks(), item=st.integers(0, 3), cell=st.integers(0, 63))
-def test_overflowing_item_reports_inf_alone(case, item, cell):
-    # |f|**q overflows in one cell of one item: that item's cube values turn
-    # +inf as in its single call; the other items keep their values
+def test_overflowing_item_refused_like_its_single_call(case, item, cell):
+    # |f|**q overflows in one cell of one item: the stack is refused exactly
+    # when that item's single call is (the cell may lie outside the family);
+    # no other item's single call is refused
     grid, fv, gv, family = case
     item %= len(fv)
     fv = fv.copy()
     fv[item].flat[cell % fv[item].size] = 1e300
-    tops, cubes, over = _morrey_dyadic(grid, fv, 2.0, 2.0, family)
-    want = [morrey_norm(f, 2.0, 2.0, family) for f in items(grid, fv)]
-    assert np.array_equal(tops, [rep.value for rep in want])
-    assert cubes == [rep.attaining for rep in want]
-    assert list(over) == [rep.value == np.inf for rep in want]
-    tops, _, over = _pair_sup(grid, fv, gv, 2.0, 2.0, 1.0, family)
-    assert np.array_equal(tops, [pair_morrey_sup(f, g, 2.0, 2.0, 1.0, family).value
-                                 for f, g in zip(items(grid, fv), items(grid, gv))])
+    pairs = list(zip(items(grid, fv), items(grid, gv)))
+    for stacked, single in (
+            (lambda: _morrey_dyadic(grid, fv, 2.0, 2.0, family),
+             lambda f, g: morrey_norm(f, 2.0, 2.0, family)),
+            (lambda: _pair_sup(grid, fv, gv, 2.0, 2.0, 1.0, family),
+             lambda f, g: pair_morrey_sup(f, g, 2.0, 2.0, 1.0, family))):
+        refused = [_refused(lambda: single(f, g)) for f, g in pairs]
+        assert not any(refused[:item] + refused[item + 1:])
+        assert _refused(stacked) == refused[item]
+        if not refused[item]:
+            tops, cubes = stacked()
+            want = [single(f, g) for f, g in pairs]
+            assert np.array_equal(tops, [rep.value for rep in want])
+            assert cubes == [rep.attaining for rep in want]
 
 
 def test_overflowing_field_refused_like_the_single_call():
@@ -118,7 +134,7 @@ def test_empty_stack():
     grid = GridFunction(2, DyadicCube(0, (0, 0)), 2, np.zeros((4, 4)))
     family = dyadic_family(grid.root, -2)
     empty = np.zeros((0, 4, 4))
-    tops, cubes, over = _morrey_dyadic(grid, empty, 2.0, 1.0, family)
-    assert tops.shape == over.shape == (0,) and cubes == []
+    tops, cubes = _morrey_dyadic(grid, empty, 2.0, 1.0, family)
+    assert tops.shape == (0,) and cubes == []
     assert _vector_maximal(grid, empty, empty, 0.5, 1.0, 1.0, family).shape == (0, 4, 4)
     assert _bilinear_maximal(grid, empty, empty, 0.5, family).shape == (0, 4, 4)

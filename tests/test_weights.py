@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from morreybench import (DyadicCube, GridFunction, ParameterError,
+from morreybench import (DyadicCube, GridFunction, NumericalError, ParameterError,
                          aligned_family, dyadic_family, enumerate_subcubes,
                          unit_root)
 from morreybench.util import make_rng
@@ -83,6 +83,24 @@ class TestPowerWeight:
         mids = (np.arange(4) + 0.5) / 4
         xx, yy = np.meshgrid(mids, mids, indexing="ij")
         assert np.allclose(w.values, np.hypot(xx, yy) ** 1.5, rtol=1e-14)
+
+    @pytest.mark.parametrize("beta,center,root", [
+        pytest.param(255.0, 0.0, unit_root(1), id="1d-underflow"),
+        pytest.param(-300.0, -2.0 ** -10, unit_root(1), id="1d-overflow"),
+        pytest.param(300.0, (0.0, 0.0), unit_root(2), id="2d-underflow"),
+        pytest.param(-300.0, (-2.0 ** -10,) * 2, unit_root(2), id="2d-overflow"),
+    ])
+    def test_cells_outside_the_float_range_refused(self, beta, center, root):
+        # cell values that underflow to 0 or overflow are a numerical failure
+        # naming the exponent, not an invalid weight
+        with pytest.raises(NumericalError, match=rf"^\|x\|\*\*\({beta}\) leaves the float"):
+            with np.errstate(all="ignore"):
+                power_weight(beta, center, root, 5)
+
+    def test_2d_midpoint_on_the_center_refused(self):
+        # |x|**beta is 0 there for beta > 0: no strictly positive weight
+        with pytest.raises(ParameterError, match="coincides with the center"):
+            power_weight(1.5, (1 / 16, 1 / 16), unit_root(2), 3)
 
 
 def _loop_power_weight_1d(beta, center, root, depth):
@@ -217,13 +235,14 @@ class TestTwoWeight:
         with pytest.raises(ParameterError):
             char_two_weight(ws, cp_two_weight(), aligned_family(ws.v))
 
-    def test_overflow_flagged(self):
+    def test_overflow_refused(self):
+        # the pair values overflow: refused by the scan, never reported as +inf
         root = unit_root(1)
         big = GridFunction(1, root, 2, np.full(4, 1e308), "pos")
         tiny = GridFunction(1, root, 2, np.full(4, 1e-308), "pos")
         ws = WeightSystem(big, tiny, tiny)
-        rep = char_two_weight(ws, cp_two_weight(), dyadic_family(root, -2))
-        assert rep.overflowed and rep.value == INF
+        with pytest.raises(NumericalError, match="^supremum overflowed to a non-finite value$"):
+            char_two_weight(ws, cp_two_weight(), dyadic_family(root, -2))
 
 
 class TestRemark:
