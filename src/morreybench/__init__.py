@@ -5,13 +5,13 @@ from .grid import (AlignedBox, DyadicCube, GridFunction, cube_box,
 from .norms import (CubeFamily, NormReport, aligned_family, dyadic_family,
                     lebesgue_norm, morrey_norm, pair_morrey_sup,
                     weak_quasinorm)
-from .operators import (KernelSpec, OperatorField, b_alpha, b_alpha_dyadic,
+from .operators import (OperatorField, b_alpha, b_alpha_dyadic,
                         b_truncated, i_alpha, m_alpha_bilinear,
                         m_alpha_vector, m_tilde, m_triple_dyadic)
 from .util import NumericalError, ParameterError
 
 __all__ = [
-    "AlignedBox", "CubeFamily", "DyadicCube", "GridFunction", "KernelSpec",
+    "AlignedBox", "CubeFamily", "DyadicCube", "GridFunction",
     "NormReport", "NumericalError", "OperatorField", "ParameterError",
     "aligned_family", "b_alpha", "b_alpha_dyadic", "b_truncated", "cube_box",
     "dyadic_family", "enumerate_subcubes", "i_alpha", "lebesgue_norm",

@@ -30,8 +30,7 @@ from .experiments import (NECESSITY_COLUMNS, ExponentProfile, SharpnessConfig,
                           run_sharpness, stein_weiss_check)
 from .grid import GridFunction, cube_box, unit_root
 from .norms import dyadic_family
-from .operators import (KernelSpec, b_alpha, b_alpha_dyadic, i_alpha,
-                        m_alpha_bilinear)
+from .operators import b_alpha, b_alpha_dyadic, i_alpha, m_alpha_bilinear
 from .util import by_level, csv_text, fmt, make_rng
 from .weights import (CharParams, char_remark, char_two_weight, power_system,
                       power_weight)
@@ -45,9 +44,9 @@ BOUNDARY = SharpnessConfig(n=1, alpha=0.3, p1=4, q1=2, p2=4, q2=2, t=2.5)
 
 TWO_WEIGHT_CP = CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=16 / 27,
                            s=0.8, t=0.8 * (9 / 16) / (16 / 27), r=16.0,
-                           a=17 / 16, variant="s<1")
+                           a=17 / 16)
 TESTING_CP = CharParams(alpha=0.5, n=1, q1=4.0, q2=4.0, p=2.5, s=20 / 3,
-                        t=16 / 3, r=4.0, a=2.0, variant="testing")
+                        t=16 / 3, r=4.0, a=2.0)
 SW_FINITE = SteinWeissParams(n=1, alpha=0.5, q1=9 / 8, q2=9 / 8, p1=32 / 27,
                              p2=32 / 27, r=16.0, a=17 / 16, beta=0.0225,
                              gamma1=0.02, gamma2=0.02)
@@ -79,10 +78,10 @@ def criterion_01(ctx) -> CriterionResult:
     """Closed-form quadrature at depth 8 within half a percent, under 1 s."""
     depth = 8
     f = GridFunction(1, unit_root(1), depth, np.ones(2 ** depth), "nonneg")
-    spec = KernelSpec(0.5)
+    alpha = 0.5
     t0 = time.perf_counter()
-    bval = b_alpha(f, f, spec).fn.values[2 ** (depth - 1) - 1]
-    ival = i_alpha(f, spec).fn.values[2 ** (depth - 1) - 1]
+    bval = b_alpha(f, f, alpha).fn.values[2 ** (depth - 1) - 1]
+    ival = i_alpha(f, alpha).fn.values[2 ** (depth - 1) - 1]
     elapsed = time.perf_counter() - t0
     target = 2.0 * np.sqrt(2.0)
     rel_b = abs(bval - target) / target
@@ -141,15 +140,15 @@ def criterion_03(ctx) -> CriterionResult:
 
 def criterion_04(ctx) -> CriterionResult:
     """Two-sided dyadic-model envelope with a level-stable spread."""
-    spec = KernelSpec(0.5)
+    alpha = 0.5
     spreads = {}
     for depth in (4, 5, 6, 7):
         lo, hi = np.inf, 0.0
         for seed in range(20):
             f, g = _rand_pair(seed, 4)
             f, g = f.refine(depth - 4), g.refine(depth - 4)
-            num = b_alpha(f, g, spec).fn.values
-            den = b_alpha_dyadic(f, g, spec, unit_root(1)).fn.values
+            num = b_alpha(f, g, alpha).fn.values
+            den = b_alpha_dyadic(f, g, alpha, unit_root(1)).fn.values
             ratios = num / den
             lo = min(lo, float(ratios.min()))
             hi = max(hi, float(ratios.max()))
@@ -162,15 +161,15 @@ def criterion_04(ctx) -> CriterionResult:
 
 def criterion_05(ctx) -> CriterionResult:
     """Pointwise product bound through conjugate-power potentials."""
-    spec = KernelSpec(0.45)
+    alpha = 0.45
     worst = -np.inf
     for ell in (1.5, 2.0, 3.0):
         ellp = ell / (ell - 1.0)
         for seed in range(20):
             f, g = _rand_pair(seed, 5)
-            lhs = b_alpha(f, g, spec).fn.values
-            rf = i_alpha(f.with_values(f.values ** ell), spec).fn.values
-            rg = i_alpha(g.with_values(g.values ** ellp), spec).fn.values
+            lhs = b_alpha(f, g, alpha).fn.values
+            rf = i_alpha(f.with_values(f.values ** ell), alpha).fn.values
+            rg = i_alpha(g.with_values(g.values ** ellp), alpha).fn.values
             worst = max(worst, float(np.max(lhs - rf ** (1 / ell) * rg ** (1 / ellp))))
     ok = worst <= 1e-9
     return CriterionResult(5, "pointwise-holder", ok, f"worst excess {fmt(worst)}")
@@ -178,7 +177,7 @@ def criterion_05(ctx) -> CriterionResult:
 
 def criterion_06(ctx) -> CriterionResult:
     """Truncated maximal dominated by the singular integral, stable constant."""
-    spec = KernelSpec(0.5)
+    alpha = 0.5
     consts = {}
     for depth in (4, 5, 6):
         c = 0.0
@@ -186,8 +185,8 @@ def criterion_06(ctx) -> CriterionResult:
         for seed in range(10):
             f, g = _rand_pair(seed, 4)
             f, g = f.refine(depth - 4), g.refine(depth - 4)
-            m = m_alpha_bilinear(f, g, spec.alpha, fam).fn.values
-            b = b_alpha(f, g, spec).fn.values
+            m = m_alpha_bilinear(f, g, alpha, fam).fn.values
+            b = b_alpha(f, g, alpha).fn.values
             c = max(c, float(np.max(m / b)))
         consts[depth] = c
     levels = sorted(consts)

@@ -31,9 +31,8 @@ from .experiments import (NECESSITY_COLUMNS, THEOREMS, ExponentProfile,
 from .grid import DyadicCube, GridFunction, read_mgf, unit_root, write_mgf
 from .norms import (aligned_family, dyadic_family, lebesgue_norm, morrey_norm,
                     weak_quasinorm)
-from .operators import (KernelSpec, b_alpha, b_alpha_dyadic, b_truncated,
-                        i_alpha, m_alpha_bilinear, m_alpha_vector, m_tilde,
-                        m_triple_dyadic)
+from .operators import (b_alpha, b_alpha_dyadic, b_truncated, i_alpha,
+                        m_alpha_bilinear, m_alpha_vector, m_tilde, m_triple_dyadic)
 from .util import (INF, NumericalError, ParameterError, by_level, csv_text, fmt,
                    make_rng)
 from .weights import (CharParams, WeightSystem, ap_characteristic,
@@ -170,14 +169,14 @@ def _cmd_norm(ns) -> int:
 def _cmd_op(ns) -> int:
     f = read_mgf(ns.f)
     fam = _dyadic_for(f, ns)
-    spec = KernelSpec(ns.alpha)
     q0 = _root_from(ns) if ns.rootlevel is not None else f.root
     # operator -> (the flags it reads besides --f, its run)
     flags, run = {
-        "i-alpha": (("alpha",), lambda: i_alpha(f, spec)),
-        "b-alpha": (("g", "alpha"), lambda: b_alpha(f, g, spec)),
+        "i-alpha": (("alpha",), lambda: i_alpha(f, ns.alpha)),
+        "b-alpha": (("g", "alpha"), lambda: b_alpha(f, g, ns.alpha)),
         "b-truncated": (("g", "d"), lambda: b_truncated(f, g, ns.d)),
-        "b-dyadic": (("g", "alpha"), lambda: b_alpha_dyadic(f, g, spec, q0)),
+        "b-dyadic": (("g", "alpha"),
+                     lambda: b_alpha_dyadic(f, g, ns.alpha, q0, ns.min_level)),
         "m-bilinear": (("g", "alpha"), lambda: m_alpha_bilinear(f, g, ns.alpha, fam)),
         "m-vector": (("g", "alpha", "r1", "r2"),
                      lambda: m_alpha_vector(f, g, ns.alpha, ns.r1, ns.r2, fam)),
@@ -204,12 +203,9 @@ def _load_system(ns) -> WeightSystem:
     raise ParameterError("weights needed: --v/--w1/--w2 files or synthetic --beta/--gamma1/--gamma2")
 
 
-def _char_params(ns, kind: str) -> CharParams:
-    """Parameters of a char kind or weighted theorem; --s picks the s<1 or s>=1 form."""
-    exponents = _require(ns, "alpha", "q1", "q2", "p", "s", "t", "r", "a")
-    split = "s<1" if ns.s < 1.0 else "s>=1"
-    variant = {"two-weight": split, "one-weight": "one-weight-" + split}.get(kind, kind)
-    return CharParams(n=ns.dim, variant=variant, **exponents)
+def _char_params(ns) -> CharParams:
+    """Parameters of a char kind or weighted theorem."""
+    return CharParams(n=ns.dim, **_require(ns, "alpha", "q1", "q2", "p", "s", "t", "r", "a"))
 
 
 def _cmd_char(ns) -> int:
@@ -230,7 +226,7 @@ def _cmd_char(ns) -> int:
         write_mgf(ns.out, out)
         print(f"fs-majorant -> {ns.out} (max={fmt(float(out.values.max()))})")
         return 0
-    cp = _char_params(ns, ns.kind)
+    cp = _char_params(ns)
     ws = _load_system(ns)
     kind = {"two-weight": char_two_weight, "remark": char_remark,
             "one-weight": char_one_weight, "testing": char_testing}[ns.kind]
@@ -271,7 +267,7 @@ def _exp_sharpness(ns) -> int:
 
 def _exp_ratio(ns) -> int:
     profile = ExponentProfile(n=ns.dim, **_require(ns, *THEOREMS.get(ns.theorem, ("alpha",))))
-    cp = _char_params(ns, ns.theorem) if ns.theorem in ("two-weight", "one-weight") else None
+    cp = _char_params(ns) if ns.theorem in ("two-weight", "one-weight") else None
     ws = _load_system(ns) if ns.theorem in ("two-weight", "one-weight", "olsen") else None
     pairs = [pair for kind, count in ns.pairs
              for pair in make_pairs(kind, count, ns.seed, ns.base_depth, ns.dim)]
@@ -299,7 +295,7 @@ def _exp_stein_weiss(ns) -> int:
 
 
 def _exp_fs_dual(ns) -> int:
-    params = FsDualParams(_char_params(ns, "s<1"), **_require(ns, "r1", "r2", "s1", "s2"))
+    params = FsDualParams(_char_params(ns), **_require(ns, "r1", "r2", "s1", "s2"))
     if ns.w1 and ns.w2:
         w1, w2 = read_mgf(ns.w1), read_mgf(ns.w2)
     else:
@@ -318,7 +314,7 @@ def _exp_fs_dual(ns) -> int:
 
 
 def _exp_necessity(ns) -> int:
-    cp = _char_params(ns, "testing")
+    cp = _char_params(ns)
     if ns.systems < 1:
         raise ParameterError("--systems must be at least 1")
     rng = make_rng(ns.seed, 701)

@@ -26,8 +26,7 @@ from .grid import (DyadicCube, GridFunction, cube_blocks, cube_box,
                    enumerate_subcubes, spread, unit_root)
 from .norms import (CubeFamily, _morrey_dyadic, _pair_sup, aligned_family,
                     dyadic_family, family_max, morrey_norm)
-from .operators import (KernelSpec, _b_values, _bilinear_maximal, _vector_maximal,
-                        b_alpha, i_alpha)
+from .operators import _b_values, _bilinear_maximal, _vector_maximal, b_alpha, i_alpha
 from .util import (INF, NumericalError, ParameterError, close, conjugate,
                    finite, make_rng, recip, refuse)
 from .weights import (CharParams, WeightSystem, char_one_weight, char_testing,
@@ -46,6 +45,7 @@ THEOREMS = {
 }
 GROWTH_LIMIT = 1.05         # a stable harness's worst ratio grows at most this much per level
 SHARPNESS_FLOOR_TOL = 0.95  # the share of the floor delta**(-n/s) that min B must reach
+DEPTH_EXTRA = 3             # sharpness grids resolve delta by 2**-3, so 1.5 delta is on the grid
 
 
 # --- exponent profiles --------------------------------------------------------
@@ -65,15 +65,6 @@ class ExponentProfile:
     t: float | None = None
     r: float | None = None
     a: float | None = None
-
-    def violations(self, theorem: str) -> list[str]:
-        if theorem not in THEOREMS:
-            return [f"unknown theorem id {theorem!r}"]
-        return relations.violations(self, theorem)
-
-    def validate(self, theorem: str) -> "ExponentProfile":
-        refuse(f"hypotheses of {theorem} violated", self.violations(theorem))
-        return self
 
 
 # --- function zoo --------------------------------------------------------------
@@ -255,14 +246,15 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
     if theorem in ("two-weight", "one-weight"):
         if ws is None or cp is None:
             raise ParameterError(f"{theorem} harness needs a weight system and parameters")
-        cp.validate()
+        cp.check(theorem)
     else:
-        profile.validate(theorem)
+        refuse(f"hypotheses of {theorem} violated", relations.violations(profile, theorem)
+               if theorem in THEOREMS else [f"unknown theorem id {theorem!r}"])
     if theorem == "olsen" and ws is None:
         raise ParameterError("olsen harness needs a weight system")
     if not pairs:
         raise ParameterError("ratio harness needs at least one pair")
-    pr, spec = profile, KernelSpec(profile.alpha)
+    pr = profile
     base, f0, g0 = _pair_stacks(pairs, pairs[0][1].depth)
 
     def base_norms(values, p, q):
@@ -273,14 +265,14 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
         rhs = base_norms(f0, pr.p1, pr.q1) * base_norms(g0, pr.p2, pr.q2)
 
         def hook(grid, fam, fv, gv):
-            return _morrey_dyadic(grid, _b_values(grid, fv, gv, spec), s, t, fam)[0], rhs
+            return _morrey_dyadic(grid, _b_values(grid, fv, gv, pr.alpha), s, t, fam)[0], rhs
     elif theorem in ("linear-adams", "product-embedding"):
         rhs = base_norms(f0, pr.p1, pr.q1)
         if theorem == "product-embedding":
             rhs = base_norms(g0, pr.p2, pr.q2) * rhs
 
         def hook(grid, fam, fv, gv):
-            lhs = np.stack([i_alpha(grid.with_values(f), spec).fn.values for f in fv])
+            lhs = np.stack([i_alpha(grid.with_values(f), pr.alpha).fn.values for f in fv])
             if theorem == "product-embedding":
                 lhs = gv * lhs
             return _morrey_dyadic(grid, lhs, pr.s, pr.t, fam)[0], rhs
@@ -300,7 +292,7 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
                 scale = (char_two_weight if theorem == "two-weight"
                          else char_one_weight)(w, cp, fam).value
                 fw, gw = fv * w.w1.values, gv * w.w2.values
-            lhs, rhs = _weighted_sides(grid, fam, _b_values(grid, fv, gv, spec) * w.v.values,
+            lhs, rhs = _weighted_sides(grid, fam, _b_values(grid, fv, gv, pr.alpha) * w.v.values,
                                        fw, gw, e)
             return lhs, scale * rhs
     return _ratio_core(theorem, levels, lambda level: pairs, hook, params_id)
@@ -313,9 +305,9 @@ class SharpnessConfig:
     """Lattice-of-clusters construction on the unit cube.
 
     delta runs over 2**-m for m in delta_exps; the cluster count per axis is
-    N = floor(delta**(q1/p1 - 1)); grids use depth m + depth_extra so that the
-    cluster triples are grid-aligned.  The target norm uses exponents (s, t)
-    with 1/s = 1/p1 + 1/p2 - alpha/n.
+    N = floor(delta**(q1/p1 - 1)); grids use depth m + ``DEPTH_EXTRA`` so
+    that the cluster triples are grid-aligned.  The target norm uses
+    exponents (s, t) with 1/s = 1/p1 + 1/p2 - alpha/n.
     """
 
     n: int
@@ -326,15 +318,10 @@ class SharpnessConfig:
     q2: float
     t: float
     delta_exps: tuple[int, ...] = (4, 5, 6, 7, 8)
-    depth_extra: int = 3
 
     @property
     def s(self) -> float:
         return recip(1.0 / self.p1 + 1.0 / self.p2 - self.alpha / self.n)
-
-    def validate(self) -> "SharpnessConfig":
-        refuse("invalid sharpness configuration", relations.violations(self, "sharpness"))
-        return self
 
 
 @dataclass(frozen=True)
@@ -353,11 +340,9 @@ def build_sharpness_pair(cfg: SharpnessConfig, m: int):
     snapped to the evaluation grid (a shift of at most half a cell) so every
     triple is grid-aligned even when N is not a power of two.
     """
-    cfg.validate()
+    refuse("invalid sharpness configuration", relations.violations(cfg, "sharpness"))
     delta = 2.0 ** (-m)
-    depth = m + cfg.depth_extra
-    if depth < m + 1:
-        raise NumericalError(f"delta 2^-{m} is unresolvable at depth {depth}")
+    depth = m + DEPTH_EXTRA
     count_real = delta ** (cfg.q1 / cfg.p1 - 1.0)
     big_n = int(math.floor(count_real + 1e-12))
     if big_n < 2:
@@ -366,8 +351,6 @@ def build_sharpness_pair(cfg: SharpnessConfig, m: int):
     grid_m = 2 ** depth
     h = 1.0 / grid_m
     half_triple = int(round(1.5 * delta / h))
-    if abs(half_triple * h - 1.5 * delta) > 1e-12:
-        raise NumericalError(f"triple half-width 1.5*2^-{m} is not grid-aligned at depth {depth}")
     half_inner = int(round(0.5 * delta / h))
     height_f = delta ** (-cfg.n / cfg.p1)
     height_g = delta ** (-cfg.n / cfg.p2)
@@ -431,12 +414,11 @@ def _loglog_slope(rows) -> float:
 
 
 def run_sharpness(cfg: SharpnessConfig) -> SharpnessResult:
-    cfg.validate()
-    spec = KernelSpec(cfg.alpha)
+    refuse("invalid sharpness configuration", relations.violations(cfg, "sharpness"))
 
     def run_one(m):
         f, g, meta = build_sharpness_pair(cfg, m)
-        B = b_alpha(f, g, spec).fn
+        B = b_alpha(f, g, cfg.alpha).fn
         min_pt = min(float(B.values[lo:hi].min()) for lo, hi in meta.inner_boxes)
         floor = meta.delta ** (-cfg.n / cfg.s)
         fam = aligned_family(f)
@@ -492,10 +474,6 @@ class SteinWeissParams:
     def sigma(self) -> float:
         return self.beta + self.gamma1 + self.gamma2
 
-    def violations(self, require_weight_conditions: bool = True) -> list[str]:
-        return relations.violations(
-            self, "stein-weiss-weights" if require_weight_conditions else "stein-weiss")
-
 
 @dataclass
 class SteinWeissVerdict:
@@ -531,7 +509,7 @@ def stein_weiss_check(sw: SteinWeissParams, k_levels=(0, 1, 2, 3, 4)) -> SteinWe
     hold; the weight conditions themselves (balance and nonnegative exponent
     sum) are exactly what is being probed.
     """
-    refuse("hypotheses violated", sw.violations(require_weight_conditions=False))
+    refuse("hypotheses violated", relations.violations(sw, "stein-weiss"))
     chars = {}
     for k in k_levels:
         root = DyadicCube(k, (0,) * sw.n)
@@ -551,12 +529,11 @@ def stein_weiss_check(sw: SteinWeissParams, k_levels=(0, 1, 2, 3, 4)) -> SteinWe
 def stein_weiss_harness(sw: SteinWeissParams, seed: int = 11) -> HarnessResult:
     """Weighted ratio run for the kernel of order n - alpha on four seeded
     indicator pairs at levels 4..6; the structural hypotheses must hold."""
-    refuse("hypotheses violated", sw.violations(require_weight_conditions=False))
-    spec = KernelSpec(sw.n - sw.alpha)
+    refuse("hypotheses violated", relations.violations(sw, "stein-weiss"))
 
     def hook(grid, fam, fv, gv):
         w = power_system(sw.beta, sw.gamma1, sw.gamma2, (0.0,) * sw.n, fam.root, grid.depth)
-        weighted = _b_values(grid, fv, gv, spec) * w.v.values
+        weighted = _b_values(grid, fv, gv, sw.n - sw.alpha) * w.v.values
         fw, gw = fv * w.w1.values, gv * w.w2.values
         return (_morrey_dyadic(grid, weighted, sw.s, sw.t, fam)[0],
                 _morrey_dyadic(grid, fw, sw.p1, sw.q1, fam)[0]
@@ -644,9 +621,6 @@ class FsDualParams:
     s1: float
     s2: float
 
-    def violations(self) -> list[str]:
-        return self.cp.violations() + relations.violations(self, "fs-dual")
-
 
 @dataclass
 class FsDualReport:
@@ -664,7 +638,8 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     pairs, B(f,g) w1 w2 is normalized by the pair supremum built from the
     majorants W_i, on weights of one grid no finer than the first level.
     """
-    refuse("relations violated", params.violations())
+    refuse("relations violated",
+           relations.violations(params.cp, "s<1") + relations.violations(params, "fs-dual"))
     if w1.root != w2.root or w1.depth != w2.depth or any(level < w1.depth for level in levels):
         raise ParameterError(f"weights w1 on root {w1.root} at depth {w1.depth} and w2 on root "
                              f"{w2.root} at depth {w2.depth} do not fit levels {tuple(levels)}: "
@@ -683,13 +658,12 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     split_ok = worst <= 1.0 + 1e-12
 
     pairs = make_pairs("step", 4, seed, w1.depth, w1.dim, w1.root)
-    spec = KernelSpec(cp.alpha)
 
     def hook(grid, fam, fv, gv):
         ww1, ww2 = (w.refine(grid.depth - w.depth) for w in (w1, w2))
         maj1 = fs_majorant(ww1, params.r1, params.s1, fam)
         maj2 = fs_majorant(ww2, params.r2, params.s2, fam)
-        weighted = _b_values(grid, fv, gv, spec) * ww1.values * ww2.values
+        weighted = _b_values(grid, fv, gv, cp.alpha) * ww1.values * ww2.values
         return _weighted_sides(grid, fam, weighted, fv * maj1.values, gv * maj2.values, cp)
     harness = _ratio_core("fs-dual", levels, lambda level: pairs, hook, "")
     return FsDualReport(split_ok, worst, harness)

@@ -35,18 +35,6 @@ from .util import ParameterError, finite, v_factor
 
 
 @dataclass(frozen=True)
-class KernelSpec:
-    """Kernel |y|**(alpha - n)."""
-
-    alpha: float
-
-    def validate(self, dim: int) -> None:
-        if not (0.0 < self.alpha < dim):
-            raise ParameterError(
-                f"kernel exponent must satisfy 0 < alpha < n, got alpha={self.alpha} n={dim}")
-
-
-@dataclass(frozen=True)
 class OperatorField:
     """Operator output at cell midpoints, plus a bound on any omitted tail."""
 
@@ -85,22 +73,28 @@ def _corner_square_integral(side: float, alpha: float) -> float:
     return side ** alpha * unit / (1.0 - 2.0 ** -alpha)
 
 
-def kernel_cell_table(spec: KernelSpec, grid: GridFunction) -> np.ndarray:
+def _check_kernel(alpha: float, dim: int) -> None:
+    """Refuse a kernel |y|**(alpha - n) outside 0 < alpha < n."""
+    if not (0.0 < alpha < dim):
+        raise ParameterError(
+            f"kernel exponent must satisfy 0 < alpha < n, got alpha={alpha} n={dim}")
+
+
+def kernel_cell_table(alpha: float, grid: GridFunction) -> np.ndarray:
     """Exact/midpoint kernel masses over the offset cells m*h + [-h/2, h/2)**n."""
-    spec.validate(grid.dim)
+    _check_kernel(alpha, grid.dim)
     m = grid.cells_per_axis
     h = grid.cell_side
-    a = spec.alpha
     offsets = np.arange(-(m - 1), m)
     if grid.dim == 1:
         def anti(y):
-            return np.sign(y) * np.abs(y) ** a / a
+            return np.sign(y) * np.abs(y) ** alpha / alpha
         return anti((offsets + 0.5) * h) - anti((offsets - 0.5) * h)
     squares = (offsets * h) ** 2
     with np.errstate(divide="ignore"):
-        table = h * h * np.add.outer(squares, squares) ** (0.5 * (a - 2.0))
+        table = h * h * np.add.outer(squares, squares) ** (0.5 * (alpha - 2.0))
     center = m - 1
-    table[center, center] = 4.0 * _corner_square_integral(0.5 * h, a)
+    table[center, center] = 4.0 * _corner_square_integral(0.5 * h, alpha)
     return table
 
 
@@ -171,14 +165,14 @@ def _correlate(fv: np.ndarray, gv: np.ndarray, tables: np.ndarray) -> np.ndarray
     return out.reshape(fv.shape + tables.shape[-1:])
 
 
-def i_alpha(f: GridFunction, spec: KernelSpec) -> OperatorField:
+def i_alpha(f: GridFunction, alpha: float) -> OperatorField:
     """Fractional integral: at midpoint x, sum of f(cell) * kernel cell mass.
 
     The 2D FFT length 2m >= 2m-1 leaves the crop unaliased.  For f >= 0 the
     relative error per cell is <~ eps * log2(2m) * max K / min K over the
     kernel cell masses K, a ratio that grows like m**(2 - alpha).
     """
-    table = kernel_cell_table(spec, f)
+    table = kernel_cell_table(alpha, f)
     m = f.cells_per_axis
     if f.dim == 1:
         vals = np.convolve(f.values, table)[m - 1:2 * m - 1]
@@ -190,17 +184,17 @@ def i_alpha(f: GridFunction, spec: KernelSpec) -> OperatorField:
 
 
 def _b_values(grid: GridFunction, fv: np.ndarray, gv: np.ndarray,
-              spec: KernelSpec) -> np.ndarray:
+              alpha: float) -> np.ndarray:
     """B(f, g) on ``grid``'s lattice; any axes before the grid's are a stack of
     pairs.  A non-finite value is refused."""
-    return finite(_correlate(fv, gv, kernel_cell_table(spec, grid)[..., None])[..., 0],
+    return finite(_correlate(fv, gv, kernel_cell_table(alpha, grid)[..., None])[..., 0],
                   "operator output")
 
 
-def b_alpha(f: GridFunction, g: GridFunction, spec: KernelSpec) -> OperatorField:
+def b_alpha(f: GridFunction, g: GridFunction, alpha: float) -> OperatorField:
     """Bilinear fractional integral with per-cell kernel masses."""
     _require_common_grid(f, g)
-    return _field(f, _b_values(f, f.values, g.values, spec))
+    return _field(f, _b_values(f, f.values, g.values, alpha))
 
 
 def b_truncated(f: GridFunction, g: GridFunction, d: float) -> OperatorField:
@@ -210,32 +204,32 @@ def b_truncated(f: GridFunction, g: GridFunction, d: float) -> OperatorField:
     return _field(f, finite(vals, "operator output"))
 
 
-def b_alpha_dyadic(f: GridFunction, g: GridFunction, spec: KernelSpec,
+def b_alpha_dyadic(f: GridFunction, g: GridFunction, alpha: float,
                    q0: DyadicCube, min_level: int | None = None) -> OperatorField:
     """Dyadic model: for x in Q0, sum over the tower x in Q within Q0 of
-    |Q|**(alpha/n - 1) * B_{l(Q)}(f,g)(x).
+    |Q|**(alpha/n - 1) * B_{l(Q)}(f,g)(x), with 0 < alpha < n.
 
     The weighted sum over the scales is taken on their tables, one column.
-    Scales below ``min_level`` (default: the cell level) are omitted; the
-    omitted part is geometrically small and its bound is reported.
+    Scales below ``min_level`` (default: the cell level; the CLI's
+    ``--min-level``) are omitted; the omitted part is geometrically small
+    and its bound is reported.
     """
     _require_common_grid(f, g)
-    spec.validate(f.dim)
+    _check_kernel(alpha, f.dim)
     n = f.dim
-    a = spec.alpha
     if min_level is None:
         min_level = f.cell_level
     if min_level < f.cell_level or min_level > q0.level:
         raise ParameterError("min_level must lie between the cell level and Q0")
     inner = cube_box(f, q0).slices()  # also validates Q0 against the grid
     levels = np.arange(min_level, q0.level + 1)
-    table = _truncation_table(f, 2.0 ** levels) @ 2.0 ** (levels * (a - n))
+    table = _truncation_table(f, 2.0 ** levels) @ 2.0 ** (levels * (alpha - n))
     vals = np.zeros_like(f.values)
     vals[inner] = _correlate(f.values, g.values, table[..., None])[..., 0][inner]
     # omitted scales below min_level: B_d <= (2d)^n fmax gmax, summed geometrically
     fmax = float(np.abs(f.values).max())
     gmax = float(np.abs(g.values).max())
-    tail = fmax * gmax * 2.0 ** n * 2.0 ** ((min_level - 1) * a) / (1.0 - 2.0 ** (-a))
+    tail = fmax * gmax * 2.0 ** n * 2.0 ** ((min_level - 1) * alpha) / (1.0 - 2.0 ** (-alpha))
     return _field(f, finite(vals, "operator output"), tail)
 
 

@@ -1,9 +1,10 @@
 """The exponent relations of every theorem and parameter set, as one table.
 
 ``RULES[key]`` is the ordered tuple of ``(label, holds)`` rows of one theorem
-id, ``CharParams`` variant or parameter set; ``holds(x)`` reads the exponents
+id, characteristic form or parameter set; ``holds(x)`` reads the exponents
 as attributes of ``x``.  A relation shared between sets is one row, and the
-sets are concatenations of rows.  Refusals print the labels.
+sets are concatenations of rows.  A caller refuses ``x`` with
+``util.refuse(what, violations(x, key))``; refusals print the labels.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ RULES = {
     "olsen": (ALPHA, Q12, T_S_BELOW_1,
               ("s/(1-s) < r", lambda x: not T_S_BELOW_1[1](x) or _below(x.s, x.r)),
               ALPHA_R, S_REL, TS_Q_P, A_ABOVE_1),
-    # CharParams variants
+    # CharParams, per characteristic; s picks the two-weight and one-weight rows
     "s<1": _TWO_WEIGHT + (
         S_BELOW_1, ("s/(1-s) < r", lambda x: not x.s < 1.0 or _below(x.s, x.r)),
         ("1 < a < min(r(1-s)/s, q1, q2)",
@@ -103,7 +104,6 @@ RULES = {
         ("0 < q_i <= p_i", lambda x: 0.0 < x.q1 <= x.p1 and 0.0 < x.q2 <= x.p2),
         ("1/s = 1/p1 + 1/p2 - alpha/n must be positive", lambda x: 0.0 < x.s < INF),
         ("0 < t <= s", lambda x: 0.0 < x.t <= x.s),
-        ("depth_extra must be >= 1 to align triples", lambda x: x.depth_extra >= 1),
         ("a slope needs at least two distinct deltas", lambda x: len(set(x.delta_exps)) >= 2)),
 }
 

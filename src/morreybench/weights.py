@@ -26,7 +26,7 @@ attaining pair's value reproduces bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -115,12 +115,10 @@ def power_system(beta: float, gamma1: float, gamma2: float, center,
 
 # --- parameters --------------------------------------------------------------
 
-VARIANTS = ("s<1", "s>=1", "remark", "one-weight-s<1", "one-weight-s>=1", "testing")
-
-
 @dataclass(frozen=True)
 class CharParams:
-    """Exponent tuple for the weighted characteristics, with validity predicates."""
+    """Exponent tuple of the weighted characteristics; s < 1 or s >= 1 picks
+    the form, and so the relations, of the two-weight and one-weight ones."""
 
     alpha: float
     n: int
@@ -131,21 +129,18 @@ class CharParams:
     t: float
     r: float
     a: float
-    variant: str = "s<1"
 
     @property
     def q(self) -> float:
         return recip(1.0 / self.q1 + 1.0 / self.q2)
 
-    def violations(self) -> list[str]:
-        """Names of violated side conditions; empty when valid for the variant."""
-        if self.variant not in VARIANTS:
-            return [f"unknown variant {self.variant!r}"]
-        return relations.violations(self, self.variant)
-
-    def validate(self) -> "CharParams":
-        refuse("invalid parameters", self.violations())
-        return self
+    def check(self, kind: str) -> None:
+        """Refuse the tuple unless the relations of characteristic ``kind``
+        hold: ``two-weight`` and ``one-weight`` take their s < 1 or s >= 1
+        rows from s, ``remark`` and ``testing`` have rows of their own."""
+        split = "s<1" if self.s < 1.0 else "s>=1"
+        key = {"two-weight": split, "one-weight": "one-weight-" + split}.get(kind, kind)
+        refuse("invalid parameters", relations.violations(self, key))
 
 
 # --- characteristic scans -----------------------------------------------------
@@ -165,8 +160,7 @@ def _w_factor(ws: WeightSystem, shift: int, d1: float, d2: float) -> np.ndarray:
 
 def _pair_exponent(cp: CharParams) -> float:
     """E of the nested-pair scans: (1-s)/(as) for s < 1, (1-as)/(as) for s >= 1."""
-    return ((1.0 - cp.s) if cp.variant.endswith("s<1")
-            else (1.0 - cp.a * cp.s)) / (cp.a * cp.s)
+    return ((1.0 - cp.s) if cp.s < 1.0 else (1.0 - cp.a * cp.s)) / (cp.a * cp.s)
 
 
 def _pair_scale(volume: float, outer: float, exponent: float, r_inv: float) -> float:
@@ -208,9 +202,7 @@ def char_two_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Cha
     (avg_Q v**(t/(1-t)))**((1-t)/t) prod_i (avg_Q' w_i**(-(q_i/a)'))**(1/(q_i/a)')
     with E = (1-s)/(as) for s < 1 and (1-as)/(as) for s >= 1.
     """
-    if cp.variant not in ("s<1", "s>=1"):
-        raise ParameterError(f"two-weight characteristic expects variant s<1 or s>=1, got {cp.variant}")
-    cp.validate()
+    cp.check("two-weight")
     return _pair_scan(ws, family, cp.t, conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a),
                       _pair_exponent(cp), recip(cp.r))
 
@@ -221,7 +213,7 @@ def char_remark(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Charact
     sup over Q of |Q|**(1/r) (avg_Q v**(as/(1-s)))**((1-s)/(as))
     prod_i (avg_Q w_i**(-(q_i/a)'))**(1/(q_i/a)').
     """
-    replace(cp, variant="remark").validate()
+    cp.check("remark")
     d1, d2 = conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a)
     e_v = cp.a * cp.s / (1.0 - cp.s)
     r_inv = recip(cp.r)
@@ -235,9 +227,7 @@ def char_remark(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Charact
 
 def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
     """One-weight characteristic: r = inf, v = w1 w2, full dual exponents q_i'."""
-    if not cp.variant.startswith("one-weight"):
-        raise ParameterError(f"one-weight characteristic got variant {cp.variant}")
-    cp.validate()
+    cp.check("one-weight")
     prod = ws.w1.values * ws.w2.values
     if not np.allclose(ws.v.values, prod, rtol=1e-12, atol=0.0):
         raise ParameterError("one-weight system requires v = w1*w2 pointwise")
@@ -247,7 +237,7 @@ def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Cha
 
 def char_testing(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
     """Necessary-condition constant: sup_Q |Q|**(1/r) (inf_Q v) prod dual averages."""
-    replace(cp, variant="testing").validate()
+    cp.check("testing")
     d1, d2 = conjugate(cp.q1), conjugate(cp.q2)
     r_inv = recip(cp.r)
 

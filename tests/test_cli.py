@@ -617,6 +617,115 @@ class TestExitContract:
         assert not (tmp_path / "o").exists()
 
 
+S_ABOVE_1 = ["--alpha", "1/2", "--q1", "9/8", "--q2", "9/8", "--p", "1", "--s", "16/9",
+             "--t", "1", "--r", "16", "--a", "17/16"]
+ONE_WEIGHT_BELOW_1 = ["--alpha", "1/2", "--q1", "9/8", "--q2", "9/8", "--p", "3/5",
+                      "--s", "6/7", "--t", "45/56", "--r", "inf", "--a", "17/16"]
+ONE_WEIGHT_ABOVE_1 = ["--alpha", "1/4", "--q1", "6/5", "--q2", "6/5", "--p", "1",
+                      "--s", "4/3", "--t", "4/5", "--r", "inf", "--a", "11/10"]
+POWER = TWO_WEIGHT[14:]
+FILES = ["--v", "V", "--w1", "W", "--w2", "W"]
+RATIO_OUT = ["--pairs", "step:2", "--levels", "4..5", "--out", "O"]
+
+# name -> (argv, exit code, stderr, stdout up to " inner: " or " -> "): the
+# characteristics on both sides of s = 1, every harness that checks a
+# parameter set, and the kernel exponent refusals
+PARAMETER_RUNS = {
+    "char-two-weight-s<1": (
+        ["char", "--kind", "two-weight", *TWO_WEIGHT, "--s", "4/5"],
+        0, "", "two-weight value=1.0737973782824886 pairs=129"),
+    "char-two-weight-s>=1": (
+        ["char", "--kind", "two-weight", *S_ABOVE_1, *POWER],
+        0, "", "two-weight value=4.211409442374102 pairs=129"),
+    "char-remark-s<1": (
+        ["char", "--kind", "remark", *TWO_WEIGHT, "--s", "4/5"],
+        0, "", "remark value=1.0740992380013472 pairs=31"),
+    "char-remark-s>=1": (
+        ["char", "--kind", "remark", *S_ABOVE_1, *POWER],
+        2, "parameter error: invalid parameters: s < 1\n", ""),
+    "char-one-weight-s<1": (
+        ["char", "--kind", "one-weight", *ONE_WEIGHT_BELOW_1, *FILES],
+        0, "", "one-weight value=1.0 pairs=129"),
+    "char-one-weight-s>=1": (
+        ["char", "--kind", "one-weight", *ONE_WEIGHT_ABOVE_1, *FILES],
+        0, "", "one-weight value=2.416178888808895 pairs=129"),
+    "char-testing-s<1": (
+        ["char", "--kind", "testing", *TWO_WEIGHT, "--s", "4/5"],
+        2, "parameter error: invalid parameters: 1 <= t <= s\n", ""),
+    "char-testing-s>=1": (
+        ["char", "--kind", "testing", *TESTING, "--beta", "0", "--gamma1", "0",
+         "--gamma2", "0", "--depth", "4"],
+        0, "", "testing value=1.0 pairs=31"),
+    "ratio-two-weight-s<1": (
+        ["experiment", "ratio", "--theorem", "two-weight", *TWO_WEIGHT, "--s", "4/5",
+         *RATIO_OUT],
+        0, "", "ratio two-weight max_by_level=4:1.6843803654977334 5:1.671359062954171 "
+               "stable=yes"),
+    "ratio-two-weight-s>=1": (
+        ["experiment", "ratio", "--theorem", "two-weight", *S_ABOVE_1, *POWER, *RATIO_OUT],
+        0, "", "ratio two-weight max_by_level=4:0.6576753993973985 5:0.40223652995152687 "
+               "stable=yes"),
+    "ratio-one-weight-s<1": (
+        ["experiment", "ratio", "--theorem", "one-weight", *ONE_WEIGHT_BELOW_1, *FILES,
+         *RATIO_OUT],
+        0, "", "ratio one-weight max_by_level=4:1.7631635081827541 5:1.7361056718817611 "
+               "stable=yes"),
+    "ratio-one-weight-s>=1": (
+        ["experiment", "ratio", "--theorem", "one-weight", *ONE_WEIGHT_ABOVE_1, *FILES,
+         *RATIO_OUT],
+        0, "", "ratio one-weight max_by_level=4:2.508816928946929 5:1.799065281601136 "
+               "stable=yes"),
+    "ratio-olsen": (
+        ["experiment", "ratio", "--theorem", "olsen", *TWO_WEIGHT, "--s", "4/5", *RATIO_OUT],
+        0, "", "ratio olsen max_by_level=4:1.700763703641059 5:1.6876157477554095 stable=yes"),
+    "ratio-bilinear": (
+        ["experiment", "ratio", "--theorem", "bilinear-ratio", *RATIO, *RATIO_OUT],
+        0, "", "ratio bilinear-ratio max_by_level=4:4.920126762368063 5:4.28261334616087 "
+               "stable=yes"),
+    "ratio-unknown-id": (
+        ["experiment", "ratio", "--theorem", "nope", *RATIO, *RATIO_OUT],
+        2, "parameter error: hypotheses of nope violated: unknown theorem id 'nope'\n", ""),
+    "fs-dual": (
+        ["experiment", "fs-dual", *TWO_WEIGHT[:14], "--s", "4/5", "--r1", "32", "--r2", "32",
+         "--s1", "17/19", "--s2", "17/19", "--gamma1", "0.05", "--gamma2", "0.02",
+         "--depth", "4", "--out", "O"],
+        0, "", "fs-dual PASS"),
+    "necessity": (
+        ["experiment", "necessity", *TESTING, "--systems", "1", "--base-depth", "3",
+         "--out", "O"],
+        0, "", "necessity C_emp=1.4142135623730958 PASS"),
+    "sharpness": (
+        ["experiment", "sharpness", *SHARPNESS, "--deltas", "4..5", "--out", "O"],
+        0, "", "sharpness (blow-up) slope=-0.01660722169304294 bound=-0.1 floors=ok"),
+    "stein-weiss": (
+        ["experiment", "stein-weiss", *STEIN_WEISS, "--beta", "0.0225", "--k-range", "0..1",
+         "--out", "O"],
+        0, "", "stein-weiss verdict=FINITE"),
+    "op-i-alpha-bad-alpha": (
+        ["op", "--operator", "i-alpha", "--alpha", "1", "--f", "F", "--out", "O"],
+        2, "parameter error: kernel exponent must satisfy 0 < alpha < n, got alpha=1.0 n=1\n",
+        ""),
+    "op-b-dyadic-bad-alpha": (
+        ["op", "--operator", "b-dyadic", "--alpha", "0", "--f", "F", "--g", "F", "--out", "O"],
+        2, "parameter error: kernel exponent must satisfy 0 < alpha < n, got alpha=0.0 n=1\n",
+        ""),
+}
+
+
+@pytest.mark.parametrize("name", PARAMETER_RUNS)
+def test_parameter_checks_keep_their_outcome(tmp_path, capsys, name):
+    # the exit code, the whole stderr and the printed value of each run
+    argv, code, err, head = PARAMETER_RUNS[name]
+    files = {"V": np.full(16, 4.0), "W": np.full(16, 2.0), "F": np.ones(8)}
+    for key, values in files.items():
+        write_step(tmp_path / key, values, flags="pos")
+    argv = [str(tmp_path / a) if a in (*files, "O") else a for a in argv]
+    assert _exit_code(argv) == code
+    std = capsys.readouterr()
+    assert std.err == err
+    assert std.out.split(" -> ")[0].split(" inner: ")[0].rstrip("\n") == head
+
+
 class TestSelftestAgreement:
     def test_ratio_columns_equal_criterion_12_artifact(self, tmp_path):
         # criterion 12's ratio config: bilinear-ratio, step:3, base depth 4, levels 4..5

@@ -11,6 +11,7 @@ from morreybench.experiments import (ExponentProfile, FsDualParams,
                                      fs_dual_check, make_pairs, necessity_check,
                                      random_weights, ratio_harness, run_sharpness,
                                      stein_weiss_check, stein_weiss_harness)
+from morreybench.relations import violations
 from morreybench.util import make_rng
 from morreybench.weights import (INF, CharParams, WeightSystem, char_remark,
                                  char_testing, char_two_weight, power_system,
@@ -23,7 +24,7 @@ BOUNDARY_CFG = SharpnessConfig(n=1, alpha=0.3, p1=4, q1=2, p2=4, q2=2, t=2.5)
 def two_weight_cp():
     s, p, q = 0.8, 16.0 / 27.0, 9.0 / 16.0
     return CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=p, s=s,
-                      t=s * q / p, r=16.0, a=17 / 16, variant="s<1")
+                      t=s * q / p, r=16.0, a=17 / 16)
 
 
 def power_weights(depth=4):
@@ -32,22 +33,22 @@ def power_weights(depth=4):
 
 class TestProfiles:
     def test_valid_configs(self):
-        assert ExponentProfile(alpha=0.3, n=1, p1=4, q1=2.5, p2=4, q2=2.5,
-                               s=5.0, t=3.125).violations("bilinear-ratio") == []
-        assert ExponentProfile(alpha=0.5, n=1, p1=1.5, q1=1.2,
-                               s=6.0, t=4.8).violations("linear-adams") == []
+        assert violations(ExponentProfile(alpha=0.3, n=1, p1=4, q1=2.5, p2=4, q2=2.5,
+                                          s=5.0, t=3.125), "bilinear-ratio") == []
+        assert violations(ExponentProfile(alpha=0.5, n=1, p1=1.5, q1=1.2,
+                                          s=6.0, t=4.8), "linear-adams") == []
 
     def test_conjugate_room_is_enforced(self):
         # q1 = q2 = 2 leaves no room for conjugate exponents below q_i
         prof = ExponentProfile(alpha=0.3, n=1, p1=4, q1=2, p2=4, q2=2,
                                s=5.0, t=2.5)
-        assert "1/q1 + 1/q2 < 1" in prof.violations("bilinear-ratio")
+        assert "1/q1 + 1/q2 < 1" in violations(prof, "bilinear-ratio")
 
     def test_validation_raises_named_predicate(self):
         prof = ExponentProfile(alpha=0.3, n=1, p1=4, q1=2.5, p2=4, q2=2.5,
                                s=4.0, t=2.5)
         with pytest.raises(ParameterError, match="1/s = 1/p1"):
-            prof.validate("bilinear-ratio")
+            ratio_harness("bilinear-ratio", prof, make_pairs("step", 1, 1, 4), (4,))
 
 
 class TestSharpnessPair:
@@ -60,15 +61,6 @@ class TestSharpnessPair:
         support = np.count_nonzero(f.values) * f.cell_volume
         assert support == pytest.approx(3 * 3 * meta.delta, rel=1e-12)
         assert np.array_equal(f.values > 0, g.values > 0)
-
-    def test_unresolvable_depth_rejected(self):
-        cfg = SharpnessConfig(n=1, alpha=0.3, p1=4, q1=2, p2=4, q2=2, t=5.0,
-                              depth_extra=1)
-        f, g, meta = build_sharpness_pair(cfg, 4)  # 1.5*delta aligned at m+1
-        bad = SharpnessConfig(n=1, alpha=0.3, p1=4, q1=2, p2=4, q2=2, t=5.0,
-                              depth_extra=0)
-        with pytest.raises(ParameterError):
-            bad.validate()
 
     def test_norms_are_delta_stable_but_exceed_single_cluster_bound(self):
         # the exact all-aligned Morrey norm of the pair is bounded uniformly
@@ -183,7 +175,7 @@ class TestSteinWeiss:
                                 beta=0.0225, gamma1=0.02, gamma2=0.02)
 
     def test_balanced_set_satisfies_conditions(self):
-        assert self.finite_params().violations() == []
+        assert violations(self.finite_params(), "stein-weiss-weights") == []
 
     def test_finite_verdict(self):
         v = stein_weiss_check(self.finite_params())
@@ -196,7 +188,7 @@ class TestSteinWeiss:
         sw = SteinWeissParams(n=1, alpha=0.5, q1=9 / 8, q2=9 / 8,
                               p1=32 / 27, p2=32 / 27, r=INF, a=17 / 16,
                               beta=0.0, gamma1=0.0, gamma2=0.0)
-        assert sw.violations() == []
+        assert violations(sw, "stein-weiss-weights") == []
         v = stein_weiss_check(sw)
         assert v.verdict == "FINITE"
         for val in v.char_by_level.values():
@@ -286,7 +278,7 @@ class TestSteinWeiss:
 class TestNecessity:
     def cp(self):
         return CharParams(alpha=0.5, n=1, q1=4.0, q2=4.0, p=2.5, s=20 / 3,
-                          t=16 / 3, r=4.0, a=2.0, variant="testing")
+                          t=16 / 3, r=4.0, a=2.0)
 
     def random_system(self, seed, depth=5):
         rng = make_rng(seed, 23)
@@ -363,7 +355,7 @@ class TestNecessityStacked:
     """The stacked necessity check against the per-probe loop."""
 
     CP2 = CharParams(alpha=1.0, n=2, q1=4.0, q2=4.0, p=2.5, s=20 / 3, t=16 / 3, r=4.0,
-                     a=2.0, variant="testing")
+                     a=2.0)
 
     def cases(self):
         cp = TestNecessity().cp()
@@ -447,9 +439,12 @@ class TestFsDual:
                             s1=17 / 19, s2=17 / 19)
 
     def test_relations_validated(self):
-        assert self.params().violations() == []
+        params = self.params()
+        assert violations(params.cp, "s<1") + violations(params, "fs-dual") == []
         bad = FsDualParams(two_weight_cp(), r1=32.0, r2=16.0, s1=17 / 19, s2=17 / 19)
-        assert any("1/r = 1/r1 + 1/r2" in m for m in bad.violations())
+        ones = GridFunction(1, unit_root(1), 4, np.ones(16), "pos")
+        with pytest.raises(ParameterError, match="^relations violated: 1/r = 1/r1 \\+ 1/r2$"):
+            fs_dual_check(ones, ones, bad)
 
     def test_unit_weights_reduce_to_unweighted(self):
         root = unit_root(1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from morreybench import (DyadicCube, GridFunction, KernelSpec, ParameterError,
+from morreybench import (DyadicCube, GridFunction, ParameterError,
                          b_alpha, b_alpha_dyadic, b_truncated, cube_box,
                          dyadic_family, enumerate_subcubes, i_alpha, lebesgue_norm,
                          m_alpha_bilinear, m_alpha_vector, m_tilde,
@@ -38,7 +38,7 @@ class TestIAlpha:
         # I_{1/2} of the unit indicator has the exact antiderivative
         # 2 (sqrt(x) + sqrt(1-x)); the 1D quadrature is cell-exact.
         f = indicator_root(6)
-        out = i_alpha(f, KernelSpec(0.5)).fn
+        out = i_alpha(f, 0.5).fn
         x = f.axis_midpoints()
         exact = 2.0 * (np.sqrt(x) + np.sqrt(1.0 - x))
         assert np.allclose(out.values, exact, rtol=1e-12)
@@ -47,17 +47,17 @@ class TestIAlpha:
 
     def test_zero_function(self):
         f = step(np.zeros(16))
-        assert np.all(i_alpha(f, KernelSpec(0.7)).fn.values == 0.0)
+        assert np.all(i_alpha(f, 0.7).fn.values == 0.0)
 
     def test_linearity_exact(self):
         f = rand_positive(1, 5)
-        one = i_alpha(f, KernelSpec(0.4)).fn.values
-        two = i_alpha(f.with_values(2.0 * f.values), KernelSpec(0.4)).fn.values
+        one = i_alpha(f, 0.4).fn.values
+        two = i_alpha(f.with_values(2.0 * f.values), 0.4).fn.values
         assert np.array_equal(two, 2.0 * one)
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ParameterError):
-            i_alpha(indicator_root(3), KernelSpec(1.0))
+            i_alpha(indicator_root(3), 1.0)
 
 
 class TestBAlpha:
@@ -65,7 +65,7 @@ class TestBAlpha:
         # B_{1/2}(chi, chi)(x) = 4 sqrt(min(x, 1-x)) exactly; quadrature is
         # cell-exact at midpoints in 1D.
         f = indicator_root(7)
-        out = b_alpha(f, f, KernelSpec(0.5)).fn
+        out = b_alpha(f, f, 0.5).fn
         x = f.axis_midpoints()
         exact = 4.0 * np.sqrt(np.minimum(x, 1.0 - x))
         assert np.allclose(out.values, exact, rtol=1e-12)
@@ -75,53 +75,53 @@ class TestBAlpha:
     def test_zero_second_argument(self):
         f = indicator_root(4)
         g = step(np.zeros(16))
-        assert np.all(b_alpha(f, g, KernelSpec(0.5)).fn.values == 0.0)
+        assert np.all(b_alpha(f, g, 0.5).fn.values == 0.0)
 
     def test_scale_bilinearity_exact(self):
         f, g = rand_positive(2, 5), rand_positive(3, 5)
-        base = b_alpha(f, g, KernelSpec(0.3)).fn.values
+        base = b_alpha(f, g, 0.3).fn.values
         scaled = b_alpha(f.with_values(2 * f.values),
-                         g.with_values(3 * g.values), KernelSpec(0.3)).fn.values
+                         g.with_values(3 * g.values), 0.3).fn.values
         assert np.allclose(scaled, 6.0 * base, rtol=1e-14)
 
     def test_swap_symmetry_exact(self):
         # the kernel is even, so swapping f and g is the substitution y -> -y
         f, g = rand_positive(4, 5), rand_positive(5, 5)
-        ab = b_alpha(f, g, KernelSpec(0.6)).fn.values
-        ba = b_alpha(g, f, KernelSpec(0.6)).fn.values
+        ab = b_alpha(f, g, 0.6).fn.values
+        ba = b_alpha(g, f, 0.6).fn.values
         assert np.allclose(ab, ba, rtol=1e-13)
 
     @pytest.mark.parametrize("ell", [1.5, 2.0, 3.0])
     def test_pointwise_hoelder_bound(self, ell):
-        spec = KernelSpec(0.45)
+        alpha = 0.45
         ellp = ell / (ell - 1.0)
         for seed in range(20):
             f, g = rand_positive(seed, 5), rand_positive(seed + 100, 5)
-            lhs = b_alpha(f, g, spec).fn.values
-            rf = i_alpha(f.with_values(np.abs(f.values) ** ell), spec).fn.values
-            rg = i_alpha(g.with_values(np.abs(g.values) ** ellp), spec).fn.values
+            lhs = b_alpha(f, g, alpha).fn.values
+            rf = i_alpha(f.with_values(np.abs(f.values) ** ell), alpha).fn.values
+            rg = i_alpha(g.with_values(np.abs(g.values) ** ellp), alpha).fn.values
             rhs = rf ** (1.0 / ell) * rg ** (1.0 / ellp)
             assert np.all(lhs <= rhs + 1e-9)
 
     def test_pointwise_hoelder_bound_2d(self):
-        spec = KernelSpec(0.8)
+        alpha = 0.8
         f, g = rand_positive(7, 3, dim=2), rand_positive(8, 3, dim=2)
-        lhs = b_alpha(f, g, spec).fn.values
-        rf = i_alpha(f.with_values(f.values ** 2), spec).fn.values
-        rg = i_alpha(g.with_values(g.values ** 2), spec).fn.values
+        lhs = b_alpha(f, g, alpha).fn.values
+        rf = i_alpha(f.with_values(f.values ** 2), alpha).fn.values
+        rg = i_alpha(g.with_values(g.values ** 2), alpha).fn.values
         assert np.all(lhs <= np.sqrt(rf * rg) + 1e-9)
 
     def test_quadrature_convergence_smooth_bump(self):
         # less than 1% change from L to L+1 at a fixed location, L >= 6;
         # a coarse midpoint sits on the boundary of two fine cells, so the
         # fine-grid value there is the average of its two neighbours
-        spec = KernelSpec(0.5)
+        alpha = 0.5
 
         def field(depth):
             m = 2 ** depth
             x = (np.arange(m) + 0.5) / m
             f = step(np.exp(-((x - 0.5) / 0.15) ** 2))
-            return b_alpha(f, f, spec).fn.values
+            return b_alpha(f, f, alpha).fn.values
 
         fields = {d: field(d) for d in (6, 7, 8)}
         for d in (6, 7):
@@ -180,36 +180,36 @@ class TestBTruncated:
 class TestBAlphaDyadic:
     def test_zero_inputs(self):
         f = step(np.zeros(16))
-        out = b_alpha_dyadic(f, f, KernelSpec(0.5), unit_root(1))
+        out = b_alpha_dyadic(f, f, 0.5, unit_root(1))
         assert np.all(out.fn.values == 0.0)
 
     def test_single_level_keeps_root_term(self):
         f, g = rand_positive(8, 4), rand_positive(9, 4)
-        spec = KernelSpec(0.5)
+        alpha = 0.5
         q0 = unit_root(1)
-        only_root = b_alpha_dyadic(f, g, spec, q0, min_level=0).fn.values
-        expect = q0.volume ** (spec.alpha / 1 - 1) * b_truncated(f, g, q0.side).fn.values
+        only_root = b_alpha_dyadic(f, g, alpha, q0, min_level=0).fn.values
+        expect = q0.volume ** (alpha / 1 - 1) * b_truncated(f, g, q0.side).fn.values
         assert np.allclose(only_root, expect, rtol=1e-14)
 
     def test_outside_base_cube_is_zero(self):
         f, g = rand_positive(10, 4), rand_positive(11, 4)
         q0 = DyadicCube(-1, (0,))  # left half
-        out = b_alpha_dyadic(f, g, KernelSpec(0.5), q0).fn.values
+        out = b_alpha_dyadic(f, g, 0.5, q0).fn.values
         assert np.all(out[8:] == 0.0)
         assert np.all(out[:8] > 0.0)
 
     def test_two_sided_equivalence_stable_over_levels(self):
         # pointwise ratio B_alpha / dyadic model stays in one interval whose
         # spread is level-stable
-        spec = KernelSpec(0.5)
+        alpha = 0.5
         spreads = []
         for depth in (4, 5, 6, 7):
             ratios = []
             for seed in range(6):
                 f = rand_positive(seed, 4).refine(depth - 4)
                 g = rand_positive(seed + 50, 4).refine(depth - 4)
-                num = b_alpha(f, g, spec).fn.values
-                den = b_alpha_dyadic(f, g, spec, unit_root(1)).fn.values
+                num = b_alpha(f, g, alpha).fn.values
+                den = b_alpha_dyadic(f, g, alpha, unit_root(1)).fn.values
                 ratios.extend((num / den).ravel())
             spreads.append(max(ratios) / min(ratios))
         for a, b in zip(spreads, spreads[1:]):
@@ -217,7 +217,7 @@ class TestBAlphaDyadic:
 
     def test_tail_bound_reported(self):
         f, g = rand_positive(12, 5), rand_positive(13, 5)
-        out = b_alpha_dyadic(f, g, KernelSpec(0.5), unit_root(1))
+        out = b_alpha_dyadic(f, g, 0.5, unit_root(1))
         assert out.tail_bound > 0.0
         # the tail bound dominates the actually-omitted next level
         next_term = (2.0 ** (f.cell_level - 1)) ** (0.5 - 1) * \
@@ -253,13 +253,13 @@ class TestMaximalOperators:
         assert np.all(m_alpha_bilinear(f, f, 0.3, fam).fn.values == 0.0)
 
     def test_maximal_controlled_by_b_alpha(self):
-        spec = KernelSpec(0.5)
+        alpha = 0.5
         fam = dyadic_family(unit_root(1), -5)
         cs = []
         for seed in range(5):
             f, g = rand_positive(seed, 5), rand_positive(seed + 9, 5)
-            m = m_alpha_bilinear(f, g, spec.alpha, fam).fn.values
-            b = b_alpha(f, g, spec).fn.values
+            m = m_alpha_bilinear(f, g, alpha, fam).fn.values
+            b = b_alpha(f, g, alpha).fn.values
             cs.append(np.max(m / b))
         assert max(cs) / min(cs) < 1.6  # one data-independent constant band
 
@@ -306,7 +306,7 @@ class TestMaximalOperators:
     def test_local_weighted_control_is_refinement_stable(self):
         # L^t norm of B(f,g) v over Q0 against the weighted maximal: the
         # ratio stays in a stable band as the representation refines
-        spec = KernelSpec(0.5)
+        alpha = 0.5
         t = 0.5
         ratios = []
         for extra in range(0, 3):
@@ -314,9 +314,9 @@ class TestMaximalOperators:
             g = rand_positive(22, 4).refine(extra)
             v = rand_positive(23, 4).refine(extra)
             fam = dyadic_family(unit_root(1), f.cell_level)
-            bv = b_alpha(f, g, spec).fn
+            bv = b_alpha(f, g, alpha).fn
             lhs = lebesgue_norm(bv.with_values(bv.values * v.values), t)
-            rhs = lebesgue_norm(m_tilde(f, g, v, spec.alpha, t, fam).fn, t)
+            rhs = lebesgue_norm(m_tilde(f, g, v, alpha, t, fam).fn, t)
             ratios.append(lhs / rhs)
         assert max(ratios) <= 1.05 * min(ratios)
 
@@ -382,17 +382,17 @@ class Test2DSmoke:
         for depth in (4, 5):
             m = 2 ** depth
             f = indicator_root(depth, dim=2)
-            out = i_alpha(f, KernelSpec(1.0)).fn
+            out = i_alpha(f, 1.0).fn
             c = m // 2 - 1
             errs[depth] = abs(out.values[c, c] - exact) / exact
         assert errs[4] < 0.02 and errs[5] < 0.01
         assert errs[5] < errs[4]
 
     def test_dyadic_model_brackets_b_alpha(self):
-        spec = KernelSpec(1.1)
+        alpha = 1.1
         f, g = rand_positive(30, 3, dim=2), rand_positive(31, 3, dim=2)
-        num = b_alpha(f, g, spec).fn.values
-        den = b_alpha_dyadic(f, g, spec, unit_root(2)).fn.values
+        num = b_alpha(f, g, alpha).fn.values
+        den = b_alpha_dyadic(f, g, alpha, unit_root(2)).fn.values
         ratios = num / den
         assert ratios.min() > 0.1 and ratios.max() < 10.0
 
@@ -447,7 +447,7 @@ class TestKernelTable2D:
         # 4 (h/2)^a * (2/a) * int_0^{pi/4} sec(theta)^a dtheta
         f = indicator_root(2, dim=2)
         a = 0.9
-        table = kernel_cell_table(KernelSpec(a), f)
+        table = kernel_cell_table(a, f)
         c = f.cells_per_axis - 1
         h = f.cell_side
         thetas = np.linspace(0.0, np.pi / 4, 20001)
@@ -512,23 +512,23 @@ class TestScaleTowerAgainstBruteForce:
 
     def test_b_alpha(self, dim, depth, blocks):
         f, g = self.operands(dim, depth, blocks)
-        spec = KernelSpec(0.7)
-        want, = tower_reference(f.values, g.values, kernel_cell_table(spec, f))
-        assert np.allclose(b_alpha(f, g, spec).fn.values, want, rtol=1e-13, atol=0)
+        alpha = 0.7
+        want, = tower_reference(f.values, g.values, kernel_cell_table(alpha, f))
+        assert np.allclose(b_alpha(f, g, alpha).fn.values, want, rtol=1e-13, atol=0)
 
     def test_dyadic_model_on_a_subcube(self, dim, depth, blocks):
         f, g = self.operands(dim, depth, blocks)
-        spec = KernelSpec(0.7)
+        alpha = 0.7
         q0 = DyadicCube(-1, (1,) + (0,) * (dim - 1))
         min_level = f.cell_level + 1
         levels = range(min_level, q0.level + 1)
         terms = tower_reference(f.values, g.values,
                                 *(overlap_table(f, 2.0 ** level) for level in levels))
-        want = sum(2.0 ** (level * (spec.alpha - dim)) * term
+        want = sum(2.0 ** (level * (alpha - dim)) * term
                    for level, term in zip(levels, terms))
         inside = np.zeros(f.values.shape, dtype=bool)
         inside[cube_box(f, q0).slices()] = True
-        got = b_alpha_dyadic(f, g, spec, q0, min_level=min_level).fn.values
+        got = b_alpha_dyadic(f, g, alpha, q0, min_level=min_level).fn.values
         assert np.allclose(got[inside], want[inside], rtol=1e-13, atol=0)
         assert np.all(got[~inside] == 0.0)
 
@@ -562,7 +562,7 @@ class TestRowPassColumnBlocks:
 
     def test_one_scale(self, dim, depth):
         f, g = self.operands(dim, depth)
-        table = kernel_cell_table(KernelSpec(0.7), f)
+        table = kernel_cell_table(0.7, f)
         want, = tower_reference(f.values, g.values, table)
         got = operators._correlate(f.values, g.values, table[..., None])[..., 0]
         assert np.allclose(got, want, rtol=1e-13, atol=0)
@@ -570,7 +570,7 @@ class TestRowPassColumnBlocks:
     def test_k_scales(self, dim, depth):
         f, g = self.operands(dim, depth)
         tables = [overlap_table(f, d) for d in (0.3, 2.0 ** -depth * 1.5, 1.0)]
-        tables.append(kernel_cell_table(KernelSpec(0.7), f))
+        tables.append(kernel_cell_table(0.7, f))
         want = tower_reference(f.values, g.values, *tables)
         got = operators._correlate(f.values, g.values, np.stack(tables, axis=-1))
         for scale, column in enumerate(want):
@@ -581,7 +581,7 @@ class TestRowPassColumnBlocks:
         pairs = [(rand_positive(80 + 7 * k + depth, depth, dim),
                   rand_positive(90 + 7 * k + depth, depth, dim)) for k in range(3)]
         tables = np.stack([overlap_table(pairs[0][0], 0.3),
-                           kernel_cell_table(KernelSpec(0.7), pairs[0][0])], axis=-1)
+                           kernel_cell_table(0.7, pairs[0][0])], axis=-1)
         got = operators._correlate(np.stack([f.values for f, _ in pairs]),
                                    np.stack([g.values for _, g in pairs]), tables)
         assert got.shape == (3,) + pairs[0][0].values.shape + (2,)
@@ -599,7 +599,7 @@ def test_one_block_is_one_product():
     m = 2 ** 7
     assert column_blocks(m) == 1
     f, g = rand_positive(100, 7), rand_positive(101, 7)
-    tables = np.stack([overlap_table(f, 0.3), kernel_cell_table(KernelSpec(0.7), f),
+    tables = np.stack([overlap_table(f, 0.3), kernel_cell_table(0.7, f),
                        overlap_table(f, 1.0)], axis=-1)
     i, j = np.ogrid[:m, -(m - 1):m]
 
@@ -622,8 +622,8 @@ class TestIAlpha2DFFT:
     def test_within_documented_bound(self, depth, alpha):
         # relative error per cell <= eps * log2(2m) * max K / min K for f >= 0
         f = rand_positive(70 + depth, depth, dim=2)
-        table = kernel_cell_table(KernelSpec(alpha), f)
-        got = i_alpha(f, KernelSpec(alpha)).fn.values
+        table = kernel_cell_table(alpha, f)
+        got = i_alpha(f, alpha).fn.values
         want = direct_i_alpha_2d(f.values, table)
         bound = np.finfo(float).eps * np.log2(2 * f.cells_per_axis) * table.max() / table.min()
         assert np.max(np.abs(got - want) / want) <= bound
@@ -634,6 +634,6 @@ class TestIAlpha2DFFT:
         vals = np.ones((2 ** depth,) * 2)
         vals[42, 25] = 1e12
         f = step(vals, dim=2, flags="pos")
-        got = i_alpha(f, KernelSpec(alpha)).fn.values
-        want = direct_i_alpha_2d(vals, kernel_cell_table(KernelSpec(alpha), f))
+        got = i_alpha(f, alpha).fn.values
+        want = direct_i_alpha_2d(vals, kernel_cell_table(alpha, f))
         assert np.max(np.abs(got - want) / want) <= 1e-9

@@ -112,7 +112,7 @@ def test_maximal_fields_match_cube_loop(case, alpha, r1, r2):
 
 
 CP = CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=16 / 27, s=0.8,
-                t=0.8 * (9 / 16) / (16 / 27), r=16.0, a=17 / 16, variant="s<1")
+                t=0.8 * (9 / 16) / (16 / 27), r=16.0, a=17 / 16)
 
 
 @PROPERTY

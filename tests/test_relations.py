@@ -4,11 +4,13 @@ and a failing ``0 < alpha < n`` row reported alone."""
 import dataclasses
 import itertools
 
+import numpy as np
 import pytest
 
-from morreybench import ParameterError
+from morreybench import GridFunction, ParameterError, unit_root
 from morreybench.experiments import (ExponentProfile, FsDualParams, SharpnessConfig,
-                                     SteinWeissParams)
+                                     SteinWeissParams, build_sharpness_pair, fs_dual_check,
+                                     make_pairs, ratio_harness)
 from morreybench.relations import ALPHA, RULES, violations
 from morreybench.weights import INF, CharParams
 
@@ -17,7 +19,8 @@ TWO_WEIGHT = dict(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=16 / 27, s=0.8,
 STEIN_WEISS = SteinWeissParams(n=1, alpha=0.5, q1=9 / 8, q2=9 / 8, p1=32 / 27, p2=32 / 27,
                                r=16.0, a=17 / 16, beta=0.0225, gamma1=0.02, gamma2=0.02)
 
-# one valid tuple per key of RULES, of the type that key is evaluated on
+# one valid tuple per key of RULES, of the type that key is evaluated on; a
+# CharParams meets the rows of the key its characteristic and s select
 VALID = {
     "bilinear-ratio": ExponentProfile(alpha=0.3, n=1, p1=4, q1=2.5, p2=4, q2=2.5, s=5.0, t=3.125),
     "bilinear-sum": ExponentProfile(alpha=0.3, n=1, p1=4, q1=2.5, p2=4, q2=2.5, s=5.0, t=2.0),
@@ -28,17 +31,16 @@ VALID = {
     "two-weight": ExponentProfile(alpha=0.5, n=1),
     "one-weight": ExponentProfile(alpha=0.5, n=1),
     "olsen": ExponentProfile(**TWO_WEIGHT),
-    "s<1": CharParams(**TWO_WEIGHT, variant="s<1"),
+    "s<1": CharParams(**TWO_WEIGHT),
     "s>=1": CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=1.0, s=16 / 9, t=1.0,
-                       r=1.0 / (9 / 16 - 0.5), a=17 / 16, variant="s>=1"),
-    "remark": CharParams(**TWO_WEIGHT, variant="remark"),
+                       r=1.0 / (9 / 16 - 0.5), a=17 / 16),
+    "remark": CharParams(**TWO_WEIGHT),
     "one-weight-s<1": CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=0.6, s=6 / 7,
-                                 t=6 / 7 * (9 / 16) / 0.6, r=INF, a=17 / 16,
-                                 variant="one-weight-s<1"),
+                                 t=6 / 7 * (9 / 16) / 0.6, r=INF, a=17 / 16),
     "one-weight-s>=1": CharParams(alpha=0.25, n=1, q1=1.2, q2=1.2, p=1.0, s=4 / 3, t=0.8,
-                                  r=INF, a=1.1, variant="one-weight-s>=1"),
+                                  r=INF, a=1.1),
     "testing": CharParams(alpha=0.5, n=1, q1=4.0, q2=4.0, p=2.5, s=20 / 3, t=16 / 3, r=4.0,
-                          a=2.0, variant="testing"),
+                          a=2.0),
     "stein-weiss": STEIN_WEISS,
     "stein-weiss-weights": STEIN_WEISS,
     "fs-dual": FsDualParams(CharParams(**TWO_WEIGHT), r1=32.0, r2=32.0, s1=17 / 19, s2=17 / 19),
@@ -119,33 +121,48 @@ def test_rows_before_a_failing_alpha_row_are_still_named():
 
 
 def test_unknown_ids_keep_their_messages():
-    assert VALID["olsen"].violations("nope") == ["unknown theorem id 'nope'"]
-    cp = dataclasses.replace(VALID["s<1"], variant="nope")
-    assert cp.violations() == ["unknown variant 'nope'"]
+    with pytest.raises(ParameterError) as info:
+        ratio_harness("nope", VALID["olsen"], make_pairs("step", 1, 1, 4), (4,))
+    assert str(info.value) == "hypotheses of nope violated: unknown theorem id 'nope'"
+
+
+@pytest.mark.parametrize("kind,key", [("two-weight", "s<1"), ("two-weight", "s>=1"),
+                                      ("remark", "remark"), ("one-weight", "one-weight-s<1"),
+                                      ("one-weight", "one-weight-s>=1"), ("testing", "testing")])
+def test_char_params_checks_are_table_lookups(kind, key):
+    # a characteristic refuses exactly the rows of its key; s picks the
+    # two-weight and one-weight keys
+    VALID[key].check(kind)
+    bad = dataclasses.replace(VALID[key], t=0.7 * VALID[key].t)
+    with pytest.raises(ParameterError) as info:
+        bad.check(kind)
+    assert str(info.value) == "invalid parameters: " + "; ".join(violations(bad, key))
 
 
 def test_validators_are_table_lookups():
-    # each validator reports exactly its set's rows, the fs-dual split after
-    # the rows of its CharParams
+    # fs_dual_check reports the s < 1 rows of its CharParams, then the fs-dual split
+    ones = GridFunction(1, unit_root(1), 4, np.ones(16), "pos")
     cp = dataclasses.replace(VALID["s<1"], t=0.7)
     fs = dataclasses.replace(VALID["fs-dual"], cp=cp, r2=16.0)
-    assert fs.violations() == violations(cp, "s<1") + violations(fs, "fs-dual")
-    assert fs.violations() == ["t/s = q/p", "1/r = 1/r1 + 1/r2"]
-    fs = dataclasses.replace(fs, cp=dataclasses.replace(cp, alpha=0.0))
-    assert fs.violations() == ["0 < alpha < n", "1/r = 1/r1 + 1/r2"]
+    for fs, failed in ((fs, ["t/s = q/p", "1/r = 1/r1 + 1/r2"]),
+                       (dataclasses.replace(fs, cp=dataclasses.replace(cp, alpha=0.0)),
+                        ["0 < alpha < n", "1/r = 1/r1 + 1/r2"])):
+        assert violations(fs.cp, "s<1") + violations(fs, "fs-dual") == failed
+        with pytest.raises(ParameterError) as info:
+            fs_dual_check(ones, ones, fs)
+        assert str(info.value) == "relations violated: " + "; ".join(failed)
     sw = dataclasses.replace(STEIN_WEISS, beta=-0.54)
-    assert sw.violations(require_weight_conditions=False) == []
-    assert sw.violations() == ["alpha + beta + gamma1 + gamma2 = n + n/t - n/q1 - n/q2",
-                               "beta + gamma1 + gamma2 >= 0"]
+    assert violations(sw, "stein-weiss") == []
+    assert violations(sw, "stein-weiss-weights") == [
+        "alpha + beta + gamma1 + gamma2 = n + n/t - n/q1 - n/q2", "beta + gamma1 + gamma2 >= 0"]
 
 
 def test_sharpness_refusal_names_every_failed_relation():
-    bad = dataclasses.replace(VALID["sharpness"], n=2, depth_extra=0)
+    bad = dataclasses.replace(VALID["sharpness"], n=2)
     with pytest.raises(ParameterError) as info:
-        bad.validate()
+        build_sharpness_pair(bad, 4)
     assert str(info.value) == ("invalid sharpness configuration: sharpness harness is "
-                               "one-dimensional; 0 < t <= s; "
-                               "depth_extra must be >= 1 to align triples")
+                               "one-dimensional; 0 < t <= s")
 
 
 @pytest.mark.parametrize("deltas,failed", [((4,), True), ((4, 4), True), ((), True),

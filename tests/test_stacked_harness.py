@@ -20,7 +20,7 @@ from morreybench import experiments, norms
 from morreybench.experiments import (THEOREMS, ExponentProfile, FsDualParams,
                                      SteinWeissParams, _ratio_core, fs_dual_check,
                                      make_pairs, ratio_harness, stein_weiss_harness)
-from morreybench.operators import KernelSpec, i_alpha
+from morreybench.operators import i_alpha
 from morreybench.weights import (INF, CharParams, WeightSystem, char_one_weight,
                                  char_two_weight, fs_majorant, power_system, power_weight)
 
@@ -70,9 +70,9 @@ def setup(theorem, dim):
     if theorem == "olsen":
         return ExponentProfile(n=dim, **scaled(TWO_WEIGHT, dim)), weights(dim), None
     if theorem == "two-weight":
-        cp = CharParams(n=dim, variant="s<1", **scaled(TWO_WEIGHT, dim))
+        cp = CharParams(n=dim, **scaled(TWO_WEIGHT, dim))
         return ExponentProfile(alpha=cp.alpha, n=dim), weights(dim), cp
-    cp = CharParams(n=dim, variant="one-weight-s<1", **scaled(ONE_WEIGHT, dim))
+    cp = CharParams(n=dim, **scaled(ONE_WEIGHT, dim))
     ws = weights(dim)  # one weight: v = w1 w2
     ws = WeightSystem(ws.w1.with_values(ws.w1.values * ws.w2.values, "pos"), ws.w1, ws.w2)
     return ExponentProfile(alpha=cp.alpha, n=dim), ws, cp
@@ -80,7 +80,7 @@ def setup(theorem, dim):
 
 def per_pair(theorem, pr, pairs, levels, ws=None, cp=None):
     """(pair id, level, lhs, rhs) per pair and level, one pair at a time."""
-    spec = KernelSpec(pr.alpha)
+    alpha = pr.alpha
     root = pairs[0][1].root
     out = []
     for level in levels:
@@ -94,16 +94,16 @@ def per_pair(theorem, pr, pairs, levels, ws=None, cp=None):
             f, g = f0.refine(level - f0.depth), g0.refine(level - g0.depth)
             if theorem in ("bilinear-ratio", "bilinear-sum", "bilinear-critical"):
                 s, t = (pr.p2, pr.q2) if theorem == "bilinear-critical" else (pr.s, pr.t)
-                sides = (norm(b_alpha(f, g, spec).fn, s, t),
+                sides = (norm(b_alpha(f, g, alpha).fn, s, t),
                          norm(f, pr.p1, pr.q1) * norm(g, pr.p2, pr.q2))
             elif theorem == "linear-adams":
-                sides = norm(i_alpha(f, spec).fn, pr.s, pr.t), norm(f, pr.p1, pr.q1)
+                sides = norm(i_alpha(f, alpha).fn, pr.s, pr.t), norm(f, pr.p1, pr.q1)
             elif theorem == "product-embedding":
-                big_i = i_alpha(f, spec).fn
+                big_i = i_alpha(f, alpha).fn
                 sides = (norm(big_i.with_values(np.abs(g.values) * big_i.values), pr.s, pr.t),
                          norm(g, pr.p2, pr.q2) * norm(f, pr.p1, pr.q1))
             else:
-                big_b = b_alpha(f, g, spec).fn
+                big_b = b_alpha(f, g, alpha).fn
                 weighted = big_b.with_values(big_b.values * w.v.values)
                 if theorem == "olsen":
                     sides = (norm(weighted, pr.s, pr.t),
@@ -145,13 +145,13 @@ def test_stein_weiss_harness_matches_the_per_pair_loop(dim):
     sw = SteinWeissParams(n=dim, alpha=0.5 * dim, q1=9 / 8, q2=9 / 8, p1=32 / 27,
                           p2=32 / 27, r=16.0, a=17 / 16, beta=0.0225, gamma1=0.02,
                           gamma2=0.02)
-    spec = KernelSpec(sw.n - sw.alpha)
+    alpha = sw.n - sw.alpha
     expected = []
     for level in (4, 5, 6):
         fam = dyadic_family(unit_root(dim), -level)
         w = power_system(sw.beta, sw.gamma1, sw.gamma2, (0.0,) * dim, fam.root, level)
         for name, f, g in make_pairs("indicator", 4, 11, level, dim):
-            big_b = b_alpha(f, g, spec).fn
+            big_b = b_alpha(f, g, alpha).fn
             expected.append((name, level,
                              morrey_norm(big_b.with_values(big_b.values * w.v.values),
                                          sw.s, sw.t, fam).value,
@@ -167,12 +167,12 @@ def test_stein_weiss_harness_matches_the_per_pair_loop(dim):
 def test_fs_dual_harness_matches_the_per_pair_loop(dim, root_level):
     # the pairs live on the weights' root, also off the unit cube
     root = DyadicCube(root_level, (-root_level,) * dim)
-    cp = CharParams(n=dim, variant="s<1", **scaled(TWO_WEIGHT, dim))
+    cp = CharParams(n=dim, **scaled(TWO_WEIGHT, dim))
     params = FsDualParams(cp, r1=32.0, r2=32.0, s1=17 / 19, s2=17 / 19)
     w1 = power_weight(0.05, (0.0,) * dim, root, 3)
     w2 = power_weight(0.02, (0.0,) * dim, root, 3)
     levels = (3, 4, 5) if dim == 1 else (3, 4)
-    spec = KernelSpec(cp.alpha)
+    alpha = cp.alpha
     expected = []
     for level in levels:
         fam = dyadic_family(root, root.level - level)
@@ -181,7 +181,7 @@ def test_fs_dual_harness_matches_the_per_pair_loop(dim, root_level):
         maj2 = fs_majorant(ww2, params.r2, params.s2, fam)
         for name, f0, g0 in make_pairs("step", 4, 7, 3, dim, root):
             f, g = f0.refine(level - 3), g0.refine(level - 3)
-            big_b = b_alpha(f, g, spec).fn
+            big_b = b_alpha(f, g, alpha).fn
             expected.append((name, level,
                              morrey_norm(big_b.with_values(big_b.values * ww1.values
                                                            * ww2.values),

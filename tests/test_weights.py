@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from morreybench import (DyadicCube, GridFunction, NumericalError, ParameterError,
                          aligned_family, dyadic_family, enumerate_subcubes,
                          unit_root)
+from morreybench.relations import violations
 from morreybench.util import make_rng
 from morreybench.weights import (INF, CharParams, WeightSystem,
                                  ap_characteristic, char_one_weight,
@@ -36,7 +38,7 @@ def cp_two_weight():
     p = 16.0 / 27.0
     q = 9.0 / 16.0
     return CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=p, s=s,
-                      t=s * q / p, r=16.0, a=17 / 16, variant="s<1")
+                      t=s * q / p, r=16.0, a=17 / 16)
 
 
 def cp_one_weight():
@@ -44,12 +46,12 @@ def cp_one_weight():
     p = 0.6
     q = 9.0 / 16.0
     return CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=p, s=s,
-                      t=s * q / p, r=INF, a=17 / 16, variant="one-weight-s<1")
+                      t=s * q / p, r=INF, a=17 / 16)
 
 
 def cp_testing():
     return CharParams(alpha=0.5, n=1, q1=4.0, q2=4.0, p=2.5, s=20 / 3,
-                      t=16 / 3, r=4.0, a=2.0, variant="testing")
+                      t=16 / 3, r=4.0, a=2.0)
 
 
 class TestPowerWeight:
@@ -144,22 +146,35 @@ def test_power_weight_1d_matches_per_cell_loop(beta, center, root, depth):
 
 class TestCharParams:
     def test_valid_sets(self):
-        assert cp_two_weight().violations() == []
-        assert cp_one_weight().violations() == []
-        assert cp_testing().violations() == []
+        assert violations(cp_two_weight(), "s<1") == []
+        assert violations(cp_one_weight(), "one-weight-s<1") == []
+        assert violations(cp_testing(), "testing") == []
+        for cp, kind in ((cp_two_weight(), "two-weight"), (cp_one_weight(), "one-weight"),
+                         (cp_testing(), "testing")):
+            cp.check(kind)
 
     def test_violated_predicates_are_named(self):
         bad = CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=16 / 27, s=0.8,
-                         t=0.9, r=16.0, a=17 / 16, variant="s<1")
-        names = bad.violations()
+                         t=0.9, r=16.0, a=17 / 16)
+        names = violations(bad, "s<1")
         assert any("t/s = q/p" in m for m in names)
         with pytest.raises(ParameterError):
-            bad.validate()
+            bad.check("two-weight")
 
     def test_a_window(self):
-        cp = cp_two_weight()
-        bad = CharParams(**{**cp.__dict__, "a": 1.2})  # above min(q_i) = 1.125
-        assert any("min" in m for m in bad.violations())
+        bad = dataclasses.replace(cp_two_weight(), a=1.2)  # above min(q_i) = 1.125
+        assert any("min" in m for m in violations(bad, "s<1"))
+
+    @pytest.mark.parametrize("kind", ["two-weight", "one-weight"])
+    def test_s_picks_the_form(self, kind):
+        # the s < 1 rows below s = 1, the s >= 1 rows from s = 1 on
+        prefix = "one-weight-" if kind == "one-weight" else ""
+        for s, key in ((0.8, "s<1"), (1.0, "s>=1"), (16 / 9, "s>=1")):
+            cp = dataclasses.replace(cp_two_weight(), s=s, r=INF)
+            with pytest.raises(ParameterError) as info:
+                cp.check(kind)
+            assert str(info.value) == "invalid parameters: " + "; ".join(
+                violations(cp, prefix + key))
 
 
 class TestTwoWeight:
@@ -177,8 +192,8 @@ class TestTwoWeight:
         p = 1.0
         s = p / q
         cp1 = CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=p, s=s, t=1.0,
-                         r=1.0 / (1.0 / s - 1.0 / p + 0.5), a=17 / 16, variant="s>=1")
-        assert cp1.violations() == []
+                         r=1.0 / (1.0 / s - 1.0 / p + 0.5), a=17 / 16)
+        assert violations(cp1, "s>=1") == []
         fam = dyadic_family(unit_root(1), -4)
         rep = char_two_weight(ws, cp1, fam)
         q_in, q_out = rep.attaining
@@ -226,10 +241,6 @@ class TestTwoWeight:
             single = char_remark(ws, cp, fam).value
             assert two <= single * (1 + 1e-12)
 
-    def test_wrong_variant_rejected(self):
-        with pytest.raises(ParameterError):
-            char_two_weight(ones_system(), cp_testing(), dyadic_family(unit_root(1), -2))
-
     def test_non_dyadic_family_rejected(self):
         ws = ones_system()
         with pytest.raises(ParameterError):
@@ -260,7 +271,7 @@ class TestRemark:
 
     def test_s_at_least_one_rejected(self):
         cp = CharParams(alpha=0.5, n=1, q1=4.0, q2=4.0, p=2.5, s=20 / 3,
-                        t=16 / 3, r=4.0, a=2.0, variant="testing")
+                        t=16 / 3, r=4.0, a=2.0)
         with pytest.raises(ParameterError):
             char_remark(ones_system(), cp, dyadic_family(unit_root(1), -2))
 
@@ -329,14 +340,14 @@ class TestOneWeight:
         # and power means increase with the exponent
         ws = self.make_system(7)
         cp1 = cp_one_weight()
-        cp2 = CharParams(**{**cp1.__dict__, "variant": "s<1"})
-        assert cp2.violations() == []
+        cp2 = cp1  # also a two-weight tuple of the s < 1 form
+        cp2.check("two-weight")
         fam = dyadic_family(unit_root(1), -4)
         cubes = enumerate_subcubes(unit_root(1), -4)
         for q in cubes[::3]:
             anc = q
             while True:
-                one = pair_value(ws, CharParams(**{**cp1.__dict__, "a": 1.0 + 1e-12, "variant": "s<1"}), q, anc)
+                one = pair_value(ws, dataclasses.replace(cp1, a=1.0 + 1e-12), q, anc)
                 two = pair_value(ws, cp2, q, anc)
                 assert one <= two * (1 + 1e-9)
                 if anc.level == 0:
@@ -347,8 +358,8 @@ class TestOneWeight:
 class TestTesting:
     def test_all_ones_r_inf(self):
         cp = CharParams(alpha=0.5, n=1, q1=3.0, q2=3.0, p=1.8, s=18.0,
-                        t=15.0, r=INF, a=2.0, variant="testing")
-        assert cp.violations() == []
+                        t=15.0, r=INF, a=2.0)
+        assert violations(cp, "testing") == []
         rep = char_testing(ones_system(), cp, dyadic_family(unit_root(1), -4))
         assert rep.value == pytest.approx(1.0, rel=1e-13)
 
