@@ -13,12 +13,12 @@ level's cubes is one reduction over the last axis, free of the cancellation
 that prefix-sum differences suffer on data of wide dynamic range.
 
 Cell values are understood as the function's value on the whole cell
-(midpoint semantics for synthetic smooth generators).  Boxes that stick out
-of the root, such as triples ``3Q``, are clipped to the grid and the clipping
-is recorded on the result: zero extension makes the clipped *sum* correct,
-but averages of strictly positive weights over clipped boxes would silently
-mix in artificial zeros.  Weight characteristics never meet such a box: they
-scan dyadic subcubes of the grid's root, and those never clip.
+(midpoint semantics for synthetic smooth generators).  Triples ``3Q`` stick
+out of the root at its boundary; zero extension makes their clipped *sum*
+correct (``triple_sums``), but averages of strictly positive weights over
+clipped boxes would silently mix in artificial zeros.  Weight
+characteristics never meet such a box: they scan dyadic subcubes of the
+grid's root, and those never clip.
 """
 
 from __future__ import annotations
@@ -32,6 +32,17 @@ import numpy as np
 from .util import ParameterError
 
 _FLAGS = ("none", "nonneg", "pos")
+
+
+def check_levels(dim: int, level: int, depth: int) -> None:
+    """Refuse a grid whose cell volume 2**(n (level - depth)) is below the
+    smallest normal float 2**-1022 or whose root volume 2**(n level) is
+    above 2**1023."""
+    if dim * (level - depth) < -1022 or dim * level > 1023:
+        raise ParameterError(
+            f"grid of root level {level} and depth {depth} leaves the float range: "
+            f"its {dim}D cell volume 2**{dim * (level - depth)} and root volume "
+            f"2**{dim * level} must lie in 2**-1022..2**1023")
 
 
 @dataclass(frozen=True)
@@ -68,14 +79,6 @@ class DyadicCube:
     def parent(self) -> "DyadicCube":
         return DyadicCube(self.level + 1, tuple(c >> 1 for c in self.coords))
 
-    def children(self) -> list["DyadicCube"]:
-        offsets = itertools.product((0, 1), repeat=self.dim)
-        base = tuple(c << 1 for c in self.coords)
-        return [
-            DyadicCube(self.level - 1, tuple(b + o for b, o in zip(base, off)))
-            for off in offsets
-        ]
-
     def contains(self, other: "DyadicCube") -> bool:
         """Nested-or-disjoint containment test (self contains other)."""
         if other.level > self.level:
@@ -90,7 +93,6 @@ class AlignedBox:
 
     lo: tuple[int, ...]
     hi: tuple[int, ...]
-    clipped: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "lo", tuple(int(v) for v in self.lo))
@@ -133,6 +135,7 @@ class GridFunction:
             raise ParameterError("root dimension mismatch")
         if self.depth < 0:
             raise ParameterError("depth must be >= 0")
+        check_levels(self.dim, self.root.level, self.depth)
         self.values = np.asarray(self.values, dtype=float)
         want = (2 ** self.depth,) * self.dim
         if self.values.shape != want:
@@ -162,14 +165,6 @@ class GridFunction:
     def cell_volume(self) -> float:
         return self.cell_side ** self.dim
 
-    def origin(self) -> tuple[float, ...]:
-        return self.root.lower()
-
-    def axis_midpoints(self, axis: int = 0) -> np.ndarray:
-        h = self.cell_side
-        o = self.origin()[axis]
-        return o + (np.arange(self.cells_per_axis) + 0.5) * h
-
     def with_values(self, values, flags: str | None = None) -> "GridFunction":
         return GridFunction(self.dim, self.root, self.depth, values,
                             flags if flags is not None else "none")
@@ -195,23 +190,6 @@ def cube_box(grid: GridFunction, cube: DyadicCube) -> AlignedBox:
         start = (c << shift) - (r << grid.depth)
         lo.append(start)
     return AlignedBox(tuple(lo), tuple(l + size for l in lo))
-
-
-def triple(cube: DyadicCube, grid: GridFunction) -> AlignedBox:
-    """The box 3Q = Q(c_Q, 3 l(Q)) clipped to the grid; clipping recorded."""
-    inner = cube_box(grid, cube)
-    m = grid.cells_per_axis
-    size = inner.hi[0] - inner.lo[0]
-    lo, hi, clipped = [], [], False
-    for l, h in zip(inner.lo, inner.hi):
-        a, b = l - size, h + size
-        if a < 0:
-            a, clipped = 0, True
-        if b > m:
-            b, clipped = m, True
-        lo.append(a)
-        hi.append(b)
-    return AlignedBox(tuple(lo), tuple(hi), clipped)
 
 
 def enumerate_subcubes(root: DyadicCube, min_level: int) -> list[DyadicCube]:
@@ -262,16 +240,16 @@ def spread(values: np.ndarray, shift: int, dim: int | None = None) -> np.ndarray
 def triple_sums(sums: np.ndarray) -> np.ndarray:
     """Sums over the triples 3Q of one level's cubes, from its block sums.
 
-    Along each axis a block adds its two neighbours; outside the grid the
-    neighbours are zero, which is exact under zero extension (the clipping
-    of ``triple``).
+    Along each axis a block adds its left and then its right neighbour, in
+    place over shifted slices; outside the grid the neighbours are zero,
+    which is exact under zero extension.
     """
     for axis in range(sums.ndim):
-        pad = [(0, 0)] * sums.ndim
-        pad[axis] = (1, 1)
-        padded = np.pad(sums, pad)
-        m = sums.shape[axis]
-        sums = sum(padded.take(np.arange(j, j + m), axis=axis) for j in range(3))
+        out = sums + 0.0  # the extension's zero: a block sum of -0.0 becomes 0.0
+        head = (slice(None),) * axis
+        out[head + (slice(1, None),)] += sums[head + (slice(None, -1),)]
+        out[head + (slice(None, -1),)] += sums[head + (slice(1, None),)]
+        sums = out
     return sums
 
 
@@ -323,6 +301,7 @@ def read_mgf(path) -> GridFunction:
                 raise ValueError(header)
         except (KeyError, ValueError) as exc:
             raise ParameterError(f"malformed MGF/1 header: {header!r}") from exc
+        check_levels(dim, rootlevel, depth)
         count = (2 ** depth) ** dim
         vals = array("d")  # grows with the values read, not with the header's claim
         for i, line in zip(range(count), fh):

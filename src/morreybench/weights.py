@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import relations
-from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, spread
+from .grid import DyadicCube, GridFunction, check_levels, cube_blocks, cube_box, spread
 from .norms import CubeFamily, cell_sup, dyadic_levels, family_max
 from .util import (INF, NumericalError, ParameterError, conjugate, finite, power_mean,
                    recip, refuse, v_factor)
@@ -67,6 +67,7 @@ def power_weight(beta: float, center, root: DyadicCube, depth: int) -> GridFunct
         raise ParameterError("center dimension mismatch")
     if depth < 0:
         raise ParameterError(f"depth must be >= 0, got {depth}")
+    check_levels(dim, root.level, depth)
     m = 2 ** depth
     h = 2.0 ** (root.level - depth)
     origin = root.lower()

@@ -8,8 +8,12 @@ import numpy as np
 import pytest
 
 import morreybench
-from morreybench import DyadicCube, GridFunction, cli, read_mgf, unit_root, write_mgf
+from morreybench import (DyadicCube, GridFunction, b_alpha_dyadic, cli, read_mgf, unit_root,
+                         write_mgf)
 from morreybench.cli import build_parser, main, parse_number, parse_range
+from morreybench.util import fmt
+
+from geometry_reference import axis_midpoints
 
 
 def write_step(path, values, flags="none"):
@@ -113,9 +117,24 @@ class TestOpCommand:
                    "--f", str(f), "--g", str(f), "--out", str(out)])
         assert rc == 0
         field = read_mgf(out)
-        x = field.axis_midpoints()
+        x = axis_midpoints(field)
         exact = 4.0 * np.sqrt(np.minimum(x, 1.0 - x))
         assert np.allclose(field.values, exact, rtol=1e-12)
+
+    @pytest.mark.parametrize("min_level", [None, -1, 0])
+    def test_b_dyadic_reads_min_level(self, tmp_path, capsys, min_level):
+        # the field and the tail bound of the library call with that min_level
+        path, out = tmp_path / "f.mgf", tmp_path / "out.mgf"
+        write_step(path, [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0], flags="pos")
+        f = read_mgf(path)
+        extra = [] if min_level is None else ["--min-level", str(min_level)]
+        assert main(["op", "--operator", "b-dyadic", "--alpha", "1/2", "--f", str(path),
+                     "--g", str(path), "--out", str(out), *extra]) == 0
+        want = b_alpha_dyadic(f, f, 0.5, f.root, min_level)
+        assert np.array_equal(read_mgf(out).values, want.fn.values)
+        assert capsys.readouterr().out == (
+            f"b-dyadic -> {out} (max={fmt(float(want.fn.values.max()))}, "
+            f"tail_bound={fmt(want.tail_bound)})\n")
 
     def test_alpha_out_of_range_exit_2(self, tmp_path, capsys):
         f = tmp_path / "f.mgf"
@@ -562,6 +581,36 @@ class TestExitContract:
         assert err.startswith("numerical failure: |x|**(255.0") and err.endswith(
             ") leaves the float range on this grid\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("grid,argv", [
+        pytest.param("dim=1 rootlevel=1100 rootcoords=0", ["norm", "--kind", "lebesgue", "--t", "2"],
+                     id="norm-root-1100"),
+        pytest.param("dim=2 rootlevel=600 rootcoords=0,0", ["norm", "--kind", "lebesgue", "--t", "2"],
+                     id="norm-2d-root-600"),
+        pytest.param("dim=1 rootlevel=-1100 rootcoords=0", ["norm", "--kind", "lebesgue", "--t", "2"],
+                     id="norm-root-minus-1100"),
+        pytest.param("dim=1 rootlevel=-1100 rootcoords=0",
+                     ["norm", "--kind", "morrey", "--p", "2", "--q", "1"], id="morrey-root-minus-1100"),
+        pytest.param(None, ["char", "--kind", "testing", *TESTING, "--beta", "0", "--gamma1", "0",
+                            "--gamma2", "0", "--depth", "4", "--rootlevel", "1100"],
+                     id="char-root-1100"),
+        pytest.param(None, ["char", "--kind", "testing", *TESTING, "--beta", "0", "--gamma1", "0",
+                            "--gamma2", "0", "--depth", "4", "--rootlevel", "-1100"],
+                     id="char-root-minus-1100"),
+    ])
+    def test_root_level_outside_float_range_exits_2(self, tmp_path, capsys, grid, argv):
+        # cell sides or volumes past the float range once ended in an
+        # OverflowError traceback, or printed value=0.0 side=0.0 with exit 0
+        if grid is not None:
+            path = tmp_path / "far.mgf"
+            cells = 4 if "dim=2" in grid else 2
+            path.write_text(f"MGF 1 {grid} depth=1 flags=pos\n" + "1.0\n" * cells)
+            argv = [*argv, "--in", str(path)]
+        assert _exit_code(argv) == 2
+        std = capsys.readouterr()
+        assert std.out == "" and "Traceback" not in std.err
+        assert std.err.startswith("parameter error: grid of root level ")
+        assert " leaves the float range: " in std.err
 
     @pytest.mark.parametrize("body", [
         pytest.param("1.0\nnan\n", id="nan-under-pos"),

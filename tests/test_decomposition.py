@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from morreybench import (DyadicCube, GridFunction, NumericalError, ParameterError,
-                         enumerate_subcubes, triple, unit_root)
+                         enumerate_subcubes, unit_root)
 from morreybench.decomposition import (choose_a, cz_decompose, packing_sum,
                                        verify_halving)
 from morreybench.operators import triple_means
 from morreybench.util import make_rng
 from morreybench.weights import power_weight
+
+from geometry_reference import triple
 
 
 def step(values, flags="nonneg", root=None):

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from morreybench import (DyadicCube, GridFunction, ParameterError, cube_box,
-                         enumerate_subcubes, read_mgf, triple, unit_root,
+                         enumerate_subcubes, read_mgf, unit_root,
                          write_mgf)
 from morreybench import grid
 from morreybench.grid import cube_blocks, spread
+
+from geometry_reference import children, triple
 
 
 def step(dim, depth, values, root=None, flags="none"):
@@ -17,7 +19,7 @@ def recursive_enumeration(root, min_level):
     """Independent oracle: recursive subdivision instead of level sweeps."""
     out = [root]
     if root.level > min_level:
-        for child in root.children():
+        for child in children(root):
             out.extend(recursive_enumeration(child, min_level))
     return out
 
@@ -40,7 +42,7 @@ class TestDyadicCube:
 
     def test_parent_child_roundtrip(self):
         for root in (unit_root(1), unit_root(2), DyadicCube(3, (-2, 5))):
-            for child in root.children():
+            for child in children(root):
                 assert child.parent() == root
 
     def test_nesting_law_exhaustive(self):
@@ -130,6 +132,21 @@ class TestGridFunction:
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ParameterError, match="finite"):
             step(1, 2, [1.0, bad, 1.0, 1.0])
+
+    @pytest.mark.parametrize("dim,level,depth,inside", [
+        (1, 1023, 0, True), (1, 1024, 0, False), (2, 511, 3, True), (2, 512, 3, False),
+        (1, 0, 1022, True), (1, 0, 1023, False), (2, -500, 11, True), (2, -500, 12, False)])
+    def test_levels_inside_the_float_range(self, dim, level, depth, inside):
+        # root volumes up to 2**1023 and cell volumes down to 2**-1022
+        if inside:
+            grid.check_levels(dim, level, depth)
+        else:
+            with pytest.raises(ParameterError, match="leaves the float range"):
+                grid.check_levels(dim, level, depth)
+
+    def test_grid_function_checks_its_levels(self):
+        with pytest.raises(ParameterError, match="root level 1024 and depth 0 leaves"):
+            GridFunction(1, DyadicCube(1024, (0,)), 0, [1.0])
 
     def test_refine_is_exact(self):
         rng = np.random.default_rng(5)

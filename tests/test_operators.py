@@ -10,10 +10,12 @@ from morreybench import (DyadicCube, GridFunction, ParameterError,
                          b_alpha, b_alpha_dyadic, b_truncated, cube_box,
                          dyadic_family, enumerate_subcubes, i_alpha, lebesgue_norm,
                          m_alpha_bilinear, m_alpha_vector, m_tilde,
-                         m_triple_dyadic, triple, unit_root)
+                         m_triple_dyadic, unit_root)
 from morreybench import operators
 from morreybench.operators import kernel_cell_table, triple_means
 from morreybench.util import make_rng
+
+from geometry_reference import axis_midpoints, triple
 
 
 def step(values, dim=1, root=None, flags="none"):
@@ -39,7 +41,7 @@ class TestIAlpha:
         # 2 (sqrt(x) + sqrt(1-x)); the 1D quadrature is cell-exact.
         f = indicator_root(6)
         out = i_alpha(f, 0.5).fn
-        x = f.axis_midpoints()
+        x = axis_midpoints(f)
         exact = 2.0 * (np.sqrt(x) + np.sqrt(1.0 - x))
         assert np.allclose(out.values, exact, rtol=1e-12)
         mid = 2 ** 5 - 1
@@ -66,7 +68,7 @@ class TestBAlpha:
         # cell-exact at midpoints in 1D.
         f = indicator_root(7)
         out = b_alpha(f, f, 0.5).fn
-        x = f.axis_midpoints()
+        x = axis_midpoints(f)
         exact = 4.0 * np.sqrt(np.minimum(x, 1.0 - x))
         assert np.allclose(out.values, exact, rtol=1e-12)
         mid = 2 ** 6 - 1
@@ -135,8 +137,8 @@ class TestBTruncated:
     def test_constant_integrand(self):
         f = indicator_root(5)
         out = b_truncated(f, f, 0.25).fn
-        i = np.searchsorted(f.axis_midpoints(), 0.5) - 1
-        x = f.axis_midpoints()[i]
+        i = np.searchsorted(axis_midpoints(f), 0.5) - 1
+        x = axis_midpoints(f)[i]
         exact = min(2 * 0.25, 2 * min(x, 1 - x))
         assert out.values[i] == pytest.approx(exact, rel=1e-12)
 
@@ -152,7 +154,7 @@ class TestBTruncated:
         f = indicator_root(4)
         d = 0.3
         out = b_truncated(f, f, d).fn
-        x = f.axis_midpoints()
+        x = axis_midpoints(f)
         exact = np.minimum(2 * d, 2 * np.minimum(x, 1 - x))
         assert np.allclose(out.values, exact, rtol=1e-12)
 
@@ -241,7 +243,7 @@ class TestMaximalOperators:
         # at the midpoint nearest 1/2 the scan peaks at d = 1/2 with value
         # min(2d, 2 min(x, 1-x)) / sqrt(2d); compare against that closed form
         i = 2 ** 5 - 1
-        x = f.axis_midpoints()[i]
+        x = axis_midpoints(f)[i]
         best = max(min(2 * 2.0 ** lv, 2 * min(x, 1 - x)) * (2 * 2.0 ** lv) ** (alpha - 1)
                    for lv in range(0, -7, -1))
         assert out.values[i] == pytest.approx(best, rel=1e-12)

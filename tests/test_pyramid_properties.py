@@ -12,6 +12,7 @@ operation before its per-cube maximum loop.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -22,11 +23,14 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from morreybench import (DyadicCube, GridFunction, cube_box, dyadic_family,  # noqa: E402
                          enumerate_subcubes, m_alpha_vector, m_triple_dyadic,
-                         morrey_norm, pair_morrey_sup, read_mgf, triple, write_mgf)
+                         morrey_norm, pair_morrey_sup, read_mgf, write_mgf)
+from morreybench.grid import triple_sums  # noqa: E402
 from morreybench.decomposition import (CZ_COLUMNS, choose_a, cz_decompose,  # noqa: E402
                                        verify_halving)
 from morreybench.weights import (CharParams, WeightSystem, char_two_weight,  # noqa: E402
                                  pair_value)
+
+from geometry_reference import triple  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -113,6 +117,30 @@ def test_maximal_fields_match_cube_loop(case, alpha, r1, r2):
 
 CP = CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=16 / 27, s=0.8,
                 t=0.8 * (9 / 16) / (16 / 27), r=16.0, a=17 / 16)
+
+
+def padded_triple_sums(sums):
+    """Per axis, the sum of three takes of a zero-padded copy: left, own, right."""
+    for axis in range(sums.ndim):
+        pad = [(0, 0)] * sums.ndim
+        pad[axis] = (1, 1)
+        padded = np.pad(sums, pad)
+        m = sums.shape[axis]
+        sums = sum(padded.take(np.arange(j, j + m), axis=axis) for j in range(3))
+    return sums
+
+
+@PROPERTY
+@given(dim=st.sampled_from([1, 2]), data=st.data())
+def test_triple_sums_match_padded_takes(dim, data):
+    # the same additions in the same order: equal bit for bit, signs of zero too
+    m = data.draw(st.integers(1, 17 if dim == 1 else 9))
+    signed = st.builds(lambda sign, e: sign * math.exp(e), st.sampled_from([-1.0, 1.0]),
+                       st.floats(-30.0, 30.0))
+    sums = data.draw(arrays(np.float64, (m,) * dim,
+                            elements=signed | st.sampled_from([0.0, -0.0])))
+    got, want = triple_sums(sums), padded_triple_sums(sums)
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @PROPERTY

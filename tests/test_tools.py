@@ -1,0 +1,17 @@
+"""The timing tools run on this checkout."""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+import perf_bench  # noqa: E402
+
+from morreybench.experiments import THEOREMS  # noqa: E402
+
+
+def test_direct_harness_timings_cover_every_theorem():
+    # the DIRECT snippet runs in a new interpreter on this checkout's src/
+    times = perf_bench.direct_times(str(ROOT), 1, [3], 1)
+    assert set(times) == {f"{theorem}.depth3" for theorem in THEOREMS}
+    assert all(len(runs) == 1 and runs[0] > 0 for runs in times.values())

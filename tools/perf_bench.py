@@ -54,7 +54,7 @@ SETTINGS = {
 }
 
 DIRECT = r"""
-import json, sys, time
+import dataclasses, json, sys, time
 from morreybench.experiments import THEOREMS, ExponentProfile, make_pairs, ratio_harness
 from morreybench.grid import GridFunction, unit_root
 from morreybench.weights import INF, CharParams, WeightSystem, power_system
@@ -71,14 +71,18 @@ two = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=16 / 27, s=0.8, t=0.8 * (9 / 16) / (
 one = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=0.6, s=6 / 7, t=6 / 7 * (9 / 16) / 0.6,
            r=INF, a=17 / 16)
 scale = lambda exps: {**exps, "alpha": exps["alpha"] * dim}
+# a CharParams that stores its form takes it; one that works it out from s has no such field
+stored = "variant" in {field.name for field in dataclasses.fields(CharParams)}
+char_params = lambda variant, exps: CharParams(
+    n=dim, **scale(exps), **({"variant": variant} if stored else {}))
 ws = power_system(0.0225, 0.02, 0.02, (0.0,) * dim, unit_root(dim), 3)
 one_ws = WeightSystem(ws.w1.with_values(ws.w1.values * ws.w2.values, "pos"), ws.w1, ws.w2)
 setups = {th: (ExponentProfile(n=dim, **scale(e)), None, None) for th, e in unweighted.items()}
 setups["olsen"] = (ExponentProfile(n=dim, **scale(two)), ws, None)
 setups["two-weight"] = (ExponentProfile(alpha=0.5 * dim, n=dim), ws,
-                        CharParams(n=dim, variant="s<1", **scale(two)))
+                        char_params("s<1", two))
 setups["one-weight"] = (ExponentProfile(alpha=0.5 * dim, n=dim), one_ws,
-                        CharParams(n=dim, variant="one-weight-s<1", **scale(one)))
+                        char_params("one-weight-s<1", one))
 pairs = make_pairs("step", 4, 5, 3, dim)
 out = {}
 for theorem in sorted(THEOREMS):
