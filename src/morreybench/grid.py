@@ -35,9 +35,8 @@ _FLAGS = ("none", "nonneg", "pos")
 
 
 def check_levels(dim: int, level: int, depth: int) -> None:
-    """Refuse a grid whose cell volume 2**(n (level - depth)) is below the
-    smallest normal float 2**-1022 or whose root volume 2**(n level) is
-    above 2**1023."""
+    """Refuse a grid with cell volume 2**(n (level - depth)) below 2**-1022, the
+    smallest normal float, or root volume 2**(n level) above 2**1023."""
     if dim * (level - depth) < -1022 or dim * level > 1023:
         raise ParameterError(
             f"grid of root level {level} and depth {depth} leaves the float range: "

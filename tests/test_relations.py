@@ -126,14 +126,21 @@ def test_unknown_ids_keep_their_messages():
     assert str(info.value) == "hypotheses of nope violated: unknown theorem id 'nope'"
 
 
-@pytest.mark.parametrize("kind,key", [("two-weight", "s<1"), ("two-weight", "s>=1"),
-                                      ("remark", "remark"), ("one-weight", "one-weight-s<1"),
-                                      ("one-weight", "one-weight-s>=1"), ("testing", "testing")])
-def test_char_params_checks_are_table_lookups(kind, key):
+# the s >= 1 form at s = 1 itself
+AT_S_1 = CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=0.8, s=1.0, t=0.703125, r=4.0, a=17 / 16)
+
+
+@pytest.mark.parametrize("kind,key,x", [
+    ("two-weight", "s<1", VALID["s<1"]), ("two-weight", "s>=1", VALID["s>=1"]),
+    ("two-weight", "s>=1", AT_S_1), ("remark", "remark", VALID["remark"]),
+    ("one-weight", "one-weight-s<1", VALID["one-weight-s<1"]),
+    ("one-weight", "one-weight-s>=1", VALID["one-weight-s>=1"]),
+    ("testing", "testing", VALID["testing"])])
+def test_char_params_checks_are_table_lookups(kind, key, x):
     # a characteristic refuses exactly the rows of its key; s picks the
     # two-weight and one-weight keys
-    VALID[key].check(kind)
-    bad = dataclasses.replace(VALID[key], t=0.7 * VALID[key].t)
+    x.check(kind)
+    bad = dataclasses.replace(x, t=0.7 * x.t)
     with pytest.raises(ParameterError) as info:
         bad.check(kind)
     assert str(info.value) == "invalid parameters: " + "; ".join(violations(bad, key))

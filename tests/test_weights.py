@@ -165,17 +165,6 @@ class TestCharParams:
         bad = dataclasses.replace(cp_two_weight(), a=1.2)  # above min(q_i) = 1.125
         assert any("min" in m for m in violations(bad, "s<1"))
 
-    @pytest.mark.parametrize("kind", ["two-weight", "one-weight"])
-    def test_s_picks_the_form(self, kind):
-        # the s < 1 rows below s = 1, the s >= 1 rows from s = 1 on
-        prefix = "one-weight-" if kind == "one-weight" else ""
-        for s, key in ((0.8, "s<1"), (1.0, "s>=1"), (16 / 9, "s>=1")):
-            cp = dataclasses.replace(cp_two_weight(), s=s, r=INF)
-            with pytest.raises(ParameterError) as info:
-                cp.check(kind)
-            assert str(info.value) == "invalid parameters: " + "; ".join(
-                violations(cp, prefix + key))
-
 
 class TestTwoWeight:
     def test_all_ones_is_one_at_root_pair(self):
