@@ -203,23 +203,22 @@ def criterion_07(ctx) -> CriterionResult:
     for seed in range(20):
         f, g = _rand_pair(seed, 6, flags="nonneg")
         sf = choose_a(f, g, unit_root(1))  # Q0 is the whole grid
-        total = sf.e0_mask.astype(int).copy()
-        for mask in sf.e_masks.values():
-            total += mask.astype(int)
-        if not np.all(total == 1):
-            problems.append(f"seed {seed}: partition broken")
+        total = sf.e0_mask.astype(int)  # E_0 plus every E_jk = Q_jk minus D_{k+1}
         halved = not sf.d_masks or 2 * sf.d_masks[0].sum() <= total.size
-        for k, gen in enumerate(sf.generations, 1):
+        nexts = sf.d_masks[1:] + [np.zeros_like(sf.e0_mask)]
+        for k, (gen, nxt) in enumerate(zip(sf.generations, nexts), 1):
             cover = np.zeros_like(total)
             for sel in gen:
                 if not (sf.a ** k < sel.m_value <= 2 ** 2 * sf.a ** k):
                     problems.append(f"seed {seed}: sandwich broken at k={k}")
                 sl = cube_box(f, sel.cube).slices()
                 cover[sl] += 1
-                if k < len(sf.d_masks):
-                    halved &= 2 * sf.d_masks[k][sl].sum() <= cover[sl].size
+                total[sl] += ~nxt[sl]
+                halved &= 2 * nxt[sl].sum() <= cover[sl].size
             if cover.max() > 1:
                 problems.append(f"seed {seed}: generation {k} cubes overlap")
+        if not np.all(total == 1):
+            problems.append(f"seed {seed}: partition broken")
         if not halved:
             problems.append(f"seed {seed}: halving violated at a={sf.a}")
     elapsed = time.perf_counter() - t0

@@ -6,6 +6,10 @@ collects the inclusion-maximal dyadic subcubes Q of Q0 with m_3Q(f,g) > a**k;
 their union is D_k.  Carving E_jk = Q_jk minus D_{k+1} and E_0 = Q0 minus D_1
 partitions Q0 exactly (cell-level set equality, verified by tests).
 
+Free of a: m_3Q per level, the largest m_3Q over each cube's strict
+ancestors, and per cell the peak, the largest m_3Q over the cubes that hold
+it.  Generation k is (m > a**k) & (above <= a**k), D_k is {peak > a**k}.
+
 When a is large enough the construction also satisfies, for every selected
 cube, the sandwich a**k < m_3Q <= 2**(2n) a**k (via the parent's maximality)
 and the measure-halving |Q_jk intersect D_{k+1}| <= |Q_jk| / 2.  The halving
@@ -18,7 +22,6 @@ certified halving outcome, not the constant's origin.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,20 +53,6 @@ class StoppingFamily:
     def kmax(self) -> int:
         return len(self.generations)
 
-    @functools.cached_property
-    def e_masks(self) -> dict:
-        """(k, cube) -> cell mask of E_jk = Q_jk minus D_{k+1}, built on first access."""
-        empty = np.zeros(self.e0_mask.shape, dtype=bool)
-        out = {}
-        for k, gen in enumerate(self.generations, 1):
-            nxt = self.d_masks[k] if k < len(self.d_masks) else empty
-            for sel in gen:
-                sl = cube_box(self.grid, sel.cube).slices()
-                emask = empty.copy()
-                emask[sl] = ~nxt[sl]
-                out[(k, sel.cube)] = emask
-        return out
-
     def rows(self, cell_volume: float) -> list[dict]:
         """CSV/JSON rows: k = 0 for the base cube and E_0, then every selected
         cube with the measure of its carved set E_jk."""
@@ -82,21 +71,26 @@ def cz_decompose(f: GridFunction, g: GridFunction, q0: DyadicCube,
                  a: float) -> StoppingFamily:
     """Maximal-cube generations for thresholds a**k, with carved E-sets.
 
-    Each generation spreads the mask of covered cubes from Q0 down to the
-    cells; selected cubes are listed coarsest first, then row-major.
+    D_k is the superlevel set {peak > a**k} of the triple maximal function
+    over Q0; selected cubes are listed coarsest first, then row-major.
     """
-    return _decompose(f, q0, a, _triple_products(f, g, q0))
+    return _decompose(f, q0, a, *_pyramid(f, g, q0))
 
 
-def _triple_products(f: GridFunction, g: GridFunction, q0: DyadicCube) -> list[np.ndarray]:
-    """m_3Q(f,g) per level of the subcubes of Q0, coarsest first; free of a."""
+def _pyramid(f: GridFunction, g: GridFunction, q0: DyadicCube):
+    """m_3Q(f,g) per level of the subcubes of Q0, coarsest first, the largest
+    over each cube's strict ancestors (zero for Q0) and the peak per cell."""
     if f.values.min() < 0 or g.values.min() < 0:
         raise ParameterError("decomposition expects nonnegative inputs")
     if q0.level <= f.cell_level:
         raise ParameterError("grid cells must be strictly finer than the base cube")
-    return [finite((triple_means(f, shift) * triple_means(g, shift))[window],
-                   "triple-average products")
-            for shift, _, window in dyadic_levels(f, dyadic_family(q0, f.cell_level))]
+    m = [finite((triple_means(f, shift) * triple_means(g, shift))[window],
+                "triple-average products")
+         for shift, _, window in dyadic_levels(f, dyadic_family(q0, f.cell_level))]
+    above = [np.zeros_like(m[0])]
+    for level_m in m[:-1]:
+        above.append(spread(np.maximum(above[-1], level_m), 1))
+    return m, above, np.maximum(above[-1], m[-1])
 
 
 def _threshold(a: float, k: int) -> float:
@@ -107,47 +101,32 @@ def _threshold(a: float, k: int) -> float:
         return INF
 
 
-def _decompose(f: GridFunction, q0: DyadicCube, a: float, m: list[np.ndarray]) -> StoppingFamily:
+def _decompose(f: GridFunction, q0: DyadicCube, a: float, m, above, peak) -> StoppingFamily:
     if a <= 1.0:
         raise ParameterError(f"threshold base must exceed 1, got {a}")
     base_box = cube_box(f, q0).slices()
     family = dyadic_family(q0, f.cell_level)
-    max_m = max(float(level_m.max()) for level_m in m)
 
-    picks: list[list] = []  # per generation: (level, m values, cube indices) per level
-    d_masks: list[np.ndarray] = []
-    k = 1
-    while max_m > (threshold := _threshold(a, k)):
-        covered = np.zeros(m[0].shape, dtype=bool)
-        picked = []
-        for level, level_m in zip(family.levels(), m):
-            if level < q0.level:
-                covered = spread(covered, 1)
-            new = (level_m > threshold) & ~covered
-            if new.any():
-                idx = np.nonzero(new)
-                picked.append((level, level_m[idx], idx))
-            covered |= new
+    def on_grid(cells: np.ndarray) -> np.ndarray:
         mask = np.zeros(f.values.shape, dtype=bool)
-        mask[base_box] = covered
-        picks.append(picked)
-        d_masks.append(mask)
-        k += 1
+        mask[base_box] = cells
+        return mask
 
-    # |E_jk| per selected cube: the cells of Q_jk that the next generation leaves free
-    generations: list[list[SelectedCube]] = []
-    for k, picked in enumerate(picks, 1):
-        free = ~d_masks[k][base_box] if k < len(d_masks) else np.ones(m[-1].shape, dtype=bool)
+    generations, d_masks = [], []
+    k = 1
+    while peak.max() > (threshold := _threshold(a, k)):
+        free = peak <= _threshold(a, k + 1)  # E_jk; every cell past the last generation
         gen = []
-        for level, values, idx in picked:
-            cells = cube_blocks(free, level - f.cell_level).sum(axis=-1)[idx]
-            gen += [SelectedCube(family.cube(level, index), float(v), int(c))
-                    for index, v, c in zip(np.transpose(idx), values, cells)]
+        for level, level_m, level_above in zip(family.levels(), m, above):
+            idx = np.nonzero((level_m > threshold) & (level_above <= threshold))
+            if idx[0].size:
+                cells = cube_blocks(free, level - f.cell_level).sum(axis=-1)[idx]
+                gen += [SelectedCube(family.cube(level, index), float(v), int(c))
+                        for index, v, c in zip(np.transpose(idx), level_m[idx], cells)]
         generations.append(gen)
-    e0 = np.zeros(f.values.shape, dtype=bool)
-    e0[base_box] = True
-    if d_masks:
-        e0 &= ~d_masks[0]
+        d_masks.append(on_grid(peak > threshold))
+        k += 1
+    e0 = on_grid(peak <= a)
     return StoppingFamily(f, q0, a, generations, e0, d_masks, float(m[0].flat[0]))
 
 
@@ -186,13 +165,15 @@ def choose_a(f: GridFunction, g: GridFunction, q0: DyadicCube) -> StoppingFamily
     """The decomposition at the smallest threshold base a = 2, 4, 8, ...
     whose halving is certified; its base is ``.a``.
 
-    The triple-average products are computed once and shared by every
-    candidate.  Termination: once a exceeds the largest (finite) product,
-    every generation is empty and halving holds vacuously.
+    The pyramid is shared by every candidate.  One with 2 |{peak > a}| > |Q0|
+    is passed undecomposed: its D_1 covers over half of Q0, which
+    ``verify_halving`` refuses.  Termination: once a exceeds the largest
+    (finite) product, every generation is empty and halving holds vacuously.
     """
-    m = _triple_products(f, g, q0)
-    a = 2.0
-    while not verify_halving(sf := _decompose(f, q0, a, m)).ok:
+    pyramid = _pyramid(f, g, q0)
+    peak, a = pyramid[2], 2.0
+    while (2 * np.count_nonzero(peak > a) > peak.size
+           or not verify_halving(sf := _decompose(f, q0, a, *pyramid)).ok):
         a *= 2.0
     return sf
 

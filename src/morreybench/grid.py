@@ -69,15 +69,6 @@ class DyadicCube:
     def lower(self) -> tuple[float, ...]:
         return tuple(c * self.side for c in self.coords)
 
-    def upper(self) -> tuple[float, ...]:
-        return tuple((c + 1) * self.side for c in self.coords)
-
-    def center(self) -> tuple[float, ...]:
-        return tuple((c + 0.5) * self.side for c in self.coords)
-
-    def parent(self) -> "DyadicCube":
-        return DyadicCube(self.level + 1, tuple(c >> 1 for c in self.coords))
-
     def contains(self, other: "DyadicCube") -> bool:
         """Nested-or-disjoint containment test (self contains other)."""
         if other.level > self.level:
@@ -102,12 +93,6 @@ class AlignedBox:
     @property
     def dim(self) -> int:
         return len(self.lo)
-
-    def cells(self) -> int:
-        n = 1
-        for l, h in zip(self.lo, self.hi):
-            n *= h - l
-        return n
 
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))

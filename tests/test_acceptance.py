@@ -67,10 +67,10 @@ def test_criterion_07_stopping_decomposition(ctx):
 
 
 def test_criterion_07_measures_halving_itself(ctx, monkeypatch):
-    # with verify_halving passing everything, choose_a returns the family at
-    # a = 2, whose halving fails; criterion 7 measures it on the masks
-    monkeypatch.setattr(decomposition, "verify_halving",
-                        lambda sf: decomposition.HalvingReport(True, 0.0, None))
+    # handed the family at a = 2, whose halving fails, criterion 7 measures
+    # it on the masks
+    monkeypatch.setattr(acceptance, "choose_a",
+                        lambda f, g, q0: decomposition.cz_decompose(f, g, q0, 2.0))
     res = acceptance.criterion_07(ctx)
     assert not res.passed
     assert res.detail.startswith("seed 0: halving violated at a=2.0")

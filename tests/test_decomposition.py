@@ -9,7 +9,7 @@ from morreybench.operators import triple_means
 from morreybench.util import make_rng
 from morreybench.weights import power_weight
 
-from geometry_reference import triple
+from geometry_reference import e_sets_by_cube, parent, triple
 
 
 def step(values, flags="nonneg", root=None):
@@ -31,6 +31,18 @@ def spike_pair(depth=6, height=100.0):
     vals[2 ** depth // 3] = height
     f = step(vals)
     return f, step(vals.copy())
+
+
+def count_decompositions(monkeypatch):
+    """The threshold base of every ``_decompose`` call from here on."""
+    from morreybench import decomposition
+    tried, decompose = [], decomposition._decompose
+
+    def counted(*args):
+        tried.append(args[2])
+        return decompose(*args)
+    monkeypatch.setattr(decomposition, "_decompose", counted)
+    return tried
 
 
 class TestDecompose:
@@ -57,7 +69,7 @@ class TestDecompose:
                     continue
                 cur, covered = c, False
                 while cur.level < 0:
-                    cur = cur.parent()
+                    cur = parent(cur)
                     if m[cur] > a ** k:
                         covered = True
                         break
@@ -70,9 +82,9 @@ class TestDecompose:
         for seed in range(8):
             f, g = rand_pair(seed)
             sf = cz_decompose(f, g, unit_root(1), 4.0)
-            total = sf.e0_mask.astype(int).copy()
-            for key, mask in sf.e_masks.items():
-                total += mask.astype(int)
+            total = sf.e0_mask.astype(int)
+            for mask in e_sets_by_cube(sf, f).values():
+                total += mask
             assert np.all(total == 1)  # covers Q0 exactly once
 
     def test_generation_monotonicity(self):
@@ -113,9 +125,9 @@ class TestDecompose2D:
         f = GridFunction(2, unit_root(2), 3, vals, "nonneg")
         sf = choose_a(f, f, unit_root(2))
         a = sf.a
-        total = sf.e0_mask.astype(int).copy()
-        for mask in sf.e_masks.values():
-            total += mask.astype(int)
+        total = sf.e0_mask.astype(int)
+        for mask in e_sets_by_cube(sf, f).values():
+            total += mask
         assert np.all(total == 1)
         for k, gen in enumerate(sf.generations, 1):
             for sel in gen:
@@ -177,18 +189,33 @@ class TestChooseA:
             calls.append(shift)
             return triple_means(f, shift)
         monkeypatch.setattr(decomposition, "triple_means", counted)
-        tried = []
-        decompose = decomposition._decompose
-
-        def counted_decompose(f, q0, a, m):
-            tried.append(a)
-            return decompose(f, q0, a, m)
-        monkeypatch.setattr(decomposition, "_decompose", counted_decompose)
+        tried = count_decompositions(monkeypatch)
         f, g = spike_pair()
         sf = choose_a(f, g, unit_root(1))
-        assert len(tried) >= 3
-        assert tried == [2.0 ** k for k in range(1, len(tried) + 1)] and sf.a == tried[-1]
         assert sorted(calls) == sorted(2 * list(range(f.depth + 1)))
+        # consecutive powers of two ending at the chosen base; every power of
+        # two passed over before the first of them fails halving
+        first = round(np.log2(tried[0]))
+        assert tried == [2.0 ** k for k in range(first, first + len(tried))] and sf.a == tried[-1]
+        monkeypatch.undo()
+        assert not any(verify_halving(cz_decompose(f, g, unit_root(1), 2.0 ** k)).ok
+                       for k in range(1, first))
+
+    @pytest.mark.parametrize("depth, values", [
+        (4, np.full(16, 1e150)),
+        (8, np.where(np.arange(256) == 256 // 3, 1e100, 1.0)),
+    ])
+    def test_one_decomposition_on_products_far_above_two(self, monkeypatch, depth, values):
+        # the doubling schedule passes every candidate whose base tally fails
+        # without decomposing it, and still lands on the first certified one
+        f = step(values, "pos")
+        assert f.depth == depth
+        want = 2.0
+        while not verify_halving(cz_decompose(f, f, unit_root(1), want)).ok:
+            want *= 2.0
+        tried = count_decompositions(monkeypatch)
+        assert choose_a(f, f, unit_root(1)).a == want
+        assert tried == [want]
 
 
 class TestDynamicRange:

@@ -17,6 +17,8 @@ from morreybench.weights import (INF, CharParams, WeightSystem, char_remark,
                                  char_testing, char_two_weight, power_system,
                                  power_weight)
 
+from geometry_reference import center
+
 BLOWUP_CFG = SharpnessConfig(n=1, alpha=0.3, p1=4, q1=2, p2=4, q2=2, t=5.0)
 BOUNDARY_CFG = SharpnessConfig(n=1, alpha=0.3, p1=4, q1=2, p2=4, q2=2, t=2.5)
 
@@ -229,14 +231,14 @@ class TestSteinWeiss:
             p2 = power_weight(-sw.gamma2 * d2, 0.0, root, depth)
             worst = 0.0
             for cube in enumerate_subcubes(root, k - depth + 2):
-                center = cube.center()[0]
-                if center < cube.side:  # near-origin cubes excluded
+                x = center(cube)[0]
+                if x < cube.side:  # near-origin cubes excluded
                     continue
                 sl = cube_box(pv, cube).slices()
                 product = (np.mean(pv.values[sl]) ** (1.0 / e_v)
                            * np.mean(p1.values[sl]) ** (1.0 / d1)
                            * np.mean(p2.values[sl]) ** (1.0 / d2))
-                worst = max(worst, product * center ** sw.sigma)
+                worst = max(worst, product * x ** sw.sigma)
             worst_by_level.append(worst)
         assert max(worst_by_level) < 4.0
         assert max(worst_by_level) / min(worst_by_level) < 1.05

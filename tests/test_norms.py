@@ -7,6 +7,8 @@ from morreybench import (DyadicCube, GridFunction, ParameterError,
                          unit_root, weak_quasinorm)
 from morreybench.norms import _morrey_aligned
 
+from geometry_reference import upper
+
 
 def step(values, depth=None, dim=1, root=None, flags="none"):
     values = np.asarray(values, dtype=float)
@@ -183,7 +185,7 @@ class TestPairSup:
         best = 0.0
         for cube in enumerate_subcubes(unit_root(1), -5):
             lo = int(cube.lower()[0] * 32)
-            hi = int(cube.upper()[0] * 32)
+            hi = int(upper(cube)[0] * 32)
             mf = np.mean(np.abs(f.values[lo:hi]) ** 1.5)
             mg = np.mean(np.abs(g.values[lo:hi]) ** 2.5)
             best = max(best, cube.volume ** 0.5 * mf ** (1 / 1.5) * mg ** (1 / 2.5))

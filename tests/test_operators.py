@@ -15,7 +15,7 @@ from morreybench import operators
 from morreybench.operators import kernel_cell_table, triple_means
 from morreybench.util import make_rng
 
-from geometry_reference import axis_midpoints, triple
+from geometry_reference import axis_midpoints, triple, upper
 
 
 def step(values, dim=1, root=None, flags="none"):
@@ -167,7 +167,7 @@ class TestBTruncated:
             q = DyadicCube(-2, (int(rng.integers(0, 4)),))
             out = b_truncated(f, g, q.side).fn
             lo = int(q.lower()[0] * 32)
-            hi = int(q.upper()[0] * 32)
+            hi = int(upper(q)[0] * 32)
             integral = out.values[lo:hi].sum() * out.cell_volume
             mass_f = f.values[triple(q, f).slices()].sum() * f.cell_volume
             mass_g = g.values[triple(q, g).slices()].sum() * g.cell_volume
@@ -278,7 +278,7 @@ class TestMaximalOperators:
         m = 16
         expect = np.zeros(m)
         for cube in enumerate_subcubes(unit_root(1), -4):
-            lo, hi = int(cube.lower()[0] * m), int(cube.upper()[0] * m)
+            lo, hi = int(cube.lower()[0] * m), int(upper(cube)[0] * m)
             val = f.values[lo:hi].mean() * g.values[lo:hi].mean()
             expect[lo:hi] = np.maximum(expect[lo:hi], val)
         assert np.allclose(out, expect, rtol=1e-13)
@@ -329,7 +329,7 @@ class TestMaximalOperators:
         m = 16
         expect = np.zeros(m)
         for cube in enumerate_subcubes(unit_root(1), -4):
-            lo, hi = int(cube.lower()[0] * m), int(cube.upper()[0] * m)
+            lo, hi = int(cube.lower()[0] * m), int(upper(cube)[0] * m)
             shift = cube.level - f.cell_level
             i = cube.coords[0]
             val = triple_means(f, shift)[i] * triple_means(g, shift)[i]
@@ -405,7 +405,7 @@ class Test2DSmoke:
         expect = np.zeros_like(out)
         for cube in enumerate_subcubes(unit_root(2), -3):
             lo = tuple(int(c * 8) for c in cube.lower())
-            hi = tuple(int(c * 8) for c in cube.upper())
+            hi = tuple(int(c * 8) for c in upper(cube))
             sl = tuple(slice(a, b) for a, b in zip(lo, hi))
             val = cube.volume ** 0.25 * f.values[sl].mean() * g.values[sl].mean()
             expect[sl] = np.maximum(expect[sl], val)

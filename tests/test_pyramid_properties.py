@@ -30,7 +30,7 @@ from morreybench.decomposition import (CZ_COLUMNS, choose_a, cz_decompose,  # no
 from morreybench.weights import (CharParams, WeightSystem, char_two_weight,  # noqa: E402
                                  pair_value)
 
-from geometry_reference import triple  # noqa: E402
+from geometry_reference import cells, e_sets_by_cube, parent, triple  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -159,7 +159,7 @@ def test_two_weight_pair_matches_pair_loop(case):
                 best = (val, (q, outer))
             if outer == family.root:
                 break
-            outer = outer.parent()
+            outer = parent(outer)
     rep = char_two_weight(ws, cp, family)
     assert (rep.value, rep.attaining, rep.pairs_scanned) == (best[0], best[1], pairs)
     # the attaining value from plain slab averages of the weights
@@ -173,17 +173,54 @@ def test_two_weight_pair_matches_pair_loop(case):
     assert rep.value == pytest.approx(direct, rel=1e-12)
 
 
-def e_sets_by_cube(sf, f):
-    """(k, cube) -> mask of E_jk = Q_jk minus D_{k+1}, each cube sliced through ``cube_box``."""
-    nexts = sf.d_masks[1:] + [np.zeros(f.values.shape, dtype=bool)]
-    out = {}
-    for k, (gen, nxt) in enumerate(zip(sf.generations, nexts), 1):
-        for sel in gen:
-            sl = cube_box(f, sel.cube).slices()
-            mask = np.zeros(f.values.shape, dtype=bool)
-            mask[sl] = ~nxt[sl]
-            out[(k, sel.cube)] = mask
-    return out
+def generations_by_cube(f, g, q0, a):
+    """Per k, the maximal cubes of Q0 with m_3Q > a**k and their m_3Q: every
+    cube of ``enumerate_subcubes`` above a**k whose parents up to Q0 are not."""
+    n = f.dim
+    m = {}
+    for cubes in by_level(dyadic_family(q0, f.cell_level)):
+        tf, tg = (np.array([h.values[triple(c, h).slices()].sum() for c in cubes])
+                  * h.cell_volume / (3.0 ** n * cubes[0].volume) for h in (f, g))
+        m.update(zip(cubes, tf * tg))
+
+    def maximal(cube, threshold):
+        while cube != q0:
+            cube = parent(cube)
+            if m[cube] > threshold:
+                return False
+        return True
+    gens, k = [], 1
+    while max(m.values()) > a ** k:
+        gens.append([(c, v) for c, v in m.items() if v > a ** k and maximal(c, a ** k)])
+        k += 1
+    return gens
+
+
+@PROPERTY
+@given(case=scans(high=8), a=st.sampled_from([1.5, 2.0, 3.0, 8.0]))
+def test_generations_match_cube_loop(case, a):
+    (f, g), family = case
+    q0 = family.root
+    assume(q0.level > f.cell_level)
+    sf = cz_decompose(f, g, q0, a)
+    gens, d_masks = generations_by_cube(f, g, q0, a), []
+    for gen in gens:
+        mask = np.zeros(f.values.shape, dtype=bool)
+        for cube, _ in gen:
+            mask[cube_box(f, cube).slices()] = True
+        d_masks.append(mask)
+    assert len(sf.d_masks) == len(d_masks)
+    assert all(np.array_equal(x, y) for x, y in zip(sf.d_masks, d_masks))
+    nexts = d_masks[1:] + [np.zeros(f.values.shape, dtype=bool)]
+    assert [[(sel.cube, sel.m_value, sel.e_cells) for sel in gen] for gen in sf.generations] == [
+        [(cube, v, int((~nxt[cube_box(f, cube).slices()]).sum())) for cube, v in gen]
+        for gen, nxt in zip(gens, nexts)]
+    e0 = np.zeros(f.values.shape, dtype=bool)
+    e0[cube_box(f, q0).slices()] = True
+    assert np.array_equal(sf.e0_mask, e0 & ~d_masks[0] if d_masks else e0)
+    # D_k is the superlevel set {M > a**k} of the triple maximal function over Q0
+    peak = m_triple_dyadic(f, g, dyadic_family(q0, f.cell_level)).fn.values
+    assert all(np.array_equal(mask, peak > a ** k) for k, mask in enumerate(sf.d_masks, 1))
 
 
 @PROPERTY
@@ -196,8 +233,6 @@ def test_e_sets_match_cube_loop(case, a):
     ref = e_sets_by_cube(sf, f)
     assert [sel.e_cells for gen in sf.generations for sel in gen] == [
         int(mask.sum()) for mask in ref.values()]
-    assert list(sf.e_masks) == list(ref)
-    assert all(np.array_equal(sf.e_masks[key], mask) for key, mask in ref.items())
     m_values = [sel.m_value for gen in sf.generations for sel in gen]
     rows = [(0, q0, sf.base_m, float(sf.e0_mask.sum()))]
     rows += [(k, cube, m, int(mask.sum())) for ((k, cube), mask), m in zip(ref.items(), m_values)]
@@ -216,7 +251,7 @@ def halving_by_cube(sf, f):
     for mask, cubes in tallies:
         for cube in cubes:
             box = cube_box(f, cube)
-            ratio = mask[box.slices()].sum() / box.cells()
+            ratio = mask[box.slices()].sum() / cells(box)
             if ratio > worst:
                 worst, offender = ratio, cube
     return worst <= 0.5, worst, offender

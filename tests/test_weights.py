@@ -15,6 +15,8 @@ from morreybench.weights import (INF, CharParams, WeightSystem,
                                  fs_majorant, pair_value, power_system,
                                  power_weight)
 
+from geometry_reference import parent, upper
+
 
 def ones_system(depth=4, dim=1):
     root = unit_root(dim)
@@ -187,7 +189,7 @@ class TestTwoWeight:
         rep = char_two_weight(ws, cp1, fam)
         q_in, q_out = rep.attaining
         lo = int(q_in.lower()[0] * 16)
-        hi = int(q_in.upper()[0] * 16)
+        hi = int(upper(q_in)[0] * 16)
         direct_max = ws.v.values[lo:hi].max()
         assert rep.value == pytest.approx(
             pair_value(ws, cp1, q_in, q_out), rel=0, abs=0)
@@ -312,7 +314,7 @@ class TestOneWeight:
             best = 0.0
             for cube in enumerate_subcubes(root, -depth):
                 lo = int(cube.lower()[0] * 2 ** depth)
-                hi = int(cube.upper()[0] * 2 ** depth)
+                hi = int(upper(cube)[0] * 2 ** depth)
                 prod = (w1.values[lo:hi] * w2.values[lo:hi]) ** e
                 val = (np.mean(prod) ** (1 / e)
                        * np.mean(w1.values[lo:hi] ** -d1) ** (1 / d1)
@@ -341,7 +343,7 @@ class TestOneWeight:
                 assert one <= two * (1 + 1e-9)
                 if anc.level == 0:
                     break
-                anc = anc.parent()
+                anc = parent(anc)
 
 
 class TestTesting:
@@ -361,7 +363,7 @@ class TestTesting:
         # recompute the single-cube quantity at the attaining cube
         q, _ = large.attaining
         lo = int(q.lower()[0] * 16)
-        hi = int(q.upper()[0] * 16)
+        hi = int(upper(q)[0] * 16)
         r_inv = 1.0 / cp.r
         want = (q.volume ** r_inv * ws.v.values[lo:hi].min()
                 * pair_value_testing(ws, cp, q) / q.volume ** r_inv)
@@ -396,7 +398,7 @@ class TestTesting:
 def pair_value_testing(ws, cp, cube):
     # w-factor part of the testing constant at one cube (oracle helper)
     lo = int(cube.lower()[0] * ws.v.values.size)
-    hi = int(cube.upper()[0] * ws.v.values.size)
+    hi = int(upper(cube)[0] * ws.v.values.size)
     d1 = cp.q1 / (cp.q1 - 1)
     d2 = cp.q2 / (cp.q2 - 1)
     f1 = np.mean(ws.w1.values[lo:hi] ** -d1) ** (1 / d1)
@@ -421,7 +423,7 @@ class TestApConstant:
         best = 0.0
         for cube in enumerate_subcubes(root, -5):
             lo = int((cube.lower()[0] - 1.0) * 32)
-            hi = int((cube.upper()[0] - 1.0) * 32)
+            hi = int((upper(cube)[0] - 1.0) * 32)
             slab = w.values[lo:hi]
             val = slab.mean() * np.mean(slab ** (-1 / (p - 1))) ** (p - 1)
             best = max(best, val)
@@ -452,7 +454,7 @@ class TestFsMajorant:
         out = fs_majorant(w, 8.0, 0.5, fam)
         for cube in enumerate_subcubes(unit_root(1), -4):
             lo = int(cube.lower()[0] * 16)
-            hi = int(cube.upper()[0] * 16)
+            hi = int(upper(cube)[0] * 16)
             val = cube.volume ** (1 / 8) * np.mean(w.values[lo:hi]) ** 1.0
             assert np.all(out.values[lo:hi] >= val - 1e-12)
 

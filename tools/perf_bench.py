@@ -4,16 +4,15 @@ Usage, from the repository root, with a second checkout as the baseline:
 
     python3 tools/perf_bench.py --before ../baseline --after . --out BENCH_13.json
 
-End-to-end, alternating runs of ``benchmarks/run.py --trace 0`` (the order
-flipped every pair; ``PAIRS`` of them on ``CLAIMED``, the workload whose
-gain is claimed, and ``CHECK_PAIRS`` on each other workload) give each
-metric's median and quartiles per side, the pairs the change won, and the
-unscaled set-up time the run prints next to the calibrated ``setup_s``.
+End-to-end, ``pairs`` alternating runs of ``benchmarks/run.py --trace 0``
+on every workload (the order flipped every pair) give each metric's median
+and quartiles per side, the pairs the change won, and the unscaled set-up
+time the run prints next to the calibrated ``setup_s``.
 Per layer, two kinds of figures, each as the minimum of k runs plus the
 spread (max - min) and every run:
 
 * the per-layer metrics ``TRACE_KEYS`` that ``benchmarks/run.py --workload
-  harness --trace 1`` prints, with the two checkouts run alternately, each
+  harness --trace 1`` (``TRACED``) prints, with the two checkouts run alternately, each
   one first in half the rounds;
 * direct ``ratio_harness`` calls per theorem id on four seeded step pairs at
   base depth 3, each at one level of ``DEPTHS`` in 1D and 2D, with the
@@ -36,7 +35,7 @@ import subprocess
 import sys
 
 WORKLOADS = ("harness", "selftest", "fields", "weights-cz")
-CLAIMED = "harness"
+TRACED = "harness"
 END_TO_END = {"ops_per_s": "higher", "op_s.p50": "lower", "setup_s": "lower",
               "peak_rss_mb": "lower"}
 TRACE_KEYS = ("experiments.ratio_harness.self_s", "norms.morrey_norm.dyadic.self_s",
@@ -47,8 +46,7 @@ SETTINGS = {
     "seed": 3,             # seed of the traced runs
     "seconds": 5.0,        # --seconds of each traced run
     "repeats": 7,          # direct calls per theorem and depth
-    "pairs": 10,           # end-to-end pairs on the claimed workload
-    "check_pairs": 4,      # end-to-end pairs on each other workload
+    "pairs": 10,           # end-to-end pairs on each workload
     "pair_seed": 17,       # seed of the end-to-end runs
     "pair_seconds": 25.0,  # --seconds of each end-to-end run
 }
@@ -168,14 +166,14 @@ def main(argv=None):
     sides = {"before": ns.before, "after": ns.after}
     cfg = SETTINGS
 
-    end_to_end = {wl: pairs(sides, wl, cfg["pairs"] if wl == CLAIMED else cfg["check_pairs"],
-                            cfg["pair_seed"], cfg["pair_seconds"]) for wl in WORKLOADS}
+    end_to_end = {wl: pairs(sides, wl, cfg["pairs"], cfg["pair_seed"], cfg["pair_seconds"])
+                  for wl in WORKLOADS}
 
     traced = {side: {k: [] for k in TRACE_KEYS} for side in sides}
     for r in range(cfg["runs"]):
         order = ("before", "after") if r % 2 == 0 else ("after", "before")
         for side in order:
-            metrics = bench_run(sides[side], CLAIMED, cfg["seed"], cfg["seconds"], 1)["metrics"]
+            metrics = bench_run(sides[side], TRACED, cfg["seed"], cfg["seconds"], 1)["metrics"]
             for k in TRACE_KEYS:
                 traced[side][k].append(metrics[k]["value"])
 
@@ -190,7 +188,6 @@ def main(argv=None):
                     "exp": slope(depths, dim, mins)}
 
     record = {
-        "what": "ratio harness: stacked calls per level, unweighted right sides once",
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count()},
         "settings": cfg,
