@@ -115,7 +115,7 @@ def _decompose(f: GridFunction, q0: DyadicCube, a: float, m, above, peak) -> Sto
     generations, d_masks = [], []
     k = 1
     while peak.max() > (threshold := _threshold(a, k)):
-        free = peak <= _threshold(a, k + 1)  # E_jk; every cell past the last generation
+        free = peak <= _threshold(a, k + 1)  # outside D_{k+1}: all cells after the last k
         gen = []
         for level, level_m, level_above in zip(family.levels(), m, above):
             idx = np.nonzero((level_m > threshold) & (level_above <= threshold))

@@ -12,8 +12,8 @@ Per layer, two kinds of figures, each as the minimum of k runs plus the
 spread (max - min) and every run:
 
 * the per-layer metrics ``TRACE_KEYS`` that ``benchmarks/run.py --workload
-  harness --trace 1`` (``TRACED``) prints, with the two checkouts run alternately, each
-  one first in half the rounds;
+  harness --trace 1`` (``TRACED``) prints, with the two checkouts run
+  alternately, each one first in half the rounds;
 * direct ``ratio_harness`` calls per theorem id on four seeded step pairs at
   base depth 3, each at one level of ``DEPTHS`` in 1D and 2D, with the
   scaling exponent fitted as the least-squares slope of log time against
