@@ -197,16 +197,16 @@ def criterion_06(ctx) -> CriterionResult:
 
 def criterion_07(ctx) -> CriterionResult:
     """Stopping-time structure: partition, sandwich, and halving measured on
-    the masks: |D_1| <= |Q0|/2 and |Q_jk meet D_{k+1}| <= |Q_jk|/2."""
+    the sets D_k = {peak > a**k}: |D_1| <= |Q0|/2 and |Q_jk meet D_{k+1}| <= |Q_jk|/2."""
     t0 = time.perf_counter()
     problems = []
     for seed in range(20):
         f, g = _rand_pair(seed, 6, flags="nonneg")
-        sf = choose_a(f, g, unit_root(1))  # Q0 is the whole grid
-        total = sf.e0_mask.astype(int)  # E_0 plus every E_jk = Q_jk minus D_{k+1}
-        halved = not sf.d_masks or 2 * sf.d_masks[0].sum() <= total.size
-        nexts = sf.d_masks[1:] + [np.zeros_like(sf.e0_mask)]
-        for k, (gen, nxt) in enumerate(zip(sf.generations, nexts), 1):
+        sf = choose_a(f, g, unit_root(1))  # Q0 is the whole grid: peak covers every cell
+        total = (sf.peak <= sf.a).astype(int)  # E_0 plus every E_jk = Q_jk minus D_{k+1}
+        halved = 2 * np.count_nonzero(sf.peak > sf.a) <= total.size
+        for k, gen in enumerate(sf.generations, 1):
+            nxt = sf.peak > sf.a ** (k + 1)  # D_{k+1}, empty after the last generation
             cover = np.zeros_like(total)
             for sel in gen:
                 if not (sf.a ** k < sel.m_value <= 2 ** 2 * sf.a ** k):
@@ -253,8 +253,7 @@ def criterion_09(ctx) -> CriterionResult:
     ws = power_system(SW_FINITE.beta, SW_FINITE.gamma1, SW_FINITE.gamma2,
                       0.0, unit_root(1), 4)
     pairs = make_pairs("step", 6, ctx.get("seed", 20240801), 4)
-    res = ratio_harness("two-weight", ExponentProfile(alpha=cp.alpha, n=1),
-                        pairs, (4, 5, 6), ws=ws, cp=cp)
+    res = ratio_harness("two-weight", cp, pairs, (4, 5, 6), ws=ws)
     fam = dyadic_family(unit_root(1), -4)
     rng = make_rng(ctx.get("seed", 20240801), 59)
     systems = [ws] + [random_weights(rng, unit_root(1), 4) for _ in range(5)]

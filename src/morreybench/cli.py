@@ -266,15 +266,15 @@ def _exp_sharpness(ns) -> int:
 
 
 def _exp_ratio(ns) -> int:
-    profile = ExponentProfile(n=ns.dim, **_require(ns, *THEOREMS.get(ns.theorem, ("alpha",))))
-    cp = _char_params(ns) if ns.theorem in ("two-weight", "one-weight") else None
-    ws = _load_system(ns) if ns.theorem in ("two-weight", "one-weight", "olsen") else None
+    weighted = ns.theorem in ("two-weight", "one-weight", "olsen")
+    profile = (_char_params(ns) if weighted else
+               ExponentProfile(n=ns.dim, **_require(ns, *THEOREMS.get(ns.theorem, ("alpha",)))))
+    ws = _load_system(ns) if weighted else None
     pairs = [pair for kind, count in ns.pairs
              for pair in make_pairs(kind, count, ns.seed, ns.base_depth, ns.dim)]
-    res = ratio_harness(ns.theorem, profile, pairs, ns.levels,
-                        ws=ws, cp=cp, params_id=ns.theorem)
+    res = ratio_harness(ns.theorem, profile, pairs, ns.levels, ws=ws)
     write_csv(ns.out, ["theorem", "params_id", "pair_id", "level", "lhs", "rhs", "ratio"],
-              [r.row() for r in res.records], ns.json)
+              [{**r.row(), "params_id": ns.theorem} for r in res.records], ns.json)
     print(f"ratio {ns.theorem} max_by_level={by_level(res.max_ratio_by_level)} "
           f"stable={'yes' if res.stable else 'NO'} -> {ns.out}")
     return 0
@@ -430,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_weight_flags(p)
     p.add_argument("--depth", type=int, default=5)
     _finish(p, lambda ns: _EXPERIMENTS[ns.what](ns),
-            ("alpha", "p1", "q1", "p2", "q2", "p", "q", "s", "t", "r", "a",
+            ("alpha", "p1", "q1", "p2", "q2", "p", "s", "t", "r", "a",
              "beta", "gamma1", "gamma2", "r1", "r2", "s1", "s2"))
 
     p = sub.add_parser("selftest", help="run the acceptance suite")

@@ -41,12 +41,11 @@ class SelectedCube:
 
 @dataclass
 class StoppingFamily:
-    grid: GridFunction                     # the grid whose cells the masks cover
+    grid: GridFunction                     # the grid whose cells the base cube holds
     base: DyadicCube
     a: float
     generations: list[list[SelectedCube]]  # generations[k-1] holds level k
-    e0_mask: np.ndarray                    # E_0 as a cell mask over the grid
-    d_masks: list[np.ndarray]              # D_1, D_2, ... as cell masks
+    peak: np.ndarray                       # per cell of the base cube: D_k = {peak > a**k}
     base_m: float                          # m_3Q of the base cube
 
     @property
@@ -56,7 +55,7 @@ class StoppingFamily:
     def rows(self, cell_volume: float) -> list[dict]:
         """CSV/JSON rows: k = 0 for the base cube and E_0, then every selected
         cube with the measure of its carved set E_jk."""
-        out = [(0, self.base, self.base_m, float(self.e0_mask.sum()))]
+        out = [(0, self.base, self.base_m, float(np.count_nonzero(self.peak <= self.a)))]
         out += [(k, sel.cube, sel.m_value, sel.e_cells)
                 for k, gen in enumerate(self.generations, 1) for sel in gen]
         return [dict(zip(CZ_COLUMNS, (k, cube.level, ";".join(str(c) for c in cube.coords),
@@ -104,15 +103,8 @@ def _threshold(a: float, k: int) -> float:
 def _decompose(f: GridFunction, q0: DyadicCube, a: float, m, above, peak) -> StoppingFamily:
     if a <= 1.0:
         raise ParameterError(f"threshold base must exceed 1, got {a}")
-    base_box = cube_box(f, q0).slices()
     family = dyadic_family(q0, f.cell_level)
-
-    def on_grid(cells: np.ndarray) -> np.ndarray:
-        mask = np.zeros(f.values.shape, dtype=bool)
-        mask[base_box] = cells
-        return mask
-
-    generations, d_masks = [], []
+    generations = []
     k = 1
     while peak.max() > (threshold := _threshold(a, k)):
         free = peak <= _threshold(a, k + 1)  # outside D_{k+1}: all cells after the last k
@@ -124,10 +116,8 @@ def _decompose(f: GridFunction, q0: DyadicCube, a: float, m, above, peak) -> Sto
                 gen += [SelectedCube(family.cube(level, index), float(v), int(c))
                         for index, v, c in zip(np.transpose(idx), level_m[idx], cells)]
         generations.append(gen)
-        d_masks.append(on_grid(peak > threshold))
         k += 1
-    e0 = on_grid(peak <= a)
-    return StoppingFamily(f, q0, a, generations, e0, d_masks, float(m[0].flat[0]))
+    return StoppingFamily(f, q0, a, generations, peak, float(m[0].flat[0]))
 
 
 @dataclass(frozen=True)
@@ -149,7 +139,7 @@ def verify_halving(sf: StoppingFamily) -> HalvingReport:
     """
     worst, offender = 0.0, None  # nothing covered: ratio 0, no offender
     if sf.generations:
-        tallies = [(sf.base, int(sf.e0_mask.sum()))]
+        tallies = [(sf.base, int(np.count_nonzero(sf.peak <= sf.a)))]
         tallies += [(sel.cube, sel.e_cells) for gen in sf.generations[:-1] for sel in gen]
         for cube, free in tallies:
             cells = 2 ** (sf.grid.dim * (cube.level - sf.grid.cell_level))

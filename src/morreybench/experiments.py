@@ -32,16 +32,15 @@ from .util import (INF, NumericalError, ParameterError, close, conjugate,
 from .weights import (CharParams, WeightSystem, char_one_weight, char_testing,
                       char_two_weight, fs_majorant, power_system, power_weight)
 
-# theorem id -> the profile exponents its hypotheses and sides read; the two
-# weighted ids read the rest from a CharParams
+# theorem id -> the ExponentProfile fields its hypotheses and sides read; the
+# weighted ids take a CharParams instead and read all of it
 THEOREMS = {
     "bilinear-ratio": ("alpha", "p1", "q1", "p2", "q2", "s", "t"),
     "bilinear-sum": ("alpha", "p1", "q1", "p2", "q2", "s", "t"),
     "bilinear-critical": ("alpha", "p1", "q1", "p2", "q2"),
     "linear-adams": ("alpha", "p1", "q1", "s", "t"),
     "product-embedding": ("alpha", "p1", "q1", "p2", "q2", "s", "t"),
-    "two-weight": ("alpha",), "one-weight": ("alpha",),
-    "olsen": ("alpha", "p", "q1", "q2", "s", "t", "r", "a"),
+    "two-weight": (), "one-weight": (), "olsen": (),
 }
 GROWTH_LIMIT = 1.05         # a stable harness's worst ratio grows at most this much per level
 SHARPNESS_FLOOR_TOL = 0.95  # the share of the floor delta**(-n/s) that min B must reach
@@ -52,7 +51,7 @@ DEPTH_EXTRA = 3             # sharpness grids resolve delta by 2**-3, so 1.5 del
 
 @dataclass(frozen=True)
 class ExponentProfile:
-    """The exponent tuple shared by the harnesses; unused slots stay None."""
+    """The exponent tuple of the unweighted harnesses; unused slots stay None."""
 
     alpha: float
     n: int
@@ -60,11 +59,8 @@ class ExponentProfile:
     q1: float | None = None
     p2: float | None = None
     q2: float | None = None
-    p: float | None = None
     s: float | None = None
     t: float | None = None
-    r: float | None = None
-    a: float | None = None
 
 
 # --- function zoo --------------------------------------------------------------
@@ -139,7 +135,6 @@ def make_pairs(kind: str, count: int, seed: int, depth: int, dim: int = 1,
 @dataclass(frozen=True)
 class RatioRecord:
     theorem: str
-    params_id: str
     pair_id: str
     level: int
     lhs: float
@@ -189,15 +184,15 @@ def _pair_stacks(pairs, level: int):
 
 
 def _weighted_sides(grid: GridFunction, fam: CubeFamily, weighted: np.ndarray,
-                    fw: np.ndarray, gw: np.ndarray, e: ExponentProfile | CharParams):
+                    fw: np.ndarray, gw: np.ndarray, cp: CharParams):
     """The sides of a weighted bound, one item per pair of the stacks: the
     (s, t) Morrey norm of the weighted operator values and the (p, q1, q2)
-    pair supremum of the weighted inputs, with the exponents read from ``e``."""
-    return (_morrey_dyadic(grid, weighted, e.s, e.t, fam)[0],
-            _pair_sup(grid, fw, gw, e.p, e.q1, e.q2, fam)[0])
+    pair supremum of the weighted inputs."""
+    return (_morrey_dyadic(grid, weighted, cp.s, cp.t, fam)[0],
+            _pair_sup(grid, fw, gw, cp.p, cp.q1, cp.q2, fam)[0])
 
 
-def _ratio_core(theorem: str, levels, pairs_at, hook, params_id: str) -> HarnessResult:
+def _ratio_core(theorem: str, levels, pairs_at, hook) -> HarnessResult:
     """The one loop behind every ratio harness: worst LHS/RHS per level.
 
     ``pairs_at(level)`` gives the level's (name, f, g) pairs on one grid;
@@ -216,7 +211,7 @@ def _ratio_core(theorem: str, levels, pairs_at, hook, params_id: str) -> Harness
             if right == 0.0 and left > 0.0:
                 raise NumericalError(
                     f"zero right side with nonzero left side for pair {name}")
-            rec = RatioRecord(theorem, params_id, name, level, left, right)
+            rec = RatioRecord(theorem, name, level, left, right)
             finite([left, right, rec.ratio], f"ratio or its sides for pair {name}")
             records.append(rec)
     by_level = {}
@@ -225,15 +220,14 @@ def _ratio_core(theorem: str, levels, pairs_at, hook, params_id: str) -> Harness
     return HarnessResult(theorem, records, by_level)
 
 
-def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
-                  ws: WeightSystem | None = None, cp: CharParams | None = None,
-                  params_id: str = "") -> HarnessResult:
+def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, levels,
+                  ws: WeightSystem | None = None) -> HarnessResult:
     """LHS/RHS ratios for one theorem over pairs and refinement levels.
 
     ``pairs`` holds (name, f, g) on one grid at a base depth; each level
     re-samples the same step functions on the finer grid (exactly), so
-    growth in the worst ratio would witness unboundedness.  two-weight and
-    one-weight need ``ws`` and ``cp``, olsen needs ``ws``.
+    growth in the worst ratio would witness unboundedness.  two-weight,
+    one-weight and olsen take a ``CharParams`` profile and need ``ws``.
 
     The unweighted right sides are Morrey norms of f and g, computed once per
     pair on the base-depth family.  A refined step function is constant on
@@ -244,14 +238,12 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
     must sit on the pairs' root and be no finer than any level.
     """
     if theorem in ("two-weight", "one-weight"):
-        if ws is None or cp is None:
-            raise ParameterError(f"{theorem} harness needs a weight system and parameters")
-        cp.check(theorem)
+        profile.check(theorem)
     else:
         refuse(f"hypotheses of {theorem} violated", relations.violations(profile, theorem)
                if theorem in THEOREMS else [f"unknown theorem id {theorem!r}"])
-    if theorem == "olsen" and ws is None:
-        raise ParameterError("olsen harness needs a weight system")
+    if ws is None and theorem in ("two-weight", "one-weight", "olsen"):
+        raise ParameterError(f"{theorem} harness needs a weight system")
     if not pairs:
         raise ParameterError("ratio harness needs at least one pair")
     pr = profile
@@ -284,18 +276,17 @@ def ratio_harness(theorem: str, profile: ExponentProfile, pairs, levels,
 
         def hook(grid, fam, fv, gv):  # the level's weights and constants, built once
             w = WeightSystem(*(x.refine(grid.depth - x.depth) for x in (ws.v, ws.w1, ws.w2)))
-            if theorem == "olsen":  # e: the profile or parameters with s, t, p, q1, q2
-                e, fw, gw = pr, fv, gv
+            if theorem == "olsen":
+                fw, gw = fv, gv
                 scale = morrey_norm(w.v, pr.r, pr.t / (1.0 - pr.t), fam).value
             else:
-                e = cp
                 scale = (char_two_weight if theorem == "two-weight"
-                         else char_one_weight)(w, cp, fam).value
+                         else char_one_weight)(w, pr, fam).value
                 fw, gw = fv * w.w1.values, gv * w.w2.values
             lhs, rhs = _weighted_sides(grid, fam, _b_values(grid, fv, gv, pr.alpha) * w.v.values,
-                                       fw, gw, e)
+                                       fw, gw, pr)
             return lhs, scale * rhs
-    return _ratio_core(theorem, levels, lambda level: pairs, hook, params_id)
+    return _ratio_core(theorem, levels, lambda level: pairs, hook)
 
 
 # --- sharpness ------------------------------------------------------------------
@@ -539,7 +530,7 @@ def stein_weiss_harness(sw: SteinWeissParams, seed: int = 11) -> HarnessResult:
                 _morrey_dyadic(grid, fw, sw.p1, sw.q1, fam)[0]
                 * _morrey_dyadic(grid, gw, sw.p2, sw.q2, fam)[0])
     return _ratio_core("stein-weiss", (4, 5, 6),
-                       lambda level: make_pairs("indicator", 4, seed, level, sw.n), hook, "")
+                       lambda level: make_pairs("indicator", 4, seed, level, sw.n), hook)
 
 
 # --- necessity ------------------------------------------------------------------
@@ -665,5 +656,5 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
         maj2 = fs_majorant(ww2, params.r2, params.s2, fam)
         weighted = _b_values(grid, fv, gv, cp.alpha) * ww1.values * ww2.values
         return _weighted_sides(grid, fam, weighted, fv * maj1.values, gv * maj2.values, cp)
-    harness = _ratio_core("fs-dual", levels, lambda level: pairs, hook, "")
+    harness = _ratio_core("fs-dual", levels, lambda level: pairs, hook)
     return FsDualReport(split_ok, worst, harness)

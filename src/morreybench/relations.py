@@ -30,7 +30,7 @@ ALPHA_R = ("alpha/n > 1/r", lambda x: x.alpha / x.n > recip(x.r))
 S_REL = ("1/s = 1/p + 1/r - alpha/n",
          lambda x: close(1.0 / x.s, 1.0 / x.p + recip(x.r) - x.alpha / x.n))
 TS_Q_P = ("t/s = q/p", lambda x: close(x.t / x.s, recip(1.0 / x.q1 + 1.0 / x.q2) / x.p))
-A_ABOVE_1 = ("a > 1", lambda x: x.a is not None and x.a > 1.0)
+A_ABOVE_1 = ("a > 1", lambda x: x.a > 1.0)
 A_WINDOW = ("1 < a < min(q1, q2)", lambda x: 1.0 < x.a < min(x.q1, x.q2))
 S_BELOW_1 = ("s < 1", lambda x: x.s < 1.0)
 S_FROM_1 = ("s >= 1", lambda x: x.s >= 1.0)
@@ -50,7 +50,7 @@ _STEIN_WEISS = (
     ("gamma2 < n/q2'", lambda x: x.gamma2 < x.n * (1.0 - 1.0 / x.q2)))
 
 RULES = {
-    # theorem ids of the ratio harness; the two weighted ones check a CharParams
+    # ratio-harness theorem ids; two-weight and one-weight use CharParams.check
     "bilinear-ratio": _BILINEAR + (T_S, S_SUM, (
         "t/s = q1/p1 = q2/p2", lambda x: TS_Q1_P1[1](x) and close(x.t / x.s, x.q2 / x.p2))),
     "bilinear-sum": _BILINEAR + (T_S, S_SUM, (

@@ -1,6 +1,7 @@
 """Brute-force dyadic geometry that only the tests use as a reference: a
 cube's parent, children, upper corner and center, a box's cell count, the
-clipped triple box 3Q, cell midpoints, and the E-sets of a stopping family."""
+clipped triple box 3Q, cell midpoints, and the D- and E-sets of a stopping
+family."""
 
 import itertools
 import math
@@ -67,9 +68,21 @@ def axis_midpoints(grid: GridFunction) -> np.ndarray:
     return grid.root.lower()[0] + (np.arange(grid.cells_per_axis) + 0.5) * grid.cell_side
 
 
+def stopping_sets(sf, f):
+    """(E_0, [D_1, ..., D_kmax]) as cell masks over the grid of ``f``: the
+    base cube's ``peak`` compared with a and a**k, placed through ``cube_box``."""
+    box = cube_box(f, sf.base).slices()
+
+    def on_grid(cells):
+        mask = np.zeros(f.values.shape, dtype=bool)
+        mask[box] = cells
+        return mask
+    return on_grid(sf.peak <= sf.a), [on_grid(sf.peak > sf.a ** k) for k in range(1, sf.kmax + 1)]
+
+
 def e_sets_by_cube(sf, f):
     """(k, cube) -> mask of E_jk = Q_jk minus D_{k+1}, each cube sliced through ``cube_box``."""
-    nexts = sf.d_masks[1:] + [np.zeros(f.values.shape, dtype=bool)]
+    nexts = stopping_sets(sf, f)[1][1:] + [np.zeros(f.values.shape, dtype=bool)]
     out = {}
     for k, (gen, nxt) in enumerate(zip(sf.generations, nexts), 1):
         for sel in gen:

@@ -11,6 +11,7 @@ import morreybench
 from morreybench import (DyadicCube, GridFunction, b_alpha_dyadic, cli, read_mgf, unit_root,
                          write_mgf)
 from morreybench.cli import build_parser, main, parse_number, parse_range
+from morreybench.experiments import THEOREMS
 from morreybench.util import fmt
 
 from geometry_reference import axis_midpoints
@@ -426,6 +427,8 @@ class TestExitContract:
         pytest.param(["selftest", "--criteria", "99"], "--criteria", id="unknown-criterion"),
         pytest.param(["selftest", "--criteria", ""], "--criteria", id="empty-criteria"),
         pytest.param(["experiment", "ratio", "--out", "O"], "--alpha", id="ratio-no-exponents"),
+        pytest.param(["experiment", "ratio", *RATIO, "--q", "7", "--out", "O"], "--q",
+                     id="experiment-has-no-q"),
         pytest.param(["char", "--kind", "two-weight", *TWO_WEIGHT, "--s", "4/5", "--q1", "0"],
                      "--q1", id="zero-exponent"),
         pytest.param(["char", "--kind", "testing", *TESTING, "--beta", "0", "--gamma1", "0",
@@ -759,6 +762,31 @@ PARAMETER_RUNS = {
         2, "parameter error: kernel exponent must satisfy 0 < alpha < n, got alpha=0.0 n=1\n",
         ""),
 }
+
+
+# valid exponent flags of every theorem id of the ratio harness
+RATIO_EXPONENTS = {
+    "bilinear-ratio": RATIO,
+    "bilinear-sum": [*RATIO[:-2], "--t", "2"],
+    "bilinear-critical": ["--alpha", "1/4", "--p1", "4", "--q1", "5/2", "--p2", "3",
+                          "--q2", "5/2"],
+    "linear-adams": ["--alpha", "1/2", "--p1", "3/2", "--q1", "6/5", "--s", "6", "--t", "24/5"],
+    "product-embedding": ["--alpha", "3/5", "--p1", "5/4", "--q1", "5/4", "--p2", "2",
+                          "--q2", "2", "--s", "10/7", "--t", "10/7"],
+    "two-weight": [*TWO_WEIGHT, "--s", "4/5"],
+    "one-weight": [*ONE_WEIGHT_BELOW_1, *FILES],
+    "olsen": [*TWO_WEIGHT, "--s", "4/5"],
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_ratio_params_id_column_is_the_theorem_id(tmp_path, theorem):
+    for key, values in {"V": np.full(16, 4.0), "W": np.full(16, 2.0)}.items():
+        write_step(tmp_path / key, values, flags="pos")
+    argv = ["experiment", "ratio", "--theorem", theorem, *RATIO_EXPONENTS[theorem], *RATIO_OUT]
+    assert main([str(tmp_path / a) if a in ("V", "W", "O") else a for a in argv]) == 0
+    header, *rows = [line.split(",") for line in (tmp_path / "O").read_text().splitlines()]
+    assert len(rows) == 4 and {row[header.index("params_id")] for row in rows} == {theorem}
 
 
 @pytest.mark.parametrize("name", PARAMETER_RUNS)

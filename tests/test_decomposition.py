@@ -9,7 +9,7 @@ from morreybench.operators import triple_means
 from morreybench.util import make_rng
 from morreybench.weights import power_weight
 
-from geometry_reference import e_sets_by_cube, parent, triple
+from geometry_reference import e_sets_by_cube, parent, stopping_sets, triple
 
 
 def step(values, flags="nonneg", root=None):
@@ -50,7 +50,7 @@ class TestDecompose:
         f = step(np.ones(32))
         sf = cz_decompose(f, f, unit_root(1), 2.0)
         assert sf.kmax == 0
-        assert sf.e0_mask.all()
+        assert stopping_sets(sf, f)[0].all()
 
     def test_spike_generations_match_predicate_scan(self):
         f, g = spike_pair()
@@ -82,7 +82,7 @@ class TestDecompose:
         for seed in range(8):
             f, g = rand_pair(seed)
             sf = cz_decompose(f, g, unit_root(1), 4.0)
-            total = sf.e0_mask.astype(int)
+            total = stopping_sets(sf, f)[0].astype(int)
             for mask in e_sets_by_cube(sf, f).values():
                 total += mask
             assert np.all(total == 1)  # covers Q0 exactly once
@@ -125,7 +125,7 @@ class TestDecompose2D:
         f = GridFunction(2, unit_root(2), 3, vals, "nonneg")
         sf = choose_a(f, f, unit_root(2))
         a = sf.a
-        total = sf.e0_mask.astype(int)
+        total = stopping_sets(sf, f)[0].astype(int)
         for mask in e_sets_by_cube(sf, f).values():
             total += mask
         assert np.all(total == 1)

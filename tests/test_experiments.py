@@ -143,8 +143,7 @@ class TestRatioHarness:
         cp = two_weight_cp()
         ws = power_weights()
         pairs = make_pairs("step", 6, 42, 4)
-        res = ratio_harness("two-weight", ExponentProfile(alpha=0.5, n=1),
-                            pairs, (4, 5, 6), ws=ws, cp=cp)
+        res = ratio_harness("two-weight", cp, pairs, (4, 5, 6), ws=ws)
         assert res.stable
 
     def test_remark_chain_on_every_system(self):
@@ -483,8 +482,7 @@ class TestHarnessLevelConstants:
             return char_two_weight(*args, **kwargs)
         monkeypatch.setattr(experiments, "char_two_weight", counting)
         pairs = make_pairs("step", 6, 42, 4)
-        res = ratio_harness("two-weight", ExponentProfile(alpha=0.5, n=1), pairs,
-                            (4, 5), ws=power_weights(), cp=two_weight_cp())
+        res = ratio_harness("two-weight", two_weight_cp(), pairs, (4, 5), ws=power_weights())
         assert len(res.records) == 12
         assert len(calls) == 2
 

@@ -30,7 +30,8 @@ from morreybench.decomposition import (CZ_COLUMNS, choose_a, cz_decompose,  # no
 from morreybench.weights import (CharParams, WeightSystem, char_two_weight,  # noqa: E402
                                  pair_value)
 
-from geometry_reference import cells, e_sets_by_cube, parent, triple  # noqa: E402
+from geometry_reference import (cells, e_sets_by_cube, parent, stopping_sets,  # noqa: E402
+                                triple)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -209,18 +210,20 @@ def test_generations_match_cube_loop(case, a):
         for cube, _ in gen:
             mask[cube_box(f, cube).slices()] = True
         d_masks.append(mask)
-    assert len(sf.d_masks) == len(d_masks)
-    assert all(np.array_equal(x, y) for x, y in zip(sf.d_masks, d_masks))
+    e0_set, d_sets = stopping_sets(sf, f)
+    assert len(d_sets) == len(d_masks)
+    assert all(np.array_equal(x, y) for x, y in zip(d_sets, d_masks))
     nexts = d_masks[1:] + [np.zeros(f.values.shape, dtype=bool)]
     assert [[(sel.cube, sel.m_value, sel.e_cells) for sel in gen] for gen in sf.generations] == [
         [(cube, v, int((~nxt[cube_box(f, cube).slices()]).sum())) for cube, v in gen]
         for gen, nxt in zip(gens, nexts)]
     e0 = np.zeros(f.values.shape, dtype=bool)
     e0[cube_box(f, q0).slices()] = True
-    assert np.array_equal(sf.e0_mask, e0 & ~d_masks[0] if d_masks else e0)
+    assert np.array_equal(e0_set, e0 & ~d_masks[0] if d_masks else e0)
     # D_k is the superlevel set {M > a**k} of the triple maximal function over Q0
     peak = m_triple_dyadic(f, g, dyadic_family(q0, f.cell_level)).fn.values
-    assert all(np.array_equal(mask, peak > a ** k) for k, mask in enumerate(sf.d_masks, 1))
+    assert np.array_equal(sf.peak, peak[cube_box(f, q0).slices()])
+    assert all(np.array_equal(mask, peak > a ** k) for k, mask in enumerate(d_sets, 1))
 
 
 @PROPERTY
@@ -234,7 +237,7 @@ def test_e_sets_match_cube_loop(case, a):
     assert [sel.e_cells for gen in sf.generations for sel in gen] == [
         int(mask.sum()) for mask in ref.values()]
     m_values = [sel.m_value for gen in sf.generations for sel in gen]
-    rows = [(0, q0, sf.base_m, float(sf.e0_mask.sum()))]
+    rows = [(0, q0, sf.base_m, float(stopping_sets(sf, f)[0].sum()))]
     rows += [(k, cube, m, int(mask.sum())) for ((k, cube), mask), m in zip(ref.items(), m_values)]
     assert sf.rows(f.cell_volume) == [
         dict(zip(CZ_COLUMNS, (k, cube.level, ";".join(str(c) for c in cube.coords),
@@ -246,8 +249,9 @@ def halving_by_cube(sf, f):
     """(ok, worst ratio, offender): |D_1| over the base, then every selected
     cube's share in the next generation, each sliced through ``cube_box``."""
     worst, offender = 0.0, None
-    tallies = [(sf.d_masks[0], [sf.base])] if sf.d_masks else []
-    tallies += zip(sf.d_masks[1:], ([sel.cube for sel in gen] for gen in sf.generations))
+    d_sets = stopping_sets(sf, f)[1]
+    tallies = [(d_sets[0], [sf.base])] if d_sets else []
+    tallies += zip(d_sets[1:], ([sel.cube for sel in gen] for gen in sf.generations))
     for mask, cubes in tallies:
         for cube in cubes:
             box = cube_box(f, cube)
@@ -283,9 +287,7 @@ def test_chosen_family_is_the_decomposition_at_its_base(case):
     chosen = choose_a(f, g, q0)
     ref = cz_decompose(f, g, q0, chosen.a)
     assert chosen.generations == ref.generations
-    assert np.array_equal(chosen.e0_mask, ref.e0_mask)
-    assert len(chosen.d_masks) == len(ref.d_masks)
-    assert all(np.array_equal(x, y) for x, y in zip(chosen.d_masks, ref.d_masks))
+    assert np.array_equal(chosen.peak, ref.peak)  # so E_0 and every D_k agree
     assert chosen.rows(f.cell_volume) == ref.rows(f.cell_volume)
 
 

@@ -64,22 +64,20 @@ def mixed_pairs(dim, depth=3):
 
 
 def setup(theorem, dim):
-    """(profile, ws, cp) of one theorem id in ``dim`` dimensions."""
+    """(profile, ws) of one theorem id in ``dim`` dimensions: an
+    ExponentProfile, or for the weighted ids a CharParams and the weights."""
     if theorem in UNWEIGHTED:
-        return ExponentProfile(n=dim, **scaled(UNWEIGHTED[theorem], dim)), None, None
-    if theorem == "olsen":
-        return ExponentProfile(n=dim, **scaled(TWO_WEIGHT, dim)), weights(dim), None
-    if theorem == "two-weight":
-        cp = CharParams(n=dim, **scaled(TWO_WEIGHT, dim))
-        return ExponentProfile(alpha=cp.alpha, n=dim), weights(dim), cp
-    cp = CharParams(n=dim, **scaled(ONE_WEIGHT, dim))
+        return ExponentProfile(n=dim, **scaled(UNWEIGHTED[theorem], dim)), None
+    if theorem != "one-weight":
+        return CharParams(n=dim, **scaled(TWO_WEIGHT, dim)), weights(dim)
     ws = weights(dim)  # one weight: v = w1 w2
     ws = WeightSystem(ws.w1.with_values(ws.w1.values * ws.w2.values, "pos"), ws.w1, ws.w2)
-    return ExponentProfile(alpha=cp.alpha, n=dim), ws, cp
+    return CharParams(n=dim, **scaled(ONE_WEIGHT, dim)), ws
 
 
-def per_pair(theorem, pr, pairs, levels, ws=None, cp=None):
-    """(pair id, level, lhs, rhs) per pair and level, one pair at a time."""
+def per_pair(theorem, pr, pairs, levels, ws=None):
+    """(pair id, level, lhs, rhs) per pair and level, one pair at a time, all
+    exponents read from the one profile ``pr``."""
     alpha = pr.alpha
     root = pairs[0][1].root
     out = []
@@ -111,19 +109,19 @@ def per_pair(theorem, pr, pairs, levels, ws=None, cp=None):
                              * pair_morrey_sup(f, g, pr.p, pr.q1, pr.q2, fam).value)
                 else:
                     char = (char_two_weight if theorem == "two-weight"
-                            else char_one_weight)(w, cp, fam).value
-                    sides = (norm(weighted, cp.s, cp.t),
+                            else char_one_weight)(w, pr, fam).value
+                    sides = (norm(weighted, pr.s, pr.t),
                              char * pair_morrey_sup(
                                  f.with_values(np.abs(f.values) * w.w1.values),
                                  g.with_values(np.abs(g.values) * w.w2.values),
-                                 cp.p, cp.q1, cp.q2, fam).value)
+                                 pr.p, pr.q1, pr.q2, fam).value)
             out.append((name, level) + sides)
     return out
 
 
-def assert_same(records, expected, theorem, params_id=""):
-    assert [(r.theorem, r.params_id, r.pair_id, r.level) for r in records] == [
-        (theorem, params_id, name, level) for name, level, _, _ in expected]
+def assert_same(records, expected, theorem):
+    assert [(r.theorem, r.pair_id, r.level) for r in records] == [
+        (theorem, name, level) for name, level, _, _ in expected]
     for rec, (_, _, lhs, rhs) in zip(records, expected):
         assert type(rec.lhs) is float and type(rec.rhs) is float
         assert rec.lhs == pytest.approx(lhs, rel=REL, abs=0.0)
@@ -133,10 +131,10 @@ def assert_same(records, expected, theorem, params_id=""):
 @pytest.mark.parametrize("dim", [1, 2])
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
 def test_every_theorem_matches_the_per_pair_loop(theorem, dim):
-    pr, ws, cp = setup(theorem, dim)
+    pr, ws = setup(theorem, dim)
     pairs = mixed_pairs(dim)
-    res = ratio_harness(theorem, pr, pairs, LEVELS[dim], ws=ws, cp=cp, params_id="p")
-    assert_same(res.records, per_pair(theorem, pr, pairs, LEVELS[dim], ws, cp), theorem, "p")
+    res = ratio_harness(theorem, pr, pairs, LEVELS[dim], ws=ws)
+    assert_same(res.records, per_pair(theorem, pr, pairs, LEVELS[dim], ws), theorem)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -230,7 +228,7 @@ def test_refined_steps_keep_their_norms_on_every_level(case):
 
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
 def test_scans_per_level_do_not_grow_with_the_pairs(theorem, monkeypatch):
-    pr, ws, cp = setup(theorem, 1)
+    pr, ws = setup(theorem, 1)
     calls = []
 
     def counting(fn):
@@ -244,7 +242,7 @@ def test_scans_per_level_do_not_grow_with_the_pairs(theorem, monkeypatch):
     counts = []
     for count in (2, 7):
         calls.clear()
-        ratio_harness(theorem, pr, make_pairs("step", count, 3, 3), (3, 4, 5), ws=ws, cp=cp)
+        ratio_harness(theorem, pr, make_pairs("step", count, 3, 3), (3, 4, 5), ws=ws)
         counts.append(len(calls))
     # unweighted: one base-depth norm per right-side factor, once, and one left
     # side per level; weighted: a left and a right side per level, and olsen
@@ -258,7 +256,7 @@ def test_pairs_on_mixed_grids_are_refused():
     pairs = make_pairs("step", 2, 5, 3)
     deeper = make_pairs("step", 1, 5, 4)
     moved = make_pairs("step", 1, 5, 3, root=DyadicCube(0, (1,)))
-    pr, _, _ = setup("bilinear-ratio", 1)
+    pr, _ = setup("bilinear-ratio", 1)
     for other in (deeper, moved):
         with pytest.raises(ParameterError, match="share one grid"):
             ratio_harness("bilinear-ratio", pr, pairs + other, (4, 5))
@@ -268,7 +266,7 @@ def test_pairs_on_mixed_grids_are_refused():
 
 
 def test_level_below_the_base_depth_is_refused():
-    pr, _, _ = setup("bilinear-ratio", 1)
+    pr, _ = setup("bilinear-ratio", 1)
     with pytest.raises(ParameterError, match="below the pair's base depth"):
         ratio_harness("bilinear-ratio", pr, make_pairs("step", 2, 5, 4), (4, 3))
 
@@ -276,7 +274,7 @@ def test_level_below_the_base_depth_is_refused():
 @pytest.mark.parametrize("theorem", ["olsen", "two-weight", "one-weight"])
 def test_weights_off_the_pairs_grid_are_refused(theorem, monkeypatch):
     # the pairs sit on the unit root at depth 3 and the levels start at 3
-    pr, ws, cp = setup(theorem, 1)
+    pr, ws = setup(theorem, 1)
     calls = []
     monkeypatch.setattr(experiments, "_b_values", lambda *args: calls.append(args))
     finer = WeightSystem(*(x.refine(1) for x in (ws.v, ws.w1, ws.w2)))
@@ -284,14 +282,14 @@ def test_weights_off_the_pairs_grid_are_refused(theorem, monkeypatch):
     for bad, named in ((finer, "DyadicCube(level=0, coords=(0,)) at depth 4"),
                        (moved, "DyadicCube(level=1, coords=(0,)) at depth 2")):
         with pytest.raises(ParameterError, match="weights on root") as err:
-            ratio_harness(theorem, pr, mixed_pairs(1), (3, 4, 5), ws=bad, cp=cp)
+            ratio_harness(theorem, pr, mixed_pairs(1), (3, 4, 5), ws=bad)
         assert named in str(err.value)
         assert "pairs on root DyadicCube(level=0, coords=(0,)) at levels (3, 4, 5)" in str(err.value)
     assert calls == []  # refused before any operator call
     monkeypatch.undo()  # weights coarser than the first level are refined per level
     coarser = WeightSystem(*(GridFunction(1, unit_root(1), 2, x.values[::2], "pos")
                              for x in (ws.v, ws.w1, ws.w2)))
-    res = ratio_harness(theorem, pr, make_pairs("step", 2, 5, 3), (3, 4), ws=coarser, cp=cp)
+    res = ratio_harness(theorem, pr, make_pairs("step", 2, 5, 3), (3, 4), ws=coarser)
     assert len(res.records) == 4
 
 
@@ -302,11 +300,11 @@ def test_zero_right_side_names_its_pair():
         assert fv.shape == gv.shape == (3, 2 ** grid.depth)
         return np.ones(3), np.array([1.0, 0.0, 0.0])
     with pytest.raises(NumericalError, match="for pair step-1$"):
-        _ratio_core("t", (4,), lambda level: pairs, hook, "")
+        _ratio_core("t", (4,), lambda level: pairs, hook)
 
 
 def test_overflowing_operator_output_is_refused():
-    pr, _, _ = setup("bilinear-ratio", 1)
+    pr, _ = setup("bilinear-ratio", 1)
     big = GridFunction(1, unit_root(1), 3, np.full(8, 1e200))
     with pytest.raises(NumericalError, match="overflowed"):
         ratio_harness("bilinear-ratio", pr, [("big", big, big)], (3, 4))
@@ -315,7 +313,7 @@ def test_overflowing_operator_output_is_refused():
 @pytest.mark.parametrize("theorem", ["olsen", "two-weight"])
 def test_overflowing_weighted_product_is_refused(theorem):
     # B v overflows: a numerical failure of the scan over it, not a bad input
-    pr, ws, cp = setup(theorem, 1)
+    pr, ws = setup(theorem, 1)
     huge = WeightSystem(ws.v.with_values(np.full(8, 1e308), "pos"), ws.w1, ws.w2)
     with pytest.raises(NumericalError, match="^supremum overflowed to a non-finite value$"):
-        ratio_harness(theorem, pr, mixed_pairs(1), (3, 4), ws=huge, cp=cp)
+        ratio_harness(theorem, pr, mixed_pairs(1), (3, 4), ws=huge)

@@ -38,8 +38,8 @@ WORKLOADS = ("harness", "selftest", "fields", "weights-cz")
 TRACED = "harness"
 END_TO_END = {"ops_per_s": "higher", "op_s.p50": "lower", "setup_s": "lower",
               "peak_rss_mb": "lower"}
-TRACE_KEYS = ("experiments.ratio_harness.self_s", "norms.morrey_norm.dyadic.self_s",
-              "operators.b_alpha.1d.self_s", "operators.b_alpha.2d.self_s")
+TRACE_KEYS = ("experiments.ratio_harness.self_s", "operators.b_alpha.1d.self_s",
+              "operators.b_alpha.2d.self_s")
 DEPTHS = {1: (6, 8, 10), 2: (4, 5, 6)}
 SETTINGS = {
     "runs": 5,             # traced harness runs per side
@@ -52,7 +52,7 @@ SETTINGS = {
 }
 
 DIRECT = r"""
-import dataclasses, json, sys, time
+import inspect, json, sys, time
 from morreybench.experiments import THEOREMS, ExponentProfile, make_pairs, ratio_harness
 from morreybench.grid import GridFunction, unit_root
 from morreybench.weights import INF, CharParams, WeightSystem, power_system
@@ -69,27 +69,25 @@ two = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=16 / 27, s=0.8, t=0.8 * (9 / 16) / (
 one = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=0.6, s=6 / 7, t=6 / 7 * (9 / 16) / 0.6,
            r=INF, a=17 / 16)
 scale = lambda exps: {**exps, "alpha": exps["alpha"] * dim}
-# a CharParams that stores its form takes it; one that works it out from s has no such field
-stored = "variant" in {field.name for field in dataclasses.fields(CharParams)}
-char_params = lambda variant, exps: CharParams(
-    n=dim, **scale(exps), **({"variant": variant} if stored else {}))
 ws = power_system(0.0225, 0.02, 0.02, (0.0,) * dim, unit_root(dim), 3)
 one_ws = WeightSystem(ws.w1.with_values(ws.w1.values * ws.w2.values, "pos"), ws.w1, ws.w2)
-setups = {th: (ExponentProfile(n=dim, **scale(e)), None, None) for th, e in unweighted.items()}
-setups["olsen"] = (ExponentProfile(n=dim, **scale(two)), ws, None)
-setups["two-weight"] = (ExponentProfile(alpha=0.5 * dim, n=dim), ws,
-                        char_params("s<1", two))
-setups["one-weight"] = (ExponentProfile(alpha=0.5 * dim, n=dim), one_ws,
-                        char_params("one-weight-s<1", one))
+setups = {th: (ExponentProfile(n=dim, **scale(e)), {}) for th, e in unweighted.items()}
+# a harness that still takes cp= reads the weighted exponents from an ExponentProfile
+takes_cp = "cp" in inspect.signature(ratio_harness).parameters
+for theorem, exps, system in (("olsen", two, ws), ("two-weight", two, ws),
+                              ("one-weight", one, one_ws)):
+    cp = CharParams(n=dim, **scale(exps))
+    setups[theorem] = ((ExponentProfile(**vars(cp)), {"ws": system, "cp": cp}) if takes_cp
+                       else (cp, {"ws": system}))
 pairs = make_pairs("step", 4, 5, 3, dim)
 out = {}
 for theorem in sorted(THEOREMS):
-    profile, system, cp = setups[theorem]
+    profile, kwargs = setups[theorem]
     for depth in depths:
         times = []
         for _ in range(repeats):
             t0 = time.perf_counter()
-            ratio_harness(theorem, profile, pairs, (depth,), ws=system, cp=cp)
+            ratio_harness(theorem, profile, pairs, (depth,), **kwargs)
             times.append(time.perf_counter() - t0)
         out[f"{theorem}.depth{depth}"] = times
 print(json.dumps(out))
