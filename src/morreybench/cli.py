@@ -371,18 +371,19 @@ def _add_weight_flags(p) -> None:
 @functools.cache  # built on the first call, not at import; parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
-        prog="morreybench",
+        prog="morreybench", allow_abbrev=False,
         description="dyadic-grid workbench for bilinear fractional integrals")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("norm", help="Lebesgue / weak / Morrey norms of an MGF file")
+    p = sub.add_parser("norm", allow_abbrev=False,
+                       help="Lebesgue / weak / Morrey norms of an MGF file")
     p.add_argument("--kind", required=True, choices=("morrey", "lebesgue", "weak"))
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--family", default="dyadic", choices=("dyadic", "all"))
     p.add_argument("--min-level", type=int, default=None)
     _finish(p, _cmd_norm, ("p", "q", "t"))
 
-    p = sub.add_parser("op", help="apply an operator to MGF inputs")
+    p = sub.add_parser("op", allow_abbrev=False, help="apply an operator to MGF inputs")
     p.add_argument("--operator", required=True,
                    choices=("i-alpha", "b-alpha", "b-truncated", "b-dyadic",
                             "m-bilinear", "m-vector", "m-tilde", "m-triple"))
@@ -395,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rootcoords", default="0")
     _finish(p, _cmd_op, ("alpha", "d", "r1", "r2", "t"))
 
-    p = sub.add_parser("char", help="weight characteristic constants")
+    p = sub.add_parser("char", allow_abbrev=False, help="weight characteristic constants")
     p.add_argument("--kind", required=True,
                    choices=("two-weight", "remark", "one-weight", "testing",
                             "ap", "fs-majorant"))
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     _finish(p, _cmd_char, ("alpha", "q1", "q2", "p", "s", "t", "r", "a",
                            "beta", "gamma1", "gamma2"))
 
-    p = sub.add_parser("cz", help="stopping-time decomposition dump")
+    p = sub.add_parser("cz", allow_abbrev=False, help="stopping-time decomposition dump")
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--rootlevel", type=int, default=None)
@@ -415,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _finish(p, _cmd_cz, ("a",))
 
-    p = sub.add_parser("experiment", help="theorem-level harnesses")
+    p = sub.add_parser("experiment", allow_abbrev=False, help="theorem-level harnesses")
     p.add_argument("what", choices=tuple(_EXPERIMENTS))
     p.add_argument("--theorem", default="bilinear-ratio")
     p.add_argument("--dim", type=int, default=1, choices=(1, 2))
@@ -433,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
             ("alpha", "p1", "q1", "p2", "q2", "p", "s", "t", "r", "a",
              "beta", "gamma1", "gamma2", "r1", "r2", "s1", "s2"))
 
-    p = sub.add_parser("selftest", help="run the acceptance suite")
+    p = sub.add_parser("selftest", allow_abbrev=False, help="run the acceptance suite")
     p.add_argument("--seed", type=int, default=20240801)
     p.add_argument("--out", default=None)
     p.add_argument("--criteria", type=parse_range, default=None,

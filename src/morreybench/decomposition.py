@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, spread
-from .norms import dyadic_family, dyadic_levels
+from .grid import DyadicCube, GridFunction, cube_blocks, cube_box
+from .norms import ancestor_max, dyadic_family, dyadic_levels
 from .operators import triple_means
 from .util import INF, ParameterError, finite
 
@@ -77,8 +77,8 @@ def cz_decompose(f: GridFunction, g: GridFunction, q0: DyadicCube,
 
 
 def _pyramid(f: GridFunction, g: GridFunction, q0: DyadicCube):
-    """m_3Q(f,g) per level of the subcubes of Q0, coarsest first, the largest
-    over each cube's strict ancestors (zero for Q0) and the peak per cell."""
+    """m_3Q(f,g) per level of the subcubes of Q0, coarsest first, then its
+    ``ancestor_max``: the largest over each cube's strict ancestors and the peak per cell."""
     if f.values.min() < 0 or g.values.min() < 0:
         raise ParameterError("decomposition expects nonnegative inputs")
     if q0.level <= f.cell_level:
@@ -86,10 +86,7 @@ def _pyramid(f: GridFunction, g: GridFunction, q0: DyadicCube):
     m = [finite((triple_means(f, shift) * triple_means(g, shift))[window],
                 "triple-average products")
          for shift, _, window in dyadic_levels(f, dyadic_family(q0, f.cell_level))]
-    above = [np.zeros_like(m[0])]
-    for level_m in m[:-1]:
-        above.append(spread(np.maximum(above[-1], level_m), 1))
-    return m, above, np.maximum(above[-1], m[-1])
+    return (m, *ancestor_max(m, f.dim))
 
 
 def _threshold(a: float, k: int) -> float:
@@ -125,7 +122,6 @@ class HalvingReport:
     ok: bool
     worst_ratio: float
     offender: DyadicCube | None
-    detail: str = ""
 
 
 def verify_halving(sf: StoppingFamily) -> HalvingReport:
@@ -146,9 +142,7 @@ def verify_halving(sf: StoppingFamily) -> HalvingReport:
             share = (cells - free) / cells
             if share > worst:
                 worst, offender = share, cube
-    ok = worst <= 0.5
-    detail = "halving certified" if ok else f"halving fails at ratio {worst:.6f}"
-    return HalvingReport(ok, worst, offender, detail)
+    return HalvingReport(worst <= 0.5, worst, offender)
 
 
 def choose_a(f: GridFunction, g: GridFunction, q0: DyadicCube) -> StoppingFamily:

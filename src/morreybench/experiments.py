@@ -24,8 +24,8 @@ import numpy as np
 from . import relations
 from .grid import (DyadicCube, GridFunction, cube_blocks, cube_box,
                    enumerate_subcubes, spread, unit_root)
-from .norms import (CubeFamily, _morrey_dyadic, _pair_sup, aligned_family,
-                    dyadic_family, family_max, morrey_norm)
+from .norms import (CubeFamily, _morrey_sup, aligned_family, dyadic_family, family_max,
+                    lq_means, morrey_norm)
 from .operators import _b_values, _bilinear_maximal, _vector_maximal, b_alpha, i_alpha
 from .util import (INF, NumericalError, ParameterError, close, conjugate,
                    finite, make_rng, recip, refuse)
@@ -188,8 +188,8 @@ def _weighted_sides(grid: GridFunction, fam: CubeFamily, weighted: np.ndarray,
     """The sides of a weighted bound, one item per pair of the stacks: the
     (s, t) Morrey norm of the weighted operator values and the (p, q1, q2)
     pair supremum of the weighted inputs."""
-    return (_morrey_dyadic(grid, weighted, cp.s, cp.t, fam)[0],
-            _pair_sup(grid, fw, gw, cp.p, cp.q1, cp.q2, fam)[0])
+    return (_morrey_sup(grid, fam, cp.s, (weighted, cp.t))[0],
+            _morrey_sup(grid, fam, cp.p, (fw, cp.q1), (gw, cp.q2))[0])
 
 
 def _ratio_core(theorem: str, levels, pairs_at, hook) -> HarnessResult:
@@ -250,14 +250,14 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
     base, f0, g0 = _pair_stacks(pairs, pairs[0][1].depth)
 
     def base_norms(values, p, q):
-        return _morrey_dyadic(base, values, p, q, dyadic_family(base.root, base.cell_level))[0]
+        return _morrey_sup(base, dyadic_family(base.root, base.cell_level), p, (values, q))[0]
 
     if theorem in ("bilinear-ratio", "bilinear-sum", "bilinear-critical"):
         s, t = (pr.p2, pr.q2) if theorem == "bilinear-critical" else (pr.s, pr.t)
         rhs = base_norms(f0, pr.p1, pr.q1) * base_norms(g0, pr.p2, pr.q2)
 
         def hook(grid, fam, fv, gv):
-            return _morrey_dyadic(grid, _b_values(grid, fv, gv, pr.alpha), s, t, fam)[0], rhs
+            return _morrey_sup(grid, fam, s, (_b_values(grid, fv, gv, pr.alpha), t))[0], rhs
     elif theorem in ("linear-adams", "product-embedding"):
         rhs = base_norms(f0, pr.p1, pr.q1)
         if theorem == "product-embedding":
@@ -267,7 +267,7 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
             lhs = np.stack([i_alpha(grid.with_values(f), pr.alpha).fn.values for f in fv])
             if theorem == "product-embedding":
                 lhs = gv * lhs
-            return _morrey_dyadic(grid, lhs, pr.s, pr.t, fam)[0], rhs
+            return _morrey_sup(grid, fam, pr.s, (lhs, pr.t))[0], rhs
     else:
         if ws.v.root != base.root or any(level < ws.v.depth for level in levels):
             raise ParameterError(f"weights on root {ws.v.root} at depth {ws.v.depth} do not fit "
@@ -481,13 +481,8 @@ def _power_char(sw: SteinWeissParams, root: DyadicCube, depth: int) -> float:
     pv = power_weight(-sw.beta * e_v, (0.0,) * sw.n, root, depth)
     p1 = power_weight(-sw.gamma1 * d1, (0.0,) * sw.n, root, depth)
     p2 = power_weight(-sw.gamma2 * d2, (0.0,) * sw.n, root, depth)
-    r_inv = recip(sw.r)
-
-    def value(shift, volume):
-        return (volume ** r_inv
-                * cube_blocks(pv.values, shift).mean(axis=-1) ** (1.0 / e_v)
-                * cube_blocks(p1.values, shift).mean(axis=-1) ** (1.0 / d1)
-                * cube_blocks(p2.values, shift).mean(axis=-1) ** (1.0 / d2))
+    value = lq_means(recip(sw.r), (pv.values, 1.0 / e_v), (p1.values, 1.0 / d1),
+                     (p2.values, 1.0 / d2))
     return family_max(pv, dyadic_family(root, root.level - depth), value)[0]
 
 
@@ -526,9 +521,9 @@ def stein_weiss_harness(sw: SteinWeissParams, seed: int = 11) -> HarnessResult:
         w = power_system(sw.beta, sw.gamma1, sw.gamma2, (0.0,) * sw.n, fam.root, grid.depth)
         weighted = _b_values(grid, fv, gv, sw.n - sw.alpha) * w.v.values
         fw, gw = fv * w.w1.values, gv * w.w2.values
-        return (_morrey_dyadic(grid, weighted, sw.s, sw.t, fam)[0],
-                _morrey_dyadic(grid, fw, sw.p1, sw.q1, fam)[0]
-                * _morrey_dyadic(grid, gw, sw.p2, sw.q2, fam)[0])
+        return (_morrey_sup(grid, fam, sw.s, (weighted, sw.t))[0],
+                _morrey_sup(grid, fam, sw.p1, (fw, sw.q1))[0]
+                * _morrey_sup(grid, fam, sw.p2, (gw, sw.q2))[0])
     return _ratio_core("stein-weiss", (4, 5, 6),
                        lambda level: make_pairs("indicator", 4, seed, level, sw.n), hook)
 

@@ -125,8 +125,21 @@ class NormReport:
 #
 # ``value(shift, volume)`` returns the per-cube values of one level over the
 # whole grid, laid out as ``cube_blocks`` lays out the cubes 2**shift cells
-# wide, with any stack axes in front: shape ``stack + (cubes per axis,) * n``.
-# The scans crop them to the family root and reduce each stack item on its own.
+# wide, with any stack axes in front: shape ``stack + (cubes per axis,) * n``;
+# ``lq_means`` builds the paper's L^q-mean value.  The scans crop the values to
+# the family root and reduce each stack item on its own, ``cell_sup`` by one
+# ``ancestor_max`` pass.
+
+def lq_means(e: float, *factors, dim: int | None = None):
+    """The value |Q|**e * prod (avg_Q powered)**root over ``(powered, root)``
+    factors, multiplied left to right; ``dim`` as in ``cube_blocks``."""
+    def value(shift, volume):
+        out = volume ** e
+        for powered, root in factors:
+            out = out * cube_blocks(powered, shift, dim).mean(axis=-1) ** root
+        return out
+    return value
+
 
 def dyadic_levels(grid: GridFunction, family: CubeFamily):
     """(cell shift, cube volume, root window) per family level, coarsest first;
@@ -172,16 +185,25 @@ def _cube_at(family: CubeFamily, levels, i: int) -> DyadicCube:
         i -= size
 
 
+def ancestor_max(levels, dim: int):
+    """Per level of a dyadic pyramid, coarsest first with stack axes in front:
+    the max over each cube's strict ancestors (zero at the top), and the
+    finest level's peak, the max over each cube and its ancestors."""
+    above = [np.zeros_like(levels[0])]
+    for level in levels[:-1]:
+        above.append(spread(np.maximum(above[-1], level), 1, dim))
+    return above, np.maximum(above[-1], levels[-1])
+
+
 def cell_sup(grid: GridFunction, family: CubeFamily, value) -> np.ndarray:
     """Per cell, the max of ``value`` over the family's cubes containing it
     (zero outside the family root), per stack item: an operator output."""
-    out = None
-    inner = (Ellipsis,) + cube_box(grid, family.root).slices()
-    for shift, volume, window in dyadic_levels(grid, family):
-        vals = spread(value(shift, volume)[(Ellipsis,) + window], shift, grid.dim)
-        if out is None:
-            out = np.zeros(vals.shape[:vals.ndim - grid.dim] + grid.values.shape)
-        np.maximum(out[inner], vals, out=out[inner])  # nan propagates
+    peak = ancestor_max([value(shift, volume)[(Ellipsis,) + window]
+                         for shift, volume, window in dyadic_levels(grid, family)],
+                        grid.dim)[1]
+    out = np.zeros(peak.shape[:peak.ndim - grid.dim] + grid.values.shape)
+    out[(Ellipsis,) + cube_box(grid, family.root).slices()] = spread(
+        peak, family.min_level - grid.cell_level, grid.dim)
     return finite(out, "operator output")
 
 
@@ -221,19 +243,15 @@ def morrey_norm(f: GridFunction, p: float, q: float, family: CubeFamily) -> Norm
         rep = _morrey_aligned(f, p, q, family)
         finite(rep.value, "supremum")
         return rep
-    top, cubes = _morrey_dyadic(f, f.values[None], p, q, family)
+    top, cubes = _morrey_sup(f, family, p, (f.values[None], q))
     return NormReport(float(top[0]), cubes[0])
 
 
-def _morrey_dyadic(grid: GridFunction, values: np.ndarray, p: float, q: float,
-                   family: CubeFamily):
-    """``family_max`` of the Morrey value for a stack of grids on ``grid``'s lattice."""
-    powered = np.abs(values) ** q
-
-    def value(shift, volume):
-        return (volume ** (1.0 / p)
-                * cube_blocks(powered, shift, grid.dim).mean(axis=-1) ** (1.0 / q))
-    return family_max(grid, family, value)
+def _morrey_sup(grid: GridFunction, family: CubeFamily, p: float, *stacks):
+    """``family_max`` of |Q|**(1/p) prod_i (avg_Q |x_i|**q_i)**(1/q_i) over
+    ``(x_i, q_i)`` stacks on ``grid``'s lattice: the Morrey and pair values."""
+    return family_max(grid, family, lq_means(
+        1.0 / p, *((np.abs(values) ** q, 1.0 / q) for values, q in stacks), dim=grid.dim))
 
 
 def _prefix_table(powered: np.ndarray) -> np.ndarray:
@@ -370,17 +388,5 @@ def pair_morrey_sup(f: GridFunction, g: GridFunction, p: float,
         raise ParameterError("pair supremum needs a common grid")
     if q1 <= 0 or q2 <= 0 or p <= 0:
         raise ParameterError("pair supremum exponents must be positive")
-    top, cubes = _pair_sup(f, f.values[None], g.values[None], p, q1, q2, family)
+    top, cubes = _morrey_sup(f, family, p, (f.values[None], q1), (g.values[None], q2))
     return NormReport(float(top[0]), cubes[0])
-
-
-def _pair_sup(grid: GridFunction, fv: np.ndarray, gv: np.ndarray, p: float,
-              q1: float, q2: float, family: CubeFamily):
-    """``family_max`` of the pair value for stacks of pairs on ``grid``'s lattice."""
-    pf, pg = np.abs(fv) ** q1, np.abs(gv) ** q2
-    n = grid.dim
-
-    def value(shift, volume):
-        return (volume ** (1.0 / p) * cube_blocks(pf, shift, n).mean(axis=-1) ** (1.0 / q1)
-                * cube_blocks(pg, shift, n).mean(axis=-1) ** (1.0 / q2))
-    return family_max(grid, family, value)

@@ -30,7 +30,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, triple_sums
-from .norms import CubeFamily, cell_sup
+from .norms import CubeFamily, cell_sup, lq_means
 from .util import ParameterError, finite, v_factor
 
 
@@ -264,13 +264,8 @@ def m_alpha_vector(f: GridFunction, g: GridFunction, alpha: float,
 def _vector_maximal(grid: GridFunction, fv: np.ndarray, gv: np.ndarray, alpha: float,
                     r1: float, r2: float, family: CubeFamily) -> np.ndarray:
     """``m_alpha_vector`` values for a stack of pairs on ``grid``'s lattice."""
-    n = grid.dim
-    pf, pg = np.abs(fv) ** r1, np.abs(gv) ** r2
-
-    def value(shift, volume):
-        return (volume ** (alpha / n) * cube_blocks(pf, shift, n).mean(axis=-1) ** (1.0 / r1)
-                * cube_blocks(pg, shift, n).mean(axis=-1) ** (1.0 / r2))
-    return cell_sup(grid, family, value)
+    return cell_sup(grid, family, lq_means(alpha / grid.dim, (np.abs(fv) ** r1, 1.0 / r1),
+                                           (np.abs(gv) ** r2, 1.0 / r2), dim=grid.dim))
 
 
 def m_tilde(f: GridFunction, g: GridFunction, v: GridFunction, alpha: float,
@@ -286,14 +281,9 @@ def m_tilde(f: GridFunction, g: GridFunction, v: GridFunction, alpha: float,
         raise ParameterError(f"weight exponent t must lie in (0, 1], got {t}")
     if v.values.min() <= 0:
         raise ParameterError("weight must be strictly positive")
-    n = f.dim
-    fa, ga = np.abs(f.values), np.abs(g.values)
-
-    def value(shift, volume):
-        return (volume ** (alpha / n) * cube_blocks(fa, shift).mean(axis=-1)
-                * cube_blocks(ga, shift).mean(axis=-1)
-                * v_factor(cube_blocks(v.values, shift), t))
-    return _field(f, cell_sup(f, family, value))
+    means = lq_means(alpha / f.dim, (np.abs(f.values), 1.0), (np.abs(g.values), 1.0))
+    return _field(f, cell_sup(f, family, lambda shift, volume: means(shift, volume)
+                              * v_factor(cube_blocks(v.values, shift), t)))
 
 
 def triple_means(f: GridFunction, shift: int) -> np.ndarray:

@@ -50,7 +50,7 @@ _STEIN_WEISS = (
     ("gamma2 < n/q2'", lambda x: x.gamma2 < x.n * (1.0 - 1.0 / x.q2)))
 
 RULES = {
-    # ratio-harness theorem ids; two-weight and one-weight use CharParams.check
+    # ratio-harness theorem ids; two-weight and one-weight: CharParams.check, below
     "bilinear-ratio": _BILINEAR + (T_S, S_SUM, (
         "t/s = q1/p1 = q2/p2", lambda x: TS_Q1_P1[1](x) and close(x.t / x.s, x.q2 / x.p2))),
     "bilinear-sum": _BILINEAR + (T_S, S_SUM, (
@@ -67,7 +67,6 @@ RULES = {
         ("q > r", lambda x: x.q2 > x.t), ("1/p0 > alpha/n", lambda x: 1.0 / x.p1 > x.alpha / x.n),
         ("1/q0 <= alpha/n", lambda x: 1.0 / x.p2 <= x.alpha / x.n),
         ("1/r0 = 1/p0 + 1/q0 - alpha/n", S_SUM[1]), ("r/r0 = p/p0", TS_Q1_P1[1])),
-    "two-weight": (), "one-weight": (),
     "olsen": (ALPHA, Q12, T_S_BELOW_1,
               ("s/(1-s) < r", lambda x: not T_S_BELOW_1[1](x) or _below(x.s, x.r)),
               ALPHA_R, S_REL, TS_Q_P, A_ABOVE_1),

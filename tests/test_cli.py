@@ -429,6 +429,8 @@ class TestExitContract:
         pytest.param(["experiment", "ratio", "--out", "O"], "--alpha", id="ratio-no-exponents"),
         pytest.param(["experiment", "ratio", *RATIO, "--q", "7", "--out", "O"], "--q",
                      id="experiment-has-no-q"),
+        pytest.param(["experiment", "ratio", "--alph", "0.3", *RATIO[2:], "--out", "O"],
+                     "--alph", id="no-flag-prefixes"),
         pytest.param(["char", "--kind", "two-weight", *TWO_WEIGHT, "--s", "4/5", "--q1", "0"],
                      "--q1", id="zero-exponent"),
         pytest.param(["char", "--kind", "testing", *TESTING, "--beta", "0", "--gamma1", "0",

@@ -42,8 +42,7 @@ def test_relations_imports_only_util():
 
 # the stacked cores: private functions that take a stack of pairs and that
 # another package module may call directly; a new one joins this list on purpose
-STACKED_CORES = {"_b_values", "_bilinear_maximal", "_vector_maximal", "_morrey_dyadic",
-                 "_pair_sup"}
+STACKED_CORES = {"_b_values", "_bilinear_maximal", "_vector_maximal", "_morrey_sup"}
 
 
 def test_only_stacked_cores_cross_modules():

@@ -28,8 +28,6 @@ VALID = {
     "linear-adams": ExponentProfile(alpha=0.3, n=1, p1=2.0, q1=1.6, s=5.0, t=4.0),
     "product-embedding": ExponentProfile(alpha=0.3, n=1, p1=2.0, q1=1.5, p2=4.0, q2=3.0,
                                          s=1 / 0.45, t=0.75 / 0.45),
-    "two-weight": CharParams(**TWO_WEIGHT),
-    "one-weight": CharParams(**TWO_WEIGHT),
     "olsen": CharParams(**TWO_WEIGHT),
     "s<1": CharParams(**TWO_WEIGHT),
     "s>=1": CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=1.0, s=16 / 9, t=1.0,

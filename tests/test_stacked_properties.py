@@ -18,7 +18,7 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from morreybench import (DyadicCube, GridFunction, NumericalError,  # noqa: E402
                          dyadic_family, m_alpha_bilinear, m_alpha_vector, morrey_norm,
                          pair_morrey_sup)
-from morreybench.norms import _morrey_dyadic, _pair_sup  # noqa: E402
+from morreybench.norms import _morrey_sup  # noqa: E402
 from morreybench.operators import _bilinear_maximal, _vector_maximal  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -55,12 +55,12 @@ def items(grid, stack):
 def test_stacked_norms_match_single_calls(case, p, q):
     grid, fv, gv, family = case
     q = min(p, q)
-    tops, cubes = _morrey_dyadic(grid, fv, p, q, family)
+    tops, cubes = _morrey_sup(grid, family, p, (fv, q))
     want = [morrey_norm(f, p, q, family) for f in items(grid, fv)]
     assert tops.shape == fv.shape[:1]
     assert np.array_equal(tops, [rep.value for rep in want])
     assert cubes == [rep.attaining for rep in want]
-    tops, cubes = _pair_sup(grid, fv, gv, p, q, 2.0, family)
+    tops, cubes = _morrey_sup(grid, family, p, (fv, q), (gv, 2.0))
     want = [pair_morrey_sup(f, g, p, q, 2.0, family)
             for f, g in zip(items(grid, fv), items(grid, gv))]
     assert np.array_equal(tops, [rep.value for rep in want])
@@ -105,9 +105,9 @@ def test_overflowing_item_refused_like_its_single_call(case, item, cell):
     fv[item].flat[cell % fv[item].size] = 1e300
     pairs = list(zip(items(grid, fv), items(grid, gv)))
     for stacked, single in (
-            (lambda: _morrey_dyadic(grid, fv, 2.0, 2.0, family),
+            (lambda: _morrey_sup(grid, family, 2.0, (fv, 2.0)),
              lambda f, g: morrey_norm(f, 2.0, 2.0, family)),
-            (lambda: _pair_sup(grid, fv, gv, 2.0, 2.0, 1.0, family),
+            (lambda: _morrey_sup(grid, family, 2.0, (fv, 2.0), (gv, 1.0)),
              lambda f, g: pair_morrey_sup(f, g, 2.0, 2.0, 1.0, family))):
         refused = [_refused(lambda: single(f, g)) for f, g in pairs]
         assert not any(refused[:item] + refused[item + 1:])
@@ -134,7 +134,7 @@ def test_empty_stack():
     grid = GridFunction(2, DyadicCube(0, (0, 0)), 2, np.zeros((4, 4)))
     family = dyadic_family(grid.root, -2)
     empty = np.zeros((0, 4, 4))
-    tops, cubes = _morrey_dyadic(grid, empty, 2.0, 1.0, family)
+    tops, cubes = _morrey_sup(grid, family, 2.0, (empty, 1.0))
     assert tops.shape == (0,) and cubes == []
     assert _vector_maximal(grid, empty, empty, 0.5, 1.0, 1.0, family).shape == (0, 4, 4)
     assert _bilinear_maximal(grid, empty, empty, 0.5, family).shape == (0, 4, 4)

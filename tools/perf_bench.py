@@ -20,7 +20,9 @@ spread (max - min) and every run:
   log cells.
 
 Each direct timing runs in a new interpreter that imports the checkout's
-``src/``, so both sides run the same timing code.
+``src/``, so both sides run the same timing code.  The interpreters alternate
+between the checkouts, one timed call per theorem and depth in each, with the
+order flipped every round, so a drift in machine speed hits both sides alike.
 """
 
 from __future__ import annotations
@@ -85,11 +87,11 @@ for theorem in sorted(THEOREMS):
     profile, kwargs = setups[theorem]
     for depth in depths:
         times = []
-        for _ in range(repeats):
+        for _ in range(repeats + 1):  # the first call warms up and is not timed
             t0 = time.perf_counter()
             ratio_harness(theorem, profile, pairs, (depth,), **kwargs)
             times.append(time.perf_counter() - t0)
-        out[f"{theorem}.depth{depth}"] = times
+        out[f"{theorem}.depth{depth}"] = times[1:]
 print(json.dumps(out))
 """
 
@@ -175,10 +177,16 @@ def main(argv=None):
             for k in TRACE_KEYS:
                 traced[side][k].append(metrics[k]["value"])
 
+    runs = {side: {dim: {} for dim in DEPTHS} for side in sides}
+    for r in range(cfg["repeats"]):
+        for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
+            for dim, depths in DEPTHS.items():
+                for key, times in direct_times(sides[side], dim, depths, 1).items():
+                    runs[side][dim].setdefault(key, []).extend(times)
     direct = {side: {} for side in sides}
-    for side, checkout in sides.items():
+    for side in sides:
         for dim, depths in DEPTHS.items():
-            times = direct_times(checkout, dim, depths, cfg["repeats"])
+            times = runs[side][dim]
             for key in sorted({key.rsplit(".", 1)[0] for key in times}):
                 mins = [min(times[f"{key}.depth{d}"]) for d in depths]
                 direct[side][f"{dim}d.{key}"] = {
