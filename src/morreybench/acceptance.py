@@ -141,18 +141,13 @@ def criterion_03(ctx) -> CriterionResult:
 def criterion_04(ctx) -> CriterionResult:
     """Two-sided dyadic-model envelope with a level-stable spread."""
     alpha = 0.5
+    pairs = [_rand_pair(seed, 4) for seed in range(20)]
     spreads = {}
     for depth in (4, 5, 6, 7):
-        lo, hi = np.inf, 0.0
-        for seed in range(20):
-            f, g = _rand_pair(seed, 4)
-            f, g = f.refine(depth - 4), g.refine(depth - 4)
-            num = b_alpha(f, g, alpha).fn.values
-            den = b_alpha_dyadic(f, g, alpha, unit_root(1)).fn.values
-            ratios = num / den
-            lo = min(lo, float(ratios.min()))
-            hi = max(hi, float(ratios.max()))
-        spreads[depth] = hi / lo
+        refined = [(f.refine(depth - 4), g.refine(depth - 4)) for f, g in pairs]
+        ratios = [b_alpha(f, g, alpha).fn.values
+                  / b_alpha_dyadic(f, g, alpha, unit_root(1)).fn.values for f, g in refined]
+        spreads[depth] = float(np.max(ratios)) / float(np.min(ratios))
     vals = list(spreads.values())
     ok = max(vals) / min(vals) < 1.10
     return CriterionResult(4, "dyadic-model-equivalence", ok,
@@ -163,11 +158,9 @@ def criterion_05(ctx) -> CriterionResult:
     """Pointwise product bound through conjugate-power potentials."""
     alpha = 0.45
     worst = -np.inf
-    for ell in (1.5, 2.0, 3.0):
-        ellp = ell / (ell - 1.0)
-        for seed in range(20):
-            f, g = _rand_pair(seed, 5)
-            lhs = b_alpha(f, g, alpha).fn.values
+    for f, g in (_rand_pair(seed, 5) for seed in range(20)):
+        lhs = b_alpha(f, g, alpha).fn.values
+        for ell, ellp in ((1.5, 3.0), (2.0, 2.0), (3.0, 1.5)):  # conjugate exponents
             rf = i_alpha(f.with_values(f.values ** ell), alpha).fn.values
             rg = i_alpha(g.with_values(g.values ** ellp), alpha).fn.values
             worst = max(worst, float(np.max(lhs - rf ** (1 / ell) * rg ** (1 / ellp))))
@@ -178,17 +171,13 @@ def criterion_05(ctx) -> CriterionResult:
 def criterion_06(ctx) -> CriterionResult:
     """Truncated maximal dominated by the singular integral, stable constant."""
     alpha = 0.5
+    pairs = [_rand_pair(seed, 4) for seed in range(10)]
     consts = {}
     for depth in (4, 5, 6):
-        c = 0.0
         fam = dyadic_family(unit_root(1), -depth)
-        for seed in range(10):
-            f, g = _rand_pair(seed, 4)
-            f, g = f.refine(depth - 4), g.refine(depth - 4)
-            m = m_alpha_bilinear(f, g, alpha, fam).fn.values
-            b = b_alpha(f, g, alpha).fn.values
-            c = max(c, float(np.max(m / b)))
-        consts[depth] = c
+        refined = [(f.refine(depth - 4), g.refine(depth - 4)) for f, g in pairs]
+        consts[depth] = float(np.max([m_alpha_bilinear(f, g, alpha, fam).fn.values
+                                      / b_alpha(f, g, alpha).fn.values for f, g in refined]))
     levels = sorted(consts)
     ok = all(consts[b] <= 1.05 * consts[a] for a, b in zip(levels, levels[1:]))
     return CriterionResult(6, "maximal-control", ok,

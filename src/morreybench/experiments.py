@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import relations
-from .grid import (DyadicCube, GridFunction, cube_blocks, cube_box,
-                   enumerate_subcubes, spread, unit_root)
+from .grid import DyadicCube, GridFunction, cube_box, enumerate_subcubes, spread, unit_root
 from .norms import (CubeFamily, _morrey_sup, aligned_family, dyadic_family, family_max,
                     lq_means, morrey_norm)
 from .operators import _b_values, _bilinear_maximal, _vector_maximal, b_alpha, i_alpha
@@ -188,8 +187,8 @@ def _weighted_sides(grid: GridFunction, fam: CubeFamily, weighted: np.ndarray,
     """The sides of a weighted bound, one item per pair of the stacks: the
     (s, t) Morrey norm of the weighted operator values and the (p, q1, q2)
     pair supremum of the weighted inputs."""
-    return (_morrey_sup(grid, fam, cp.s, (weighted, cp.t))[0],
-            _morrey_sup(grid, fam, cp.p, (fw, cp.q1), (gw, cp.q2))[0])
+    return (_morrey_sup(grid, fam, cp.s, (weighted, cp.t)),
+            _morrey_sup(grid, fam, cp.p, (fw, cp.q1), (gw, cp.q2)))
 
 
 def _ratio_core(theorem: str, levels, pairs_at, hook) -> HarnessResult:
@@ -250,14 +249,14 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
     base, f0, g0 = _pair_stacks(pairs, pairs[0][1].depth)
 
     def base_norms(values, p, q):
-        return _morrey_sup(base, dyadic_family(base.root, base.cell_level), p, (values, q))[0]
+        return _morrey_sup(base, dyadic_family(base.root, base.cell_level), p, (values, q))
 
     if theorem in ("bilinear-ratio", "bilinear-sum", "bilinear-critical"):
         s, t = (pr.p2, pr.q2) if theorem == "bilinear-critical" else (pr.s, pr.t)
         rhs = base_norms(f0, pr.p1, pr.q1) * base_norms(g0, pr.p2, pr.q2)
 
         def hook(grid, fam, fv, gv):
-            return _morrey_sup(grid, fam, s, (_b_values(grid, fv, gv, pr.alpha), t))[0], rhs
+            return _morrey_sup(grid, fam, s, (_b_values(grid, fv, gv, pr.alpha), t)), rhs
     elif theorem in ("linear-adams", "product-embedding"):
         rhs = base_norms(f0, pr.p1, pr.q1)
         if theorem == "product-embedding":
@@ -267,7 +266,7 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
             lhs = np.stack([i_alpha(grid.with_values(f), pr.alpha).fn.values for f in fv])
             if theorem == "product-embedding":
                 lhs = gv * lhs
-            return _morrey_sup(grid, fam, pr.s, (lhs, pr.t))[0], rhs
+            return _morrey_sup(grid, fam, pr.s, (lhs, pr.t)), rhs
     else:
         if ws.v.root != base.root or any(level < ws.v.depth for level in levels):
             raise ParameterError(f"weights on root {ws.v.root} at depth {ws.v.depth} do not fit "
@@ -521,9 +520,9 @@ def stein_weiss_harness(sw: SteinWeissParams, seed: int = 11) -> HarnessResult:
         w = power_system(sw.beta, sw.gamma1, sw.gamma2, (0.0,) * sw.n, fam.root, grid.depth)
         weighted = _b_values(grid, fv, gv, sw.n - sw.alpha) * w.v.values
         fw, gw = fv * w.w1.values, gv * w.w2.values
-        return (_morrey_sup(grid, fam, sw.s, (weighted, sw.t))[0],
-                _morrey_sup(grid, fam, sw.p1, (fw, sw.q1))[0]
-                * _morrey_sup(grid, fam, sw.p2, (gw, sw.q2))[0])
+        return (_morrey_sup(grid, fam, sw.s, (weighted, sw.t)),
+                _morrey_sup(grid, fam, sw.p1, (fw, sw.q1))
+                * _morrey_sup(grid, fam, sw.p2, (gw, sw.q2)))
     return _ratio_core("stein-weiss", (4, 5, 6),
                        lambda level: make_pairs("indicator", 4, seed, level, sw.n), hook)
 
@@ -634,13 +633,11 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     e = cp.a * cp.s / (1.0 - cp.s)
     e1 = params.s1 / (1.0 - params.s1)
     e2 = params.s2 / (1.0 - params.s2)
-    r_inv, r1_inv, r2_inv = recip(cp.r), recip(params.r1), recip(params.r2)
-    powered = [((w1.values * w2.values) ** e, e), (w1.values ** e1, e1), (w2.values ** e2, e2)]
-
-    def split_excess(shift, volume):
-        lhs, f1, f2 = (cube_blocks(x, shift).mean(axis=-1) ** (1.0 / ei) for x, ei in powered)
-        return volume ** r_inv * lhs / ((volume ** r1_inv) * f1 * (volume ** r2_inv) * f2)
-    worst = family_max(w1, dyadic_family(w1.root, w1.cell_level), split_excess)[0]
+    lhs = lq_means(recip(cp.r), ((w1.values * w2.values) ** e, 1.0 / e))
+    f1 = lq_means(recip(params.r1), (w1.values ** e1, 1.0 / e1))
+    f2 = lq_means(recip(params.r2), (w2.values ** e2, 1.0 / e2))
+    worst = family_max(w1, dyadic_family(w1.root, w1.cell_level), lambda shift, volume: (
+        lhs(shift, volume) / (f1(shift, volume) * f2(shift, volume))))[0]
     split_ok = worst <= 1.0 + 1e-12
 
     pairs = make_pairs("step", 4, seed, w1.depth, w1.dim, w1.root)

@@ -163,6 +163,8 @@ class GridFunction:
 
 def cube_box(grid: GridFunction, cube: DyadicCube) -> AlignedBox:
     """Cell-index box of a dyadic cube that lies inside the grid's root."""
+    if cube.dim != grid.dim:
+        raise ParameterError(f"cube of dimension {cube.dim} does not fit a {grid.dim}D grid")
     if cube.level < grid.cell_level:
         raise ParameterError("cube is finer than the grid cells")
     if not grid.root.contains(cube):

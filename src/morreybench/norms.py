@@ -127,8 +127,8 @@ class NormReport:
 # whole grid, laid out as ``cube_blocks`` lays out the cubes 2**shift cells
 # wide, with any stack axes in front: shape ``stack + (cubes per axis,) * n``;
 # ``lq_means`` builds the paper's L^q-mean value.  The scans crop the values to
-# the family root and reduce each stack item on its own, ``cell_sup`` by one
-# ``ancestor_max`` pass.
+# the family root and reduce each stack item on its own, ``family_max`` to its
+# maximum (and its cube on a single grid), ``cell_sup`` by one ``ancestor_max`` pass.
 
 def lq_means(e: float, *factors, dim: int | None = None):
     """The value |Q|**e * prod (avg_Q powered)**root over ``(powered, root)``
@@ -155,13 +155,13 @@ def dyadic_levels(grid: GridFunction, family: CubeFamily):
 
 
 def family_max(grid: GridFunction, family: CubeFamily, value):
-    """(value, cube) of the first strict maximum over the family.
+    """The maximum over the family: per stack item an array of the stack's
+    shape, or on a single grid (value, cube) of the first strict maximum.
 
     Canonical order: coarsest level first, then the first cube in row-major
     order; the levels are laid end to end in that order, so one ``argmax``
-    per stack item finds it.  A non-finite value anywhere in the family is
-    refused with a NumericalError.  For stacked values the two are an array
-    of the stack's shape and a list of cubes in row-major stack order.
+    finds the cube.  A non-finite value anywhere in the family is refused
+    with a NumericalError.
     """
     parts, levels = [], []
     for shift, volume, window in dyadic_levels(grid, family):
@@ -170,10 +170,9 @@ def family_max(grid: GridFunction, family: CubeFamily, value):
         parts.append(vals.reshape(stack + (math.prod(cubes),)))
         levels.append((grid.cell_level + shift, cubes))
     vals = finite(np.concatenate(parts, axis=-1), "supremum")
-    cubes = [_cube_at(family, levels, int(i)) for i in vals.argmax(axis=-1).flat]
-    if not stack:
-        return float(vals.max()), cubes[0]
-    return vals.max(axis=-1), cubes
+    if stack:
+        return vals.max(axis=-1)
+    return float(vals.max()), _cube_at(family, levels, int(vals.argmax()))
 
 
 def _cube_at(family: CubeFamily, levels, i: int) -> DyadicCube:
@@ -243,13 +242,13 @@ def morrey_norm(f: GridFunction, p: float, q: float, family: CubeFamily) -> Norm
         rep = _morrey_aligned(f, p, q, family)
         finite(rep.value, "supremum")
         return rep
-    top, cubes = _morrey_sup(f, family, p, (f.values[None], q))
-    return NormReport(float(top[0]), cubes[0])
+    return NormReport(*_morrey_sup(f, family, p, (f.values, q)))
 
 
 def _morrey_sup(grid: GridFunction, family: CubeFamily, p: float, *stacks):
     """``family_max`` of |Q|**(1/p) prod_i (avg_Q |x_i|**q_i)**(1/q_i) over
-    ``(x_i, q_i)`` stacks on ``grid``'s lattice: the Morrey and pair values."""
+    ``(x_i, q_i)`` on ``grid``'s lattice: the Morrey and pair values, maxima
+    only for stacked x_i, (value, cube) on a single grid."""
     return family_max(grid, family, lq_means(
         1.0 / p, *((np.abs(values) ** q, 1.0 / q) for values, q in stacks), dim=grid.dim))
 
@@ -388,5 +387,4 @@ def pair_morrey_sup(f: GridFunction, g: GridFunction, p: float,
         raise ParameterError("pair supremum needs a common grid")
     if q1 <= 0 or q2 <= 0 or p <= 0:
         raise ParameterError("pair supremum exponents must be positive")
-    top, cubes = _morrey_sup(f, family, p, (f.values[None], q1), (g.values[None], q2))
-    return NormReport(float(top[0]), cubes[0])
+    return NormReport(*_morrey_sup(f, family, p, (f.values, q1), (g.values, q2)))

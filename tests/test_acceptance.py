@@ -58,6 +58,25 @@ def test_criterion_05_pointwise_holder(ctx):
     assert _run(acceptance.criterion_05, ctx).passed
 
 
+@pytest.mark.parametrize("criterion,name,count", [
+    pytest.param(acceptance.criterion_04, "_rand_pair", 20, id="04-draws"),
+    pytest.param(acceptance.criterion_05, "b_alpha", 20, id="05-b-alpha"),
+    pytest.param(acceptance.criterion_06, "_rand_pair", 10, id="06-draws"),
+])
+def test_seeded_pairs_drawn_and_used_once(ctx, monkeypatch, criterion, name, count):
+    # every seeded pair is drawn once, not once per depth or exponent, and
+    # criterion 5 computes B_alpha(f, g) once per pair
+    calls = []
+    fn = getattr(acceptance, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+    monkeypatch.setattr(acceptance, name, counted)
+    assert criterion(ctx).passed
+    assert len(calls) == count
+
+
 def test_criterion_06_maximal_control(ctx):
     assert _run(acceptance.criterion_06, ctx).passed
 

@@ -488,6 +488,25 @@ class TestExitContract:
                            *extra]) == 0
         assert capsys.readouterr().err == "" and out.exists()
 
+    @pytest.mark.parametrize("dim,argv", [
+        pytest.param(2, ["cz", "--rootcoords", "1"], id="cz-1d-root-on-2d"),
+        pytest.param(2, ["op", "--operator", "b-dyadic", "--alpha", "1/2", "--rootcoords", "1"],
+                     id="b-dyadic-1d-root-on-2d"),
+        pytest.param(1, ["cz", "--rootcoords", "0,1"], id="cz-2d-root-on-1d"),
+    ])
+    def test_root_of_another_dimension_exits_2(self, tmp_path, capsys, dim, argv):
+        # once a ValueError traceback (cz, 2D), or exit 0 on a root cut down
+        # to the grid's dimension (b-dyadic, 2D; cz, 1D)
+        path, out = tmp_path / "f.mgf", tmp_path / "o"
+        write_mgf(path, GridFunction(dim, unit_root(dim), 3, np.ones((8,) * dim), "pos"))
+        argv = [*argv[:1], "--f", str(path), "--g", str(path), *argv[1:],
+                "--rootlevel", "-1", "--out", str(out)]
+        assert _exit_code(argv) == 2
+        other = len(argv[argv.index("--rootcoords") + 1].split(","))
+        assert capsys.readouterr().err == (
+            f"parameter error: cube of dimension {other} does not fit a {dim}D grid\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv,what", [
         pytest.param(["norm", "--kind", "morrey", "--p", "4", "--q", "2", "--in", "BIG"],
                      "supremum", id="norm-morrey-dyadic"),

@@ -162,6 +162,14 @@ class TestGridFunction:
         box = cube_box(f, DyadicCube(-1, (1, 0)))
         assert box.lo == (4, 0) and box.hi == (8, 4)
 
+    @pytest.mark.parametrize("dim,coords", [(2, (1,)), (1, (0, 1))])
+    def test_cube_of_another_dimension_rejected(self, dim, coords):
+        # zipping the coordinates would cut the cube down to the grid's dimension
+        f = step(dim, 3, np.ones((8,) * dim))
+        with pytest.raises(ParameterError,
+                           match=f"^cube of dimension {len(coords)} does not fit a {dim}D grid$"):
+            cube_box(f, DyadicCube(-1, coords))
+
 
 def write_mgf_per_value(path, f):
     """The MGF/1 writer one ``write`` per value: the byte reference for ``write_mgf``."""

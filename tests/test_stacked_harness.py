@@ -21,7 +21,7 @@ from morreybench.experiments import (THEOREMS, ExponentProfile, FsDualParams,
                                      SteinWeissParams, _ratio_core, fs_dual_check,
                                      make_pairs, ratio_harness, stein_weiss_harness)
 from morreybench.operators import i_alpha
-from morreybench.weights import (INF, CharParams, WeightSystem, char_one_weight,
+from morreybench.weights import (INF, CharParams, WeightSystem, char_one_weight, char_testing,
                                  char_two_weight, fs_majorant, power_system, power_weight)
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -249,6 +249,31 @@ def test_scans_per_level_do_not_grow_with_the_pairs(theorem, monkeypatch):
     base = {"linear-adams": 1, "two-weight": 0, "one-weight": 0, "olsen": 0}.get(theorem, 2)
     per_level = {"two-weight": 2, "one-weight": 2, "olsen": 3}.get(theorem, 1)
     assert counts == [base + 3 * per_level] * 2
+
+
+@pytest.mark.parametrize("theorem", sorted(THEOREMS))
+def test_stacked_scans_build_no_cube(theorem, monkeypatch):
+    # a stacked scan returns its maxima only; olsen's weight norm is a single
+    # morrey_norm per level, whose report carries its attaining cube
+    pr, ws = setup(theorem, 1)
+    calls = []
+    monkeypatch.setattr(norms, "_cube_at", lambda *args: calls.append(args))
+    ratio_harness(theorem, pr, make_pairs("step", 3, 3, 3), (3, 4, 5), ws=ws)
+    assert len(calls) == (3 if theorem == "olsen" else 0)
+
+
+def test_necessity_scans_build_no_cube(monkeypatch):
+    # the only cube built is the attaining cube of the char_testing report
+    ws = WeightSystem(*(power_weight(beta, 0.0, unit_root(1), 4) for beta in (0.1, 0.2, 0.3)))
+    cp = CharParams(alpha=0.5, n=1, q1=4.0, q2=4.0, p=2.5, s=20 / 3, t=16 / 3, r=4.0, a=2.0)
+    family = dyadic_family(unit_root(1), -4)
+    calls = []
+    monkeypatch.setattr(norms, "_cube_at", lambda *args: calls.append(args))
+    char_testing(ws, cp, family)
+    alone = len(calls)
+    calls.clear()
+    experiments.necessity_check(ws, cp, family)
+    assert alone == 1 and len(calls) == alone
 
 
 def test_pairs_on_mixed_grids_are_refused():

@@ -54,7 +54,7 @@ SETTINGS = {
 }
 
 DIRECT = r"""
-import inspect, json, sys, time
+import json, sys, time
 from morreybench.experiments import THEOREMS, ExponentProfile, make_pairs, ratio_harness
 from morreybench.grid import GridFunction, unit_root
 from morreybench.weights import INF, CharParams, WeightSystem, power_system
@@ -74,13 +74,9 @@ scale = lambda exps: {**exps, "alpha": exps["alpha"] * dim}
 ws = power_system(0.0225, 0.02, 0.02, (0.0,) * dim, unit_root(dim), 3)
 one_ws = WeightSystem(ws.w1.with_values(ws.w1.values * ws.w2.values, "pos"), ws.w1, ws.w2)
 setups = {th: (ExponentProfile(n=dim, **scale(e)), {}) for th, e in unweighted.items()}
-# a harness that still takes cp= reads the weighted exponents from an ExponentProfile
-takes_cp = "cp" in inspect.signature(ratio_harness).parameters
 for theorem, exps, system in (("olsen", two, ws), ("two-weight", two, ws),
                               ("one-weight", one, one_ws)):
-    cp = CharParams(n=dim, **scale(exps))
-    setups[theorem] = ((ExponentProfile(**vars(cp)), {"ws": system, "cp": cp}) if takes_cp
-                       else (cp, {"ws": system}))
+    setups[theorem] = (CharParams(n=dim, **scale(exps)), {"ws": system})
 pairs = make_pairs("step", 4, 5, 3, dim)
 out = {}
 for theorem in sorted(THEOREMS):
