@@ -77,7 +77,7 @@ def _rand_pair(seed, depth, flags="pos"):
 def criterion_01(ctx) -> CriterionResult:
     """Closed-form quadrature at depth 8 within half a percent, under 1 s."""
     depth = 8
-    f = GridFunction(1, unit_root(1), depth, np.ones(2 ** depth), "nonneg")
+    f = GridFunction(unit_root(1), np.ones(2 ** depth), "nonneg")
     alpha = 0.5
     t0 = time.perf_counter()
     bval = b_alpha(f, f, alpha).fn.values[2 ** (depth - 1) - 1]
@@ -222,8 +222,8 @@ def criterion_08(ctx) -> CriterionResult:
     spike = np.ones(2 ** depth)
     spike[2 ** depth // 3] = 1e6
     weights = {
-        "ones": GridFunction(1, unit_root(1), depth, np.ones(2 ** depth), "pos"),
-        "spike": GridFunction(1, unit_root(1), depth, spike, "pos"),
+        "ones": GridFunction(unit_root(1), np.ones(2 ** depth), "pos"),
+        "spike": GridFunction(unit_root(1), spike, "pos"),
         "power": power_weight(0.3, 0.0, unit_root(1), depth),
     }
     worst = 0.0

@@ -67,7 +67,7 @@ class ExponentProfile:
 def log_uniform(rng, root: DyadicCube, depth: int, flags: str) -> GridFunction:
     """Log-uniform i.i.d. cells in [e^-2, e^2], drawn from ``rng`` row-major."""
     vals = np.exp(rng.uniform(-2.0, 2.0, size=(2 ** depth,) * root.dim))
-    return GridFunction(root.dim, root, depth, vals, flags)
+    return GridFunction(root, vals, flags)
 
 
 def random_weights(rng, root: DyadicCube, depth: int) -> WeightSystem:
@@ -87,26 +87,20 @@ def indicator_step(seed: int, depth: int, root: DyadicCube) -> GridFunction:
                    for c in root.coords)
     cube = DyadicCube(level, coords)
     vals = np.zeros((2 ** depth,) * root.dim)
-    template = GridFunction(root.dim, root, depth, vals, "none")
-    vals[cube_box(template, cube).slices()] = 1.0
-    return GridFunction(root.dim, root, depth, vals, "nonneg")
+    vals[cube_box(GridFunction(root, vals), cube).slices()] = 1.0
+    return GridFunction(root, vals, "nonneg")
 
 
 def bump_step(seed: int, depth: int, root: DyadicCube) -> GridFunction:
-    dim = root.dim
     rng = make_rng(seed, 107)
     side = root.side
-    center = rng.uniform(0.3, 0.7, size=dim) * side
+    center = rng.uniform(0.3, 0.7, size=root.dim) * side
     width = rng.uniform(0.08, 0.2) * side
     m = 2 ** depth
     h = side / m
-    axes = [root.lower()[d] + (np.arange(m) + 0.5) * h for d in range(dim)]
-    if dim == 1:
-        r2 = (axes[0] - center[0]) ** 2
-    else:
-        xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        r2 = (xx - center[0]) ** 2 + (yy - center[1]) ** 2
-    return GridFunction(dim, root, depth, np.exp(-r2 / width ** 2), "pos")
+    offsets = [lo + (np.arange(m) + 0.5) * h - c for lo, c in zip(root.lower(), center)]
+    r2 = sum(x ** 2 for x in np.ix_(*offsets))  # summed over an open mesh
+    return GridFunction(root, np.exp(-r2 / width ** 2), "pos")
 
 
 _KINDS = {"step": random_step, "indicator": indicator_step, "bump": bump_step}
@@ -173,13 +167,13 @@ def _pair_stacks(pairs, level: int):
     share one grid are refused.
     """
     base = pairs[0][1]
-    if any(h.root != base.root or h.depth != base.depth for _, f, g in pairs for h in (f, g)):
+    if not all(base.same_grid(h) for _, f, g in pairs for h in (f, g)):
         raise ParameterError("harness pairs must share one grid")
     if level < base.depth:
         raise ParameterError("refinement level below the pair's base depth")
     fv, gv = (spread(np.stack([pair[i].values for pair in pairs]), level - base.depth, base.dim)
               for i in (1, 2))
-    return GridFunction(base.dim, base.root, level, fv[0]), fv, gv
+    return GridFunction(base.root, fv[0]), fv, gv
 
 
 def _weighted_sides(grid: GridFunction, fam: CubeFamily, weighted: np.ndarray,
@@ -355,8 +349,8 @@ def build_sharpness_pair(cfg: SharpnessConfig, m: int):
         fvals[lo:hi] = height_f
         gvals[lo:hi] = height_g
         inner_boxes.append((center_cells - half_inner, center_cells + half_inner))
-    f = GridFunction(cfg.n, root, depth, fvals, "nonneg")
-    g = GridFunction(cfg.n, root, depth, gvals, "nonneg")
+    f = GridFunction(root, fvals, "nonneg")
+    g = GridFunction(root, gvals, "nonneg")
     meta = SharpnessPairMeta(delta, big_n, tuple(inner_boxes), height_f, height_g)
     return f, g, meta
 
@@ -584,7 +578,7 @@ def necessity_check(ws: WeightSystem, cp: CharParams, family: CubeFamily,
     if pairs is None:
         pairs = make_pairs("step", 4, seed, grid.depth, n)
     pairs = list(pairs)
-    if any(h.root != grid.root or h.depth != grid.depth for _, f, g in pairs for h in (f, g)):
+    if not all(grid.same_grid(h) for _, f, g in pairs for h in (f, g)):
         raise ParameterError("necessity pairs must live on the weight grid")
     shape = (-1,) + grid.values.shape
     fv = np.concatenate([np.reshape([f.values for _, f, _ in pairs], shape), f_probe])
@@ -625,7 +619,7 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     """
     refuse("relations violated",
            relations.violations(params.cp, "s<1") + relations.violations(params, "fs-dual"))
-    if w1.root != w2.root or w1.depth != w2.depth or any(level < w1.depth for level in levels):
+    if not w1.same_grid(w2) or any(level < w1.depth for level in levels):
         raise ParameterError(f"weights w1 on root {w1.root} at depth {w1.depth} and w2 on root "
                              f"{w2.root} at depth {w2.depth} do not fit levels {tuple(levels)}: "
                              f"weights must share one grid, no finer than the first level")

@@ -102,28 +102,24 @@ class AlignedBox:
 class GridFunction:
     """Piecewise-constant real data on the cells of a dyadic root cube.
 
-    ``values`` has shape ``(2**depth,) * dim`` with axis ``a`` indexing
-    coordinate ``a``; flattening is row-major (last axis fastest).
+    The grid is the root cube plus the array: ``values`` has shape
+    ``(2**depth,) * dim`` with ``dim`` the root's and ``depth`` read from
+    the side length.  Axis ``a`` indexes coordinate ``a``; flattening is
+    row-major (last axis fastest).
     """
 
-    dim: int
     root: DyadicCube
-    depth: int
     values: np.ndarray
     flags: str = "none"
 
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
-        if self.root.dim != self.dim:
-            raise ParameterError("root dimension mismatch")
-        if self.depth < 0:
-            raise ParameterError("depth must be >= 0")
-        check_levels(self.dim, self.root.level, self.depth)
         self.values = np.asarray(self.values, dtype=float)
-        want = (2 ** self.depth,) * self.dim
-        if self.values.shape != want:
-            raise ParameterError(f"values shape {self.values.shape} != {want}")
+        side = self.values.shape[0] if self.values.ndim else 0
+        if side < 1 or side & (side - 1) or self.values.shape != (side,) * self.dim:
+            raise ParameterError(f"values shape {self.values.shape} is not (2**L,) * {self.dim}")
+        check_levels(self.dim, self.root.level, self.depth)
         if not np.all(np.isfinite(self.values)):
             raise ParameterError("grid values must be finite (no nan or inf)")
         if self.flags not in _FLAGS:
@@ -134,8 +130,16 @@ class GridFunction:
             raise ParameterError("pos grid function has nonpositive cells")
 
     @property
+    def dim(self) -> int:
+        return self.root.dim
+
+    @property
+    def depth(self) -> int:
+        return self.values.shape[0].bit_length() - 1
+
+    @property
     def cells_per_axis(self) -> int:
-        return 2 ** self.depth
+        return self.values.shape[0]
 
     @property
     def cell_level(self) -> int:
@@ -149,16 +153,18 @@ class GridFunction:
     def cell_volume(self) -> float:
         return self.cell_side ** self.dim
 
+    def same_grid(self, other: "GridFunction") -> bool:
+        """Whether ``other`` lives on this grid: the same root and array shape."""
+        return self.root == other.root and self.values.shape == other.values.shape
+
     def with_values(self, values, flags: str | None = None) -> "GridFunction":
-        return GridFunction(self.dim, self.root, self.depth, values,
-                            flags if flags is not None else "none")
+        return GridFunction(self.root, values, flags if flags is not None else "none")
 
     def refine(self, extra: int) -> "GridFunction":
         """Exact resampling of the step function to a grid ``extra`` levels finer."""
         if extra < 0:
             raise ParameterError("refine expects extra >= 0")
-        return GridFunction(self.dim, self.root, self.depth + extra,
-                            spread(self.values, extra), self.flags)
+        return GridFunction(self.root, spread(self.values, extra), self.flags)
 
 
 def cube_box(grid: GridFunction, cube: DyadicCube) -> AlignedBox:
@@ -198,21 +204,21 @@ def enumerate_subcubes(root: DyadicCube, min_level: int) -> list[DyadicCube]:
 def cube_blocks(values: np.ndarray, shift: int, dim: int | None = None) -> np.ndarray:
     """The cells of every cube ``2**shift`` cells wide, one cube per row.
 
-    The trailing ``dim`` axes (one or two; all of them by default) are the
-    grid, and any axes before them are a stack of grids, kept in front.
+    The trailing ``dim`` axes (all of them by default) are the grid, and
+    any axes before them are a stack of grids, kept in front.
     Returns shape ``stack + (cubes per axis,) * dim + (cells per cube,)``:
     cubes keep their grid layout (row-major when flattened) and each row
     lists the cube's cells row-major, so reductions over the last axis give
     per-cube values laid out like the level's cubes.
     """
     n = values.ndim if dim is None else dim
-    stack = values.shape[:values.ndim - n]
+    k = values.ndim - n
     side = 1 << shift
     count = values.shape[-1] >> shift
-    if n == 1:
-        return values.reshape(stack + (count, side))
-    v = values.reshape(stack + (count, side, count, side)).swapaxes(-2, -3)
-    return v.reshape(stack + (count, count, side * side))
+    v = values.reshape(values.shape[:k] + (count, side) * n)
+    v = v.transpose(tuple(range(k)) + tuple(range(k, k + 2 * n, 2))
+                    + tuple(range(k + 1, k + 2 * n, 2)))
+    return v.reshape(values.shape[:k] + (count,) * n + (side ** n,))
 
 
 def spread(values: np.ndarray, shift: int, dim: int | None = None) -> np.ndarray:
@@ -283,7 +289,7 @@ def read_mgf(path) -> GridFunction:
             rootcoords = tuple(int(c) for c in kv["rootcoords"].split(","))
             depth = int(kv["depth"])
             flags = kv["flags"]
-            if depth < 0 or dim < 0:
+            if depth < 0 or dim != len(rootcoords):
                 raise ValueError(header)
         except (KeyError, ValueError) as exc:
             raise ParameterError(f"malformed MGF/1 header: {header!r}") from exc
@@ -300,7 +306,7 @@ def read_mgf(path) -> GridFunction:
         if fh.read().strip():
             raise ParameterError(f"MGF/1 file has content after its {count} values")
     values = np.array(vals).reshape((2 ** depth,) * dim, order="C")
-    return GridFunction(dim, DyadicCube(rootlevel, rootcoords), depth, values, flags)
+    return GridFunction(DyadicCube(rootlevel, rootcoords), values, flags)
 
 
 def unit_root(dim: int) -> DyadicCube:

@@ -383,7 +383,7 @@ def pair_morrey_sup(f: GridFunction, g: GridFunction, p: float,
     This is the normalization functional on the right-hand side of the
     weighted bounds; f and g must share a grid.
     """
-    if f.values.shape != g.values.shape or f.root != g.root:
+    if not f.same_grid(g):
         raise ParameterError("pair supremum needs a common grid")
     if q1 <= 0 or q2 <= 0 or p <= 0:
         raise ParameterError("pair supremum exponents must be positive")

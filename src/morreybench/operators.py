@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, triple_sums
 from .norms import CubeFamily, cell_sup, lq_means
@@ -48,13 +48,11 @@ def _flags_for(values: np.ndarray) -> str:
 
 def _field(template: GridFunction, values: np.ndarray, tail: float = 0.0) -> OperatorField:
     """Wrap ``values`` that ``finite`` has already passed."""
-    out = GridFunction(template.dim, template.root, template.depth,
-                       values, _flags_for(values))
-    return OperatorField(out, tail)
+    return OperatorField(template.with_values(values, _flags_for(values)), tail)
 
 
 def _require_common_grid(f: GridFunction, g: GridFunction) -> None:
-    if f.root != g.root or f.depth != g.depth or f.dim != g.dim:
+    if not f.same_grid(g):
         raise ParameterError("operands must live on a common grid")
 
 
@@ -109,10 +107,10 @@ def _truncation_table(grid: GridFunction, radii) -> np.ndarray:
     offsets = np.arange(-(m - 1), m)[:, None]
     lo = np.maximum(offsets * h - 0.5 * h, -d)
     hi = np.minimum(offsets * h + 0.5 * h, d)
-    w = np.clip(hi - lo, 0.0, None)
-    if grid.dim == 1:
-        return w
-    return w[:, None] * w[None, :]
+    table = w = np.clip(hi - lo, 0.0, None)
+    for _ in range(grid.dim - 1):  # the product of the per-axis overlaps
+        table = table[..., None, :] * w
+    return table
 
 
 _BLOCK = 1 << 16  # elements of one column block of the product, about 512 KB
@@ -124,9 +122,9 @@ def _correlate(fv: np.ndarray, gv: np.ndarray, tables: np.ndarray) -> np.ndarray
 
     The grid has ``tables.ndim - 1`` axes; any axes of ``fv`` and ``gv``
     before them are a stack of pairs on that grid.  One pass over the row
-    offsets j0 with |j0| <= (m0-1)//2; a 1D grid is one row.  Strided views
+    offsets j0 with |j0| <= (m0-1)//2; a 1D grid is one row.  Windowed views
     F[k, r, i, j] = f[k, r, i-j] and G[k, r, i, j] = g[k, r, i+j] of copies
-    zero-padded along the last axis give, over the rows r with r-j0 and r+j0
+    zero-padded along the last axis (F's windows in reverse order) give, over the rows r with r-j0 and r+j0
     in range, each block of columns as one product
     (F[:, r-j0] * G[:, r+j0]) @ tables[j0], sliced to the offsets in range
     for its columns and capped at ``_BLOCK`` elements over the whole stack.
@@ -140,10 +138,8 @@ def _correlate(fv: np.ndarray, gv: np.ndarray, tables: np.ndarray) -> np.ndarray
     tables = tables.reshape((-1,) + tables.shape[-2:])
     fp, gp = np.zeros((k, m0, m + 2 * c)), np.zeros((k, m0, m + 2 * c))
     fp[..., c:c + m], gp[..., c:c + m] = fr[..., ::-1], gr  # f reversed: j runs forward in both
-    item, row, step = fp.strides
-    shape = (k, m0, m, 2 * m - 1)
-    big_f = as_strided(fp[..., c:], shape=shape, strides=(item, row, -step, step))
-    big_g = as_strided(gp, shape=shape, strides=(item, row, step, step))
+    big_f = sliding_window_view(fp, 2 * m - 1, axis=-1)[:, :, ::-1]
+    big_g = sliding_window_view(gp, 2 * m - 1, axis=-1)
     out = np.empty((k, m0, m, tables.shape[-1]))
     for j0 in sorted(range(-((m0 - 1) // 2), (m0 - 1) // 2 + 1), key=abs):
         lo, hi = abs(j0), m0 - abs(j0)  # the rows r with r-j0 and r+j0 in range

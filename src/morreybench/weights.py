@@ -49,8 +49,7 @@ class WeightSystem:
         for name, w in (("v", self.v), ("w1", self.w1), ("w2", self.w2)):
             if w.values.min() <= 0:
                 raise ParameterError(f"weight {name} must be strictly positive")
-        if (self.v.root != self.w1.root or self.v.root != self.w2.root
-                or self.v.depth != self.w1.depth or self.v.depth != self.w2.depth):
+        if not (self.v.same_grid(self.w1) and self.v.same_grid(self.w2)):
             raise ParameterError("weights must share one grid")
 
 
@@ -102,7 +101,7 @@ def power_weight(beta: float, center, root: DyadicCube, depth: int) -> GridFunct
         vals = r ** beta
     if not np.all((vals > 0.0) & (vals < INF)):  # nan fails both
         raise NumericalError(f"|x|**({beta}) leaves the float range on this grid")
-    return GridFunction(dim, root, depth, vals, "pos")
+    return GridFunction(root, vals, "pos")
 
 
 def power_system(beta: float, gamma1: float, gamma2: float, center,
@@ -277,7 +276,7 @@ def fs_majorant(w: GridFunction, r_i: float, s_i: float,
     out = cell_sup(w, family, lambda shift, volume: volume ** r_inv
                    * power_mean(cube_blocks(w.values, shift), e))
     flags = "pos" if out.min() > 0 else "nonneg"
-    return GridFunction(w.dim, w.root, w.depth, out, flags)
+    return w.with_values(out, flags)
 
 
 def pair_value(ws: WeightSystem, cp: CharParams, q: DyadicCube, qp: DyadicCube) -> float:

@@ -77,9 +77,7 @@ def thinned(family):
 
 def grid(values, root=None):
     values = np.asarray(values, dtype=float)
-    dim = values.ndim
-    depth = values.shape[0].bit_length() - 1
-    return GridFunction(dim, root or DyadicCube(0, (0,) * dim), depth, values)
+    return GridFunction(root or DyadicCube(0, (0,) * values.ndim), values)
 
 
 @st.composite
@@ -101,7 +99,7 @@ def cases(draw):
             values.flat[draw(st.integers(0, values.size - 1))] = 1e12
     root = DyadicCube(draw(st.integers(-1, 1)), tuple(draw(st.integers(-2, 2))
                                                       for _ in range(dim)))
-    f = GridFunction(dim, root, depth, values)
+    f = GridFunction(root, values)
     q = draw(st.sampled_from([0.5, 1.0, 2.0, 2.5, 5.0]))
     p = q if draw(st.booleans()) else q * draw(st.sampled_from([1.25, 2.0, 4.0]))
     family = aligned_family(f)

@@ -18,9 +18,7 @@ from geometry_reference import axis_midpoints
 
 
 def write_step(path, values, flags="none"):
-    values = np.asarray(values, dtype=float)
-    depth = int(np.log2(values.size))
-    write_mgf(path, GridFunction(1, unit_root(1), depth, values, flags))
+    write_mgf(path, GridFunction(unit_root(1), values, flags))
 
 
 class TestParsing:
@@ -192,8 +190,7 @@ class TestOpCommand:
     def test_2d_field_roundtrip(self, tmp_path, capsys):
         f = tmp_path / "f2.mgf"
         out = tmp_path / "o2.mgf"
-        write_mgf(f, GridFunction(2, DyadicCube(0, (0, 0)), 3,
-                                  np.ones((8, 8)), "nonneg"))
+        write_mgf(f, GridFunction(DyadicCube(0, (0, 0)), np.ones((8, 8)), "nonneg"))
         rc = main(["op", "--operator", "b-alpha", "--alpha", "1.2",
                    "--f", str(f), "--g", str(f), "--out", str(out)])
         assert rc == 0
@@ -396,7 +393,7 @@ def _with_overflow_files(tmp_path, argv):
              "V": np.full(4, 1e308), "W": np.full(4, 1e-308)}
     for name, values in files.items():
         write_step(tmp_path / name, values, flags="pos")
-    write_mgf(tmp_path / "FAR", GridFunction(1, DyadicCube(100, (0,)), 1, [1e300, 1e300], "pos"))
+    write_mgf(tmp_path / "FAR", GridFunction(DyadicCube(100, (0,)), [1e300, 1e300], "pos"))
     return [str(tmp_path / a) if a in (*files, "FAR") else a for a in argv]
 
 
@@ -498,7 +495,7 @@ class TestExitContract:
         # once a ValueError traceback (cz, 2D), or exit 0 on a root cut down
         # to the grid's dimension (b-dyadic, 2D; cz, 1D)
         path, out = tmp_path / "f.mgf", tmp_path / "o"
-        write_mgf(path, GridFunction(dim, unit_root(dim), 3, np.ones((8,) * dim), "pos"))
+        write_mgf(path, GridFunction(unit_root(dim), np.ones((8,) * dim), "pos"))
         argv = [*argv[:1], "--f", str(path), "--g", str(path), *argv[1:],
                 "--rootlevel", "-1", "--out", str(out)]
         assert _exit_code(argv) == 2
@@ -651,11 +648,13 @@ class TestExitContract:
         pytest.param("dim=2 rootcoords=0,0 depth=60", "truncated at value 1", id="depth-60-2d"),
         pytest.param("dim=1 rootcoords=0 depth=-1", "malformed MGF/1 header", id="negative-depth"),
         pytest.param("dim=-1 rootcoords=0 depth=1", "malformed MGF/1 header", id="negative-dim"),
+        pytest.param("dim=1 rootcoords=0,0 depth=0", "malformed MGF/1 header", id="2d-root-dim-1"),
+        pytest.param("dim=2 rootcoords=0 depth=0", "malformed MGF/1 header", id="1d-root-dim-2"),
     ])
     def test_impossible_mgf_header_refused_with_exit_2(self, tmp_path, capsys, grid, message):
         # a header asking for more values than the file holds is refused
-        # before any buffer of that size exists; a negative depth or
-        # dimension is a malformed header
+        # before any buffer of that size exists; a negative depth, or a
+        # dimension other than the root's, is a malformed header
         path = tmp_path / "bad.mgf"
         dim, coords, depth = grid.split()
         path.write_text(f"MGF 1 {dim} rootlevel=0 {coords} {depth} flags=pos\n1.0\n")

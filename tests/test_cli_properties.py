@@ -115,8 +115,7 @@ def argvs(draw):
 def workdir(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz")
     rng = np.random.default_rng(5)
-    write_mgf(path / "f.mgf", GridFunction(1, unit_root(1), 3,
-                                           np.exp(rng.uniform(-2, 2, 8)), "pos"))
+    write_mgf(path / "f.mgf", GridFunction(unit_root(1), np.exp(rng.uniform(-2, 2, 8)), "pos"))
     return path
 
 
@@ -166,7 +165,7 @@ def test_weighted_runs_on_constant_weights_exit_0_or_3(workdir, run, k):
     w = 10.0 ** (k / 2) if run == "one-weight" else 10.0 ** k
     v = w * w if run == "one-weight" else w
     for name, value in (("v.mgf", v), ("w.mgf", w)):
-        write_mgf(workdir / name, GridFunction(1, unit_root(1), 3, np.full(8, value), "pos"))
+        write_mgf(workdir / name, GridFunction(unit_root(1), np.full(8, value), "pos"))
     out = workdir / "weighted.out"
     out.unlink(missing_ok=True)
     argv = (["experiment", "fs-dual", "--levels", "3..4"] if run == "fs-dual" else

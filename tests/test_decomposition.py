@@ -13,10 +13,8 @@ from geometry_reference import e_sets_by_cube, parent, stopping_sets, triple
 
 
 def step(values, flags="nonneg", root=None):
-    values = np.asarray(values, dtype=float)
-    depth = int(np.log2(values.size))
     root = root if root is not None else unit_root(1)
-    return GridFunction(1, root, depth, values, flags)
+    return GridFunction(root, values, flags)
 
 
 def rand_pair(seed, depth=6):
@@ -122,7 +120,7 @@ class TestDecompose2D:
         rng = make_rng(5, 43)
         vals = np.exp(rng.uniform(-2, 2, size=(8, 8)))
         vals[2, 5] = 60.0
-        f = GridFunction(2, unit_root(2), 3, vals, "nonneg")
+        f = GridFunction(unit_root(2), vals, "nonneg")
         sf = choose_a(f, f, unit_root(2))
         a = sf.a
         total = stopping_sets(sf, f)[0].astype(int)
@@ -134,7 +132,7 @@ class TestDecompose2D:
                 assert a ** k < sel.m_value <= 2 ** 4 * a ** k  # 2^(2n), n=2
 
     def test_packing_2d(self):
-        v = GridFunction(2, unit_root(2), 4, np.ones((16, 16)), "pos")
+        v = GridFunction(unit_root(2), np.ones((16, 16)), "pos")
         assert packing_sum(unit_root(2), v, 0.5, 1.0) <= 1.0
 
 
@@ -144,7 +142,7 @@ def test_triple_maximal_is_the_decomposition_peak(dim, depth):
     # maximal over every dyadic subcube of the root is the peak of Q0 = root
     rng = make_rng(dim, 47)
     root = DyadicCube(1, (-1,) * dim)
-    f, g = (GridFunction(dim, root, depth, np.exp(rng.uniform(-8, 8, (2 ** depth,) * dim)), "pos")
+    f, g = (GridFunction(root, np.exp(rng.uniform(-8, 8, (2 ** depth,) * dim)), "pos")
             for _ in range(2))
     field = m_triple_dyadic(f, g, dyadic_family(f.root, f.cell_level)).fn.values
     peak = cz_decompose(f, g, f.root, 2.0).peak
@@ -258,27 +256,27 @@ class TestPackingSum:
     def test_unit_weight_matches_geometric_formula(self):
         # with v = 1 in 1D the finite ratio is exactly 1 - 2^{-(L+1) alpha t}
         alpha, t, depth = 0.5, 0.5, 6
-        v = GridFunction(1, unit_root(1), depth, np.ones(2 ** depth), "pos")
+        v = GridFunction(unit_root(1), np.ones(2 ** depth), "pos")
         ratio = packing_sum(unit_root(1), v, t, alpha)
         assert ratio == pytest.approx(1.0 - 2.0 ** (-(depth + 1) * alpha * t), rel=1e-12)
         assert ratio <= 1.0
 
     def test_ratio_increases_toward_bound_with_depth(self):
         alpha, t = 0.5, 0.5
-        r4 = packing_sum(unit_root(1), GridFunction(1, unit_root(1), 4, np.ones(16), "pos"), t, alpha)
-        r7 = packing_sum(unit_root(1), GridFunction(1, unit_root(1), 7, np.ones(128), "pos"), t, alpha)
+        r4 = packing_sum(unit_root(1), GridFunction(unit_root(1), np.ones(16), "pos"), t, alpha)
+        r7 = packing_sum(unit_root(1), GridFunction(unit_root(1), np.ones(128), "pos"), t, alpha)
         assert r4 < r7 < 1.0
 
     def test_spike_weight_stays_below_one(self):
         vals = np.ones(64)
         vals[17] = 1e6
-        v = GridFunction(1, unit_root(1), 6, vals, "pos")
+        v = GridFunction(unit_root(1), vals, "pos")
         assert packing_sum(unit_root(1), v, 0.5, 0.5) <= 1.0
 
     def test_grid_of_parameters(self):
         rng = make_rng(77)
         vals = np.exp(rng.uniform(-2, 2, size=64))
-        v = GridFunction(1, unit_root(1), 6, vals, "pos")
+        v = GridFunction(unit_root(1), vals, "pos")
         for t in (0.3, 0.5, 0.7):
             for alpha in (0.25, 0.5, 0.75):
                 assert packing_sum(unit_root(1), v, t, alpha) <= 1.0 + 1e-12
@@ -287,7 +285,7 @@ class TestPackingSum:
         # the closed-form factor tends to 2^{nt}/(2^{nt}-1)
         t, n = 0.5, 1
         geo = 2.0 ** (n * t) / (2.0 ** (n * t) - 1.0)
-        v = GridFunction(1, unit_root(1), 5, np.ones(32), "pos")
+        v = GridFunction(unit_root(1), np.ones(32), "pos")
         lhs_ratio = packing_sum(unit_root(1), v, t, n)  # alpha = n endpoint
         finite = 1.0 - 2.0 ** (-(5 + 1) * n * t)
         assert lhs_ratio == pytest.approx(finite, rel=1e-12)
@@ -299,6 +297,6 @@ class TestPackingSum:
         assert packing_sum(q, v, 0.4, 0.6) <= 1.0
 
     def test_t_out_of_range(self):
-        v = GridFunction(1, unit_root(1), 3, np.ones(8), "pos")
+        v = GridFunction(unit_root(1), np.ones(8), "pos")
         with pytest.raises(ParameterError):
             packing_sum(unit_root(1), v, 1.0, 0.5)

@@ -111,7 +111,7 @@ class TestRatioHarness:
     def test_zero_pair_gives_zero_ratio(self):
         prof = ExponentProfile(alpha=0.3, n=1, p1=4, q1=2.5, p2=4, q2=2.5,
                                s=5.0, t=3.125)
-        z = GridFunction(1, unit_root(1), 4, np.zeros(16))
+        z = GridFunction(unit_root(1), np.zeros(16))
         res = ratio_harness("bilinear-ratio", prof, [("zero", z, z)], (4,))
         assert res.records[0].ratio == 0.0
 
@@ -152,8 +152,7 @@ class TestRatioHarness:
         systems = [power_weights()]
         rng = make_rng(9, 47)
         for _ in range(5):
-            mk = lambda: GridFunction(1, unit_root(1), 4,
-                                      np.exp(rng.uniform(-2, 2, 16)), "pos")
+            mk = lambda: GridFunction(unit_root(1), np.exp(rng.uniform(-2, 2, 16)), "pos")
             systems.append(WeightSystem(mk(), mk(), mk()))
         for ws in systems:
             two = char_two_weight(ws, cp, fam).value
@@ -283,13 +282,13 @@ class TestNecessity:
 
     def random_system(self, seed, depth=5):
         rng = make_rng(seed, 23)
-        mk = lambda: GridFunction(1, unit_root(1), depth,
+        mk = lambda: GridFunction(unit_root(1),
                                   np.exp(rng.uniform(-2, 2, size=2 ** depth)), "pos")
         return WeightSystem(mk(), mk(), mk())
 
     def test_all_ones_trivial(self):
         root = unit_root(1)
-        mk = lambda: GridFunction(1, root, 4, np.ones(16), "pos")
+        mk = lambda: GridFunction(root, np.ones(16), "pos")
         ws = WeightSystem(mk(), mk(), mk())
         rep = necessity_check(ws, self.cp(), dyadic_family(root, -4))
         assert rep.exact_floor_ok
@@ -443,13 +442,13 @@ class TestFsDual:
         params = self.params()
         assert violations(params.cp, "s<1") + violations(params, "fs-dual") == []
         bad = FsDualParams(two_weight_cp(), r1=32.0, r2=16.0, s1=17 / 19, s2=17 / 19)
-        ones = GridFunction(1, unit_root(1), 4, np.ones(16), "pos")
+        ones = GridFunction(unit_root(1), np.ones(16), "pos")
         with pytest.raises(ParameterError, match="^relations violated: 1/r = 1/r1 \\+ 1/r2$"):
             fs_dual_check(ones, ones, bad)
 
     def test_unit_weights_reduce_to_unweighted(self):
         root = unit_root(1)
-        ones = GridFunction(1, root, 4, np.ones(16), "pos")
+        ones = GridFunction(root, np.ones(16), "pos")
         rep = fs_dual_check(ones, ones, self.params(), levels=(4, 5))
         assert rep.split_ok
         assert rep.worst_split_excess == pytest.approx(1.0, rel=1e-12)
@@ -466,8 +465,8 @@ class TestFsDual:
     def test_random_weights_split_exact(self):
         rng = make_rng(15, 53)
         root = unit_root(1)
-        w1 = GridFunction(1, root, 4, np.exp(rng.uniform(-2, 2, 16)), "pos")
-        w2 = GridFunction(1, root, 4, np.exp(rng.uniform(-2, 2, 16)), "pos")
+        w1 = GridFunction(root, np.exp(rng.uniform(-2, 2, 16)), "pos")
+        w2 = GridFunction(root, np.exp(rng.uniform(-2, 2, 16)), "pos")
         rep = fs_dual_check(w1, w2, self.params(), levels=(4,))
         assert rep.split_ok
 

@@ -10,9 +10,9 @@ from morreybench.grid import cube_blocks, spread
 from geometry_reference import children, parent, triple, upper
 
 
-def step(dim, depth, values, root=None, flags="none"):
+def step(values, dim=1, root=None, flags="none"):
     root = root if root is not None else unit_root(dim)
-    return GridFunction(dim, root, depth, np.asarray(values, dtype=float), flags)
+    return GridFunction(root, np.asarray(values, dtype=float), flags)
 
 
 def recursive_enumeration(root, min_level):
@@ -72,7 +72,7 @@ class TestCubeBlocks:
     @pytest.mark.parametrize("dim,depth", [(1, 6), (2, 4)])
     def test_rows_are_cube_slabs_in_canonical_order(self, dim, depth):
         rng = np.random.default_rng(7)
-        f = step(dim, depth, rng.uniform(-1, 2, size=(2 ** depth,) * dim))
+        f = step(rng.uniform(-1, 2, size=(2 ** depth,) * dim), dim)
         for shift in range(depth + 1):
             level = f.cell_level + shift
             rows = cube_blocks(f.values, shift).reshape(-1, 2 ** (dim * shift))
@@ -96,27 +96,27 @@ class TestCubeBlocks:
 
 class TestTriple:
     def test_interior_cube_1d(self):
-        f = step(1, 4, np.ones(16))
+        f = step(np.ones(16))
         q = DyadicCube(-2, (1,))  # [0.25, 0.5)
         box = triple(q, f)
         assert box.lo == (0,) and box.hi == (12,)  # [0, 0.75)
         assert not box.clipped
 
     def test_root_triple_clips(self):
-        f = step(1, 3, np.ones(8))
+        f = step(np.ones(8))
         box = triple(unit_root(1), f)
         assert box.lo == (0,) and box.hi == (8,)
         assert box.clipped
 
     def test_interior_cube_2d(self):
-        f = step(2, 4, np.ones((16, 16)))
+        f = step(np.ones((16, 16)), dim=2)
         q = DyadicCube(-2, (2, 2))  # [0.5, 0.75)^2
         box = triple(q, f)
         assert box.lo == (4, 4) and box.hi == (16, 16)  # [0.25, 1)^2
         assert not box.clipped
 
     def test_cube_finer_than_grid_rejected(self):
-        f = step(1, 2, np.ones(4))
+        f = step(np.ones(4))
         with pytest.raises(ParameterError):
             triple(DyadicCube(-3, (0,)), f)
 
@@ -124,14 +124,14 @@ class TestTriple:
 class TestGridFunction:
     def test_flag_validation(self):
         with pytest.raises(ParameterError):
-            step(1, 2, [-1.0, 0, 0, 0], flags="nonneg")
+            step([-1.0, 0, 0, 0], flags="nonneg")
         with pytest.raises(ParameterError):
-            step(1, 2, [0.0, 1, 1, 1], flags="pos")
+            step([0.0, 1, 1, 1], flags="pos")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_values_rejected(self, bad):
         with pytest.raises(ParameterError, match="finite"):
-            step(1, 2, [1.0, bad, 1.0, 1.0])
+            step([1.0, bad, 1.0, 1.0])
 
     @pytest.mark.parametrize("dim,level,depth,inside", [
         (1, 1023, 0, True), (1, 1024, 0, False), (2, 511, 3, True), (2, 512, 3, False),
@@ -146,11 +146,11 @@ class TestGridFunction:
 
     def test_grid_function_checks_its_levels(self):
         with pytest.raises(ParameterError, match="root level 1024 and depth 0 leaves"):
-            GridFunction(1, DyadicCube(1024, (0,)), 0, [1.0])
+            GridFunction(DyadicCube(1024, (0,)), [1.0])
 
     def test_refine_is_exact(self):
         rng = np.random.default_rng(5)
-        f = step(1, 3, rng.uniform(size=8))
+        f = step(rng.uniform(size=8))
         fine = f.refine(2)
         assert fine.depth == 5
         assert np.array_equal(fine.values, np.repeat(f.values, 4))
@@ -158,14 +158,14 @@ class TestGridFunction:
             f.values.sum() * f.cell_volume, rel=1e-14)
 
     def test_cube_box_alignment(self):
-        f = step(2, 3, np.ones((8, 8)))
+        f = step(np.ones((8, 8)), dim=2)
         box = cube_box(f, DyadicCube(-1, (1, 0)))
         assert box.lo == (4, 0) and box.hi == (8, 4)
 
     @pytest.mark.parametrize("dim,coords", [(2, (1,)), (1, (0, 1))])
     def test_cube_of_another_dimension_rejected(self, dim, coords):
         # zipping the coordinates would cut the cube down to the grid's dimension
-        f = step(dim, 3, np.ones((8,) * dim))
+        f = step(np.ones((8,) * dim), dim)
         with pytest.raises(ParameterError,
                            match=f"^cube of dimension {len(coords)} does not fit a {dim}D grid$"):
             cube_box(f, DyadicCube(-1, coords))
@@ -186,8 +186,7 @@ class TestMgfFormat:
         rng = np.random.default_rng(9)
         for dim, depth in [(1, 4), (2, 3)]:
             root = DyadicCube(1, (0,) * dim)
-            f = GridFunction(dim, root, depth,
-                             rng.uniform(0.5, 2.0, size=(2 ** depth,) * dim), "pos")
+            f = GridFunction(root, rng.uniform(0.5, 2.0, size=(2 ** depth,) * dim), "pos")
             path = tmp_path / f"fn{dim}.mgf"
             write_mgf(path, f)
             g = read_mgf(path)
@@ -203,7 +202,7 @@ class TestMgfFormat:
                                                      chunk, dim, depth, rootlevel):
         monkeypatch.setattr(grid, "_WRITE_CHUNK", chunk)
         special = [-0.0, 5e-324, 1e308, 0.1, 3.0, -7.0, 0.0, 1.0, -1e-300, 2.0 ** 53, 1 / 3]
-        f = GridFunction(dim, DyadicCube(rootlevel, (1,) * dim), depth,
+        f = GridFunction(DyadicCube(rootlevel, (1,) * dim),
                          np.resize(special, (2 ** depth,) * dim))
         chunked, per_value = tmp_path / "chunked.mgf", tmp_path / "per_value.mgf"
         write_mgf(chunked, f)
@@ -214,7 +213,7 @@ class TestMgfFormat:
         assert np.array_equal(np.signbit(back), np.signbit(f.values))  # -0.0 survives
 
     def test_header_layout(self, tmp_path):
-        f = step(1, 1, [0.5, 2.0])
+        f = step([0.5, 2.0])
         path = tmp_path / "f.mgf"
         write_mgf(path, f)
         lines = path.read_text().splitlines()

@@ -10,12 +10,10 @@ from morreybench.norms import _morrey_aligned
 from geometry_reference import upper
 
 
-def step(values, depth=None, dim=1, root=None, flags="none"):
+def step(values, dim=1, root=None, flags="none"):
     values = np.asarray(values, dtype=float)
-    if depth is None:
-        depth = int(np.log2(values.shape[0]))
     root = root if root is not None else unit_root(dim)
-    return GridFunction(dim, root, depth, values, flags)
+    return GridFunction(root, values, flags)
 
 
 class TestLebesgue:
@@ -118,7 +116,7 @@ class TestMorrey:
         # morrey(p,q) / weak(p) stays in a stable band as the grid refines
         p, q = 3.0, 1.5
         rng = np.random.default_rng(12)
-        base = step(np.exp(rng.uniform(-2, 2, size=16)), depth=4)
+        base = step(np.exp(rng.uniform(-2, 2, size=16)))
         ratios = []
         for extra in range(0, 5):  # levels 4..8
             f = base.refine(extra)
@@ -140,7 +138,7 @@ class TestMorrey:
 
     def test_aligned_2d(self):
         rng = np.random.default_rng(13)
-        f = step(rng.uniform(0, 1, size=(8, 8)), depth=3, dim=2)
+        f = step(rng.uniform(0, 1, size=(8, 8)), dim=2)
         fam = aligned_family(f)
         rep = morrey_norm(f, 4.0, 2.0, fam)
         # oracle: direct triple loop over square windows

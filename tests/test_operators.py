@@ -20,9 +20,8 @@ from geometry_reference import axis_midpoints, triple, upper
 
 def step(values, dim=1, root=None, flags="none"):
     values = np.asarray(values, dtype=float)
-    depth = int(np.log2(values.shape[0]))
     root = root if root is not None else unit_root(dim)
-    return GridFunction(dim, root, depth, values, flags)
+    return GridFunction(root, values, flags)
 
 
 def indicator_root(depth, dim=1):

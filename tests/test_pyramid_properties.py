@@ -43,7 +43,7 @@ def scans(draw, low=0, high=2, count=2):
     depth = draw(st.integers(0, 5 if dim == 1 else 3))
     root = DyadicCube(draw(st.integers(-1, 1)),
                       tuple(draw(st.integers(-2, 2)) for _ in range(dim)))
-    grids = [GridFunction(dim, root, depth,
+    grids = [GridFunction(root,
                           draw(arrays(np.float64, (2 ** depth,) * dim,
                                       elements=st.integers(low, high).map(float))))
              for _ in range(count)]
@@ -299,7 +299,7 @@ def test_mgf_round_trip(tmp_path_factory, dim, depth, level, coords, flags, data
     low = {"none": -1e300, "nonneg": 0.0, "pos": 1e-300}[flags]
     values = data.draw(arrays(np.float64, (2 ** depth,) * dim,
                               elements=st.floats(low, 1e300, allow_subnormal=False)))
-    f = GridFunction(dim, DyadicCube(level, tuple(coords[:dim])), depth, values, flags)
+    f = GridFunction(DyadicCube(level, tuple(coords[:dim])), values, flags)
     path = tmp_path_factory.mktemp("mgf") / "f.mgf"
     write_mgf(path, f)
     g = read_mgf(path)

@@ -146,7 +146,7 @@ def test_char_params_checks_are_table_lookups(kind, key, x):
 
 def test_validators_are_table_lookups():
     # fs_dual_check reports the s < 1 rows of its CharParams, then the fs-dual split
-    ones = GridFunction(1, unit_root(1), 4, np.ones(16), "pos")
+    ones = GridFunction(unit_root(1), np.ones(16), "pos")
     cp = dataclasses.replace(VALID["s<1"], t=0.7)
     fs = dataclasses.replace(VALID["fs-dual"], cp=cp, r2=16.0)
     for fs, failed in ((fs, ["t/s = q/p", "1/r = 1/r1 + 1/r2"]),

@@ -201,8 +201,7 @@ def refined_steps(draw):
                       tuple(draw(st.integers(-2, 2)) for _ in range(dim)))
     elements = st.one_of(st.just(0.0), st.floats(-1e6, 1e6, allow_nan=False,
                                                  allow_subnormal=False))
-    f, g = (GridFunction(dim, root, depth, draw(arrays(np.float64, (2 ** depth,) * dim,
-                                                      elements=elements)))
+    f, g = (GridFunction(root, draw(arrays(np.float64, (2 ** depth,) * dim, elements=elements)))
             for _ in range(2))
     q1, q2 = (draw(st.floats(0.5, 4.0)) for _ in range(2))
     p = draw(st.floats(0.5, 8.0))
@@ -311,7 +310,7 @@ def test_weights_off_the_pairs_grid_are_refused(theorem, monkeypatch):
         assert "pairs on root DyadicCube(level=0, coords=(0,)) at levels (3, 4, 5)" in str(err.value)
     assert calls == []  # refused before any operator call
     monkeypatch.undo()  # weights coarser than the first level are refined per level
-    coarser = WeightSystem(*(GridFunction(1, unit_root(1), 2, x.values[::2], "pos")
+    coarser = WeightSystem(*(GridFunction(unit_root(1), x.values[::2], "pos")
                              for x in (ws.v, ws.w1, ws.w2)))
     res = ratio_harness(theorem, pr, make_pairs("step", 2, 5, 3), (3, 4), ws=coarser)
     assert len(res.records) == 4
@@ -329,7 +328,7 @@ def test_zero_right_side_names_its_pair():
 
 def test_overflowing_operator_output_is_refused():
     pr, _ = setup("bilinear-ratio", 1)
-    big = GridFunction(1, unit_root(1), 3, np.full(8, 1e200))
+    big = GridFunction(unit_root(1), np.full(8, 1e200))
     with pytest.raises(NumericalError, match="overflowed"):
         ratio_harness("bilinear-ratio", pr, [("big", big, big)], (3, 4))
 

@@ -43,7 +43,7 @@ def stacks(draw):
     sub = DyadicCube(sub_level, tuple((c << shift) + draw(st.integers(0, (1 << shift) - 1))
                                       for c in root.coords))
     family = dyadic_family(sub, draw(st.integers(cell, sub_level)))
-    grid = GridFunction(dim, root, depth, np.zeros(shape[1:]))
+    grid = GridFunction(root, np.zeros(shape[1:]))
     return grid, fv, gv, family
 
 
@@ -117,7 +117,7 @@ def test_overflowing_item_refused_like_its_single_call(case, item, cell):
 
 
 def test_overflowing_field_refused_like_the_single_call():
-    grid = GridFunction(1, DyadicCube(0, (0,)), 2, np.zeros(4))
+    grid = GridFunction(DyadicCube(0, (0,)), np.zeros(4))
     family = dyadic_family(grid.root, -2)
     fv = np.ones((2, 4))
     fv[1, 0] = 1e300
@@ -128,7 +128,7 @@ def test_overflowing_field_refused_like_the_single_call():
 
 
 def test_empty_stack():
-    grid = GridFunction(2, DyadicCube(0, (0, 0)), 2, np.zeros((4, 4)))
+    grid = GridFunction(DyadicCube(0, (0, 0)), np.zeros((4, 4)))
     family = dyadic_family(grid.root, -2)
     empty = np.zeros((0, 4, 4))
     assert _morrey_sup(grid, family, 2.0, (empty, 1.0)).shape == (0,)

@@ -21,7 +21,7 @@ from geometry_reference import parent, upper
 def ones_system(depth=4, dim=1):
     root = unit_root(dim)
     shape = (2 ** depth,) * dim
-    mk = lambda: GridFunction(dim, root, depth, np.ones(shape), "pos")
+    mk = lambda: GridFunction(root, np.ones(shape), "pos")
     return WeightSystem(mk(), mk(), mk())
 
 
@@ -29,8 +29,7 @@ def random_system(seed, depth=4, dim=1, root=None):
     root = root if root is not None else unit_root(dim)
     rng = make_rng(seed, 23)
     shape = (2 ** depth,) * dim
-    mk = lambda: GridFunction(dim, root, depth,
-                              np.exp(rng.uniform(-2, 2, size=shape)), "pos")
+    mk = lambda: GridFunction(root, np.exp(rng.uniform(-2, 2, size=shape)), "pos")
     return WeightSystem(mk(), mk(), mk())
 
 
@@ -240,8 +239,8 @@ class TestTwoWeight:
     def test_overflow_refused(self):
         # the pair values overflow: refused by the scan, never reported as +inf
         root = unit_root(1)
-        big = GridFunction(1, root, 2, np.full(4, 1e308), "pos")
-        tiny = GridFunction(1, root, 2, np.full(4, 1e-308), "pos")
+        big = GridFunction(root, np.full(4, 1e308), "pos")
+        tiny = GridFunction(root, np.full(4, 1e-308), "pos")
         ws = WeightSystem(big, tiny, tiny)
         with pytest.raises(NumericalError, match="^supremum overflowed to a non-finite value$"):
             char_two_weight(ws, cp_two_weight(), dyadic_family(root, -2))
@@ -283,9 +282,9 @@ class TestOneWeight:
     def make_system(self, seed, depth=4):
         rng = make_rng(seed, 31)
         root = unit_root(1)
-        w1 = GridFunction(1, root, depth, np.exp(rng.uniform(-1, 1, 2 ** depth)), "pos")
-        w2 = GridFunction(1, root, depth, np.exp(rng.uniform(-1, 1, 2 ** depth)), "pos")
-        v = GridFunction(1, root, depth, w1.values * w2.values, "pos")
+        w1 = GridFunction(root, np.exp(rng.uniform(-1, 1, 2 ** depth)), "pos")
+        w2 = GridFunction(root, np.exp(rng.uniform(-1, 1, 2 ** depth)), "pos")
+        v = GridFunction(root, w1.values * w2.values, "pos")
         return WeightSystem(v, w1, w2)
 
     def test_all_ones(self):
@@ -410,7 +409,7 @@ def pair_value_testing(ws, cp, cube):
 class TestApConstant:
     def test_constant_weight(self):
         root = unit_root(1)
-        w = GridFunction(1, root, 4, np.full(16, 2.7), "pos")
+        w = GridFunction(root, np.full(16, 2.7), "pos")
         rep = ap_characteristic(w, 2.0, dyadic_family(root, -4))
         assert rep.value == pytest.approx(1.0, rel=1e-13)
 
@@ -444,7 +443,7 @@ class TestApConstant:
 class TestFsMajorant:
     def test_unit_weight(self):
         root = unit_root(1)
-        w = GridFunction(1, root, 3, np.ones(8), "pos")
+        w = GridFunction(root, np.ones(8), "pos")
         out = fs_majorant(w, INF, 0.5, dyadic_family(root, -3))
         assert np.allclose(out.values, 1.0, rtol=1e-14)
 
@@ -460,7 +459,7 @@ class TestFsMajorant:
 
     def test_bruteforce_two_level_grid(self):
         root = unit_root(1)
-        w = GridFunction(1, root, 1, np.array([0.5, 2.0]), "pos")
+        w = GridFunction(root, np.array([0.5, 2.0]), "pos")
         fam = dyadic_family(root, -1)
         s_i, r_i = 0.4, 4.0
         e = s_i / (1 - s_i)
