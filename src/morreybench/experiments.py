@@ -241,6 +241,7 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
         raise ParameterError("ratio harness needs at least one pair")
     pr = profile
     base, f0, g0 = _pair_stacks(pairs, pairs[0][1].depth)
+    relations.require_dim(pr, base.dim)
 
     def base_norms(values, p, q):
         return _morrey_sup(base, dyadic_family(base.root, base.cell_level), p, (values, q))
@@ -617,6 +618,7 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     pairs, B(f,g) w1 w2 is normalized by the pair supremum built from the
     majorants W_i, on weights of one grid no finer than the first level.
     """
+    relations.require_dim(params.cp, w1.dim)
     refuse("relations violated",
            relations.violations(params.cp, "s<1") + relations.violations(params, "fs-dual"))
     if not w1.same_grid(w2) or any(level < w1.depth for level in levels):

@@ -176,12 +176,8 @@ def cube_box(grid: GridFunction, cube: DyadicCube) -> AlignedBox:
     if not grid.root.contains(cube):
         raise ParameterError("cube lies outside the grid root")
     shift = cube.level - grid.cell_level
-    size = 1 << shift
-    lo = []
-    for c, r in zip(cube.coords, grid.root.coords):
-        start = (c << shift) - (r << grid.depth)
-        lo.append(start)
-    return AlignedBox(tuple(lo), tuple(l + size for l in lo))
+    lo = [(c << shift) - (r << grid.depth) for c, r in zip(cube.coords, grid.root.coords)]
+    return AlignedBox(lo, tuple(l + (1 << shift) for l in lo))
 
 
 def enumerate_subcubes(root: DyadicCube, min_level: int) -> list[DyadicCube]:

@@ -239,9 +239,7 @@ def morrey_norm(f: GridFunction, p: float, q: float, family: CubeFamily) -> Norm
     if not (0 < q <= p < np.inf):
         raise ParameterError(f"Morrey exponents need 0 < q <= p < inf, got q={q} p={p}")
     if family.tag == ALIGNED:
-        rep = _morrey_aligned(f, p, q, family)
-        finite(rep.value, "supremum")
-        return rep
+        return _morrey_aligned(f, p, q, family)
     return NormReport(*_morrey_sup(f, family, p, (f.values, q)))
 
 
@@ -327,7 +325,8 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
     Ranges are bisected best first and dropped when their bound is below the
     best value, or equal to it with every side larger than the best's side,
     so the result is the loop's first strict maximum, value and box bit for
-    bit.  Only W and its argmax are kept per side visited.
+    bit.  Only W and its argmax are kept per side visited.  A non-finite
+    value of a visited side is refused with a NumericalError.
     """
     if f.cell_level != family.min_level or f.root != family.root:
         raise ParameterError("aligned family was built for a different grid")
@@ -344,7 +343,7 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
         win = _windows(table, s)
         at = int(np.argmax(win))
         w = win.flat[at]
-        val = ((s * h) ** n) ** (1.0 / p) * (w / s ** n) ** (1.0 / q)
+        val = finite(((s * h) ** n) ** (1.0 / p) * (w / s ** n) ** (1.0 / q), "supremum")
         seen[k] = (w, at)
         if val > best_val or (val == best_val and k < best):
             best_val, best = val, k
@@ -369,8 +368,6 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
         visit(k)
         push(i, k)
         push(k, j)
-    if best < 0:
-        return NormReport(best_val, None)
     s, at = sizes[best], seen[best][1]
     lo = np.unravel_index(at, (m - s + 1,) * n)
     return NormReport(best_val, AlignedBox(lo, tuple(i + s for i in lo)))

@@ -42,13 +42,10 @@ class OperatorField:
     tail_bound: float = 0.0
 
 
-def _flags_for(values: np.ndarray) -> str:
-    return "nonneg" if values.size and values.min() >= 0 else "none"
-
-
 def _field(template: GridFunction, values: np.ndarray, tail: float = 0.0) -> OperatorField:
     """Wrap ``values`` that ``finite`` has already passed."""
-    return OperatorField(template.with_values(values, _flags_for(values)), tail)
+    flags = "nonneg" if values.size and values.min() >= 0 else "none"
+    return OperatorField(template.with_values(values, flags), tail)
 
 
 def _require_common_grid(f: GridFunction, g: GridFunction) -> None:
@@ -233,8 +230,7 @@ def m_alpha_bilinear(f: GridFunction, g: GridFunction, alpha: float,
                      family: CubeFamily) -> OperatorField:
     """sup over dyadic radii d of (2d)**(alpha-n) * B_d(|f|, |g|)(x)."""
     _require_common_grid(f, g)
-    n = f.dim
-    if not (0.0 <= alpha < n):
+    if not (0.0 <= alpha < f.dim):
         raise ParameterError(f"maximal exponent must satisfy 0 <= alpha < n, got {alpha}")
     return _field(f, _bilinear_maximal(f, f.values[None], g.values[None], alpha, family)[0])
 

@@ -9,7 +9,7 @@ sets are concatenations of rows.  A caller refuses ``x`` with
 
 from __future__ import annotations
 
-from .util import INF, close, recip
+from .util import INF, ParameterError, close, recip
 
 
 def _below(s: float, r: float) -> bool:
@@ -105,6 +105,12 @@ RULES = {
         ("0 < t <= s", lambda x: 0.0 < x.t <= x.s),
         ("a slope needs at least two distinct deltas", lambda x: len(set(x.delta_exps)) >= 2)),
 }
+
+
+def require_dim(x, dim: int) -> None:
+    """Refuse exponents ``x`` stated for ``x.n`` on data of dimension ``dim``."""
+    if x.n != dim:
+        raise ParameterError(f"parameters for n={x.n} do not fit {dim}D data")
 
 
 def violations(x, key: str) -> list[str]:

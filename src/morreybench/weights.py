@@ -85,10 +85,8 @@ def power_weight(beta: float, center, root: DyadicCube, depth: int) -> GridFunct
             integral = np.diff(np.copysign(np.abs(edges) ** (beta + 1.0), edges)) / (beta + 1.0)
         vals = integral / (b - a)
     else:
-        mids0 = origin[0] + h * (np.arange(m) + 0.5) - center[0]
-        mids1 = origin[1] + h * (np.arange(m) + 0.5) - center[1]
-        x0, x1 = np.meshgrid(mids0, mids1, indexing="ij")
-        r = np.hypot(x0, x1)
+        r = np.hypot(*np.meshgrid(*(origin[d] + h * (np.arange(m) + 0.5) - center[d]
+                                    for d in range(2)), indexing="ij"))
         if beta != 0 and np.any(r == 0.0):  # the value there is 0 or infinite
             raise ParameterError("a cell midpoint coincides with the center")
         if beta <= -dim:
@@ -134,10 +132,13 @@ class CharParams:
     def q(self) -> float:
         return recip(1.0 / self.q1 + 1.0 / self.q2)
 
-    def check(self, kind: str) -> None:
-        """Refuse the tuple unless the relations of characteristic ``kind``
-        hold: ``two-weight`` and ``one-weight`` take their s < 1 or s >= 1
-        rows from s, ``remark`` and ``testing`` have rows of their own."""
+    def check(self, kind: str, dim: int | None = None) -> None:
+        """Refuse the tuple on data of a given ``dim`` other than n, or unless
+        the relations of characteristic ``kind`` hold: ``two-weight`` and
+        ``one-weight`` take their s < 1 or s >= 1 rows from s, ``remark`` and
+        ``testing`` have rows of their own."""
+        if dim is not None:
+            relations.require_dim(self, dim)
         split = "s<1" if self.s < 1.0 else "s>=1"
         key = {"two-weight": split, "one-weight": "one-weight-" + split}.get(kind, kind)
         refuse("invalid parameters", relations.violations(self, key))
@@ -152,10 +153,12 @@ class CharacteristicReport:
     pairs_scanned: int
 
 
-def _w_factor(ws: WeightSystem, shift: int, d1: float, d2: float) -> np.ndarray:
-    """prod_i (avg_Q w_i**-d_i)**(1/d_i) per cube, as 1 / power_mean(w_i, -d_i)."""
-    return (1.0 / power_mean(cube_blocks(ws.w1.values, shift), -d1)
-            * (1.0 / power_mean(cube_blocks(ws.w2.values, shift), -d2)))
+def _w_factors(ws: WeightSystem, shift: int, d1: float, d2: float):
+    """(avg_Q w_i**-d_i)**(1/d_i) per cube for i = 1, 2, as 1 / power_mean(w_i, -d_i);
+    products take the v factor first, then these one at a time, since their
+    own product can leave the float range where the whole product does not."""
+    return (1.0 / power_mean(cube_blocks(ws.w1.values, shift), -d1),
+            1.0 / power_mean(cube_blocks(ws.w2.values, shift), -d2))
 
 
 def _pair_exponent(cp: CharParams) -> float:
@@ -178,12 +181,13 @@ def _pair_scan(ws: WeightSystem, family: CubeFamily, t: float, d1: float, d2: fl
     """
     grid = ws.v
     scans = list(dyadic_levels(grid, family))
-    wfac = [_w_factor(ws, shift, d1, d2)[window] for shift, _, window in scans]
+    wfac = [[w[window] for w in _w_factors(ws, shift, d1, d2)] for shift, _, window in scans]
     best, pairs = None, 0
     for i, (shift, volume, window) in enumerate(scans):
         vfac = v_factor(cube_blocks(grid.values, shift), t)[window]
         vals = finite(np.stack([_pair_scale(volume, scans[j][1], exponent, r_inv) * vfac
-                                * spread(wfac[j], scans[j][0] - shift)
+                                * spread(wfac[j][0], scans[j][0] - shift)
+                                * spread(wfac[j][1], scans[j][0] - shift)
                                 for j in range(i, -1, -1)], axis=-1), "supremum")
         pairs += vals.size
         k = int(np.argmax(vals))
@@ -202,7 +206,7 @@ def char_two_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Cha
     (avg_Q v**(t/(1-t)))**((1-t)/t) prod_i (avg_Q' w_i**(-(q_i/a)'))**(1/(q_i/a)')
     with E = (1-s)/(as) for s < 1 and (1-as)/(as) for s >= 1.
     """
-    cp.check("two-weight")
+    cp.check("two-weight", ws.v.dim)
     return _pair_scan(ws, family, cp.t, conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a),
                       _pair_exponent(cp), recip(cp.r))
 
@@ -213,21 +217,21 @@ def char_remark(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Charact
     sup over Q of |Q|**(1/r) (avg_Q v**(as/(1-s)))**((1-s)/(as))
     prod_i (avg_Q w_i**(-(q_i/a)'))**(1/(q_i/a)').
     """
-    cp.check("remark")
+    cp.check("remark", ws.v.dim)
     d1, d2 = conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a)
     e_v = cp.a * cp.s / (1.0 - cp.s)
     r_inv = recip(cp.r)
 
     def value(shift, volume):
-        return (volume ** r_inv
-                * power_mean(cube_blocks(ws.v.values, shift), e_v) * _w_factor(ws, shift, d1, d2))
+        w1, w2 = _w_factors(ws, shift, d1, d2)
+        return volume ** r_inv * power_mean(cube_blocks(ws.v.values, shift), e_v) * w1 * w2
     best, q = family_max(ws.v, family, value)
     return CharacteristicReport(best, (q, q), len(family))
 
 
 def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
     """One-weight characteristic: r = inf, v = w1 w2, full dual exponents q_i'."""
-    cp.check("one-weight")
+    cp.check("one-weight", ws.v.dim)
     prod = ws.w1.values * ws.w2.values
     if not np.allclose(ws.v.values, prod, rtol=1e-12, atol=0.0):
         raise ParameterError("one-weight system requires v = w1*w2 pointwise")
@@ -237,13 +241,13 @@ def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Cha
 
 def char_testing(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
     """Necessary-condition constant: sup_Q |Q|**(1/r) (inf_Q v) prod dual averages."""
-    cp.check("testing")
+    cp.check("testing", ws.v.dim)
     d1, d2 = conjugate(cp.q1), conjugate(cp.q2)
     r_inv = recip(cp.r)
 
     def value(shift, volume):
-        return (volume ** r_inv
-                * cube_blocks(ws.v.values, shift).min(axis=-1) * _w_factor(ws, shift, d1, d2))
+        w1, w2 = _w_factors(ws, shift, d1, d2)
+        return volume ** r_inv * cube_blocks(ws.v.values, shift).min(axis=-1) * w1 * w2
     best, q = family_max(ws.v, family, value)
     return CharacteristicReport(best, (q, q), len(family))
 
@@ -285,9 +289,10 @@ def pair_value(ws: WeightSystem, cp: CharParams, q: DyadicCube, qp: DyadicCube) 
     d1, d2 = conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a)
     grid = ws.v
 
-    def factor(cube, per_cube):
+    def place(cube):  # the cell shift of the cube's level and its index there
         shift = cube.level - grid.cell_level
-        return per_cube(shift)[tuple(lo >> shift for lo in cube_box(grid, cube).lo)]
+        return shift, tuple(lo >> shift for lo in cube_box(grid, cube).lo)
+    (shift, i), (up, j) = place(q), place(qp)
+    w1, w2 = _w_factors(ws, up, d1, d2)
     return (_pair_scale(q.volume, qp.volume, _pair_exponent(cp), recip(cp.r))
-            * factor(q, lambda shift: v_factor(cube_blocks(grid.values, shift), cp.t))
-            * factor(qp, lambda shift: _w_factor(ws, shift, d1, d2)))
+            * v_factor(cube_blocks(grid.values, shift), cp.t)[i] * w1[j] * w2[j])

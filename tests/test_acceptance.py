@@ -12,6 +12,7 @@ the assertion fails for every delta even though the norms are delta-uniform
 The check is kept as stated rather than loosened.
 """
 
+import numpy as np
 import pytest
 
 from morreybench import acceptance, decomposition
@@ -79,6 +80,15 @@ def test_seeded_pairs_drawn_and_used_once(ctx, monkeypatch, criterion, name, cou
 
 def test_criterion_06_maximal_control(ctx):
     assert _run(acceptance.criterion_06, ctx).passed
+
+
+@pytest.mark.parametrize("growth,passed", [(1.049, True), (1.051, False)])
+def test_criterion_06_gates_the_growth_of_its_constant(ctx, monkeypatch, growth, passed):
+    # the constant may grow at most 1.05x per depth: here it is growth**depth
+    monkeypatch.setattr(acceptance, "_b_values", lambda grid, fv, gv, alpha: np.ones(fv.shape))
+    monkeypatch.setattr(acceptance, "_bilinear_maximal",
+                        lambda grid, fv, gv, alpha, family: np.full(fv.shape, growth ** grid.depth))
+    assert acceptance.criterion_06(ctx).passed == passed
 
 
 def test_criterion_07_stopping_decomposition(ctx):

@@ -18,8 +18,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from morreybench import (AlignedBox, DyadicCube, GridFunction, ParameterError,  # noqa: E402
-                         aligned_family, morrey_norm)
+from morreybench import (AlignedBox, DyadicCube, GridFunction, NumericalError,  # noqa: E402
+                         ParameterError, aligned_family, morrey_norm)
 from morreybench import norms  # noqa: E402
 from morreybench.experiments import SharpnessConfig, build_sharpness_pair  # noqa: E402
 from morreybench.norms import (ALIGNED, CubeFamily, _morrey_aligned,  # noqa: E402
@@ -169,18 +169,28 @@ def test_unordered_or_out_of_range_sizes_are_refused(sizes):
 
 
 @pytest.mark.parametrize("dim", [1, 2])
-def test_overflowed_power_matches_loop(dim):
-    # |f|**q overflows to inf: the loop reports inf with a box (the CLI exits 3,
-    # see test_cli.TestExitContract), and so does the search
+def test_overflowed_power_is_refused(dim):
+    # |f|**q overflows to inf: the loop reports inf, and the search refuses
+    # the first side it visits with a non-finite value (the CLI exits 3, see
+    # test_cli.TestExitContract)
     values = np.ones((16,) * dim)
     values.flat[37 % values.size] = 1e200
     f = grid(values)
     for fam in (aligned_family(f), thinned(aligned_family(f))):
         with np.errstate(all="ignore"):
-            rep = _morrey_aligned(f, 4.0, 2.0, fam)
-            value, box = full_loop(f, 4.0, 2.0, fam)
-        assert rep.value == value == np.inf
-        assert rep.attaining == box
+            assert full_loop(f, 4.0, 2.0, fam)[0] == np.inf
+            with pytest.raises(NumericalError, match="^supremum overflowed to a non-finite value$"):
+                _morrey_aligned(f, 4.0, 2.0, fam)
+
+
+def test_cancelled_window_sums_are_refused():
+    # every window sum of eight cells of 1e200 at q = 2 is inf - inf = nan, so
+    # no side beat the sweep's initial -1.0, which was returned as the norm
+    f = grid(np.full(8, 1e200))
+    family = CubeFamily(ALIGNED, f.root, f.cell_level, (1, 2))
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericalError, match="^supremum overflowed to a non-finite value$"):
+            morrey_norm(f, 4, 2, family)
 
 
 def test_sharpness_data_evaluates_few_sides(monkeypatch):

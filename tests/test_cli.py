@@ -504,6 +504,29 @@ class TestExitContract:
             f"parameter error: cube of dimension {other} does not fit a {dim}D grid\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("dim,argv", [
+        pytest.param(2, ["char", "--kind", "two-weight", *TWO_WEIGHT[:14], "--s", "4/5"],
+                     id="char-two-weight-n1-on-2d"),
+        pytest.param(2, ["char", "--kind", "testing", *TESTING], id="char-testing-n1-on-2d"),
+        pytest.param(1, ["char", "--kind", "remark", "--dim", "2", *TWO_WEIGHT[:14],
+                         "--s", "4/5"], id="char-remark-n2-on-1d"),
+        pytest.param(2, ["experiment", "fs-dual", *TWO_WEIGHT[:14], "--s", "4/5", "--r1", "32",
+                         "--r2", "32", "--s1", "17/19", "--s2", "17/19", "--levels", "3..4",
+                         "--out", "O"], id="fs-dual-n1-on-2d"),
+    ])
+    def test_parameters_for_another_dimension_exit_2(self, tmp_path, capsys, dim, argv):
+        # the exponents were checked for --dim (default 1) and then computed
+        # on the weight files' grid: char two-weight on 8x8 files printed a
+        # value with exit 0
+        path, out = tmp_path / "w.mgf", tmp_path / "o"
+        write_mgf(path, GridFunction(unit_root(dim), np.ones((8,) * dim), "pos"))
+        argv = [str(out) if a == "O" else a for a in argv]
+        n = 3 - dim
+        assert _exit_code([*argv, "--v", str(path), "--w1", str(path), "--w2", str(path)]) == 2
+        std = capsys.readouterr()
+        assert std.out == "" and not out.exists()
+        assert std.err == f"parameter error: parameters for n={n} do not fit {dim}D data\n"
+
     @pytest.mark.parametrize("argv,what", [
         pytest.param(["norm", "--kind", "morrey", "--p", "4", "--q", "2", "--in", "BIG"],
                      "supremum", id="norm-morrey-dyadic"),
@@ -555,10 +578,15 @@ class TestExitContract:
         assert run.returncode == 3
         assert run.stderr == f"numerical failure: {message}\n"
 
-    @pytest.mark.parametrize("weight", [1e-300, 1e300])
-    def test_overflowing_harness_sides_exit_3(self, tmp_path, capsys, weight):
-        # constant weights of 1e-300 overflow the characteristic, of 1e300
-        # the pair supremum: refused, where rhs=nan was once written with exit 0
+    @pytest.mark.parametrize("weight,message", [
+        pytest.param(1e-300, "zero right side with nonzero left side for pair step-0",
+                     id="1e-300"),
+        pytest.param(1e300, "supremum overflowed to a non-finite value", id="1e+300")])
+    def test_overflowing_harness_sides_exit_3(self, tmp_path, capsys, weight, message):
+        # constant weights of 1e-300 underflow the pair supremum to zero (they
+        # overflowed the characteristic while its dual factors were multiplied
+        # before v), of 1e300 overflow it: refused, where rhs=nan was once
+        # written with exit 0
         write_step(tmp_path / "w", np.full(16, weight), flags="pos")
         out = tmp_path / "o.csv"
         argv = ["experiment", "ratio", "--theorem", "two-weight", *TWO_WEIGHT[:14],
@@ -567,7 +595,7 @@ class TestExitContract:
         assert _exit_code(argv) == 3
         std = capsys.readouterr()
         assert std.out == "" and not out.exists()
-        assert std.err == "numerical failure: supremum overflowed to a non-finite value\n"
+        assert std.err == f"numerical failure: {message}\n"
 
     @pytest.mark.parametrize("weights,named", [
         pytest.param([], "at depth 5 and w2 on root DyadicCube(level=0, coords=(0,)) at depth 5 "
@@ -708,7 +736,7 @@ PARAMETER_RUNS = {
         0, "", "two-weight value=1.0737973782824886 pairs=129"),
     "char-two-weight-s>=1": (
         ["char", "--kind", "two-weight", *S_ABOVE_1, *POWER],
-        0, "", "two-weight value=4.211409442374102 pairs=129"),
+        0, "", "two-weight value=4.2114094423741015 pairs=129"),
     "char-remark-s<1": (
         ["char", "--kind", "remark", *TWO_WEIGHT, "--s", "4/5"],
         0, "", "remark value=1.0740992380013472 pairs=31"),
@@ -735,7 +763,7 @@ PARAMETER_RUNS = {
                "stable=yes"),
     "ratio-two-weight-s>=1": (
         ["experiment", "ratio", "--theorem", "two-weight", *S_ABOVE_1, *POWER, *RATIO_OUT],
-        0, "", "ratio two-weight max_by_level=4:0.6576753993973985 5:0.40223652995152687 "
+        0, "", "ratio two-weight max_by_level=4:0.6576753993973987 5:0.4022365299515268 "
                "stable=yes"),
     "ratio-one-weight-s<1": (
         ["experiment", "ratio", "--theorem", "one-weight", *ONE_WEIGHT_BELOW_1, *FILES,

@@ -10,9 +10,11 @@ import pytest
 from morreybench import GridFunction, ParameterError, unit_root
 from morreybench.experiments import (ExponentProfile, FsDualParams, SharpnessConfig,
                                      SteinWeissParams, build_sharpness_pair, fs_dual_check,
-                                     make_pairs, ratio_harness)
+                                     make_pairs, necessity_check, ratio_harness)
+from morreybench.norms import dyadic_family
 from morreybench.relations import ALPHA, RULES, violations
-from morreybench.weights import INF, CharParams
+from morreybench.weights import (INF, CharParams, WeightSystem, char_one_weight, char_remark,
+                                 char_testing, char_two_weight)
 
 TWO_WEIGHT = dict(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=16 / 27, s=0.8,
                   t=0.8 * (9 / 16) / (16 / 27), r=16.0, a=17 / 16)
@@ -183,3 +185,37 @@ def test_relations_that_divide_by_zero_fail(p1, p2):
     bad = dataclasses.replace(VALID["sharpness"], p1=p1, p2=p2)
     assert violations(bad, "sharpness") == [
         "0 < q_i <= p_i", "1/s = 1/p1 + 1/p2 - alpha/n must be positive", "0 < t <= s"]
+
+
+@pytest.mark.parametrize("site", ["two-weight", "remark", "one-weight", "testing", "necessity",
+                                  "bilinear-ratio", "olsen", "ratio-two-weight", "fs-dual"])
+@pytest.mark.parametrize("dim,n", [(2, 1), (1, 2)])
+def test_parameters_meet_data_of_their_dimension(site, dim, n):
+    # exponents are checked for their own n, so computing on data of another
+    # dimension would use relations that do not hold there: once exit 0.  The
+    # tuples hold for n, since their relations read alpha only as alpha/n.
+    def at_n(key):
+        x = VALID[key]
+        if isinstance(x, FsDualParams):
+            return dataclasses.replace(x, cp=dataclasses.replace(x.cp, n=n, alpha=n * x.cp.alpha))
+        return dataclasses.replace(x, n=n, alpha=n * x.alpha)
+    ones = GridFunction(unit_root(dim), np.ones((8,) * dim), "pos")
+    ws, fam = WeightSystem(ones, ones, ones), dyadic_family(unit_root(dim), -3)
+    pairs = make_pairs("step", 1, 1, 3, dim)
+    key, run = {  # site -> (the RULES key of its tuple, the call)
+        "two-weight": ("s<1", lambda x: char_two_weight(ws, x, fam)),
+        "remark": ("remark", lambda x: char_remark(ws, x, fam)),
+        "one-weight": ("one-weight-s<1", lambda x: char_one_weight(ws, x, fam)),
+        "testing": ("testing", lambda x: char_testing(ws, x, fam)),
+        "necessity": ("testing", lambda x: necessity_check(ws, x, fam)),
+        "bilinear-ratio": ("bilinear-ratio",
+                           lambda x: ratio_harness("bilinear-ratio", x, pairs, (3,))),
+        "olsen": ("olsen", lambda x: ratio_harness("olsen", x, pairs, (3,), ws=ws)),
+        "ratio-two-weight": ("s<1", lambda x: ratio_harness("two-weight", x, pairs, (3,), ws=ws)),
+        "fs-dual": ("fs-dual", lambda x: fs_dual_check(ones, ones, x, levels=(3, 4))),
+    }[site]
+    x = at_n(key)
+    assert violations(x, key) == [] and (key != "fs-dual" or violations(x.cp, "s<1") == [])
+    with pytest.raises(ParameterError) as info:
+        run(x)
+    assert str(info.value) == f"parameters for n={n} do not fit {dim}D data"

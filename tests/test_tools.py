@@ -15,3 +15,9 @@ def test_direct_harness_timings_cover_every_theorem():
     times = perf_bench.direct_times(str(ROOT), 1, [3], 1)
     assert set(times) == {f"{theorem}.depth3" for theorem in THEOREMS}
     assert all(len(runs) == 1 and runs[0] > 0 for runs in times.values())
+
+
+def test_src_line_count_of_this_checkout():
+    files = list((ROOT / "src").rglob("*.py"))
+    assert files
+    assert perf_bench.src_lines(str(ROOT)) == sum(len(p.read_text().splitlines()) for p in files)

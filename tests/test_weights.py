@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from morreybench import (DyadicCube, GridFunction, NumericalError, ParameterError,
-                         aligned_family, dyadic_family, enumerate_subcubes,
+                         acceptance, aligned_family, dyadic_family, enumerate_subcubes,
                          unit_root)
 from morreybench.relations import violations
 from morreybench.util import make_rng
@@ -244,6 +244,28 @@ class TestTwoWeight:
         ws = WeightSystem(big, tiny, tiny)
         with pytest.raises(NumericalError, match="^supremum overflowed to a non-finite value$"):
             char_two_weight(ws, cp_two_weight(), dyadic_family(root, -2))
+
+
+@pytest.mark.parametrize("kind", ["two-weight", "remark", "testing"])
+def test_scaled_weights_scale_the_value_exactly(kind):
+    # v = w1 = w2 = lam (1 + i/100) scales each characteristic by 1/lam; with
+    # the dual factors multiplied together before v, lam = 1e300 printed 0.0
+    # and lam = 1e-300 was refused as an overflow
+    char, cp = {"two-weight": (char_two_weight, acceptance.TWO_WEIGHT_CP),
+                "remark": (char_remark, acceptance.TWO_WEIGHT_CP),
+                "testing": (char_testing, acceptance.TESTING_CP)}[kind]
+    fam = dyadic_family(unit_root(1), -4)
+    base = None
+    for lam in (1.0, 2.0 ** 500, 1e300, 1e-300):
+        w = GridFunction(unit_root(1), lam * (1 + np.arange(16) / 100), "pos")
+        ws = WeightSystem(w, w, w)
+        rep = char(ws, cp, fam)
+        base = base or rep.value * lam
+        assert rep.value * lam == pytest.approx(base, rel=1e-14)
+        if kind == "two-weight":
+            assert rep.value == pair_value(ws, cp, *rep.attaining)
+    if kind == "two-weight":
+        assert base == 0.9639277336079315
 
 
 class TestRemark:

@@ -23,6 +23,9 @@ Each direct timing runs in a new interpreter that imports the checkout's
 ``src/``, so both sides run the same timing code.  The interpreters alternate
 between the checkouts, one timed call per theorem and depth in each, with the
 order flipped every round, so a drift in machine speed hits both sides alike.
+
+The record also holds each checkout's line count of ``src/`` (``src_lines``),
+the measure of a change that keeps results and removes code.
 """
 
 from __future__ import annotations
@@ -136,6 +139,17 @@ def pairs(sides, workload, n, seed, seconds):
     return out
 
 
+def src_lines(checkout):
+    """Lines of the Python files under the checkout's ``src/``."""
+    total = 0
+    for dirpath, _, names in os.walk(os.path.join(checkout, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(dirpath, name), "rb") as fh:
+                    total += fh.read().count(b"\n")
+    return total
+
+
 def direct_times(checkout, dim, depths, repeats):
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
@@ -193,6 +207,7 @@ def main(argv=None):
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count()},
         "settings": cfg,
+        "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "units": "seconds; traced figures are per cycle, direct ones per call",
         "end_to_end": end_to_end,
         "traced_harness": {side: {k: summary(v) for k, v in traced[side].items()}
