@@ -132,8 +132,6 @@ def _describe_cube(entry) -> str:
     if isinstance(entry, DyadicCube):
         lo = ",".join(fmt(x) for x in entry.lower())
         return f"dyadic level={entry.level} coords={entry.coords} corner=[{lo}] side={fmt(entry.side)}"
-    if entry is None:
-        return "none"
     return f"box cells {entry.lo}..{entry.hi}"
 
 

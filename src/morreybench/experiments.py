@@ -85,9 +85,8 @@ def indicator_step(seed: int, depth: int, root: DyadicCube) -> GridFunction:
     shift = root.level - level
     coords = tuple(int(rng.integers(0, 1 << shift)) + (c << shift)
                    for c in root.coords)
-    cube = DyadicCube(level, coords)
     vals = np.zeros((2 ** depth,) * root.dim)
-    vals[cube_box(GridFunction(root, vals), cube).slices()] = 1.0
+    vals[cube_box(GridFunction(root, vals), DyadicCube(level, coords)).slices()] = 1.0
     return GridFunction(root, vals, "nonneg")
 
 

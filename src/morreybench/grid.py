@@ -103,9 +103,9 @@ class GridFunction:
     """Piecewise-constant real data on the cells of a dyadic root cube.
 
     The grid is the root cube plus the array: ``values`` has shape
-    ``(2**depth,) * dim`` with ``dim`` the root's and ``depth`` read from
-    the side length.  Axis ``a`` indexes coordinate ``a``; flattening is
-    row-major (last axis fastest).
+    ``(2**depth,) * dim`` with ``dim`` the root's dimension, and ``dim`` and
+    ``depth`` are read from that shape.  Axis ``a`` indexes coordinate
+    ``a``; flattening is row-major (last axis fastest).
     """
 
     root: DyadicCube
@@ -113,14 +113,15 @@ class GridFunction:
     flags: str = "none"
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
+        n = self.root.dim
+        if n not in (1, 2):
+            raise ParameterError(f"dim must be 1 or 2, got {n}")
         self.values = np.asarray(self.values, dtype=float)
         side = self.values.shape[0] if self.values.ndim else 0
-        if side < 1 or side & (side - 1) or self.values.shape != (side,) * self.dim:
-            raise ParameterError(f"values shape {self.values.shape} is not (2**L,) * {self.dim}")
-        check_levels(self.dim, self.root.level, self.depth)
-        if not np.all(np.isfinite(self.values)):
+        if side < 1 or side & (side - 1) or self.values.shape != (side,) * n:
+            raise ParameterError(f"values shape {self.values.shape} is not (2**L,) * {n}")
+        check_levels(n, self.root.level, self.depth)
+        if not np.isfinite(self.values).all():
             raise ParameterError("grid values must be finite (no nan or inf)")
         if self.flags not in _FLAGS:
             raise ParameterError(f"flags must be one of {_FLAGS}")
@@ -131,7 +132,7 @@ class GridFunction:
 
     @property
     def dim(self) -> int:
-        return self.root.dim
+        return self.values.ndim
 
     @property
     def depth(self) -> int:
@@ -209,12 +210,11 @@ def cube_blocks(values: np.ndarray, shift: int, dim: int | None = None) -> np.nd
     """
     n = values.ndim if dim is None else dim
     k = values.ndim - n
-    side = 1 << shift
     count = values.shape[-1] >> shift
-    v = values.reshape(values.shape[:k] + (count, side) * n)
-    v = v.transpose(tuple(range(k)) + tuple(range(k, k + 2 * n, 2))
-                    + tuple(range(k + 1, k + 2 * n, 2)))
-    return v.reshape(values.shape[:k] + (count,) * n + (side ** n,))
+    v = values.reshape(values.shape[:k] + (count, 1 << shift) * n)
+    for a in range(1, n):  # the cube axis of grid axis a moves in front of the in-cube axes
+        v = np.moveaxis(v, k + 2 * a, k + a)
+    return v.reshape(values.shape[:k] + (count,) * n + (1 << n * shift,))
 
 
 def spread(values: np.ndarray, shift: int, dim: int | None = None) -> np.ndarray:

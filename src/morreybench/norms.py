@@ -118,7 +118,7 @@ def aligned_family(grid: GridFunction) -> CubeFamily:
 @dataclass(frozen=True)
 class NormReport:
     value: float
-    attaining: DyadicCube | AlignedBox | None
+    attaining: DyadicCube | AlignedBox
 
 
 # --- scans of a dyadic family: one array op per level -------------------------

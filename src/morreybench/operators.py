@@ -121,10 +121,11 @@ def _correlate(fv: np.ndarray, gv: np.ndarray, tables: np.ndarray) -> np.ndarray
     before them are a stack of pairs on that grid.  One pass over the row
     offsets j0 with |j0| <= (m0-1)//2; a 1D grid is one row.  Windowed views
     F[k, r, i, j] = f[k, r, i-j] and G[k, r, i, j] = g[k, r, i+j] of copies
-    zero-padded along the last axis (F's windows in reverse order) give, over the rows r with r-j0 and r+j0
-    in range, each block of columns as one product
-    (F[:, r-j0] * G[:, r+j0]) @ tables[j0], sliced to the offsets in range
-    for its columns and capped at ``_BLOCK`` elements over the whole stack.
+    zero-padded along the last axis (f reversed, its windows in reverse
+    order) give, over the rows r with r-j0 and r+j0 in range, each block of
+    columns as one product (F[:, r-j0] * G[:, r+j0]) @ tables[j0], sliced to
+    the offsets in range for its columns and capped at ``_BLOCK`` elements
+    over the whole stack.
     The j0 = 0 pass covers every row and writes; the others add.
     """
     n = tables.ndim - 1
@@ -133,10 +134,10 @@ def _correlate(fv: np.ndarray, gv: np.ndarray, tables: np.ndarray) -> np.ndarray
     fr, gr = fv.reshape(-1, m0, m), gv.reshape(-1, m0, m)
     k = fr.shape[0]
     tables = tables.reshape((-1,) + tables.shape[-2:])
-    fp, gp = np.zeros((k, m0, m + 2 * c)), np.zeros((k, m0, m + 2 * c))
-    fp[..., c:c + m], gp[..., c:c + m] = fr[..., ::-1], gr  # f reversed: j runs forward in both
-    big_f = sliding_window_view(fp, 2 * m - 1, axis=-1)[:, :, ::-1]
-    big_g = sliding_window_view(gp, 2 * m - 1, axis=-1)
+    padded = np.zeros((2, k, m0, m + 2 * c))
+    padded[0, ..., c:c + m], padded[1, ..., c:c + m] = fr[..., ::-1], gr  # j runs forward in both
+    windows = sliding_window_view(padded, 2 * m - 1, axis=-1)
+    big_f, big_g = windows[0, :, :, ::-1], windows[1]
     out = np.empty((k, m0, m, tables.shape[-1]))
     for j0 in sorted(range(-((m0 - 1) // 2), (m0 - 1) // 2 + 1), key=abs):
         lo, hi = abs(j0), m0 - abs(j0)  # the rows r with r-j0 and r+j0 in range

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 INF = float("inf")
@@ -18,7 +20,7 @@ class NumericalError(RuntimeError):
 def finite(values, what: str):
     """``values``, refused with a NumericalError naming ``what`` if any is
     nan or infinite: the one check of a computed value."""
-    if not np.all(np.isfinite(values)):
+    if not (math.isfinite(values) if isinstance(values, float) else np.isfinite(values).all()):
         raise NumericalError(f"{what} overflowed to a non-finite value")
     return values
 
@@ -64,10 +66,10 @@ def power_mean(values, exponent: float):
     if e == 0.0:
         raise ParameterError("power mean exponent must be nonzero")
     anchor = vals.max(axis=-1) if e > 0 else vals.min(axis=-1)
-    if e < 0 and np.any(anchor <= 0.0):
+    if e < 0 and (anchor <= 0.0).any():
         raise ParameterError("nonpositive value raised to negative power")
     safe = np.where(anchor == 0.0, 1.0, anchor)  # all-zero rows have mean 0
-    return anchor * np.mean((vals / safe[..., None]) ** e, axis=-1) ** (1.0 / e)
+    return anchor * ((vals / safe[..., None]) ** e).mean(axis=-1) ** (1.0 / e)
 
 
 def v_factor(rows, t: float):

@@ -132,13 +132,10 @@ class CharParams:
     def q(self) -> float:
         return recip(1.0 / self.q1 + 1.0 / self.q2)
 
-    def check(self, kind: str, dim: int | None = None) -> None:
-        """Refuse the tuple on data of a given ``dim`` other than n, or unless
-        the relations of characteristic ``kind`` hold: ``two-weight`` and
-        ``one-weight`` take their s < 1 or s >= 1 rows from s, ``remark`` and
-        ``testing`` have rows of their own."""
-        if dim is not None:
-            relations.require_dim(self, dim)
+    def check(self, kind: str) -> None:
+        """Refuse the tuple unless the relations of characteristic ``kind``
+        hold: ``two-weight`` and ``one-weight`` take their s < 1 or s >= 1
+        rows from s, ``remark`` and ``testing`` have rows of their own."""
         split = "s<1" if self.s < 1.0 else "s>=1"
         key = {"two-weight": split, "one-weight": "one-weight-" + split}.get(kind, kind)
         refuse("invalid parameters", relations.violations(self, key))
@@ -181,13 +178,13 @@ def _pair_scan(ws: WeightSystem, family: CubeFamily, t: float, d1: float, d2: fl
     """
     grid = ws.v
     scans = list(dyadic_levels(grid, family))
-    wfac = [[w[window] for w in _w_factors(ws, shift, d1, d2)] for shift, _, window in scans]
+    wfac = [np.array(_w_factors(ws, shift, d1, d2))[(Ellipsis,) + window]
+            for shift, _, window in scans]
     best, pairs = None, 0
     for i, (shift, volume, window) in enumerate(scans):
         vfac = v_factor(cube_blocks(grid.values, shift), t)[window]
         vals = finite(np.stack([_pair_scale(volume, scans[j][1], exponent, r_inv) * vfac
-                                * spread(wfac[j][0], scans[j][0] - shift)
-                                * spread(wfac[j][1], scans[j][0] - shift)
+                                * (w := spread(wfac[j], scans[j][0] - shift, grid.dim))[0] * w[1]
                                 for j in range(i, -1, -1)], axis=-1), "supremum")
         pairs += vals.size
         k = int(np.argmax(vals))
@@ -206,7 +203,8 @@ def char_two_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Cha
     (avg_Q v**(t/(1-t)))**((1-t)/t) prod_i (avg_Q' w_i**(-(q_i/a)'))**(1/(q_i/a)')
     with E = (1-s)/(as) for s < 1 and (1-as)/(as) for s >= 1.
     """
-    cp.check("two-weight", ws.v.dim)
+    relations.require_dim(cp, ws.v.dim)
+    cp.check("two-weight")
     return _pair_scan(ws, family, cp.t, conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a),
                       _pair_exponent(cp), recip(cp.r))
 
@@ -217,7 +215,8 @@ def char_remark(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Charact
     sup over Q of |Q|**(1/r) (avg_Q v**(as/(1-s)))**((1-s)/(as))
     prod_i (avg_Q w_i**(-(q_i/a)'))**(1/(q_i/a)').
     """
-    cp.check("remark", ws.v.dim)
+    relations.require_dim(cp, ws.v.dim)
+    cp.check("remark")
     d1, d2 = conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a)
     e_v = cp.a * cp.s / (1.0 - cp.s)
     r_inv = recip(cp.r)
@@ -231,7 +230,8 @@ def char_remark(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Charact
 
 def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
     """One-weight characteristic: r = inf, v = w1 w2, full dual exponents q_i'."""
-    cp.check("one-weight", ws.v.dim)
+    relations.require_dim(cp, ws.v.dim)
+    cp.check("one-weight")
     prod = ws.w1.values * ws.w2.values
     if not np.allclose(ws.v.values, prod, rtol=1e-12, atol=0.0):
         raise ParameterError("one-weight system requires v = w1*w2 pointwise")
@@ -241,7 +241,8 @@ def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> Cha
 
 def char_testing(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
     """Necessary-condition constant: sup_Q |Q|**(1/r) (inf_Q v) prod dual averages."""
-    cp.check("testing", ws.v.dim)
+    relations.require_dim(cp, ws.v.dim)
+    cp.check("testing")
     d1, d2 = conjugate(cp.q1), conjugate(cp.q2)
     r_inv = recip(cp.r)
 
