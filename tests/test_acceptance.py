@@ -87,7 +87,7 @@ def test_criterion_06_gates_the_growth_of_its_constant(ctx, monkeypatch, growth,
     # the constant may grow at most 1.05x per depth: here it is growth**depth
     monkeypatch.setattr(acceptance, "_b_values", lambda grid, fv, gv, alpha: np.ones(fv.shape))
     monkeypatch.setattr(acceptance, "_bilinear_maximal",
-                        lambda grid, fv, gv, alpha, family: np.full(fv.shape, growth ** grid.depth))
+                        lambda grid, fv, gv, alpha, fam: np.full(fv.shape, growth ** grid.depth))
     assert acceptance.criterion_06(ctx).passed == passed
 
 

@@ -179,7 +179,7 @@ def test_overflowed_power_is_refused(dim):
     for fam in (aligned_family(f), thinned(aligned_family(f))):
         with np.errstate(all="ignore"):
             assert full_loop(f, 4.0, 2.0, fam)[0] == np.inf
-            with pytest.raises(NumericalError, match="^supremum overflowed to a non-finite value$"):
+            with pytest.raises(NumericalError, match="^supremum overflowed"):
                 _morrey_aligned(f, 4.0, 2.0, fam)
 
 

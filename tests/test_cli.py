@@ -504,24 +504,23 @@ class TestExitContract:
             f"parameter error: cube of dimension {other} does not fit a {dim}D grid\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("dim,argv", [
-        pytest.param(2, ["char", "--kind", "two-weight", *TWO_WEIGHT[:14], "--s", "4/5"],
+    @pytest.mark.parametrize("n,dim,argv", [
+        pytest.param(1, 2, ["char", "--kind", "two-weight", *TWO_WEIGHT[:14], "--s", "4/5"],
                      id="char-two-weight-n1-on-2d"),
-        pytest.param(2, ["char", "--kind", "testing", *TESTING], id="char-testing-n1-on-2d"),
-        pytest.param(1, ["char", "--kind", "remark", "--dim", "2", *TWO_WEIGHT[:14],
-                         "--s", "4/5"], id="char-remark-n2-on-1d"),
-        pytest.param(2, ["experiment", "fs-dual", *TWO_WEIGHT[:14], "--s", "4/5", "--r1", "32",
-                         "--r2", "32", "--s1", "17/19", "--s2", "17/19", "--levels", "3..4",
-                         "--out", "O"], id="fs-dual-n1-on-2d"),
+        pytest.param(1, 2, ["char", "--kind", "testing", *TESTING], id="char-testing-n1-on-2d"),
+        pytest.param(2, 1, ["char", "--kind", "remark", "--dim", "2", *TWO_WEIGHT[:14],
+                            "--s", "4/5"], id="char-remark-n2-on-1d"),
+        pytest.param(1, 2, ["experiment", "fs-dual", *TWO_WEIGHT[:14], "--s", "4/5", "--r1", "32",
+                            "--r2", "32", "--s1", "17/19", "--s2", "17/19", "--levels", "3..4",
+                            "--out", "O"], id="fs-dual-n1-on-2d"),
     ])
-    def test_parameters_for_another_dimension_exit_2(self, tmp_path, capsys, dim, argv):
+    def test_parameters_for_another_dimension_exit_2(self, tmp_path, capsys, n, dim, argv):
         # the exponents were checked for --dim (default 1) and then computed
         # on the weight files' grid: char two-weight on 8x8 files printed a
         # value with exit 0
         path, out = tmp_path / "w.mgf", tmp_path / "o"
         write_mgf(path, GridFunction(unit_root(dim), np.ones((8,) * dim), "pos"))
         argv = [str(out) if a == "O" else a for a in argv]
-        n = 3 - dim
         assert _exit_code([*argv, "--v", str(path), "--w1", str(path), "--w2", str(path)]) == 2
         std = capsys.readouterr()
         assert std.out == "" and not out.exists()

@@ -144,6 +144,20 @@ class TestGridFunction:
             with pytest.raises(ParameterError, match="leaves the float range"):
                 grid.check_levels(dim, level, depth)
 
+    @pytest.mark.parametrize("dim,values", [
+        (1, []), (1, 2.0), (1, np.ones(3)), (1, np.ones((2, 2))),
+        (2, np.ones(4)), (2, np.ones((4, 2))), (2, np.ones((3, 3)))])
+    def test_values_must_be_a_power_of_two_per_axis(self, dim, values):
+        # the depth is read from the side length, so the array fixes the grid
+        with pytest.raises(ParameterError, match=r"is not \(2\*\*L,\) \* " + str(dim)):
+            GridFunction(unit_root(dim), values)
+
+    def test_depth_and_dimension_are_read_from_the_array(self):
+        f = GridFunction(DyadicCube(2, (1, 0)), np.ones((8, 8)))
+        assert (f.dim, f.depth, f.cells_per_axis, f.cell_level) == (2, 3, 8, -1)
+        assert f.same_grid(f.refine(0)) and not f.same_grid(f.refine(1))
+        assert not f.same_grid(GridFunction(DyadicCube(2, (0, 0)), np.ones((8, 8))))
+
     def test_grid_function_checks_its_levels(self):
         with pytest.raises(ParameterError, match="root level 1024 and depth 0 leaves"):
             GridFunction(DyadicCube(1024, (0,)), [1.0])

@@ -255,17 +255,17 @@ def test_scaled_weights_scale_the_value_exactly(kind):
                 "remark": (char_remark, acceptance.TWO_WEIGHT_CP),
                 "testing": (char_testing, acceptance.TESTING_CP)}[kind]
     fam = dyadic_family(unit_root(1), -4)
-    base = None
+    scaled = {}
     for lam in (1.0, 2.0 ** 500, 1e300, 1e-300):
         w = GridFunction(unit_root(1), lam * (1 + np.arange(16) / 100), "pos")
         ws = WeightSystem(w, w, w)
         rep = char(ws, cp, fam)
-        base = base or rep.value * lam
-        assert rep.value * lam == pytest.approx(base, rel=1e-14)
+        scaled[lam] = rep.value * lam
         if kind == "two-weight":
             assert rep.value == pair_value(ws, cp, *rep.attaining)
+    assert scaled == pytest.approx({lam: scaled[1.0] for lam in scaled}, rel=1e-14)
     if kind == "two-weight":
-        assert base == 0.9639277336079315
+        assert scaled[1.0] == 0.9639277336079315
 
 
 class TestRemark:
