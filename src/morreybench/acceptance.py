@@ -25,13 +25,14 @@ import numpy as np
 
 from .decomposition import CZ_COLUMNS, choose_a, packing_sum
 from .experiments import (NECESSITY_COLUMNS, ExponentProfile, SharpnessConfig,
-                          SteinWeissParams, _pair_stacks, log_uniform, make_pairs,
-                          necessity_check, random_weights, ratio_harness,
-                          run_sharpness, stein_weiss_check)
+                          SteinWeissParams, _necessity_reports, _pair_stacks, log_uniform,
+                          make_pairs, random_weights, ratio_harness, run_sharpness,
+                          stein_weiss_check)
 from .grid import GridFunction, cube_box, unit_root
 from .norms import dyadic_family
-from .operators import _b_values, _bilinear_maximal, b_alpha, b_alpha_dyadic, i_alpha
-from .util import by_level, csv_text, fmt, make_rng
+from .operators import (_b_values, _bilinear_maximal, _correlate, _dyadic_table, _i_values,
+                        b_alpha, i_alpha, kernel_cell_table)
+from .util import by_level, csv_text, finite, fmt, make_rng
 from .weights import (CharParams, char_remark, char_two_weight, power_system,
                       power_weight)
 
@@ -141,12 +142,15 @@ def criterion_03(ctx) -> CriterionResult:
 def criterion_04(ctx) -> CriterionResult:
     """Two-sided dyadic-model envelope with a level-stable spread."""
     alpha = 0.5
-    pairs = [_rand_pair(seed, 4) for seed in range(20)]
+    pairs = [(seed, *_rand_pair(seed, 4)) for seed in range(20)]
     spreads = {}
     for depth in (4, 5, 6, 7):
-        refined = [(f.refine(depth - 4), g.refine(depth - 4)) for f, g in pairs]
-        ratios = [b_alpha(f, g, alpha).fn.values
-                  / b_alpha_dyadic(f, g, alpha, unit_root(1)).fn.values for f, g in refined]
+        # B_alpha and the dyadic model over Q0 = the root, as two columns of one table
+        grid, fv, gv = _pair_stacks(pairs, depth)
+        tables = np.stack([kernel_cell_table(alpha, grid),
+                           _dyadic_table(grid, alpha, grid.cell_level, 0)], axis=-1)
+        out = finite(_correlate(fv, gv, tables), "operator output")
+        ratios = out[..., 0] / out[..., 1]
         spreads[depth] = float(np.max(ratios)) / float(np.min(ratios))
     vals = list(spreads.values())
     ok = max(vals) / min(vals) < 1.10
@@ -157,13 +161,13 @@ def criterion_04(ctx) -> CriterionResult:
 def criterion_05(ctx) -> CriterionResult:
     """Pointwise product bound through conjugate-power potentials."""
     alpha = 0.45
-    worst = -np.inf
-    for f, g in (_rand_pair(seed, 5) for seed in range(20)):
-        lhs = b_alpha(f, g, alpha).fn.values
-        for ell, ellp in ((1.5, 3.0), (2.0, 2.0), (3.0, 1.5)):  # conjugate exponents
-            rf = i_alpha(f.with_values(f.values ** ell), alpha).fn.values
-            rg = i_alpha(g.with_values(g.values ** ellp), alpha).fn.values
-            worst = max(worst, float(np.max(lhs - rf ** (1 / ell) * rg ** (1 / ellp))))
+    grid, fv, gv = _pair_stacks([(seed, *_rand_pair(seed, 5)) for seed in range(20)], 5)
+    lhs = _b_values(grid, fv, gv, alpha)
+    ells = ((1.5, 3.0), (2.0, 2.0), (3.0, 1.5))  # conjugate exponents; one I_alpha call for all
+    rf, rg = np.split(_i_values(grid, np.stack([fv ** ell for ell, _ in ells]
+                                               + [gv ** ellp for _, ellp in ells]), alpha), 2)
+    worst = max(float(np.max(lhs - a ** (1 / ell) * b ** (1 / ellp)))
+                for (ell, ellp), a, b in zip(ells, rf, rg))
     ok = worst <= 1e-9
     return CriterionResult(5, "pointwise-holder", ok, f"worst excess {fmt(worst)}")
 
@@ -246,12 +250,8 @@ def criterion_09(ctx) -> CriterionResult:
     fam = dyadic_family(unit_root(1), -4)
     rng = make_rng(ctx.get("seed", 20240801), 59)
     systems = [ws] + [random_weights(rng, unit_root(1), 4) for _ in range(5)]
-    chain_ok = True
-    for system in systems:
-        two = char_two_weight(system, cp, fam).value
-        single = char_remark(system, cp, fam).value
-        if two > single * (1 + 1e-12):
-            chain_ok = False
+    chain_ok = all(char_two_weight(system, cp, fam).value
+                   <= char_remark(system, cp, fam).value * (1 + 1e-12) for system in systems)
     ok = res.stable and chain_ok
     detail = (f"max ratio by level {by_level(res.max_ratio_by_level)}; "
               f"majorant chain {'ok' if chain_ok else 'FAIL'}")
@@ -277,8 +277,8 @@ def criterion_11(ctx) -> CriterionResult:
     """Testing constant against the empirical operator constant, 10 systems."""
     seed = ctx.get("seed", 20240801)
     fam = dyadic_family(unit_root(1), -5)
-    reports = [necessity_check(random_weights(make_rng(seed, 83, k), unit_root(1), 5),
-                               TESTING_CP, fam, seed=k) for k in range(10)]
+    reports = _necessity_reports([random_weights(make_rng(seed, 83, k), unit_root(1), 5)
+                                  for k in range(10)], TESTING_CP, fam, range(10))
     c_emp = max(r.ratio for r in reports)
     floors = all(r.exact_floor_ok for r in reports)
     ok = floors and all(np.isfinite(r.ratio) for r in reports) and c_emp <= NECESSITY_RATIO_BOUND

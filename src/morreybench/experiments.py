@@ -25,7 +25,7 @@ from . import relations
 from .grid import DyadicCube, GridFunction, cube_box, enumerate_subcubes, spread, unit_root
 from .norms import (CubeFamily, _morrey_sup, aligned_family, dyadic_family, family_max,
                     lq_means, morrey_norm)
-from .operators import _b_values, _bilinear_maximal, _vector_maximal, b_alpha, i_alpha
+from .operators import _b_values, _bilinear_maximal, _i_values, _vector_maximal, b_alpha
 from .util import (INF, NumericalError, ParameterError, close, conjugate,
                    finite, make_rng, recip, refuse)
 from .weights import (CharParams, WeightSystem, char_one_weight, char_testing,
@@ -257,7 +257,7 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
             rhs = base_norms(g0, pr.p2, pr.q2) * rhs
 
         def hook(grid, fam, fv, gv):
-            lhs = np.stack([i_alpha(grid.with_values(f), pr.alpha).fn.values for f in fv])
+            lhs = _i_values(grid, fv, pr.alpha)
             if theorem == "product-embedding":
                 lhs = gv * lhs
             return _morrey_sup(grid, fam, pr.s, (lhs, pr.t)), rhs
@@ -474,9 +474,9 @@ def _power_char(sw: SteinWeissParams, root: DyadicCube, depth: int) -> float:
     pv = power_weight(-sw.beta * e_v, (0.0,) * sw.n, root, depth)
     p1 = power_weight(-sw.gamma1 * d1, (0.0,) * sw.n, root, depth)
     p2 = power_weight(-sw.gamma2 * d2, (0.0,) * sw.n, root, depth)
-    value = lq_means(recip(sw.r), (pv.values, 1.0 / e_v), (p1.values, 1.0 / d1),
-                     (p2.values, 1.0 / d2))
-    return family_max(pv, dyadic_family(root, root.level - depth), value)[0]
+    value = lq_means(recip(sw.r), (pv.values[None], 1.0 / e_v), (p1.values[None], 1.0 / d1),
+                     (p2.values[None], 1.0 / d2), dim=sw.n)  # a one-item stack: no cube
+    return float(family_max(pv, dyadic_family(root, root.level - depth), value)[0])
 
 
 def stein_weiss_check(sw: SteinWeissParams, k_levels=(0, 1, 2, 3, 4)) -> SteinWeissVerdict:
@@ -550,21 +550,22 @@ def necessity_check(ws: WeightSystem, cp: CharParams, family: CubeFamily,
         operator constant: the worst ratio of ||M(f,g) v||_{s,t} to the
         (p, q1, q2) pair supremum of (|f| w1, |g| w2) over the given pairs
         and the extremal probe pairs f = chi_Q w1**-q1', g = chi_Q w2**-q2'.
-
-    Every probe and every pair is one item of a stack on the weight grid, so
-    each operator and each supremum is one call over all of them.
     """
-    char = char_testing(ws, cp, family).value  # refuses parameters off the testing rows
-    grid, n = ws.v, ws.v.dim
+    return _necessity_reports([ws], cp, family, [seed], pairs)[0]
+
+
+def _necessity_reports(systems, cp: CharParams, family: CubeFamily, seeds,
+                       pairs=None) -> list:
+    """``necessity_check`` for systems on one grid, system k drawing pairs from ``seeds[k]``.
+    The weight-free probes and floor are computed once; each pair and probe is a stack item."""
+    chars = [char_testing(ws, cp, family).value for ws in systems]  # refuses off the testing rows
+    grid, n = systems[0].v, systems[0].v.dim
     lowest = max(family.min_level, grid.cell_level + 1)
     probes = (enumerate_subcubes(family.root, lowest)[:24]
               if lowest <= family.root.level else [])
-    # the probe inputs chi_Q w1**-q1', chi_Q w2**-q2' and chi_Q, one stack item per cube
-    inside = np.zeros((len(probes),) + grid.values.shape, dtype=bool)
+    inside = np.zeros((len(probes),) + grid.values.shape, dtype=bool)  # one item per probe cube
     for k, cube in enumerate(probes):
         inside[(k,) + cube_box(grid, cube).slices()] = True
-    f_probe = np.where(inside, ws.w1.values ** -conjugate(cp.q1), 0.0)
-    g_probe = np.where(inside, ws.w2.values ** -conjugate(cp.q2), 0.0)
     # exact unweighted floor: (avg_Q m**t)**(1/t) on each probe's own cube
     axes = tuple(range(1, n + 1))
     chi = inside.astype(float)
@@ -574,20 +575,22 @@ def necessity_check(ws: WeightSystem, cp: CharParams, family: CubeFamily,
     scale = np.array([cube.volume for cube in probes]) ** (cp.alpha / n)
     exact_ok = bool(np.all(local >= scale * (1.0 - 1e-12)))
 
-    # the operator constant over the given pairs and the extremal probe pairs
-    if pairs is None:
-        pairs = make_pairs("step", 4, seed, grid.depth, n)
-    pairs = list(pairs)
-    if not all(grid.same_grid(h) for _, f, g in pairs for h in (f, g)):
+    # the operator constants over the given pairs and the extremal probe pairs
+    given = ([list(pairs)] * len(systems) if pairs is not None
+             else [make_pairs("step", 4, seed, grid.depth, n) for seed in seeds])
+    if not all(grid.same_grid(h) for items in given for _, f, g in items for h in (f, g)):
         raise ParameterError("necessity pairs must live on the weight grid")
-    shape = (-1,) + grid.values.shape
-    fv = np.concatenate([np.reshape([f.values for _, f, _ in pairs], shape), f_probe])
-    gv = np.concatenate([np.reshape([g.values for _, _, g in pairs], shape), g_probe])
+    v, w1, w2 = np.stack([[w.values for w in vars(ws).values()] for ws in systems], 1)[:, :, None]
+    # per system its pairs, then its probe inputs chi_Q w1**-q1' and chi_Q w2**-q2'
+    fv, gv = (np.concatenate([np.reshape([[pair[i].values for pair in items] for items in given],
+                                         w.shape[:1] + (-1,) + grid.values.shape),
+                              np.where(inside, w ** -conjugate(q), 0.0)], axis=1)
+              for i, w, q in ((1, w1, cp.q1), (2, w2, cp.q2)))
     mb = _bilinear_maximal(grid, fv, gv, cp.alpha, family)
-    lhs, rhs = _weighted_sides(grid, family, mb * ws.v.values, np.abs(fv) * ws.w1.values,
-                               np.abs(gv) * ws.w2.values, cp)
-    op_const = float(np.fmax.reduce(lhs[rhs > 0] / rhs[rhs > 0], initial=0.0))
-    return NecessityReport(char, op_const, char / op_const if op_const > 0 else INF, exact_ok)
+    lhs, rhs = _weighted_sides(grid, family, mb * v, np.abs(fv) * w1, np.abs(gv) * w2, cp)
+    ratios = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0)
+    return [NecessityReport(char, op, char / op if op > 0 else INF, exact_ok)
+            for char, op in zip(chars, np.fmax.reduce(ratios, axis=-1, initial=0.0).tolist())]
 
 
 # --- Fefferman-Stein dual ---------------------------------------------------------
@@ -628,11 +631,11 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     e = cp.a * cp.s / (1.0 - cp.s)
     e1 = params.s1 / (1.0 - params.s1)
     e2 = params.s2 / (1.0 - params.s2)
-    lhs = lq_means(recip(cp.r), ((w1.values * w2.values) ** e, 1.0 / e))
-    f1 = lq_means(recip(params.r1), (w1.values ** e1, 1.0 / e1))
-    f2 = lq_means(recip(params.r2), (w2.values ** e2, 1.0 / e2))
-    worst = family_max(w1, dyadic_family(w1.root, w1.cell_level), lambda shift, volume: (
-        lhs(shift, volume) / (f1(shift, volume) * f2(shift, volume))))[0]
+    lhs = lq_means(recip(cp.r), ((w1.values * w2.values)[None] ** e, 1.0 / e), dim=w1.dim)
+    f1 = lq_means(recip(params.r1), (w1.values[None] ** e1, 1.0 / e1), dim=w1.dim)
+    f2 = lq_means(recip(params.r2), (w2.values[None] ** e2, 1.0 / e2), dim=w1.dim)
+    worst = float(family_max(w1, dyadic_family(w1.root, w1.cell_level), lambda shift, volume: (
+        lhs(shift, volume) / (f1(shift, volume) * f2(shift, volume))))[0])  # one item: no cube
     split_ok = worst <= 1.0 + 1e-12
 
     pairs = make_pairs("step", 4, seed, w1.depth, w1.dim, w1.root)

@@ -110,6 +110,12 @@ def _truncation_table(grid: GridFunction, radii) -> np.ndarray:
     return table
 
 
+def _dyadic_table(grid: GridFunction, alpha: float, min_level: int, top: int) -> np.ndarray:
+    """The dyadic model's table: the levels ``min_level..top`` weighted by |Q|**(alpha/n - 1)."""
+    levels = np.arange(min_level, top + 1)
+    return _truncation_table(grid, 2.0 ** levels) @ 2.0 ** (levels * (alpha - grid.dim))
+
+
 _BLOCK = 1 << 16  # elements of one column block of the product, about 512 KB
 
 
@@ -166,15 +172,20 @@ def i_alpha(f: GridFunction, alpha: float) -> OperatorField:
     relative error per cell is <~ eps * log2(2m) * max K / min K over the
     kernel cell masses K, a ratio that grows like m**(2 - alpha).
     """
-    table = kernel_cell_table(alpha, f)
-    m = f.cells_per_axis
-    if f.dim == 1:
-        vals = np.convolve(f.values, table)[m - 1:2 * m - 1]
+    return _field(f, _i_values(f, f.values, alpha))
+
+
+def _i_values(grid: GridFunction, fv: np.ndarray, alpha: float) -> np.ndarray:
+    """``i_alpha`` values for a stack of functions on ``grid``'s lattice."""
+    table = kernel_cell_table(alpha, grid)
+    m = grid.cells_per_axis
+    if grid.dim == 1:
+        vals = np.array([np.convolve(row, table)[m - 1:2 * m - 1] for row in fv.reshape(-1, m)])
     else:
         size = (2 * m, 2 * m)
-        spectrum = np.fft.rfft2(f.values, size) * np.fft.rfft2(table, size)
-        vals = np.fft.irfft2(spectrum, size)[m - 1:2 * m - 1, m - 1:2 * m - 1]
-    return _field(f, finite(vals, "operator output"))
+        spectrum = np.fft.rfft2(fv, size) * np.fft.rfft2(table, size)
+        vals = np.fft.irfft2(spectrum, size)[..., m - 1:2 * m - 1, m - 1:2 * m - 1]
+    return finite(vals.reshape(fv.shape), "operator output")
 
 
 def _b_values(grid: GridFunction, fv: np.ndarray, gv: np.ndarray,
@@ -216,8 +227,7 @@ def b_alpha_dyadic(f: GridFunction, g: GridFunction, alpha: float,
     if min_level < f.cell_level or min_level > q0.level:
         raise ParameterError("min_level must lie between the cell level and Q0")
     inner = cube_box(f, q0).slices()  # also validates Q0 against the grid
-    levels = np.arange(min_level, q0.level + 1)
-    table = _truncation_table(f, 2.0 ** levels) @ 2.0 ** (levels * (alpha - n))
+    table = _dyadic_table(f, alpha, min_level, q0.level)
     vals = np.zeros_like(f.values)
     vals[inner] = _correlate(f.values, g.values, table[..., None])[..., 0][inner]
     # omitted scales below min_level: B_d <= (2d)^n fmax gmax, summed geometrically

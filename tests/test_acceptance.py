@@ -15,7 +15,9 @@ The check is kept as stated rather than loosened.
 import numpy as np
 import pytest
 
-from morreybench import acceptance, decomposition
+from morreybench import acceptance, decomposition, experiments
+from morreybench.grid import GridFunction, unit_root
+from morreybench.operators import b_alpha, b_alpha_dyadic
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +63,15 @@ def test_criterion_05_pointwise_holder(ctx):
 
 @pytest.mark.parametrize("criterion,name,count", [
     pytest.param(acceptance.criterion_04, "_rand_pair", 20, id="04-draws"),
-    pytest.param(acceptance.criterion_05, "b_alpha", 20, id="05-b-alpha"),
+    pytest.param(acceptance.criterion_04, "_correlate", 4, id="04-correlate"),
+    pytest.param(acceptance.criterion_05, "_rand_pair", 20, id="05-draws"),
+    pytest.param(acceptance.criterion_05, "_b_values", 1, id="05-b-values"),
     pytest.param(acceptance.criterion_06, "_rand_pair", 10, id="06-draws"),
 ])
 def test_seeded_pairs_drawn_and_used_once(ctx, monkeypatch, criterion, name, count):
-    # every seeded pair is drawn once, not once per depth or exponent, and
-    # criterion 5 computes B_alpha(f, g) once per pair
+    # every seeded pair is drawn once, not once per depth or exponent;
+    # criterion 4 takes both of its operators from one two-column correlate
+    # per depth, and criterion 5 B_alpha from one call over all pairs
     calls = []
     fn = getattr(acceptance, name)
 
@@ -76,6 +81,52 @@ def test_seeded_pairs_drawn_and_used_once(ctx, monkeypatch, criterion, name, cou
     monkeypatch.setattr(acceptance, name, counted)
     assert criterion(ctx).passed
     assert len(calls) == count
+    if name == "_correlate":
+        assert [args[2].shape[-1] for args in calls] == [2] * count
+
+
+def test_criterion_04_columns_are_the_two_operators(monkeypatch):
+    # each depth's two columns agree with b_alpha and b_alpha_dyadic per pair
+    # (the column blocks of a stacked correlate may move the last digits)
+    outs = []
+    real = acceptance._correlate
+
+    def recorded(fv, gv, tables):
+        outs.append((fv, gv, real(fv, gv, tables)))
+        return outs[-1][2]
+    monkeypatch.setattr(acceptance, "_correlate", recorded)
+    acceptance.criterion_04({})
+    assert len(outs) == 4
+    for fv, gv, out in outs:
+        for f, g, b, d in zip(fv, gv, out[..., 0], out[..., 1]):
+            f, g = (GridFunction(unit_root(1), x) for x in (f, g))
+            np.testing.assert_allclose(b, b_alpha(f, g, 0.5).fn.values, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(d, b_alpha_dyadic(f, g, 0.5, unit_root(1)).fn.values,
+                                       rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("spread,passed", [(1.0999, True), (1.1001, False)])
+def test_criterion_04_gates_the_spread_of_its_spreads(ctx, monkeypatch, spread, passed):
+    # the per-depth spreads read 1, 1, 1 and ``spread``: their ratio must stay below 1.10
+    def fake(fv, gv, tables):
+        out = np.ones(fv.shape + (2,))
+        out[..., 0, 0] = spread if fv.shape[-1] == 2 ** 7 else 1.0
+        return out
+    monkeypatch.setattr(acceptance, "_correlate", fake)
+    res = acceptance.criterion_04(ctx)
+    assert res.passed == passed
+    assert res.detail == f"spread by level 4:1.0 5:1.0 6:1.0 7:{spread!r}"
+
+
+@pytest.mark.parametrize("excess,passed", [(1e-9, True), (1.0001e-9, False)])
+def test_criterion_05_gates_its_worst_excess(ctx, monkeypatch, excess, passed):
+    # B reads ``excess`` everywhere and every I_alpha reads 0
+    monkeypatch.setattr(acceptance, "_b_values",
+                        lambda grid, fv, gv, alpha: np.full(fv.shape, excess))
+    monkeypatch.setattr(acceptance, "_i_values", lambda grid, fv, alpha: np.zeros(fv.shape))
+    res = acceptance.criterion_05(ctx)
+    assert res.passed == passed
+    assert res.detail == f"worst excess {excess!r}"
 
 
 def test_criterion_06_maximal_control(ctx):
@@ -119,6 +170,20 @@ def test_criterion_10_power_weight_dichotomy(ctx):
 
 def test_criterion_11_necessity_testing(ctx):
     assert _run(acceptance.criterion_11, ctx).passed
+
+
+def test_criterion_11_stack_reports_each_system_alone(ctx, monkeypatch):
+    # item k of the one stacked call equals necessity_check of system k alone
+    calls = []
+    real = acceptance._necessity_reports
+    monkeypatch.setattr(acceptance, "_necessity_reports",
+                        lambda *args: calls.append(args) or real(*args))
+    acceptance.criterion_11(ctx)
+    (systems, cp, family, seeds), = calls
+    reports = real(systems, cp, family, seeds)
+    assert len(reports) == 10
+    for k, (ws, seed) in enumerate(zip(systems, seeds)):
+        assert reports[k] == experiments.necessity_check(ws, cp, family, seed=seed)
 
 
 def test_criterion_12_determinism(ctx):

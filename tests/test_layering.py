@@ -40,10 +40,12 @@ def test_relations_imports_only_util():
     assert relative == {"util"} and absolute == set()
 
 
-# the stacked cores: private functions that take a stack of pairs and that
-# another package module may call directly; a new one joins this list on purpose
+# the stacked cores: private functions that take a stack (of pairs, functions or
+# weight systems) or build the table of a stacked call, and that another package
+# module may call directly; a new one joins this list on purpose
 STACKED_CORES = {"_b_values", "_bilinear_maximal", "_vector_maximal", "_morrey_sup",
-                 "_pair_stacks"}
+                 "_pair_stacks", "_correlate", "_dyadic_table", "_i_values",
+                 "_necessity_reports"}
 
 
 def test_only_stacked_cores_cross_modules():

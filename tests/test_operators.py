@@ -60,6 +60,18 @@ class TestIAlpha:
         with pytest.raises(ParameterError):
             i_alpha(indicator_root(3), 1.0)
 
+    @pytest.mark.parametrize("dim,depth,alpha", [(1, 0, 0.4), (1, 5, 0.45), (2, 1, 0.6),
+                                                 (2, 4, 1.3)])
+    def test_stacked_rows_are_single_calls(self, dim, depth, alpha):
+        # every item of a (2, 3)-stack equals i_alpha of that function alone, bit for bit
+        fs = [rand_positive(seed, depth, dim) for seed in range(6)]
+        grid = fs[0]
+        got = operators._i_values(grid, np.reshape([f.values for f in fs],
+                                                   (2, 3) + grid.values.shape), alpha)
+        assert got.shape == (2, 3) + grid.values.shape
+        for row, f in zip(got.reshape((6,) + grid.values.shape), fs):
+            assert np.array_equal(row, i_alpha(f, alpha).fn.values)
+
 
 class TestBAlpha:
     def test_indicator_closed_form(self):

@@ -275,6 +275,24 @@ def test_necessity_scans_build_no_cube(monkeypatch):
     assert alone == 1 and len(calls) == alone
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_value_only_scans_build_no_cube(dim, monkeypatch):
+    # the proof characteristic of stein_weiss_check and the split of
+    # fs_dual_check read only the value, so they scan a one-item stack
+    calls = []
+    monkeypatch.setattr(norms, "_cube_at", lambda *args: calls.append(args))
+    cp = CharParams(n=dim, **scaled(TWO_WEIGHT, dim))
+    params = FsDualParams(cp, r1=32.0, r2=32.0, s1=17 / 19, s2=17 / 19)
+    w1, w2 = (power_weight(beta, (0.0,) * dim, unit_root(dim), 3) for beta in (0.05, 0.02))
+    report = fs_dual_check(w1, w2, params, levels=(3, 4))
+    sw = SteinWeissParams(n=dim, alpha=0.5 * dim, q1=9 / 8, q2=9 / 8, p1=32 / 27,
+                          p2=32 / 27, r=16.0, a=17 / 16, beta=0.0225, gamma1=0.02, gamma2=0.02)
+    verdict = experiments.stein_weiss_check(sw, (0, 1))
+    assert calls == []
+    assert type(report.worst_split_excess) is float
+    assert all(type(value) is float for value in verdict.char_by_level.values())
+
+
 def test_pairs_on_mixed_grids_are_refused():
     pairs = make_pairs("step", 2, 5, 3)
     deeper = make_pairs("step", 1, 5, 4)
