@@ -17,6 +17,13 @@ def test_direct_harness_timings_cover_every_theorem():
     assert all(len(runs) == 1 and runs[0] > 0 for runs in times.values())
 
 
+def test_direct_criterion_timings():
+    # the CRITERION snippet times acceptance.criterion_NN in a new interpreter
+    times = perf_bench.criterion_times(str(ROOT), [4, 8], 1)
+    assert set(times) == {"criterion_04", "criterion_08"}
+    assert all(len(runs) == 1 and runs[0] > 0 for runs in times.values())
+
+
 def test_src_line_count_of_this_checkout():
     files = list((ROOT / "src").rglob("*.py"))
     assert files

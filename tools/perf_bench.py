@@ -17,12 +17,17 @@ spread (max - min) and every run:
 * direct ``ratio_harness`` calls per theorem id on four seeded step pairs at
   base depth 3, each at one level of ``DEPTHS`` in 1D and 2D, with the
   scaling exponent fitted as the least-squares slope of log time against
-  log cells.
+  log cells;
+* direct ``acceptance.criterion_NN`` calls for every selftest criterion,
+  each on a fresh context, so criteria 2 and 3 each run their sharpness
+  configurations.
 
 Each direct timing runs in a new interpreter that imports the checkout's
 ``src/``, so both sides run the same timing code.  The interpreters alternate
-between the checkouts, one timed call per theorem and depth in each, with the
-order flipped every round, so a drift in machine speed hits both sides alike.
+between the checkouts, one timed call per theorem and depth (or criterion) in
+each, with the order flipped every round, so a drift in machine speed hits
+both sides alike.  ``--parts`` picks the kinds of figures to take, for
+example ``--parts criteria`` for the per-criterion timings alone.
 
 The record also holds each checkout's line count of ``src/`` (``src_lines``),
 the measure of a change that keeps results and removes code.
@@ -46,11 +51,13 @@ END_TO_END = {"ops_per_s": "higher", "op_s.p50": "lower", "setup_s": "lower",
 TRACE_KEYS = ("experiments.ratio_harness.self_s", "operators.b_alpha.1d.self_s",
               "operators.b_alpha.2d.self_s")
 DEPTHS = {1: (6, 8, 10), 2: (4, 5, 6)}
+CRITERIA = tuple(range(1, 13))
+PARTS = ("end-to-end", "traced", "direct", "criteria")
 SETTINGS = {
     "runs": 5,             # traced harness runs per side
     "seed": 3,             # seed of the traced runs
     "seconds": 5.0,        # --seconds of each traced run
-    "repeats": 7,          # direct calls per theorem and depth
+    "repeats": 7,          # direct calls per theorem and depth, and per criterion
     "pairs": 10,           # end-to-end pairs on each workload
     "pair_seed": 17,       # seed of the end-to-end runs
     "pair_seconds": 25.0,  # --seconds of each end-to-end run
@@ -91,6 +98,23 @@ for theorem in sorted(THEOREMS):
             ratio_harness(theorem, profile, pairs, (depth,), **kwargs)
             times.append(time.perf_counter() - t0)
         out[f"{theorem}.depth{depth}"] = times[1:]
+print(json.dumps(out))
+"""
+
+
+CRITERION = r"""
+import json, sys, time
+from morreybench import acceptance
+numbers, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
+out = {}
+for number in numbers:
+    criterion = getattr(acceptance, f"criterion_{number:02d}")
+    times = []
+    for _ in range(repeats + 1):  # the first call warms up and is not timed
+        t0 = time.perf_counter()
+        criterion({"seed": 20240801})
+        times.append(time.perf_counter() - t0)
+    out[f"criterion_{number:02d}"] = times[1:]
 print(json.dumps(out))
 """
 
@@ -150,13 +174,33 @@ def src_lines(checkout):
     return total
 
 
-def direct_times(checkout, dim, depths, repeats):
+def snippet_times(checkout, code, *args):
+    """The JSON that ``code`` prints, run in a new interpreter on the checkout's ``src/``."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(checkout), "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    out = subprocess.run([sys.executable, "-c", DIRECT, str(dim), str(repeats),
-                          json.dumps(depths)],
+    out = subprocess.run([sys.executable, "-c", code, *args],
                          env=env, check=True, capture_output=True, text=True).stdout
     return json.loads(out)
+
+
+def direct_times(checkout, dim, depths, repeats):
+    return snippet_times(checkout, DIRECT, str(dim), str(repeats), json.dumps(depths))
+
+
+def criterion_times(checkout, numbers, repeats):
+    """Per criterion ``criterion_NN``: ``repeats`` timed calls after one warm-up."""
+    return snippet_times(checkout, CRITERION, json.dumps(list(numbers)), str(repeats))
+
+
+def alternate(sides, rounds, timed):
+    """Per side, the runs of ``timed(checkout)`` merged by key over ``rounds``
+    rounds, the side that goes first alternating."""
+    runs = {side: {} for side in sides}
+    for r in range(rounds):
+        for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
+            for key, times in timed(sides[side]).items():
+                runs[side].setdefault(key, []).extend(times)
+    return runs
 
 
 def slope(depths, dim, seconds):
@@ -172,48 +216,58 @@ def main(argv=None):
     ap.add_argument("--before", required=True, help="baseline checkout")
     ap.add_argument("--after", default=".", help="checkout with the change")
     ap.add_argument("--out", required=True)
+    ap.add_argument("--parts", default=",".join(PARTS),
+                    help=f"comma-separated figures to take, of {', '.join(PARTS)}")
     ns = ap.parse_args(argv)
+    parts = ns.parts.split(",")
+    if not set(parts) <= set(PARTS):
+        ap.error(f"--parts takes {', '.join(PARTS)}")
     sides = {"before": ns.before, "after": ns.after}
     cfg = SETTINGS
-
-    end_to_end = {wl: pairs(sides, wl, cfg["pairs"], cfg["pair_seed"], cfg["pair_seconds"])
-                  for wl in WORKLOADS}
-
-    traced = {side: {k: [] for k in TRACE_KEYS} for side in sides}
-    for r in range(cfg["runs"]):
-        order = ("before", "after") if r % 2 == 0 else ("after", "before")
-        for side in order:
-            metrics = bench_run(sides[side], TRACED, cfg["seed"], cfg["seconds"], 1)["metrics"]
-            for k in TRACE_KEYS:
-                traced[side][k].append(metrics[k]["value"])
-
-    runs = {side: {dim: {} for dim in DEPTHS} for side in sides}
-    for r in range(cfg["repeats"]):
-        for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
-            for dim, depths in DEPTHS.items():
-                for key, times in direct_times(sides[side], dim, depths, 1).items():
-                    runs[side][dim].setdefault(key, []).extend(times)
-    direct = {side: {} for side in sides}
-    for side in sides:
-        for dim, depths in DEPTHS.items():
-            times = runs[side][dim]
-            for key in sorted({key.rsplit(".", 1)[0] for key in times}):
-                mins = [min(times[f"{key}.depth{d}"]) for d in depths]
-                direct[side][f"{dim}d.{key}"] = {
-                    **{f"depth{d}": summary(times[f"{key}.depth{d}"]) for d in depths},
-                    "exp": slope(depths, dim, mins)}
-
     record = {
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count()},
         "settings": cfg,
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "units": "seconds; traced figures are per cycle, direct ones per call",
-        "end_to_end": end_to_end,
-        "traced_harness": {side: {k: summary(v) for k, v in traced[side].items()}
-                           for side in sides},
-        "direct_ratio_harness": direct,
     }
+
+    if "end-to-end" in parts:
+        record["end_to_end"] = {
+            wl: pairs(sides, wl, cfg["pairs"], cfg["pair_seed"], cfg["pair_seconds"])
+            for wl in WORKLOADS}
+
+    if "traced" in parts:
+        traced = {side: {k: [] for k in TRACE_KEYS} for side in sides}
+        for r in range(cfg["runs"]):
+            order = ("before", "after") if r % 2 == 0 else ("after", "before")
+            for side in order:
+                metrics = bench_run(sides[side], TRACED, cfg["seed"], cfg["seconds"],
+                                    1)["metrics"]
+                for k in TRACE_KEYS:
+                    traced[side][k].append(metrics[k]["value"])
+        record["traced_harness"] = {side: {k: summary(v) for k, v in traced[side].items()}
+                                    for side in sides}
+
+    if "direct" in parts:
+        direct = {side: {} for side in sides}
+        for dim, depths in DEPTHS.items():
+            runs = alternate(sides, cfg["repeats"],
+                             lambda checkout: direct_times(checkout, dim, depths, 1))
+            for side, times in runs.items():
+                for key in sorted({key.rsplit(".", 1)[0] for key in times}):
+                    mins = [min(times[f"{key}.depth{d}"]) for d in depths]
+                    direct[side][f"{dim}d.{key}"] = {
+                        **{f"depth{d}": summary(times[f"{key}.depth{d}"]) for d in depths},
+                        "exp": slope(depths, dim, mins)}
+        record["direct_ratio_harness"] = direct
+
+    if "criteria" in parts:
+        runs = alternate(sides, cfg["repeats"],
+                         lambda checkout: criterion_times(checkout, CRITERIA, 1))
+        record["direct_criteria"] = {side: {key: summary(v) for key, v in sorted(times.items())}
+                                     for side, times in runs.items()}
+
     with open(ns.out, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
