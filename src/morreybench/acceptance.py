@@ -250,8 +250,12 @@ def criterion_09(ctx) -> CriterionResult:
     fam = dyadic_family(unit_root(1), -4)
     rng = make_rng(ctx.get("seed", 20240801), 59)
     systems = [ws] + [random_weights(rng, unit_root(1), 4) for _ in range(5)]
-    chain_ok = all(char_two_weight(system, cp, fam).value
-                   <= char_remark(system, cp, fam).value * (1 + 1e-12) for system in systems)
+    chain_ok = True
+    for system in systems:
+        two = char_two_weight(system, cp, fam).value
+        single = char_remark(system, cp, fam).value
+        if two > single * (1 + 1e-12):
+            chain_ok = False
     ok = res.stable and chain_ok
     detail = (f"max ratio by level {by_level(res.max_ratio_by_level)}; "
               f"majorant chain {'ok' if chain_ok else 'FAIL'}")

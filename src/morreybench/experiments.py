@@ -558,8 +558,10 @@ def _necessity_reports(systems, cp: CharParams, family: CubeFamily, seeds,
                        pairs=None) -> list:
     """``necessity_check`` for systems on one grid, system k drawing pairs from ``seeds[k]``.
     The weight-free probes and floor are computed once; each pair and probe is a stack item."""
-    chars = [char_testing(ws, cp, family).value for ws in systems]  # refuses off the testing rows
     grid, n = systems[0].v, systems[0].v.dim
+    if not all(grid.same_grid(ws.v) for ws in systems):
+        raise ParameterError("necessity weight systems must share one grid")
+    chars = [char_testing(ws, cp, family).value for ws in systems]  # refuses off the testing rows
     lowest = max(family.min_level, grid.cell_level + 1)
     probes = (enumerate_subcubes(family.root, lowest)[:24]
               if lowest <= family.root.level else [])
@@ -580,7 +582,7 @@ def _necessity_reports(systems, cp: CharParams, family: CubeFamily, seeds,
              else [make_pairs("step", 4, seed, grid.depth, n) for seed in seeds])
     if not all(grid.same_grid(h) for items in given for _, f, g in items for h in (f, g)):
         raise ParameterError("necessity pairs must live on the weight grid")
-    v, w1, w2 = np.stack([[w.values for w in vars(ws).values()] for ws in systems], 1)[:, :, None]
+    v, w1, w2 = np.stack([[ws.v.values, ws.w1.values, ws.w2.values] for ws in systems], 1)[:, :, None]
     # per system its pairs, then its probe inputs chi_Q w1**-q1' and chi_Q w2**-q2'
     fv, gv = (np.concatenate([np.reshape([[pair[i].values for pair in items] for items in given],
                                          w.shape[:1] + (-1,) + grid.values.shape),

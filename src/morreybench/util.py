@@ -95,9 +95,14 @@ def by_level(values: dict) -> str:
     return " ".join(f"{k}:{fmt(v)}" for k, v in sorted(values.items()))
 
 
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return fmt(value)
+    return str(value)
+
+
 def csv_text(header, rows) -> str:
     """The ``header`` columns of dict ``rows`` as CSV text, floats via ``fmt``."""
     lines = [",".join(header)]
-    lines += [",".join(fmt(row[k]) if isinstance(row[k], float) else str(row[k]) for k in header)
-              for row in rows]
+    lines += [",".join(_cell(row[k]) for k in header) for row in rows]
     return "\n".join(lines) + "\n"

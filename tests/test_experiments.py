@@ -432,6 +432,15 @@ class TestNecessityStacked:
             necessity_check(ws, TestNecessity().cp(), dyadic_family(unit_root(1), -4),
                             pairs=make_pairs("step", 1, 3, 5, 1))
 
+    def test_systems_off_the_first_grid_refused(self):
+        # the same array shape on another root: the stack alone would not see it
+        from morreybench import experiments
+        systems = [random_weights(make_rng(8, 83), root, 4)
+                   for root in (unit_root(1), DyadicCube(0, (1,)))]
+        with pytest.raises(ParameterError, match="share one grid"):
+            experiments._necessity_reports(systems, TestNecessity().cp(),
+                                           dyadic_family(unit_root(1), -4), [3, 4])
+
 
 class TestFsDual:
     def params(self):

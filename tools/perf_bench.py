@@ -26,8 +26,7 @@ Each direct timing runs in a new interpreter that imports the checkout's
 ``src/``, so both sides run the same timing code.  The interpreters alternate
 between the checkouts, one timed call per theorem and depth (or criterion) in
 each, with the order flipped every round, so a drift in machine speed hits
-both sides alike.  ``--parts`` picks the kinds of figures to take, for
-example ``--parts criteria`` for the per-criterion timings alone.
+both sides alike.
 
 The record also holds each checkout's line count of ``src/`` (``src_lines``),
 the measure of a change that keeps results and removes code.
@@ -52,7 +51,6 @@ TRACE_KEYS = ("experiments.ratio_harness.self_s", "operators.b_alpha.1d.self_s",
               "operators.b_alpha.2d.self_s")
 DEPTHS = {1: (6, 8, 10), 2: (4, 5, 6)}
 CRITERIA = tuple(range(1, 13))
-PARTS = ("end-to-end", "traced", "direct", "criteria")
 SETTINGS = {
     "runs": 5,             # traced harness runs per side
     "seed": 3,             # seed of the traced runs
@@ -192,17 +190,6 @@ def criterion_times(checkout, numbers, repeats):
     return snippet_times(checkout, CRITERION, json.dumps(list(numbers)), str(repeats))
 
 
-def alternate(sides, rounds, timed):
-    """Per side, the runs of ``timed(checkout)`` merged by key over ``rounds``
-    rounds, the side that goes first alternating."""
-    runs = {side: {} for side in sides}
-    for r in range(rounds):
-        for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
-            for key, times in timed(sides[side]).items():
-                runs[side].setdefault(key, []).extend(times)
-    return runs
-
-
 def slope(depths, dim, seconds):
     xs = [math.log(2.0 ** (dim * d)) for d in depths]
     ys = [math.log(t) for t in seconds]
@@ -216,58 +203,53 @@ def main(argv=None):
     ap.add_argument("--before", required=True, help="baseline checkout")
     ap.add_argument("--after", default=".", help="checkout with the change")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--parts", default=",".join(PARTS),
-                    help=f"comma-separated figures to take, of {', '.join(PARTS)}")
     ns = ap.parse_args(argv)
-    parts = ns.parts.split(",")
-    if not set(parts) <= set(PARTS):
-        ap.error(f"--parts takes {', '.join(PARTS)}")
     sides = {"before": ns.before, "after": ns.after}
     cfg = SETTINGS
+
+    end_to_end = {wl: pairs(sides, wl, cfg["pairs"], cfg["pair_seed"], cfg["pair_seconds"])
+                  for wl in WORKLOADS}
+
+    traced = {side: {k: [] for k in TRACE_KEYS} for side in sides}
+    for r in range(cfg["runs"]):
+        order = ("before", "after") if r % 2 == 0 else ("after", "before")
+        for side in order:
+            metrics = bench_run(sides[side], TRACED, cfg["seed"], cfg["seconds"], 1)["metrics"]
+            for k in TRACE_KEYS:
+                traced[side][k].append(metrics[k]["value"])
+
+    runs = {side: {dim: {} for dim in DEPTHS} for side in sides}
+    criteria = {side: {} for side in sides}
+    for r in range(cfg["repeats"]):
+        for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
+            for dim, depths in DEPTHS.items():
+                for key, times in direct_times(sides[side], dim, depths, 1).items():
+                    runs[side][dim].setdefault(key, []).extend(times)
+            for key, times in criterion_times(sides[side], CRITERIA, 1).items():
+                criteria[side].setdefault(key, []).extend(times)
+    direct = {side: {} for side in sides}
+    for side in sides:
+        for dim, depths in DEPTHS.items():
+            times = runs[side][dim]
+            for key in sorted({key.rsplit(".", 1)[0] for key in times}):
+                mins = [min(times[f"{key}.depth{d}"]) for d in depths]
+                direct[side][f"{dim}d.{key}"] = {
+                    **{f"depth{d}": summary(times[f"{key}.depth{d}"]) for d in depths},
+                    "exp": slope(depths, dim, mins)}
+
     record = {
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "nproc": os.cpu_count()},
         "settings": cfg,
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
         "units": "seconds; traced figures are per cycle, direct ones per call",
+        "end_to_end": end_to_end,
+        "traced_harness": {side: {k: summary(v) for k, v in traced[side].items()}
+                           for side in sides},
+        "direct_ratio_harness": direct,
+        "direct_criteria": {side: {key: summary(v) for key, v in sorted(criteria[side].items())}
+                            for side in sides},
     }
-
-    if "end-to-end" in parts:
-        record["end_to_end"] = {
-            wl: pairs(sides, wl, cfg["pairs"], cfg["pair_seed"], cfg["pair_seconds"])
-            for wl in WORKLOADS}
-
-    if "traced" in parts:
-        traced = {side: {k: [] for k in TRACE_KEYS} for side in sides}
-        for r in range(cfg["runs"]):
-            order = ("before", "after") if r % 2 == 0 else ("after", "before")
-            for side in order:
-                metrics = bench_run(sides[side], TRACED, cfg["seed"], cfg["seconds"],
-                                    1)["metrics"]
-                for k in TRACE_KEYS:
-                    traced[side][k].append(metrics[k]["value"])
-        record["traced_harness"] = {side: {k: summary(v) for k, v in traced[side].items()}
-                                    for side in sides}
-
-    if "direct" in parts:
-        direct = {side: {} for side in sides}
-        for dim, depths in DEPTHS.items():
-            runs = alternate(sides, cfg["repeats"],
-                             lambda checkout: direct_times(checkout, dim, depths, 1))
-            for side, times in runs.items():
-                for key in sorted({key.rsplit(".", 1)[0] for key in times}):
-                    mins = [min(times[f"{key}.depth{d}"]) for d in depths]
-                    direct[side][f"{dim}d.{key}"] = {
-                        **{f"depth{d}": summary(times[f"{key}.depth{d}"]) for d in depths},
-                        "exp": slope(depths, dim, mins)}
-        record["direct_ratio_harness"] = direct
-
-    if "criteria" in parts:
-        runs = alternate(sides, cfg["repeats"],
-                         lambda checkout: criterion_times(checkout, CRITERIA, 1))
-        record["direct_criteria"] = {side: {key: summary(v) for key, v in sorted(times.items())}
-                                     for side, times in runs.items()}
-
     with open(ns.out, "w") as fh:
         json.dump(record, fh, indent=2)
         fh.write("\n")
