@@ -25,8 +25,8 @@ import numpy as np
 
 from .decomposition import CZ_COLUMNS, choose_a, packing_sum
 from .experiments import (NECESSITY_COLUMNS, ExponentProfile, SharpnessConfig,
-                          SteinWeissParams, _necessity_reports, _pair_stacks, log_uniform,
-                          make_pairs, random_weights, ratio_harness, run_sharpness,
+                          SteinWeissParams, _pair_stacks, log_uniform, make_pairs,
+                          necessity_check, random_weights, ratio_harness, run_sharpness,
                           stein_weiss_check)
 from .grid import GridFunction, cube_box, unit_root
 from .norms import dyadic_family
@@ -281,8 +281,8 @@ def criterion_11(ctx) -> CriterionResult:
     """Testing constant against the empirical operator constant, 10 systems."""
     seed = ctx.get("seed", 20240801)
     fam = dyadic_family(unit_root(1), -5)
-    reports = _necessity_reports([random_weights(make_rng(seed, 83, k), unit_root(1), 5)
-                                  for k in range(10)], TESTING_CP, fam, range(10))
+    reports = necessity_check([random_weights(make_rng(seed, 83, k), unit_root(1), 5)
+                               for k in range(10)], TESTING_CP, fam, seed=0)
     c_emp = max(r.ratio for r in reports)
     floors = all(r.exact_floor_ok for r in reports)
     ok = floors and all(np.isfinite(r.ratio) for r in reports) and c_emp <= NECESSITY_RATIO_BOUND

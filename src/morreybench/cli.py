@@ -192,8 +192,8 @@ def _cmd_op(ns) -> int:
 
 
 def _load_system(ns) -> WeightSystem:
-    if ns.v and ns.w1 and ns.w2:
-        return WeightSystem(read_mgf(ns.v), read_mgf(ns.w1), read_mgf(ns.w2))
+    if ns.v or ns.w1 or ns.w2:  # a partial file set is refused, not dropped
+        return WeightSystem(*map(read_mgf, _require(ns, "v", "w1", "w2").values()))
     if ns.beta is not None:
         _require(ns, "gamma1", "gamma2")
         return power_system(ns.beta, ns.gamma1, ns.gamma2, _coords(ns, "center", parse_number),
@@ -294,8 +294,8 @@ def _exp_stein_weiss(ns) -> int:
 
 def _exp_fs_dual(ns) -> int:
     params = FsDualParams(_char_params(ns), **_require(ns, "r1", "r2", "s1", "s2"))
-    if ns.w1 and ns.w2:
-        w1, w2 = read_mgf(ns.w1), read_mgf(ns.w2)
+    if ns.w1 or ns.w2:
+        w1, w2 = map(read_mgf, _require(ns, "w1", "w2").values())
     else:
         root, center = _root_from(ns), _coords(ns, "center", parse_number)
         w1 = power_weight(ns.gamma1 or 0.0, center, root, ns.depth)
@@ -318,9 +318,8 @@ def _exp_necessity(ns) -> int:
     rng = make_rng(ns.seed, 701)
     root = unit_root(ns.dim)
     fam = dyadic_family(root, -ns.base_depth)
-    reports = [necessity_check(random_weights(rng, root, ns.base_depth), cp, fam,
-                               seed=ns.seed + i)
-               for i in range(ns.systems)]
+    reports = necessity_check([random_weights(rng, root, ns.base_depth)
+                               for _ in range(ns.systems)], cp, fam, seed=ns.seed)
     write_csv(ns.out, NECESSITY_COLUMNS,
               [r.row(i) for i, r in enumerate(reports)], ns.json)
     ok = all(r.exact_floor_ok and np.isfinite(r.ratio) for r in reports)

@@ -489,6 +489,8 @@ def stein_weiss_check(sw: SteinWeissParams, k_levels=(0, 1, 2, 3, 4)) -> SteinWe
     sum) are exactly what is being probed.
     """
     refuse("hypotheses violated", relations.violations(sw, "stein-weiss"))
+    if len(set(k_levels)) < 2:
+        raise ParameterError("a dichotomy needs at least two distinct root levels")
     chars = {}
     for k in k_levels:
         root = DyadicCube(k, (0,) * sw.n)
@@ -539,25 +541,23 @@ class NecessityReport:
 NECESSITY_COLUMNS = ("system", "char", "op_constant", "ratio", "exact_floor")
 
 
-def necessity_check(ws: WeightSystem, cp: CharParams, family: CubeFamily,
-                    pairs=None, seed: int = 5) -> NecessityReport:
-    """Testing-condition probe for the truncated bilinear maximal operator.
+def necessity_check(systems, cp: CharParams, family: CubeFamily, seed: int = 5,
+                    pairs=None) -> list:
+    """Testing-condition probe for the truncated bilinear maximal operator,
+    one report per weight system.  The systems share one grid; system k
+    draws four step pairs from ``seed + k`` unless ``pairs`` is given.
 
     (1) On the inputs f = g = chi_Q with v = 1, the cube-sup maximal variant
         gives (avg_Q M(f,g)**t)**(1/t) >= |Q|**(alpha/n) with constant one;
         this floor is checked exactly on every probe cube Q.
     (2) The single-cube testing constant is divided by the empirical
         operator constant: the worst ratio of ||M(f,g) v||_{s,t} to the
-        (p, q1, q2) pair supremum of (|f| w1, |g| w2) over the given pairs
-        and the extremal probe pairs f = chi_Q w1**-q1', g = chi_Q w2**-q2'.
+        (p, q1, q2) pair supremum of (|f| w1, |g| w2) over the pairs and the
+        extremal probe pairs f = chi_Q w1**-q1', g = chi_Q w2**-q2'.
+    The weight-free probes and floor are computed once; all pairs and probes are one stack.
     """
-    return _necessity_reports([ws], cp, family, [seed], pairs)[0]
-
-
-def _necessity_reports(systems, cp: CharParams, family: CubeFamily, seeds,
-                       pairs=None) -> list:
-    """``necessity_check`` for systems on one grid, system k drawing pairs from ``seeds[k]``.
-    The weight-free probes and floor are computed once; each pair and probe is a stack item."""
+    if not systems:
+        raise ParameterError("necessity needs at least one weight system")
     grid, n = systems[0].v, systems[0].v.dim
     if not all(grid.same_grid(ws.v) for ws in systems):
         raise ParameterError("necessity weight systems must share one grid")
@@ -579,7 +579,7 @@ def _necessity_reports(systems, cp: CharParams, family: CubeFamily, seeds,
 
     # the operator constants over the given pairs and the extremal probe pairs
     given = ([list(pairs)] * len(systems) if pairs is not None
-             else [make_pairs("step", 4, seed, grid.depth, n) for seed in seeds])
+             else [make_pairs("step", 4, seed + k, grid.depth, n) for k in range(len(systems))])
     if not all(grid.same_grid(h) for items in given for _, f, g in items for h in (f, g)):
         raise ParameterError("necessity pairs must live on the weight grid")
     v, w1, w2 = np.stack([[ws.v.values, ws.w1.values, ws.w2.values] for ws in systems], 1)[:, :, None]

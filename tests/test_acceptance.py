@@ -173,17 +173,27 @@ def test_criterion_11_necessity_testing(ctx):
 
 
 def test_criterion_11_stack_reports_each_system_alone(ctx, monkeypatch):
-    # item k of the one stacked call equals necessity_check of system k alone
+    # item k of the one stacked call equals the check of system k alone,
+    # which draws its pairs from seed + k
     calls = []
-    real = acceptance._necessity_reports
-    monkeypatch.setattr(acceptance, "_necessity_reports",
-                        lambda *args: calls.append(args) or real(*args))
+    real = acceptance.necessity_check
+    monkeypatch.setattr(acceptance, "necessity_check",
+                        lambda *args, **kw: calls.append((args, kw)) or real(*args, **kw))
     acceptance.criterion_11(ctx)
-    (systems, cp, family, seeds), = calls
-    reports = real(systems, cp, family, seeds)
+    ((systems, cp, family), kw), = calls
+    reports = real(systems, cp, family, **kw)
     assert len(reports) == 10
-    for k, (ws, seed) in enumerate(zip(systems, seeds)):
-        assert reports[k] == experiments.necessity_check(ws, cp, family, seed=seed)
+    for k, ws in enumerate(systems):
+        assert reports[k] == real([ws], cp, family, seed=kw["seed"] + k)[0]
+
+
+def test_criterion_11_makes_one_bilinear_maximal_call(ctx, monkeypatch):
+    calls = []
+    real = experiments._bilinear_maximal
+    monkeypatch.setattr(experiments, "_bilinear_maximal",
+                        lambda *args: calls.append(args) or real(*args))
+    assert acceptance.criterion_11(ctx).passed
+    assert len(calls) == 1
 
 
 def test_criterion_12_determinism(ctx):

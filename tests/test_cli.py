@@ -8,13 +8,16 @@ import numpy as np
 import pytest
 
 import morreybench
-from morreybench import (DyadicCube, GridFunction, b_alpha_dyadic, cli, read_mgf, unit_root,
-                         write_mgf)
+from morreybench import (DyadicCube, GridFunction, b_alpha_dyadic, cli, experiments, read_mgf,
+                         unit_root, write_mgf)
 from morreybench.cli import build_parser, main, parse_number, parse_range
-from morreybench.experiments import THEOREMS
-from morreybench.util import fmt
+from morreybench.experiments import THEOREMS, random_weights
+from morreybench.norms import dyadic_family
+from morreybench.util import fmt, make_rng
+from morreybench.weights import CharParams
 
 from geometry_reference import axis_midpoints
+from test_experiments import necessity_by_probe
 
 
 def write_step(path, values, flags="none"):
@@ -328,6 +331,46 @@ class TestExperimentCommand:
         text = out.read_text()
         assert text.splitlines()[0] == "PASS verdict=DIVERGENT"
 
+    def test_stein_weiss_needs_two_root_levels(self, tmp_path, capsys):
+        # one root level has spread 1, which would read FINITE even for the
+        # negative-sum weights that diverge over 0..2
+        argv = ["experiment", "stein-weiss", *STEIN_WEISS, "--beta", "-0.54",
+                "--out", str(tmp_path / "sw.txt")]
+        for k_range in ("0", "2,2"):
+            assert main(argv + ["--k-range", k_range]) == 2
+            err = capsys.readouterr().err
+            assert err == ("parameter error: a dichotomy needs at least two distinct "
+                           "root levels\n")
+            assert not (tmp_path / "sw.txt").exists()
+        assert main(argv + ["--k-range", "0..2"]) == 0
+        assert "verdict=DIVERGENT" in capsys.readouterr().out
+
+    def test_necessity_rows_match_each_system_by_probe(self, tmp_path, capsys, monkeypatch):
+        # one stacked call over the 3 systems; row i is system i alone, its
+        # step pairs drawn from seed + i
+        calls = []
+        real = experiments._bilinear_maximal
+        monkeypatch.setattr(experiments, "_bilinear_maximal",
+                            lambda *args: calls.append(args) or real(*args))
+        out = tmp_path / "n.csv"
+        assert main(["experiment", "necessity", *TESTING, "--systems", "3", "--seed", "7",
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        monkeypatch.undo()
+        cp = CharParams(alpha=0.5, n=1, q1=4.0, q2=4.0, p=2.5, s=20 / 3, t=16 / 3, r=4.0,
+                        a=2.0)
+        rng, family = make_rng(7, 701), dyadic_family(unit_root(1), -4)
+        header, *rows = out.read_text().splitlines()
+        assert header == "system,char,op_constant,ratio,exact_floor" and len(rows) == 3
+        for i, row in enumerate(rows):
+            want = necessity_by_probe(random_weights(rng, unit_root(1), 4), cp, family,
+                                      seed=7 + i)
+            system, char, op, ratio, floor = row.split(",")
+            assert (int(system), int(floor)) == (i, int(want.exact_floor_ok))
+            assert float(char) == pytest.approx(want.char_value, rel=1e-12)
+            assert float(op) == pytest.approx(want.op_constant, rel=1e-12)
+            assert float(ratio) == pytest.approx(want.ratio, rel=1e-12)
+
     def test_fs_dual_verdict_file(self, tmp_path, capsys):
         out = tmp_path / "fs.txt"
         rc = main(["experiment", "fs-dual", "--alpha", "1/2", "--q1", "9/8",
@@ -441,6 +484,16 @@ class TestExitContract:
                      "--min-level", id="min-level-above-root"),
         pytest.param(["op", "--operator", "b-alpha", "--alpha", "1/2", "--f", "F", "--g", "",
                       "--out", "O"], "--g", id="empty-g-path"),
+        # a partial set of weight files is refused, never dropped for the power weights
+        pytest.param(["char", "--kind", "two-weight", *TWO_WEIGHT, "--s", "4/5", "--v", "F",
+                      "--w1", "F"], "missing --w2", id="char-no-w2-file"),
+        pytest.param(["char", "--kind", "testing", *TESTING, "--beta", "0", "--gamma1", "0",
+                      "--gamma2", "0", "--w1", "F"], "missing --v --w2", id="char-only-w1-file"),
+        pytest.param(["experiment", "ratio", "--theorem", "two-weight", *TWO_WEIGHT, "--s", "4/5",
+                      "--w2", "F", "--out", "O"], "missing --v --w1", id="ratio-only-w2-file"),
+        pytest.param(["experiment", "fs-dual", *TWO_WEIGHT[:14], "--s", "4/5", "--r1", "32",
+                      "--r2", "32", "--s1", "17/19", "--s2", "17/19", "--w1", "F",
+                      "--levels", "5..6", "--out", "O"], "missing --w2", id="fs-dual-no-w2-file"),
     ])
     def test_refused_with_exit_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
         path = tmp_path / "f.mgf"

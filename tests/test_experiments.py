@@ -203,6 +203,16 @@ class TestSteinWeiss:
         assert v.verdict == "DIVERGENT"
         assert all(g > 1.10 for g in v.growth)
 
+    @pytest.mark.parametrize("k_levels", [(0,), (2, 2), ()])
+    def test_fewer_than_two_root_levels_refused(self, k_levels):
+        # a single root level always has spread 1, so it would read FINITE
+        # even for the negative-sum weights that diverge
+        sw = SteinWeissParams(n=1, alpha=0.5, q1=9 / 8, q2=9 / 8,
+                              p1=32 / 27, p2=32 / 27, r=16.0, a=17 / 16,
+                              beta=-0.54, gamma1=0.02, gamma2=0.02)
+        with pytest.raises(ParameterError, match="^a dichotomy needs at least two distinct"):
+            stein_weiss_check(sw, k_levels=k_levels)
+
     def test_far_cube_factor_bounded_on_balanced_set(self):
         # far from the origin (|c_Q| >= l(Q)) the cube factor behaves like
         # l(Q)**sigma |c_Q|**-sigma times |Q|**(1/r); with the balanced set it
@@ -290,7 +300,7 @@ class TestNecessity:
         root = unit_root(1)
         mk = lambda: GridFunction(root, np.ones(16), "pos")
         ws = WeightSystem(mk(), mk(), mk())
-        rep = necessity_check(ws, self.cp(), dyadic_family(root, -4))
+        rep, = necessity_check([ws], self.cp(), dyadic_family(root, -4))
         assert rep.exact_floor_ok
         assert rep.char_value == pytest.approx(1.0, rel=1e-12)
         assert np.isfinite(rep.ratio)
@@ -299,8 +309,8 @@ class TestNecessity:
         ratios = []
         for seed in range(10):
             ws = self.random_system(seed)
-            rep = necessity_check(ws, self.cp(), dyadic_family(unit_root(1), -5),
-                                  seed=seed)
+            rep, = necessity_check([ws], self.cp(), dyadic_family(unit_root(1), -5),
+                                   seed=seed)
             assert rep.exact_floor_ok
             ratios.append(rep.ratio)
         # necessary constant is controlled by the empirical operator constant
@@ -310,8 +320,8 @@ class TestNecessity:
     def test_ratio_is_refinement_stable(self):
         base = self.random_system(3, depth=4)
         fine = WeightSystem(base.v.refine(1), base.w1.refine(1), base.w2.refine(1))
-        r0 = necessity_check(base, self.cp(), dyadic_family(unit_root(1), -4)).ratio
-        r1 = necessity_check(fine, self.cp(), dyadic_family(unit_root(1), -5)).ratio
+        r0 = necessity_check([base], self.cp(), dyadic_family(unit_root(1), -4))[0].ratio
+        r1 = necessity_check([fine], self.cp(), dyadic_family(unit_root(1), -5))[0].ratio
         assert r1 <= 1.25 * r0
 
 
@@ -385,7 +395,7 @@ class TestNecessityStacked:
     def test_reports_match_the_per_probe_loop(self):
         count = 0
         for ws, cp, family, pairs, seed in self.cases():
-            got = necessity_check(ws, cp, family, pairs=pairs, seed=seed)
+            got, = necessity_check([ws], cp, family, seed=seed, pairs=pairs)
             want = necessity_by_probe(ws, cp, family, pairs=pairs, seed=seed)
             assert got.exact_floor_ok == want.exact_floor_ok
             for name in ("char_value", "op_constant", "ratio"):
@@ -408,7 +418,7 @@ class TestNecessityStacked:
             monkeypatch.setattr(experiments, name, counting(getattr(experiments, name)))
         for ws, cp, family, pairs, seed in self.cases():
             calls.clear()
-            necessity_check(ws, cp, family, pairs=pairs, seed=seed)
+            necessity_check([ws], cp, family, seed=seed, pairs=pairs)
             assert sorted(name for name, _ in calls) == ["_bilinear_maximal", "_vector_maximal"]
             probes, stack = dict(calls)["_vector_maximal"], dict(calls)["_bilinear_maximal"]
             assert stack == probes + (4 if pairs is None else len(pairs))
@@ -424,22 +434,41 @@ class TestNecessityStacked:
         with pytest.raises(ParameterError, match="finite"):
             necessity_by_probe(ws, TestNecessity().cp(), dyadic_family(unit_root(1), -4))
         with pytest.raises(NumericalError, match="^operator output overflowed"):
-            necessity_check(ws, TestNecessity().cp(), dyadic_family(unit_root(1), -4))
+            necessity_check([ws], TestNecessity().cp(), dyadic_family(unit_root(1), -4))
 
     def test_pairs_off_the_weight_grid_refused(self):
         ws = random_weights(make_rng(8, 83), unit_root(1), 4)
         with pytest.raises(ParameterError):
-            necessity_check(ws, TestNecessity().cp(), dyadic_family(unit_root(1), -4),
+            necessity_check([ws], TestNecessity().cp(), dyadic_family(unit_root(1), -4),
                             pairs=make_pairs("step", 1, 3, 5, 1))
 
     def test_systems_off_the_first_grid_refused(self):
         # the same array shape on another root: the stack alone would not see it
-        from morreybench import experiments
         systems = [random_weights(make_rng(8, 83), root, 4)
                    for root in (unit_root(1), DyadicCube(0, (1,)))]
         with pytest.raises(ParameterError, match="share one grid"):
-            experiments._necessity_reports(systems, TestNecessity().cp(),
-                                           dyadic_family(unit_root(1), -4), [3, 4])
+            necessity_check(systems, TestNecessity().cp(), dyadic_family(unit_root(1), -4),
+                            seed=3)
+
+    def test_no_systems_refused(self):
+        with pytest.raises(ParameterError, match="at least one weight system"):
+            necessity_check([], TestNecessity().cp(), dyadic_family(unit_root(1), -4))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_system_k_draws_its_pairs_from_seed_plus_k(self, dim):
+        # report k of one stacked call is system k alone, its pairs from seed + k
+        cp = TestNecessity().cp() if dim == 1 else self.CP2
+        root = unit_root(dim)
+        family = dyadic_family(root, -3)
+        systems = [random_weights(make_rng(9, 83, k), root, 3) for k in range(3)]
+        got = necessity_check(systems, cp, family, seed=11)
+        assert len(got) == 3
+        for k, ws in enumerate(systems):
+            want = necessity_by_probe(ws, cp, family, seed=11 + k)
+            assert got[k].exact_floor_ok == want.exact_floor_ok
+            for name in ("char_value", "op_constant", "ratio"):
+                assert getattr(got[k], name) == pytest.approx(getattr(want, name), rel=1e-12)
+            assert got[k] == necessity_check([ws], cp, family, seed=11 + k)[0]
 
 
 class TestFsDual:

@@ -44,8 +44,7 @@ def test_relations_imports_only_util():
 # weight systems) or build the table of a stacked call, and that another package
 # module may call directly; a new one joins this list on purpose
 STACKED_CORES = {"_b_values", "_bilinear_maximal", "_vector_maximal", "_morrey_sup",
-                 "_pair_stacks", "_correlate", "_dyadic_table", "_i_values",
-                 "_necessity_reports"}
+                 "_pair_stacks", "_correlate", "_dyadic_table", "_i_values"}
 
 
 def test_only_stacked_cores_cross_modules():
@@ -57,3 +56,19 @@ def test_only_stacked_cores_cross_modules():
                 offenders += [f"{path.name}: {alias.name}" for alias in node.names
                               if alias.name.startswith("_") and alias.name not in STACKED_CORES]
     assert offenders == []
+
+
+def test_every_stacked_core_is_defined_and_crosses_a_module():
+    # a stale entry (renamed, deleted or no longer imported) fails here
+    defined, imported = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defined[node.name] = path.stem
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                imported |= {(path.stem, alias.name) for alias in node.names}
+    assert STACKED_CORES <= defined.keys()
+    assert all(any(name == core and mod != defined[core] for mod, name in imported)
+               for core in STACKED_CORES)

@@ -207,7 +207,7 @@ def test_parameters_meet_data_of_their_dimension(site, dim, n):
         "remark": ("remark", lambda x: char_remark(ws, x, fam)),
         "one-weight": ("one-weight-s<1", lambda x: char_one_weight(ws, x, fam)),
         "testing": ("testing", lambda x: char_testing(ws, x, fam)),
-        "necessity": ("testing", lambda x: necessity_check(ws, x, fam)),
+        "necessity": ("testing", lambda x: necessity_check([ws], x, fam)),
         "bilinear-ratio": ("bilinear-ratio",
                            lambda x: ratio_harness("bilinear-ratio", x, pairs, (3,))),
         "olsen": ("olsen", lambda x: ratio_harness("olsen", x, pairs, (3,), ws=ws)),

@@ -271,7 +271,7 @@ def test_necessity_scans_build_no_cube(monkeypatch):
     char_testing(ws, cp, family)
     alone = len(calls)
     calls.clear()
-    experiments.necessity_check(ws, cp, family)
+    experiments.necessity_check([ws], cp, family)
     assert alone == 1 and len(calls) == alone
 
 
