@@ -53,6 +53,25 @@ def test_criterion_03_blowup_slope(ctx):
     assert _run(acceptance.criterion_03, ctx).passed
 
 
+@pytest.mark.parametrize("blow,flat,passed,detail", [
+    pytest.param(-0.069, 0.0, False, "blow-up slope -0.069 (<= -0.07 FAIL)", id="blow-up-past"),
+    pytest.param(-0.071, 0.0, True, "blow-up slope -0.071 (<= -0.07 ok)", id="blow-up-inside"),
+    pytest.param(-0.1, 0.0301, False, "boundary slope 0.0301 (|.| <= 0.03 FAIL)",
+                 id="boundary-past"),
+    pytest.param(-0.1, -0.0301, False, "boundary slope -0.0301 (|.| <= 0.03 FAIL)",
+                 id="boundary-past-below"),
+    pytest.param(-0.1, 0.0299, True, "boundary slope 0.0299 (|.| <= 0.03 ok)",
+                 id="boundary-inside"),
+])
+def test_criterion_03_gates_just_past_their_thresholds(blow, flat, passed, detail):
+    # slopes fed in place of the two sharpness runs
+    runs = {cfg: (experiments.SharpnessResult(cfg, [], slope, -0.1, cfg is acceptance.BOUNDARY),
+                  0.0)
+            for cfg, slope in ((acceptance.BLOWUP, blow), (acceptance.BOUNDARY, flat))}
+    res = acceptance.criterion_03({"sharp": runs})
+    assert res.passed is passed and detail in res.detail
+
+
 def test_criterion_04_dyadic_model_equivalence(ctx):
     assert _run(acceptance.criterion_04, ctx).passed
 

@@ -42,7 +42,7 @@ class TestParsing:
         path = tmp_path / "f.mgf"
         write_step(path, np.repeat([1.0, 0.0], 8))
         base = ["norm", "--kind", "morrey", "--p", "2", "--q", "1", "--in", str(path)]
-        runs = [base + ["--family", "all", "--min-level", "-2", "--json"], base]
+        runs = [base + ["--family", "all", "--json"], base + ["--min-level", "-2"], base]
 
         def outputs():
             return [(main(argv), capsys.readouterr()) for argv in runs]
@@ -54,8 +54,8 @@ class TestParsing:
                     == vars(build_parser.__wrapped__().parse_args(argv)))
         monkeypatch.setattr(cli, "build_parser", build_parser.__wrapped__)
         assert outputs() == cached
-        assert [rc for rc, _ in cached] == [0, 0]
-        assert cached[0][1].out != cached[1][1].out  # the flags did change the output
+        assert [rc for rc, _ in cached] == [0, 0, 0]
+        assert cached[0][1].out != cached[2][1].out  # the flags did change the output
 
     def test_bad_flag_after_a_successful_call_exits_2(self, tmp_path, capsys):
         path = tmp_path / "f.mgf"
@@ -167,13 +167,13 @@ class TestOpCommand:
 
     OPERATOR_FLAGS = {
         "i-alpha": ["--alpha", "1/2"],
-        "b-alpha": ["--alpha", "1/2"],
-        "b-truncated": ["--d", "0.25"],
-        "b-dyadic": ["--alpha", "1/2"],
-        "m-bilinear": ["--alpha", "1/2"],
-        "m-vector": ["--alpha", "1/2", "--r1", "1", "--r2", "1"],
-        "m-tilde": ["--alpha", "1/2", "--t", "1/2", "--v", "f.mgf"],
-        "m-triple": [],
+        "b-alpha": ["--g", "f.mgf", "--alpha", "1/2"],
+        "b-truncated": ["--g", "f.mgf", "--d", "0.25"],
+        "b-dyadic": ["--g", "f.mgf", "--alpha", "1/2"],
+        "m-bilinear": ["--g", "f.mgf", "--alpha", "1/2"],
+        "m-vector": ["--g", "f.mgf", "--alpha", "1/2", "--r1", "1", "--r2", "1"],
+        "m-tilde": ["--g", "f.mgf", "--alpha", "1/2", "--t", "1/2", "--v", "f.mgf"],
+        "m-triple": ["--g", "f.mgf"],
     }
 
     @pytest.mark.parametrize("operator", OPERATOR_FLAGS)
@@ -183,8 +183,8 @@ class TestOpCommand:
         monkeypatch.chdir(tmp_path)
         write_step(tmp_path / "f.mgf", np.full(4, 1.7e308), flags="pos")
         with np.errstate(over="ignore"):
-            rc = main(["op", "--operator", operator, "--f", "f.mgf", "--g", "f.mgf",
-                       "--out", "o.mgf", *self.OPERATOR_FLAGS[operator]])
+            rc = main(["op", "--operator", operator, "--f", "f.mgf", "--out", "o.mgf",
+                       *self.OPERATOR_FLAGS[operator]])
         assert rc == 3
         assert capsys.readouterr().err == (
             "numerical failure: operator output overflowed to a non-finite value\n")
@@ -384,6 +384,18 @@ class TestExperimentCommand:
         assert lines[0].startswith("PASS split")
         assert lines[1].startswith("PASS harness")
 
+    @pytest.mark.parametrize("excess,verdict", [(2e-12, "FAIL"), (5e-13, "PASS")])
+    def test_fs_dual_split_gate(self, tmp_path, monkeypatch, excess, verdict):
+        # the split check's worst ratio fed just past and just inside 1 + 1e-12
+        real = experiments.family_max
+        monkeypatch.setattr(experiments, "family_max",
+                            lambda *args: (1.0 + excess, *real(*args)[1:]))
+        out = tmp_path / "fs.txt"
+        assert main(["experiment", "fs-dual", *TWO_WEIGHT[:14], "--s", "4/5", "--r1", "32",
+                     "--r2", "32", "--s1", "17/19", "--s2", "17/19", "--depth", "4",
+                     "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == f"{verdict} split worst={fmt(1.0 + excess)}"
+
     def test_determinism_same_seed_same_bytes(self, tmp_path):
         args = ["experiment", "ratio", "--theorem", "linear-adams",
                 "--alpha", "0.5", "--p1", "1.5", "--q1", "1.2",
@@ -505,6 +517,76 @@ class TestExitContract:
         assert flag in err and "Traceback" not in err
         assert not (tmp_path / "o").exists()  # refused before any output
 
+    @pytest.mark.parametrize("argv,refusal", [
+        pytest.param(["experiment", "ratio", "--theorem", "bilinear-ratio", *RATIO, "--pairs",
+                      "step:1", "--levels", "4..5", "--beta", "0.1", "--r", "16", "--v", "NONE",
+                      "--out", "O"],
+                     "experiment ratio --theorem bilinear-ratio does not read --beta --r --v",
+                     id="ratio-unweighted-weight-flags"),
+        pytest.param(["experiment", "sharpness", *SHARPNESS, "--deltas", "4..5", "--v", "NONE",
+                      "--seed", "3", "--levels", "9", "--out", "O"],
+                     "experiment sharpness does not read --v --seed --levels",
+                     id="sharpness-weight-file"),
+        pytest.param(["experiment", "stein-weiss", *STEIN_WEISS, "--beta", "0.0225", "--k-range",
+                      "0..1", "--json", "--v", "NONE", "--out", "O"],
+                     "experiment stein-weiss does not read --json --v", id="stein-weiss-json"),
+        pytest.param(["experiment", "necessity", *TESTING, "--systems", "1", "--v", "NONE",
+                      "--out", "O"],
+                     "experiment necessity does not read --v", id="necessity-weight-file"),
+        pytest.param(["op", "--operator", "i-alpha", "--alpha", "1/2", "--json", "--d", "3",
+                      "--v", "NONE", "--f", "F", "--out", "O"],
+                     "unrecognized arguments: --json", id="op-has-no-json"),
+        pytest.param(["op", "--operator", "i-alpha", "--alpha", "1/2", "--d", "3",
+                      "--v", "NONE", "--f", "F", "--out", "O"],
+                     "op --operator i-alpha does not read --d --v", id="i-alpha-d-v"),
+        pytest.param(["op", "--operator", "i-alpha", "--alpha", "1/2", "--min-level", "-99",
+                      "--f", "F", "--out", "O"],
+                     "op --operator i-alpha does not read --min-level", id="i-alpha-min-level"),
+        pytest.param(["norm", "--kind", "morrey", "--p", "2", "--q", "1", "--in", "F",
+                      "--family", "all", "--min-level", "-1"],
+                     "norm --kind morrey --family all does not read --min-level",
+                     id="morrey-all-min-level"),
+        pytest.param(["norm", "--kind", "lebesgue", "--t", "2", "--in", "F", "--min-level", "-99"],
+                     "norm --kind lebesgue does not read --min-level", id="lebesgue-min-level"),
+        pytest.param(["char", "--kind", "two-weight", *TWO_WEIGHT, "--s", "4/5",
+                      "--out", "O"], "char --kind two-weight does not read --out",
+                     id="two-weight-out"),
+        pytest.param(["char", "--kind", "fs-majorant", "--r", "inf", "--s", "1/2", "--w1", "F",
+                      "--out", "O", "--json"], "char --kind fs-majorant does not read --json",
+                     id="fs-majorant-json"),
+        pytest.param(["experiment", "fs-dual", *TWO_WEIGHT[:14], "--s", "4/5", "--r1", "32",
+                      "--r2", "32", "--s1", "17/19", "--s2", "17/19", "--beta", "0.0225",
+                      "--out", "O"], "experiment fs-dual does not read --beta",
+                     id="fs-dual-beta"),
+        pytest.param(["char", "--kind", "ap", "--p", "2", "--w1", "F", "--beta", "0",
+                      "--gamma1", "0", "--gamma2", "0"],
+                     "char --kind ap does not read --w1 --beta --gamma1 --gamma2 "
+                     "(it reads --v --p --min-level --json)", id="ap-reads-v"),
+    ])
+    def test_flags_the_run_would_ignore_exit_2(self, tmp_path, capsys, argv, refusal):
+        # each of these once exited 0 and dropped the flags it did not read,
+        # a path that does not exist included; the refusal comes before any file
+        path = tmp_path / "f.mgf"
+        write_step(path, np.ones(16), flags="pos")
+        argv = [str(path) if a == "F" else str(tmp_path / a) if a in ("O", "NONE") else a
+                for a in argv]
+        assert _exit_code(argv) == 2
+        std = capsys.readouterr()
+        assert std.out == "" and not (tmp_path / "O").exists()
+        assert std.err.splitlines()[-1].startswith(f"parameter error: {refusal}")
+
+    @pytest.mark.parametrize("argv,message", [
+        pytest.param(["char", "--kind", "ap", "--p", "2"], "missing --v", id="ap"),
+        pytest.param(["char", "--kind", "fs-majorant", "--r", "inf", "--s", "1/2", "--out", "O"],
+                     "missing --w1", id="fs-majorant"),
+    ])
+    def test_one_file_characteristics_require_their_file(self, tmp_path, capsys, argv, message):
+        # ap and fs-majorant once fell back to the synthetic weight system's w1
+        argv = [str(tmp_path / a) if a == "O" else a for a in argv]
+        assert _exit_code(argv) == 2
+        assert capsys.readouterr().err == f"parameter error: {message}\n"
+        assert not (tmp_path / "O").exists()
+
     @pytest.mark.parametrize("extra", [
         pytest.param([], id="default-depth"),
         pytest.param(["--rootlevel", "1", "--depth", "4"], id="other-root"),
@@ -574,7 +656,8 @@ class TestExitContract:
         path, out = tmp_path / "w.mgf", tmp_path / "o"
         write_mgf(path, GridFunction(unit_root(dim), np.ones((8,) * dim), "pos"))
         argv = [str(out) if a == "O" else a for a in argv]
-        assert _exit_code([*argv, "--v", str(path), "--w1", str(path), "--w2", str(path)]) == 2
+        files = ("--w1", "--w2") if "fs-dual" in argv else ("--v", "--w1", "--w2")
+        assert _exit_code([*argv, *(tok for name in files for tok in (name, str(path)))]) == 2
         std = capsys.readouterr()
         assert std.out == "" and not out.exists()
         assert std.err == f"parameter error: parameters for n={n} do not fit {dim}D data\n"

@@ -1,14 +1,18 @@
 """Property tests of the command line: the parsers, and argv fuzzing of
 cheap in-process ``main`` runs that must exit 0, 2 or 3 without a traceback.
 
-Each fuzzed command starts from a valid invocation (grids of depth 5 or
-less) and has up to three of its flags dropped or replaced by values drawn
-from a pool of well-formed, degenerate and malformed tokens, grid addresses
-(--rootlevel, --rootcoords, --center, --min-level) included.  MGF contents
-are not fuzzed, except the constant weights 10**k of the weighted runs,
-which must write only finite numbers or exit 3.
+Each fuzzed command starts from a valid run of one leaf of ``cli.COMMANDS``
+(grids of depth 5 or less) and has up to three of its flags dropped or
+replaced by values drawn from a pool of well-formed, degenerate and
+malformed tokens, grid addresses (--rootlevel, --rootcoords, --center,
+--min-level) included.  MGF contents are not fuzzed, except the constant
+weights 10**k of the weighted runs, which must write only finite numbers or
+exit 3.  The same valid runs check the table itself: each exits 0, each
+leaf's handler looks up exactly the flags its leaf lists, and every flag of
+a command that a leaf does not read is refused.
 """
 
+import argparse
 import contextlib
 import io
 import math
@@ -22,6 +26,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from morreybench import GridFunction, ParameterError, unit_root, write_mgf  # noqa: E402
+from morreybench import cli  # noqa: E402
 from morreybench.cli import main, parse_number, parse_range  # noqa: E402
 
 FUZZ = settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -32,8 +37,7 @@ NUMBERS = ["0", "1", "-1", "2", "4", "5", "1/2", "0.3", "5/2", "9/8", "17/16",
 RATIO = {"--alpha": "0.3", "--p1": "4", "--q1": "5/2", "--p2": "4", "--q2": "5/2",
          "--s": "5", "--t": "25/8"}
 TWO_WEIGHT = {"--alpha": "1/2", "--q1": "9/8", "--q2": "9/8", "--p": "16/27",
-              "--s": "4/5", "--t": "0.759375", "--r": "16", "--a": "17/16",
-              "--beta": "0.0225", "--gamma1": "0.02", "--gamma2": "0.02"}
+              "--s": "4/5", "--t": "0.759375", "--r": "16", "--a": "17/16"}
 TESTING = {"--alpha": "1/2", "--q1": "4", "--q2": "4", "--p": "5/2", "--s": "20/3",
            "--t": "16/3", "--r": "4", "--a": "2"}
 
@@ -41,36 +45,79 @@ TESTING = {"--alpha": "1/2", "--q1": "4", "--q2": "4", "--p": "5/2", "--s": "20/
 # and family depths below the cells and above the root
 ROOTS = {"--rootlevel": ["-1", "0", "2"], "--rootcoords": ["0", "1", "0,0", "-1", "x", ""],
          "--center": ["0", "0.5", "0,0", "inf", "nan", "x", ""]}
+ROOT = {name: ROOTS[name] for name in ("--rootlevel", "--rootcoords")}
 MIN_LEVEL = {"--min-level": ["-9", "-3", "-1", "0", "1"]}
 
-# (command words, valid flags, extra pools); --out draws from OUT, the other
+ONE_WEIGHT = {"--alpha": "1/2", "--q1": "9/8", "--q2": "9/8", "--p": "3/5", "--s": "6/7",
+              "--t": "45/56", "--r": "inf", "--a": "17/16"}
+SYNTHETIC = {"--beta": "0.0225", "--gamma1": "0.02", "--gamma2": "0.02", "--depth": "3"}
+UNIT = {"--beta": "0", "--gamma1": "0", "--gamma2": "0", "--depth": "3"}  # v = w1 w2 = 1
+FILES = {"--v": "@F", "--w1": "@F", "--w2": "@F"}
+WEIGHT_POOLS = {"--depth": ["-1", "2", "3"], "--dim": ["0", "1", "2"], **ROOTS}
+FG = {"--f": "@F", "--g": "@F", "--out": "@O.mgf"}
+RATIO_RUN = {"--pairs": "step:1", "--levels": "3..4", "--base-depth": "3", "--out": "@O"}
+RATIO_POOLS = {"--pairs": ["step:1", "indicator:2", "bump", "step:0", "step:x", "", "nope:1"],
+               "--levels": ["3", "3..4", "4..3", "", "4..", "2", "x"],
+               "--base-depth": ["-1", "0", "3"], "--seed": ["-1", "0", "7"],
+               "--dim": ["1", "2", "3"]}
+# valid exponents of the unweighted theorem ids of the ratio harness
+UNWEIGHTED = {
+    "bilinear-ratio": RATIO,
+    "bilinear-sum": {**RATIO, "--t": "2"},
+    "bilinear-critical": {"--alpha": "1/4", "--p1": "4", "--q1": "5/2", "--p2": "3",
+                          "--q2": "5/2"},
+    "linear-adams": {"--alpha": "1/2", "--p1": "3/2", "--q1": "6/5", "--s": "6",
+                     "--t": "24/5"},
+    "product-embedding": {"--alpha": "3/5", "--p1": "5/4", "--q1": "5/4", "--p2": "2",
+                          "--q2": "2", "--s": "10/7", "--t": "10/7"},
+}
+
+# (command words with the selector, valid flags, extra pools): one or more
+# valid runs of every leaf of cli.COMMANDS; --out draws from OUT, the other
 # flags without a pool from NUMBERS
 OUT = ["@O", "@O.mgf", ""]  # never a bare token: outputs stay in the fuzz directory
-COMMANDS = [
-    (["norm"], {"--kind": "morrey", "--in": "@F", "--p": "2", "--q": "1", "--t": "2"},
-     {"--kind": ["morrey", "lebesgue", "weak"], "--family": ["dyadic", "all"], **MIN_LEVEL}),
-    (["op"], {"--operator": "b-alpha", "--f": "@F", "--g": "@F", "--v": "@F",
-              "--out": "@O.mgf", "--alpha": "1/2", "--d": "1/4", "--r1": "2",
-              "--r2": "2", "--t": "2"},
-     {"--operator": ["i-alpha", "b-alpha", "b-truncated", "b-dyadic", "m-bilinear",
-                     "m-vector", "m-tilde", "m-triple"], **MIN_LEVEL,
-      "--rootlevel": ROOTS["--rootlevel"], "--rootcoords": ROOTS["--rootcoords"]}),
-    (["cz"], {"--f": "@F", "--g": "@F", "--out": "@O"},
-     {"--a": NUMBERS, "--rootlevel": ROOTS["--rootlevel"],
-      "--rootcoords": ROOTS["--rootcoords"]}),
-    (["char"], {"--kind": "two-weight", "--depth": "3", **TWO_WEIGHT},
-     {"--kind": ["two-weight", "remark", "one-weight", "testing", "ap", "fs-majorant"],
-      "--depth": ["-1", "2", "3"], "--dim": ["0", "1", "2"], **ROOTS, **MIN_LEVEL}),
-    (["experiment", "ratio"], {"--pairs": "step:1", "--levels": "3..4",
-                               "--base-depth": "3", "--depth": "3", "--out": "@O",
-                               **RATIO, "--p": "16/27", "--r": "16", "--a": "17/16",
-                               "--beta": "0.0225", "--gamma1": "0.02", "--gamma2": "0.02"},
-     {"--theorem": ["bilinear-ratio", "bilinear-critical", "linear-adams", "two-weight",
-                    "one-weight", "olsen", "nope"],
-      "--pairs": ["step:1", "indicator:2", "bump", "step:0", "step:x", "", "nope:1"],
-      "--levels": ["3", "3..4", "4..3", "", "4..", "2", "x"],
-      "--base-depth": ["-1", "0", "3"], "--seed": ["-1", "0", "7"],
-      "--dim": ["1", "2", "3"], **ROOTS}),
+RUNS = [
+    (["norm", "--kind", "morrey"], {"--in": "@F", "--p": "2", "--q": "1"},
+     {"--family": ["dyadic", "all"], **MIN_LEVEL}),
+    (["norm", "--kind", "morrey"], {"--in": "@F", "--p": "2", "--q": "1", "--family": "all"},
+     {"--family": ["dyadic", "all"]}),
+    (["norm", "--kind", "lebesgue"], {"--in": "@F", "--t": "2"}, {}),
+    (["norm", "--kind", "weak"], {"--in": "@F", "--p": "2"}, {}),
+    (["op", "--operator", "i-alpha"], {"--f": "@F", "--out": "@O.mgf", "--alpha": "1/2"}, {}),
+    (["op", "--operator", "b-alpha"], {**FG, "--alpha": "1/2"}, {}),
+    (["op", "--operator", "b-truncated"], {**FG, "--d": "1/4"}, {}),
+    (["op", "--operator", "b-dyadic"], {**FG, "--alpha": "1/2", "--rootlevel": "0",
+                                        "--rootcoords": "0"}, {**MIN_LEVEL, **ROOT}),
+    (["op", "--operator", "m-bilinear"], {**FG, "--alpha": "1/2"}, MIN_LEVEL),
+    (["op", "--operator", "m-vector"], {**FG, "--alpha": "1/2", "--r1": "2", "--r2": "2"},
+     MIN_LEVEL),
+    (["op", "--operator", "m-tilde"], {**FG, "--v": "@F", "--alpha": "1/2", "--t": "1/2"},
+     MIN_LEVEL),
+    (["op", "--operator", "m-triple"], FG, MIN_LEVEL),
+    *((["char", "--kind", kind], {**exponents, **weights}, {**WEIGHT_POOLS, **MIN_LEVEL})
+      for kind, exponents, weights in (
+          ("two-weight", TWO_WEIGHT, SYNTHETIC),
+          ("two-weight", TWO_WEIGHT, FILES),
+          ("remark", TWO_WEIGHT, SYNTHETIC),
+          ("one-weight", ONE_WEIGHT, UNIT),
+          ("testing", TESTING, UNIT),
+          ("testing", TESTING, FILES))),
+    (["char", "--kind", "ap"], {"--v": "@F", "--p": "2"}, MIN_LEVEL),
+    (["char", "--kind", "fs-majorant"], {"--w1": "@F", "--r": "inf", "--s": "1/2",
+                                         "--out": "@O.mgf"}, MIN_LEVEL),
+    (["cz"], {"--f": "@F", "--g": "@F", "--out": "@O"}, {"--a": NUMBERS, **ROOT}),
+    (["cz"], {"--f": "@F", "--g": "@F", "--out": "@O", "--rootlevel": "0",
+              "--rootcoords": "0", "--a": "2"}, {"--a": NUMBERS, **ROOT}),
+    *((["experiment", "ratio"], {"--theorem": theorem, **exponents, **RATIO_RUN},
+      {"--theorem": [theorem, "nope"], **RATIO_POOLS})
+      for theorem, exponents in UNWEIGHTED.items()),
+    *((["experiment", "ratio"], {"--theorem": theorem, **exponents, **weights, **RATIO_RUN},
+      {"--theorem": ["two-weight", "one-weight", "olsen", "nope"], **RATIO_POOLS, **ROOTS})
+      for theorem, exponents, weights in (
+          ("two-weight", TWO_WEIGHT, SYNTHETIC),
+          ("two-weight", TWO_WEIGHT, FILES),
+          ("olsen", TWO_WEIGHT, SYNTHETIC),
+          ("one-weight", ONE_WEIGHT, UNIT))),
     (["experiment", "sharpness"], {"--deltas": "2..3", "--out": "@O", "--alpha": "0.3",
                                    "--p1": "4", "--p2": "4", "--q1": "2", "--q2": "2",
                                    "--t": "5"},
@@ -82,20 +129,24 @@ COMMANDS = [
                                      "--q1": "9/8", "--q2": "9/8", "--p1": "32/27",
                                      "--p2": "32/27", "--r": "16", "--a": "17/16",
                                      "--beta": "-0.54", "--gamma1": "0.02",
-                                     "--gamma2": "0.02"},
+                                     "--gamma2": "0.02", "--seed": "7"},
      {"--k-range": ["0", "-1..0", "-9", "", "0..", "x"]}),
     (["experiment", "fs-dual"], {"--depth": "3", "--levels": "3", "--out": "@O",
+                                 **TWO_WEIGHT, "--gamma1": "0.02", "--gamma2": "0.02",
+                                 "--r1": "32", "--r2": "32", "--s1": "17/19", "--s2": "17/19"},
+     {"--levels": ["2", "3", "3..4", "", "x"], "--depth": ["-1", "3"], **ROOTS}),
+    (["experiment", "fs-dual"], {"--w1": "@F", "--w2": "@F", "--levels": "3", "--out": "@O",
                                  **TWO_WEIGHT, "--r1": "32", "--r2": "32",
                                  "--s1": "17/19", "--s2": "17/19"},
-     {"--levels": ["2", "3", "3..4", "", "x"], "--depth": ["-1", "3"], **ROOTS}),
-    (["selftest"], {"--criteria": "0"},
+     {"--levels": ["2", "3", "3..4", "", "x"]}),
+    (["selftest"], {"--criteria": "1"},
      {"--criteria": ["", "0", "13", "x", "1..", "12..1", "99,1"]}),
 ]
 
 
 @st.composite
 def argvs(draw):
-    words, valid, pools = draw(st.sampled_from(COMMANDS))
+    words, valid, pools = draw(st.sampled_from(RUNS))
     flags = dict(valid)
     names = sorted(set(valid) | set(pools))
     # a selftest without --criteria runs every criterion and exits 1 on the
@@ -134,16 +185,124 @@ def test_cli_exits_0_2_or_3_without_traceback(workdir, argv):
     assert "Traceback" not in err.getvalue()
 
 
+def _argv(words, flags, workdir) -> list[str]:
+    return [tok.replace("@F", str(workdir / "f.mgf")).replace("@O", str(workdir / "out"))
+            for tok in words + [f"{name}={value}" for name, value in flags.items()]]
+
+
+def _leaf_of(words, flags) -> tuple:
+    """(command, selector value, value of the leaf's ``by`` flag) of a run."""
+    command = words[0]
+    _, selector, _, leaves = cli.COMMANDS[command]
+    value = words[-1] if selector else None
+    by = leaves[value].by
+    return command, value, by and flags.get(cli._option(by[0]), cli._default(command, by[0]))
+
+
+def _leaf_reads() -> dict:
+    """Every leaf of the table, each ``by`` value apart, with the flags it reads."""
+    out = {}
+    for command, (_, _, _, leaves) in cli.COMMANDS.items():
+        for value, leaf in leaves.items():
+            for by, further in (leaf.by[1].items() if leaf.by else [(None, "")]):
+                out[command, value, by] = f"{leaf.reads} {further}".split()
+    return out
+
+
+LEAF_READS = _leaf_reads()
+# the flags a leaf accepts without reading them: stein_weiss_check draws
+# nothing, so --seed waits for it (ROADMAP item 2)
+ACCEPTED_UNREAD = {("experiment", "stein-weiss", None): {"seed"}}
+
+
+@pytest.fixture(scope="module")
+def recorded(workdir):
+    """Each run's exit code and stderr, and per leaf the flags its handler
+    looked up over all its runs."""
+    seen = {}
+
+    def watched(key, run):
+        class Watched(argparse.Namespace):
+            def __getattribute__(self, name):
+                if name in cli.FLAGS:
+                    seen[key].add(name)
+                return super().__getattribute__(name)
+        return lambda ns: run(Watched(**vars(ns)))
+
+    codes = []
+    with pytest.MonkeyPatch.context() as mp:
+        for words, flags, _ in RUNS:
+            key = _leaf_of(words, flags)
+            seen.setdefault(key, set())
+            leaves = cli.COMMANDS[key[0]][3]
+            leaf = leaves[key[1]]
+            mp.setitem(leaves, key[1], leaf._replace(run=watched(key, leaf.run)))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                codes.append((main(_argv(words, flags, workdir)), err.getvalue()))
+            mp.setitem(leaves, key[1], leaf)
+    return codes, seen
+
+
+@pytest.mark.parametrize("i", range(len(RUNS)), ids=[
+    "-".join(word for word in words if not word.startswith("--")) for words, _, _ in RUNS])
+def test_every_fuzz_base_exits_0(recorded, i):
+    # so the fuzz starts from runs that reach the numerics, not the refusals
+    assert recorded[0][i] == (0, ""), RUNS[i]
+
+
+def test_every_leaf_reads_exactly_its_table_flags(recorded):
+    # a handler that looks up a flag its leaf does not list, or a listed
+    # flag that no run of the leaf looks up, is a stale table entry
+    seen = recorded[1]
+    assert set(seen) == set(LEAF_READS)  # every leaf has a run
+    for key, reads in LEAF_READS.items():
+        assert seen[key] == set(reads) - ACCEPTED_UNREAD.get(key, set()), key
+
+
+def test_every_declared_flag_is_read_by_a_leaf(recorded):
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    for command, parser in subparsers.choices.items():
+        selector = cli.COMMANDS[command][1]
+        declared = {a.dest for a in parser._actions} - {"help", selector}
+        read = set().union(*(names for key, names in recorded[1].items() if key[0] == command))
+        assert declared == read, command
+
+
+def _unread_cases():
+    """(leaf, an unread flag of its command): one per flag a leaf does not read."""
+    for key, reads in LEAF_READS.items():
+        words, flags, _ = next(run for run in RUNS if _leaf_of(run[0], run[1]) == key)
+        for name in cli._flags(key[0]):
+            if name not in reads:
+                yield pytest.param(words, flags, name,
+                                   id="-".join(filter(None, key)) + ":" + cli._option(name))
+
+
+@pytest.mark.parametrize("words,flags,name", _unread_cases())
+def test_unread_flag_refused_before_any_file(tmp_path, capsys, words, flags, name):
+    # the value parses for the flag; a path names a file that does not exist,
+    # so reading it first would fail with another message
+    spec = cli.FLAGS[name]
+    value = (None if spec.get("action") else str(spec["choices"][0]) if "choices" in spec
+             else {parse_range: "1", cli.parse_pairs: "step:1"}.get(spec.get("type"), "1")
+             if "type" in spec else str(tmp_path / "missing"))
+    argv = _argv(words, flags, tmp_path) + [cli._option(name)] + [value] * (value is not None)
+    assert main(argv) == 2
+    std = capsys.readouterr()
+    assert std.out == "" and not (tmp_path / "out").exists() and not (tmp_path / "out.mgf").exists()
+    head, _, rest = std.err.partition(" does not read ")
+    assert head.startswith("parameter error: " + " ".join(words))
+    assert cli._option(name) in rest.split(" (it reads ")[0].split()
+
+
 # exponents that pass the relations of each weighted run
-TWO_WEIGHT_EXPONENTS = {name: TWO_WEIGHT[name] for name in
-                        ("--alpha", "--q1", "--q2", "--p", "--s", "--t", "--r", "--a")}
 WEIGHTED = {
-    "two-weight": TWO_WEIGHT_EXPONENTS,
-    "olsen": TWO_WEIGHT_EXPONENTS,
-    "one-weight": {"--alpha": "1/2", "--q1": "9/8", "--q2": "9/8", "--p": "3/5", "--s": "6/7",
-                   "--t": "45/56", "--r": "inf", "--a": "17/16"},
-    "fs-dual": {**TWO_WEIGHT_EXPONENTS, "--r1": "32", "--r2": "32", "--s1": "17/19",
-                "--s2": "17/19"},
+    "two-weight": TWO_WEIGHT,
+    "olsen": TWO_WEIGHT,
+    "one-weight": ONE_WEIGHT,
+    "fs-dual": {**TWO_WEIGHT, "--r1": "32", "--r2": "32", "--s1": "17/19", "--s2": "17/19"},
 }
 
 

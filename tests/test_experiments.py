@@ -1,11 +1,15 @@
+from dataclasses import replace
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from morreybench import experiments
 from morreybench import (DyadicCube, GridFunction, NumericalError, ParameterError,
                          aligned_family, b_alpha, cube_box, dyadic_family,
                          enumerate_subcubes, m_alpha_bilinear, m_alpha_vector, morrey_norm,
                          pair_morrey_sup, unit_root)
-from morreybench.experiments import (ExponentProfile, FsDualParams,
+from morreybench.experiments import (ExponentProfile, FsDualParams, HarnessResult,
                                      NecessityReport, SharpnessConfig,
                                      SteinWeissParams, build_sharpness_pair,
                                      fs_dual_check, make_pairs, necessity_check,
@@ -105,6 +109,36 @@ class TestSharpnessRun:
         res = run_sharpness(BLOWUP_CFG)
         for row in res.rows:
             assert row.min_pointwise >= 0.95 * row.floor
+
+
+class TestGates:
+    """Each gate fails just past its threshold and holds just inside it."""
+
+    @pytest.mark.parametrize("growth,stable", [(1.051, False), (1.049, True)])
+    def test_harness_growth_limit(self, growth, stable):
+        res = HarnessResult("bilinear-ratio", [], {k: growth ** k for k in (4, 5, 6)})
+        assert res.stable is stable
+
+    @pytest.mark.parametrize("share,ok", [(0.949, False), (0.951, True)])
+    def test_sharpness_floor_tolerance(self, monkeypatch, share, ok):
+        # B replaced by a constant at ``share`` of each delta's floor delta**(-n/s)
+        cfg = replace(BLOWUP_CFG, delta_exps=(4, 5))
+        deltas, build = [], experiments.build_sharpness_pair
+
+        def pair(cfg, m):
+            f, g, meta = build(cfg, m)
+            deltas.append(meta.delta)
+            return f, g, meta
+
+        def flat(f, g, alpha):
+            floor = deltas[-1] ** (-cfg.n / cfg.s)
+            return SimpleNamespace(fn=GridFunction(f.root, np.full(f.values.shape, share * floor),
+                                                   "pos"))
+        monkeypatch.setattr(experiments, "build_sharpness_pair", pair)
+        monkeypatch.setattr(experiments, "b_alpha", flat)
+        res = run_sharpness(cfg)
+        assert [row.floor_ok for row in res.rows] == [ok, ok]
+        assert res.floors_hold() is ok
 
 
 class TestRatioHarness:
