@@ -146,7 +146,7 @@ def criterion_04(ctx) -> CriterionResult:
     spreads = {}
     for depth in (4, 5, 6, 7):
         # B_alpha and the dyadic model over Q0 = the root, as two columns of one table
-        grid, fv, gv = _pair_stacks(pairs, depth)
+        grid, fv, gv, _ = _pair_stacks(pairs, depth)
         tables = np.stack([kernel_cell_table(alpha, grid),
                            _dyadic_table(grid, alpha, grid.cell_level, 0)], axis=-1)
         out = finite(_correlate(fv, gv, tables), "operator output")
@@ -161,7 +161,7 @@ def criterion_04(ctx) -> CriterionResult:
 def criterion_05(ctx) -> CriterionResult:
     """Pointwise product bound through conjugate-power potentials."""
     alpha = 0.45
-    grid, fv, gv = _pair_stacks([(seed, *_rand_pair(seed, 5)) for seed in range(20)], 5)
+    grid, fv, gv, _ = _pair_stacks([(seed, *_rand_pair(seed, 5)) for seed in range(20)], 5)
     lhs = _b_values(grid, fv, gv, alpha)
     ells = ((1.5, 3.0), (2.0, 2.0), (3.0, 1.5))  # conjugate exponents; one I_alpha call for all
     rf, rg = np.split(_i_values(grid, np.stack([fv ** ell for ell, _ in ells]
@@ -178,10 +178,10 @@ def criterion_06(ctx) -> CriterionResult:
     pairs = [(seed, *_rand_pair(seed, 4)) for seed in range(10)]
     consts = {}
     for depth in (4, 5, 6):
-        grid, fv, gv = _pair_stacks(pairs, depth)
+        grid, fv, gv, own = _pair_stacks(pairs, depth)
         fam = dyadic_family(unit_root(1), -depth)
         consts[depth] = float(np.max(_bilinear_maximal(grid, fv, gv, alpha, fam)
-                                     / _b_values(grid, fv, gv, alpha)))
+                                     / _b_values(grid, *own, alpha)))
     levels = sorted(consts)
     ok = all(consts[b] <= 1.05 * consts[a] for a, b in zip(levels, levels[1:]))
     return CriterionResult(6, "maximal-control", ok,

@@ -125,7 +125,9 @@ def _coords(ns, name: str, parse) -> tuple:
 
 
 def _root_from(ns, grid=None) -> DyadicCube:
-    """The --rootlevel/--rootcoords cube, or ``grid``'s root without --rootlevel."""
+    """The --rootlevel/--rootcoords cube, or ``grid``'s root without either."""
+    if ns.rootlevel is None and ns.rootcoords is not None:
+        raise ParameterError("--rootcoords needs --rootlevel")
     if ns.rootlevel is None:
         return grid.root
     return DyadicCube(ns.rootlevel, _coords(ns, "rootcoords", int))
@@ -404,7 +406,8 @@ FLAGS = {
     "family": {"choices": ("dyadic", "all"), "default": "dyadic"},
     "min_level": {"type": int},
     "rootlevel": {"type": int, "default": {"op": None, "cz": None, "char": 0, "experiment": 0}},
-    **dict.fromkeys(("rootcoords", "center"), {"default": "0"}),
+    "rootcoords": {"default": {"op": None, "cz": None, "char": "0", "experiment": "0"}},
+    "center": {"default": "0"},
     "dim": {"type": int, "choices": (1, 2), "default": 1},
     "depth": {"type": int, "default": {"char": 6, "experiment": 5}},
     "theorem": {"default": "bilinear-ratio"},

@@ -159,20 +159,20 @@ class HarnessResult:
 
 
 def _pair_stacks(pairs, level: int):
-    """The pairs refined onto the grid of ``level``: (grid, f stack, g stack).
+    """The pairs refined onto the grid of ``level``: (grid, f stack, g stack, own).
 
-    The stacks have shape ``(k, *cells)``, one item per pair; ``grid`` is a
-    grid function of the level that carries the first f.  Pairs that do not
-    share one grid are refused.
+    The stacks have shape ``(k, *cells)``, one item per pair, and ``own`` the
+    unrefined ones; ``grid`` is a grid function of the level that carries
+    the first f.  Pairs that do not share one grid are refused.
     """
     base = pairs[0][1]
     if not all(base.same_grid(h) for _, f, g in pairs for h in (f, g)):
         raise ParameterError("harness pairs must share one grid")
     if level < base.depth:
         raise ParameterError("refinement level below the pair's base depth")
-    fv, gv = (spread(np.stack([pair[i].values for pair in pairs]), level - base.depth, base.dim)
-              for i in (1, 2))
-    return GridFunction(base.root, fv[0]), fv, gv
+    own = tuple(np.stack([pair[i].values for pair in pairs]) for i in (1, 2))
+    fv, gv = (spread(v, level - base.depth, base.dim) for v in own)
+    return GridFunction(base.root, fv[0]), fv, gv, own
 
 
 def _weighted_sides(grid: GridFunction, fam: CubeFamily, weighted: np.ndarray,
@@ -188,17 +188,18 @@ def _ratio_core(theorem: str, levels, pairs_at, hook) -> HarnessResult:
     """The one loop behind every ratio harness: worst LHS/RHS per level.
 
     ``pairs_at(level)`` gives the level's (name, f, g) pairs on one grid;
-    they are refined here onto the level's grid as stacks, and
-    ``hook(grid, family, fv, gv)`` returns the level's (lhs, rhs) arrays, one
-    item per pair, with ``family`` the level's dyadic family.  A non-finite
+    they are refined here onto the level's grid as stacks, and ``hook(grid,
+    family, fv, gv, own)`` returns the level's (lhs, rhs) arrays, one item per
+    pair, with ``family`` the level's dyadic family and ``own`` the unrefined
+    stacks that ``_b_values`` reads.  A non-finite
     side or ratio, or a zero right side with nonzero left side, aborts naming
     the first such pair; the latter cannot occur for positive weights.
     """
     records = []
     for level in levels:
         pairs = pairs_at(level)
-        grid, fv, gv = _pair_stacks(pairs, level)
-        lhs, rhs = hook(grid, dyadic_family(grid.root, grid.cell_level), fv, gv)
+        grid, fv, gv, own = _pair_stacks(pairs, level)
+        lhs, rhs = hook(grid, dyadic_family(grid.root, grid.cell_level), fv, gv, own)
         for (name, _, _), left, right in zip(pairs, lhs.tolist(), rhs.tolist()):
             if right == 0.0 and left > 0.0:
                 raise NumericalError(
@@ -239,7 +240,7 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
     if not pairs:
         raise ParameterError("ratio harness needs at least one pair")
     pr = profile
-    base, f0, g0 = _pair_stacks(pairs, pairs[0][1].depth)
+    base, f0, g0, _ = _pair_stacks(pairs, pairs[0][1].depth)
     relations.require_dim(pr, base.dim)
 
     def base_norms(values, p, q):
@@ -249,14 +250,14 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
         s, t = (pr.p2, pr.q2) if theorem == "bilinear-critical" else (pr.s, pr.t)
         rhs = base_norms(f0, pr.p1, pr.q1) * base_norms(g0, pr.p2, pr.q2)
 
-        def hook(grid, fam, fv, gv):
-            return _morrey_sup(grid, fam, s, (_b_values(grid, fv, gv, pr.alpha), t)), rhs
+        def hook(grid, fam, fv, gv, own):
+            return _morrey_sup(grid, fam, s, (_b_values(grid, *own, pr.alpha), t)), rhs
     elif theorem in ("linear-adams", "product-embedding"):
         rhs = base_norms(f0, pr.p1, pr.q1)
         if theorem == "product-embedding":
             rhs = base_norms(g0, pr.p2, pr.q2) * rhs
 
-        def hook(grid, fam, fv, gv):
+        def hook(grid, fam, fv, gv, _):
             lhs = _i_values(grid, fv, pr.alpha)
             if theorem == "product-embedding":
                 lhs = gv * lhs
@@ -267,16 +268,16 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
                                  f"pairs on root {base.root} at levels {levels}: weights must "
                                  f"sit on the pairs' root, no finer than the first level")
 
-        def hook(grid, fam, fv, gv):  # the level's weights and constants, built once
+        def hook(grid, fam, fv, gv, own):  # the level's weights and constants, built once
             w = WeightSystem(*(x.refine(grid.depth - x.depth) for x in (ws.v, ws.w1, ws.w2)))
             if theorem == "olsen":
-                fw, gw = fv, gv
-                scale = morrey_norm(w.v, pr.r, pr.t / (1.0 - pr.t), fam).value
+                fw, gw, v = fv, gv, (w.v.values[None], pr.t / (1.0 - pr.t))
+                scale = float(_morrey_sup(grid, fam, pr.r, v)[0])  # one item: no cube
             else:
                 scale = (char_two_weight if theorem == "two-weight"
                          else char_one_weight)(w, pr, fam).value
                 fw, gw = fv * w.w1.values, gv * w.w2.values
-            lhs, rhs = _weighted_sides(grid, fam, _b_values(grid, fv, gv, pr.alpha) * w.v.values,
+            lhs, rhs = _weighted_sides(grid, fam, _b_values(grid, *own, pr.alpha) * w.v.values,
                                        fw, gw, pr)
             return lhs, scale * rhs
     return _ratio_core(theorem, levels, lambda level: pairs, hook)
@@ -512,9 +513,9 @@ def stein_weiss_harness(sw: SteinWeissParams, seed: int = 11) -> HarnessResult:
     indicator pairs at levels 4..6; the structural hypotheses must hold."""
     refuse("hypotheses violated", relations.violations(sw, "stein-weiss"))
 
-    def hook(grid, fam, fv, gv):
+    def hook(grid, fam, fv, gv, own):
         w = power_system(sw.beta, sw.gamma1, sw.gamma2, (0.0,) * sw.n, fam.root, grid.depth)
-        weighted = _b_values(grid, fv, gv, sw.n - sw.alpha) * w.v.values
+        weighted = _b_values(grid, *own, sw.n - sw.alpha) * w.v.values
         fw, gw = fv * w.w1.values, gv * w.w2.values
         return (_morrey_sup(grid, fam, sw.s, (weighted, sw.t)),
                 _morrey_sup(grid, fam, sw.p1, (fw, sw.q1))
@@ -642,11 +643,11 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
 
     pairs = make_pairs("step", 4, seed, w1.depth, w1.dim, w1.root)
 
-    def hook(grid, fam, fv, gv):
+    def hook(grid, fam, fv, gv, own):
         ww1, ww2 = (w.refine(grid.depth - w.depth) for w in (w1, w2))
         maj1 = fs_majorant(ww1, params.r1, params.s1, fam)
         maj2 = fs_majorant(ww2, params.r2, params.s2, fam)
-        weighted = _b_values(grid, fv, gv, cp.alpha) * ww1.values * ww2.values
+        weighted = _b_values(grid, *own, cp.alpha) * ww1.values * ww2.values
         return _weighted_sides(grid, fam, weighted, fv * maj1.values, gv * maj2.values, cp)
     harness = _ratio_core("fs-dual", levels, lambda level: pairs, hook)
     return FsDualReport(split_ok, worst, harness)

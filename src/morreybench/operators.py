@@ -20,16 +20,20 @@ truncated form weighs the ball |y|_inf <= d by per-axis fractional cell
 overlaps, hence exactly for any d > 0.  The dyadic model sums the truncated forms over the tower of dyadic
 cubes containing x and the bilinear maximal takes their max; scales below
 the cell side are dropped and their geometric-tail bound is reported.
+B_alpha of steps refined r = 2**k times is taken on their coarse cells,
+exactly, with block sums of the fine kernel masses as tables (``_b_values``):
+O(M**2 r**n) work for M coarse cells per axis, in place of O((M r)**2).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, triple_sums
+from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, spread, triple_sums
 from .norms import CubeFamily, cell_sup, lq_means
 from .util import ParameterError, finite, v_factor
 
@@ -78,13 +82,11 @@ def _check_kernel(alpha: float, dim: int) -> None:
 def kernel_cell_table(alpha: float, grid: GridFunction) -> np.ndarray:
     """Exact/midpoint kernel masses over the offset cells m*h + [-h/2, h/2)**n."""
     _check_kernel(alpha, grid.dim)
-    m = grid.cells_per_axis
-    h = grid.cell_side
+    m, h = grid.cells_per_axis, grid.cell_side
     offsets = np.arange(-(m - 1), m)
-    if grid.dim == 1:
-        def anti(y):
-            return np.sign(y) * np.abs(y) ** alpha / alpha
-        return anti((offsets + 0.5) * h) - anti((offsets - 0.5) * h)
+    if grid.dim == 1:  # the antiderivative at the cell edges, differenced
+        edges = (np.arange(-(m - 1), m + 1) - 0.5) * h
+        return np.diff(np.sign(edges) * np.abs(edges) ** alpha / alpha)
     squares = (offsets * h) ** 2
     with np.errstate(divide="ignore"):
         table = h * h * np.add.outer(squares, squares) ** (0.5 * (alpha - 2.0))
@@ -142,7 +144,8 @@ def _correlate(fv: np.ndarray, gv: np.ndarray, tables: np.ndarray) -> np.ndarray
     tables = tables.reshape((-1,) + tables.shape[-2:])
     padded = np.zeros((2, k, m0, m + 2 * c))
     padded[0, ..., c:c + m], padded[1, ..., c:c + m] = fr[..., ::-1], gr  # j runs forward in both
-    windows = sliding_window_view(padded, 2 * m - 1, axis=-1)
+    windows = np.ndarray(padded.shape[:-1] + (m, 2 * m - 1), float, padded,  # never written
+                         strides=padded.strides + padded.strides[-1:])
     big_f, big_g = windows[0, :, :, ::-1], windows[1]
     out = np.empty((k, m0, m, tables.shape[-1]))
     for j0 in sorted(range(-((m0 - 1) // 2), (m0 - 1) // 2 + 1), key=abs):
@@ -188,12 +191,55 @@ def _i_values(grid: GridFunction, fv: np.ndarray, alpha: float) -> np.ndarray:
     return finite(vals.reshape(fv.shape), "operator output")
 
 
+@functools.cache  # r <= m: no larger than the fine kernel table
+def _class_sums(r: int) -> np.ndarray:
+    """Per kind: the b of row J - s that add to column a; class (s, s), or mixed at s = 0."""
+    kind, s, b, a = np.ogrid[:2, :2, :r, :r]
+    left, carry = b > a, a + b >= r
+    mixed = (s == 0) & (left != carry)
+    return np.where(kind, mixed, (left == s) & (carry == s)).reshape(2, 2 * r, r).astype(float)
+
+
 def _b_values(grid: GridFunction, fv: np.ndarray, gv: np.ndarray,
               alpha: float) -> np.ndarray:
-    """B(f, g) on ``grid``'s lattice; any axes before the grid's are a stack of
-    pairs.  A non-finite value is refused."""
-    return finite(_correlate(fv, gv, kernel_cell_table(alpha, grid)[..., None])[..., 0],
-                  "operator output")
+    """B(f, g) on ``grid``'s lattice for steps given r = 2**k times coarser
+    on its root; any axes before the grid's are a stack of pairs.
+
+    Per axis, x = X*r + a and the offset J*r + b meet f and g in the coarse
+    cells X-J-u and X+J+v, (u, v) = ([b > a], [a + b >= r]): one
+    ``_correlate`` per choice of kind per axis, r**n columns, the integer
+    kind (0, 0), (1, 1), the half kind (1, 0), (0, 1) with f one cell on,
+    read at X + [a >= r/2].  The steps are spread while r = 2, where those
+    2**n calls cost no less than the fine one, or r exceeds their cells per
+    axis, where the class sums would outgrow the fine kernel table.  A
+    non-finite value is refused.
+    """
+    n = grid.dim
+    while (r := grid.cells_per_axis // fv.shape[-1]) == 2 or r > fv.shape[-1]:
+        fv, gv = spread(fv, 1, n), spread(gv, 1, n)
+    mc, lead, x = fv.shape[-1], fv.shape[:-n], fv.ndim - n
+    m = mc + (r > 1)  # with the half kind, one cell of padding per axis
+    fine = np.zeros((2 * m, r) * n)  # the fine masses at J*r + b for J = -m..m-1
+    fine.reshape((2 * m * r,) * n)[(slice((m - mc) * r + 1, (m + mc) * r),) * n] = (
+        kernel_cell_table(alpha, grid))
+    f, g = np.zeros((2,) + lead + (m,) * n)
+    g[(...,) + (slice(0, mc),) * n] = gv
+    out, sums = 0.0, _class_sums(r)
+    for kind in itertools.product(range(1 + m - mc), repeat=n):
+        tab = fine
+        for h in reversed(kind):  # per axis, last first: into (J, a) for J = 1-m..m-1
+            tab = np.concatenate([tab[..., 1:, :], tab[..., :-1, :]], -1) @ sums[h]
+            tab = tab.transpose(-2, -1, *range(tab.ndim - 2))
+        tab = tab.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
+        f[...] = 0.0
+        f[(...,) + tuple(slice(h, h + mc) for h in kind)] = fv
+        vals = _correlate(f, g, tab.reshape(tab.shape[:n] + (-1,))).reshape(f.shape + (r,) * n)
+        for i in np.flatnonzero(kind):  # a half axis reads a >= r/2 at X + 1
+            half = vals.swapaxes(0, x + i).swapaxes(1, x + n + i)[:, r // 2:]
+            half[:mc] = half[1:]
+        out = out + vals[(...,) + (slice(0, mc),) * n + (slice(None),) * n]
+    out = out.transpose(*range(x), *(x + k for i in range(n) for k in (i, n + i)))
+    return finite(out.reshape(lead + (mc * r,) * n), "operator output")
 
 
 def b_alpha(f: GridFunction, g: GridFunction, alpha: float) -> OperatorField:

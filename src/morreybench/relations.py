@@ -69,7 +69,7 @@ RULES = {
         ("1/r0 = 1/p0 + 1/q0 - alpha/n", S_SUM[1]), ("r/r0 = p/p0", TS_Q1_P1[1])),
     "olsen": (ALPHA, Q12, T_S_BELOW_1,
               ("s/(1-s) < r", lambda x: not T_S_BELOW_1[1](x) or _below(x.s, x.r)),
-              ALPHA_R, S_REL, TS_Q_P, A_ABOVE_1),
+              ALPHA_R, S_REL, TS_Q_P, A_ABOVE_1, ("r < inf", lambda x: x.r < INF)),
     # CharParams, per characteristic; s picks the two-weight and one-weight rows
     "s<1": _TWO_WEIGHT + (
         S_BELOW_1, ("s/(1-s) < r", lambda x: not x.s < 1.0 or _below(x.s, x.r)),

@@ -155,7 +155,8 @@ def test_criterion_06_maximal_control(ctx):
 @pytest.mark.parametrize("growth,passed", [(1.049, True), (1.051, False)])
 def test_criterion_06_gates_the_growth_of_its_constant(ctx, monkeypatch, growth, passed):
     # the constant may grow at most 1.05x per depth: here it is growth**depth
-    monkeypatch.setattr(acceptance, "_b_values", lambda grid, fv, gv, alpha: np.ones(fv.shape))
+    monkeypatch.setattr(acceptance, "_b_values",
+                        lambda grid, fv, gv, alpha: np.ones(fv.shape[:1] + grid.values.shape))
     monkeypatch.setattr(acceptance, "_bilinear_maximal",
                         lambda grid, fv, gv, alpha, fam: np.full(fv.shape, growth ** grid.depth))
     assert acceptance.criterion_06(ctx).passed == passed

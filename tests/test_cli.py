@@ -575,6 +575,23 @@ class TestExitContract:
         assert std.out == "" and not (tmp_path / "O").exists()
         assert std.err.splitlines()[-1].startswith(f"parameter error: {refusal}")
 
+    @pytest.mark.parametrize("coords", ["0", "5"])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["cz", "--f", "F", "--g", "F", "--out", "O"], id="cz"),
+        pytest.param(["op", "--operator", "b-dyadic", "--alpha", "1/2", "--f", "F", "--g", "F",
+                      "--out", "O"], id="b-dyadic"),
+    ])
+    def test_rootcoords_without_rootlevel_exit_2(self, tmp_path, capsys, argv, coords):
+        # without --rootlevel these ran on the file's root and dropped the
+        # coordinates, exit 0; with --rootlevel 0 the cube 5 lies outside the root
+        path = tmp_path / "f.mgf"
+        write_step(path, np.exp(np.linspace(-1.0, 1.0, 16)), flags="pos")
+        argv = [str(path) if a == "F" else str(tmp_path / a) if a == "O" else a for a in argv]
+        assert _exit_code(argv + ["--rootcoords", coords]) == 2
+        assert capsys.readouterr().err == "parameter error: --rootcoords needs --rootlevel\n"
+        assert not (tmp_path / "O").exists()
+        assert _exit_code(argv + ["--rootlevel", "0", "--rootcoords", coords]) == int(coords) // 5 * 2
+
     @pytest.mark.parametrize("argv,message", [
         pytest.param(["char", "--kind", "ap", "--p", "2"], "missing --v", id="ap"),
         pytest.param(["char", "--kind", "fs-majorant", "--r", "inf", "--s", "1/2", "--out", "O"],

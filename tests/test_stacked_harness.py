@@ -252,13 +252,13 @@ def test_scans_per_level_do_not_grow_with_the_pairs(theorem, monkeypatch):
 
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
 def test_stacked_scans_build_no_cube(theorem, monkeypatch):
-    # a stacked scan returns its maxima only; olsen's weight norm is a single
-    # morrey_norm per level, whose report carries its attaining cube
+    # a stacked scan returns its maxima only; olsen's weight norm, which
+    # reads only the value, is a one-item stack per level
     pr, ws = setup(theorem, 1)
     calls = []
     monkeypatch.setattr(norms, "_cube_at", lambda *args: calls.append(args))
     ratio_harness(theorem, pr, make_pairs("step", 3, 3, 3), (3, 4, 5), ws=ws)
-    assert len(calls) == (3 if theorem == "olsen" else 0)
+    assert calls == []
 
 
 def test_necessity_scans_build_no_cube(monkeypatch):
@@ -337,8 +337,9 @@ def test_weights_off_the_pairs_grid_are_refused(theorem, monkeypatch):
 def test_zero_right_side_names_its_pair():
     pairs = make_pairs("step", 3, 5, 3)
 
-    def hook(grid, fam, fv, gv):
+    def hook(grid, fam, fv, gv, base):
         assert fv.shape == gv.shape == (3, 2 ** grid.depth)
+        assert base[0].shape == base[1].shape == (3, 2 ** 3)  # the pairs' own depth
         return np.ones(3), np.array([1.0, 0.0, 0.0])
     with pytest.raises(NumericalError, match="for pair step-1$"):
         _ratio_core("t", (4,), lambda level: pairs, hook)

@@ -6,7 +6,8 @@ itself: per-item reductions (a stacked scan returns its maxima only; the
 attaining cubes of single calls are pinned in ``test_pyramid_properties``),
 a stack refused when one item overflows, and the bilinear correlate with its
 column blocks sized over the whole stack (products of a different shape, so
-BLAS may sum in a different order: relative 1e-13 there).
+BLAS may sum in a different order: relative 1e-13 there), and B of steps
+given on a coarser grid than they are evaluated on.
 """
 
 import numpy as np
@@ -19,8 +20,9 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 from morreybench import (DyadicCube, GridFunction, NumericalError,  # noqa: E402
                          dyadic_family, m_alpha_bilinear, m_alpha_vector, morrey_norm,
                          pair_morrey_sup)
+from morreybench.grid import spread  # noqa: E402
 from morreybench.norms import _morrey_sup  # noqa: E402
-from morreybench.operators import _bilinear_maximal, _vector_maximal  # noqa: E402
+from morreybench.operators import _b_values, _bilinear_maximal, _vector_maximal  # noqa: E402
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -45,6 +47,24 @@ def stacks(draw):
     family = dyadic_family(sub, draw(st.integers(cell, sub_level)))
     grid = GridFunction(root, np.zeros(shape[1:]))
     return grid, fv, gv, family
+
+
+@st.composite
+def coarse_stacks(draw):
+    """Signed step pairs at a base depth on a random root, the grid ``shift``
+    levels finer and a kernel exponent in (0, n)."""
+    dim = draw(st.sampled_from([1, 2]))
+    depth = draw(st.integers(0, 4 if dim == 1 else 3))
+    shift = draw(st.integers(0, 3 if dim == 1 else 2))
+    root = DyadicCube(draw(st.integers(-1, 1)),
+                      tuple(draw(st.integers(-2, 2)) for _ in range(dim)))
+    shape = (draw(st.integers(1, 3)),) + (2 ** depth,) * dim
+    # signed, over e**-6..e**6 and zero, so no product leaves the normal range
+    elements = st.just(0.0) | st.builds(lambda sign, e: sign * np.exp(e), st.sampled_from(
+        [-1.0, 1.0]), st.floats(-6.0, 6.0))
+    fv, gv = (draw(arrays(np.float64, shape, elements=elements)) for _ in range(2))
+    grid = GridFunction(root, np.zeros((2 ** (depth + shift),) * dim))
+    return grid, fv, gv, shift, draw(st.floats(0.05, 0.95)) * dim
 
 
 def items(grid, stack):
@@ -134,3 +154,19 @@ def test_empty_stack():
     assert _morrey_sup(grid, family, 2.0, (empty, 1.0)).shape == (0,)
     assert _vector_maximal(grid, empty, empty, 0.5, 1.0, 1.0, family).shape == (0, 4, 4)
     assert _bilinear_maximal(grid, empty, empty, 0.5, family).shape == (0, 4, 4)
+
+
+@PROPERTY
+@given(case=coarse_stacks())
+def test_coarse_b_values_match_the_fine_call(case):
+    # the coarse tables add only positive kernel masses, so every cell agrees
+    # with the steps spread onto the grid within 1e-14 of B(|f|, |g|); with
+    # nothing to refine the call is the fine one, bit for bit
+    grid, fv, gv, shift, alpha = case
+    n = grid.dim
+    fine = _b_values(grid, spread(fv, shift, n), spread(gv, shift, n), alpha)
+    coarse = _b_values(grid, fv, gv, alpha)
+    assert coarse.shape == fine.shape == fv.shape[:1] + grid.values.shape
+    assert shift or coarse.tobytes() == fine.tobytes()
+    scale = _b_values(grid, spread(np.abs(fv), shift, n), spread(np.abs(gv), shift, n), alpha)
+    assert np.all(np.abs(coarse - fine) <= 1e-14 * scale)
