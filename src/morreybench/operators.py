@@ -195,9 +195,8 @@ def _i_values(grid: GridFunction, fv: np.ndarray, alpha: float) -> np.ndarray:
 def _class_sums(r: int) -> np.ndarray:
     """Per kind: the b of row J - s that add to column a; class (s, s), or mixed at s = 0."""
     kind, s, b, a = np.ogrid[:2, :2, :r, :r]
-    left, carry = b > a, a + b >= r
-    mixed = (s == 0) & (left != carry)
-    return np.where(kind, mixed, (left == s) & (carry == s)).reshape(2, 2 * r, r).astype(float)
+    u, v = b > a, a + b >= r  # f one coarse cell left, g one right
+    return np.where(kind, (s == 0) & (u != v), (u == s) & (v == s)).reshape(2, 2 * r, r) * 1.0
 
 
 def _b_values(grid: GridFunction, fv: np.ndarray, gv: np.ndarray,
@@ -217,22 +216,23 @@ def _b_values(grid: GridFunction, fv: np.ndarray, gv: np.ndarray,
     n = grid.dim
     while (r := grid.cells_per_axis // fv.shape[-1]) == 2 or r > fv.shape[-1]:
         fv, gv = spread(fv, 1, n), spread(gv, 1, n)
-    mc, lead, x = fv.shape[-1], fv.shape[:-n], fv.ndim - n
-    m = mc + (r > 1)  # with the half kind, one cell of padding per axis
+    mc, lead, x, p = fv.shape[-1], fv.shape[:-n], fv.ndim - n, int(r > 1)
+    m = mc + p  # p: the half kind, and one cell of padding per axis
     fine = np.zeros((2 * m, r) * n)  # the fine masses at J*r + b for J = -m..m-1
-    fine.reshape((2 * m * r,) * n)[(slice((m - mc) * r + 1, (m + mc) * r),) * n] = (
-        kernel_cell_table(alpha, grid))
-    f, g = np.zeros((2,) + lead + (m,) * n)
-    g[(...,) + (slice(0, mc),) * n] = gv
-    out, sums = 0.0, _class_sums(r)
-    for kind in itertools.product(range(1 + m - mc), repeat=n):
+    fine.reshape((2 * m * r,) * n)[(slice(p * r + 1, (m + mc) * r),) * n] = kernel_cell_table(
+        alpha, grid)
+    zf, zg = fv, gv
+    if p:  # a zero cell on both sides of every axis
+        zf, zg = np.zeros((2,) + lead + (mc + 2,) * n)
+        zf[(...,) + (slice(1, -1),) * n], zg[(...,) + (slice(1, -1),) * n] = fv, gv
+    g, out, sums = zg[(...,) + (slice(p, p + m),) * n], 0.0, _class_sums(r)
+    for kind in itertools.product(range(1 + p), repeat=n):
         tab = fine
         for h in reversed(kind):  # per axis, last first: into (J, a) for J = 1-m..m-1
             tab = np.concatenate([tab[..., 1:, :], tab[..., :-1, :]], -1) @ sums[h]
             tab = tab.transpose(-2, -1, *range(tab.ndim - 2))
         tab = tab.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2))
-        f[...] = 0.0
-        f[(...,) + tuple(slice(h, h + mc) for h in kind)] = fv
+        f = zf[(...,) + tuple(slice(p - h, p - h + m) for h in kind)]  # the half kind: f one on
         vals = _correlate(f, g, tab.reshape(tab.shape[:n] + (-1,))).reshape(f.shape + (r,) * n)
         for i in np.flatnonzero(kind):  # a half axis reads a >= r/2 at X + 1
             half = vals.swapaxes(0, x + i).swapaxes(1, x + n + i)[:, r // 2:]
