@@ -191,7 +191,7 @@ def _i_values(grid: GridFunction, fv: np.ndarray, alpha: float) -> np.ndarray:
     return finite(vals.reshape(fv.shape), "operator output")
 
 
-@functools.cache  # r <= m: no larger than the fine kernel table
+@functools.cache  # r <= the coarse cells per axis: at most twice the fine table
 def _class_sums(r: int) -> np.ndarray:
     """Per kind: the b of row J - s that add to column a; class (s, s), or mixed at s = 0."""
     kind, s, b, a = np.ogrid[:2, :2, :r, :r]
