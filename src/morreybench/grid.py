@@ -90,10 +90,6 @@ class AlignedBox:
         if any(h <= l for l, h in zip(self.lo, self.hi)):
             raise ParameterError(f"empty box {self.lo}..{self.hi}")
 
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
     def slices(self) -> tuple[slice, ...]:
         return tuple(slice(l, h) for l, h in zip(self.lo, self.hi))
 

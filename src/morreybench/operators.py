@@ -48,7 +48,7 @@ class OperatorField:
 
 def _field(template: GridFunction, values: np.ndarray, tail: float = 0.0) -> OperatorField:
     """Wrap ``values`` that ``finite`` has already passed."""
-    flags = "nonneg" if values.size and values.min() >= 0 else "none"
+    flags = "nonneg" if values.min() >= 0 else "none"
     return OperatorField(template.with_values(values, flags), tail)
 
 

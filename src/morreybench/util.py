@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import math
+from argparse import ArgumentTypeError
 
 import numpy as np
 
 INF = float("inf")
 
 
-class ParameterError(ValueError):
-    """A precondition or exponent relation is violated (CLI exit code 2)."""
+class ParameterError(ValueError, ArgumentTypeError):
+    """A precondition or exponent relation is violated (CLI exit code 2);
+    raised by a flag's parser, its text is the refusal argparse prints."""
 
 
 class NumericalError(RuntimeError):
@@ -50,26 +52,20 @@ def recip(x: float) -> float:
     return INF if x == 0 else 1.0 / x
 
 
-def power_mean(values, exponent: float):
-    """Return ``(mean(values**e))**(1/e)`` over the last axis, without overflow
+def power_mean(rows: np.ndarray, e: float):
+    """Return ``(mean(rows**e))**(1/e)`` over the last axis, without overflow
     for large ``|e|``.
 
     Intermediates are shifted by the extreme value so they stay within [0, 1];
-    as ``e`` grows the result tends smoothly to ``max(values)`` (resp. ``min``
+    as ``e`` grows the result tends smoothly to ``max(rows)`` (resp. ``min``
     for ``e < 0``), which is the essential-sup convention used by the weight
-    characteristics.
+    characteristics.  The rows are ``cube_blocks`` rows of weights that their
+    entry point has refused unless positive, so no anchor is zero.
     """
-    vals = np.asarray(values, dtype=float)
-    if vals.size == 0:
-        raise ParameterError("power mean of an empty cell set")
-    e = float(exponent)
     if e == 0.0:
         raise ParameterError("power mean exponent must be nonzero")
-    anchor = vals.max(axis=-1) if e > 0 else vals.min(axis=-1)
-    if e < 0 and (anchor <= 0.0).any():
-        raise ParameterError("nonpositive value raised to negative power")
-    safe = np.where(anchor == 0.0, 1.0, anchor)  # all-zero rows have mean 0
-    return anchor * ((vals / safe[..., None]) ** e).mean(axis=-1) ** (1.0 / e)
+    anchor = rows.max(axis=-1) if e > 0 else rows.min(axis=-1)
+    return anchor * ((rows / anchor[..., None]) ** e).mean(axis=-1) ** (1.0 / e)
 
 
 def v_factor(rows, t: float):

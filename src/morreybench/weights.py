@@ -128,10 +128,6 @@ class CharParams:
     r: float
     a: float
 
-    @property
-    def q(self) -> float:
-        return recip(1.0 / self.q1 + 1.0 / self.q2)
-
     def check(self, kind: str) -> None:
         """Refuse the tuple unless the relations of characteristic ``kind``
         hold: ``two-weight`` and ``one-weight`` take their s < 1 or s >= 1

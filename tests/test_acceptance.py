@@ -12,11 +12,13 @@ the assertion fails for every delta even though the norms are delta-uniform
 The check is kept as stated rather than loosened.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from morreybench import acceptance, decomposition, experiments
-from morreybench.grid import GridFunction, unit_root
+from morreybench.grid import DyadicCube, GridFunction, unit_root
 from morreybench.operators import b_alpha, b_alpha_dyadic
 
 
@@ -47,6 +49,18 @@ def test_criterion_02_floor_and_uniformity_components(ctx):
     assert blow.floors_hold()
     nf = [r.norm_f for r in blow.rows]
     assert max(nf) / min(nf) < 1.10
+
+
+@pytest.mark.parametrize("spread,uniform", [(1.0999, True), (1.1001, False)])
+def test_criterion_02_uniformity_detail_just_past_its_threshold(spread, uniform):
+    # cluster norms fed in place of the blow-up run: 1 and ``spread``, both
+    # above the bound 1, so the detail reports their delta-uniformity
+    rows = [experiments.SharpnessRow(m, 2.0 ** -m, 1.0, 1.0, True, norm, 1.0, 1.0, 1.0, 1.0)
+            for m, norm in ((4, 1.0 + 1e-9), (5, spread))]
+    blow = experiments.SharpnessResult(acceptance.BLOWUP, rows, 0.0, -0.1, False)
+    res = acceptance.criterion_02({"sharp": {acceptance.BLOWUP: (blow, 0.0)}})
+    assert not res.passed
+    assert f"(delta-uniform boundedness: {uniform})" in res.detail
 
 
 def test_criterion_03_blowup_slope(ctx):
@@ -176,12 +190,51 @@ def test_criterion_07_measures_halving_itself(ctx, monkeypatch):
     assert res.detail.startswith("seed 0: halving violated at a=2.0")
 
 
+@pytest.mark.parametrize("sandwich,second,problems", [
+    pytest.param(2.0, None, ["sandwich broken at k=1"], id="sandwich"),
+    pytest.param(3.0, DyadicCube(-2, (0,)), ["generation 1 cubes overlap", "partition broken"],
+                 id="overlap"),
+    pytest.param(3.0, DyadicCube(-1, (1,)), ["partition broken"], id="partition"),
+])
+def test_criterion_07_reports_each_broken_structure(ctx, monkeypatch, sandwich, second, problems):
+    # a fake decomposition at a = 2 selects [0, 1/2) with m_3Q = ``sandwich``
+    # (a**1 < m_3Q is strict), and a second cube that overlaps it or lies
+    # where E_0 already counts its cells; peak 3 on [0, 1/2) keeps D_2 empty
+    def fake(f, g, q0):
+        peak = np.where(np.arange(64) < 32, 3.0, 0.0)
+        gen = [decomposition.SelectedCube(cube, m, 0) for cube, m in
+               ((DyadicCube(-1, (0,)), sandwich), (second, 3.0)) if cube is not None]
+        return decomposition.StoppingFamily(f, q0, 2.0, [gen], peak, 0.0)
+    monkeypatch.setattr(acceptance, "choose_a", fake)
+    res = acceptance.criterion_07(ctx)
+    assert not res.passed
+    assert res.detail.split("; ") == [f"seed {seed}: {p}" for seed in (0, 1, 2)
+                                      for p in problems][:3]
+
+
 def test_criterion_08_packing_bound(ctx):
     assert _run(acceptance.criterion_08, ctx).passed
 
 
+@pytest.mark.parametrize("ratio,passed", [(1.0 + 5e-13, True), (1.0 + 2e-12, False)])
+def test_criterion_08_gates_its_worst_ratio(ctx, monkeypatch, ratio, passed):
+    monkeypatch.setattr(acceptance, "packing_sum", lambda q, v, t, alpha: ratio)
+    res = acceptance.criterion_08(ctx)
+    assert res.passed is passed and res.detail == f"worst ratio {ratio!r}"
+
+
 def test_criterion_09_weighted_harness(ctx):
     assert _run(acceptance.criterion_09, ctx).passed
+
+
+@pytest.mark.parametrize("excess,chain", [(5e-13, "ok"), (2e-12, "FAIL")])
+def test_criterion_09_gates_the_majorant_chain(ctx, monkeypatch, excess, chain):
+    # the single-cube majorant fed as the two-weight value over 1 + ``excess``
+    # on every system: the chain allows 1e-12 of rounding
+    monkeypatch.setattr(acceptance, "char_remark", lambda ws, cp, fam: SimpleNamespace(
+        value=acceptance.char_two_weight(ws, cp, fam).value / (1.0 + excess)))
+    res = acceptance.criterion_09(ctx)
+    assert res.passed is (chain == "ok") and res.detail.endswith(f"majorant chain {chain}")
 
 
 def test_criterion_10_power_weight_dichotomy(ctx):

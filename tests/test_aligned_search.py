@@ -9,6 +9,7 @@ the sharpness data, and compare window sums next to a 1e12 spike with sums
 over explicit slices.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -142,11 +143,17 @@ def test_every_range_bound_covers_its_values(case):
 
 @pytest.mark.parametrize("dim,depth", [(1, 0), (2, 0), (1, 6), (2, 3)])
 def test_all_zero_and_one_cell_grids(dim, depth):
-    for values in (np.zeros((2 ** depth,) * dim), np.full((2 ** depth,) * dim, 2.0)):
+    # also, at q = 1, data near 2**950 and 2**-950: window sums beyond 2**900
+    # and below 2**-900 leave the range where ``_range_bound`` is certified,
+    # so their ranges are bounded by +inf and every side is visited
+    shape = (2 ** depth,) * dim
+    ramp = np.linspace(1.0, 2.0, num=math.prod(shape)).reshape(shape)
+    for values, q in ((np.zeros(shape), 1.5), (np.full(shape, 2.0), 1.5),
+                      (2.0 ** 950 * ramp, 1.0), (2.0 ** -950 * ramp, 1.0)):
         f = grid(values)
         fam = aligned_family(f)
-        rep = _morrey_aligned(f, 3.0, 1.5, fam)
-        assert (rep.value, rep.attaining) == full_loop(f, 3.0, 1.5, fam)
+        rep = _morrey_aligned(f, 3.0, q, fam)
+        assert (rep.value, rep.attaining) == full_loop(f, 3.0, q, fam)
 
 
 @pytest.mark.parametrize("dim,depth,thinned_out", [(1, 10, False), (1, 11, True),

@@ -506,6 +506,18 @@ class TestExitContract:
         pytest.param(["experiment", "fs-dual", *TWO_WEIGHT[:14], "--s", "4/5", "--r1", "32",
                       "--r2", "32", "--s1", "17/19", "--s2", "17/19", "--w1", "F",
                       "--levels", "5..6", "--out", "O"], "missing --w2", id="fs-dual-no-w2-file"),
+        # a flag's parser names its reason, not argparse's "invalid ... value"
+        pytest.param(["norm", "--kind", "weak", "--p", "0", "--in", "F"],
+                     "argument --p: exponent '0' is not positive", id="zero-p-reason"),
+        pytest.param(["experiment", "ratio", *RATIO, "--pairs", "step:0", "--out", "O"],
+                     "argument --pairs: pair counts must be positive integers in 'step:0'",
+                     id="zero-pair-count-reason"),
+        pytest.param(["selftest", "--criteria", "1..x"],
+                     "argument --criteria: cannot parse range '1..x'", id="criteria-reason"),
+        pytest.param(["op", "--operator", "i-alpha", "--alpha=nan", "--f", "F", "--out", "O"],
+                     "argument --alpha: cannot parse number 'nan'", id="nan-alpha"),
+        pytest.param(["op", "--operator", "i-alpha", "--alpha=-inf", "--f", "F", "--out", "O"],
+                     "argument --alpha: cannot parse number '-inf'", id="minus-inf-alpha"),
     ])
     def test_refused_with_exit_2_naming_the_flag(self, tmp_path, capsys, argv, flag):
         path = tmp_path / "f.mgf"
@@ -813,15 +825,21 @@ class TestExitContract:
         assert std.err.startswith("parameter error: grid of root level ")
         assert " leaves the float range: " in std.err
 
-    @pytest.mark.parametrize("body", [
-        pytest.param("1.0\nnan\n", id="nan-under-pos"),
-        pytest.param("1.0\n2.0\n3.0\n", id="trailing-line"),
+    @pytest.mark.parametrize("body,message", [
+        pytest.param("flags=pos\n1.0\nnan\n", "grid values must be finite (no nan or inf)",
+                     id="nan-under-pos"),
+        pytest.param("flags=pos\n1.0\n2.0\n3.0\n", "MGF/1 file has content after its 2 values",
+                     id="trailing-line"),
+        pytest.param("flags=pos\n1.0\nabc\n", "MGF/1 value 1 is not a number: 'abc'",
+                     id="not-a-number"),
+        pytest.param("flags=foo\n1.0\n2.0\n",
+                     "flags must be one of ('none', 'nonneg', 'pos')", id="unknown-flags"),
     ])
-    def test_bad_mgf_content_refused_with_exit_2(self, tmp_path, capsys, body):
+    def test_bad_mgf_content_refused_with_exit_2(self, tmp_path, capsys, body, message):
         path = tmp_path / "bad.mgf"
-        path.write_text("MGF 1 dim=1 rootlevel=0 rootcoords=0 depth=1 flags=pos\n" + body)
+        path.write_text("MGF 1 dim=1 rootlevel=0 rootcoords=0 depth=1 " + body)
         assert _exit_code(["norm", "--kind", "lebesgue", "--t", "2", "--in", str(path)]) == 2
-        assert "Traceback" not in capsys.readouterr().err
+        assert capsys.readouterr().err == f"parameter error: {message}\n"
 
     @pytest.mark.parametrize("grid,message", [
         pytest.param("dim=1 rootcoords=0 depth=60", "truncated at value 1", id="depth-60"),
@@ -830,6 +848,7 @@ class TestExitContract:
         pytest.param("dim=-1 rootcoords=0 depth=1", "malformed MGF/1 header", id="negative-dim"),
         pytest.param("dim=1 rootcoords=0,0 depth=0", "malformed MGF/1 header", id="2d-root-dim-1"),
         pytest.param("dim=2 rootcoords=0 depth=0", "malformed MGF/1 header", id="1d-root-dim-2"),
+        pytest.param("dim=3 rootcoords=0,0,0 depth=0", "dim must be 1 or 2, got 3", id="dim-3"),
     ])
     def test_impossible_mgf_header_refused_with_exit_2(self, tmp_path, capsys, grid, message):
         # a header asking for more values than the file holds is refused
@@ -881,7 +900,9 @@ RATIO_OUT = ["--pairs", "step:2", "--levels", "4..5", "--out", "O"]
 
 # name -> (argv, exit code, stderr, stdout up to " inner: " or " -> "): the
 # characteristics on both sides of s = 1, every harness that checks a
-# parameter set, and the kernel exponent refusals
+# parameter set, the kernel exponent refusals, and bad input refused by the
+# check where it enters; F5 is a grid of depth 5, ZERO and NEG have a zero
+# and a negative cell
 PARAMETER_RUNS = {
     "char-two-weight-s<1": (
         ["char", "--kind", "two-weight", *TWO_WEIGHT, "--s", "4/5"],
@@ -961,6 +982,81 @@ PARAMETER_RUNS = {
         ["op", "--operator", "b-dyadic", "--alpha", "0", "--f", "F", "--g", "F", "--out", "O"],
         2, "parameter error: kernel exponent must satisfy 0 < alpha < n, got alpha=0.0 n=1\n",
         ""),
+    "op-b-alpha-two-grids": (
+        ["op", "--operator", "b-alpha", "--alpha", "1/2", "--f", "V", "--g", "F5", "--out", "O"],
+        2, "parameter error: operands must live on a common grid\n", ""),
+    "op-m-bilinear-bad-alpha": (
+        ["op", "--operator", "m-bilinear", "--alpha", "2", "--f", "V", "--g", "V", "--out", "O"],
+        2, "parameter error: maximal exponent must satisfy 0 <= alpha < n, got 2.0\n", ""),
+    "op-m-tilde-bad-t": (
+        ["op", "--operator", "m-tilde", "--alpha", "1/2", "--t", "2", "--f", "V", "--g", "V",
+         "--v", "V", "--out", "O"],
+        2, "parameter error: weight exponent t must lie in (0, 1], got 2.0\n", ""),
+    "op-m-tilde-zero-weight": (
+        ["op", "--operator", "m-tilde", "--alpha", "1/2", "--t", "1/2", "--f", "V", "--g", "V",
+         "--v", "ZERO", "--out", "O"],
+        2, "parameter error: weight must be strictly positive\n", ""),
+    "op-m-triple-negative": (
+        ["op", "--operator", "m-triple", "--f", "NEG", "--g", "V", "--out", "O"],
+        2, "parameter error: triple maximal expects nonnegative inputs\n", ""),
+    "op-b-dyadic-min-level-above-q0": (
+        ["op", "--operator", "b-dyadic", "--alpha", "1/2", "--f", "V", "--g", "V",
+         "--rootlevel", "-2", "--rootcoords", "0", "--min-level", "-1", "--out", "O"],
+        2, "parameter error: min_level must lie between the cell level and Q0\n", ""),
+    "cz-negative": (
+        ["cz", "--f", "NEG", "--g", "V", "--out", "O"],
+        2, "parameter error: decomposition expects nonnegative inputs\n", ""),
+    "ratio-negative-seed": (
+        ["experiment", "ratio", "--theorem", "bilinear-ratio", *RATIO, "--seed", "-1",
+         *RATIO_OUT],
+        2, "parameter error: seeds are nonnegative integers, got -1\n", ""),
+    "ratio-unknown-pair-kind": (
+        ["experiment", "ratio", "--theorem", "bilinear-ratio", *RATIO, "--pairs", "foo",
+         "--levels", "4..5", "--out", "O"],
+        2, "parameter error: unknown pair kind 'foo'\n", ""),
+    "ratio-base-depth-0": (
+        ["experiment", "ratio", "--theorem", "bilinear-ratio", *RATIO, "--base-depth", "0",
+         *RATIO_OUT],
+        2, "parameter error: pair depth must be >= 1, got 0\n", ""),
+    "necessity-negative-base-depth": (
+        ["experiment", "necessity", *TESTING, "--systems", "1", "--base-depth", "-1",
+         "--out", "O"],
+        2, "parameter error: min_level exceeds the root level\n", ""),
+    "sharpness-triple-off-the-root": (
+        ["experiment", "sharpness", *SHARPNESS[:6], "--q1", "1/100", *SHARPNESS[8:],
+         "--deltas", "4..5", "--out", "O"],
+        3, "numerical failure: cluster triple leaves the unit root\n", ""),
+    "stein-weiss-inconclusive": (  # growth 1.0886 per level: neither verdict
+        ["experiment", "stein-weiss", *STEIN_WEISS, "--beta", "-0.1", "--out", "O"],
+        0, "", "stein-weiss verdict=INCONCLUSIVE"),
+    "char-no-weights": (
+        ["char", "--kind", "two-weight", *TWO_WEIGHT[:14], "--s", "4/5"],
+        2, "parameter error: weights needed: --v/--w1/--w2 files or synthetic "
+           "--beta/--gamma1/--gamma2\n", ""),
+    "char-zero-weight": (
+        ["char", "--kind", "two-weight", *TWO_WEIGHT[:14], "--s", "4/5", "--v", "ZERO",
+         "--w1", "W", "--w2", "W"],
+        2, "parameter error: weight v must be strictly positive\n", ""),
+    "char-weights-on-two-grids": (
+        ["char", "--kind", "two-weight", *TWO_WEIGHT[:14], "--s", "4/5", "--v", "V",
+         "--w1", "F5", "--w2", "W"],
+        2, "parameter error: weights must share one grid\n", ""),
+    "char-center-of-another-dimension": (
+        ["char", "--kind", "two-weight", *TWO_WEIGHT, "--s", "4/5", "--center", "0,0"],
+        2, "parameter error: center dimension mismatch\n", ""),
+    "char-negative-depth": (
+        ["char", "--kind", "two-weight", *TWO_WEIGHT[:-2], "--depth", "-1", "--s", "4/5"],
+        2, "parameter error: depth must be >= 0, got -1\n", ""),
+    "char-ap-zero-weight": (
+        ["char", "--kind", "ap", "--p", "2", "--v", "ZERO"],
+        2, "parameter error: A_p weight must be strictly positive\n", ""),
+    "char-fs-majorant-bad-s": (
+        ["char", "--kind", "fs-majorant", "--r", "inf", "--s", "2", "--w1", "V", "--out", "O"],
+        2, "parameter error: majorant exponent must lie in (0,1), got 2.0\n", ""),
+    "char-fs-majorant-zero-weight": (
+        ["char", "--kind", "fs-majorant", "--r", "inf", "--s", "1/2", "--w1", "ZERO",
+         "--out", "O"],
+        2, "parameter error: majorant weight must be strictly positive\n", ""),
 }
 
 
@@ -993,9 +1089,11 @@ def test_ratio_params_id_column_is_the_theorem_id(tmp_path, theorem):
 def test_parameter_checks_keep_their_outcome(tmp_path, capsys, name):
     # the exit code, the whole stderr and the printed value of each run
     argv, code, err, head = PARAMETER_RUNS[name]
-    files = {"V": np.full(16, 4.0), "W": np.full(16, 2.0), "F": np.ones(8)}
+    files = {"V": np.full(16, 4.0), "W": np.full(16, 2.0), "F": np.ones(8), "F5": np.ones(32),
+             "ZERO": np.full(16, 2.0), "NEG": np.ones(16)}
+    files["ZERO"][3], files["NEG"][5] = 0.0, -1.0
     for key, values in files.items():
-        write_step(tmp_path / key, values, flags="pos")
+        write_step(tmp_path / key, values, flags="pos" if values.min() > 0 else "none")
     argv = [str(tmp_path / a) if a in (*files, "O") else a for a in argv]
     assert _exit_code(argv) == code
     std = capsys.readouterr()

@@ -154,6 +154,11 @@ class TestRatioHarness:
                                s=5.0, t=2.5)
         with pytest.raises(ParameterError, match="1/q1"):
             ratio_harness("bilinear-ratio", prof, [], (4,))
+        # valid exponents, but no pairs, or no weights for a weighted theorem
+        with pytest.raises(ParameterError, match="^ratio harness needs at least one pair$"):
+            ratio_harness("bilinear-ratio", replace(prof, q1=2.5, q2=2.5, t=3.125), [], (4,))
+        with pytest.raises(ParameterError, match="^two-weight harness needs a weight system$"):
+            ratio_harness("two-weight", two_weight_cp(), make_pairs("step", 1, 0, 4), (4,))
 
     @pytest.mark.parametrize("theorem,profile", [
         ("bilinear-ratio", ExponentProfile(alpha=0.3, n=1, p1=4, q1=2.5,
@@ -246,6 +251,19 @@ class TestSteinWeiss:
                               beta=-0.54, gamma1=0.02, gamma2=0.02)
         with pytest.raises(ParameterError, match="^a dichotomy needs at least two distinct"):
             stein_weiss_check(sw, k_levels=k_levels)
+
+    @pytest.mark.parametrize("chars,verdict", [
+        pytest.param([1.0, 1.0, 1.0, 1.0, 1.0999], "FINITE", id="spread-inside"),
+        pytest.param([1.0, 1.0, 1.0, 1.0, 1.1001], "INCONCLUSIVE", id="spread-past"),
+        pytest.param([1.1001 ** k for k in range(5)], "DIVERGENT", id="growth-past"),
+        pytest.param([1.0, 1.2, 1.44, 1.728, 1.728 * 1.0999], "INCONCLUSIVE",
+                     id="one-growth-inside"),
+    ])
+    def test_verdict_just_past_its_thresholds(self, monkeypatch, chars, verdict):
+        # the characteristic of root level k is fed as chars[k]: FINITE below
+        # a spread of 1.10, DIVERGENT when every growth exceeds 1.10
+        monkeypatch.setattr(experiments, "_power_char", lambda sw, root, depth: chars[root.level])
+        assert stein_weiss_check(self.finite_params()).verdict == verdict
 
     def test_far_cube_factor_bounded_on_balanced_set(self):
         # far from the origin (|c_Q| >= l(Q)) the cube factor behaves like

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from morreybench import (DyadicCube, GridFunction, ParameterError, cube_box,
+from morreybench import (AlignedBox, DyadicCube, GridFunction, ParameterError, cube_box,
                          enumerate_subcubes, read_mgf, unit_root,
                          write_mgf)
 from morreybench import grid
@@ -170,11 +170,15 @@ class TestGridFunction:
         assert np.array_equal(fine.values, np.repeat(f.values, 4))
         assert fine.values.sum() * fine.cell_volume == pytest.approx(
             f.values.sum() * f.cell_volume, rel=1e-14)
+        with pytest.raises(ParameterError, match="^refine expects extra >= 0$"):
+            f.refine(-1)
 
     def test_cube_box_alignment(self):
         f = step(np.ones((8, 8)), dim=2)
         box = cube_box(f, DyadicCube(-1, (1, 0)))
         assert box.lo == (4, 0) and box.hi == (8, 4)
+        with pytest.raises(ParameterError, match=r"^empty box \(0,\)\.\.\(0,\)$"):
+            AlignedBox((0,), (0,))
 
     @pytest.mark.parametrize("dim,coords", [(2, (1,)), (1, (0, 1))])
     def test_cube_of_another_dimension_rejected(self, dim, coords):

@@ -36,6 +36,8 @@ class TestLebesgue:
     def test_nonpositive_exponent_rejected(self):
         with pytest.raises(ParameterError):
             lebesgue_norm(step(np.ones(4)), 0.0)
+        with pytest.raises(ParameterError, match="^weak exponent must be positive, got 0$"):
+            weak_quasinorm(step(np.ones(4)), 0)
 
 
 class TestWeakQuasinorm:
@@ -79,6 +81,11 @@ class TestMorrey:
     def test_q_above_p_rejected(self):
         with pytest.raises(ParameterError):
             morrey_norm(step(np.ones(4)), 1.0, 2.0, dyadic_family(unit_root(1), -2))
+        # and the aligned family of another grid, or of more cubes than the budget
+        with pytest.raises(ParameterError, match="^aligned family was built for a different grid$"):
+            morrey_norm(step(np.ones(4)), 2.0, 1.0, aligned_family(step(np.ones(8))))
+        with pytest.raises(ParameterError, match="^aligned family needs 2097171 cubes, budget"):
+            aligned_family(step(np.ones(2 ** 17)))
 
     def test_zero_function_total(self):
         fam = dyadic_family(unit_root(1), -3)
@@ -194,3 +201,5 @@ class TestPairSup:
         g = step(np.ones(16))
         with pytest.raises(ParameterError):
             pair_morrey_sup(f, g, 2.0, 1.0, 1.0, dyadic_family(unit_root(1), -3))
+        with pytest.raises(ParameterError, match="^pair supremum exponents must be positive$"):
+            pair_morrey_sup(f, f, 2.0, 0.0, 1.0, dyadic_family(unit_root(1), -3))

@@ -1,5 +1,7 @@
-"""The timing tools run on this checkout."""
+"""The timing and census tools run on this checkout."""
 
+import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -28,3 +30,16 @@ def test_src_line_count_of_this_checkout():
     files = list((ROOT / "src").rglob("*.py"))
     assert files
     assert perf_bench.src_lines(str(ROOT)) == sum(len(p.read_text().splitlines()) for p in files)
+
+
+def test_census_lists_the_lines_a_run_never_reaches():
+    # one small test id: the entry script's exit line never runs under pytest
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "census.py"), "-q",
+                          "tests/test_grid.py::TestGridFunction::test_refine_is_exact"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    assert any(re.fullmatch(r"morreybench\.cli:\d+: raise SystemExit\(main\(\)\)", line)
+               for line in lines)
+    count = re.fullmatch(r"(\d+) of (\d+) executable lines in src/ never ran", lines[-1])
+    assert count and 0 < int(count[1]) < int(count[2])
