@@ -93,11 +93,11 @@ def criterion_01(ctx) -> CriterionResult:
 
 
 def _sharpness(ctx, cfg):
-    """(result, elapsed seconds) of ``run_sharpness(cfg)``, run once per context."""
+    """(result, elapsed seconds) of ``run_sharpness(cfg)``, once per context."""
     runs = ctx.setdefault("sharp", {})
     if cfg not in runs:
         t0 = time.perf_counter()
-        res = run_sharpness(cfg)
+        res = run_sharpness(cfg, ctx.setdefault("sharp-deltas", {}))
         runs[cfg] = (res, time.perf_counter() - t0)
     return runs[cfg]
 
@@ -250,12 +250,8 @@ def criterion_09(ctx) -> CriterionResult:
     fam = dyadic_family(unit_root(1), -4)
     rng = make_rng(ctx.get("seed", 20240801), 59)
     systems = [ws] + [random_weights(rng, unit_root(1), 4) for _ in range(5)]
-    chain_ok = True
-    for system in systems:
-        two = char_two_weight(system, cp, fam).value
-        single = char_remark(system, cp, fam).value
-        if two > single * (1 + 1e-12):
-            chain_ok = False
+    chain_ok = not np.any(char_two_weight(systems, cp, fam)
+                          > char_remark(systems, cp, fam) * (1 + 1e-12))
     ok = res.stable and chain_ok
     detail = (f"max ratio by level {by_level(res.max_ratio_by_level)}; "
               f"majorant chain {'ok' if chain_ok else 'FAIL'}")

@@ -17,7 +17,7 @@ sampled smooth bumps, and the lattice-of-clusters sharpness pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from .norms import (CubeFamily, _morrey_sup, aligned_family, dyadic_family, fami
 from .operators import _b_values, _bilinear_maximal, _i_values, _vector_maximal, b_alpha
 from .util import (INF, NumericalError, ParameterError, close, conjugate,
                    finite, make_rng, recip, refuse)
-from .weights import (CharParams, WeightSystem, char_one_weight, char_testing,
+from .weights import (CharParams, WeightSystem, _weight_stack, char_one_weight, char_testing,
                       char_two_weight, fs_majorant, power_system, power_weight)
 
 # theorem id -> the ExponentProfile fields its hypotheses and sides read; the
@@ -398,22 +398,25 @@ def _loglog_slope(rows) -> float:
                             np.log([r.norm_b for r in rows]), 1)[0])
 
 
-def run_sharpness(cfg: SharpnessConfig) -> SharpnessResult:
+def run_sharpness(cfg: SharpnessConfig, shared: dict | None = None) -> SharpnessResult:
+    """One row per delta; ``shared`` caches per delta all that does not read t."""
     refuse("invalid sharpness configuration", relations.violations(cfg, "sharpness"))
+    shared = {} if shared is None else shared
 
     def run_one(m):
-        f, g, meta = build_sharpness_pair(cfg, m)
-        B = b_alpha(f, g, cfg.alpha).fn
-        min_pt = min(float(B.values[lo:hi].min()) for lo, hi in meta.inner_boxes)
-        floor = meta.delta ** (-cfg.n / cfg.s)
-        fam = aligned_family(f)
-        norm_f = morrey_norm(f, cfg.p1, cfg.q1, fam).value
-        norm_g = morrey_norm(g, cfg.p2, cfg.q2, fam).value
-        norm_b = morrey_norm(B, cfg.s, cfg.t, fam).value
-        return SharpnessRow(m, meta.delta, min_pt, floor,
-                            min_pt >= SHARPNESS_FLOOR_TOL * floor,
-                            norm_f, 3.0 ** (cfg.n / cfg.p1),
-                            norm_g, 3.0 ** (cfg.n / cfg.p2), norm_b)
+        key = replace(cfg, t=0.0, delta_exps=(m,))
+        if key not in shared:
+            f, g, meta = build_sharpness_pair(cfg, m)
+            B = b_alpha(f, g, cfg.alpha).fn
+            min_pt = min(float(B.values[lo:hi].min()) for lo, hi in meta.inner_boxes)
+            floor = meta.delta ** (-cfg.n / cfg.s)
+            fam = aligned_family(f)
+            shared[key] = B, fam, (
+                m, meta.delta, min_pt, floor, min_pt >= SHARPNESS_FLOOR_TOL * floor,
+                morrey_norm(f, cfg.p1, cfg.q1, fam).value, 3.0 ** (cfg.n / cfg.p1),
+                morrey_norm(g, cfg.p2, cfg.q2, fam).value, 3.0 ** (cfg.n / cfg.p2))
+        B, fam, t_free = shared[key]
+        return SharpnessRow(*t_free, morrey_norm(B, cfg.s, cfg.t, fam).value)
 
     rows = [run_one(m) for m in cfg.delta_exps]
     bound = cfg.n * (cfg.q1 / cfg.p1 - cfg.t / cfg.s) / cfg.t
@@ -546,7 +549,7 @@ def necessity_check(systems, cp: CharParams, family: CubeFamily, seed: int = 5,
                     pairs=None) -> list:
     """Testing-condition probe for the truncated bilinear maximal operator,
     one report per weight system.  The systems share one grid; system k
-    draws four step pairs from ``seed + k`` unless ``pairs`` is given.
+    takes the pairs of ``make_pairs("step", 4, seed + k)`` unless ``pairs`` is given.
 
     (1) On the inputs f = g = chi_Q with v = 1, the cube-sup maximal variant
         gives (avg_Q M(f,g)**t)**(1/t) >= |Q|**(alpha/n) with constant one;
@@ -557,12 +560,9 @@ def necessity_check(systems, cp: CharParams, family: CubeFamily, seed: int = 5,
         extremal probe pairs f = chi_Q w1**-q1', g = chi_Q w2**-q2'.
     The weight-free probes and floor are computed once; all pairs and probes are one stack.
     """
-    if not systems:
-        raise ParameterError("necessity needs at least one weight system")
-    grid, n = systems[0].v, systems[0].v.dim
-    if not all(grid.same_grid(ws.v) for ws in systems):
-        raise ParameterError("necessity weight systems must share one grid")
-    chars = [char_testing(ws, cp, family).value for ws in systems]  # refuses off the testing rows
+    grid, *vw = _weight_stack(systems, cp, "testing")
+    chars = char_testing(systems, cp, family).tolist()
+    n = grid.dim
     lowest = max(family.min_level, grid.cell_level + 1)
     probes = (enumerate_subcubes(family.root, lowest)[:24]
               if lowest <= family.root.level else [])
@@ -579,11 +579,15 @@ def necessity_check(systems, cp: CharParams, family: CubeFamily, seed: int = 5,
     exact_ok = bool(np.all(local >= scale * (1.0 - 1e-12)))
 
     # the operator constants over the given pairs and the extremal probe pairs
-    given = ([list(pairs)] * len(systems) if pairs is not None
-             else [make_pairs("step", 4, seed + k, grid.depth, n) for k in range(len(systems))])
+    if pairs is None:  # each step once: system k's pairs are steps k .. k + 7
+        steps = [random_step(seed + j, grid.depth, unit_root(n)) for j in range(len(systems) + 7)]
+        given = [[(None, *steps[k + 2 * i:k + 2 * i + 2]) for i in range(4)]
+                 for k in range(len(systems))]
+    else:
+        given = [list(pairs)] * len(systems)
     if not all(grid.same_grid(h) for items in given for _, f, g in items for h in (f, g)):
         raise ParameterError("necessity pairs must live on the weight grid")
-    v, w1, w2 = np.stack([[ws.v.values, ws.w1.values, ws.w2.values] for ws in systems], 1)[:, :, None]
+    v, w1, w2 = (x[:, None] for x in vw)
     # per system its pairs, then its probe inputs chi_Q w1**-q1' and chi_Q w2**-q2'
     fv, gv = (np.concatenate([np.reshape([[pair[i].values for pair in items] for items in given],
                                          w.shape[:1] + (-1,) + grid.values.shape),

@@ -19,9 +19,10 @@ Conventions shared by every characteristic:
   positive weight against the artificial zeros of a clipped box would
   corrupt the constants.
 
-Per-cube factors are computed one dyadic level at a time over the whole grid;
-``pair_value`` reads the same factor arrays as the nested-pair scan, so the
-attaining pair's value reproduces bit for bit.
+Per-cube factors are computed one dyadic level at a time over the whole grid,
+for one system or for a list of systems on one grid as a stack (whose scans
+return the values only); ``pair_value`` reads the same factor arrays as the
+nested-pair scan, so the attaining pair's value reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -146,12 +147,27 @@ class CharacteristicReport:
     pairs_scanned: int
 
 
-def _w_factors(ws: WeightSystem, shift: int, d1: float, d2: float):
+def _weight_stack(ws, cp: CharParams, kind: str):
+    """The grid and v, w1, w2 arrays of a weight system, or of a list of them on
+    one grid stacked in front; refused unless ``cp`` fits them and ``kind``."""
+    if isinstance(ws, WeightSystem):
+        grid, arrays = ws.v, (ws.v.values, ws.w1.values, ws.w2.values)
+    elif ws and all(ws[0].v.same_grid(s.v) for s in ws):
+        grid, arrays = ws[0].v, np.stack([[s.v.values, s.w1.values, s.w2.values] for s in ws], 1)
+    else:
+        raise ParameterError("weight systems must share one grid" if ws
+                             else "a stack needs at least one weight system")
+    relations.require_dim(cp, grid.dim)
+    cp.check(kind)
+    return (grid, *arrays)
+
+
+def _w_factors(w1, w2, shift: int, d1: float, d2: float, dim: int):
     """(avg_Q w_i**-d_i)**(1/d_i) per cube for i = 1, 2, as 1 / power_mean(w_i, -d_i);
     products take the v factor first, then these one at a time, since their
     own product can leave the float range where the whole product does not."""
-    return (1.0 / power_mean(cube_blocks(ws.w1.values, shift), -d1),
-            1.0 / power_mean(cube_blocks(ws.w2.values, shift), -d2))
+    return (1.0 / power_mean(cube_blocks(w1, shift, dim), -d1),
+            1.0 / power_mean(cube_blocks(w2, shift, dim), -d2))
 
 
 def _pair_exponent(cp: CharParams) -> float:
@@ -164,89 +180,85 @@ def _pair_scale(volume: float, outer: float, exponent: float, r_inv: float) -> f
     return (volume / outer) ** exponent * outer ** r_inv
 
 
-def _pair_scan(ws: WeightSystem, family: CubeFamily, t: float, d1: float, d2: float,
-               exponent: float, r_inv: float) -> CharacteristicReport:
-    """First strict max over nested pairs Q in Q' of the family.
+def _pair_scan(stacked, cp: CharParams, family: CubeFamily, a: float, r_inv: float):
+    """First strict max over nested pairs Q in Q' of the family with the duals
+    (q_i/a)', per system on a stack.
 
     Canonical order: Q in the family's order, then Q' from Q itself up to
     the root.  One array op per (level of Q, level of Q'): the Q' factors
     are spread onto the cubes of Q's level.
     """
-    grid = ws.v
+    grid, v, w1, w2 = stacked
+    stack = v.shape[:v.ndim - grid.dim]
+    d1, d2, exponent = conjugate(cp.q1 / a), conjugate(cp.q2 / a), _pair_exponent(cp)
     scans = list(dyadic_levels(grid, family))
-    wfac = [np.array(_w_factors(ws, shift, d1, d2))[(Ellipsis,) + window]
+    wfac = [np.array(_w_factors(w1, w2, shift, d1, d2, grid.dim))[(Ellipsis,) + window]
             for shift, _, window in scans]
-    best, pairs = None, 0
+    best, pairs = -INF, 0
     for i, (shift, volume, window) in enumerate(scans):
-        vfac = v_factor(cube_blocks(grid.values, shift), t)[window]
+        vfac = v_factor(cube_blocks(v, shift, grid.dim), cp.t)[(Ellipsis,) + window]
         vals = finite(np.stack([_pair_scale(volume, scans[j][1], exponent, r_inv) * vfac
                                 * (w := spread(wfac[j], scans[j][0] - shift, grid.dim))[0] * w[1]
                                 for j in range(i, -1, -1)], axis=-1), "supremum")
         pairs += vals.size
-        k = int(np.argmax(vals))
-        if best is None or vals.flat[k] > best[0]:
-            best = (float(vals.flat[k]), grid.cell_level + shift, np.unravel_index(k, vals.shape))
-    value, level, (*index, up) = best
+        if stack:  # per system its maximum only
+            best = np.maximum(best, vals.reshape(stack + (-1,)).max(axis=-1))
+        elif vals.flat[k := int(np.argmax(vals))] > best:  # the first strict max
+            best = float(vals.flat[k])
+            at = grid.cell_level + shift, np.unravel_index(k, vals.shape)
+    if stack:
+        return best
+    level, (*index, up) = at
     q = family.cube(level, index)
     outer = DyadicCube(level + up, tuple(c >> up for c in q.coords))
-    return CharacteristicReport(value, (q, outer), pairs)
+    return CharacteristicReport(best, (q, outer), pairs)
 
 
-def char_two_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
+def char_two_weight(ws, cp: CharParams, family: CubeFamily):
     """Nested-pair characteristic of the two-weight bound.
 
     sup over Q in Q' of (|Q|/|Q'|)**E |Q'|**(1/r)
     (avg_Q v**(t/(1-t)))**((1-t)/t) prod_i (avg_Q' w_i**(-(q_i/a)'))**(1/(q_i/a)')
     with E = (1-s)/(as) for s < 1 and (1-as)/(as) for s >= 1.
     """
-    relations.require_dim(cp, ws.v.dim)
-    cp.check("two-weight")
-    return _pair_scan(ws, family, cp.t, conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a),
-                      _pair_exponent(cp), recip(cp.r))
+    return _pair_scan(_weight_stack(ws, cp, "two-weight"), cp, family, cp.a, recip(cp.r))
 
 
-def char_remark(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
+def _cube_scan(ws, cp: CharParams, kind: str, family: CubeFamily, a: float, v_of):
+    """sup over single cubes Q of |Q|**(1/r) v_of(v on Q) prod_i (avg_Q
+    w_i**(-(q_i/a)'))**(1/(q_i/a)'), for the relations of ``kind``."""
+    grid, v, w1, w2 = _weight_stack(ws, cp, kind)
+    d1, d2 = conjugate(cp.q1 / a), conjugate(cp.q2 / a)
+
+    def value(shift, volume):
+        f1, f2 = _w_factors(w1, w2, shift, d1, d2, grid.dim)
+        return volume ** recip(cp.r) * v_of(cube_blocks(v, shift, grid.dim)) * f1 * f2
+    if isinstance(best := family_max(grid, family, value), tuple):  # one system: its cube too
+        best = CharacteristicReport(best[0], (best[1],) * 2, len(family))
+    return best
+
+
+def char_remark(ws, cp: CharParams, family: CubeFamily):
     """Single-cube majorant of the s < 1 two-weight characteristic.
 
     sup over Q of |Q|**(1/r) (avg_Q v**(as/(1-s)))**((1-s)/(as))
     prod_i (avg_Q w_i**(-(q_i/a)'))**(1/(q_i/a)').
     """
-    relations.require_dim(cp, ws.v.dim)
-    cp.check("remark")
-    d1, d2 = conjugate(cp.q1 / cp.a), conjugate(cp.q2 / cp.a)
-    e_v = cp.a * cp.s / (1.0 - cp.s)
-    r_inv = recip(cp.r)
-
-    def value(shift, volume):
-        w1, w2 = _w_factors(ws, shift, d1, d2)
-        return volume ** r_inv * power_mean(cube_blocks(ws.v.values, shift), e_v) * w1 * w2
-    best, q = family_max(ws.v, family, value)
-    return CharacteristicReport(best, (q, q), len(family))
+    return _cube_scan(ws, cp, "remark", family, cp.a,
+                      lambda rows: power_mean(rows, cp.a * cp.s / (1.0 - cp.s)))
 
 
 def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
     """One-weight characteristic: r = inf, v = w1 w2, full dual exponents q_i'."""
-    relations.require_dim(cp, ws.v.dim)
-    cp.check("one-weight")
-    prod = ws.w1.values * ws.w2.values
-    if not np.allclose(ws.v.values, prod, rtol=1e-12, atol=0.0):
+    stacked = _weight_stack(ws, cp, "one-weight")
+    if not np.allclose(ws.v.values, ws.w1.values * ws.w2.values, rtol=1e-12, atol=0.0):
         raise ParameterError("one-weight system requires v = w1*w2 pointwise")
-    return _pair_scan(ws, family, cp.t, conjugate(cp.q1), conjugate(cp.q2),
-                      _pair_exponent(cp), 0.0)
+    return _pair_scan(stacked, cp, family, 1.0, 0.0)
 
 
-def char_testing(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
+def char_testing(ws, cp: CharParams, family: CubeFamily):
     """Necessary-condition constant: sup_Q |Q|**(1/r) (inf_Q v) prod dual averages."""
-    relations.require_dim(cp, ws.v.dim)
-    cp.check("testing")
-    d1, d2 = conjugate(cp.q1), conjugate(cp.q2)
-    r_inv = recip(cp.r)
-
-    def value(shift, volume):
-        w1, w2 = _w_factors(ws, shift, d1, d2)
-        return volume ** r_inv * cube_blocks(ws.v.values, shift).min(axis=-1) * w1 * w2
-    best, q = family_max(ws.v, family, value)
-    return CharacteristicReport(best, (q, q), len(family))
+    return _cube_scan(ws, cp, "testing", family, 1.0, lambda rows: rows.min(axis=-1))
 
 
 def ap_characteristic(w: GridFunction, p: float, family: CubeFamily) -> CharacteristicReport:
@@ -290,6 +302,6 @@ def pair_value(ws: WeightSystem, cp: CharParams, q: DyadicCube, qp: DyadicCube) 
         shift = cube.level - grid.cell_level
         return shift, tuple(lo >> shift for lo in cube_box(grid, cube).lo)
     (shift, i), (up, j) = place(q), place(qp)
-    w1, w2 = _w_factors(ws, up, d1, d2)
+    w1, w2 = _w_factors(ws.w1.values, ws.w2.values, up, d1, d2, grid.dim)
     return (_pair_scale(q.volume, qp.volume, _pair_exponent(cp), recip(cp.r))
             * v_factor(cube_blocks(grid.values, shift), cp.t)[i] * w1[j] * w2[j])

@@ -12,8 +12,6 @@ the assertion fails for every delta even though the norms are delta-uniform
 The check is kept as stated rather than loosened.
 """
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 
@@ -229,10 +227,10 @@ def test_criterion_09_weighted_harness(ctx):
 
 @pytest.mark.parametrize("excess,chain", [(5e-13, "ok"), (2e-12, "FAIL")])
 def test_criterion_09_gates_the_majorant_chain(ctx, monkeypatch, excess, chain):
-    # the single-cube majorant fed as the two-weight value over 1 + ``excess``
-    # on every system: the chain allows 1e-12 of rounding
-    monkeypatch.setattr(acceptance, "char_remark", lambda ws, cp, fam: SimpleNamespace(
-        value=acceptance.char_two_weight(ws, cp, fam).value / (1.0 + excess)))
+    # the single-cube majorant fed as the two-weight values over 1 + ``excess``
+    # on every system of the stack: the chain allows 1e-12 of rounding
+    monkeypatch.setattr(acceptance, "char_remark", lambda systems, cp, fam:
+                        acceptance.char_two_weight(systems, cp, fam) / (1.0 + excess))
     res = acceptance.criterion_09(ctx)
     assert res.passed is (chain == "ok") and res.detail.endswith(f"majorant chain {chain}")
 
@@ -274,14 +272,30 @@ def test_criterion_12_determinism(ctx):
 
 
 def test_sharpness_runs_each_config_once_when_read(monkeypatch):
-    # criterion 2 reads only the blow-up run; criterion 3 adds the boundary run
-    runs = []
-    real = acceptance.run_sharpness
-    monkeypatch.setattr(acceptance, "run_sharpness",
-                        lambda cfg: runs.append(cfg) or real(cfg))
-    fresh = {"seed": 20240801}
-    acceptance.criterion_02(fresh)
-    assert runs == [acceptance.BLOWUP]
-    acceptance.criterion_03(fresh)
-    acceptance.criterion_02(fresh)
-    assert runs == [acceptance.BLOWUP, acceptance.BOUNDARY]
+    # BLOWUP and BOUNDARY differ only in t: criterion 3 makes one B per delta,
+    # and criterion 2 reads only the blow-up run, so it computes no t = 2.5 norm
+    calls, norm_ts = [], []
+    real_b, real_norm = experiments.b_alpha, experiments.morrey_norm
+    monkeypatch.setattr(experiments, "b_alpha", lambda *a: calls.append(a) or real_b(*a))
+    monkeypatch.setattr(experiments, "morrey_norm",
+                        lambda f, p, q, fam: norm_ts.append(q) or real_norm(f, p, q, fam))
+    deltas = len(acceptance.BLOWUP.delta_exps)
+    acceptance.criterion_03({"seed": 20240801})
+    assert len(calls) == deltas == 5
+    calls.clear()
+    norm_ts.clear()
+    shared = {"seed": 20240801}
+    acceptance.criterion_02(shared)
+    assert len(calls) == deltas and acceptance.BOUNDARY.t not in norm_ts
+    acceptance.criterion_03(shared)
+    acceptance.criterion_02(shared)
+    assert len(calls) == deltas and norm_ts.count(acceptance.BOUNDARY.t) == deltas
+
+
+def test_shared_sharpness_rows_equal_a_run_per_t():
+    # each t's result from the shared t-free part equals its own run bit for bit
+    shared = {}
+    for cfg in (acceptance.BLOWUP, acceptance.BOUNDARY):
+        got, alone = experiments.run_sharpness(cfg, shared), experiments.run_sharpness(cfg)
+        assert got.table() == alone.table() and got.slope == alone.slope
+    assert len(shared) == len(acceptance.BLOWUP.delta_exps)

@@ -522,6 +522,25 @@ class TestNecessityStacked:
                 assert getattr(got[k], name) == pytest.approx(getattr(want, name), rel=1e-12)
             assert got[k] == necessity_check([ws], cp, family, seed=11 + k)[0]
 
+    def test_each_step_is_drawn_once(self, monkeypatch):
+        # system k's pairs are make_pairs("step", 4, seed + k) bit for bit, and
+        # ten systems read 17 distinct steps: system k + 2's repeat system k's
+        # shifted by one pair
+        root = unit_root(1)
+        systems = [random_weights(make_rng(9, 83, k), root, 3) for k in range(10)]
+        draws, stacks = [], []
+        rng, maximal = experiments.make_rng, experiments._bilinear_maximal
+        monkeypatch.setattr(experiments, "make_rng", lambda *a: draws.append(a) or rng(*a))
+        monkeypatch.setattr(experiments, "_bilinear_maximal", lambda grid, fv, gv, *rest: (
+            stacks.append((fv, gv)) or maximal(grid, fv, gv, *rest)))
+        necessity_check(systems, TestNecessity().cp(), dyadic_family(root, -3), seed=11)
+        assert len(draws) == 17
+        (fv, gv), = stacks
+        for k in range(10):
+            pairs = make_pairs("step", 4, 11 + k, 3)
+            assert np.array_equal(fv[k, :4], [f.values for _, f, _ in pairs])
+            assert np.array_equal(gv[k, :4], [g.values for _, _, g in pairs])
+
 
 class TestFsDual:
     def params(self):

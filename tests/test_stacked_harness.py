@@ -262,17 +262,18 @@ def test_stacked_scans_build_no_cube(theorem, monkeypatch):
 
 
 def test_necessity_scans_build_no_cube(monkeypatch):
-    # the only cube built is the attaining cube of the char_testing report
+    # the testing constants are one stacked scan: a single report builds its
+    # attaining cube, the necessity check builds none
     ws = WeightSystem(*(power_weight(beta, 0.0, unit_root(1), 4) for beta in (0.1, 0.2, 0.3)))
     cp = CharParams(alpha=0.5, n=1, q1=4.0, q2=4.0, p=2.5, s=20 / 3, t=16 / 3, r=4.0, a=2.0)
     family = dyadic_family(unit_root(1), -4)
     calls = []
     monkeypatch.setattr(norms, "_cube_at", lambda *args: calls.append(args))
     char_testing(ws, cp, family)
-    alone = len(calls)
+    assert len(calls) == 1
     calls.clear()
-    experiments.necessity_check([ws], cp, family)
-    assert alone == 1 and len(calls) == alone
+    experiments.necessity_check([ws, ws], cp, family)
+    assert calls == []
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -2,7 +2,8 @@
 on one lattice gives, item by item, what the public single calls give.
 
 The public calls read one grid each, so these tests pin the stack axis
-itself: per-item reductions (a stacked scan returns its maxima only; the
+itself: per-item reductions, also per weight system of a characteristic
+given a list of systems (a stacked scan returns its maxima only; the
 attaining cubes of single calls are pinned in ``test_pyramid_properties``),
 a stack refused when one item overflows, and the bilinear correlate with its
 column blocks sized over the whole stack (products of a different shape, so
@@ -17,12 +18,14 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from morreybench import (DyadicCube, GridFunction, NumericalError,  # noqa: E402
+from morreybench import (DyadicCube, GridFunction, NumericalError, ParameterError,  # noqa: E402
                          dyadic_family, m_alpha_bilinear, m_alpha_vector, morrey_norm,
                          pair_morrey_sup)
 from morreybench.grid import spread  # noqa: E402
 from morreybench.norms import _morrey_sup  # noqa: E402
 from morreybench.operators import _b_values, _bilinear_maximal, _vector_maximal  # noqa: E402
+from morreybench.weights import (CharParams, WeightSystem, char_remark,  # noqa: E402
+                                 char_testing, char_two_weight, pair_value)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -170,3 +173,59 @@ def test_coarse_b_values_match_the_fine_call(case):
     assert shift or coarse.tobytes() == fine.tobytes()
     scale = _b_values(grid, spread(np.abs(fv), shift, n), spread(np.abs(gv), shift, n), alpha)
     assert np.all(np.abs(coarse - fine) <= 1e-14 * scale)
+
+
+# alpha/n is the same in 1D and 2D, so each exponent tuple serves both
+TWO_WEIGHT_BELOW_1 = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=16 / 27, s=0.8,
+                          t=0.8 * (9 / 16) / (16 / 27), r=16.0, a=17 / 16)
+# s >= 1 at t = 1 (the v factor is the plain max); r balances the s relation
+TWO_WEIGHT_FROM_1 = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=1.0, s=16 / 9, t=1.0,
+                         r=1.0 / (9 / 16 - 1.0 + 0.5), a=17 / 16)
+TESTING = dict(alpha=0.5, q1=4.0, q2=4.0, p=2.5, s=20 / 3, t=16 / 3, r=4.0, a=2.0)
+CHARACTERISTICS = {
+    "two-weight-s<1": (char_two_weight, TWO_WEIGHT_BELOW_1),
+    "two-weight-s>=1": (char_two_weight, TWO_WEIGHT_FROM_1),
+    "remark": (char_remark, TWO_WEIGHT_BELOW_1),
+    "testing": (char_testing, TESTING),
+}
+
+
+@st.composite
+def weight_stacks(draw):
+    """1-6 weight systems with cells over e**-8..e**8 on one random root, and
+    a dyadic family inside the root whose finest level may lie above the cells."""
+    dim = draw(st.sampled_from([1, 2]))
+    depth = draw(st.integers(0, 5 if dim == 1 else 3))
+    root = DyadicCube(draw(st.integers(-1, 1)),
+                      tuple(draw(st.integers(-2, 2)) for _ in range(dim)))
+    shape = (draw(st.integers(1, 6)), 3) + (2 ** depth,) * dim
+    cells = draw(arrays(np.float64, shape, elements=st.floats(-8.0, 8.0)))
+    systems = [WeightSystem(*(GridFunction(root, np.exp(w), "pos") for w in system))
+               for system in cells]
+    family = dyadic_family(root, draw(st.integers(root.level - depth, root.level)))
+    return systems, family
+
+
+@PROPERTY
+@given(case=weight_stacks(), kind=st.sampled_from(sorted(CHARACTERISTICS)))
+def test_stacked_characteristics_match_single_calls(case, kind):
+    # one call on the list gives each system's single-call value bit for bit,
+    # and the single call's attaining pair reproduces its value exactly
+    systems, family = case
+    char, exponents = CHARACTERISTICS[kind]
+    dim = family.root.dim
+    cp = CharParams(n=dim, **{**exponents, "alpha": exponents["alpha"] * dim})
+    values = char(systems, cp, family)
+    assert values.shape == (len(systems),)
+    for ws, value in zip(systems, values.tolist()):
+        rep = char(ws, cp, family)
+        assert value == rep.value
+        if char is char_two_weight:
+            assert rep.value == pair_value(ws, cp, *rep.attaining)
+
+
+@pytest.mark.parametrize("kind", sorted(CHARACTERISTICS))
+def test_empty_weight_stack_refused(kind):
+    char, exponents = CHARACTERISTICS[kind]
+    with pytest.raises(ParameterError, match="^a stack needs at least one weight system$"):
+        char([], CharParams(n=1, **exponents), dyadic_family(DyadicCube(0, (0,)), -2))

@@ -43,3 +43,17 @@ def test_census_lists_the_lines_a_run_never_reaches():
                for line in lines)
     count = re.fullmatch(r"(\d+) of (\d+) executable lines in src/ never ran", lines[-1])
     assert count and 0 < int(count[1]) < int(count[2])
+
+
+def test_mutants_reports_a_killed_mutant_and_leaves_the_tree():
+    # one mutant against one small test id; without the hypothesis plugin,
+    # which this test id does not use, pytest starts about 1 s sooner
+    source = ROOT / "src" / "morreybench" / "weights.py"
+    before = source.read_text()
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "mutants.py"),
+                          "--mutant", "pair-scan-stack-axis", "-p", "no:hypothesispytest",
+                          "tests/test_acceptance.py::test_criterion_09_weighted_harness"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout == "pair-scan-stack-axis: killed\n"
+    assert source.read_text() == before

@@ -1,0 +1,107 @@
+"""Run the tests against listed one-line mutants of ``src/`` and report each.
+
+Usage, from the repository root:
+
+    python3 tools/mutants.py [--mutant NAME ...] [pytest arguments ...]
+
+The checkout is copied to a temporary directory, and the working tree is
+never edited.  In the copy, each mutant of ``MUTANTS`` (all of them, or the
+ones named) replaces one line of a module, pytest runs, and the line is put
+back.  With no pytest arguments the run takes the test files that import
+the mutated module.  A mutant is killed when a test fails, and survives when
+every test passes.  One line per mutant, ``NAME: killed``, ``NAME:
+survived`` or ``NAME: error (pytest exit N)``, then the tool exits 0 when
+every mutant was killed and 1 otherwise.
+
+Standard library only; pytest runs in a new interpreter.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name -> (module under src/morreybench, the line as written, the mutant line)
+MUTANTS = {
+    # the rounding factor on the quotient of ``_range_bound``: the window sum
+    # already carries ``_window_slack``, so no test is expected to see it
+    "range-bound-quotient": ("norms.py", "quot = x / lo ** n * (1.0 + 4 * _EPS)",
+                             "quot = x / lo ** n"),
+    # the per-system reduction of a stacked nested-pair scan, taken over the
+    # systems instead of over each system's pairs
+    "pair-scan-stack-axis": ("weights.py",
+                             "best = np.maximum(best, vals.reshape(stack + (-1,)).max(axis=-1))",
+                             "best = np.maximum(best, vals.reshape(stack + (-1,)).max(axis=0))"),
+}
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
+                                ".bench_*", ".benchmarks")
+
+
+def mutate(text: str, line: str, mutant: str) -> str:
+    """``text`` with its one line whose stripped form is ``line`` replaced."""
+    lines = text.splitlines(keepends=True)
+    hits = [i for i, old in enumerate(lines) if old.strip() == line]
+    if len(hits) != 1:
+        raise SystemExit(f"mutants: {line!r} occurs {len(hits)} times, not once")
+    old = lines[hits[0]]
+    lines[hits[0]] = old[:len(old) - len(old.lstrip())] + mutant + "\n"
+    return "".join(lines)
+
+
+def importers(tests: Path, module: str) -> list[str]:
+    """The test files that import ``morreybench.<module>``, in any import form."""
+    out = []
+    for path in sorted(tests.glob("test_*.py")):
+        names = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names |= {node.module, *(f"{node.module}.{a.name}" for a in node.names)}
+            elif isinstance(node, ast.Import):
+                names |= {a.name for a in node.names}
+        if f"morreybench.{module}" in names:
+            out.append(str(path.relative_to(tests.parent)))
+    return out
+
+
+def run(copy: Path, name: str, args: list[str]) -> str:
+    """The verdict on mutant ``name`` in the checkout copy ``copy``."""
+    module, line, mutant = MUTANTS[name]
+    path = copy / "src" / "morreybench" / module
+    original = path.read_text()
+    path.write_text(mutate(original, line, mutant))
+    try:
+        tests = args or importers(copy / "tests", module[:-3])
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        code = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                               *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL).returncode
+    finally:
+        path.write_text(original)
+    return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--mutant", action="append", choices=sorted(MUTANTS),
+                    help="a mutant to run (repeatable; default: all)")
+    ns, args = ap.parse_known_args(argv)
+    verdicts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        for name in ns.mutant or MUTANTS:
+            verdicts.append(run(copy, name, args))
+            print(f"{name}: {verdicts[-1]}", flush=True)
+    return 0 if all(v == "killed" for v in verdicts) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
