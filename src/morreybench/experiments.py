@@ -274,8 +274,8 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
                 fw, gw, v = fv, gv, (w.v.values[None], pr.t / (1.0 - pr.t))
                 scale = float(_morrey_sup(grid, fam, pr.r, v)[0])  # one item: no cube
             else:
-                scale = (char_two_weight if theorem == "two-weight"
-                         else char_one_weight)(w, pr, fam).value
+                scale = (char_two_weight([w], pr, fam)[0]  # a one-item stack builds no pair
+                         if theorem == "two-weight" else char_one_weight(w, pr, fam).value)
                 fw, gw = fv * w.w1.values, gv * w.w2.values
             lhs, rhs = _weighted_sides(grid, fam, _b_values(grid, *own, pr.alpha) * w.v.values,
                                        fw, gw, pr)

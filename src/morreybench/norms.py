@@ -325,8 +325,15 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
     Ranges are bisected best first and dropped when their bound is below the
     best value, or equal to it with every side larger than the best's side,
     so the result is the loop's first strict maximum, value and box bit for
-    bit.  Only W and its argmax are kept per side visited.  A non-finite
-    value of a visited side is refused with a NumericalError.
+    bit.  In 1D the computed W does not decrease either: the sequential
+    prefix sums of nonnegative terms never decrease, fl(a - b) never
+    decreases in a nor increases in b, and an s-window starting past m - s'
+    sums to at most P[m] - P[m - s'].  So a range whose two ends have the
+    same W has it at every side between, and its sides are evaluated in
+    order without a scan; the best side's box is then scanned once.  (2D
+    inclusion-exclusion has no such order.)  Only W and its argmax are kept
+    per side visited.  A non-finite value of a visited side is refused with
+    a NumericalError.
     """
     if f.cell_level != family.min_level or f.root != family.root:
         raise ParameterError("aligned family was built for a different grid")
@@ -334,15 +341,16 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
     table = _prefix_table(np.abs(f.values) ** q)
     n, h, m = f.dim, np.float64(f.cell_side), f.cells_per_axis  # numpy: overflow gives inf
     slack = _window_slack(table)
-    seen = {}  # size index -> (largest window sum, its flat argmax)
+    seen = {}  # size index -> (largest window sum, its flat argmax or None)
     best_val, best = -1.0, -1
 
-    def visit(k):
+    def visit(k, w=None):  # a side of known W is evaluated without a scan
         nonlocal best_val, best
-        s = sizes[k]
-        win = _windows(table, s)
-        at = int(np.argmax(win))
-        w = win.flat[at]
+        s, at = sizes[k], None
+        if w is None:
+            win = _windows(table, s)
+            at = int(np.argmax(win))
+            w = win.flat[at]
         val = finite(((s * h) ** n) ** (1.0 / p) * (w / s ** n) ** (1.0 / q), "supremum")
         seen[k] = (w, at)
         if val > best_val or (val == best_val and k < best):
@@ -364,11 +372,17 @@ def _morrey_aligned(f: GridFunction, p: float, q: float, family: CubeFamily) -> 
         neg, i, j = heapq.heappop(heap)
         if -neg < best_val or (-neg == best_val and i + 1 > best):
             continue
+        if n == 1 and seen[i][0] == seen[j][0]:  # W is flat in between
+            for k in range(i + 1, j):
+                visit(k, seen[j][0])
+            continue
         k = (i + j) // 2
         visit(k)
         push(i, k)
         push(k, j)
     s, at = sizes[best], seen[best][1]
+    if at is None:
+        at = int(np.argmax(_windows(table, s)))
     lo = np.unravel_index(at, (m - s + 1,) * n)
     return NormReport(best_val, AlignedBox(lo, tuple(i + s for i in lo)))
 

@@ -6,7 +6,9 @@ side, as written before the search (kept below as ``full_loop``): the same
 value and the same box, bit for bit.  They also check every range bound the
 search computes against the values it covers, count the sides evaluated on
 the sharpness data, and compare window sums next to a 1e12 spike with sums
-over explicit slices.
+over explicit slices.  In 1D the computed largest window sum does not
+decrease with the side, so a range whose ends share it is evaluated without
+a scan; in 2D it can dip and recover, and ranges are always bisected.
 """
 
 import math
@@ -25,6 +27,7 @@ from morreybench import norms  # noqa: E402
 from morreybench.experiments import SharpnessConfig, build_sharpness_pair  # noqa: E402
 from morreybench.norms import (ALIGNED, CubeFamily, _morrey_aligned,  # noqa: E402
                                _prefix_table, _windows)
+from morreybench.operators import b_alpha  # noqa: E402
 
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
 
@@ -88,9 +91,15 @@ def cases(draw):
     dim = draw(st.sampled_from([1, 2]))
     depth = draw(st.integers(0, 7 if dim == 1 else 4))
     shape = (2 ** depth,) * dim
-    kind = draw(st.sampled_from(["ties", "log", "spike", "zero"]))
+    kind = draw(st.sampled_from(["ties", "log", "spike", "zero", "margins"]))
     if kind == "zero":
         values = np.zeros(shape)
+    elif kind == "margins":  # a positive interior in zero borders: the largest sides share W
+        lo = draw(st.integers(0, (shape[0] - 1) // 2))
+        inner = (slice(lo, draw(st.integers(lo + 1, shape[0]))),) * dim
+        values = np.zeros(shape)
+        values[inner] = np.exp(draw(arrays(np.float64, values[inner].shape,
+                                           elements=st.floats(-8, 8))))
     elif kind == "ties":
         values = draw(arrays(np.float64, shape, elements=st.sampled_from(
             [-3.0, -1.0, 0.0, 1.0, 2.0, 3.0])))
@@ -201,17 +210,56 @@ def test_cancelled_window_sums_are_refused():
 
 
 def test_sharpness_data_evaluates_few_sides(monkeypatch):
-    # the blow-up f at delta = 2**-7 lives on 1D depth 10: 1,024 sides
+    # the blow-up pair at delta = 2**-7 lives on 1D depth 10: 1,024 sides.
+    # B's norm has p = q = 5, so every side from the one holding B's whole
+    # support on has the same computed W: those sides take no scan, and the
+    # best of them (865, of 862-1,024) is scanned once for its box
     cfg = SharpnessConfig(n=1, alpha=0.3, p1=4, q1=2, p2=4, q2=2, t=5.0)
-    f, _, _ = build_sharpness_pair(cfg, 7)
+    f, g, _ = build_sharpness_pair(cfg, 7)
     fam = aligned_family(f)
     assert len(fam.aligned_sizes) == 1024
-    sides = []
     real = norms._windows
-    monkeypatch.setattr(norms, "_windows", lambda t, s: sides.append(s) or real(t, s))
-    rep = morrey_norm(f, cfg.p1, cfg.q1, fam)
-    assert len(set(sides)) == len(sides) <= 64
-    assert (rep.value, rep.attaining) == full_loop(f, cfg.p1, cfg.q1, fam)
+    for x, p, q, most in ((f, cfg.p1, cfg.q1, 64),
+                          (b_alpha(f, g, cfg.alpha).fn, cfg.s, cfg.t, 32)):
+        sides = []
+        monkeypatch.setattr(norms, "_windows", lambda t, s: sides.append(s) or real(t, s))
+        rep = morrey_norm(x, p, q, fam)
+        assert len(set(sides)) == len(sides) <= most
+        assert (rep.value, rep.attaining) == full_loop(x, p, q, fam)
+
+
+@PROPERTY
+@given(depth=st.integers(0, 7), q=st.sampled_from([0.5, 1.0, 2.0]),
+       data=st.data())
+def test_1d_window_maxima_never_decrease(depth, q, data):
+    # the order the 1D walk relies on, as computed: sequential prefix sums,
+    # one rounded difference per window; on data over 1e-150..1e150 the
+    # sums round at every scale, and zeros make runs of equal maxima
+    m = 2 ** depth
+    values = 10.0 ** data.draw(arrays(np.float64, m, elements=st.floats(-150, 150)))
+    values[data.draw(arrays(np.bool_, m))] = 0.0
+    table = _prefix_table(values ** q)
+    maxima = [np.max(_windows(table, s)) for s in range(1, m + 1)]
+    assert all(a <= b for a, b in zip(maxima, maxima[1:]))
+
+
+def test_2d_window_maxima_can_dip_so_2d_is_bisected():
+    # four-corner inclusion-exclusion next to spikes up to 1e18: the computed
+    # W of sides 10 and 11 falls below the equal W of sides 9 and 12.  A walk
+    # over those ends would give side 10 the larger W, and its value would
+    # then tie the first strict maximum, at side 13, and take its box
+    rng = np.random.default_rng(106)
+    values = rng.integers(0, 4, size=(16, 16)).astype(float)
+    for e in (15, 16, 17, 18):
+        values.flat[rng.integers(256)] = 10.0 ** e
+    table = _prefix_table(values)
+    maxima = [np.max(_windows(table, s)) for s in range(1, 17)]
+    assert maxima[8] == maxima[11] > maxima[9] == maxima[10]
+    f = grid(values)
+    fam = aligned_family(f)
+    rep = _morrey_aligned(f, 1.0, 1.0, fam)
+    assert (rep.value, rep.attaining) == full_loop(f, 1.0, 1.0, fam)
+    assert rep.attaining == AlignedBox((3, 2), (16, 15))
 
 
 @pytest.mark.parametrize("dim,depth", [(1, 7), (2, 4)])

@@ -252,13 +252,20 @@ def test_scans_per_level_do_not_grow_with_the_pairs(theorem, monkeypatch):
 
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
 def test_stacked_scans_build_no_cube(theorem, monkeypatch):
-    # a stacked scan returns its maxima only; olsen's weight norm, which
-    # reads only the value, is a one-item stack per level
+    # a stacked scan returns its maxima only; olsen's weight norm and the
+    # two-weight scale, which read only the value, are one-item stacks per
+    # level.  ``CubeFamily.cube`` also counts the attaining pairs, which
+    # ``_pair_scan`` builds without ``_cube_at``: one-weight still builds
+    # one per level, since ``char_one_weight`` takes no stack
     pr, ws = setup(theorem, 1)
-    calls = []
+    calls, cubes = [], []
+    real = norms.CubeFamily.cube
     monkeypatch.setattr(norms, "_cube_at", lambda *args: calls.append(args))
+    monkeypatch.setattr(norms.CubeFamily, "cube",
+                        lambda *args: cubes.append(args) or real(*args))
     ratio_harness(theorem, pr, make_pairs("step", 3, 3, 3), (3, 4, 5), ws=ws)
     assert calls == []
+    assert len(cubes) == (3 if theorem == "one-weight" else 0)
 
 
 def test_necessity_scans_build_no_cube(monkeypatch):

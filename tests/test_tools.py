@@ -26,6 +26,16 @@ def test_direct_criterion_timings():
     assert all(len(runs) == 1 and runs[0] > 0 for runs in times.values())
 
 
+def test_direct_sweep_timings_count_scans():
+    # the SWEEP snippet times _morrey_aligned on the sharpness pair; B's
+    # norm at p = q walks its flat top, f's at q < p is bisected
+    sweeps = perf_bench.sweep_times(str(ROOT), [7], 2)
+    assert set(sweeps) == {"b_5_5.depth7", "f_4_2.depth7"}
+    assert all(len(e["times"]) == 2 and min(e["times"]) > 0 for e in sweeps.values())
+    assert 0 < sweeps["b_5_5.depth7"]["scans"] <= 16
+    assert 0 < sweeps["f_4_2.depth7"]["scans"] <= 32
+
+
 def test_src_line_count_of_this_checkout():
     files = list((ROOT / "src").rglob("*.py"))
     assert files

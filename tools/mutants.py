@@ -35,6 +35,15 @@ MUTANTS = {
     # already carries ``_window_slack``, so no test is expected to see it
     "range-bound-quotient": ("norms.py", "quot = x / lo ** n * (1.0 + 4 * _EPS)",
                              "quot = x / lo ** n"),
+    # the 1D walk over a range whose ends share one window sum: taken when
+    # the left end's sum is only no larger, and taken in 2D too, where
+    # inclusion-exclusion lets the computed sums dip between equal ends
+    "flat-range-equal": ("norms.py",
+                         "if n == 1 and seen[i][0] == seen[j][0]:  # W is flat in between",
+                         "if n == 1 and seen[i][0] <= seen[j][0]:  # W is flat in between"),
+    "flat-range-1d": ("norms.py",
+                      "if n == 1 and seen[i][0] == seen[j][0]:  # W is flat in between",
+                      "if seen[i][0] == seen[j][0]:  # W is flat in between"),
     # the per-system reduction of a stacked nested-pair scan, taken over the
     # systems instead of over each system's pairs
     "pair-scan-stack-axis": ("weights.py",

@@ -20,7 +20,11 @@ spread (max - min) and every run:
   log cells;
 * direct ``acceptance.criterion_NN`` calls for every selftest criterion,
   each on a fresh context, so criteria 2 and 3 each run their sharpness
-  configurations.
+  configurations;
+* direct ``norms._morrey_aligned`` calls on the blow-up sharpness pair at
+  the 1D depths ``SWEEP_DEPTHS``: B_alpha's norm at (s, t) = (5, 5) and f's
+  at (p1, q1) = (4, 2), each with the number of ``_windows`` scans one call
+  makes (counted on an untimed call).
 
 Each direct timing runs in a new interpreter that imports the checkout's
 ``src/``, so both sides run the same timing code.  The interpreters alternate
@@ -51,6 +55,7 @@ TRACE_KEYS = ("experiments.ratio_harness.self_s", "operators.b_alpha.1d.self_s",
               "operators.b_alpha.2d.self_s")
 DEPTHS = {1: (6, 8, 10), 2: (4, 5, 6)}
 CRITERIA = tuple(range(1, 13))
+SWEEP_DEPTHS = (7, 8, 9, 10)
 SETTINGS = {
     "runs": 5,             # traced harness runs per side
     "seed": 3,             # seed of the traced runs
@@ -113,6 +118,34 @@ for number in numbers:
         criterion({"seed": 20240801})
         times.append(time.perf_counter() - t0)
     out[f"criterion_{number:02d}"] = times[1:]
+print(json.dumps(out))
+"""
+
+
+SWEEP = r"""
+import json, sys, time
+from morreybench import norms
+from morreybench.acceptance import BLOWUP as cfg
+from morreybench.experiments import DEPTH_EXTRA, build_sharpness_pair
+from morreybench.operators import b_alpha
+depths, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
+windows, scans = norms._windows, []
+out = {}
+for depth in depths:
+    f, g, _ = build_sharpness_pair(cfg, depth - DEPTH_EXTRA)
+    fam = norms.aligned_family(f)
+    for name, x, p, q in (("b_5_5", b_alpha(f, g, cfg.alpha).fn, cfg.s, cfg.t),
+                          ("f_4_2", f, cfg.p1, cfg.q1)):
+        scans.clear()
+        norms._windows = lambda table, s: scans.append(s) or windows(table, s)
+        norms._morrey_aligned(x, p, q, fam)  # counts the scans and warms up
+        norms._windows = windows
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            norms._morrey_aligned(x, p, q, fam)
+            times.append(time.perf_counter() - t0)
+        out[f"{name}.depth{depth}"] = {"scans": len(scans), "times": times}
 print(json.dumps(out))
 """
 
@@ -190,6 +223,12 @@ def criterion_times(checkout, numbers, repeats):
     return snippet_times(checkout, CRITERION, json.dumps(list(numbers)), str(repeats))
 
 
+def sweep_times(checkout, depths, repeats):
+    """Per sweep and depth: the ``_windows`` scans of one call and
+    ``repeats`` timed calls after it."""
+    return snippet_times(checkout, SWEEP, json.dumps(list(depths)), str(repeats))
+
+
 def slope(depths, dim, seconds):
     xs = [math.log(2.0 ** (dim * d)) for d in depths]
     ys = [math.log(t) for t in seconds]
@@ -220,6 +259,7 @@ def main(argv=None):
 
     runs = {side: {dim: {} for dim in DEPTHS} for side in sides}
     criteria = {side: {} for side in sides}
+    sweeps = {side: {} for side in sides}
     for r in range(cfg["repeats"]):
         for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
             for dim, depths in DEPTHS.items():
@@ -227,6 +267,9 @@ def main(argv=None):
                     runs[side][dim].setdefault(key, []).extend(times)
             for key, times in criterion_times(sides[side], CRITERIA, 1).items():
                 criteria[side].setdefault(key, []).extend(times)
+            for key, sweep in sweep_times(sides[side], SWEEP_DEPTHS, 1).items():
+                entry = sweeps[side].setdefault(key, {"scans": sweep["scans"], "times": []})
+                entry["times"].extend(sweep["times"])
     direct = {side: {} for side in sides}
     for side in sides:
         for dim, depths in DEPTHS.items():
@@ -249,6 +292,9 @@ def main(argv=None):
         "direct_ratio_harness": direct,
         "direct_criteria": {side: {key: summary(v) for key, v in sorted(criteria[side].items())}
                             for side in sides},
+        "direct_aligned_sweep": {side: {key: {"scans": e["scans"], **summary(e["times"])}
+                                        for key, e in sorted(sweeps[side].items())}
+                                 for side in sides},
     }
     with open(ns.out, "w") as fh:
         json.dump(record, fh, indent=2)
