@@ -115,9 +115,10 @@ def write_csv(path, header, rows, mirror_json=False):
             print(json.dumps({k: row[k] for k in header}))
 
 
-def _coords(ns, name: str, parse) -> tuple:
-    """The comma-separated coordinates of flag ``name``; refuses malformed ones."""
-    text = str(getattr(ns, name))
+def _coords(ns, name: str, parse, dim: int) -> tuple:
+    """The comma-separated coordinates of flag ``name``, by default the origin
+    of ``dim`` axes (--dim's, or an input file's); refuses malformed ones."""
+    text = ",".join("0" * dim) if getattr(ns, name) is None else str(getattr(ns, name))
     try:
         return tuple(parse(c) for c in text.split(","))
     except ValueError as exc:  # ParameterError included
@@ -130,7 +131,7 @@ def _root_from(ns, grid=None) -> DyadicCube:
         raise ParameterError("--rootcoords needs --rootlevel")
     if ns.rootlevel is None:
         return grid.root
-    return DyadicCube(ns.rootlevel, _coords(ns, "rootcoords", int))
+    return DyadicCube(ns.rootlevel, _coords(ns, "rootcoords", int, (grid or ns).dim))
 
 
 def _min_level(grid: GridFunction, ns) -> int:
@@ -202,8 +203,8 @@ def _load_system(ns) -> WeightSystem:
         return WeightSystem(*map(read_mgf, _require(ns, "v", "w1", "w2").values()))
     if ns.beta is not None:
         _require(ns, "gamma1", "gamma2")
-        return power_system(ns.beta, ns.gamma1, ns.gamma2, _coords(ns, "center", parse_number),
-                            _root_from(ns), ns.depth)
+        return power_system(ns.beta, ns.gamma1, ns.gamma2,
+                            _coords(ns, "center", parse_number, ns.dim), _root_from(ns), ns.depth)
     raise ParameterError("weights needed: --v/--w1/--w2 files or synthetic --beta/--gamma1/--gamma2")
 
 
@@ -291,7 +292,7 @@ def _exp_fs_dual(ns) -> None:
     if ns.w1 or ns.w2:
         w1, w2 = map(read_mgf, _require(ns, "w1", "w2").values())
     else:
-        root, center = _root_from(ns), _coords(ns, "center", parse_number)
+        root, center = _root_from(ns), _coords(ns, "center", parse_number, ns.dim)
         w1 = power_weight(ns.gamma1 or 0.0, center, root, ns.depth)
         w2 = power_weight(ns.gamma2 or 0.0, center, root, ns.depth)
     rep = fs_dual_check(w1, w2, params, levels=ns.levels, seed=ns.seed)
@@ -406,8 +407,8 @@ FLAGS = {
     "family": {"choices": ("dyadic", "all"), "default": "dyadic"},
     "min_level": {"type": int},
     "rootlevel": {"type": int, "default": {"op": None, "cz": None, "char": 0, "experiment": 0}},
-    "rootcoords": {"default": {"op": None, "cz": None, "char": "0", "experiment": "0"}},
-    "center": {"default": "0"},
+    "rootcoords": {},  # the origin, of --dim or of the file's grid (see _coords)
+    "center": {},  # the origin of --dim
     "dim": {"type": int, "choices": (1, 2), "default": 1},
     "depth": {"type": int, "default": {"char": 6, "experiment": 5}},
     "theorem": {"default": "bilinear-ratio"},

@@ -180,8 +180,8 @@ def _weighted_sides(grid: GridFunction, fam: CubeFamily, weighted: np.ndarray,
     """The sides of a weighted bound, one item per pair of the stacks: the
     (s, t) Morrey norm of the weighted operator values and the (p, q1, q2)
     pair supremum of the weighted inputs."""
-    return (_morrey_sup(grid, fam, cp.s, (weighted, cp.t)),
-            _morrey_sup(grid, fam, cp.p, (fw, cp.q1), (gw, cp.q2)))
+    return (_morrey_sup(grid, fam, cp.s, (weighted, cp.t))[0],
+            _morrey_sup(grid, fam, cp.p, (fw, cp.q1), (gw, cp.q2))[0])
 
 
 def _ratio_core(theorem: str, levels, pairs_at, hook) -> HarnessResult:
@@ -244,14 +244,14 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
     relations.require_dim(pr, base.dim)
 
     def base_norms(values, p, q):
-        return _morrey_sup(base, dyadic_family(base.root, base.cell_level), p, (values, q))
+        return _morrey_sup(base, dyadic_family(base.root, base.cell_level), p, (values, q))[0]
 
     if theorem in ("bilinear-ratio", "bilinear-sum", "bilinear-critical"):
         s, t = (pr.p2, pr.q2) if theorem == "bilinear-critical" else (pr.s, pr.t)
         rhs = base_norms(f0, pr.p1, pr.q1) * base_norms(g0, pr.p2, pr.q2)
 
         def hook(grid, fam, fv, gv, own):
-            return _morrey_sup(grid, fam, s, (_b_values(grid, *own, pr.alpha), t)), rhs
+            return _morrey_sup(grid, fam, s, (_b_values(grid, *own, pr.alpha), t))[0], rhs
     elif theorem in ("linear-adams", "product-embedding"):
         rhs = base_norms(f0, pr.p1, pr.q1)
         if theorem == "product-embedding":
@@ -261,7 +261,7 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
             lhs = _i_values(grid, fv, pr.alpha)
             if theorem == "product-embedding":
                 lhs = gv * lhs
-            return _morrey_sup(grid, fam, pr.s, (lhs, pr.t)), rhs
+            return _morrey_sup(grid, fam, pr.s, (lhs, pr.t))[0], rhs
     else:
         if ws.v.root != base.root or any(level < ws.v.depth for level in levels):
             raise ParameterError(f"weights on root {ws.v.root} at depth {ws.v.depth} do not fit "
@@ -271,12 +271,12 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
         def hook(grid, fam, fv, gv, own):  # the level's weights and constants, built once
             w = WeightSystem(*(x.refine(grid.depth - x.depth) for x in (ws.v, ws.w1, ws.w2)))
             if theorem == "olsen":
-                fw, gw, v = fv, gv, (w.v.values[None], pr.t / (1.0 - pr.t))
-                scale = float(_morrey_sup(grid, fam, pr.r, v)[0])  # one item: no cube
-            else:
-                scale = (char_two_weight([w], pr, fam)[0]  # a one-item stack builds no pair
-                         if theorem == "two-weight" else char_one_weight(w, pr, fam).value)
+                fw, gw = fv, gv
+                scale = _morrey_sup(grid, fam, pr.r, (w.v.values, pr.t / (1.0 - pr.t)))[0]
+            else:  # a one-item stack: its value, no attaining pair
                 fw, gw = fv * w.w1.values, gv * w.w2.values
+                scale = {"two-weight": char_two_weight,
+                         "one-weight": char_one_weight}[theorem]([w], pr, fam)
             lhs, rhs = _weighted_sides(grid, fam, _b_values(grid, *own, pr.alpha) * w.v.values,
                                        fw, gw, pr)
             return lhs, scale * rhs
@@ -328,8 +328,7 @@ def build_sharpness_pair(cfg: SharpnessConfig, m: int):
     refuse("invalid sharpness configuration", relations.violations(cfg, "sharpness"))
     delta = 2.0 ** (-m)
     depth = m + DEPTH_EXTRA
-    count_real = delta ** (cfg.q1 / cfg.p1 - 1.0)
-    big_n = int(math.floor(count_real + 1e-12))
+    big_n = int(math.floor(delta ** (cfg.q1 / cfg.p1 - 1.0) + 1e-12))
     if big_n < 2:
         raise NumericalError(f"cluster count N = {big_n} leaves no interior lattice")
     root = unit_root(cfg.n)
@@ -339,21 +338,18 @@ def build_sharpness_pair(cfg: SharpnessConfig, m: int):
     half_inner = int(round(0.5 * delta / h))
     height_f = delta ** (-cfg.n / cfg.p1)
     height_g = delta ** (-cfg.n / cfg.p2)
-    fvals = np.zeros((grid_m,) * cfg.n)
-    gvals = np.zeros((grid_m,) * cfg.n)
+    support = np.zeros((grid_m,) * cfg.n, dtype=bool)
     inner_boxes = []
     for j in range(1, big_n):
         center_cells = int(round(j / big_n * grid_m))
         lo, hi = center_cells - half_triple, center_cells + half_triple
         if lo < 0 or hi > grid_m:
             raise NumericalError("cluster triple leaves the unit root")
-        fvals[lo:hi] = height_f
-        gvals[lo:hi] = height_g
+        support[lo:hi] = True
         inner_boxes.append((center_cells - half_inner, center_cells + half_inner))
-    f = GridFunction(root, fvals, "nonneg")
-    g = GridFunction(root, gvals, "nonneg")
-    meta = SharpnessPairMeta(delta, big_n, tuple(inner_boxes), height_f, height_g)
-    return f, g, meta
+    f, g = (GridFunction(root, np.where(support, height, 0.0), "nonneg")
+            for height in (height_f, height_g))
+    return f, g, SharpnessPairMeta(delta, big_n, tuple(inner_boxes), height_f, height_g)
 
 
 @dataclass
@@ -411,10 +407,12 @@ def run_sharpness(cfg: SharpnessConfig, shared: dict | None = None) -> Sharpness
             min_pt = min(float(B.values[lo:hi].min()) for lo, hi in meta.inner_boxes)
             floor = meta.delta ** (-cfg.n / cfg.s)
             fam = aligned_family(f)
+            norm_f = morrey_norm(f, cfg.p1, cfg.q1, fam).value
+            norm_g = (norm_f if (cfg.p2, cfg.q2) == (cfg.p1, cfg.q1)  # then g is f
+                      else morrey_norm(g, cfg.p2, cfg.q2, fam).value)
             shared[key] = B, fam, (
                 m, meta.delta, min_pt, floor, min_pt >= SHARPNESS_FLOOR_TOL * floor,
-                morrey_norm(f, cfg.p1, cfg.q1, fam).value, 3.0 ** (cfg.n / cfg.p1),
-                morrey_norm(g, cfg.p2, cfg.q2, fam).value, 3.0 ** (cfg.n / cfg.p2))
+                norm_f, 3.0 ** (cfg.n / cfg.p1), norm_g, 3.0 ** (cfg.n / cfg.p2))
         B, fam, t_free = shared[key]
         return SharpnessRow(*t_free, morrey_norm(B, cfg.s, cfg.t, fam).value)
 
@@ -478,8 +476,8 @@ def _power_char(sw: SteinWeissParams, root: DyadicCube, depth: int) -> float:
     pv = power_weight(-sw.beta * e_v, (0.0,) * sw.n, root, depth)
     p1 = power_weight(-sw.gamma1 * d1, (0.0,) * sw.n, root, depth)
     p2 = power_weight(-sw.gamma2 * d2, (0.0,) * sw.n, root, depth)
-    value = lq_means(recip(sw.r), (pv.values[None], 1.0 / e_v), (p1.values[None], 1.0 / d1),
-                     (p2.values[None], 1.0 / d2), dim=sw.n)  # a one-item stack: no cube
+    value = lq_means(recip(sw.r), (pv.values, 1.0 / e_v), (p1.values, 1.0 / d1),
+                     (p2.values, 1.0 / d2))
     return float(family_max(pv, dyadic_family(root, root.level - depth), value)[0])
 
 
@@ -520,9 +518,9 @@ def stein_weiss_harness(sw: SteinWeissParams, seed: int = 11) -> HarnessResult:
         w = power_system(sw.beta, sw.gamma1, sw.gamma2, (0.0,) * sw.n, fam.root, grid.depth)
         weighted = _b_values(grid, *own, sw.n - sw.alpha) * w.v.values
         fw, gw = fv * w.w1.values, gv * w.w2.values
-        return (_morrey_sup(grid, fam, sw.s, (weighted, sw.t)),
-                _morrey_sup(grid, fam, sw.p1, (fw, sw.q1))
-                * _morrey_sup(grid, fam, sw.p2, (gw, sw.q2)))
+        return (_morrey_sup(grid, fam, sw.s, (weighted, sw.t))[0],
+                _morrey_sup(grid, fam, sw.p1, (fw, sw.q1))[0]
+                * _morrey_sup(grid, fam, sw.p2, (gw, sw.q2))[0])
     return _ratio_core("stein-weiss", (4, 5, 6),
                        lambda level: make_pairs("indicator", 4, seed, level, sw.n), hook)
 
@@ -638,11 +636,11 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     e = cp.a * cp.s / (1.0 - cp.s)
     e1 = params.s1 / (1.0 - params.s1)
     e2 = params.s2 / (1.0 - params.s2)
-    lhs = lq_means(recip(cp.r), ((w1.values * w2.values)[None] ** e, 1.0 / e), dim=w1.dim)
-    f1 = lq_means(recip(params.r1), (w1.values[None] ** e1, 1.0 / e1), dim=w1.dim)
-    f2 = lq_means(recip(params.r2), (w2.values[None] ** e2, 1.0 / e2), dim=w1.dim)
+    lhs = lq_means(recip(cp.r), ((w1.values * w2.values) ** e, 1.0 / e))
+    f1 = lq_means(recip(params.r1), (w1.values ** e1, 1.0 / e1))
+    f2 = lq_means(recip(params.r2), (w2.values ** e2, 1.0 / e2))
     worst = float(family_max(w1, dyadic_family(w1.root, w1.cell_level), lambda shift, volume: (
-        lhs(shift, volume) / (f1(shift, volume) * f2(shift, volume))))[0])  # one item: no cube
+        lhs(shift, volume) / (f1(shift, volume) * f2(shift, volume))))[0])
     split_ok = worst <= 1.0 + 1e-12
 
     pairs = make_pairs("step", 4, seed, w1.depth, w1.dim, w1.root)

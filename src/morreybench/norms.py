@@ -94,6 +94,14 @@ class CubeFamily:
         return DyadicCube(level, tuple((c << shift) + int(i)
                                        for c, i in zip(self.root.coords, index)))
 
+    def cube_at(self, i) -> DyadicCube:
+        """The cube at flat position ``i``: coarsest level first, then row-major."""
+        for level in self.levels():
+            shape = (2 ** (self.root.level - level),) * self.root.dim
+            if i < math.prod(shape) or level == self.min_level:  # unravel refuses i past the end
+                return self.cube(level, np.unravel_index(i, shape))
+            i -= math.prod(shape)
+
 
 def dyadic_family(root: DyadicCube, min_level: int) -> CubeFamily:
     if min_level > root.level:
@@ -128,7 +136,8 @@ class NormReport:
 # wide, with any stack axes in front: shape ``stack + (cubes per axis,) * n``;
 # ``lq_means`` builds the paper's L^q-mean value.  The scans crop the values to
 # the family root and reduce each stack item on its own, ``family_max`` to its
-# maximum (and its cube on a single grid), ``cell_sup`` by one ``ancestor_max`` pass.
+# maximum and that maximum's first position, ``cell_sup`` by one ``ancestor_max``
+# pass.  Only the reports place a cube at a position.
 
 def lq_means(e: float, *factors, dim: int | None = None):
     """The value |Q|**e * prod (avg_Q powered)**root over ``(powered, root)``
@@ -155,33 +164,21 @@ def dyadic_levels(grid: GridFunction, family: CubeFamily):
 
 
 def family_max(grid: GridFunction, family: CubeFamily, value):
-    """The maximum over the family: per stack item an array of the stack's
-    shape, or on a single grid (value, cube) of the first strict maximum.
+    """Per stack item, of any stack shape or none, the maximum over the
+    family and the flat position of its first maximum in canonical order;
+    ``CubeFamily.cube_at`` turns a position into its cube.
 
-    Canonical order: coarsest level first, then the first cube in row-major
-    order; the levels are laid end to end in that order, so one ``argmax``
-    finds the cube.  A non-finite value anywhere in the family is refused
-    with a NumericalError.
+    Canonical order: coarsest level first, then row-major; the levels are
+    laid end to end in that order, so one ``argmax`` finds the position.  A
+    non-finite value anywhere in the family is refused with a NumericalError.
     """
-    parts, levels = [], []
+    parts = []
     for shift, volume, window in dyadic_levels(grid, family):
         vals = value(shift, volume)[(Ellipsis,) + window]
-        stack, cubes = vals.shape[:vals.ndim - grid.dim], vals.shape[vals.ndim - grid.dim:]
-        parts.append(vals.reshape(stack + (math.prod(cubes),)))
-        levels.append((grid.cell_level + shift, cubes))
+        stack = vals.shape[:vals.ndim - grid.dim]
+        parts.append(vals.reshape(stack + (math.prod(vals.shape[len(stack):]),)))
     vals = finite(np.concatenate(parts, axis=-1), "supremum")
-    if stack:
-        return vals.max(axis=-1)
-    return float(vals.max()), _cube_at(family, levels, int(vals.argmax()))
-
-
-def _cube_at(family: CubeFamily, levels, i: int) -> DyadicCube:
-    """The cube at position ``i`` of the levels laid end to end."""
-    for level, shape in levels:
-        size = math.prod(shape)
-        if i < size:
-            return family.cube(level, np.unravel_index(i, shape))
-        i -= size
+    return vals.max(axis=-1), vals.argmax(axis=-1)
 
 
 def ancestor_max(levels, dim: int):
@@ -240,13 +237,14 @@ def morrey_norm(f: GridFunction, p: float, q: float, family: CubeFamily) -> Norm
         raise ParameterError(f"Morrey exponents need 0 < q <= p < inf, got q={q} p={p}")
     if family.tag == ALIGNED:
         return _morrey_aligned(f, p, q, family)
-    return NormReport(*_morrey_sup(f, family, p, (f.values, q)))
+    value, at = _morrey_sup(f, family, p, (f.values, q))
+    return NormReport(float(value), family.cube_at(at))
 
 
 def _morrey_sup(grid: GridFunction, family: CubeFamily, p: float, *stacks):
     """``family_max`` of |Q|**(1/p) prod_i (avg_Q |x_i|**q_i)**(1/q_i) over
-    ``(x_i, q_i)`` on ``grid``'s lattice: the Morrey and pair values, maxima
-    only for stacked x_i, (value, cube) on a single grid."""
+    ``(x_i, q_i)`` on ``grid``'s lattice: the Morrey and pair values per
+    stack item, and their first positions."""
     return family_max(grid, family, lq_means(
         1.0 / p, *((np.abs(values) ** q, 1.0 / q) for values, q in stacks), dim=grid.dim))
 
@@ -398,4 +396,5 @@ def pair_morrey_sup(f: GridFunction, g: GridFunction, p: float,
         raise ParameterError("pair supremum needs a common grid")
     if q1 <= 0 or q2 <= 0 or p <= 0:
         raise ParameterError("pair supremum exponents must be positive")
-    return NormReport(*_morrey_sup(f, family, p, (f.values, q1), (g.values, q2)))
+    value, at = _morrey_sup(f, family, p, (f.values, q1), (g.values, q2))
+    return NormReport(float(value), family.cube_at(at))

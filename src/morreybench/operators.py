@@ -289,7 +289,7 @@ def m_alpha_bilinear(f: GridFunction, g: GridFunction, alpha: float,
     _require_common_grid(f, g)
     if not (0.0 <= alpha < f.dim):
         raise ParameterError(f"maximal exponent must satisfy 0 <= alpha < n, got {alpha}")
-    return _field(f, _bilinear_maximal(f, f.values[None], g.values[None], alpha, family)[0])
+    return _field(f, _bilinear_maximal(f, f.values, g.values, alpha, family))
 
 
 def _bilinear_maximal(grid: GridFunction, fv: np.ndarray, gv: np.ndarray, alpha: float,
@@ -306,8 +306,7 @@ def m_alpha_vector(f: GridFunction, g: GridFunction, alpha: float,
     _require_common_grid(f, g)
     if r1 <= 0 or r2 <= 0:
         raise ParameterError("vector maximal exponents must be positive")
-    return _field(f, _vector_maximal(f, f.values[None], g.values[None],
-                                     alpha, r1, r2, family)[0])
+    return _field(f, _vector_maximal(f, f.values, g.values, alpha, r1, r2, family))
 
 
 def _vector_maximal(grid: GridFunction, fv: np.ndarray, gv: np.ndarray, alpha: float,

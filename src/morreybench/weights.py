@@ -233,8 +233,9 @@ def _cube_scan(ws, cp: CharParams, kind: str, family: CubeFamily, a: float, v_of
     def value(shift, volume):
         f1, f2 = _w_factors(w1, w2, shift, d1, d2, grid.dim)
         return volume ** recip(cp.r) * v_of(cube_blocks(v, shift, grid.dim)) * f1 * f2
-    if isinstance(best := family_max(grid, family, value), tuple):  # one system: its cube too
-        best = CharacteristicReport(best[0], (best[1],) * 2, len(family))
+    best, at = family_max(grid, family, value)
+    if isinstance(ws, WeightSystem):  # one system: its report places the cube
+        return CharacteristicReport(float(best), (family.cube_at(at),) * 2, len(family))
     return best
 
 
@@ -248,10 +249,10 @@ def char_remark(ws, cp: CharParams, family: CubeFamily):
                       lambda rows: power_mean(rows, cp.a * cp.s / (1.0 - cp.s)))
 
 
-def char_one_weight(ws: WeightSystem, cp: CharParams, family: CubeFamily) -> CharacteristicReport:
+def char_one_weight(ws, cp: CharParams, family: CubeFamily):
     """One-weight characteristic: r = inf, v = w1 w2, full dual exponents q_i'."""
-    stacked = _weight_stack(ws, cp, "one-weight")
-    if not np.allclose(ws.v.values, ws.w1.values * ws.w2.values, rtol=1e-12, atol=0.0):
+    _, v, w1, w2 = stacked = _weight_stack(ws, cp, "one-weight")
+    if not np.allclose(v, w1 * w2, rtol=1e-12, atol=0.0):
         raise ParameterError("one-weight system requires v = w1*w2 pointwise")
     return _pair_scan(stacked, cp, family, 1.0, 0.0)
 
@@ -272,8 +273,8 @@ def ap_characteristic(w: GridFunction, p: float, family: CubeFamily) -> Characte
     def value(shift, volume):
         rows = cube_blocks(w.values, shift)
         return rows.mean(axis=-1) / power_mean(rows, e)
-    best, q = family_max(w, family, value)
-    return CharacteristicReport(best, (q, q), len(family))
+    best, at = family_max(w, family, value)
+    return CharacteristicReport(float(best), (family.cube_at(at),) * 2, len(family))
 
 
 def fs_majorant(w: GridFunction, r_i: float, s_i: float,

@@ -604,6 +604,23 @@ class TestExitContract:
         assert not (tmp_path / "O").exists()
         assert _exit_code(argv + ["--rootlevel", "0", "--rootcoords", coords]) == int(coords) // 5 * 2
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["cz", "--f", "F", "--g", "F", "--out", "O"], id="cz"),
+        pytest.param(["op", "--operator", "b-dyadic", "--alpha", "1/2", "--f", "F", "--g", "F",
+                      "--out", "O"], id="b-dyadic"),
+    ])
+    def test_rootlevel_alone_takes_the_origin_of_the_file(self, tmp_path, capsys, argv):
+        # once refused with "--rootcoords: cannot parse coordinates 'None'"
+        path, out = tmp_path / "f.mgf", tmp_path / "O"
+        write_mgf(path, GridFunction(unit_root(2), np.exp(np.linspace(-1, 1, 64)).reshape(8, 8),
+                                     "pos"))
+        argv = [str(path) if a == "F" else str(out) if a == "O" else a for a in argv]
+        runs = []
+        for coords in ([], ["--rootcoords", "0,0"]):
+            assert _exit_code(argv + ["--rootlevel", "-1", *coords]) == 0
+            runs.append((capsys.readouterr(), out.read_text()))
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("argv,message", [
         pytest.param(["char", "--kind", "ap", "--p", "2"], "missing --v", id="ap"),
         pytest.param(["char", "--kind", "fs-majorant", "--r", "inf", "--s", "1/2", "--out", "O"],
@@ -1099,6 +1116,37 @@ def test_parameter_checks_keep_their_outcome(tmp_path, capsys, name):
     std = capsys.readouterr()
     assert std.err == err
     assert std.out.split(" -> ")[0].split(" inner: ")[0].rstrip("\n") == head
+
+
+TWO_WEIGHT_2D = ["--dim", "2", "--alpha", "1", *TWO_WEIGHT[2:14], "--s", "4/5"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(pytest.param(["char", "--kind", kind, *TWO_WEIGHT_2D, *POWER], id=f"char-{kind}")
+      for kind in ("two-weight", "remark")),
+    pytest.param(["char", "--kind", "one-weight", "--dim", "2", "--alpha", "1",
+                  *ONE_WEIGHT_BELOW_1[2:], "--beta", "0", "--gamma1", "0", "--gamma2", "0"],
+                 id="char-one-weight"),
+    pytest.param(["char", "--kind", "testing", "--dim", "2", "--alpha", "1", *TESTING[2:],
+                  *POWER], id="char-testing"),
+    pytest.param(["experiment", "fs-dual", *TWO_WEIGHT_2D, "--r1", "32", "--r2", "32",
+                  "--s1", "17/19", "--s2", "17/19", "--gamma1", "0.02", "--gamma2", "0.02",
+                  "--depth", "3", "--levels", "3..4", "--out", "O"], id="experiment-fs-dual"),
+    pytest.param(["experiment", "ratio", "--theorem", "two-weight", *TWO_WEIGHT_2D,
+                  *POWER[:-2], "--depth", "3", "--pairs", "step:2", "--base-depth", "3",
+                  "--levels", "3..4", "--out", "O"], id="experiment-ratio-two-weight"),
+])
+def test_synthetic_weights_default_to_the_origin_of_dim(tmp_path, capsys, argv):
+    # --rootcoords and --center defaulted to the 1D origin "0", so every
+    # one of these runs exited 2 under --dim 2
+    out = tmp_path / "O"
+    argv = [str(out) if a == "O" else a for a in argv]
+    runs = []
+    for extra in ([], ["--rootcoords", "0,0", "--center", "0,0"]):
+        assert _exit_code(argv + extra) == 0
+        runs.append((capsys.readouterr(), out.read_text() if out.exists() else None))
+    assert runs[0] == runs[1]
+    assert runs[0][0].err == "" and runs[0][0].out
 
 
 class TestSelftestAgreement:

@@ -110,6 +110,17 @@ class TestSharpnessRun:
         for row in res.rows:
             assert row.min_pointwise >= 0.95 * row.floor
 
+    @pytest.mark.parametrize("p2,q2", [pytest.param(5.0, 2.0, id="p1-ne-p2"),
+                                       pytest.param(4.0, 3.0, id="p1-eq-p2-q1-ne-q2")])
+    def test_norm_of_g_reads_its_own_exponents(self, p2, q2):
+        # only (p2, q2) == (p1, q1) makes g equal to f, and its norm a copy
+        cfg = replace(BLOWUP_CFG, p2=p2, q2=q2, delta_exps=(4, 5))
+        for m, row in zip(cfg.delta_exps, run_sharpness(cfg).rows):
+            f, g, _ = build_sharpness_pair(cfg, m)
+            fam = aligned_family(f)
+            assert row.norm_f == morrey_norm(f, cfg.p1, cfg.q1, fam).value
+            assert row.norm_g == morrey_norm(g, p2, q2, fam).value != row.norm_f
+
 
 class TestGates:
     """Each gate fails just past its threshold and holds just inside it."""

@@ -179,6 +179,18 @@ class TestMorrey:
             assert len(fam) == len(enumerate_subcubes(unit_root(dim), -depth))
             assert list(fam.levels()) == list(range(0, -depth - 1, -1))
 
+    @pytest.mark.parametrize("root,min_level", [
+        (unit_root(1), -4), (unit_root(2), -3), (unit_root(1), 0),
+        (DyadicCube(-2, (3,)), -5), (DyadicCube(-1, (1, 0)), -3),  # subcubes of the unit root
+        (DyadicCube(1, (-3,)), -2), (DyadicCube(2, (-1, 5)), 0),   # roots off the origin
+    ])
+    def test_cube_at_walks_the_canonical_order(self, root, min_level):
+        # the positions that family_max returns: coarsest level first, then row-major
+        fam = dyadic_family(root, min_level)
+        assert [fam.cube_at(i) for i in range(len(fam))] == enumerate_subcubes(root, min_level)
+        with pytest.raises(ValueError):
+            fam.cube_at(len(fam))
+
 
 class TestPairSup:
     def test_matches_bruteforce(self):

@@ -250,34 +250,38 @@ def test_scans_per_level_do_not_grow_with_the_pairs(theorem, monkeypatch):
     assert counts == [base + 3 * per_level] * 2
 
 
+def placing(monkeypatch):
+    """The calls of ``CubeFamily.cube_at`` and ``CubeFamily.cube`` from now on."""
+    calls = []
+    for name in ("cube_at", "cube"):
+        real = getattr(norms.CubeFamily, name)
+        monkeypatch.setattr(norms.CubeFamily, name, lambda *args, real=real:
+                            calls.append(args) or real(*args))
+    return calls
+
+
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
 def test_stacked_scans_build_no_cube(theorem, monkeypatch):
-    # a stacked scan returns its maxima only; olsen's weight norm and the
-    # two-weight scale, which read only the value, are one-item stacks per
-    # level.  ``CubeFamily.cube`` also counts the attaining pairs, which
-    # ``_pair_scan`` builds without ``_cube_at``: one-weight still builds
-    # one per level, since ``char_one_weight`` takes no stack
+    # a scan returns maxima and positions, and only a report places a cube:
+    # olsen's weight norm reads only the maximum of its scan, and the
+    # two-weight and one-weight scales are one-item lists of systems per
+    # level.  ``CubeFamily.cube`` also counts the attaining pairs that
+    # ``_pair_scan`` builds for a single system's report
     pr, ws = setup(theorem, 1)
-    calls, cubes = [], []
-    real = norms.CubeFamily.cube
-    monkeypatch.setattr(norms, "_cube_at", lambda *args: calls.append(args))
-    monkeypatch.setattr(norms.CubeFamily, "cube",
-                        lambda *args: cubes.append(args) or real(*args))
+    calls = placing(monkeypatch)
     ratio_harness(theorem, pr, make_pairs("step", 3, 3, 3), (3, 4, 5), ws=ws)
     assert calls == []
-    assert len(cubes) == (3 if theorem == "one-weight" else 0)
 
 
 def test_necessity_scans_build_no_cube(monkeypatch):
-    # the testing constants are one stacked scan: a single report builds its
-    # attaining cube, the necessity check builds none
+    # the testing constants are one stacked scan: a single report places its
+    # attaining cube, the necessity check places none
     ws = WeightSystem(*(power_weight(beta, 0.0, unit_root(1), 4) for beta in (0.1, 0.2, 0.3)))
     cp = CharParams(alpha=0.5, n=1, q1=4.0, q2=4.0, p=2.5, s=20 / 3, t=16 / 3, r=4.0, a=2.0)
     family = dyadic_family(unit_root(1), -4)
-    calls = []
-    monkeypatch.setattr(norms, "_cube_at", lambda *args: calls.append(args))
+    calls = placing(monkeypatch)
     char_testing(ws, cp, family)
-    assert len(calls) == 1
+    assert [args[0] for args in calls] == [family] * 2  # cube_at, then the cube it places
     calls.clear()
     experiments.necessity_check([ws, ws], cp, family)
     assert calls == []
@@ -286,9 +290,8 @@ def test_necessity_scans_build_no_cube(monkeypatch):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_value_only_scans_build_no_cube(dim, monkeypatch):
     # the proof characteristic of stein_weiss_check and the split of
-    # fs_dual_check read only the value, so they scan a one-item stack
-    calls = []
-    monkeypatch.setattr(norms, "_cube_at", lambda *args: calls.append(args))
+    # fs_dual_check read only the value of their scans
+    calls = placing(monkeypatch)
     cp = CharParams(n=dim, **scaled(TWO_WEIGHT, dim))
     params = FsDualParams(cp, r1=32.0, r2=32.0, s1=17 / 19, s2=17 / 19)
     w1, w2 = (power_weight(beta, (0.0,) * dim, unit_root(dim), 3) for beta in (0.05, 0.02))

@@ -3,8 +3,9 @@ on one lattice gives, item by item, what the public single calls give.
 
 The public calls read one grid each, so these tests pin the stack axis
 itself: per-item reductions, also per weight system of a characteristic
-given a list of systems (a stacked scan returns its maxima only; the
-attaining cubes of single calls are pinned in ``test_pyramid_properties``),
+given a list of systems (a stacked scan returns its maxima and their
+positions, and places no cube; the attaining cubes of single calls are
+pinned in ``test_pyramid_properties``),
 a stack refused when one item overflows, and the bilinear correlate with its
 column blocks sized over the whole stack (products of a different shape, so
 BLAS may sum in a different order: relative 1e-13 there), and B of steps
@@ -79,11 +80,11 @@ def items(grid, stack):
 def test_stacked_norms_match_single_calls(case, p, q):
     grid, fv, gv, family = case
     q = min(p, q)
-    tops = _morrey_sup(grid, family, p, (fv, q))
+    tops = _morrey_sup(grid, family, p, (fv, q))[0]
     want = [morrey_norm(f, p, q, family) for f in items(grid, fv)]
     assert tops.shape == fv.shape[:1]
     assert np.array_equal(tops, [rep.value for rep in want])
-    tops = _morrey_sup(grid, family, p, (fv, q), (gv, 2.0))
+    tops = _morrey_sup(grid, family, p, (fv, q), (gv, 2.0))[0]
     want = [pair_morrey_sup(f, g, p, q, 2.0, family)
             for f, g in zip(items(grid, fv), items(grid, gv))]
     assert np.array_equal(tops, [rep.value for rep in want])
@@ -127,9 +128,9 @@ def test_overflowing_item_refused_like_its_single_call(case, item, cell):
     fv[item].flat[cell % fv[item].size] = 1e300
     pairs = list(zip(items(grid, fv), items(grid, gv)))
     for stacked, single in (
-            (lambda: _morrey_sup(grid, family, 2.0, (fv, 2.0)),
+            (lambda: _morrey_sup(grid, family, 2.0, (fv, 2.0))[0],
              lambda f, g: morrey_norm(f, 2.0, 2.0, family)),
-            (lambda: _morrey_sup(grid, family, 2.0, (fv, 2.0), (gv, 1.0)),
+            (lambda: _morrey_sup(grid, family, 2.0, (fv, 2.0), (gv, 1.0))[0],
              lambda f, g: pair_morrey_sup(f, g, 2.0, 2.0, 1.0, family))):
         refused = [_refused(lambda: single(f, g)) for f, g in pairs]
         assert not any(refused[:item] + refused[item + 1:])
@@ -154,7 +155,7 @@ def test_empty_stack():
     grid = GridFunction(DyadicCube(0, (0, 0)), np.zeros((4, 4)))
     family = dyadic_family(grid.root, -2)
     empty = np.zeros((0, 4, 4))
-    assert _morrey_sup(grid, family, 2.0, (empty, 1.0)).shape == (0,)
+    assert [x.shape for x in _morrey_sup(grid, family, 2.0, (empty, 1.0))] == [(0,)] * 2
     assert _vector_maximal(grid, empty, empty, 0.5, 1.0, 1.0, family).shape == (0, 4, 4)
     assert _bilinear_maximal(grid, empty, empty, 0.5, family).shape == (0, 4, 4)
 

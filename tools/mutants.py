@@ -49,6 +49,16 @@ MUTANTS = {
     "pair-scan-stack-axis": ("weights.py",
                              "best = np.maximum(best, vals.reshape(stack + (-1,)).max(axis=-1))",
                              "best = np.maximum(best, vals.reshape(stack + (-1,)).max(axis=0))"),
+    # the position of a family maximum: the last of tied maxima instead of
+    # the first in canonical order, so a report places another cube
+    "cube-at-last-max": ("norms.py", "return vals.max(axis=-1), vals.argmax(axis=-1)",
+                         "return vals.max(axis=-1), "
+                         "vals.shape[-1] - 1 - vals[..., ::-1].argmax(axis=-1)"),
+    # the sharpness run's copy of the norm of f as the norm of g, taken when
+    # only p2 == p1, although g is f only when q2 == q1 too
+    "sharpness-g-is-f-q": ("experiments.py",
+                           "norm_g = (norm_f if (cfg.p2, cfg.q2) == (cfg.p1, cfg.q1)  # then g is f",
+                           "norm_g = (norm_f if cfg.p2 == cfg.p1  # then g is f"),
 }
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                 ".bench_*", ".benchmarks")
