@@ -312,10 +312,7 @@ class SharpnessConfig:
 @dataclass(frozen=True)
 class SharpnessPairMeta:
     delta: float
-    count: int           # clusters per axis
     inner_boxes: tuple   # cell boxes of the inner cubes Q_j
-    height_f: float
-    height_g: float
 
 
 def build_sharpness_pair(cfg: SharpnessConfig, m: int):
@@ -336,8 +333,6 @@ def build_sharpness_pair(cfg: SharpnessConfig, m: int):
     h = 1.0 / grid_m
     half_triple = int(round(1.5 * delta / h))
     half_inner = int(round(0.5 * delta / h))
-    height_f = delta ** (-cfg.n / cfg.p1)
-    height_g = delta ** (-cfg.n / cfg.p2)
     support = np.zeros((grid_m,) * cfg.n, dtype=bool)
     inner_boxes = []
     for j in range(1, big_n):
@@ -347,9 +342,9 @@ def build_sharpness_pair(cfg: SharpnessConfig, m: int):
             raise NumericalError("cluster triple leaves the unit root")
         support[lo:hi] = True
         inner_boxes.append((center_cells - half_inner, center_cells + half_inner))
-    f, g = (GridFunction(root, np.where(support, height, 0.0), "nonneg")
-            for height in (height_f, height_g))
-    return f, g, SharpnessPairMeta(delta, big_n, tuple(inner_boxes), height_f, height_g)
+    f, g = (GridFunction(root, np.where(support, delta ** (-cfg.n / p), 0.0), "nonneg")
+            for p in (cfg.p1, cfg.p2))
+    return f, g, SharpnessPairMeta(delta, tuple(inner_boxes))
 
 
 @dataclass

@@ -205,8 +205,8 @@ def cell_sup(grid: GridFunction, family: CubeFamily, value) -> np.ndarray:
 
 def lebesgue_norm(f: GridFunction, t: float) -> float:
     """(sum over the grid of |f|**t * cell_volume)**(1/t)."""
-    if t <= 0:
-        raise ParameterError(f"Lebesgue exponent must be positive, got {t}")
+    if not 0 < t < INF:
+        raise ParameterError(f"Lebesgue exponent needs 0 < t < inf, got {t}")
     s = np.sum(np.abs(f.values) ** t) * f.cell_volume
     return float(finite(s ** (1.0 / t), "norm"))
 

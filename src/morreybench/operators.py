@@ -35,7 +35,7 @@ import numpy as np
 
 from .grid import DyadicCube, GridFunction, cube_blocks, cube_box, spread, triple_sums
 from .norms import CubeFamily, cell_sup, lq_means
-from .util import ParameterError, finite, v_factor
+from .util import INF, ParameterError, finite, v_factor
 
 
 @dataclass(frozen=True)
@@ -304,8 +304,8 @@ def m_alpha_vector(f: GridFunction, g: GridFunction, alpha: float,
                    r1: float, r2: float, family: CubeFamily) -> OperatorField:
     """sup over cubes containing x of |Q|**(alpha/n) (avg|f|**r1)**(1/r1)(avg|g|**r2)**(1/r2)."""
     _require_common_grid(f, g)
-    if r1 <= 0 or r2 <= 0:
-        raise ParameterError("vector maximal exponents must be positive")
+    if not (0 < r1 < INF and 0 < r2 < INF):
+        raise ParameterError("vector maximal exponents need 0 < r1, r2 < inf")
     return _field(f, _vector_maximal(f, f.values, g.values, alpha, r1, r2, family))
 
 

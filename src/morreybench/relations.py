@@ -20,7 +20,7 @@ def _below(s: float, r: float) -> bool:
 ALPHA = ("0 < alpha < n", lambda x: 0.0 < x.alpha < x.n)
 Q1_P1 = ("1 < q1 <= p1", lambda x: 1.0 < x.q1 <= x.p1)
 Q2_P2 = ("1 < q2 <= p2", lambda x: 1.0 < x.q2 <= x.p2)
-Q12 = ("1 < q1, q2", lambda x: 1.0 < x.q1 and 1.0 < x.q2)
+Q12 = ("1 < q1, q2 < inf", lambda x: 1.0 < x.q1 < INF and 1.0 < x.q2 < INF)
 T_S = ("1 < t <= s", lambda x: 1.0 < x.t <= x.s)
 T_S_BELOW_1 = ("0 < t <= s < 1", lambda x: 0.0 < x.t <= x.s < 1.0)
 S_SUM = ("1/s = 1/p1 + 1/p2 - alpha/n",

@@ -19,10 +19,12 @@ Conventions shared by every characteristic:
   positive weight against the artificial zeros of a clipped box would
   corrupt the constants.
 
-Per-cube factors are computed one dyadic level at a time over the whole grid,
-for one system or for a list of systems on one grid as a stack (whose scans
-return the values only); ``pair_value`` reads the same factor arrays as the
-nested-pair scan, so the attaining pair's value reproduces bit for bit.
+Every weight scan runs on a stack of systems on one grid, a single system
+being a one-item stack: per-cube factors are computed one dyadic level at a
+time over the whole grid, and each system keeps its first maximum and its
+position.  Only a single system's report places the cube or pair there;
+``pair_value`` reads the same factor arrays as the nested-pair scan, so the
+attaining pair's value reproduces bit for bit.
 """
 
 from __future__ import annotations
@@ -143,23 +145,25 @@ class CharParams:
 @dataclass(frozen=True)
 class CharacteristicReport:
     value: float
-    attaining: tuple[DyadicCube, DyadicCube] | None
+    attaining: tuple[DyadicCube, DyadicCube]
     pairs_scanned: int
 
 
 def _weight_stack(ws, cp: CharParams, kind: str):
     """The grid and v, w1, w2 arrays of a weight system, or of a list of them on
-    one grid stacked in front; refused unless ``cp`` fits them and ``kind``."""
-    if isinstance(ws, WeightSystem):
-        grid, arrays = ws.v, (ws.v.values, ws.w1.values, ws.w2.values)
-    elif ws and all(ws[0].v.same_grid(s.v) for s in ws):
-        grid, arrays = ws[0].v, np.stack([[s.v.values, s.w1.values, s.w2.values] for s in ws], 1)
-    else:
-        raise ParameterError("weight systems must share one grid" if ws
+    one grid, with the systems stacked in front; refused unless ``cp`` fits
+    them and ``kind`` (a one-weight system also unless v = w1*w2)."""
+    systems = [ws] if isinstance(ws, WeightSystem) else ws
+    if not (systems and all(systems[0].v.same_grid(s.v) for s in systems)):
+        raise ParameterError("weight systems must share one grid" if systems
                              else "a stack needs at least one weight system")
+    grid = systems[0].v
+    v, w1, w2 = np.stack([[s.v.values, s.w1.values, s.w2.values] for s in systems], 1)
     relations.require_dim(cp, grid.dim)
     cp.check(kind)
-    return (grid, *arrays)
+    if kind == "one-weight" and not np.allclose(v, w1 * w2, rtol=1e-12, atol=0.0):
+        raise ParameterError("one-weight system requires v = w1*w2 pointwise")
+    return grid, v, w1, w2
 
 
 def _w_factors(w1, w2, shift: int, d1: float, d2: float, dim: int):
@@ -180,38 +184,37 @@ def _pair_scale(volume: float, outer: float, exponent: float, r_inv: float) -> f
     return (volume / outer) ** exponent * outer ** r_inv
 
 
-def _pair_scan(stacked, cp: CharParams, family: CubeFamily, a: float, r_inv: float):
-    """First strict max over nested pairs Q in Q' of the family with the duals
-    (q_i/a)', per system on a stack.
+def _pair_scan(ws, cp: CharParams, kind: str, family: CubeFamily, a: float, r_inv: float):
+    """Per system, the first strict max over nested pairs Q in Q' of the
+    family with the duals (q_i/a)', for the relations of ``kind``; a single
+    system's report places its pair.
 
     Canonical order: Q in the family's order, then Q' from Q itself up to
     the root.  One array op per (level of Q, level of Q'): the Q' factors
     are spread onto the cubes of Q's level.
     """
-    grid, v, w1, w2 = stacked
-    stack = v.shape[:v.ndim - grid.dim]
+    grid, v, w1, w2 = _weight_stack(ws, cp, kind)
     d1, d2, exponent = conjugate(cp.q1 / a), conjugate(cp.q2 / a), _pair_exponent(cp)
     scans = list(dyadic_levels(grid, family))
     wfac = [np.array(_w_factors(w1, w2, shift, d1, d2, grid.dim))[(Ellipsis,) + window]
             for shift, _, window in scans]
-    best, pairs = -INF, 0
+    best, level, at, pairs = -INF, 0, 0, 0
     for i, (shift, volume, window) in enumerate(scans):
         vfac = v_factor(cube_blocks(v, shift, grid.dim), cp.t)[(Ellipsis,) + window]
         vals = finite(np.stack([_pair_scale(volume, scans[j][1], exponent, r_inv) * vfac
                                 * (w := spread(wfac[j], scans[j][0] - shift, grid.dim))[0] * w[1]
-                                for j in range(i, -1, -1)], axis=-1), "supremum")
-        pairs += vals.size
-        if stack:  # per system its maximum only
-            best = np.maximum(best, vals.reshape(stack + (-1,)).max(axis=-1))
-        elif vals.flat[k := int(np.argmax(vals))] > best:  # the first strict max
-            best = float(vals.flat[k])
-            at = grid.cell_level + shift, np.unravel_index(k, vals.shape)
-    if stack:
+                                for j in range(i, -1, -1)], -1), "supremum").reshape(len(v), -1)
+        pairs += vals.shape[1]
+        k = vals.argmax(axis=-1)
+        new = (top := vals[np.arange(len(v)), k]) > best  # per system its first strict max
+        best, level, at = np.where(new, top, best), np.where(new, i, level), np.where(new, k, at)
+    if not isinstance(ws, WeightSystem):
         return best
-    level, (*index, up) = at
-    q = family.cube(level, index)
-    outer = DyadicCube(level + up, tuple(c >> up for c in q.coords))
-    return CharacteristicReport(best, (q, outer), pairs)
+    i, k = int(level[0]), int(at[0])
+    *index, up = map(int, np.unravel_index(k, (2 ** i,) * grid.dim + (i + 1,)))
+    q = family.cube(family.root.level - i, index)
+    outer = DyadicCube(q.level + up, tuple(c >> up for c in q.coords))
+    return CharacteristicReport(float(best[0]), (q, outer), pairs)
 
 
 def char_two_weight(ws, cp: CharParams, family: CubeFamily):
@@ -221,7 +224,7 @@ def char_two_weight(ws, cp: CharParams, family: CubeFamily):
     (avg_Q v**(t/(1-t)))**((1-t)/t) prod_i (avg_Q' w_i**(-(q_i/a)'))**(1/(q_i/a)')
     with E = (1-s)/(as) for s < 1 and (1-as)/(as) for s >= 1.
     """
-    return _pair_scan(_weight_stack(ws, cp, "two-weight"), cp, family, cp.a, recip(cp.r))
+    return _pair_scan(ws, cp, "two-weight", family, cp.a, recip(cp.r))
 
 
 def _cube_scan(ws, cp: CharParams, kind: str, family: CubeFamily, a: float, v_of):
@@ -234,8 +237,8 @@ def _cube_scan(ws, cp: CharParams, kind: str, family: CubeFamily, a: float, v_of
         f1, f2 = _w_factors(w1, w2, shift, d1, d2, grid.dim)
         return volume ** recip(cp.r) * v_of(cube_blocks(v, shift, grid.dim)) * f1 * f2
     best, at = family_max(grid, family, value)
-    if isinstance(ws, WeightSystem):  # one system: its report places the cube
-        return CharacteristicReport(float(best), (family.cube_at(at),) * 2, len(family))
+    if isinstance(ws, WeightSystem):  # a one-item stack: its report places the cube
+        return CharacteristicReport(float(best[0]), (family.cube_at(at[0]),) * 2, len(family))
     return best
 
 
@@ -251,10 +254,7 @@ def char_remark(ws, cp: CharParams, family: CubeFamily):
 
 def char_one_weight(ws, cp: CharParams, family: CubeFamily):
     """One-weight characteristic: r = inf, v = w1 w2, full dual exponents q_i'."""
-    _, v, w1, w2 = stacked = _weight_stack(ws, cp, "one-weight")
-    if not np.allclose(v, w1 * w2, rtol=1e-12, atol=0.0):
-        raise ParameterError("one-weight system requires v = w1*w2 pointwise")
-    return _pair_scan(stacked, cp, family, 1.0, 0.0)
+    return _pair_scan(ws, cp, "one-weight", family, 1.0, 0.0)
 
 
 def char_testing(ws, cp: CharParams, family: CubeFamily):
@@ -264,8 +264,8 @@ def char_testing(ws, cp: CharParams, family: CubeFamily):
 
 def ap_characteristic(w: GridFunction, p: float, family: CubeFamily) -> CharacteristicReport:
     """Muckenhoupt constant sup_Q (avg_Q w) (avg_Q w**(1-p'))**(p-1)."""
-    if p <= 1.0:
-        raise ParameterError(f"A_p requires p > 1, got {p}")
+    if not 1.0 < p < INF:
+        raise ParameterError(f"A_p requires 1 < p < inf, got {p}")
     if w.values.min() <= 0:
         raise ParameterError("A_p weight must be strictly positive")
     e = 1.0 - conjugate(p)  # = -1/(p-1)

@@ -914,6 +914,8 @@ ONE_WEIGHT_ABOVE_1 = ["--alpha", "1/4", "--q1", "6/5", "--q2", "6/5", "--p", "1"
 POWER = TWO_WEIGHT[14:]
 FILES = ["--v", "V", "--w1", "W", "--w2", "W"]
 RATIO_OUT = ["--pairs", "step:2", "--levels", "4..5", "--out", "O"]
+Q1_INF = ["--alpha", "1/10", "--q1", "inf", "--q2", "4", "--p", "5", "--s", "10", "--t", "8",
+          "--r", "inf", "--a", "2"]
 
 # name -> (argv, exit code, stderr, stdout up to " inner: " or " -> "): the
 # characteristics on both sides of s = 1, every harness that checks a
@@ -1074,6 +1076,25 @@ PARAMETER_RUNS = {
         ["char", "--kind", "fs-majorant", "--r", "inf", "--s", "1/2", "--w1", "ZERO",
          "--out", "O"],
         2, "parameter error: majorant weight must be strictly positive\n", ""),
+    # an infinite exponent that a power or a dual reads: once exit 3 (the
+    # dual of q1 = inf is nan), or a value of the wrong quantity with exit 0
+    "char-testing-q1-inf": (
+        ["char", "--kind", "testing", *Q1_INF, "--beta", "1/10", "--gamma1", "1/10",
+         "--gamma2", "1/10"],
+        2, "parameter error: invalid parameters: 1 < q1, q2 < inf\n", ""),
+    "necessity-q1-inf": (
+        ["experiment", "necessity", *Q1_INF, "--out", "O"],
+        2, "parameter error: invalid parameters: 1 < q1, q2 < inf\n", ""),
+    "char-ap-p-inf": (
+        ["char", "--kind", "ap", "--p", "inf", "--v", "V"],
+        2, "parameter error: A_p requires 1 < p < inf, got inf\n", ""),
+    "norm-lebesgue-t-inf": (
+        ["norm", "--kind", "lebesgue", "--t", "inf", "--in", "V"],
+        2, "parameter error: Lebesgue exponent needs 0 < t < inf, got inf\n", ""),
+    "op-m-vector-r1-inf": (
+        ["op", "--operator", "m-vector", "--alpha", "1/2", "--r1", "inf", "--r2", "1",
+         "--f", "V", "--g", "V", "--out", "O"],
+        2, "parameter error: vector maximal exponents need 0 < r1, r2 < inf\n", ""),
 }
 
 

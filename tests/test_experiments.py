@@ -60,9 +60,8 @@ class TestProfiles:
 class TestSharpnessPair:
     def test_delta_sixteenth_lattice(self):
         f, g, meta = build_sharpness_pair(BLOWUP_CFG, 4)
-        assert meta.count == 4                          # N = floor(delta^-1/2)
-        assert len(meta.inner_boxes) == 3               # open-lattice interior
-        assert meta.height_f == pytest.approx((1 / 16) ** -0.25)
+        assert len(meta.inner_boxes) == 3               # N - 1 cubes, N = floor(delta^-1/2)
+        assert f.values.max() == pytest.approx((1 / 16) ** -0.25)
         # support is the union of triples: 3 clusters x width 3*delta
         support = np.count_nonzero(f.values) * f.cell_volume
         assert support == pytest.approx(3 * 3 * meta.delta, rel=1e-12)

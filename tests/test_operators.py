@@ -281,7 +281,7 @@ class TestMaximalOperators:
         fam = dyadic_family(unit_root(1), -4)
         out = m_alpha_vector(f, f, 0.5, 1.0, 1.0, fam).fn
         assert np.allclose(out.values, 1.0, rtol=1e-13)
-        with pytest.raises(ParameterError, match="^vector maximal exponents must be positive$"):
+        with pytest.raises(ParameterError, match=r"^vector maximal exponents need 0 < r1, r2 < inf$"):
             m_alpha_vector(f, f, 0.5, 0.0, 1.0, fam)
 
     def test_vector_maximal_bruteforce_alpha0(self):

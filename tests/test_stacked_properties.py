@@ -25,8 +25,8 @@ from morreybench import (DyadicCube, GridFunction, NumericalError, ParameterErro
 from morreybench.grid import spread  # noqa: E402
 from morreybench.norms import _morrey_sup  # noqa: E402
 from morreybench.operators import _b_values, _bilinear_maximal, _vector_maximal  # noqa: E402
-from morreybench.weights import (CharParams, WeightSystem, char_remark,  # noqa: E402
-                                 char_testing, char_two_weight, pair_value)
+from morreybench.weights import (CharParams, WeightSystem, char_one_weight,  # noqa: E402
+                                 char_remark, char_testing, char_two_weight, pair_value)
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -183,11 +183,14 @@ TWO_WEIGHT_BELOW_1 = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=16 / 27, s=0.8,
 TWO_WEIGHT_FROM_1 = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=1.0, s=16 / 9, t=1.0,
                          r=1.0 / (9 / 16 - 1.0 + 0.5), a=17 / 16)
 TESTING = dict(alpha=0.5, q1=4.0, q2=4.0, p=2.5, s=20 / 3, t=16 / 3, r=4.0, a=2.0)
+ONE_WEIGHT = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=0.6, s=6 / 7, t=(6 / 7) * (9 / 16) / 0.6,
+                  r=float("inf"), a=17 / 16)
 CHARACTERISTICS = {
     "two-weight-s<1": (char_two_weight, TWO_WEIGHT_BELOW_1),
     "two-weight-s>=1": (char_two_weight, TWO_WEIGHT_FROM_1),
     "remark": (char_remark, TWO_WEIGHT_BELOW_1),
     "testing": (char_testing, TESTING),
+    "one-weight": (char_one_weight, ONE_WEIGHT),
 }
 
 
@@ -214,6 +217,9 @@ def test_stacked_characteristics_match_single_calls(case, kind):
     # and the single call's attaining pair reproduces its value exactly
     systems, family = case
     char, exponents = CHARACTERISTICS[kind]
+    if char is char_one_weight:  # v = w1 w2 of the drawn weights
+        systems = [WeightSystem(ws.w1.with_values(ws.w1.values * ws.w2.values, "pos"),
+                                ws.w1, ws.w2) for ws in systems]
     dim = family.root.dim
     cp = CharParams(n=dim, **{**exponents, "alpha": exponents["alpha"] * dim})
     values = char(systems, cp, family)

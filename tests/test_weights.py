@@ -323,6 +323,20 @@ class TestOneWeight:
         with pytest.raises(ParameterError):
             char_one_weight(ws, cp_one_weight(), dyadic_family(unit_root(1), -4))
 
+    @pytest.mark.parametrize("dim,family_root", [
+        (1, unit_root(1)), (2, unit_root(2)), (1, DyadicCube(-1, (1,))),
+        (2, DyadicCube(-1, (1, 0)))])
+    def test_tied_pairs_report_the_family_root_pair(self, dim, family_root):
+        # v = c1 c2, w1 = c1, w2 = c2 are constant: every pair (Q, Q) has the
+        # same value, so the first strict max is the family root's own pair
+        root = unit_root(dim)
+        w1, w2 = (GridFunction(root, np.full((8,) * dim, c), "pos") for c in (3.0, 0.7))
+        ws = WeightSystem(w1.with_values(w1.values * w2.values, "pos"), w1, w2)
+        cp = dataclasses.replace(cp_one_weight(), n=dim, alpha=0.5 * dim)
+        rep = char_one_weight(ws, cp, dyadic_family(family_root, -3))
+        assert rep.attaining == (family_root, family_root)
+        assert all(type(cube.level) is int for cube in rep.attaining)
+
     def test_power_weight_finiteness_cross_check(self):
         # when the plain single-cube product constant of the system is finite
         # and stable under family growth, the nested-pair one-weight constant

@@ -44,11 +44,16 @@ MUTANTS = {
     "flat-range-1d": ("norms.py",
                       "if n == 1 and seen[i][0] == seen[j][0]:  # W is flat in between",
                       "if seen[i][0] == seen[j][0]:  # W is flat in between"),
-    # the per-system reduction of a stacked nested-pair scan, taken over the
-    # systems instead of over each system's pairs
-    "pair-scan-stack-axis": ("weights.py",
-                             "best = np.maximum(best, vals.reshape(stack + (-1,)).max(axis=-1))",
-                             "best = np.maximum(best, vals.reshape(stack + (-1,)).max(axis=0))"),
+    # the per-system position of a level's nested-pair maximum, taken over
+    # the systems instead of over each system's pairs
+    "pair-scan-stack-axis": ("weights.py", "k = vals.argmax(axis=-1)", "k = vals.argmax(axis=0)"),
+    # the per-system update of the running nested-pair maximum: the last of
+    # tied maxima instead of the first in canonical order, so a report
+    # places another pair
+    "pair-scan-last-max": (
+        "weights.py",
+        "new = (top := vals[np.arange(len(v)), k]) > best  # per system its first strict max",
+        "new = (top := vals[np.arange(len(v)), k]) >= best  # per system its first strict max"),
     # the position of a family maximum: the last of tied maxima instead of
     # the first in canonical order, so a report places another cube
     "cube-at-last-max": ("norms.py", "return vals.max(axis=-1), vals.argmax(axis=-1)",
