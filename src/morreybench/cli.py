@@ -506,9 +506,5 @@ def main(argv=None) -> int:
         return 3
 
 
-def console_main() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
     raise SystemExit(main())

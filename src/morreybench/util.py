@@ -40,8 +40,6 @@ def close(a: float, b: float) -> bool:
 
 def conjugate(x: float) -> float:
     """The conjugate exponent x' = x/(x-1) of x > 1."""
-    if x <= 1.0:
-        raise ParameterError(f"dual exponent needs x > 1, got {x}")
     return x / (x - 1.0)
 
 

@@ -851,6 +851,12 @@ class TestExitContract:
                      id="not-a-number"),
         pytest.param("flags=foo\n1.0\n2.0\n",
                      "flags must be one of ('none', 'nonneg', 'pos')", id="unknown-flags"),
+        pytest.param("flags=pos\n1.0\n0.0\n", "pos grid function has nonpositive cells",
+                     id="zero-under-pos"),
+        pytest.param("flags=nonneg\n1.0\n-1.0\n", "nonneg grid function has negative cells",
+                     id="negative-under-nonneg"),
+        pytest.param("flags=pos x\n1.0\n2.0\n", "not an MGF/1 header: 'MGF 1 dim=1 rootlevel=0 "
+                     "rootcoords=0 depth=1 flags=pos x'", id="eighth-header-token"),
     ])
     def test_bad_mgf_content_refused_with_exit_2(self, tmp_path, capsys, body, message):
         path = tmp_path / "bad.mgf"
@@ -916,12 +922,13 @@ FILES = ["--v", "V", "--w1", "W", "--w2", "W"]
 RATIO_OUT = ["--pairs", "step:2", "--levels", "4..5", "--out", "O"]
 Q1_INF = ["--alpha", "1/10", "--q1", "inf", "--q2", "4", "--p", "5", "--s", "10", "--t", "8",
           "--r", "inf", "--a", "2"]
+TWO_WEIGHT_2D = ["--dim", "2", "--alpha", "1", *TWO_WEIGHT[2:14], "--s", "4/5"]
 
 # name -> (argv, exit code, stderr, stdout up to " inner: " or " -> "): the
 # characteristics on both sides of s = 1, every harness that checks a
 # parameter set, the kernel exponent refusals, and bad input refused by the
 # check where it enters; F5 is a grid of depth 5, ZERO and NEG have a zero
-# and a negative cell
+# and a negative cell, NIL is all zero and TINY all 1e-300
 PARAMETER_RUNS = {
     "char-two-weight-s<1": (
         ["char", "--kind", "two-weight", *TWO_WEIGHT, "--s", "4/5"],
@@ -1088,6 +1095,9 @@ PARAMETER_RUNS = {
     "char-ap-p-inf": (
         ["char", "--kind", "ap", "--p", "inf", "--v", "V"],
         2, "parameter error: A_p requires 1 < p < inf, got inf\n", ""),
+    "char-ap-p-past-2**53": (  # p' rounds to 1, so the power 1 - p' is 0
+        ["char", "--kind", "ap", "--p", "1e16", "--v", "V"],
+        2, "parameter error: power mean exponent must be nonzero\n", ""),
     "norm-lebesgue-t-inf": (
         ["norm", "--kind", "lebesgue", "--t", "inf", "--in", "V"],
         2, "parameter error: Lebesgue exponent needs 0 < t < inf, got inf\n", ""),
@@ -1095,6 +1105,63 @@ PARAMETER_RUNS = {
         ["op", "--operator", "m-vector", "--alpha", "1/2", "--r1", "inf", "--r2", "1",
          "--f", "V", "--g", "V", "--out", "O"],
         2, "parameter error: vector maximal exponents need 0 < r1, r2 < inf\n", ""),
+    # input refused, or a branch taken, below the CLI's own checks
+    "ratio-levels-below-base-depth": (
+        ["experiment", "ratio", "--theorem", "bilinear-ratio", *RATIO, "--pairs", "step:2",
+         "--levels", "2..3", "--out", "O"],
+        2, "parameter error: refinement level below the pair's base depth\n", ""),
+    "ratio-bump-pairs": (
+        ["experiment", "ratio", "--theorem", "bilinear-ratio", *RATIO, "--pairs", "bump:2",
+         "--levels", "4..5", "--out", "O"],
+        0, "", "ratio bilinear-ratio max_by_level=4:4.61702262706097 5:4.551234978936325 "
+               "stable=yes"),
+    "cz-threshold-base-1": (
+        ["cz", "--f", "V", "--g", "V", "--a", "1", "--out", "O"],
+        2, "parameter error: threshold base must exceed 1, got 1.0\n", ""),
+    "cz-root-of-one-cell": (
+        ["cz", "--f", "V", "--g", "V", "--rootlevel", "-4", "--rootcoords", "0", "--out", "O"],
+        2, "parameter error: grid cells must be strictly finer than the base cube\n", ""),
+    "op-b-dyadic-root-above-the-grid": (
+        ["op", "--operator", "b-dyadic", "--alpha", "1/2", "--f", "V", "--g", "V",
+         "--rootlevel", "1", "--rootcoords", "0", "--out", "O"],
+        2, "parameter error: cube lies outside the grid root\n", ""),
+    "char-center-on-a-cell-edge": (
+        ["char", "--kind", "two-weight", *TWO_WEIGHT[:14], "--s", "4/5", "--beta", "3/2",
+         "--gamma1", "0", "--gamma2", "0", "--center", "1/2"],
+        2, "parameter error: cell [0.484375, 0.5) touches the center: |x|**(-1.5) is not "
+           "integrable there\n", ""),
+    "char-v-of-power-minus-1": (  # the logarithmic cell averages, centre off the grid
+        ["char", "--kind", "two-weight", *TWO_WEIGHT[:14], "--s", "4/5", "--beta", "1",
+         "--gamma1", "0.02", "--gamma2", "0.02", "--center", "2"],
+        0, "", "two-weight value=0.826461226336554 pairs=769"),
+    "char-2d-center-at-a-midpoint": (
+        ["char", "--kind", "two-weight", *TWO_WEIGHT_2D, "--beta", "1", "--gamma1", "0",
+         "--gamma2", "0", "--center", "1/128,1/128"],
+        2, "parameter error: a cell midpoint coincides with the center\n", ""),
+    "char-2d-center-inside-the-grid": (
+        ["char", "--kind", "two-weight", *TWO_WEIGHT_2D, "--beta", "2", "--gamma1", "0",
+         "--gamma2", "0", "--center", "1/2,1/2"],
+        2, "parameter error: |x|**(-2.0) is not integrable at the center inside the grid\n",
+        ""),
+    "char-one-weight-v-not-w1-w2": (
+        ["char", "--kind", "one-weight", *ONE_WEIGHT_BELOW_1, "--v", "V", "--w1", "V",
+         "--w2", "W"],
+        2, "parameter error: one-weight system requires v = w1*w2 pointwise\n", ""),
+    "sharpness-p2-not-p1": (  # g is not f, so its norm is its own
+        ["experiment", "sharpness", *SHARPNESS[:4], "--p2", "5", *SHARPNESS[6:],
+         "--deltas", "4..5", "--out", "O"],
+        0, "", "sharpness (blow-up) slope=0.03690569599715083 bound=-0.050000000000000024 "
+               "floors=ok"),
+    "norm-weak-all-zero": (
+        ["norm", "--kind", "weak", "--p", "2", "--in", "NIL"],
+        0, "", "weak p=2.0 value=0.0"),
+    "norm-morrey-all-zero": (
+        ["norm", "--kind", "morrey", "--p", "2", "--q", "1", "--family", "all", "--in", "NIL"],
+        0, "", "morrey p=2.0 q=1.0 family=all value=0.0 attained at box cells (0,)..(1,)"),
+    "norm-morrey-all-tiny": (  # range bounds below the certified range are +inf
+        ["norm", "--kind", "morrey", "--p", "2", "--q", "1", "--family", "all", "--in", "TINY"],
+        0, "", "morrey p=2.0 q=1.0 family=all value=1.0000000000000004e-300 attained at box "
+               "cells (0,)..(16,)"),
 }
 
 
@@ -1128,7 +1195,8 @@ def test_parameter_checks_keep_their_outcome(tmp_path, capsys, name):
     # the exit code, the whole stderr and the printed value of each run
     argv, code, err, head = PARAMETER_RUNS[name]
     files = {"V": np.full(16, 4.0), "W": np.full(16, 2.0), "F": np.ones(8), "F5": np.ones(32),
-             "ZERO": np.full(16, 2.0), "NEG": np.ones(16)}
+             "ZERO": np.full(16, 2.0), "NEG": np.ones(16), "NIL": np.zeros(16),
+             "TINY": np.full(16, 1e-300)}
     files["ZERO"][3], files["NEG"][5] = 0.0, -1.0
     for key, values in files.items():
         write_step(tmp_path / key, values, flags="pos" if values.min() > 0 else "none")
@@ -1137,9 +1205,6 @@ def test_parameter_checks_keep_their_outcome(tmp_path, capsys, name):
     std = capsys.readouterr()
     assert std.err == err
     assert std.out.split(" -> ")[0].split(" inner: ")[0].rstrip("\n") == head
-
-
-TWO_WEIGHT_2D = ["--dim", "2", "--alpha", "1", *TWO_WEIGHT[2:14], "--s", "4/5"]
 
 
 @pytest.mark.parametrize("argv", [

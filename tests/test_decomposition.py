@@ -295,15 +295,3 @@ class TestPackingSum:
         v = power_weight(0.3, 0.0, unit_root(1), 6)
         q = DyadicCube(-2, (2,))
         assert packing_sum(q, v, 0.4, 0.6) <= 1.0
-
-    def test_t_out_of_range(self):
-        v = GridFunction(unit_root(1), np.ones(8), "pos")
-        with pytest.raises(ParameterError):
-            packing_sum(unit_root(1), v, 1.0, 0.5)
-        # and its other refusals: the order, a zero cell, a power past the float range
-        with pytest.raises(ParameterError, match="0 < alpha <= n, got 1.5"):
-            packing_sum(unit_root(1), v, 0.5, 1.5)
-        with pytest.raises(ParameterError, match="packing weight must be strictly positive"):
-            packing_sum(unit_root(1), v.with_values(np.arange(8.0)), 0.5, 0.5)
-        with np.errstate(over="ignore"), pytest.raises(ParameterError, match="power overflows"):
-            packing_sum(unit_root(1), v.with_values(np.full(8, 1e10), "pos"), 0.99, 0.5)

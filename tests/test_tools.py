@@ -7,6 +7,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
+import mutants  # noqa: E402
 import perf_bench  # noqa: E402
 
 from morreybench.experiments import THEOREMS  # noqa: E402
@@ -55,6 +56,30 @@ def test_census_lists_the_lines_a_run_never_reaches():
     assert count and 0 < int(count[1]) < int(count[2])
 
 
+def test_census_lists_the_lines_run_only_outside_cli_main():
+    # one test id drives cli.main, one calls the pair_value oracle directly;
+    # both reach weights._w_factors, only the direct call reaches pair_value
+    run = subprocess.run([sys.executable, str(ROOT / "tools" / "census.py"), "-q",
+                          "-p", "no:hypothesispytest",
+                          "tests/test_cli.py::TestCharCommand::test_synthetic_testing_constant",
+                          "tests/test_weights.py::TestTwoWeight::"
+                          "test_attaining_pair_recomputes_bit_exact"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr
+    lines = run.stdout.splitlines()
+    outside = [line.removeprefix("outside cli.main: ") for line in lines
+               if line.startswith("outside cli.main: morreybench.")]
+    assert any(re.fullmatch(r"morreybench\.weights:\d+: grid = ws\.v", line)
+               for line in outside)  # in pair_value
+    # its def line ran in the module body, at import: reached
+    assert not any(re.match(r"morreybench\.weights:\d+: def pair_value\(", line)
+                   for line in outside)
+    assert not any("power_mean(cube_blocks(w1, shift, dim), -d1)" in line for line in lines)
+    count = re.fullmatch(r"(\d+) of (\d+) executable lines in src/ ran only outside cli.main",
+                         lines[-2])
+    assert count and int(count[1]) == len(outside)
+
+
 def test_mutants_reports_a_killed_mutant_and_leaves_the_tree():
     # one mutant against one small test id; without the hypothesis plugin,
     # which this test id does not use, pytest starts about 1 s sooner
@@ -67,3 +92,19 @@ def test_mutants_reports_a_killed_mutant_and_leaves_the_tree():
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout == "pair-scan-stack-axis: killed\n"
     assert source.read_text() == before
+
+
+def test_mutants_sets_aside_the_tests_that_fail_unmutated(monkeypatch, capsys):
+    # a no-op mutant (a comment changed) against the red criterion 2 and one
+    # passing id: the red test fails on the unmutated copy too, so it is set
+    # aside, and the mutant survives
+    line = ("DEPTH_EXTRA = 3             # sharpness grids resolve delta by 2**-3, "
+            "so 1.5 delta is on the grid")
+    monkeypatch.setitem(mutants.MUTANTS, "no-op", (
+        "experiments.py", line, line.replace("# sharpness", "# the sharpness")))
+    red = "tests/test_acceptance.py::test_criterion_02_sharpness_norm_floor"
+    assert mutants.main(["--mutant", "no-op", "-p", "no:hypothesispytest", red,
+                         "tests/test_acceptance.py::test_criterion_08_packing_bound"]) == 1
+    std = capsys.readouterr()
+    assert std.out == "no-op: survived\n"
+    assert std.err == f"mutants: set aside, fails unmutated: {red}\n"

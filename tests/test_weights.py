@@ -196,9 +196,7 @@ class TestTwoWeight:
         probe = pair_value(ws, cp1, q_in, q_out) / direct_max
         ws_unit_v = WeightSystem(ws.v.with_values(np.ones(16), "pos"), ws.w1, ws.w2)
         assert probe == pytest.approx(pair_value(ws_unit_v, cp1, q_in, q_out), rel=1e-13)
-        # pair_value reads its exponents unchecked: a >= q1 has no dual, t = 0 no v power
-        with pytest.raises(ParameterError, match="^dual exponent needs x > 1, got 1.0$"):
-            pair_value(ws, dataclasses.replace(cp1, a=9 / 8), q_in, q_out)
+        # pair_value reads its exponents unchecked: t = 0 has no v power
         with pytest.raises(ParameterError, match="^power mean exponent must be nonzero$"):
             pair_value(ws, dataclasses.replace(cp1, t=0.0), q_in, q_out)
 

@@ -1,4 +1,5 @@
-"""List the executable lines of ``src/`` that a pytest run never executes.
+"""List the executable lines of ``src/`` that a pytest run never executes,
+and those it executes only outside ``cli.main``.
 
 Usage, from the repository root:
 
@@ -8,9 +9,14 @@ With no arguments it runs the tier-1 suite (``-q
 --continue-on-collection-errors``).  pytest runs in this interpreter under
 ``sys.settrace`` and ``threading.settrace``, so threads the code starts are
 traced too.  A line is executable when the compiled module holds bytecode for
-it.  The census prints ``module:line: source`` for each executable line that
-never ran, then a count line, and exits with pytest's exit code.  It reads
-the tree and writes nothing to it.
+it.  A line counts as reached by an entry point when it ran while a call of
+``cli.main`` or a module body of ``src/`` (an import) was on the stack; a
+line that only direct calls of library functions ran is not.  The census
+prints ``module:line: source`` for each executable line that never ran, then
+``outside cli.main: module:line: source`` for each line that ran but never
+under an entry point, then a count line for each list, the never-ran count
+last, and exits with pytest's exit code.  It reads the tree and writes
+nothing to it.
 
 Standard library only, apart from pytest itself.
 """
@@ -40,22 +46,43 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
-    """Run pytest with ``args`` under the tracer; return its code and the lines run."""
+def run(args: list[str]) -> tuple[int, dict[str, set[int]], dict[str, set[int]]]:
+    """Run pytest with ``args`` under the tracer; return its code, the lines
+    run, and the lines run while ``cli.main`` or a module body of ``src/`` was
+    on the stack."""
     prefix = str(SRC) + "/"
+    cli_main = (str(SRC / "morreybench" / "cli.py"), "main")
     ran: dict[str, set[int]] = {}
+    reached: dict[str, set[int]] = {}
+    depth = 0  # frames of cli.main and of module bodies on the stack, in any thread
 
     def local(frame, event, arg):
         if event == "line":
-            ran[frame.f_code.co_filename].add(frame.f_lineno)
+            name = frame.f_code.co_filename
+            ran[name].add(frame.f_lineno)
+            if depth:
+                reached[name].add(frame.f_lineno)
         return local
 
+    def entry(frame, event, arg):
+        nonlocal depth
+        local(frame, event, arg)
+        if event == "return":  # fired on an exception exit too
+            depth -= 1
+        return entry
+
     def tracer(frame, event, arg):
-        name = frame.f_code.co_filename
+        nonlocal depth
+        name, func = frame.f_code.co_filename, frame.f_code.co_name
         if not name.startswith(prefix):
             return None
+        is_entry = func == "<module>" or (name, func) == cli_main
+        depth += is_entry
         ran.setdefault(name, set()).add(frame.f_lineno)
-        return local
+        reached.setdefault(name, set())
+        if depth:
+            reached[name].add(frame.f_lineno)
+        return entry if is_entry else local
 
     sys.path.insert(0, str(SRC))
     threading.settrace(tracer)
@@ -65,22 +92,27 @@ def run(args: list[str]) -> tuple[int, dict[str, set[int]]]:
     finally:
         sys.settrace(None)
         threading.settrace(None)
-    return int(code), ran
+    return int(code), ran, reached
 
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    code, ran = run(args or TIER1)
+    code, ran, reached = run(args or TIER1)
     total = 0
-    missed = []
+    missed, outside = [], []
     for path in sorted(SRC.rglob("*.py")):
         lines = executable_lines(path)
         total += len(lines)
         text = path.read_text().splitlines()
         module = ".".join(path.relative_to(SRC).with_suffix("").parts)
-        for line in sorted(lines - ran.get(str(path), set())):
-            missed.append(f"{module}:{line}: {text[line - 1].strip()}")
-    print("\n".join(missed))
+        for line in sorted(lines):
+            where = f"{module}:{line}: {text[line - 1].strip()}"
+            if line not in ran.get(str(path), ()):
+                missed.append(where)
+            elif line not in reached[str(path)]:
+                outside.append(f"outside cli.main: {where}")
+    sys.stdout.writelines(f"{where}\n" for where in missed + outside)
+    print(f"{len(outside)} of {total} executable lines in src/ ran only outside cli.main")
     print(f"{len(missed)} of {total} executable lines in src/ never ran")
     return code
 

@@ -5,13 +5,18 @@ Usage, from the repository root:
     python3 tools/mutants.py [--mutant NAME ...] [pytest arguments ...]
 
 The checkout is copied to a temporary directory, and the working tree is
-never edited.  In the copy, each mutant of ``MUTANTS`` (all of them, or the
-ones named) replaces one line of a module, pytest runs, and the line is put
-back.  With no pytest arguments the run takes the test files that import
-the mutated module.  A mutant is killed when a test fails, and survives when
-every test passes.  One line per mutant, ``NAME: killed``, ``NAME:
-survived`` or ``NAME: error (pytest exit N)``, then the tool exits 0 when
-every mutant was killed and 1 otherwise.
+never edited.  With no pytest arguments a mutant's tests are the test files
+that import its module.  Those tests run once on the unmutated copy first:
+the ids that fail there (the known red criterion 2, say) are set aside and
+named on stderr, and that run's time sets the limit of each mutant run, as
+``LIMIT`` times it plus ``GRACE`` seconds.  Then in the copy each mutant of
+``MUTANTS`` (all of them, or the ones named) replaces one line of a module,
+pytest runs with ``-x`` and the set-aside ids deselected, and the line is
+put back.  A mutant is killed when a test fails, survives when every test
+passes, and times out when the run passes the limit.  One line per mutant on
+stdout, ``NAME: killed``, ``NAME: survived``, ``NAME: timeout`` or ``NAME:
+error (pytest exit N)``, then the tool exits 0 when every mutant was killed
+or timed out and 1 otherwise.
 
 Standard library only; pytest runs in a new interpreter.
 """
@@ -25,6 +30,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -65,6 +71,7 @@ MUTANTS = {
                            "norm_g = (norm_f if (cfg.p2, cfg.q2) == (cfg.p1, cfg.q1)  # then g is f",
                            "norm_g = (norm_f if cfg.p2 == cfg.p1  # then g is f"),
 }
+LIMIT, GRACE = 3, 10  # a mutant run may take 3x the unmutated run's time, plus 10 s
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                 ".bench_*", ".benchmarks")
 
@@ -95,18 +102,40 @@ def importers(tests: Path, module: str) -> list[str]:
     return out
 
 
-def run(copy: Path, name: str, args: list[str]) -> str:
+def run_pytest(copy: Path, tests: list[str], *extra: str, timeout: float | None = None):
+    """pytest's exit code and short report on ``tests`` in ``copy``, and its time in seconds."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+    start = time.perf_counter()
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                          *extra, *tests], cwd=copy, env=env, capture_output=True, text=True,
+                         timeout=timeout)
+    return run.returncode, run.stdout, time.perf_counter() - start
+
+
+def baseline(copy: Path, tests: list[str]) -> tuple[list[str], float]:
+    """The ids of ``tests`` that fail on the unmutated ``copy``, and the time
+    limit of a mutant run on them."""
+    code, report, elapsed = run_pytest(copy, tests)
+    if code not in (0, 1):
+        raise SystemExit(f"mutants: the unmutated tests end with pytest exit {code}")
+    failing = [line.split(" ", 1)[1].split(" - ", 1)[0] for line in report.splitlines()
+               if line.startswith(("FAILED ", "ERROR "))]
+    for test_id in failing:
+        print(f"mutants: set aside, fails unmutated: {test_id}", file=sys.stderr, flush=True)
+    return failing, LIMIT * elapsed + GRACE
+
+
+def run(copy: Path, name: str, tests: list[str], failing: list[str], limit: float) -> str:
     """The verdict on mutant ``name`` in the checkout copy ``copy``."""
     module, line, mutant = MUTANTS[name]
     path = copy / "src" / "morreybench" / module
     original = path.read_text()
     path.write_text(mutate(original, line, mutant))
     try:
-        tests = args or importers(copy / "tests", module[:-3])
-        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
-        code = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                               *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL).returncode
+        code = run_pytest(copy, tests, "-x", *(f"--deselect={i}" for i in failing),
+                          timeout=limit)[0]
+    except subprocess.TimeoutExpired:
+        return "timeout"
     finally:
         path.write_text(original)
     return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
@@ -121,10 +150,14 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=IGNORE)
+        baselines = {}  # the tests of a mutant -> (their failing ids, the time limit)
         for name in ns.mutant or MUTANTS:
-            verdicts.append(run(copy, name, args))
+            tests = args or importers(copy / "tests", MUTANTS[name][0][:-3])
+            if tuple(tests) not in baselines:
+                baselines[tuple(tests)] = baseline(copy, tests)
+            verdicts.append(run(copy, name, tests, *baselines[tuple(tests)]))
             print(f"{name}: {verdicts[-1]}", flush=True)
-    return 0 if all(v == "killed" for v in verdicts) else 1
+    return 0 if all(v in ("killed", "timeout") for v in verdicts) else 1
 
 
 if __name__ == "__main__":
