@@ -266,37 +266,38 @@ def write_mgf(path, f: GridFunction) -> None:
 
 
 def read_mgf(path) -> GridFunction:
-    with open(path) as fh:
-        header = fh.readline().strip()
-        parts = header.split()
-        if len(parts) != 7 or parts[0] != "MGF" or parts[1] != "1":
-            raise ParameterError(f"not an MGF/1 header: {header!r}")
-        kv = {}
-        for tok in parts[2:]:
-            key, _, val = tok.partition("=")
-            kv[key] = val
-        try:
-            dim = int(kv["dim"])
-            rootlevel = int(kv["rootlevel"])
-            rootcoords = tuple(int(c) for c in kv["rootcoords"].split(","))
-            depth = int(kv["depth"])
-            flags = kv["flags"]
-            if depth < 0 or dim != len(rootcoords):
-                raise ValueError(header)
-        except (KeyError, ValueError) as exc:
-            raise ParameterError(f"malformed MGF/1 header: {header!r}") from exc
-        check_levels(dim, rootlevel, depth)
-        count = (2 ** depth) ** dim
-        vals = array("d")  # grows with the values read, not with the header's claim
-        for i, line in zip(range(count), fh):
-            try:
-                vals.append(float(line))
-            except ValueError as exc:
-                raise ParameterError(f"MGF/1 value {i} is not a number: {line.strip()!r}") from exc
-        if len(vals) < count:
-            raise ParameterError(f"MGF/1 file truncated at value {len(vals)}")
-        if fh.read().strip():
-            raise ParameterError(f"MGF/1 file has content after its {count} values")
+    with open(path) as fh:  # text mode: "\r\n" and "\r" read as "\n"
+        header, *lines = fh.read().removesuffix("\n").split("\n")
+    header = header.strip()
+    parts = header.split()
+    if len(parts) != 7 or parts[0] != "MGF" or parts[1] != "1":
+        raise ParameterError(f"not an MGF/1 header: {header!r}")
+    kv = {}
+    for tok in parts[2:]:
+        key, _, val = tok.partition("=")
+        kv[key] = val
+    try:
+        dim = int(kv["dim"])
+        rootlevel = int(kv["rootlevel"])
+        rootcoords = tuple(int(c) for c in kv["rootcoords"].split(","))
+        depth = int(kv["depth"])
+        flags = kv["flags"]
+        if depth < 0 or dim != len(rootcoords):
+            raise ValueError(header)
+    except (KeyError, ValueError) as exc:
+        raise ParameterError(f"malformed MGF/1 header: {header!r}") from exc
+    check_levels(dim, rootlevel, depth)
+    count = (2 ** depth) ** dim
+    vals = array("d")  # grows with the values read, not with the header's claim
+    try:
+        vals.extend(map(float, lines[:count]))
+    except ValueError as exc:  # extend keeps the values before the bad line
+        bad = lines[len(vals)].strip()
+        raise ParameterError(f"MGF/1 value {len(vals)} is not a number: {bad!r}") from exc
+    if len(vals) < count:
+        raise ParameterError(f"MGF/1 file truncated at value {len(vals)}")
+    if any(map(str.strip, lines[count:])):
+        raise ParameterError(f"MGF/1 file has content after its {count} values")
     values = np.array(vals).reshape((2 ** depth,) * dim, order="C")
     return GridFunction(DyadicCube(rootlevel, rootcoords), values, flags)
 

@@ -264,8 +264,8 @@ def char_testing(ws, cp: CharParams, family: CubeFamily):
 
 def ap_characteristic(w: GridFunction, p: float, family: CubeFamily) -> CharacteristicReport:
     """Muckenhoupt constant sup_Q (avg_Q w) (avg_Q w**(1-p'))**(p-1)."""
-    if not 1.0 < p < INF:
-        raise ParameterError(f"A_p requires 1 < p < inf, got {p}")
+    if not 1.0 < p < INF or conjugate(p) == 1.0:  # p' rounds to 1 for p past about 2**53
+        raise ParameterError(f"A_p requires 1 < p < inf and p' = p/(p-1) > 1, got p = {p}")
     if w.values.min() <= 0:
         raise ParameterError("A_p weight must be strictly positive")
     e = 1.0 - conjugate(p)  # = -1/(p-1)

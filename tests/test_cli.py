@@ -1094,10 +1094,16 @@ PARAMETER_RUNS = {
         2, "parameter error: invalid parameters: 1 < q1, q2 < inf\n", ""),
     "char-ap-p-inf": (
         ["char", "--kind", "ap", "--p", "inf", "--v", "V"],
-        2, "parameter error: A_p requires 1 < p < inf, got inf\n", ""),
-    "char-ap-p-past-2**53": (  # p' rounds to 1, so the power 1 - p' is 0
+        2, "parameter error: A_p requires 1 < p < inf and p' = p/(p-1) > 1, got p = inf\n",
+        ""),
+    "char-ap-p-past-2**53": (  # p' rounds to 1, so the power 1 - p' would be 0
         ["char", "--kind", "ap", "--p", "1e16", "--v", "V"],
-        2, "parameter error: power mean exponent must be nonzero\n", ""),
+        2, "parameter error: A_p requires 1 < p < inf and p' = p/(p-1) > 1, got p = 1e+16\n",
+        ""),
+    "char-ap-p-below-2**53": (  # the largest p of the README's range that still runs
+        ["char", "--kind", "ap", "--p", "1e15", "--v", "V"],
+        0, "", "ap p=1000000000000000.0 value=1.0 at dyadic level=0 coords=(0,) corner=[0.0] "
+        "side=1.0"),
     "norm-lebesgue-t-inf": (
         ["norm", "--kind", "lebesgue", "--t", "inf", "--in", "V"],
         2, "parameter error: Lebesgue exponent needs 0 < t < inf, got inf\n", ""),

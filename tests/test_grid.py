@@ -1,11 +1,14 @@
+from array import array
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from morreybench import (AlignedBox, DyadicCube, GridFunction, ParameterError, cube_box,
                          enumerate_subcubes, read_mgf, unit_root,
                          write_mgf)
 from morreybench import grid
-from morreybench.grid import cube_blocks, spread
+from morreybench.grid import check_levels, cube_blocks, spread
 
 from geometry_reference import children, parent, triple, upper
 
@@ -199,7 +202,106 @@ def write_mgf_per_value(path, f):
             fh.write(f"{v:.17g}\n")
 
 
+def read_mgf_per_line(path):
+    """The MGF/1 reader one ``float`` per file line: the value reference for ``read_mgf``."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        parts = header.split()
+        if len(parts) != 7 or parts[0] != "MGF" or parts[1] != "1":
+            raise ParameterError(f"not an MGF/1 header: {header!r}")
+        kv = {}
+        for tok in parts[2:]:
+            key, _, val = tok.partition("=")
+            kv[key] = val
+        try:
+            dim = int(kv["dim"])
+            rootlevel = int(kv["rootlevel"])
+            rootcoords = tuple(int(c) for c in kv["rootcoords"].split(","))
+            depth = int(kv["depth"])
+            flags = kv["flags"]
+            if depth < 0 or dim != len(rootcoords):
+                raise ValueError(header)
+        except (KeyError, ValueError) as exc:
+            raise ParameterError(f"malformed MGF/1 header: {header!r}") from exc
+        check_levels(dim, rootlevel, depth)
+        count = (2 ** depth) ** dim
+        vals = array("d")
+        for i, line in zip(range(count), fh):
+            try:
+                vals.append(float(line))
+            except ValueError as exc:
+                raise ParameterError(f"MGF/1 value {i} is not a number: {line.strip()!r}") from exc
+        if len(vals) < count:
+            raise ParameterError(f"MGF/1 file truncated at value {len(vals)}")
+        if fh.read().strip():
+            raise ParameterError(f"MGF/1 file has content after its {count} values")
+    values = np.array(vals).reshape((2 ** depth,) * dim, order="C")
+    return GridFunction(DyadicCube(rootlevel, rootcoords), values, flags)
+
+
+def mgf_outcome(reader, path):
+    """A read's refusal text, or its grid and the bytes of its values."""
+    try:
+        f = reader(path)
+    except ParameterError as exc:
+        return str(exc)
+    return f.root, f.flags, f.values.shape, f.values.tobytes()
+
+
+_PAD = st.sampled_from(["", " ", "\t", " \t", "\x0c"])
+_NUMBER = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.17g}"),
+                    st.integers(-10 ** 20, 10 ** 20).map(str),
+                    st.sampled_from(["nan", "-inf", "1e400", "1_0", "+.5"]))
+_VALUE = st.tuples(_PAD, _NUMBER, _PAD).map("".join)
+# a blank line, words, a value with a form feed or a space inside, a hex literal
+_BAD = st.sampled_from(["", " ", "abc", "1.5.5", "1\x0c2", "1 2", "0x10"])
+_END = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def mgf_texts(draw):
+    """MGF/1 files of the header's count of values or of 0 to count + 2 of
+    them, a bad line at a random index in a third of them, up to two
+    trailing blank lines, and each line's end drawn, the last one possibly
+    missing."""
+    dim = draw(st.sampled_from([1, 2]))
+    depth = draw(st.integers(0, 4 // dim))
+    count = 2 ** (dim * depth)
+    n = draw(st.one_of(st.just(count), st.integers(0, count + 2)))
+    lines = draw(st.lists(_VALUE, min_size=n, max_size=n))
+    if lines and draw(st.integers(0, 2)) == 0:
+        lines[draw(st.integers(0, n - 1))] = draw(_BAD)
+    lines += draw(st.lists(st.sampled_from(["", " ", "\t"]), max_size=2))
+    ends = draw(st.lists(_END, min_size=len(lines) + 1, max_size=len(lines) + 1))
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    lines.insert(0, f"MGF 1 dim={dim} rootlevel=0 rootcoords={','.join('0' * dim)} "
+                    f"depth={depth} flags=none")
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+HEAD = "MGF 1 dim=1 rootlevel=0 rootcoords=0 depth=1 flags=none"
+
+
 class TestMgfFormat:
+    # every read returns the per-line reader's array bit for bit, or its refusal
+    @given(text=mgf_texts())
+    @example(text=f"{HEAD}\r\n1.5\r\n2\r\n")
+    @example(text=f"{HEAD}\r1.5\r2")  # lone "\r" ends, no final line end
+    @example(text=f"{HEAD}\n1.5\x0c\n2\n")  # str.splitlines() would split at "\x0c"
+    @example(text=f"{HEAD}\n1\x0c2\n2\n")
+    @example(text=f"{HEAD}\n \t1.5\t \n2\n\n \n\n")  # padded values, trailing blank lines
+    @example(text=f"{HEAD}\n1.5\n\n2\n")  # a blank line mid-body
+    @example(text=f"{HEAD}\n1.5\n")  # truncated
+    @example(text=f"{HEAD}")  # no values at all
+    @example(text=f"{HEAD}\n1.5\n2\n3\n")  # content after the last value
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_reader_matches_per_line_reader(self, tmp_path, text):
+        path = tmp_path / "f.mgf"
+        path.write_bytes(text.encode("ascii"))
+        assert mgf_outcome(read_mgf, path) == mgf_outcome(read_mgf_per_line, path)
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(9)
         for dim, depth in [(1, 4), (2, 3)]:

@@ -1,9 +1,14 @@
 """The timing and census tools run on this checkout."""
 
+import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -35,6 +40,13 @@ def test_direct_sweep_timings_count_scans():
     assert all(len(e["times"]) == 2 and min(e["times"]) > 0 for e in sweeps.values())
     assert 0 < sweeps["b_5_5.depth7"]["scans"] <= 16
     assert 0 < sweeps["f_4_2.depth7"]["scans"] <= 32
+
+
+def test_direct_mgf_timings():
+    # the MGF snippet writes and reads one seeded grid of 1,024 values
+    times = perf_bench.mgf_times(str(ROOT), [(1, 10)], 2)
+    assert set(times) == {"write.1d.depth10", "read.1d.depth10"}
+    assert all(len(runs) == 2 and min(runs) > 0 for runs in times.values())
 
 
 def test_src_line_count_of_this_checkout():
@@ -108,3 +120,43 @@ def test_mutants_sets_aside_the_tests_that_fail_unmutated(monkeypatch, capsys):
     std = capsys.readouterr()
     assert std.out == "no-op: survived\n"
     assert std.err == f"mutants: set aside, fails unmutated: {red}\n"
+
+
+SLEEPER = """
+import os, subprocess
+def test_sleeps():
+    sleep = subprocess.Popen(["sleep", "30"])
+    with open("sleep.pid.part", "w") as fh:
+        fh.write(str(sleep.pid))
+    os.replace("sleep.pid.part", "sleep.pid")
+    sleep.wait()
+"""
+
+
+def sleeping(pid):
+    """Whether process ``pid`` is a ``sleep`` that has not exited."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    name, state = stat.split(" (", 1)[1].rsplit(") ", 1)
+    return name == "sleep" and state[0] != "Z"
+
+
+def test_mutants_timeout_kills_what_the_tests_started(tmp_path):
+    # the one test starts one sleep 30 and waits on it; the 1 s limit must
+    # end the sleep as well as pytest
+    (tmp_path / "test_sleeps.py").write_text(SLEEPER)
+    with pytest.raises(subprocess.TimeoutExpired):
+        mutants.run_pytest(tmp_path, ["test_sleeps.py"], "-p", "no:hypothesispytest", timeout=1)
+    if not (tmp_path / "sleep.pid").exists():
+        pytest.skip("pytest did not reach the test within the 1 s limit")
+    pid = int((tmp_path / "sleep.pid").read_text())
+    deadline = time.monotonic() + 5  # the killed sleep waits to be reaped
+    while sleeping(pid) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    try:
+        assert not sleeping(pid)
+    finally:
+        if sleeping(pid):
+            os.kill(pid, signal.SIGKILL)

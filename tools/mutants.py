@@ -13,10 +13,11 @@ named on stderr, and that run's time sets the limit of each mutant run, as
 ``MUTANTS`` (all of them, or the ones named) replaces one line of a module,
 pytest runs with ``-x`` and the set-aside ids deselected, and the line is
 put back.  A mutant is killed when a test fails, survives when every test
-passes, and times out when the run passes the limit.  One line per mutant on
-stdout, ``NAME: killed``, ``NAME: survived``, ``NAME: timeout`` or ``NAME:
-error (pytest exit N)``, then the tool exits 0 when every mutant was killed
-or timed out and 1 otherwise.
+passes, and times out when the run passes the limit; a timeout kills the
+run's whole process group, the processes its tests started included.  One
+line per mutant on stdout, ``NAME: killed``, ``NAME: survived``, ``NAME:
+timeout`` or ``NAME: error (pytest exit N)``, then the tool exits 0 when
+every mutant was killed or timed out and 1 otherwise.
 
 Standard library only; pytest runs in a new interpreter.
 """
@@ -27,6 +28,7 @@ import argparse
 import ast
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -103,13 +105,24 @@ def importers(tests: Path, module: str) -> list[str]:
 
 
 def run_pytest(copy: Path, tests: list[str], *extra: str, timeout: float | None = None):
-    """pytest's exit code and short report on ``tests`` in ``copy``, and its time in seconds."""
+    """pytest's exit code and short report on ``tests`` in ``copy``, and its time in seconds.
+
+    pytest runs in a session of its own, so a timeout kills its process group:
+    pytest and every process its tests started, before ``TimeoutExpired``
+    propagates.
+    """
     env = dict(os.environ, PYTHONPATH=str(copy / "src"))
     start = time.perf_counter()
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-                          *extra, *tests], cwd=copy, env=env, capture_output=True, text=True,
-                         timeout=timeout)
-    return run.returncode, run.stdout, time.perf_counter() - start
+    with subprocess.Popen([sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+                           *extra, *tests], cwd=copy, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, start_new_session=True) as run:
+        try:
+            report = run.communicate(timeout=timeout)[0]
+        except subprocess.TimeoutExpired:
+            os.killpg(run.pid, signal.SIGKILL)
+            run.communicate()
+            raise
+    return run.returncode, report, time.perf_counter() - start
 
 
 def baseline(copy: Path, tests: list[str]) -> tuple[list[str], float]:

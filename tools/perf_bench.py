@@ -24,7 +24,10 @@ spread (max - min) and every run:
 * direct ``norms._morrey_aligned`` calls on the blow-up sharpness pair at
   the 1D depths ``SWEEP_DEPTHS``: B_alpha's norm at (s, t) = (5, 5) and f's
   at (p1, q1) = (4, 2), each with the number of ``_windows`` scans one call
-  makes (counted on an untimed call).
+  makes (counted on an untimed call);
+* direct ``write_mgf`` and ``read_mgf`` calls on seeded positive grids of the
+  sizes ``MGF_SIZES``, with values per second at each size and the scaling
+  exponent over the 2D depths next to the predicted 1.
 
 Each direct timing runs in a new interpreter that imports the checkout's
 ``src/``, so both sides run the same timing code.  The interpreters alternate
@@ -56,6 +59,7 @@ TRACE_KEYS = ("experiments.ratio_harness.self_s", "operators.b_alpha.1d.self_s",
 DEPTHS = {1: (6, 8, 10), 2: (4, 5, 6)}
 CRITERIA = tuple(range(1, 13))
 SWEEP_DEPTHS = (7, 8, 9, 10)
+MGF_SIZES = ((1, 10), (2, 5), (2, 6), (2, 7))  # (dim, depth)
 SETTINGS = {
     "runs": 5,             # traced harness runs per side
     "seed": 3,             # seed of the traced runs
@@ -150,6 +154,28 @@ print(json.dumps(out))
 """
 
 
+MGF = r"""
+import json, os, sys, tempfile, time
+import numpy as np
+from morreybench.grid import GridFunction, read_mgf, unit_root, write_mgf
+sizes, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
+out = {}
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "f.mgf")
+    for dim, depth in sizes:
+        values = np.random.default_rng(depth).uniform(0.5, 2.0, (2 ** depth,) * dim)
+        f = GridFunction(unit_root(dim), values, "pos")
+        for name, call in (("write", lambda: write_mgf(path, f)), ("read", lambda: read_mgf(path))):
+            times = []
+            for _ in range(repeats + 1):  # the first call warms up and is not timed
+                t0 = time.perf_counter()
+                call()
+                times.append(time.perf_counter() - t0)
+            out[f"{name}.{dim}d.depth{depth}"] = times[1:]
+print(json.dumps(out))
+"""
+
+
 def summary(values):
     return {"min": min(values), "spread": max(values) - min(values), "runs": values}
 
@@ -229,6 +255,27 @@ def sweep_times(checkout, depths, repeats):
     return snippet_times(checkout, SWEEP, json.dumps(list(depths)), str(repeats))
 
 
+def mgf_times(checkout, sizes, repeats):
+    """Per ``write`` and ``read`` of MGF/1 and per (dim, depth) of ``sizes``:
+    ``repeats`` timed calls after one warm-up."""
+    return snippet_times(checkout, MGF, json.dumps([list(s) for s in sizes]), str(repeats))
+
+
+def mgf_summary(times):
+    """Per MGF call and size, the timing summary and values per second at the
+    minimum, and per call the exponent fitted over the 2D depths."""
+    out = {}
+    for name in ("write", "read"):
+        for dim, depth in MGF_SIZES:
+            runs = times[f"{name}.{dim}d.depth{depth}"]
+            out[f"{name}.{dim}d.depth{depth}"] = {
+                **summary(runs), "values_per_s": 2 ** (dim * depth) / min(runs)}
+        depths = [depth for dim, depth in MGF_SIZES if dim == 2]
+        mins = [min(times[f"{name}.2d.depth{d}"]) for d in depths]
+        out[f"{name}.2d.exp"] = {"fitted": slope(depths, 2, mins), "predicted": 1.0}
+    return out
+
+
 def slope(depths, dim, seconds):
     xs = [math.log(2.0 ** (dim * d)) for d in depths]
     ys = [math.log(t) for t in seconds]
@@ -260,6 +307,7 @@ def main(argv=None):
     runs = {side: {dim: {} for dim in DEPTHS} for side in sides}
     criteria = {side: {} for side in sides}
     sweeps = {side: {} for side in sides}
+    mgf = {side: {} for side in sides}
     for r in range(cfg["repeats"]):
         for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
             for dim, depths in DEPTHS.items():
@@ -270,6 +318,8 @@ def main(argv=None):
             for key, sweep in sweep_times(sides[side], SWEEP_DEPTHS, 1).items():
                 entry = sweeps[side].setdefault(key, {"scans": sweep["scans"], "times": []})
                 entry["times"].extend(sweep["times"])
+            for key, times in mgf_times(sides[side], MGF_SIZES, 1).items():
+                mgf[side].setdefault(key, []).extend(times)
     direct = {side: {} for side in sides}
     for side in sides:
         for dim, depths in DEPTHS.items():
@@ -295,6 +345,7 @@ def main(argv=None):
         "direct_aligned_sweep": {side: {key: {"scans": e["scans"], **summary(e["times"])}
                                         for key, e in sorted(sweeps[side].items())}
                                  for side in sides},
+        "direct_mgf": {side: mgf_summary(mgf[side]) for side in sides},
     }
     with open(ns.out, "w") as fh:
         json.dump(record, fh, indent=2)
