@@ -175,15 +175,6 @@ def _pair_stacks(pairs, level: int):
     return GridFunction(base.root, fv[0]), fv, gv, own
 
 
-def _weighted_sides(grid: GridFunction, fam: CubeFamily, weighted: np.ndarray,
-                    fw: np.ndarray, gw: np.ndarray, cp: CharParams):
-    """The sides of a weighted bound, one item per pair of the stacks: the
-    (s, t) Morrey norm of the weighted operator values and the (p, q1, q2)
-    pair supremum of the weighted inputs."""
-    return (_morrey_sup(grid, fam, cp.s, (weighted, cp.t))[0],
-            _morrey_sup(grid, fam, cp.p, (fw, cp.q1), (gw, cp.q2))[0])
-
-
 def _ratio_core(theorem: str, levels, pairs_at, hook) -> HarnessResult:
     """The one loop behind every ratio harness: worst LHS/RHS per level.
 
@@ -227,8 +218,10 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
     every cube finer than its base cells, and such a cube's value
     |Q|**(1/p) |c| is below its parent's, so the norm over any level's
     family equals the norm over the base family.  The weighted right sides
-    read the level's weights, so they are computed per level; the weights
-    must sit on the pairs' root and be no finer than any level.
+    are computed once too, on the grid of the deeper of pairs and weights;
+    the characteristic also when E = ``pr.pair_exponent`` >= 0, as a pair
+    finer than the weight cells has no larger value, else (s >= 1) per
+    level.  The weights must sit on the pairs' root, no finer than any level.
     """
     if theorem in ("two-weight", "one-weight"):
         profile.check(theorem)
@@ -268,18 +261,22 @@ def ratio_harness(theorem: str, profile: ExponentProfile | CharParams, pairs, le
                                  f"pairs on root {base.root} at levels {levels}: weights must "
                                  f"sit on the pairs' root, no finer than the first level")
 
-        def hook(grid, fam, fv, gv, own):  # the level's weights and constants, built once
-            w = WeightSystem(*(x.refine(grid.depth - x.depth) for x in (ws.v, ws.w1, ws.w2)))
-            if theorem == "olsen":
-                fw, gw = fv, gv
-                scale = _morrey_sup(grid, fam, pr.r, (w.v.values, pr.t / (1.0 - pr.t)))[0]
-            else:  # a one-item stack: its value, no attaining pair
-                fw, gw = fv * w.w1.values, gv * w.w2.values
-                scale = {"two-weight": char_two_weight,
-                         "one-weight": char_one_weight}[theorem]([w], pr, fam)
-            lhs, rhs = _weighted_sides(grid, fam, _b_values(grid, *own, pr.alpha) * w.v.values,
-                                       fw, gw, pr)
-            return lhs, scale * rhs
+        def system(depth):
+            return WeightSystem(*(x.refine(depth - x.depth) for x in (ws.v, ws.w1, ws.w2)))
+        grid, fv, gv, _ = _pair_stacks(pairs, max(base.depth, ws.v.depth))
+        fam, w = dyadic_family(grid.root, grid.cell_level), system(grid.depth)
+        char = {"two-weight": char_two_weight, "one-weight": char_one_weight}.get(theorem)
+        if char is None:  # olsen
+            scale = _morrey_sup(grid, fam, pr.r, (w.v.values, pr.t / (1.0 - pr.t)))[0]
+        else:  # a one-item stack: its value, no attaining pair
+            fv, gv = fv * w.w1.values, gv * w.w2.values
+            scale = char([w], pr, fam) if pr.pair_exponent >= 0.0 else None
+        rhs = _morrey_sup(grid, fam, pr.p, (fv, pr.q1), (gv, pr.q2))[0]
+
+        def hook(grid, fam, fv, gv, own):
+            lhs = _b_values(grid, *own, pr.alpha) * spread(ws.v.values, grid.depth - ws.v.depth)
+            return (_morrey_sup(grid, fam, pr.s, (lhs, pr.t))[0],
+                    (char([system(grid.depth)], pr, fam) if scale is None else scale) * rhs)
     return _ratio_core(theorem, levels, lambda level: pairs, hook)
 
 
@@ -587,7 +584,8 @@ def necessity_check(systems, cp: CharParams, family: CubeFamily, seed: int = 5,
                               np.where(inside, w ** -conjugate(q), 0.0)], axis=1)
               for i, w, q in ((1, w1, cp.q1), (2, w2, cp.q2)))
     mb = _bilinear_maximal(grid, fv, gv, cp.alpha, family)
-    lhs, rhs = _weighted_sides(grid, family, mb * v, np.abs(fv) * w1, np.abs(gv) * w2, cp)
+    lhs = _morrey_sup(grid, family, cp.s, (mb * v, cp.t))[0]
+    rhs = _morrey_sup(grid, family, cp.p, (np.abs(fv) * w1, cp.q1), (np.abs(gv) * w2, cp.q2))[0]
     ratios = np.divide(lhs, rhs, out=np.zeros_like(lhs), where=rhs > 0)
     return [NecessityReport(char, op, char / op if op > 0 else INF, exact_ok)
             for char, op in zip(chars, np.fmax.reduce(ratios, axis=-1, initial=0.0).tolist())]
@@ -645,6 +643,8 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
         maj1 = fs_majorant(ww1, params.r1, params.s1, fam)
         maj2 = fs_majorant(ww2, params.r2, params.s2, fam)
         weighted = _b_values(grid, *own, cp.alpha) * ww1.values * ww2.values
-        return _weighted_sides(grid, fam, weighted, fv * maj1.values, gv * maj2.values, cp)
+        return (_morrey_sup(grid, fam, cp.s, (weighted, cp.t))[0],
+                _morrey_sup(grid, fam, cp.p, (fv * maj1.values, cp.q1),
+                            (gv * maj2.values, cp.q2))[0])
     harness = _ratio_core("fs-dual", levels, lambda level: pairs, hook)
     return FsDualReport(split_ok, worst, harness)

@@ -58,10 +58,9 @@ def power_mean(rows: np.ndarray, e: float):
     as ``e`` grows the result tends smoothly to ``max(rows)`` (resp. ``min``
     for ``e < 0``), which is the essential-sup convention used by the weight
     characteristics.  The rows are ``cube_blocks`` rows of weights that their
-    entry point has refused unless positive, so no anchor is zero.
+    entry point has refused unless positive, so no anchor is zero, and every
+    caller's relations keep ``e`` nonzero.
     """
-    if e == 0.0:
-        raise ParameterError("power mean exponent must be nonzero")
     anchor = rows.max(axis=-1) if e > 0 else rows.min(axis=-1)
     return anchor * ((rows / anchor[..., None]) ** e).mean(axis=-1) ** (1.0 / e)
 

@@ -139,6 +139,11 @@ class CharParams:
         key = {"two-weight": split, "one-weight": "one-weight-" + split}.get(kind, kind)
         refuse("invalid parameters", relations.violations(self, key))
 
+    @property
+    def pair_exponent(self) -> float:
+        """E of the nested-pair scans: (1-s)/(as) for s < 1, (1-as)/(as) for s >= 1."""
+        return ((1.0 - self.s) if self.s < 1.0 else (1.0 - self.a * self.s)) / (self.a * self.s)
+
 
 # --- characteristic scans -----------------------------------------------------
 
@@ -174,11 +179,6 @@ def _w_factors(w1, w2, shift: int, d1: float, d2: float, dim: int):
             1.0 / power_mean(cube_blocks(w2, shift, dim), -d2))
 
 
-def _pair_exponent(cp: CharParams) -> float:
-    """E of the nested-pair scans: (1-s)/(as) for s < 1, (1-as)/(as) for s >= 1."""
-    return ((1.0 - cp.s) if cp.s < 1.0 else (1.0 - cp.a * cp.s)) / (cp.a * cp.s)
-
-
 def _pair_scale(volume: float, outer: float, exponent: float, r_inv: float) -> float:
     """(|Q|/|Q'|)**E |Q'|**(1/r): the part of a pair value fixed by the two levels."""
     return (volume / outer) ** exponent * outer ** r_inv
@@ -194,7 +194,7 @@ def _pair_scan(ws, cp: CharParams, kind: str, family: CubeFamily, a: float, r_in
     are spread onto the cubes of Q's level.
     """
     grid, v, w1, w2 = _weight_stack(ws, cp, kind)
-    d1, d2, exponent = conjugate(cp.q1 / a), conjugate(cp.q2 / a), _pair_exponent(cp)
+    d1, d2, exponent = conjugate(cp.q1 / a), conjugate(cp.q2 / a), cp.pair_exponent
     scans = list(dyadic_levels(grid, family))
     wfac = [np.array(_w_factors(w1, w2, shift, d1, d2, grid.dim))[(Ellipsis,) + window]
             for shift, _, window in scans]
@@ -304,5 +304,5 @@ def pair_value(ws: WeightSystem, cp: CharParams, q: DyadicCube, qp: DyadicCube) 
         return shift, tuple(lo >> shift for lo in cube_box(grid, cube).lo)
     (shift, i), (up, j) = place(q), place(qp)
     w1, w2 = _w_factors(ws.w1.values, ws.w2.values, up, d1, d2, grid.dim)
-    return (_pair_scale(q.volume, qp.volume, _pair_exponent(cp), recip(cp.r))
+    return (_pair_scale(q.volume, qp.volume, cp.pair_exponent, recip(cp.r))
             * v_factor(cube_blocks(grid.values, shift), cp.t)[i] * w1[j] * w2[j])

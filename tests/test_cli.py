@@ -211,6 +211,35 @@ class TestCharCommand:
         assert rc == 0
         assert "value=1.0" in out
 
+    def test_two_weight_at_s_1_is_the_brute_force_pair_max(self, tmp_path, capsys):
+        # s = 1 takes the s >= 1 row, E = (1 - as)/(as) = -1/17, so a smaller
+        # Q in the same Q' scores higher; the s < 1 form would read E = 0
+        rng = np.random.default_rng(2718)
+        cells = {key: np.exp(rng.uniform(-2.0, 2.0, 16)) for key in ("v", "w1", "w2")}
+        for key, values in cells.items():
+            write_step(tmp_path / key, values, flags="pos")
+        assert main(["char", "--kind", "two-weight", "--alpha", "1/2", "--q1", "9/8",
+                     "--q2", "9/8", "--p", "3/4", "--s", "1", "--t", "3/4", "--r", "6",
+                     "--a", "17/16", *(f"--{key}={tmp_path / key}" for key in cells)]) == 0
+        value, pairs = capsys.readouterr().out.split()[1:3]
+        d = 18.0  # (q/a)' with q/a = 18/17; the v power t/(1-t) is 3
+
+        def brute(e):
+            best = 0.0
+            for k in range(5):  # Q of 2**(4-k) cells, inside Q' of 2**(4-j) cells
+                for j in range(k + 1):
+                    for i in range(2 ** k):
+                        v = cells["v"][i << 4 - k:(i + 1) << 4 - k]
+                        outer = slice(i >> k - j << 4 - j, ((i >> k - j) + 1) << 4 - j)
+                        w1, w2 = (np.mean(cells[key][outer] ** -d) ** (1 / d)
+                                  for key in ("w1", "w2"))
+                        best = max(best, 2.0 ** ((j - k) * e) * 2.0 ** (-j / 6)
+                                   * np.mean(v ** 3) ** (1 / 3) * w1 * w2)
+            return best
+        assert pairs == "pairs=129"
+        assert float(value.removeprefix("value=")) == pytest.approx(brute(-1 / 17), rel=1e-12)
+        assert brute(0.0) < 0.99 * brute(-1 / 17)
+
     def test_ap_on_weight_file(self, tmp_path, capsys):
         path = tmp_path / "w.mgf"
         write_step(path, np.full(16, 2.5), flags="pos")
@@ -958,11 +987,11 @@ PARAMETER_RUNS = {
     "ratio-two-weight-s<1": (
         ["experiment", "ratio", "--theorem", "two-weight", *TWO_WEIGHT, "--s", "4/5",
          *RATIO_OUT],
-        0, "", "ratio two-weight max_by_level=4:1.6843803654977334 5:1.671359062954171 "
+        0, "", "ratio two-weight max_by_level=4:1.6843803654977334 5:1.6713590629541717 "
                "stable=yes"),
     "ratio-two-weight-s>=1": (
         ["experiment", "ratio", "--theorem", "two-weight", *S_ABOVE_1, *POWER, *RATIO_OUT],
-        0, "", "ratio two-weight max_by_level=4:0.6576753993973987 5:0.4022365299515268 "
+        0, "", "ratio two-weight max_by_level=4:0.6576753993973987 5:0.4022365299515269 "
                "stable=yes"),
     "ratio-one-weight-s<1": (
         ["experiment", "ratio", "--theorem", "one-weight", *ONE_WEIGHT_BELOW_1, *FILES,
@@ -976,7 +1005,7 @@ PARAMETER_RUNS = {
                "stable=yes"),
     "ratio-olsen": (
         ["experiment", "ratio", "--theorem", "olsen", *TWO_WEIGHT, "--s", "4/5", *RATIO_OUT],
-        0, "", "ratio olsen max_by_level=4:1.700763703641059 5:1.6876157477554095 stable=yes"),
+        0, "", "ratio olsen max_by_level=4:1.700763703641059 5:1.6876157477554092 stable=yes"),
     "ratio-bilinear": (
         ["experiment", "ratio", "--theorem", "bilinear-ratio", *RATIO, *RATIO_OUT],
         0, "", "ratio bilinear-ratio max_by_level=4:4.920126762368063 5:4.28261334616087 "

@@ -17,7 +17,7 @@ from morreybench.experiments import (ExponentProfile, FsDualParams, HarnessResul
                                      stein_weiss_check, stein_weiss_harness)
 from morreybench.relations import violations
 from morreybench.util import make_rng
-from morreybench.weights import (INF, CharParams, WeightSystem, char_remark,
+from morreybench.weights import (INF, CharParams, WeightSystem, char_one_weight, char_remark,
                                  char_testing, char_two_weight, power_system,
                                  power_weight)
 
@@ -590,19 +590,49 @@ class TestFsDual:
         assert rep.split_ok
 
 
+# s = 1 exactly, where the s >= 1 row holds: t/s = q/p with q = 9/16, and
+# 1/s = 1/p + 1/r - alpha/n; E = (1 - as)/(as) = (1 - a)/a = -1/17
+S_AT_1 = CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=0.75, s=1.0, t=0.75, r=6.0, a=17 / 16)
+
+
 class TestHarnessLevelConstants:
-    def test_characteristic_once_per_level(self, monkeypatch):
+    @pytest.mark.parametrize("theorem,cp", [
+        pytest.param("two-weight", two_weight_cp(), id="two-weight-s<1"),
+        pytest.param("two-weight", S_AT_1, id="two-weight-s=1"),
+        pytest.param("two-weight", CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=1.0,
+                                              s=16 / 9, t=1.0, r=16.0, a=17 / 16),
+                     id="two-weight-s>1"),
+        pytest.param("one-weight", CharParams(alpha=0.5, n=1, q1=9 / 8, q2=9 / 8, p=0.6,
+                                              s=6 / 7, t=45 / 56, r=INF, a=17 / 16),
+                     id="one-weight-s<1"),
+        pytest.param("one-weight", CharParams(alpha=0.25, n=1, q1=6 / 5, q2=6 / 5, p=1.0,
+                                              s=4 / 3, t=0.8, r=INF, a=11 / 10),
+                     id="one-weight-s>1"),
+    ])
+    def test_characteristic_once_per_run_unless_e_is_negative(self, monkeypatch, theorem, cp):
+        # E >= 0: a pair finer than the weight cells has no larger value, so
+        # the characteristic is taken once, on the deeper of the pairs' and
+        # the weights' grids; E < 0 (s >= 1) on each level's family
         from morreybench import experiments
+        char = {"two-weight": char_two_weight, "one-weight": char_one_weight}[theorem]
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args[2])
-            return char_two_weight(*args, **kwargs)
-        monkeypatch.setattr(experiments, "char_two_weight", counting)
-        pairs = make_pairs("step", 6, 42, 4)
-        res = ratio_harness("two-weight", two_weight_cp(), pairs, (4, 5), ws=power_weights())
-        assert len(res.records) == 12
-        assert len(calls) == 2
+            return char(*args, **kwargs)
+        monkeypatch.setattr(experiments, char.__name__, counting)
+        ws = power_weights(3)
+        if theorem == "one-weight":
+            ws = WeightSystem(ws.w1.with_values(ws.w1.values * ws.w2.values, "pos"),
+                              ws.w1, ws.w2)
+        cp.check(theorem)  # the tuple satisfies the relations of its s row
+        for levels in ((4, 5), (4, 5, 6, 7)):
+            calls.clear()
+            res = ratio_harness(theorem, cp, make_pairs("step", 6, 42, 4), levels, ws=ws)
+            assert len(res.records) == 6 * len(levels)
+            per_level = levels if cp.pair_exponent < 0.0 else (4,)
+            assert [fam.min_level for fam in calls] == [-level for level in per_level]
+        assert (cp.pair_exponent < 0.0) == (cp.s >= 1.0)
 
 
 class TestSteinWeissCharacteristic:

@@ -1,14 +1,18 @@
 """The ratio harness as stacked calls per level, against a per-pair loop.
 
 Each level refines its pairs onto one grid as stacks and makes one stacked
-operator call and one stacked scan per side; the unweighted right sides are
-computed once per pair on the base-depth family.  ``per_pair`` below is the
-loop the harness used to run, one closure call per (pair, level) through the
-public single calls, refining every pair and computing every norm on the
-level's family.  The records must agree in order, pair and level, and their
-sides within relative 1e-13: the stacked correlate blocks its columns over
-the whole stack, so BLAS may sum in another order, and a base-depth norm
-sums fewer cells than the same norm on a finer grid.
+operator call and one stacked scan for its left side; the right sides are
+computed once, the unweighted ones on the base-depth family and the weighted
+ones on the grid of the deeper of the pairs and the weights (the
+characteristic per level where its exponent E < 0).  ``per_pair`` below is
+the loop the harness used to run, one closure call per (pair, level) through
+the public single calls, refining every pair and computing every norm on the
+level's family; ``per_level_right_sides`` is the weighted right side as the
+harness once computed it on each level.  The records must agree in order,
+pair and level, and their sides within relative 1e-13: the stacked correlate
+blocks its columns over the whole stack, so BLAS may sum in another order,
+and a norm on a coarser grid sums fewer cells than the same norm on a finer
+one.
 """
 
 import numpy as np
@@ -21,6 +25,7 @@ from morreybench.experiments import (THEOREMS, ExponentProfile, FsDualParams,
                                      SteinWeissParams, _ratio_core, fs_dual_check,
                                      make_pairs, ratio_harness, stein_weiss_harness)
 from morreybench.operators import i_alpha
+from morreybench.util import make_rng
 from morreybench.weights import (INF, CharParams, WeightSystem, char_one_weight, char_testing,
                                  char_two_weight, fs_majorant, power_system, power_weight)
 
@@ -43,6 +48,13 @@ TWO_WEIGHT = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=16 / 27, s=0.8,
                   t=0.8 * (9 / 16) / (16 / 27), r=16.0, a=17 / 16)
 ONE_WEIGHT = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=0.6, s=6 / 7,
                   t=6 / 7 * (9 / 16) / 0.6, r=INF, a=17 / 16)
+# the s >= 1 rows, where E < 0: two-weight at s = 16/9 and at s = 1 exactly
+# (E = (1-a)/a), and one-weight at s = 4/3
+TWO_WEIGHT_ABOVE_1 = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=1.0, s=16 / 9, t=1.0, r=16.0,
+                          a=17 / 16)
+TWO_WEIGHT_AT_1 = dict(alpha=0.5, q1=9 / 8, q2=9 / 8, p=0.75, s=1.0, t=0.75, r=6.0, a=17 / 16)
+ONE_WEIGHT_ABOVE_1 = dict(alpha=0.25, q1=6 / 5, q2=6 / 5, p=1.0, s=4 / 3, t=0.8, r=INF,
+                          a=11 / 10)
 LEVELS = {1: (3, 4, 5, 6), 2: (3, 4, 5)}
 
 
@@ -225,6 +237,63 @@ def test_refined_steps_keep_their_norms_on_every_level(case):
             pair_morrey_sup(f, g, p, q1, q2, base).value, rel=REL, abs=0.0)
 
 
+def per_level_right_sides(theorem, pr, pairs, level, ws):
+    """The weighted right sides of one level, one per pair, as the harness
+    once computed them: the weights refined onto the level, then the
+    characteristic (olsen: the weight norm) times the pair supremum, both on
+    the level's family."""
+    grid, fv, gv, _ = experiments._pair_stacks(pairs, level)
+    fam = dyadic_family(grid.root, grid.cell_level)
+    w = WeightSystem(*(x.refine(level - x.depth) for x in (ws.v, ws.w1, ws.w2)))
+    if theorem == "olsen":
+        scale = norms._morrey_sup(grid, fam, pr.r, (w.v.values, pr.t / (1.0 - pr.t)))[0]
+    else:
+        fv, gv = fv * w.w1.values, gv * w.w2.values
+        scale = {"two-weight": char_two_weight,
+                 "one-weight": char_one_weight}[theorem]([w], pr, fam)
+    return (scale * norms._morrey_sup(grid, fam, pr.p, (fv, pr.q1), (gv, pr.q2))[0]).tolist()
+
+
+@st.composite
+def weighted_runs(draw):
+    """Random positive weights at a depth below, at or above the pairs' base
+    depth, and levels from ``top`` (the deeper of the two) or above it."""
+    dim = draw(st.sampled_from([1, 2]))
+    base = draw(st.integers(1, 3 if dim == 1 else 2))
+    depth = draw(st.integers(0, base + 1))
+    first = max(base, depth) + draw(st.integers(0, 2 if dim == 1 else 1))
+    levels = tuple(range(first, first + draw(st.integers(1, 2))))
+    return dim, base, depth, levels, draw(st.integers(0, 2 ** 16))
+
+
+@pytest.mark.parametrize("theorem,exps", [
+    pytest.param("two-weight", TWO_WEIGHT, id="two-weight-s<1"),
+    pytest.param("two-weight", TWO_WEIGHT_ABOVE_1, id="two-weight-s>1"),
+    pytest.param("two-weight", TWO_WEIGHT_AT_1, id="two-weight-s=1"),
+    pytest.param("one-weight", ONE_WEIGHT, id="one-weight-s<1"),
+    pytest.param("one-weight", ONE_WEIGHT_ABOVE_1, id="one-weight-s>1"),
+    pytest.param("olsen", TWO_WEIGHT, id="olsen")])
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(run=weighted_runs())
+def test_weighted_right_sides_match_the_per_level_computation(theorem, exps, run):
+    # the right sides are computed once on the grid of top; on that level
+    # they are the per-level computation bit for bit, on finer ones within REL
+    dim, base, depth, levels, seed = run
+    pr = CharParams(n=dim, **scaled(exps, dim))
+    ws = experiments.random_weights(make_rng(seed, 1), unit_root(dim), depth)
+    if theorem == "one-weight":
+        ws = WeightSystem(ws.w1.with_values(ws.w1.values * ws.w2.values, "pos"), ws.w1, ws.w2)
+    pairs = make_pairs("step", 2, seed, base, dim) + make_pairs("indicator", 1, seed, base, dim)
+    records = ratio_harness(theorem, pr, pairs, levels, ws=ws).records
+    expected = [rhs for level in levels
+                for rhs in per_level_right_sides(theorem, pr, pairs, level, ws)]
+    assert len(records) == len(expected)
+    for rec, rhs in zip(records, expected):
+        if rec.level == max(base, depth):
+            assert rec.rhs == rhs
+        assert rec.rhs == pytest.approx(rhs, rel=REL, abs=0.0)
+
+
 @pytest.mark.parametrize("theorem", sorted(THEOREMS))
 def test_scans_per_level_do_not_grow_with_the_pairs(theorem, monkeypatch):
     pr, ws = setup(theorem, 1)
@@ -237,17 +306,17 @@ def test_scans_per_level_do_not_grow_with_the_pairs(theorem, monkeypatch):
         return counted
     for module in (experiments, norms):  # norms: the olsen weight norm's own scan
         monkeypatch.setattr(module, "_morrey_sup", counting(norms._morrey_sup))
-    counts = []
+    counts = {}
     for count in (2, 7):
-        calls.clear()
-        ratio_harness(theorem, pr, make_pairs("step", count, 3, 3), (3, 4, 5), ws=ws)
-        counts.append(len(calls))
-    # unweighted: one base-depth norm per right-side factor, once, and one left
-    # side per level; weighted: a left and a right side per level, and olsen
-    # its weight norm
-    base = {"linear-adams": 1, "two-weight": 0, "one-weight": 0, "olsen": 0}.get(theorem, 2)
-    per_level = {"two-weight": 2, "one-weight": 2, "olsen": 3}.get(theorem, 1)
-    assert counts == [base + 3 * per_level] * 2
+        for levels in ((3, 4, 5), (3, 4, 5, 6)):
+            calls.clear()
+            ratio_harness(theorem, pr, make_pairs("step", count, 3, 3), levels, ws=ws)
+            counts[count, levels] = len(calls)
+    # one left side per level; the right sides once per run, whatever the
+    # levels: a norm per unweighted factor, or the weighted pair supremum,
+    # and olsen its weight norm
+    base = {"linear-adams": 1, "two-weight": 1, "one-weight": 1}.get(theorem, 2)
+    assert counts == {(count, levels): base + len(levels) for count, levels in counts}
 
 
 def placing(monkeypatch):
@@ -264,8 +333,7 @@ def placing(monkeypatch):
 def test_stacked_scans_build_no_cube(theorem, monkeypatch):
     # a scan returns maxima and positions, and only a report places a cube:
     # olsen's weight norm reads only the maximum of its scan, and the
-    # two-weight and one-weight scales are one-item lists of systems per
-    # level.  ``CubeFamily.cube`` also counts the attaining pairs that
+    # two-weight and one-weight scales are one-item lists of systems.  ``CubeFamily.cube`` also counts the attaining pairs that
     # ``_pair_scan`` builds for a single system's report
     pr, ws = setup(theorem, 1)
     calls = placing(monkeypatch)

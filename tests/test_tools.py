@@ -49,6 +49,15 @@ def test_direct_mgf_timings():
     assert all(len(runs) == 2 and min(runs) > 0 for runs in times.values())
 
 
+def test_two_weight_op_timings_count_the_calls_of_one_run():
+    # the OP snippet runs the harness workload's two-weight-1d op through
+    # cli.main: s < 1, so one characteristic and one right-side scan per run,
+    # and one left-side scan per level of 4..8
+    run = perf_bench.op_times(str(ROOT), 2)
+    assert run["calls"] == {"char_two_weight": 1, "_morrey_sup": 6}
+    assert len(run["times"]) == 2 and min(run["times"]) > 0
+
+
 def test_src_line_count_of_this_checkout():
     files = list((ROOT / "src").rglob("*.py"))
     assert files

@@ -67,6 +67,14 @@ MUTANTS = {
     "cube-at-last-max": ("norms.py", "return vals.max(axis=-1), vals.argmax(axis=-1)",
                          "return vals.max(axis=-1), "
                          "vals.shape[-1] - 1 - vals[..., ::-1].argmax(axis=-1)"),
+    # the pair exponent E of the s >= 1 row read as the s < 1 row's at s = 1,
+    # where it would be 0 in place of (1 - a)/a < 0
+    "pair-exponent-s-at-1": (
+        "weights.py",
+        "return ((1.0 - self.s) if self.s < 1.0 else (1.0 - self.a * self.s))"
+        " / (self.a * self.s)",
+        "return ((1.0 - self.s) if self.s <= 1.0 else (1.0 - self.a * self.s))"
+        " / (self.a * self.s)"),
     # the sharpness run's copy of the norm of f as the norm of g, taken when
     # only p2 == p1, although g is f only when q2 == q1 too
     "sharpness-g-is-f-q": ("experiments.py",

@@ -27,7 +27,12 @@ spread (max - min) and every run:
   makes (counted on an untimed call);
 * direct ``write_mgf`` and ``read_mgf`` calls on seeded positive grids of the
   sizes ``MGF_SIZES``, with values per second at each size and the scaling
-  exponent over the 2D depths next to the predicted 1.
+  exponent over the 2D depths next to the predicted 1;
+* in-process ``cli.main`` calls of the ``harness`` workload's
+  ``two-weight-1d`` op (``TWO_WEIGHT_OP``: levels 4..8, base depth 4,
+  synthetic weights at depth 4), with the calls of
+  ``experiments.char_two_weight`` and ``experiments._morrey_sup`` that one
+  run makes (counted on its warm-up call).
 
 Each direct timing runs in a new interpreter that imports the checkout's
 ``src/``, so both sides run the same timing code.  The interpreters alternate
@@ -60,6 +65,11 @@ DEPTHS = {1: (6, 8, 10), 2: (4, 5, 6)}
 CRITERIA = tuple(range(1, 13))
 SWEEP_DEPTHS = (7, 8, 9, 10)
 MGF_SIZES = ((1, 10), (2, 5), (2, 6), (2, 7))  # (dim, depth)
+TWO_WEIGHT_OP = ["experiment", "ratio", "--theorem", "two-weight", "--dim", "1",
+                 "--alpha", "1/2", "--q1", "9/8", "--q2", "9/8", "--p", "16/27", "--s", "4/5",
+                 "--t", "0.759375", "--r", "16", "--a", "17/16", "--beta", "0.0225",
+                 "--gamma1", "0.02", "--gamma2", "0.02", "--depth", "4", "--pairs", "step:6",
+                 "--levels", "4..8", "--base-depth", "4", "--seed", "20243803"]
 SETTINGS = {
     "runs": 5,             # traced harness runs per side
     "seed": 3,             # seed of the traced runs
@@ -175,6 +185,28 @@ with tempfile.TemporaryDirectory() as tmp:
 print(json.dumps(out))
 """
 
+OP = r"""
+import contextlib, io, json, os, sys, tempfile, time
+from morreybench import cli, experiments
+argv, repeats = json.loads(sys.argv[1]), int(sys.argv[2])
+counts = {}
+for name in ("char_two_weight", "_morrey_sup"):
+    def counted(*args, real=getattr(experiments, name), name=name, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+    setattr(experiments, name, counted)
+times = []
+with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+    argv = argv + ["--out", os.path.join(tmp, "out.csv")]
+    cli.main(argv)  # counts the calls of one run and warms up
+    calls = dict(counts)
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        cli.main(argv)
+        times.append(time.perf_counter() - t0)
+print(json.dumps({"calls": calls, "times": times}))
+"""
+
 
 def summary(values):
     return {"min": min(values), "spread": max(values) - min(values), "runs": values}
@@ -261,6 +293,11 @@ def mgf_times(checkout, sizes, repeats):
     return snippet_times(checkout, MGF, json.dumps([list(s) for s in sizes]), str(repeats))
 
 
+def op_times(checkout, repeats):
+    """The calls one run of ``TWO_WEIGHT_OP`` makes and ``repeats`` timed runs after it."""
+    return snippet_times(checkout, OP, json.dumps(TWO_WEIGHT_OP), str(repeats))
+
+
 def mgf_summary(times):
     """Per MGF call and size, the timing summary and values per second at the
     minimum, and per call the exponent fitted over the 2D depths."""
@@ -308,6 +345,7 @@ def main(argv=None):
     criteria = {side: {} for side in sides}
     sweeps = {side: {} for side in sides}
     mgf = {side: {} for side in sides}
+    op = {side: {"calls": None, "times": []} for side in sides}
     for r in range(cfg["repeats"]):
         for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
             for dim, depths in DEPTHS.items():
@@ -320,6 +358,9 @@ def main(argv=None):
                 entry["times"].extend(sweep["times"])
             for key, times in mgf_times(sides[side], MGF_SIZES, 1).items():
                 mgf[side].setdefault(key, []).extend(times)
+            run = op_times(sides[side], 1)
+            op[side]["calls"] = run["calls"]
+            op[side]["times"].extend(run["times"])
     direct = {side: {} for side in sides}
     for side in sides:
         for dim, depths in DEPTHS.items():
@@ -346,6 +387,8 @@ def main(argv=None):
                                         for key, e in sorted(sweeps[side].items())}
                                  for side in sides},
         "direct_mgf": {side: mgf_summary(mgf[side]) for side in sides},
+        "direct_two_weight_op": {side: {"calls": op[side]["calls"], **summary(op[side]["times"])}
+                                 for side in sides},
     }
     with open(ns.out, "w") as fh:
         json.dump(record, fh, indent=2)
