@@ -616,7 +616,8 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
     Per cube, |Q|**(1/r) (avg (w1 w2)**(as/(1-s)))**((1-s)/(as)) must not
     exceed the product of the two majorant factors; then, on four seeded step
     pairs, B(f,g) w1 w2 is normalized by the pair supremum built from the
-    majorants W_i, on weights of one grid no finer than the first level.
+    majorants W_i, on weights of one grid no finer than the first level; it is
+    taken once, on the weights' grid, as no finer cube has a larger value.
     """
     relations.require_dim(params.cp, w1.dim)
     refuse("relations violated",
@@ -627,24 +628,23 @@ def fs_dual_check(w1: GridFunction, w2: GridFunction, params: FsDualParams,
                              f"weights must share one grid, no finer than the first level")
     cp = params.cp
     e = cp.a * cp.s / (1.0 - cp.s)
-    e1 = params.s1 / (1.0 - params.s1)
-    e2 = params.s2 / (1.0 - params.s2)
-    lhs = lq_means(recip(cp.r), ((w1.values * w2.values) ** e, 1.0 / e))
+    e1, e2 = (s / (1.0 - s) for s in (params.s1, params.s2))
+    weights = w1.values * w2.values
+    lhs = lq_means(recip(cp.r), (weights ** e, 1.0 / e))
     f1 = lq_means(recip(params.r1), (w1.values ** e1, 1.0 / e1))
     f2 = lq_means(recip(params.r2), (w2.values ** e2, 1.0 / e2))
-    worst = float(family_max(w1, dyadic_family(w1.root, w1.cell_level), lambda shift, volume: (
+    fam = dyadic_family(w1.root, w1.cell_level)
+    worst = float(family_max(w1, fam, lambda shift, volume: (
         lhs(shift, volume) / (f1(shift, volume) * f2(shift, volume))))[0])
-    split_ok = worst <= 1.0 + 1e-12
 
     pairs = make_pairs("step", 4, seed, w1.depth, w1.dim, w1.root)
+    _, f0, g0, _ = _pair_stacks(pairs, w1.depth)
+    maj1, maj2 = (fs_majorant(w, r, s, fam).values
+                  for w, r, s in ((w1, params.r1, params.s1), (w2, params.r2, params.s2)))
+    rhs = _morrey_sup(w1, fam, cp.p, (f0 * maj1, cp.q1), (g0 * maj2, cp.q2))[0]
 
     def hook(grid, fam, fv, gv, own):
-        ww1, ww2 = (w.refine(grid.depth - w.depth) for w in (w1, w2))
-        maj1 = fs_majorant(ww1, params.r1, params.s1, fam)
-        maj2 = fs_majorant(ww2, params.r2, params.s2, fam)
-        weighted = _b_values(grid, *own, cp.alpha) * ww1.values * ww2.values
-        return (_morrey_sup(grid, fam, cp.s, (weighted, cp.t))[0],
-                _morrey_sup(grid, fam, cp.p, (fv * maj1.values, cp.q1),
-                            (gv * maj2.values, cp.q2))[0])
+        weighted = _b_values(grid, *own, cp.alpha) * spread(weights, grid.depth - w1.depth)
+        return _morrey_sup(grid, fam, cp.s, (weighted, cp.t))[0], rhs
     harness = _ratio_core("fs-dual", levels, lambda level: pairs, hook)
-    return FsDualReport(split_ok, worst, harness)
+    return FsDualReport(worst <= 1.0 + 1e-12, worst, harness)

@@ -184,7 +184,7 @@ def _pair_scale(volume: float, outer: float, exponent: float, r_inv: float) -> f
     return (volume / outer) ** exponent * outer ** r_inv
 
 
-def _pair_scan(ws, cp: CharParams, kind: str, family: CubeFamily, a: float, r_inv: float):
+def _pair_scan(ws, cp: CharParams, kind: str, family: CubeFamily, a: float):
     """Per system, the first strict max over nested pairs Q in Q' of the
     family with the duals (q_i/a)', for the relations of ``kind``; a single
     system's report places its pair.
@@ -201,7 +201,7 @@ def _pair_scan(ws, cp: CharParams, kind: str, family: CubeFamily, a: float, r_in
     best, level, at, pairs = -INF, 0, 0, 0
     for i, (shift, volume, window) in enumerate(scans):
         vfac = v_factor(cube_blocks(v, shift, grid.dim), cp.t)[(Ellipsis,) + window]
-        vals = finite(np.stack([_pair_scale(volume, scans[j][1], exponent, r_inv) * vfac
+        vals = finite(np.stack([_pair_scale(volume, scans[j][1], exponent, recip(cp.r)) * vfac
                                 * (w := spread(wfac[j], scans[j][0] - shift, grid.dim))[0] * w[1]
                                 for j in range(i, -1, -1)], -1), "supremum").reshape(len(v), -1)
         pairs += vals.shape[1]
@@ -224,7 +224,7 @@ def char_two_weight(ws, cp: CharParams, family: CubeFamily):
     (avg_Q v**(t/(1-t)))**((1-t)/t) prod_i (avg_Q' w_i**(-(q_i/a)'))**(1/(q_i/a)')
     with E = (1-s)/(as) for s < 1 and (1-as)/(as) for s >= 1.
     """
-    return _pair_scan(ws, cp, "two-weight", family, cp.a, recip(cp.r))
+    return _pair_scan(ws, cp, "two-weight", family, cp.a)
 
 
 def _cube_scan(ws, cp: CharParams, kind: str, family: CubeFamily, a: float, v_of):
@@ -254,7 +254,7 @@ def char_remark(ws, cp: CharParams, family: CubeFamily):
 
 def char_one_weight(ws, cp: CharParams, family: CubeFamily):
     """One-weight characteristic: r = inf, v = w1 w2, full dual exponents q_i'."""
-    return _pair_scan(ws, cp, "one-weight", family, 1.0, 0.0)
+    return _pair_scan(ws, cp, "one-weight", family, 1.0)
 
 
 def char_testing(ws, cp: CharParams, family: CubeFamily):

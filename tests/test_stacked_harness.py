@@ -319,6 +319,21 @@ def test_scans_per_level_do_not_grow_with_the_pairs(theorem, monkeypatch):
     assert counts == {(count, levels): base + len(levels) for count, levels in counts}
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_fs_dual_takes_the_majorants_once_per_run(dim, monkeypatch):
+    # the majorant right side sits on the weights' grid, whatever the levels
+    cp = CharParams(n=dim, **scaled(TWO_WEIGHT, dim))
+    params = FsDualParams(cp, r1=32.0, r2=32.0, s1=17 / 19, s2=17 / 19)
+    w1, w2 = (power_weight(beta, (0.0,) * dim, unit_root(dim), 3) for beta in (0.05, 0.02))
+    calls = []
+    monkeypatch.setattr(experiments, "fs_majorant",
+                        lambda *args: calls.append(args) or fs_majorant(*args))
+    for levels in ((3,), (3, 4), (3, 4, 5)):
+        calls.clear()
+        fs_dual_check(w1, w2, params, levels=levels)
+        assert len(calls) == 2
+
+
 def placing(monkeypatch):
     """The calls of ``CubeFamily.cube_at`` and ``CubeFamily.cube`` from now on."""
     calls = []

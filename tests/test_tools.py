@@ -8,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,44 +19,60 @@ import perf_bench  # noqa: E402
 from morreybench.experiments import THEOREMS  # noqa: E402
 
 
-def test_direct_harness_timings_cover_every_theorem():
-    # the DIRECT snippet runs in a new interpreter on this checkout's src/
-    times = perf_bench.direct_times(str(ROOT), 1, [3], 1)
-    assert set(times) == {f"{theorem}.depth3" for theorem in THEOREMS}
-    assert all(len(runs) == 1 and runs[0] > 0 for runs in times.values())
+SMALLEST = {  # per section: the snippet's smallest argument and the keys it measures
+    "ratio_harness": ([[1, 3]], {f"1d.{theorem}.depth3" for theorem in THEOREMS}),
+    "criteria": ([4, 8], {"criterion_04", "criterion_08"}),
+    "aligned_sweep": ([7], {"b_5_5.depth7", "f_4_2.depth7"}),
+    "mgf": ([[1, 10]], {"write.1d.depth10", "read.1d.depth10"}),
+    "ops": (perf_bench.OPS, set(perf_bench.OPS)),
+}
 
 
-def test_direct_criterion_timings():
-    # the CRITERION snippet times acceptance.criterion_NN in a new interpreter
-    times = perf_bench.criterion_times(str(ROOT), [4, 8], 1)
-    assert set(times) == {"criterion_04", "criterion_08"}
-    assert all(len(runs) == 1 and runs[0] > 0 for runs in times.values())
+@pytest.mark.parametrize("name", sorted(perf_bench.SNIPPETS))
+def test_every_snippet_measures_on_this_checkout(name):
+    # each snippet runs in a new interpreter on this checkout's src/
+    arg, keys = SMALLEST[name]
+    runs = perf_bench.run_snippet(str(ROOT), perf_bench.SNIPPETS[name][0], arg, 2)
+    assert set(runs) == keys
+    assert all(len(run["times"]) == 2 and min(run["times"]) > 0 for run in runs.values())
+    if name == "aligned_sweep":
+        # B's norm at p = q walks its flat top, f's at q < p is bisected
+        assert 0 < runs["b_5_5.depth7"]["calls"]["_windows"] <= 16
+        assert 0 < runs["f_4_2.depth7"]["calls"]["_windows"] <= 32
+    if name == "ops":
+        # two-weight at s < 1: one characteristic and one right-side scan per
+        # run, and one left-side scan per level of 4..8; fs-dual takes its
+        # two majorants once per run
+        assert runs["two-weight-1d"]["calls"] == {"char_two_weight": 1, "_morrey_sup": 6}
+        assert runs["fs-dual-1d"]["calls"] == {"fs_majorant": 2}
 
 
-def test_direct_sweep_timings_count_scans():
-    # the SWEEP snippet times _morrey_aligned on the sharpness pair; B's
-    # norm at p = q walks its flat top, f's at q < p is bisected
-    sweeps = perf_bench.sweep_times(str(ROOT), [7], 2)
-    assert set(sweeps) == {"b_5_5.depth7", "f_4_2.depth7"}
-    assert all(len(e["times"]) == 2 and min(e["times"]) > 0 for e in sweeps.values())
-    assert 0 < sweeps["b_5_5.depth7"]["scans"] <= 16
-    assert 0 < sweeps["f_4_2.depth7"]["scans"] <= 32
+def test_measure_times_the_real_functions(monkeypatch):
+    # the warm-up call counts through a wrapper; every timed call sees the
+    # real function again
+    monkeypatch.setattr(sys, "argv", ["-c", "3", "null"])
+    scope = {}
+    exec(perf_bench.PRELUDE, scope)
+    from morreybench import grid
+    real, seen = grid.spread, []
+    scope["measure"]("k", lambda: seen.append(grid.spread) or grid.spread(np.ones(2), 1),
+                     count=("grid.spread",), cells=2)
+    assert scope["out"]["k"]["calls"] == {"spread": 1} and scope["out"]["k"]["cells"] == 2
+    assert len(scope["out"]["k"]["times"]) == 3
+    assert seen[0] is not real and seen[1:] == [real] * 3 and grid.spread is real
 
 
-def test_direct_mgf_timings():
-    # the MGF snippet writes and reads one seeded grid of 1,024 values
-    times = perf_bench.mgf_times(str(ROOT), [(1, 10)], 2)
-    assert set(times) == {"write.1d.depth10", "read.1d.depth10"}
-    assert all(len(runs) == 2 and min(runs) > 0 for runs in times.values())
-
-
-def test_two_weight_op_timings_count_the_calls_of_one_run():
-    # the OP snippet runs the harness workload's two-weight-1d op through
-    # cli.main: s < 1, so one characteristic and one right-side scan per run,
-    # and one left-side scan per level of 4..8
-    run = perf_bench.op_times(str(ROOT), 2)
-    assert run["calls"] == {"char_two_weight": 1, "_morrey_sup": 6}
-    assert len(run["times"]) == 2 and min(run["times"]) > 0
+def test_section_fits_the_exponent_and_rates():
+    # t = c cells**1.5 gives the exponent 1.5 next to the predicted slope; a
+    # key without cells keeps its summary and counts only
+    runs = {f"x.depth{d}": {"times": [3e-6 * 2.0 ** (1.5 * d), 4e-6 * 2.0 ** (1.5 * d)],
+                            "cells": 2 ** d} for d in (4, 5, 6)}
+    runs["y"] = {"times": [0.5, 0.25], "calls": {"f": 3}}
+    record = perf_bench.section(runs, {"x": 1.0})
+    assert set(record) == {"x.depth4", "x.depth5", "x.depth6", "x.exp", "y"}
+    assert record["x.exp"] == {"fitted": pytest.approx(1.5, rel=1e-12), "predicted": 1.0}
+    assert record["x.depth5"]["cells_per_s"] == 2 ** 5 / (3e-6 * 2.0 ** 7.5)
+    assert record["y"] == {"min": 0.25, "spread": 0.25, "runs": [0.5, 0.25], "calls": {"f": 3}}
 
 
 def test_src_line_count_of_this_checkout():
