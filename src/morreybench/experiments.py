@@ -28,7 +28,7 @@ from .norms import (CubeFamily, _morrey_sup, aligned_family, dyadic_family, fami
 from .operators import _b_values, _bilinear_maximal, _i_values, _vector_maximal, b_alpha
 from .util import (INF, NumericalError, ParameterError, close, conjugate,
                    finite, make_rng, recip, refuse)
-from .weights import (CharParams, WeightSystem, _weight_stack, char_one_weight, char_testing,
+from .weights import (CharParams, WeightSystem, char_one_weight, char_testing,
                       char_two_weight, fs_majorant, power_system, power_weight)
 
 # theorem id -> the ExponentProfile fields its hypotheses and sides read; the
@@ -550,8 +550,8 @@ def necessity_check(systems, cp: CharParams, family: CubeFamily, seed: int = 5,
         extremal probe pairs f = chi_Q w1**-q1', g = chi_Q w2**-q2'.
     The weight-free probes and floor are computed once; all pairs and probes are one stack.
     """
-    grid, *vw = _weight_stack(systems, cp, "testing")
-    chars = char_testing(systems, cp, family).tolist()
+    chars = char_testing(systems, cp, family).tolist()  # checks the grid and relations first
+    grid = systems[0].v
     n = grid.dim
     lowest = max(family.min_level, grid.cell_level + 1)
     probes = (enumerate_subcubes(family.root, lowest)[:24]
@@ -577,7 +577,7 @@ def necessity_check(systems, cp: CharParams, family: CubeFamily, seed: int = 5,
         given = [list(pairs)] * len(systems)
     if not all(grid.same_grid(h) for items in given for _, f, g in items for h in (f, g)):
         raise ParameterError("necessity pairs must live on the weight grid")
-    v, w1, w2 = (x[:, None] for x in vw)
+    v, w1, w2 = np.stack([[w.v.values, w.w1.values, w.w2.values] for w in systems], 1)[:, :, None]
     # per system its pairs, then its probe inputs chi_Q w1**-q1' and chi_Q w2**-q2'
     fv, gv = (np.concatenate([np.reshape([[pair[i].values for pair in items] for items in given],
                                          w.shape[:1] + (-1,) + grid.values.shape),

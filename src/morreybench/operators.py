@@ -13,13 +13,14 @@ dyadically toward the pole with three midpoint children per level.  The
 kernel is homogeneous, so that refinement sums in closed form to every
 depth, which bounds the only quadrature bias at the singularity.
 
-In 2D, I_alpha is one FFT convolution.  Every bilinear form is one pass of
-a scale tower: the products f(x-y)g(x+y) against a table of per-offset-cell
-weights with one column per scale, taken one row offset at a time.  The
-truncated form weighs the ball |y|_inf <= d by per-axis fractional cell
-overlaps, hence exactly for any d > 0.  The dyadic model sums the truncated forms over the tower of dyadic
-cubes containing x and the bilinear maximal takes their max; scales below
-the cell side are dropped and their geometric-tail bound is reported.
+I_alpha is one FFT convolution in every dimension.  Every bilinear form is
+one pass of a scale tower: the products f(x-y)g(x+y) against a table of
+per-offset-cell weights with one column per scale, taken one row offset at a
+time.  The truncated form weighs the ball |y|_inf <= d by per-axis
+fractional cell overlaps, hence exactly for any d > 0.  The dyadic model
+sums the truncated forms over the tower of dyadic cubes containing x and the
+bilinear maximal takes their max; scales below the cell side are dropped
+and their geometric-tail bound is reported.
 B_alpha of steps refined r = 2**k times is taken on their coarse cells,
 exactly, with block sums of the fine kernel masses as tables (``_b_values``):
 O(M**2 r**n) work for M coarse cells per axis, in place of O((M r)**2).
@@ -171,9 +172,9 @@ def _correlate(fv: np.ndarray, gv: np.ndarray, tables: np.ndarray) -> np.ndarray
 def i_alpha(f: GridFunction, alpha: float) -> OperatorField:
     """Fractional integral: at midpoint x, sum of f(cell) * kernel cell mass.
 
-    The 2D FFT length 2m >= 2m-1 leaves the crop unaliased.  For f >= 0 the
-    relative error per cell is <~ eps * log2(2m) * max K / min K over the
-    kernel cell masses K, a ratio that grows like m**(2 - alpha).
+    The FFT length 2m >= 2m-1 per axis leaves the crop unaliased.  For f >= 0
+    the relative error per cell is <~ eps * log2(2m) * max K / min K over the
+    kernel cell masses K, a ratio that grows like m**(n - alpha) in n dims.
     """
     return _field(f, _i_values(f, f.values, alpha))
 
@@ -181,14 +182,11 @@ def i_alpha(f: GridFunction, alpha: float) -> OperatorField:
 def _i_values(grid: GridFunction, fv: np.ndarray, alpha: float) -> np.ndarray:
     """``i_alpha`` values for a stack of functions on ``grid``'s lattice."""
     table = kernel_cell_table(alpha, grid)
-    m = grid.cells_per_axis
-    if grid.dim == 1:
-        vals = np.array([np.convolve(row, table)[m - 1:2 * m - 1] for row in fv.reshape(-1, m)])
-    else:
-        size = (2 * m, 2 * m)
-        spectrum = np.fft.rfft2(fv, size) * np.fft.rfft2(table, size)
-        vals = np.fft.irfft2(spectrum, size)[..., m - 1:2 * m - 1, m - 1:2 * m - 1]
-    return finite(vals.reshape(fv.shape), "operator output")
+    m, axes = grid.cells_per_axis, tuple(range(-grid.dim, 0))
+    size = (2 * m,) * grid.dim
+    spectrum = np.fft.rfftn(fv, size, axes) * np.fft.rfftn(table, size, axes)
+    vals = np.fft.irfftn(spectrum, size, axes)[(...,) + (slice(m - 1, 2 * m - 1),) * grid.dim]
+    return finite(vals, "operator output")
 
 
 @functools.cache  # r <= the coarse cells per axis: at most twice the fine table

@@ -44,7 +44,7 @@ def test_relations_imports_only_util():
 # weight systems) or build the table of a stacked call, and that another package
 # module may call directly; a new one joins this list on purpose
 STACKED_CORES = {"_b_values", "_bilinear_maximal", "_vector_maximal", "_morrey_sup",
-                 "_pair_stacks", "_correlate", "_dyadic_table", "_i_values", "_weight_stack"}
+                 "_pair_stacks", "_correlate", "_dyadic_table", "_i_values"}
 
 
 def test_only_stacked_cores_cross_modules():

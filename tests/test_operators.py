@@ -1,6 +1,7 @@
 import itertools
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -624,31 +625,43 @@ def test_one_block_is_one_product():
     assert operators._correlate(f.values, g.values, tables).tobytes() == want.tobytes()
 
 
-def direct_i_alpha_2d(values, table):
-    """sum_k f[k] table[c + i - k], one shifted window of the table per cell."""
+def direct_i_alpha(values, table):
+    """sum_k f[k] table[c + i - k]: in 1D the direct convolution cropped to
+    the grid, in 2D one shifted window of the table per cell."""
     m = values.shape[0]
+    if values.ndim == 1:
+        return np.convolve(values, table)[m - 1:2 * m - 1]
     windows = sliding_window_view(table, (m, m))
     return np.einsum("abuv,uv->ab", windows, values[::-1, ::-1])
 
 
-class TestIAlpha2DFFT:
-    @pytest.mark.parametrize("depth", range(1, 7))
-    @pytest.mark.parametrize("alpha", [0.2, 1.0, 1.8])
-    def test_within_documented_bound(self, depth, alpha):
+class TestIAlphaFFT:
+    @pytest.mark.parametrize("dim,depth,alpha", [
+        *((1, depth, alpha) for depth in range(1, 13) for alpha in (0.2, 0.5, 0.8)),
+        *((2, depth, alpha) for depth in range(1, 7) for alpha in (0.2, 1.0, 1.8))])
+    def test_within_documented_bound(self, dim, depth, alpha):
         # relative error per cell <= eps * log2(2m) * max K / min K for f >= 0
-        f = rand_positive(70 + depth, depth, dim=2)
+        f = rand_positive(70 + depth, depth, dim=dim)
         table = kernel_cell_table(alpha, f)
         got = i_alpha(f, alpha).fn.values
-        want = direct_i_alpha_2d(f.values, table)
+        want = direct_i_alpha(f.values, table)
         bound = np.finfo(float).eps * np.log2(2 * f.cells_per_axis) * table.max() / table.min()
         assert np.max(np.abs(got - want) / want) <= bound
 
-    @pytest.mark.parametrize("alpha", [0.2, 1.8])
-    def test_next_to_a_spike(self, alpha):
-        depth = 7
-        vals = np.ones((2 ** depth,) * 2)
-        vals[42, 25] = 1e12
-        f = step(vals, dim=2, flags="pos")
+    @pytest.mark.parametrize("dim,depth,spike,alpha", [
+        (1, 12, (1234,), 0.2), (1, 12, (1234,), 0.8),
+        (2, 7, (42, 25), 0.2), (2, 7, (42, 25), 1.8)])
+    def test_next_to_a_spike(self, dim, depth, spike, alpha):
+        vals = np.ones((2 ** depth,) * dim)
+        vals[spike] = 1e12
+        f = step(vals, dim=dim, flags="pos")
         got = i_alpha(f, alpha).fn.values
-        want = direct_i_alpha_2d(vals, kernel_cell_table(alpha, f))
+        want = direct_i_alpha(vals, kernel_cell_table(alpha, f))
         assert np.max(np.abs(got - want) / want) <= 1e-9
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_no_deprecation_warning(self, dim):
+        # the transforms name their axes next to their lengths
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            i_alpha(rand_positive(3, 4, dim=dim), 0.5)

@@ -20,7 +20,7 @@ import pytest
 
 from morreybench import (DyadicCube, GridFunction, NumericalError, ParameterError,
                          b_alpha, dyadic_family, morrey_norm, pair_morrey_sup, unit_root)
-from morreybench import experiments, norms
+from morreybench import experiments, norms, relations
 from morreybench.experiments import (THEOREMS, ExponentProfile, FsDualParams,
                                      SteinWeissParams, _ratio_core, fs_dual_check,
                                      make_pairs, ratio_harness, stein_weiss_harness)
@@ -368,6 +368,17 @@ def test_necessity_scans_build_no_cube(monkeypatch):
     calls.clear()
     experiments.necessity_check([ws, ws], cp, family)
     assert calls == []
+
+
+def test_necessity_checks_the_testing_relations_once(monkeypatch):
+    # the testing constants' stacked scan checks the systems and relations;
+    # the necessity check reads its stack without checking them again
+    ws = WeightSystem(*(power_weight(beta, 0.0, unit_root(1), 4) for beta in (0.1, 0.2, 0.3)))
+    cp = CharParams(alpha=0.5, n=1, q1=4.0, q2=4.0, p=2.5, s=20 / 3, t=16 / 3, r=4.0, a=2.0)
+    keys, real = [], relations.violations
+    monkeypatch.setattr(relations, "violations", lambda x, key: keys.append(key) or real(x, key))
+    experiments.necessity_check([ws, ws], cp, dyadic_family(unit_root(1), -4))
+    assert keys == ["testing"]
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -25,6 +25,7 @@ SMALLEST = {  # per section: the snippet's smallest argument and the keys it mea
     "aligned_sweep": ([7], {"b_5_5.depth7", "f_4_2.depth7"}),
     "mgf": ([[1, 10]], {"write.1d.depth10", "read.1d.depth10"}),
     "ops": (perf_bench.OPS, set(perf_bench.OPS)),
+    "layers": ([[1, 6]], {"i_alpha.1d.depth6", "b_alpha.1d.depth6"}),
 }
 
 

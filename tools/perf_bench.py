@@ -2,29 +2,27 @@
 
 Usage, from the repository root, with a second checkout as the baseline:
 
-    python3 tools/perf_bench.py --before ../baseline --after . --out BENCH_34.json
+    python3 tools/perf_bench.py --before ../baseline --after . --out BENCH_35.json
 
 End to end, ``pairs`` alternating runs of ``benchmarks/run.py --trace 0``
 on every workload (the order flipped every pair) give each metric's median
 and quartiles per side, the pairs the change won, and the unscaled set-up
-time the run prints next to the calibrated ``setup_s``.  The per-layer
-metrics ``TRACE_KEYS`` that ``benchmarks/run.py --workload harness --trace 1``
-(``TRACED``) prints come from the two checkouts run alternately, each one
-first in half the rounds.
+time the run prints next to the calibrated ``setup_s``.
 
-Every direct timing follows one protocol.  ``SNIPPETS`` maps each section of
-the record to a snippet and its argument.  A snippet runs after ``PRELUDE``
-in a new interpreter that imports the checkout's ``src/``, so both sides run
-the same timing code, and calls ``measure(key, call, count, cells)`` once per
-key: one untimed warm-up call with the functions ``count`` names wrapped to
-count their calls, then the real functions back and ``repeats`` timed calls.
-The interpreters alternate between the checkouts, one timed call per key in
-each, with the order flipped every round, so a drift in machine speed hits
-both sides alike.  ``section`` builds each section of the record: per key the
-minimum, spread (max - min) and every run, the counts, and cells per second
-at the minimum; per key stem measured at two or more depths the scaling
-exponent, fitted as the least-squares slope of log time against log cells,
-next to the slope ``PREDICTED`` states for it.  The sections:
+Layers are timed by direct calls only, through one protocol.  ``SNIPPETS``
+maps each section of the record to a snippet and its argument.  A snippet
+runs after ``PRELUDE`` in a new interpreter that imports the checkout's
+``src/``, so both sides run the same timing code, and calls ``measure(key,
+call, count, cells)`` once per key: one untimed warm-up call with the
+functions ``count`` names wrapped to count their calls, then the real
+functions back and ``repeats`` timed calls.  The interpreters alternate
+between the checkouts, one timed call per key in each, with the order
+flipped every round, so a drift in machine speed hits both sides alike.
+``section`` builds each section of the record: per key the minimum, spread
+(max - min) and every run, the counts, and cells per second at the minimum;
+per key stem measured at two or more depths the scaling exponent, fitted as
+the least-squares slope of log time against log cells, next to the slope
+``PREDICTED`` states for it.  The sections:
 
 * ``ratio_harness``: ``ratio_harness`` per theorem id on four seeded step
   pairs at base depth 3, at each (dim, depth) of ``DEPTHS``;
@@ -37,7 +35,9 @@ next to the slope ``PREDICTED`` states for it.  The sections:
 * ``mgf``: ``write_mgf`` and ``read_mgf`` on seeded positive grids of the
   (dim, depth) sizes ``MGF_SIZES``;
 * ``ops``: in-process ``cli.main`` runs of each CLI op of ``OPS``, counting
-  the calls of the functions it names.
+  the calls of the functions it names;
+* ``layers``: the public ``i_alpha`` and ``b_alpha`` at alpha = n/2 on
+  seeded positive grids at each (dim, depth) of ``DEPTHS``.
 
 The record also holds each checkout's line count of ``src/`` (``src_lines``),
 the measure of a change that keeps results and removes code.
@@ -55,11 +55,8 @@ import subprocess
 import sys
 
 WORKLOADS = ("harness", "selftest", "fields", "weights-cz")
-TRACED = "harness"
 END_TO_END = {"ops_per_s": "higher", "op_s.p50": "lower", "setup_s": "lower",
               "peak_rss_mb": "lower"}
-TRACE_KEYS = ("experiments.ratio_harness.self_s", "operators.b_alpha.1d.self_s",
-              "operators.b_alpha.2d.self_s")
 DEPTHS = ((1, 6), (1, 8), (1, 10), (2, 4), (2, 5), (2, 6))  # (dim, depth)
 CRITERIA = tuple(range(1, 13))
 SWEEP_DEPTHS = (7, 8, 9, 10)
@@ -79,9 +76,6 @@ OPS = {  # name: (argv, the functions whose calls one run makes)
                    ("experiments.fs_majorant",)),
 }
 SETTINGS = {
-    "runs": 5,             # traced harness runs per side
-    "seed": 3,             # seed of the traced runs
-    "seconds": 5.0,        # --seconds of each traced run
     "repeats": 7,          # timed direct calls per key
     "pairs": 10,           # end-to-end pairs on each workload
     "pair_seed": 17,       # seed of the end-to-end runs
@@ -201,26 +195,41 @@ with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringI
         measure(name, lambda: cli.main(argv), count=count)
 """
 
+LAYERS = r"""
+import numpy as np
+from morreybench.grid import GridFunction, unit_root
+from morreybench.operators import b_alpha, i_alpha
+for dim, depth in arg:
+    f, g = (GridFunction(unit_root(dim), values, "pos") for values in
+            np.random.default_rng(depth).uniform(0.5, 2.0, (2,) + (2 ** depth,) * dim))
+    measure(f"i_alpha.{dim}d.depth{depth}", lambda: i_alpha(f, dim / 2), cells=f.values.size)
+    measure(f"b_alpha.{dim}d.depth{depth}", lambda: b_alpha(f, g, dim / 2), cells=f.values.size)
+"""
+
 SNIPPETS = {  # record section: (snippet, its argument)
     "ratio_harness": (HARNESS, DEPTHS),
     "criteria": (CRITERION, CRITERIA),
     "aligned_sweep": (SWEEP, SWEEP_DEPTHS),
     "mgf": (MGF, MGF_SIZES),
     "ops": (OP, OPS),
+    "layers": (LAYERS, DEPTHS),
 }
-PREDICTED = {"mgf": {"write.2d": 1.0, "read.2d": 1.0}}  # section: {key stem: slope}
+PREDICTED = {  # section: {key stem: slope}
+    "mgf": {"write.2d": 1.0, "read.2d": 1.0},
+    "layers": {"i_alpha.1d": 1.0, "i_alpha.2d": 1.0, "b_alpha.1d": 2.0, "b_alpha.2d": 2.0},
+}
 
 
 def summary(values):
     return {"min": min(values), "spread": max(values) - min(values), "runs": values}
 
 
-def bench_run(checkout, workload, seed, seconds, trace):
-    """The last JSON line of one ``benchmarks/run.py`` run in ``checkout``,
-    with the unscaled set-up time of an untraced run added."""
+def bench_run(checkout, workload, seed, seconds):
+    """The last JSON line of one untraced ``benchmarks/run.py`` run in
+    ``checkout``, with the unscaled set-up time it prints added."""
     lines = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed",
-         str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         str(seed), "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, check=True, capture_output=True, text=True).stdout.strip().splitlines()
     result = json.loads(lines[-1])
     for line in lines:
@@ -238,7 +247,7 @@ def pairs(sides, workload, n, seed, seconds):
     runs = {side: [] for side in sides}
     for r in range(n):
         for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
-            runs[side].append(bench_run(sides[side], workload, seed, seconds, 0))
+            runs[side].append(bench_run(sides[side], workload, seed, seconds))
     out = {"failed": {side: [r["failed"] for r in runs[side]] for side in sides},
            "unscaled_setup_s": {}}
     for side in sides:
@@ -320,14 +329,6 @@ def main(argv=None):
     end_to_end = {wl: pairs(sides, wl, cfg["pairs"], cfg["pair_seed"], cfg["pair_seconds"])
                   for wl in WORKLOADS}
 
-    traced = {side: {k: [] for k in TRACE_KEYS} for side in sides}
-    for r in range(cfg["runs"]):
-        order = ("before", "after") if r % 2 == 0 else ("after", "before")
-        for side in order:
-            metrics = bench_run(sides[side], TRACED, cfg["seed"], cfg["seconds"], 1)["metrics"]
-            for k in TRACE_KEYS:
-                traced[side][k].append(metrics[k]["value"])
-
     direct = {side: {name: {} for name in SNIPPETS} for side in sides}
     for r in range(cfg["repeats"]):
         for side in (("before", "after") if r % 2 == 0 else ("after", "before")):
@@ -341,10 +342,8 @@ def main(argv=None):
                  "nproc": os.cpu_count()},
         "settings": cfg,
         "src_lines": {side: src_lines(path) for side, path in sides.items()},
-        "units": "seconds; traced figures are per cycle, direct ones per call",
+        "units": "seconds; direct figures are per call",
         "end_to_end": end_to_end,
-        "traced_harness": {side: {k: summary(v) for k, v in traced[side].items()}
-                           for side in sides},
         "direct": {name: {side: section(direct[side][name], PREDICTED.get(name, {}))
                           for side in sides} for name in SNIPPETS},
     }
